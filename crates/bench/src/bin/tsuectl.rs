@@ -3,7 +3,8 @@
 //! ```text
 //! tsuectl run <scenario.json> [--out DIR] [--trace-out FILE]
 //!                                             execute a scenario file
-//! tsuectl bench [--quick] [--out FILE]        perf-regression report (BENCH_NN.json)
+//! tsuectl figures [all|fig5|...|extras] [--quick] [--out DIR]
+//!                                             regenerate the paper's figures/tables
 //! tsuectl trace-check <trace.json> [--result FILE]
 //!                                             validate an emitted Chrome trace
 //! tsuectl lint [--json] [--json-out FILE]     workspace invariant checker (tsue_lint)
@@ -18,9 +19,17 @@
 //! reproducible from its spec. The one exception is `--trace-csv`
 //! replay: a recorded trace is an external input the spec alone cannot
 //! reproduce, so that path prints its metrics without persisting.
+//!
+//! `figures` prints each sweep as a text table and persists it as JSON
+//! under `--out`; the sweeps with `RunResult`-shaped rows (fig5, table1,
+//! fig8a) additionally write a `<name>_scenarios.json` with the specs
+//! that reproduce each data point. `--quick` runs shape-check scale
+//! (seconds); the default full scale reproduces the paper's sweeps
+//! (minutes).
 
+use std::path::Path;
 use tsue_bench::{
-    default_registry, render_listing, run_scenario_traced, RunResult, ScenarioOutcome,
+    default_registry, render_listing, run_scenario_traced, RunResult, Scale, ScenarioOutcome,
     ScenarioSpec, SchemeSpec, TraceKind,
 };
 use tsue_ecfs::{run_workload, Cluster, DeviceKind, PlacementKind};
@@ -33,11 +42,10 @@ subcommands:\n\
                                           execute a scenario file; --trace-out dumps the\n\
                                           op-lifecycle spans as Chrome trace_event JSON\n\
                                           (open in Perfetto / chrome://tracing)\n\
-  bench [--quick] [--out FILE] [--threads N]\n\
-                                          zero-copy perf-regression report\n\
-                                          (micro kernels + cluster runs + integrity/scrub/obs rows;\n\
-                                          --threads N adds a wall-clock scaling ladder;\n\
-                                          default output BENCH_08.json)\n\
+  figures [all|fig5|fig6a|fig6b|fig7|table1|table2|fig8a|fig8b|extras] [--quick] [--out DIR]\n\
+                                          regenerate the paper's figures/tables (default all)\n\
+                                          as text tables plus JSON under --out; --quick runs\n\
+                                          shape-check scale (seconds, not minutes)\n\
   trace-check <trace.json> [--result FILE]\n\
                                           validate a --trace-out dump: parses the JSON and\n\
                                           requires ≥1 complete span; with --result, requires\n\
@@ -71,6 +79,26 @@ fn fail(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value following the flag at `args[*i]`; advances `i` onto it.
+fn value_after(args: &[String], i: &mut usize) -> String {
+    *i += 1;
+    args.get(*i)
+        .cloned()
+        .unwrap_or_else(|| fail(&format!("missing value after {}", args[*i - 1])))
+}
+
+/// Persists `value` as `<dir>/<name>.json`. Every `{spec, result}` and
+/// figure file goes through here: a result that cannot be written is a
+/// failed run (CI's `trace-check --result` reads the file back), so this
+/// reports the path and exits nonzero instead of returning.
+fn persist<T: serde::Serialize>(dir: &Path, name: &str, value: &T) {
+    if let Err(e) = tsue_bench::save_json(dir, name, value) {
+        let path = dir.join(format!("{name}.json"));
+        eprintln!("error: cannot write {}: {e}", path.display());
+        std::process::exit(1);
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -82,7 +110,7 @@ fn main() {
         }
         Some("run") => run_file(&args[1..]),
         Some("lint") => lint(&args[1..]),
-        Some("bench") => bench(&args[1..]),
+        Some("figures") => figures(&args[1..]),
         Some("trace-check") => trace_check(&args[1..]),
         Some("--help") | Some("-h") => println!("{HELP}"),
         _ => adhoc(&args),
@@ -90,7 +118,7 @@ fn main() {
 }
 
 /// `tsuectl lint` — the workspace invariant checker, exposed beside the
-/// run/bench entry points so one binary covers the whole workflow. Walks
+/// run/figures entry points so one binary covers the whole workflow. Walks
 /// up from the current directory to the `lint.toml` root and exits
 /// nonzero unless the workspace is clean.
 fn lint(rest: &[String]) {
@@ -100,14 +128,7 @@ fn lint(rest: &[String]) {
     while i < rest.len() {
         match rest[i].as_str() {
             "--json" => json = true,
-            "--json-out" => {
-                i += 1;
-                json_out = Some(
-                    rest.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| fail("missing value after --json-out")),
-                );
-            }
+            "--json-out" => json_out = Some(value_after(rest, &mut i)),
             other => fail(&format!("unknown lint flag '{other}'")),
         }
         i += 1;
@@ -137,49 +158,150 @@ fn lint(rest: &[String]) {
     }
 }
 
-/// `tsuectl bench` — the perf-regression harness: kernel baselines vs
-/// zero-copy entry points plus materialized cluster runs, persisted as a
-/// `BENCH_NN.json` stake for the trajectory.
-fn bench(rest: &[String]) {
-    let mut quick = false;
-    let mut out = String::from("BENCH_08.json");
-    let mut threads = 1usize;
+/// Runs one sweep at a scale, prints its banner and table, and persists
+/// its JSON under the output directory.
+type FigureFn = fn(Scale, &Path);
+
+/// The paper's figures and tables in evaluation order.
+const FIGURES: [(&str, FigureFn); 9] = [
+    ("fig5", fig5),
+    ("fig6a", fig6a),
+    ("fig6b", fig6b),
+    ("fig7", fig7),
+    ("table1", table1),
+    ("table2", table2),
+    ("fig8a", fig8a),
+    ("fig8b", fig8b),
+    ("extras", extras),
+];
+
+/// `tsuectl figures` — regenerates every table and figure of the
+/// paper's evaluation (or the one named).
+fn figures(rest: &[String]) {
+    let mut scale = Scale::Full;
+    let mut out = String::from("results");
+    let mut what: Option<&str> = None;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out = rest
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| fail("missing value after --out"));
+            "--quick" => scale = Scale::Quick,
+            "--out" => out = value_after(rest, &mut i),
+            flag if flag.starts_with('-') => {
+                fail(&format!("unknown flag '{flag}' after 'figures'"))
             }
-            "--threads" => {
-                i += 1;
-                threads = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("missing or invalid value after --threads"));
+            name if name == "all" || FIGURES.iter().any(|f| f.0 == name) => {
+                if let Some(prev) = what {
+                    fail(&format!("got both '{prev}' and '{name}'"));
+                }
+                what = Some(name);
             }
-            other => fail(&format!("unknown flag '{other}' after 'bench'")),
+            other => fail(&format!("unknown figure '{other}'")),
         }
         i += 1;
     }
-    // The stake id is the output filename's stem, so `--out BENCH_07.json`
-    // (the next PR's stake) self-identifies without a source edit.
-    let bench_id = std::path::Path::new(&out)
-        .file_stem()
-        .and_then(|s| s.to_str())
-        .unwrap_or("BENCH")
-        .to_string();
-    let report = tsue_bench::bench_report(&bench_id, quick, threads);
-    print!("{}", tsue_bench::render_bench(&report));
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    match std::fs::write(&out, json + "\n") {
-        Ok(()) => println!("\nwrote {out}"),
-        Err(e) => fail(&format!("cannot write '{out}': {e}")),
+    let what = what.unwrap_or("all");
+    let wall = std::time::Instant::now();
+    for (name, run) in FIGURES {
+        if what == "all" || what == name {
+            run(scale, Path::new(&out));
+        }
     }
+    eprintln!(
+        "\n[figures] total wall time: {:.1}s",
+        wall.elapsed().as_secs_f64()
+    );
+}
+
+fn banner(s: &str) {
+    println!("\n================ {s} ================");
+}
+
+/// Persists a sweep's results plus the specs that reproduce them;
+/// returns the bare rows for rendering.
+fn persist_outcomes(out: &Path, name: &str, outcomes: &[ScenarioOutcome]) -> Vec<RunResult> {
+    let rows = tsue_bench::results_of(outcomes);
+    persist(out, name, &rows);
+    let specs: Vec<&ScenarioSpec> = outcomes.iter().map(|o| &o.spec).collect();
+    persist(out, &format!("{name}_scenarios"), &specs);
+    rows
+}
+
+fn fig5(scale: Scale, out: &Path) {
+    banner("Fig. 5 — SSD update throughput (Ali/Ten × RS codes × clients)");
+    let rows = persist_outcomes(out, "fig5", &tsue_bench::fig5(scale));
+    println!("{}", tsue_bench::render_throughput(&rows));
+}
+
+fn fig6a(scale: Scale, out: &Path) {
+    banner("Fig. 6a — TSUE IOPS over time (recycle overhead)");
+    let r = tsue_bench::fig6a(scale);
+    println!("{}", tsue_bench::render_fig6a(&r));
+    persist(out, "fig6a", &r);
+}
+
+fn fig6b(scale: Scale, out: &Path) {
+    banner("Fig. 6b — IOPS & memory vs log-unit quota");
+    let rows = tsue_bench::fig6b(scale);
+    println!("{}", tsue_bench::render_fig6b(&rows));
+    persist(out, "fig6b", &rows);
+}
+
+fn fig7(scale: Scale, out: &Path) {
+    banner("Fig. 7 — contribution breakdown (Baseline, +O1..+O5)");
+    let rows = tsue_bench::fig7(scale);
+    println!("{}", tsue_bench::render_fig7(&rows));
+    persist(out, "fig7", &rows);
+}
+
+fn table1(scale: Scale, out: &Path) {
+    banner("Table 1 — storage workload & network traffic (Ten, RS(6,4))");
+    let rows = persist_outcomes(out, "table1", &tsue_bench::table1(scale));
+    let life = tsue_bench::lifespan(&rows);
+    println!("{}", tsue_bench::render_table1(&rows, &life));
+    persist(out, "lifespan", &life);
+}
+
+fn table2(scale: Scale, out: &Path) {
+    banner("Table 2 — data residence time per log layer (RS(12,4))");
+    let rows = tsue_bench::table2(scale);
+    println!("{}", tsue_bench::render_table2(&rows));
+    persist(out, "table2", &rows);
+}
+
+fn fig8a(scale: Scale, out: &Path) {
+    banner("Fig. 8a — HDD update throughput over MSR volumes (RS(6,4))");
+    let rows = persist_outcomes(out, "fig8a", &tsue_bench::fig8a(scale));
+    println!("{}", tsue_bench::render_throughput(&rows));
+}
+
+fn fig8b(scale: Scale, out: &Path) {
+    banner("Fig. 8b — recovery bandwidth after updates (HDD)");
+    let rows = tsue_bench::fig8b(scale);
+    println!("{}", tsue_bench::render_fig8b(&rows));
+    persist(out, "fig8b", &rows);
+}
+
+fn extras(scale: Scale, out: &Path) {
+    banner("Extensions — §7 delta compression & §5.3.5 unit-size ablation");
+    let (without, with) = tsue_bench::ext_compression(scale);
+    println!(
+        "delta compression: net {:.3} GiB -> {:.3} GiB ({:.0}% saved), IOPS {:.0} -> {:.0}",
+        without.net_payload_gib,
+        with.net_payload_gib,
+        100.0 * (1.0 - with.net_payload_gib / without.net_payload_gib.max(1e-9)),
+        without.iops,
+        with.iops
+    );
+    persist(out, "ext_compression", &vec![without, with]);
+    let rows = tsue_bench::ext_unit_size(scale);
+    println!("\nUNIT(MiB)  DATA_BUFFER(ms)      IOPS");
+    for r in &rows {
+        println!(
+            "{:>8} {:>16.1} {:>9.0}",
+            r.unit_mib, r.data_buffer_ms, r.iops
+        );
+    }
+    persist(out, "ext_unit_size", &rows);
 }
 
 /// `tsuectl list` — the registry and the bundled scenario files.
@@ -200,28 +322,13 @@ fn run_file(rest: &[String]) {
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--out" => {
-                i += 1;
-                out = rest
-                    .get(i)
-                    .cloned()
-                    .unwrap_or_else(|| fail("missing value after --out"));
-            }
+            "--out" => out = value_after(rest, &mut i),
             "--threads" => {
-                i += 1;
-                threads = rest
-                    .get(i)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| fail("missing or invalid value after --threads"));
+                threads = value_after(rest, &mut i)
+                    .parse()
+                    .unwrap_or_else(|e| fail(&format!("--threads: {e}")));
             }
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(
-                    rest.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| fail("missing value after --trace-out")),
-                );
-            }
+            "--trace-out" => trace_out = Some(value_after(rest, &mut i)),
             flag if flag.starts_with('-') => fail(&format!("unknown flag '{flag}' after 'run'")),
             p if path.is_none() => path = Some(p.to_string()),
             extra => fail(&format!("unexpected argument '{extra}'")),
@@ -257,11 +364,8 @@ fn execute(spec: ScenarioSpec, out: &str, threads: usize, trace_out: Option<&str
         spec: spec.clone(),
         result,
     };
-    let dir = std::path::Path::new(out);
-    match tsue_bench::save_json(dir, &spec.name, &outcome) {
-        Ok(()) => println!("\nwrote {}/{}.json (spec + result)", out, spec.name),
-        Err(e) => eprintln!("\nwarning: could not persist outcome under '{out}': {e}"),
-    }
+    persist(Path::new(out), &spec.name, &outcome);
+    println!("\nwrote {}/{}.json (spec + result)", out, spec.name);
 }
 
 /// `tsuectl trace-check` — validates a `--trace-out` dump: the file must
@@ -275,14 +379,7 @@ fn trace_check(rest: &[String]) {
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
-            "--result" => {
-                i += 1;
-                result_path = Some(
-                    rest.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| fail("missing value after --result")),
-                );
-            }
+            "--result" => result_path = Some(value_after(rest, &mut i)),
             flag if flag.starts_with('-') => {
                 fail(&format!("unknown flag '{flag}' after 'trace-check'"))
             }
@@ -361,12 +458,7 @@ fn adhoc(args: &[String]) {
     let mut print_spec = false;
     let mut threads = 1usize;
     let mut i = 0;
-    let next = |i: &mut usize| -> String {
-        *i += 1;
-        args.get(*i)
-            .cloned()
-            .unwrap_or_else(|| fail(&format!("missing value after {}", args[*i - 1])))
-    };
+    let next = |i: &mut usize| value_after(args, i);
     let parse_num = |flag: &str, v: String| -> u64 {
         v.parse().unwrap_or_else(|e| fail(&format!("{flag}: {e}")))
     };

@@ -50,17 +50,6 @@ pub fn fig5(scale: Scale) -> Vec<ScenarioOutcome> {
     run_scenarios(specs).expect("fig5 specs are valid")
 }
 
-/// A focused Fig. 5 subplot (one trace, one code) for the Criterion bench.
-pub fn fig5_subplot(trace: TraceKind, k: usize, m: usize, scale: Scale) -> Vec<ScenarioOutcome> {
-    let mut specs = Vec::new();
-    for clients in scale.client_counts() {
-        for scheme in SchemeSpec::fig5_lineup() {
-            specs.push(sweep_spec(trace, k, m, clients, scheme, scale));
-        }
-    }
-    run_scenarios(specs).expect("fig5 specs are valid")
-}
-
 /// Fig. 6a — TSUE IOPS sampled over a one-minute window (Quick: scaled
 /// down), showing that back-end recycling does not dent foreground
 /// throughput.
@@ -496,12 +485,6 @@ pub fn smoke() -> (RunResult, RunResult) {
     let fo = run_scenario(&mk(SchemeSpec::named("fo"))).expect("smoke fo");
     let tsue = run_scenario(&mk(SchemeSpec::tsue())).expect("smoke tsue");
     (fo, tsue)
-}
-
-/// Virtual-vs-wall sanity: the DES must report virtual seconds regardless
-/// of host speed.
-pub fn virtual_seconds(result: &RunResult) -> f64 {
-    result.per_second.len() as f64
 }
 
 #[cfg(test)]

@@ -3,29 +3,26 @@
 //! Every experiment is expressed as a set of [`ScenarioSpec`]s — the
 //! serializable run descriptions of the declarative scenario API
 //! ([`scenario`]) — executed by [`run_scenario`] (deterministic per
-//! seed) and fanned out over OS threads by [`run_scenarios`]. The
-//! `experiments` binary regenerates all figures/tables and writes
-//! machine-readable results plus the specs that reproduce them; the
-//! Criterion benches wrap the same functions at `Scale::Quick`.
+//! seed) and fanned out over OS threads by [`run_scenarios`]. The one
+//! binary, `tsuectl`, runs scenario files and ad-hoc specs, and its
+//! `figures` subcommand regenerates all figures/tables, writing
+//! machine-readable results plus the specs that reproduce them.
 //!
-//! [`RunConfig`]/[`run_one`]/[`run_many`]/[`build_cluster`] remain as
-//! thin wrappers over the scenario API for older call sites; new code
-//! should construct [`ScenarioSpec`]s (or JSON scenario files) directly.
+//! Host-side performance (how fast the simulator itself runs, layer by
+//! layer) is measured by the standalone `benchmark/` package, which
+//! drives this crate's public API from outside the workspace.
 
 pub mod experiments;
-pub mod perf;
 pub mod report;
 pub mod scenario;
 
 pub use experiments::*;
-pub use perf::*;
 pub use report::*;
 pub use scenario::*;
 
 use serde::{Deserialize, Serialize};
-use tsue_core::TsueConfig;
 use tsue_device::DeviceStats;
-use tsue_ecfs::{Cluster, DeviceKind};
+use tsue_ecfs::Cluster;
 use tsue_sim::{Sim, Time, MILLISECOND};
 use tsue_trace::{ali_cloud, msr_volume, ten_cloud, MsrVolume, WorkloadProfile};
 
@@ -159,134 +156,6 @@ impl Deserialize for TraceKind {
     }
 }
 
-/// Scheme selection for a run.
-///
-/// Transition-era wrapper: scheme construction goes through the
-/// [`tsue_ecfs::SchemeRegistry`]; this enum survives only as sugar for
-/// code still assembling [`RunConfig`]s. New code should use
-/// [`SchemeSpec`] directly.
-#[derive(Clone, Debug)]
-pub enum SchemeSel {
-    /// One of the baselines.
-    Baseline(tsue_schemes::SchemeKind),
-    /// TSUE with defaults for the device class.
-    Tsue,
-    /// TSUE with an explicit configuration (ablation/sweep runs).
-    TsueWith(TsueConfig),
-}
-
-impl SchemeSel {
-    /// Display name.
-    pub fn name(&self) -> String {
-        match self {
-            SchemeSel::Baseline(k) => k.name().to_string(),
-            SchemeSel::Tsue | SchemeSel::TsueWith(_) => "TSUE".to_string(),
-        }
-    }
-
-    /// The declarative form: registry name plus knobs.
-    pub fn to_scheme_spec(&self) -> SchemeSpec {
-        match self {
-            SchemeSel::Baseline(k) => SchemeSpec::named(&k.name().to_ascii_lowercase()),
-            SchemeSel::Tsue => SchemeSpec::tsue(),
-            SchemeSel::TsueWith(cfg) => SchemeSpec::tsue_with(cfg),
-        }
-    }
-}
-
-/// One experiment run.
-///
-/// Transition-era wrapper over [`ScenarioSpec`] (see
-/// [`RunConfig::to_spec`]); slated for removal once the remaining
-/// callers author specs directly.
-#[derive(Clone, Debug)]
-pub struct RunConfig {
-    /// Workload.
-    pub trace: TraceKind,
-    /// RS data blocks.
-    pub k: usize,
-    /// RS parity blocks.
-    pub m: usize,
-    /// Closed-loop clients.
-    pub clients: usize,
-    /// Scheme under test.
-    pub scheme: SchemeSel,
-    /// Measured window in virtual milliseconds.
-    pub duration_ms: u64,
-    /// Device class.
-    pub device: DeviceKind,
-    /// File size per client, MiB.
-    pub file_mb: u64,
-    /// Workload seed.
-    pub seed: u64,
-    /// Drain logs afterwards and include recycle I/O in the totals
-    /// (Table 1 runs); throughput runs leave it off.
-    pub flush_after: bool,
-    /// Fixed work mode: each client issues exactly this many ops and the
-    /// run ends when all complete (Table 1 comparability). `None` = run
-    /// for `duration_ms` of virtual time.
-    pub ops_per_client: Option<u64>,
-}
-
-impl RunConfig {
-    /// A default SSD run of the given shape.
-    pub fn ssd(trace: TraceKind, k: usize, m: usize, clients: usize, scheme: SchemeSel) -> Self {
-        RunConfig {
-            trace,
-            k,
-            m,
-            clients,
-            scheme,
-            duration_ms: 2_000,
-            device: DeviceKind::Ssd,
-            file_mb: 12,
-            seed: 42,
-            flush_after: false,
-            ops_per_client: None,
-        }
-    }
-
-    /// A default HDD run.
-    pub fn hdd(trace: TraceKind, k: usize, m: usize, clients: usize, scheme: SchemeSel) -> Self {
-        RunConfig {
-            device: DeviceKind::Hdd,
-            ..Self::ssd(trace, k, m, clients, scheme)
-        }
-    }
-
-    /// The declarative form of this run: every field pinned explicitly
-    /// so the spec reproduces the run bit for bit.
-    pub fn to_spec(&self) -> ScenarioSpec {
-        let scheme = self.scheme.to_scheme_spec();
-        ScenarioSpec {
-            name: ScenarioSpec::auto_name(&scheme, self.trace, self.k, self.m, self.clients),
-            device: self.device,
-            k: self.k,
-            m: self.m,
-            clients: self.clients,
-            trace: self.trace,
-            scheme,
-            osds: None,
-            block_kib: None,
-            net: None,
-            topology: None,
-            placement: None,
-            faults: None,
-            duration_ms: Some(self.duration_ms),
-            ops_per_client: self.ops_per_client,
-            file_mb: Some(self.file_mb),
-            seed: Some(self.seed),
-            flush_after: Some(self.flush_after),
-            materialize: None,
-            journal: None,
-            checksums: None,
-            scrub_mb_s: None,
-            log_replicas: None,
-            obs_cadence_ms: None,
-        }
-    }
-}
-
 /// Metrics harvested from one run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct RunResult {
@@ -412,14 +281,6 @@ impl From<DeviceStats> for DevSummary {
     }
 }
 
-/// Builds the cluster for a run (thin wrapper over
-/// [`ScenarioSpec::build_cluster`] with the default registry).
-pub fn build_cluster(cfg: &RunConfig) -> Cluster {
-    cfg.to_spec()
-        .build_cluster(&default_registry())
-        .expect("RunConfig always maps to a valid scenario")
-}
-
 /// Memory-probe cadence during a run.
 const MEM_PROBE_EVERY: Time = 250 * MILLISECOND;
 
@@ -436,24 +297,8 @@ pub(crate) fn mem_probe_start(sim: &mut Sim<Cluster>) {
     sim.schedule(MEM_PROBE_EVERY, mem_probe);
 }
 
-/// Executes one run deterministically and harvests its metrics (thin
-/// wrapper over [`run_scenario`]).
-pub fn run_one(cfg: &RunConfig) -> RunResult {
-    run_scenario(&cfg.to_spec()).expect("RunConfig always maps to a valid scenario")
-}
-
-/// Runs a batch across OS threads (thin wrapper over
-/// [`run_scenarios`]; each run stays deterministic).
-pub fn run_many(cfgs: Vec<RunConfig>) -> Vec<RunResult> {
-    run_scenarios(cfgs.iter().map(RunConfig::to_spec).collect())
-        .expect("RunConfig always maps to a valid scenario")
-        .into_iter()
-        .map(|o| o.result)
-        .collect()
-}
-
-/// Experiment scale: `Quick` for benches/tests, `Full` for the paper-shaped
-/// reproduction.
+/// Experiment scale: `Quick` for smoke runs and tests, `Full` for the
+/// paper-shaped reproduction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Short windows, few clients — smoke-scale shape checks.

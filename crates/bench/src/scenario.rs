@@ -76,12 +76,6 @@ impl SchemeSpec {
         Self::named("tsue")
     }
 
-    /// TSUE pinned to an explicit full configuration (sweep/ablation
-    /// runs): every [`tsue_core::TsueConfig`] field becomes a knob.
-    pub fn tsue_with(cfg: &tsue_core::TsueConfig) -> Self {
-        Self::with_knobs("tsue", serde::Serialize::to_value(cfg))
-    }
-
     /// The knob object to hand a factory (`Null` when unset).
     pub fn knobs_value(&self) -> Value {
         self.knobs.clone().unwrap_or(Value::Null)
@@ -733,9 +727,8 @@ pub fn run_scenarios(specs: Vec<ScenarioSpec>) -> Result<Vec<ScenarioOutcome>, S
     Ok(out.into_iter().map(|(_, r)| r).collect())
 }
 
-/// Renders the `list` subcommand body shared by `tsuectl` and
-/// `experiments`: the scheme registry followed by the bundled scenario
-/// files.
+/// Renders the `tsuectl list` body: the scheme registry followed by the
+/// bundled scenario files.
 pub fn render_listing(registry: &SchemeRegistry) -> String {
     use std::fmt::Write as _;
     let mut out = String::from("registered schemes:\n");
@@ -773,7 +766,7 @@ pub fn results_of(outcomes: &[ScenarioOutcome]) -> Vec<RunResult> {
 }
 
 /// The scenario files compiled into the binary, as `(path, JSON)` pairs
-/// — the `list` subcommands print these and CI smoke-runs them.
+/// — `tsuectl list` prints these and CI smoke-runs them.
 pub fn bundled_scenarios() -> &'static [(&'static str, &'static str)] {
     &[
         (

@@ -1,0 +1,70 @@
+//! Drives the `tsuectl` binary: `figures` argument validation and
+//! output, and the nonzero exit when a result cannot be persisted.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn tsuectl(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_tsuectl"))
+        .args(args)
+        .output()
+        .expect("tsuectl runs")
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("tsuectl-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn figures_rejects_bad_arguments_with_usage() {
+    for (args, needle) in [
+        (&["figures", "fig9"][..], "unknown figure 'fig9'"),
+        (&["figures", "--fast"][..], "unknown flag '--fast'"),
+        (
+            &["figures", "fig7", "fig5"][..],
+            "got both 'fig7' and 'fig5'",
+        ),
+    ] {
+        let out = tsuectl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+        assert!(stderr.contains("figures [all|fig5|"), "{args:?}: no usage");
+    }
+}
+
+#[test]
+fn figures_fig7_quick_writes_the_six_ablation_rows() {
+    let dir = scratch("fig7");
+    let out = tsuectl(&["figures", "fig7", "--quick", "--out", dir.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(dir.join("fig7.json")).expect("fig7.json written");
+    let rows: Vec<tsue_bench::Fig7Row> = serde_json::from_str(&text).expect("fig7.json parses");
+    let levels: Vec<&str> = rows.iter().map(|r| r.level.as_str()).collect();
+    assert_eq!(levels, tsue_bench::FIG7_LEVELS);
+    assert!(rows.iter().all(|r| r.iops > 0.0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_into_unwritable_out_fails() {
+    let dir = scratch("unwritable");
+    // A regular file where the output directory should be: creating the
+    // directory fails for every user, root included.
+    let blocker = dir.join("not-a-dir");
+    std::fs::write(&blocker, b"").expect("blocker file");
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.json");
+    let out = tsuectl(&["run", scenario, "--out", blocker.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cannot write"), "{stderr}");
+    assert!(stderr.contains("not-a-dir"), "path missing from: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

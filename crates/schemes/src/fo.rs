@@ -6,8 +6,8 @@
 //! deferred work — the longest update path of all schemes, entirely made of
 //! small random I/O, but recovery-ready at every instant.
 
-use crate::AckTable;
-use tsue_ecfs::scheme::{rmw_data_delta, DeltaKind, SchemeMsg, UpdateReq};
+use crate::{forward_parity_deltas, AckTable};
+use tsue_ecfs::scheme::{SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
 use tsue_sim::Sim;
 
@@ -36,30 +36,8 @@ impl UpdateScheme for Fo {
         osd: usize,
         req: UpdateReq,
     ) {
-        // In-place data RMW producing the data delta (Eq. 2 prologue).
-        let (t_rmw, delta) = rmw_data_delta(core, sim.now(), osd, req.block, req.off, &req.data);
-        let m = core.cfg.stripe.m;
-        let gstripe = core.global_stripe(req.block.file, req.block.stripe);
-        let tag = self.acks.register(req.op_id, m as u32);
-        // Parity deltas computed on the data OSD's CPU, then forwarded.
-        let t_send = t_rmw + core.gf_time(req.data.len * m as u64);
-        for j in 0..m {
-            let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
-            let pd = delta.gf_scaled(core.rs.coefficient(j, req.block.role));
-            let (block, off, len) = (req.block, req.off, req.data.len);
-            sim.schedule_at(t_send, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                let msg = SchemeMsg::DeltaForward {
-                    from: osd,
-                    block,
-                    off,
-                    data: pd,
-                    kind: DeltaKind::ParityDelta,
-                    parity_index: j,
-                    tag,
-                };
-                w.core.send_to_scheme(sim, osd, peer, len, msg);
-            });
-        }
+        // In-place data RMW, then one parity delta per parity block.
+        forward_parity_deltas(&mut self.acks, core, sim, osd, req);
     }
 
     fn on_message(

@@ -32,8 +32,9 @@ pub use tsue_ecfs::scheme::AckTable;
 use std::collections::HashMap;
 use tsue_device::StreamId;
 use tsue_ecfs::registry::reject_knobs;
-use tsue_ecfs::{ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
-use tsue_sim::Time;
+use tsue_ecfs::scheme::{rmw_data_delta, DeltaKind, SchemeMsg, UpdateReq};
+use tsue_ecfs::{Cluster, ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
+use tsue_sim::{Sim, Time};
 
 /// Per-peer mirror regions for parity-log replication
 /// ([`tsue_ecfs::ClusterConfig::log_replicas`]).
@@ -214,6 +215,43 @@ pub fn register_baselines(reg: &mut SchemeRegistry) {
 pub fn parity_index_of(core: &ClusterCore, osd: usize, gstripe: u64) -> Option<usize> {
     let k = core.cfg.stripe.k;
     (0..core.cfg.stripe.m).find(|&j| core.owner_of(gstripe, k + j) == osd)
+}
+
+/// The synchronous front half FO, PL and PLR share: the in-place data
+/// RMW producing the data delta (Eq. 2 prologue), then one GF-scaled
+/// parity delta per parity block, computed on the data OSD's CPU and
+/// forwarded to each parity owner as a [`SchemeMsg::DeltaForward`].
+/// `acks` completes the op after `m` acks; what a parity owner does with
+/// its delta before acking is each scheme's policy.
+pub fn forward_parity_deltas(
+    acks: &mut AckTable,
+    core: &mut ClusterCore,
+    sim: &mut Sim<Cluster>,
+    osd: usize,
+    req: UpdateReq,
+) {
+    let (t_rmw, delta) = rmw_data_delta(core, sim.now(), osd, req.block, req.off, &req.data);
+    let m = core.cfg.stripe.m;
+    let gstripe = core.global_stripe(req.block.file, req.block.stripe);
+    let tag = acks.register(req.op_id, m as u32);
+    let t_send = t_rmw + core.gf_time(req.data.len * m as u64);
+    for j in 0..m {
+        let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
+        let pd = delta.gf_scaled(core.rs.coefficient(j, req.block.role));
+        let (block, off, len) = (req.block, req.off, req.data.len);
+        sim.schedule_at(t_send, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
+            let msg = SchemeMsg::DeltaForward {
+                from: osd,
+                block,
+                off,
+                data: pd,
+                kind: DeltaKind::ParityDelta,
+                parity_index: j,
+                tag,
+            };
+            w.core.send_to_scheme(sim, osd, peer, len, msg);
+        });
+    }
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 //! failure before recycling stalls recovery behind a recycle storm — the
 //! consistency issue §2.3.2 highlights.
 
-use crate::{AckTable, LogMirrors, LogRegion};
-use tsue_ecfs::scheme::{rmw_data_delta, Chunk, DeltaKind, SchemeMsg, UpdateReq};
+use crate::{forward_parity_deltas, AckTable, LogMirrors, LogRegion};
+use tsue_ecfs::scheme::{Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
 use tsue_sim::Sim;
 
@@ -99,29 +99,8 @@ impl UpdateScheme for Pl {
         osd: usize,
         req: UpdateReq,
     ) {
-        // Same in-place data RMW as FO.
-        let (t_rmw, delta) = rmw_data_delta(core, sim.now(), osd, req.block, req.off, &req.data);
-        let m = core.cfg.stripe.m;
-        let gstripe = core.global_stripe(req.block.file, req.block.stripe);
-        let tag = self.acks.register(req.op_id, m as u32);
-        let t_send = t_rmw + core.gf_time(req.data.len * m as u64);
-        for j in 0..m {
-            let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
-            let pd = delta.gf_scaled(core.rs.coefficient(j, req.block.role));
-            let (block, off, len) = (req.block, req.off, req.data.len);
-            sim.schedule_at(t_send, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                let msg = SchemeMsg::DeltaForward {
-                    from: osd,
-                    block,
-                    off,
-                    data: pd,
-                    kind: DeltaKind::ParityDelta,
-                    parity_index: j,
-                    tag,
-                };
-                w.core.send_to_scheme(sim, osd, peer, len, msg);
-            });
-        }
+        // Same synchronous front half as FO; the policy is in `on_message`.
+        forward_parity_deltas(&mut self.acks, core, sim, osd, req);
     }
 
     fn on_message(
