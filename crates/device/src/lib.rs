@@ -13,17 +13,30 @@
 //!    from which the lifespan comparison (Table 1, §5.3.4) is derived.
 //!
 //! Device models hold no user data; block content lives in the OSD layer.
-//! Scale note: the FTL maps pages sparsely, so model capacity should match
-//! the experiment footprint (GBs, not the testbed's 400 GB) — the paper's
-//! *relative* wear and latency effects are preserved.
+//! Scale note: the per-page bookkeeping (FTL mapping, written-page bitmap)
+//! is sized by the pages an experiment touches, not by the capacity it
+//! declares (see the `table` module), but the FTL's GC behaviour does
+//! depend on capacity — so model capacity should match the experiment
+//! footprint (GBs, not the testbed's 400 GB); the paper's *relative* wear
+//! and latency effects are preserved.
 
 pub mod hdd;
+#[cfg(test)]
+mod reference;
 pub mod ssd;
+mod table;
 
 pub use hdd::HddModel;
 pub use ssd::{SsdModel, PAGE_SIZE};
 
+use table::{Table, NONE};
 use tsue_sim::{Time, MICROSECOND};
+
+/// 4 KiB pages below this index (4 TiB of device space) are table-indexed;
+/// addresses beyond it take the tables' ordered side path.
+pub(crate) const DENSE_PAGES: u64 = 1 << 30;
+/// Stream ids below this are table-indexed likewise.
+const DENSE_STREAMS: u64 = 1 << 16;
 
 /// Direction of an I/O operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,8 +133,9 @@ pub type StreamId = u32;
 pub struct Device {
     backend: Backend,
     stats: DeviceStats,
-    /// `stream -> end offset of its previous access`.
-    stream_tails: std::collections::HashMap<StreamId, u64>,
+    /// `stream -> end offset of its previous access`, `NONE` before the
+    /// stream's first.
+    stream_tails: Table,
     /// 4 KiB-granularity map of logical space that has been written, for
     /// overwrite classification (kept in the device so every scheme is
     /// accounted identically).
@@ -134,14 +148,20 @@ enum Backend {
     Hdd(HddModel),
 }
 
-/// Sparse bitmap over 4 KiB logical pages.
-#[derive(Debug, Default)]
+/// Bitmap over 4 KiB logical pages: bit `page % 64` of word `page / 64`.
+#[derive(Debug)]
 struct WrittenMap {
-    pages: std::collections::HashSet<u64>,
+    words: Table,
 }
 
 impl WrittenMap {
     const GRAIN: u64 = 4096;
+
+    fn new() -> Self {
+        WrittenMap {
+            words: Table::new(DENSE_PAGES / 64, 0),
+        }
+    }
 
     /// Marks `[offset, offset+len)` written; returns true if *any* page in
     /// the range had been written before (i.e. this is an overwrite).
@@ -149,10 +169,14 @@ impl WrittenMap {
         let first = offset / Self::GRAIN;
         let last = (offset + len.max(1) - 1) / Self::GRAIN;
         let mut any_old = false;
-        for p in first..=last {
-            if !self.pages.insert(p) {
-                any_old = true;
-            }
+        for word in first / 64..=last / 64 {
+            // The range's bits inside this word, `lo..=hi`.
+            let lo = first.max(word * 64) % 64;
+            let hi = last.min(word * 64 + 63) % 64;
+            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+            let bits = self.words.slot(word);
+            any_old |= *bits & mask != 0;
+            *bits |= mask;
         }
         any_old
     }
@@ -161,21 +185,20 @@ impl WrittenMap {
 impl Device {
     /// Creates an SSD-backed device.
     pub fn new_ssd(model: SsdModel) -> Self {
-        Device {
-            backend: Backend::Ssd(model),
-            stats: DeviceStats::default(),
-            stream_tails: std::collections::HashMap::new(),
-            written: WrittenMap::default(),
-        }
+        Self::new(Backend::Ssd(model))
     }
 
     /// Creates an HDD-backed device.
     pub fn new_hdd(model: HddModel) -> Self {
+        Self::new(Backend::Hdd(model))
+    }
+
+    fn new(backend: Backend) -> Self {
         Device {
-            backend: Backend::Hdd(model),
+            backend,
             stats: DeviceStats::default(),
-            stream_tails: std::collections::HashMap::new(),
-            written: WrittenMap::default(),
+            stream_tails: Table::new(DENSE_STREAMS, NONE),
+            written: WrittenMap::new(),
         }
     }
 
@@ -301,10 +324,13 @@ impl Device {
     }
 
     fn classify(&mut self, stream: StreamId, offset: u64, len: u64) -> Locality {
-        let tail = self.stream_tails.insert(stream, offset + len);
-        match tail {
-            Some(end) if end == offset => Locality::Sequential,
-            _ => Locality::Random,
+        let tail = self.stream_tails.slot(u64::from(stream));
+        // `NONE` (no previous access) equals no offset an op can start at.
+        let prev_end = std::mem::replace(tail, offset + len);
+        if prev_end == offset {
+            Locality::Sequential
+        } else {
+            Locality::Random
         }
     }
 }

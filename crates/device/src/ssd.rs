@@ -9,8 +9,9 @@
 //! and erase cheaply. Erase counts per workload are the direct input to the
 //! "SSDs endure 2.5×–13× longer" comparison (§5.3.4).
 
-use crate::{DeviceStats, IoKind, Locality};
-use std::collections::HashMap;
+use crate::table::{Table, NONE};
+use crate::{DeviceStats, IoKind, Locality, DENSE_PAGES};
+use std::ops::Range;
 use tsue_sim::{MultiResource, Time, MICROSECOND, MILLISECOND};
 
 /// Flash page size — the FTL mapping granularity.
@@ -59,6 +60,27 @@ impl Default for SsdSpec {
     }
 }
 
+impl SsdSpec {
+    /// Flash blocks behind `logical_capacity` bytes: the logical pages plus
+    /// over-provisioning, in whole blocks, at least four.
+    pub(crate) fn flash_blocks(&self, logical_capacity: u64) -> u64 {
+        let logical_pages = logical_capacity.div_ceil(PAGE_SIZE);
+        let phys_pages = ((logical_pages as f64) * (1.0 + self.overprovision)).ceil() as u64;
+        phys_pages.div_ceil(PAGES_PER_BLOCK).max(4)
+    }
+
+    /// Channel occupancy of one foreground op.
+    pub(crate) fn service_time(&self, kind: IoKind, len: u64, locality: Locality) -> Time {
+        let (base, bw) = match (kind, locality) {
+            (IoKind::Read, Locality::Sequential) => (self.seq_base, self.seq_read_bw),
+            (IoKind::Write, Locality::Sequential) => (self.seq_base, self.seq_write_bw),
+            (IoKind::Read, Locality::Random) => (self.rand_read_base, self.seq_read_bw),
+            (IoKind::Write, Locality::Random) => (self.rand_write_base, self.seq_write_bw),
+        };
+        base + transfer_time(len, bw)
+    }
+}
+
 /// The SSD: spec + channel queues + FTL state.
 #[derive(Debug)]
 pub struct SsdModel {
@@ -76,12 +98,9 @@ impl SsdModel {
 
     /// Creates an SSD from an explicit spec.
     pub fn new(spec: SsdSpec, logical_capacity: u64) -> Self {
-        let logical_pages = logical_capacity.div_ceil(PAGE_SIZE);
-        let phys_pages = ((logical_pages as f64) * (1.0 + spec.overprovision)).ceil() as u64;
-        let blocks = phys_pages.div_ceil(PAGES_PER_BLOCK).max(4);
         SsdModel {
             channels: MultiResource::new(spec.channels),
-            ftl: Ftl::new(blocks),
+            ftl: Ftl::new(spec.flash_blocks(logical_capacity)),
             spec,
         }
     }
@@ -112,7 +131,7 @@ impl SsdModel {
         locality: Locality,
         stats: &mut DeviceStats,
     ) -> Time {
-        let service = self.service_time(kind, len, locality);
+        let service = self.spec.service_time(kind, len, locality);
         if kind == IoKind::Write {
             // Program the touched pages through the FTL; GC work is issued
             // as internal jobs on the channel pool so it delays foreground
@@ -141,18 +160,6 @@ impl SsdModel {
         }
     }
 
-    fn service_time(&self, kind: IoKind, len: u64, locality: Locality) -> Time {
-        let (base, bw) = match (kind, locality) {
-            (IoKind::Read, Locality::Sequential) => (self.spec.seq_base, self.spec.seq_read_bw),
-            (IoKind::Write, Locality::Sequential) => (self.spec.seq_base, self.spec.seq_write_bw),
-            (IoKind::Read, Locality::Random) => (self.spec.rand_read_base, self.spec.seq_read_bw),
-            (IoKind::Write, Locality::Random) => {
-                (self.spec.rand_write_base, self.spec.seq_write_bw)
-            }
-        };
-        base + transfer_time(len, bw)
-    }
-
     /// Fraction of physical pages currently holding live data.
     pub fn ftl_occupancy(&self) -> f64 {
         self.ftl.occupancy()
@@ -166,22 +173,30 @@ fn transfer_time(len: u64, bw: u64) -> Time {
 
 /// GC work accumulated while making room for one program.
 #[derive(Debug, Clone, Copy, Default)]
-struct GcWork {
-    erases: u64,
-    migrated: u64,
+pub(crate) struct GcWork {
+    pub(crate) erases: u64,
+    pub(crate) migrated: u64,
 }
 
 /// Page-mapped FTL with greedy (min-valid) garbage collection.
+///
+/// Both directions of the mapping are indexed, not hashed: logical pages
+/// through a [`Table`] (OSDs bump-allocate device space from 0), physical
+/// pages through a plain vector (blocks are first programmed in ascending
+/// order, so the touched physical range is a prefix).
 #[derive(Debug)]
 struct Ftl {
-    /// logical page -> physical page.
-    map: HashMap<u64, u64>,
-    /// physical page -> logical page (for migration).
-    rmap: HashMap<u64, u64>,
+    /// logical page -> physical page, `NONE` while unmapped.
+    map: Table,
+    /// physical page -> logical page (for migration), `NONE` while the
+    /// page holds no live data; covers the blocks programmed so far.
+    rmap: Vec<u64>,
+    /// Logical pages currently mapped.
+    live_pages: u64,
     /// Per-block count of valid pages.
     valid: Vec<u16>,
-    /// Erased blocks ready for programming.
-    free_blocks: Vec<u64>,
+    /// Never-programmed blocks, handed out in ascending order.
+    fresh_blocks: Range<u64>,
     /// Block currently accepting programs.
     active_block: u64,
     /// Next free page inside the active block.
@@ -192,10 +207,11 @@ struct Ftl {
 impl Ftl {
     fn new(blocks: u64) -> Self {
         Ftl {
-            map: HashMap::new(),
-            rmap: HashMap::new(),
+            map: Table::new(DENSE_PAGES, NONE),
+            rmap: vec![NONE; PAGES_PER_BLOCK as usize],
+            live_pages: 0,
             valid: vec![0; blocks as usize],
-            free_blocks: (1..blocks).rev().collect(),
+            fresh_blocks: 1..blocks,
             active_block: 0,
             active_cursor: 0,
             total_blocks: blocks,
@@ -209,19 +225,26 @@ impl Ftl {
     /// equivalent of a full disk) — size the device to the experiment.
     fn program(&mut self, lpn: u64, stats: &mut DeviceStats) -> GcWork {
         // Invalidate the previous location, if any.
-        if let Some(old) = self.map.remove(&lpn) {
-            self.rmap.remove(&old);
-            let blk = (old / PAGES_PER_BLOCK) as usize;
-            self.valid[blk] -= 1;
+        let old = *self.map.slot(lpn);
+        if old == NONE {
+            self.live_pages += 1;
+        } else {
+            self.rmap[old as usize] = NONE;
+            self.valid[(old / PAGES_PER_BLOCK) as usize] -= 1;
         }
         let gc = self.ensure_space(stats);
+        self.place(lpn, stats);
+        gc
+    }
+
+    /// Maps `lpn` to the next free page of the active block.
+    fn place(&mut self, lpn: u64, stats: &mut DeviceStats) {
         let ppn = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
         self.active_cursor += 1;
-        self.map.insert(lpn, ppn);
-        self.rmap.insert(ppn, lpn);
-        self.valid[(ppn / PAGES_PER_BLOCK) as usize] += 1;
+        *self.map.slot(lpn) = ppn;
+        self.rmap[ppn as usize] = lpn;
+        self.valid[self.active_block as usize] += 1;
         stats.pages_programmed += 1;
-        gc
     }
 
     /// Makes sure the active block has a free page, running GC passes as
@@ -229,9 +252,11 @@ impl Ftl {
     fn ensure_space(&mut self, stats: &mut DeviceStats) -> GcWork {
         let mut work = GcWork::default();
         while self.active_cursor >= PAGES_PER_BLOCK {
-            if let Some(blk) = self.free_blocks.pop() {
+            if let Some(blk) = self.fresh_blocks.next() {
                 self.active_block = blk;
                 self.active_cursor = 0;
+                self.rmap
+                    .resize(((blk + 1) * PAGES_PER_BLOCK) as usize, NONE);
                 break;
             }
             // Greedy victim: the block (other than active) with fewest
@@ -239,33 +264,35 @@ impl Ftl {
             let victim = (0..self.total_blocks)
                 .filter(|&b| b != self.active_block)
                 .min_by_key(|&b| self.valid[b as usize])
+                // INVARIANT: `SsdModel::new` builds at least four blocks,
+                // so excluding the active one leaves candidates.
                 .expect("FTL has at least two blocks");
+            // INVARIANT: some block other than the active one has a dead
+            // page unless the experiment wrote more distinct pages than
+            // the device holds — the documented `# Panics` of `program`.
             assert!(
                 (self.valid[victim as usize] as u64) < PAGES_PER_BLOCK,
                 "FTL capacity exhausted: logical footprint exceeds device size"
             );
+            // Lift the survivors out (their `map` slots are rewritten by
+            // `place` below, so only the physical side is cleared here).
+            let first = (victim * PAGES_PER_BLOCK) as usize;
             let mut moved = Vec::new();
-            for page in 0..PAGES_PER_BLOCK {
-                let ppn = victim * PAGES_PER_BLOCK + page;
-                if let Some(lpn) = self.rmap.remove(&ppn) {
-                    self.map.remove(&lpn);
-                    self.valid[victim as usize] -= 1;
+            for slot in &mut self.rmap[first..first + PAGES_PER_BLOCK as usize] {
+                let lpn = std::mem::replace(slot, NONE);
+                if lpn != NONE {
                     moved.push(lpn);
                 }
             }
-            debug_assert_eq!(self.valid[victim as usize], 0);
+            debug_assert_eq!(self.valid[victim as usize] as usize, moved.len());
+            self.valid[victim as usize] = 0;
             stats.erase_ops += 1;
             work.erases += 1;
             self.active_block = victim;
             self.active_cursor = 0;
             // Re-program survivors into the freshly erased block.
             for lpn in moved {
-                let ppn = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
-                self.active_cursor += 1;
-                self.map.insert(lpn, ppn);
-                self.rmap.insert(ppn, lpn);
-                self.valid[self.active_block as usize] += 1;
-                stats.pages_programmed += 1;
+                self.place(lpn, stats);
                 stats.pages_migrated += 1;
                 work.migrated += 1;
             }
@@ -276,7 +303,7 @@ impl Ftl {
     }
 
     fn occupancy(&self) -> f64 {
-        self.map.len() as f64 / (self.total_blocks * PAGES_PER_BLOCK) as f64
+        self.live_pages as f64 / (self.total_blocks * PAGES_PER_BLOCK) as f64
     }
 }
 
@@ -374,12 +401,18 @@ mod tests {
                 );
             }
         }
-        let live = ssd.ftl.map.len() as u64;
+        assert!(stats.erase_ops > 0, "churn must have run GC");
+        let live = ssd.ftl.live_pages;
         assert_eq!(live, pages);
-        // rmap is the exact inverse of map.
-        for (&lpn, &ppn) in &ssd.ftl.map {
-            assert_eq!(ssd.ftl.rmap.get(&ppn), Some(&lpn));
+        // rmap is the exact inverse of map: every logical page maps to a
+        // physical page that points back, and nothing else is live.
+        for lpn in 0..pages {
+            let ppn = *ssd.ftl.map.slot(lpn);
+            assert_ne!(ppn, NONE, "lpn {lpn} lost its mapping");
+            assert_eq!(ssd.ftl.rmap[ppn as usize], lpn);
         }
+        let mapped_back = ssd.ftl.rmap.iter().filter(|&&lpn| lpn != NONE).count();
+        assert_eq!(mapped_back as u64, live);
         // valid counters agree with the mapping.
         let total_valid: u64 = ssd.ftl.valid.iter().map(|&v| v as u64).sum();
         assert_eq!(total_valid, live);

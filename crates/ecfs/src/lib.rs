@@ -28,6 +28,7 @@ pub mod logregion;
 pub mod mds;
 pub mod metrics;
 pub mod osd;
+mod payload;
 pub mod placement;
 pub mod rangemap;
 pub mod recovery;
@@ -45,6 +46,7 @@ pub use journal::{DegradedJournal, JournalEntry};
 pub use mds::{FileId, FileMeta, Mds};
 pub use metrics::{ArrivalRecord, ClusterMetrics};
 pub use osd::{BlockId, Osd, StoredBlock};
+pub use payload::payload_into;
 pub use placement::{FlatPlacement, PlacementKind, PlacementPolicy, RackAwarePlacement};
 pub use rangemap::{Discipline, RangeMap};
 pub use recovery::{
@@ -302,8 +304,9 @@ impl Cluster {
         );
         if cfg.device_capacity == 0 {
             // Block footprint (data + parity) plus a generous allowance for
-            // scheme log regions, spread over the OSDs. The FTL maps pages
-            // sparsely, so oversizing costs no memory for untouched space.
+            // scheme log regions, spread over the OSDs. The device's page
+            // tables follow the touched pages, so oversizing costs no
+            // memory for untouched space.
             let raw = cfg.total_data() as f64
                 * ((cfg.stripe.k + cfg.stripe.m) as f64 / cfg.stripe.k as f64)
                 / cfg.osds as f64;
@@ -719,29 +722,6 @@ impl PendingTable {
     /// watchdog). Later extent acks for it become no-ops.
     pub fn force_remove(&mut self, op: u64) -> Option<PendingOp> {
         self.ops.remove(&op)
-    }
-}
-
-/// Deterministic payload bytes for extent `ext` of op `op_id` — pure
-/// function so correctness tests can regenerate the exact stream.
-pub fn payload_for(op_id: u64, ext: usize, len: usize) -> Vec<u8> {
-    let mut buf = vec![0u8; len];
-    payload_into(op_id, ext, &mut buf);
-    buf
-}
-
-/// Generates the same deterministic stream directly into `buf` — the
-/// zero-allocation form the client hot path uses with pooled buffers.
-pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
-    let mut x = op_id
-        .wrapping_mul(0x9e3779b97f4a7c15)
-        .wrapping_add(ext as u64)
-        | 1;
-    for b in buf.iter_mut() {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *b = (x >> 24) as u8;
     }
 }
 

@@ -7,7 +7,7 @@
 //! work in materialized mode ([`crate::ClusterConfig::materialize`]).
 
 use crate::osd::BlockId;
-use crate::{payload_for, Cluster};
+use crate::{payload_into, Cluster};
 use std::collections::HashMap;
 
 /// Rebuilds the expected content of every data block by replaying the
@@ -28,8 +28,11 @@ pub fn reference_data(world: &Cluster) -> HashMap<BlockId, Vec<u8>> {
     let mut blocks: HashMap<BlockId, Vec<u8>> = HashMap::new();
     for a in arrivals {
         let buf = blocks.entry(a.block).or_insert_with(|| vec![0u8; bs]);
-        let payload = payload_for(a.op_id, a.ext, a.len as usize);
-        buf[a.off as usize..(a.off + a.len) as usize].copy_from_slice(&payload);
+        payload_into(
+            a.op_id,
+            a.ext,
+            &mut buf[a.off as usize..(a.off + a.len) as usize],
+        );
     }
     blocks
 }
