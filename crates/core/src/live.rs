@@ -232,8 +232,8 @@ impl LiveLogPool {
         let unit = pool.unit_mut(uid).expect("sealed unit");
         unit.state = UnitState::Recycling;
         let mut jobs = Vec::new();
-        for (&key, entry) in unit.index.iter() {
-            for (off, chunk) in entry.ranges.iter() {
+        for (&key, entry) in unit.index.iter_mut() {
+            for (off, chunk) in entry.ranges.gather().iter() {
                 jobs.push(Job {
                     key,
                     off,

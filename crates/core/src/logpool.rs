@@ -127,33 +127,27 @@ impl<K: Ord + Copy> LogPool<K> {
     /// Overlays the pool's content for `key` across all units (read-cache
     /// path); returns true when the union fully covers the range.
     pub fn overlay(&self, key: &K, off: u64, len: u64, mut buf: Option<&mut [u8]>) -> bool {
-        let mut cover = tsue_ecfs::RangeMap::new();
         for u in &self.units {
             if u.overlay(key, off, len, buf.as_deref_mut()) {
                 return true; // a single unit fully covers (fast path)
             }
-            // Track partial coverage for the union check.
-            if let Some(e) = u.index.get(key) {
-                if e.raw.is_empty() {
-                    for (o, c) in e.ranges.iter() {
-                        let s = o.max(off);
-                        let t = (o + c.len).min(off + len);
-                        if t > s {
-                            cover.insert(s, tsue_ecfs::Chunk::ghost(t - s));
-                        }
-                    }
-                } else {
-                    for (o, c) in &e.raw {
-                        let s = (*o).max(off);
-                        let t = (o + c.len).min(off + len);
-                        if t > s {
-                            cover.insert(s, tsue_ecfs::Chunk::ghost(t - s));
-                        }
-                    }
-                }
+        }
+        // Union check over extents only: advance a cursor through whichever
+        // unit covers it furthest, touching just the entries on the way.
+        let end = off + len;
+        let mut cursor = off;
+        while cursor < end {
+            let reach = self
+                .units
+                .iter()
+                .map(|u| u.covered_until(key, cursor, end))
+                .max();
+            match reach {
+                Some(r) if r > cursor => cursor = r,
+                _ => return false,
             }
         }
-        cover.overlay(off, len, None)
+        true
     }
 
     /// Total unrecycled work items (active + sealed units).

@@ -201,24 +201,50 @@ impl<K: Ord + Copy> LogUnit<K> {
         if entry.raw.is_empty() {
             entry.ranges.overlay(off, len, buf)
         } else {
-            // Raw mode: replay records in append order; coverage tracked
-            // with a scratch map.
-            let mut cover = RangeMap::new();
+            // Raw mode: replay records in append order (newest wins).
             for (roff, chunk) in &entry.raw {
-                let r_end = roff + chunk.len;
                 let i_start = (*roff).max(off);
-                let i_end = r_end.min(off + len);
+                let i_end = (roff + chunk.len).min(off + len);
                 if i_end <= i_start {
                     continue;
                 }
-                cover.insert(i_start, Chunk::ghost(i_end - i_start));
                 if let (Some(b), Some(bytes)) = (buf.as_deref_mut(), chunk.bytes.as_ref()) {
                     let dst = &mut b[(i_start - off) as usize..(i_end - off) as usize];
                     dst.copy_from_slice(&bytes[(i_start - roff) as usize..(i_end - roff) as usize]);
                 }
             }
-            cover.overlay(off, len, None)
+            self.covered_until(key, off, off + len) >= off + len
         }
+    }
+
+    /// End of this unit's contiguous coverage of `key` starting at `pos` —
+    /// `pos` itself when it is not covered — looking no further than
+    /// `limit`. Extents only: no bytes move.
+    pub fn covered_until(&self, key: &K, pos: u64, limit: u64) -> u64 {
+        let Some(entry) = self.index.get(key) else {
+            return pos;
+        };
+        if !entry.may_contain(pos, limit.saturating_sub(pos)) {
+            return pos;
+        }
+        if entry.raw.is_empty() {
+            return entry.ranges.covered_until(pos, limit);
+        }
+        // Raw records are unordered: chase the cursor until none extends it.
+        let mut cursor = pos;
+        while cursor < limit {
+            let reach = entry
+                .raw
+                .iter()
+                .filter(|(o, c)| (*o..o + c.len).contains(&cursor))
+                .map(|(o, c)| o + c.len)
+                .max();
+            match reach {
+                Some(r) => cursor = r,
+                None => break,
+            }
+        }
+        cursor
     }
 
     /// Reuses the unit as a fresh Empty segment (read-cache content is

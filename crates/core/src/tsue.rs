@@ -25,7 +25,7 @@ use crate::logunit::{UnitId, UnitState, RECORD_HEADER};
 use crate::residency::ResidencyStats;
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::logregion::LogRegion;
-use tsue_ecfs::rangemap::{Discipline, RangeMap};
+use tsue_ecfs::rangemap::{Discipline, Gathered, RangeMap};
 use tsue_ecfs::scheme::{DeltaKind, PowerLossReport, ReadServe, SchemeMsg, UpdateReq};
 use tsue_ecfs::{
     BlockId, Chunk, Cluster, ClusterCore, ReplicaRecord, SplitRng, UpdateScheme, ACK_BYTES,
@@ -796,17 +796,18 @@ impl Tsue {
             if let Some(fa) = unit.first_append {
                 self.residency.delta.buffer.add(now.saturating_sub(fa));
             }
-            // Stripe → [(role, ranges)] view over the index, borrowed.
-            // The unit index is a BTreeMap keyed by (gstripe, role), so
-            // this walk already yields roles in ascending order within
-            // each stripe — no post-sort needed.
-            let mut grouped: std::collections::BTreeMap<u64, Vec<(usize, &RangeMap)>> =
+            // Stripe → [(role, ranges)] view over the index, borrowed, each
+            // run gathered into one slice first (the Eq. 5 kernels want
+            // contiguous contributors). The unit index is a BTreeMap keyed
+            // by (gstripe, role), so this walk already yields roles in
+            // ascending order within each stripe — no post-sort needed.
+            let mut grouped: std::collections::BTreeMap<u64, Vec<(usize, Gathered<'_>)>> =
                 std::collections::BTreeMap::new();
-            for (&(gstripe, role), entry) in unit.index.iter() {
+            for (&(gstripe, role), entry) in unit.index.iter_mut() {
                 grouped
                     .entry(gstripe)
                     .or_default()
-                    .push((role, &entry.ranges));
+                    .push((role, entry.ranges.gather()));
             }
             // Pass 1 (coordinator): group spans per (stripe, parity)
             // target and charge the CPU model — workers below need only
@@ -1162,25 +1163,20 @@ impl Tsue {
     }
 }
 
-/// Collects `(block, offset, chunk)` recycle jobs from a unit keyed by
-/// [`BlockId`], honouring raw (no-locality) mode.
-fn collect_jobs_blockid(unit: &crate::logunit::LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
-    // Deterministic cross-block order; raw entries keep their append
-    // order *within* a block — overlapping raw records must replay in
-    // arrival order for newest-wins semantics.
-    let mut keys: Vec<BlockId> = unit.index.keys().copied().collect();
-    keys.sort();
+/// Collects `(block, offset, chunk)` recycle jobs from a sealed unit keyed
+/// by [`BlockId`], honouring raw (no-locality) mode. This is where a merged
+/// run's bytes are gathered — once, into the buffer the job carries.
+fn collect_jobs_blockid(unit: &mut crate::logunit::LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
+    // The index is ordered, so the cross-block order is deterministic; raw
+    // entries keep their append order *within* a block — overlapping raw
+    // records must replay in arrival order for newest-wins semantics.
     let mut jobs = Vec::new();
-    for block in keys {
-        let entry = &unit.index[&block];
+    for (&block, entry) in unit.index.iter_mut() {
         if entry.raw.is_empty() {
-            for (off, c) in entry.ranges.iter() {
-                jobs.push((block, off, c.clone()));
-            }
+            let merged = entry.ranges.gather();
+            jobs.extend(merged.iter().map(|(off, c)| (block, off, c.clone())));
         } else {
-            for (off, c) in &entry.raw {
-                jobs.push((block, *off, c.clone()));
-            }
+            jobs.extend(entry.raw.iter().map(|(off, c)| (block, *off, c.clone())));
         }
     }
     jobs

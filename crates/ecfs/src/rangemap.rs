@@ -2,7 +2,7 @@
 //!
 //! Every log-structured update scheme needs to answer "what is the newest
 //! content for `[off, off+len)`?" under arbitrary overlap. [`RangeMap`]
-//! keeps non-overlapping, offset-sorted entries of [`Chunk`]s and supports:
+//! keeps non-overlapping, offset-sorted entries and supports:
 //!
 //! * [`RangeMap::insert`] — newest wins (data logs, read caches; paper
 //!   Eq. (4): the latest update for the same location is the valid one),
@@ -14,9 +14,44 @@
 //! plus adjacency coalescing, which is precisely the paper's
 //! "adjacent records merged into fewer, larger entries" optimization. The
 //! map works on ghost (timing-only) chunks as well as real bytes.
+//!
+//! # Representation: coalesce by handle
+//!
+//! An entry is a *run of segments*: the [`Chunk`]s it was built from, in
+//! offset order, exactly adjacent. Coalescing two entries clears one flag
+//! (and fuses the two handles when they are contiguous views of one
+//! buffer); splitting an entry slices a handle; an overwrite or XOR touches
+//! only the span it covers. No insert copies bytes it was not given, so an
+//! insert costs O(log n + new bytes) however long the run it lands in. The
+//! bytes of a run are gathered into one buffer **at most once, at the
+//! consumer**: [`RangeMap::gather`] (a sealed log unit handing out recycle
+//! jobs) and [`RangeMap::drain`]. Before that, entries are only visible as
+//! [`Entry`] segment views, so half-gathered bytes cannot escape.
+//!
+//! All segments live in one sorted `Vec` searched by `partition_point`
+//! (log indexes hold tens of entries, never thousands); a `head` flag marks
+//! the first segment of each entry.
+//!
+//! # Entry boundaries are modelled state
+//!
+//! [`RangeMap::len`] feeds recycle job counts, device ops and the scheme
+//! memory metric, so the boundaries follow the original tree
+//! implementation (kept under `#[cfg(test)]` as the differential
+//! reference) exactly — including its *pairwise, non-chaining* merge: after
+//! an insert, neighbouring entries around the inserted range are visited
+//! left to right as overlapping pairs `(a, b)`, `(b, c)`, …; a pair that is
+//! exactly adjacent and of one kind merges, and the next pair is then
+//! skipped because its left member no longer exists. An interior overwrite
+//! of `[k, e)` by `[off, end)` therefore leaves `[k, end)` and `[end, e)`
+//! as two entries.
 
 use crate::scheme::Chunk;
-use std::collections::BTreeMap;
+use tsue_buf::BytesMut;
+
+#[cfg(test)]
+mod reference;
+#[cfg(test)]
+mod tests;
 
 /// Insertion discipline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -29,11 +64,115 @@ pub enum Discipline {
     Xor,
 }
 
+/// One handle of an entry's run.
+#[derive(Debug, Clone)]
+struct Seg {
+    off: u64,
+    /// First segment of its entry. A segment that is not a head is real and
+    /// starts exactly where its (real) predecessor ends; a ghost entry is
+    /// always a single segment.
+    head: bool,
+    chunk: Chunk,
+}
+
+impl Seg {
+    /// A segment that starts an entry.
+    fn entry(off: u64, chunk: Chunk) -> Seg {
+        Seg {
+            off,
+            head: true,
+            chunk,
+        }
+    }
+
+    fn end(&self) -> u64 {
+        self.off + self.chunk.len
+    }
+
+    fn is_real(&self) -> bool {
+        self.chunk.bytes.is_some()
+    }
+
+    /// The part `[from, to)` of this segment as a segment of its own.
+    fn part(&self, from: u64, to: u64, head: bool) -> Seg {
+        Seg {
+            off: from,
+            head,
+            chunk: self.chunk.slice(from - self.off, to - from),
+        }
+    }
+}
+
+/// Copies a run of real segments, back to back, into `dst`.
+fn copy_run(segs: &[Seg], dst: &mut [u8]) {
+    let mut at = 0;
+    for bytes in segs.iter().filter_map(|s| s.chunk.bytes.as_deref()) {
+        dst[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    }
+}
+
+/// One entry as stored: a ghost extent or a run of byte segments that has
+/// not been gathered. Handed out by [`RangeMap::iter`].
+#[derive(Clone, Copy, Debug)]
+pub struct Entry<'a> {
+    segs: &'a [Seg],
+}
+
+impl<'a> Entry<'a> {
+    /// Start offset.
+    pub fn off(&self) -> u64 {
+        self.segs[0].off
+    }
+
+    /// Length in bytes (entries are never empty).
+    #[allow(clippy::len_without_is_empty)]
+    pub fn len(&self) -> u64 {
+        self.segs[self.segs.len() - 1].end() - self.off()
+    }
+
+    /// True when the entry carries bytes (false for timing-only ghosts).
+    pub fn is_real(&self) -> bool {
+        self.segs[0].is_real()
+    }
+
+    /// The entry's bytes as adjacent slices in offset order (none for a
+    /// ghost).
+    pub fn segments(&self) -> impl Iterator<Item = &'a [u8]> {
+        self.segs.iter().filter_map(|s| s.chunk.bytes.as_deref())
+    }
+
+    /// Copies the entry's bytes into `dst` (left untouched by a ghost).
+    ///
+    /// # Panics
+    /// Panics if `dst` is not exactly [`Entry::len`] bytes long.
+    pub fn copy_to(&self, dst: &mut [u8]) {
+        assert_eq!(dst.len() as u64, self.len(), "entry length mismatch");
+        copy_run(self.segs, dst);
+    }
+}
+
+/// The entries of a gathered map: one contiguous [`Chunk`] each. Only
+/// [`RangeMap::gather`] makes one, so holding it proves the gather ran.
+#[derive(Clone, Copy, Debug)]
+pub struct Gathered<'a> {
+    segs: &'a [Seg],
+}
+
+impl<'a> Gathered<'a> {
+    /// Iterates `(offset, chunk)` in offset order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &'a Chunk)> {
+        self.segs.iter().map(|s| (s.off, &s.chunk))
+    }
+}
+
 /// Non-overlapping, offset-sorted interval map of chunks.
 #[derive(Debug, Default, Clone)]
 pub struct RangeMap {
-    /// start offset -> chunk (entries never overlap).
-    entries: BTreeMap<u64, Chunk>,
+    /// Every entry's segments, offset-sorted and non-overlapping.
+    segs: Vec<Seg>,
+    /// Number of entries (head segments), maintained incrementally.
+    entries: usize,
     /// Total bytes covered (maintained incrementally).
     covered: u64,
 }
@@ -46,12 +185,12 @@ impl RangeMap {
 
     /// Number of distinct entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 
     /// True when no ranges are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.segs.is_empty()
     }
 
     /// Total bytes covered by all entries.
@@ -61,19 +200,45 @@ impl RangeMap {
 
     /// Removes everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.segs.clear();
+        self.entries = 0;
         self.covered = 0;
     }
 
-    /// Iterates `(offset, chunk)` in offset order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &Chunk)> {
-        self.entries.iter().map(|(&o, c)| (o, c))
+    /// Iterates the entries in offset order, as stored (ungathered).
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
+        self.segs
+            .chunk_by(|_, next| !next.head)
+            .map(|segs| Entry { segs })
     }
 
-    /// Drains all entries in offset order.
+    /// Gathers every multi-segment entry into one pooled buffer (the single
+    /// counted copy of a run's bytes) and returns the entries as contiguous
+    /// chunks. Entries that are already one segment are not touched.
+    pub fn gather(&mut self) -> Gathered<'_> {
+        if self.segs.len() > self.entries {
+            let (mut r, mut w) = (0, 0);
+            while r < self.segs.len() {
+                let n = self.run_len(r, self.segs.len());
+                if n == 1 {
+                    self.segs.swap(w, r);
+                } else {
+                    self.segs[w] = self.gathered(r, n);
+                }
+                r += n;
+                w += 1;
+            }
+            self.segs.truncate(w);
+        }
+        Gathered { segs: &self.segs }
+    }
+
+    /// Drains all entries in offset order, gathered.
     pub fn drain(&mut self) -> Vec<(u64, Chunk)> {
+        self.gather();
+        self.entries = 0;
         self.covered = 0;
-        std::mem::take(&mut self.entries).into_iter().collect()
+        self.segs.drain(..).map(|s| (s.off, s.chunk)).collect()
     }
 
     /// Newest-wins insertion with adjacency coalescing.
@@ -98,436 +263,242 @@ impl RangeMap {
     pub fn insert_with(&mut self, off: u64, chunk: Chunk, disc: Discipline) {
         assert!(chunk.len > 0, "zero-length range");
         let end = off + chunk.len;
-
-        // Collect the keys of entries overlapping [off, end).
-        let overlapping: Vec<u64> = {
-            // Any entry starting before `end` could overlap; walk back from
-            // there. Entries are non-overlapping, so only the last one
-            // starting at or before `off` can cross `off` from the left.
-            let mut keys: Vec<u64> = self.entries.range(off..end).map(|(&k, _)| k).collect();
-            if let Some((&k, c)) = self.entries.range(..off).next_back() {
-                if k + c.len > off {
-                    keys.insert(0, k);
+        // `segs[lo..hi)` are the segments that intersect `[off, end)`. The
+        // scan for `hi` is linear: every discipline walks (or drops) those
+        // segments anyway, and there are rarely more than two.
+        let lo = self.segs.partition_point(|s| s.end() <= off);
+        let hi = lo + self.segs[lo..].iter().take_while(|s| s.off < end).count();
+        // `first`: the first segment at or after `off` once the insert is in.
+        let first = if lo == hi {
+            self.count(chunk.len, true);
+            self.segs.insert(lo, Seg::entry(off, chunk));
+            lo
+        } else {
+            match disc {
+                Discipline::Overwrite => self.overwrite(lo, hi, off, chunk),
+                Discipline::Absent => {
+                    let first = lo + usize::from(self.segs[lo].off < off);
+                    self.fill_gaps(lo, hi, off, &chunk);
+                    first
                 }
+                Discipline::Xor => self.xor(off, &chunk),
             }
-            keys
         };
-
-        match disc {
-            Discipline::Overwrite => {
-                // Carve out the overlapped parts of existing entries, then
-                // insert the new chunk whole.
-                for k in overlapping {
-                    // INVARIANT: `overlapping` keys were collected from this map
-                    // above, and nothing was removed since.
-                    let existing = self.entries.remove(&k).unwrap();
-                    self.covered -= existing.len;
-                    let (left, _mid, right) = split3(k, existing, off, end);
-                    if let Some((lo, lc)) = left {
-                        self.covered += lc.len;
-                        self.entries.insert(lo, lc);
-                    }
-                    if let Some((ro, rc)) = right {
-                        self.covered += rc.len;
-                        self.entries.insert(ro, rc);
-                    }
-                }
-                self.covered += chunk.len;
-                self.entries.insert(off, chunk);
-            }
-            Discipline::Absent => {
-                // Keep existing entries; fill only the gaps with slices of
-                // the new chunk.
-                let mut cursor = off;
-                let mut gaps: Vec<(u64, u64)> = Vec::new(); // (start, len)
-                for &k in &overlapping {
-                    let c = &self.entries[&k];
-                    let e_start = k.max(off);
-                    if e_start > cursor {
-                        gaps.push((cursor, e_start - cursor));
-                    }
-                    cursor = cursor.max(k + c.len);
-                }
-                if cursor < end {
-                    gaps.push((cursor, end - cursor));
-                }
-                for (gs, gl) in gaps {
-                    let piece = slice_chunk(&chunk, gs - off, gl);
-                    self.covered += piece.len;
-                    self.entries.insert(gs, piece);
-                }
-            }
-            Discipline::Xor => {
-                // XOR into overlapped parts; insert slices into gaps.
-                let mut cursor = off;
-                let mut to_insert: Vec<(u64, Chunk)> = Vec::new();
-                for &k in &overlapping {
-                    // INVARIANT: `overlapping` keys were collected from this map
-                    // above, and nothing was removed since.
-                    let existing = self.entries.remove(&k).unwrap();
-                    self.covered -= existing.len;
-                    let e_end = k + existing.len;
-                    // Gap before this entry.
-                    let e_start = k.max(off);
-                    if e_start > cursor {
-                        to_insert
-                            .push((cursor, slice_chunk(&chunk, cursor - off, e_start - cursor)));
-                    }
-                    // Overlapped middle: xor the intersecting span.
-                    let i_start = e_start;
-                    let i_end = e_end.min(end);
-                    if i_end > i_start {
-                        // Split the existing entry into pre / mid / post.
-                        let (left, mid, right) = split3(k, existing, i_start, i_end);
-                        if let Some((lo, lc)) = left {
-                            to_insert.push((lo, lc));
-                        }
-                        if let Some((ro, rc)) = right {
-                            to_insert.push((ro, rc));
-                        }
-                        // INVARIANT: guarded by `i_end > i_start`, so split3 returned
-                        // a middle piece.
-                        let (mo, mut mc) = mid.expect("mid overlap exists");
-                        let patch = slice_chunk(&chunk, mo - off, mc.len);
-                        mc.xor_in(&patch);
-                        to_insert.push((mo, mc));
-                    } else {
-                        // Unreachable by construction (collected entries
-                        // always intersect), but harmless: restore as-is.
-                        to_insert.push((k, existing));
-                    }
-                    cursor = cursor.max(i_end);
-                }
-                if cursor < end {
-                    to_insert.push((cursor, slice_chunk(&chunk, cursor - off, end - cursor)));
-                }
-                for (o, c) in to_insert {
-                    self.covered += c.len;
-                    self.entries.insert(o, c);
-                }
-            }
-        }
-        self.coalesce_around(off, end);
+        self.coalesce(first, end);
     }
 
     /// Overlays stored content onto `buf` (which represents
     /// `[off, off+len)`); returns `true` if the map fully covers the range.
+    /// Whatever part is covered is patched either way.
     pub fn overlay(&self, off: u64, len: u64, mut buf: Option<&mut [u8]>) -> bool {
         let end = off + len;
+        let lo = self.segs.partition_point(|s| s.end() <= off);
         let mut cursor = off;
-        // Left-crossing entry.
-        let start_key = self
-            .entries
-            .range(..off)
-            .next_back()
-            .filter(|(&k, c)| k + c.len > off)
-            .map(|(&k, _)| k);
-        let iter = start_key
-            .into_iter()
-            .chain(self.entries.range(off..end).map(|(&k, _)| k));
-        for k in iter {
-            let c = &self.entries[&k];
-            let e_end = k + c.len;
-            let i_start = k.max(off);
-            let i_end = e_end.min(end);
-            if i_start > cursor {
-                return false_with_patch(self, cursor, end, buf);
+        let mut holes = false;
+        for s in self.segs[lo..].iter().take_while(|s| s.off < end) {
+            let (from, to) = (s.off.max(off), s.end().min(end));
+            holes |= from > cursor;
+            if let (Some(b), Some(bytes)) = (buf.as_deref_mut(), s.chunk.bytes.as_ref()) {
+                b[(from - off) as usize..(to - off) as usize]
+                    .copy_from_slice(&bytes[(from - s.off) as usize..(to - s.off) as usize]);
             }
-            if let (Some(b), Some(bytes)) = (buf.as_deref_mut(), c.bytes.as_ref()) {
-                let dst = &mut b[(i_start - off) as usize..(i_end - off) as usize];
-                dst.copy_from_slice(&bytes[(i_start - k) as usize..(i_end - k) as usize]);
-            }
-            cursor = i_end;
-            if cursor >= end {
-                return true;
-            }
+            cursor = to;
         }
-        cursor >= end
+        !holes && cursor >= end
     }
 
-    /// Merges entries that are exactly adjacent (both real or both ghost) —
-    /// the paper's request-coalescing step.
-    fn coalesce_around(&mut self, off: u64, end: u64) {
-        // Look at the entry before `off` and entries within [off, end], and
-        // merge adjacent runs pairwise.
-        let mut keys: Vec<u64> = self
-            .entries
-            .range(..off)
-            .next_back()
-            .map(|(&k, _)| k)
-            .into_iter()
-            .chain(self.entries.range(off..=end).map(|(&k, _)| k))
-            .collect();
-        keys.sort_unstable();
-        for w in keys.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let (Some(ca), Some(cb)) = (self.entries.get(&a), self.entries.get(&b)) else {
-                continue;
+    /// End of the contiguous coverage that starts at `pos` — `pos` itself
+    /// when it is not covered — looking no further than `limit`.
+    pub fn covered_until(&self, pos: u64, limit: u64) -> u64 {
+        let lo = self.segs.partition_point(|s| s.end() <= pos);
+        let mut cursor = pos;
+        for s in &self.segs[lo..] {
+            if s.off > cursor || cursor >= limit {
+                break;
+            }
+            cursor = s.end();
+        }
+        cursor
+    }
+
+    /// Accounts for a segment entering the map.
+    fn count(&mut self, len: u64, head: bool) {
+        self.covered += len;
+        self.entries += usize::from(head);
+    }
+
+    /// Number of segments of the entry (part) that starts at `segs[r]`,
+    /// looking no further than `segs[..hi]`.
+    fn run_len(&self, r: usize, hi: usize) -> usize {
+        1 + self.segs[r + 1..hi].iter().take_while(|s| !s.head).count()
+    }
+
+    /// The `n`-segment run at `segs[r]` as one segment over one pooled
+    /// buffer — the single counted copy of a run's bytes.
+    fn gathered(&self, r: usize, n: usize) -> Seg {
+        let run = &self.segs[r..r + n];
+        let off = run[0].off;
+        let len = run[n - 1].end() - off;
+        let mut m = BytesMut::take(len as usize);
+        copy_run(run, m.as_mut());
+        tsue_buf::count_copy(len);
+        Seg::entry(off, Chunk::real(m.freeze()))
+    }
+
+    /// Makes `segs[i]` the first segment of an entry.
+    fn set_head(&mut self, i: usize) {
+        if !self.segs[i].head {
+            self.segs[i].head = true;
+            self.entries += 1;
+        }
+    }
+
+    /// Newest wins: replaces `segs[lo..hi)` (non-empty) by what sticks out
+    /// of `[off, end)` on either side and the new chunk in between. What
+    /// is left of an intersected entry past `end` becomes an entry of its
+    /// own; what is left before `off` stays with its entry. Returns the new
+    /// segment's index.
+    fn overwrite(&mut self, lo: usize, hi: usize, off: u64, chunk: Chunk) -> usize {
+        let end = off + chunk.len;
+        let (first, last) = (&self.segs[lo], &self.segs[hi - 1]);
+        let left = (first.off < off).then(|| first.part(first.off, off, first.head));
+        let right = (last.end() > end).then(|| last.part(end, last.end(), true));
+        if right.is_none() && hi < self.segs.len() {
+            self.set_head(hi);
+        }
+        for s in &self.segs[lo..hi] {
+            self.covered -= s.chunk.len;
+            self.entries -= usize::from(s.head);
+        }
+        let new = Seg::entry(off, chunk);
+        let at = lo + usize::from(left.is_some());
+        let mut w = lo;
+        for piece in [left, Some(new), right].into_iter().flatten() {
+            self.count(piece.chunk.len, piece.head);
+            if w < hi {
+                self.segs[w] = piece;
+            } else {
+                self.segs.insert(w, piece);
+            }
+            w += 1;
+        }
+        if w < hi {
+            self.segs.drain(w..hi);
+        }
+        at
+    }
+
+    /// Inserts the parts of `chunk` (at `off`) that `segs[lo..hi)` leave
+    /// uncovered, each as an entry of its own; existing segments stay.
+    fn fill_gaps(&mut self, lo: usize, hi: usize, off: u64, chunk: &Chunk) {
+        // Back to front, so the indices still to visit stay valid.
+        for i in (lo..=hi).rev() {
+            let from = if i > lo { self.segs[i - 1].end() } else { off };
+            let to = if i < hi {
+                self.segs[i].off
+            } else {
+                off + chunk.len
             };
-            if a + ca.len != b {
-                continue;
+            if to > from {
+                self.count(to - from, true);
+                let piece = chunk.slice(from - off, to - from);
+                self.segs.insert(i, Seg::entry(from, piece));
             }
-            let mergeable = matches!((&ca.bytes, &cb.bytes), (Some(_), Some(_)) | (None, None));
-            if !mergeable {
-                continue;
+        }
+    }
+
+    /// Cuts the segment that straddles `pos`, if any, in two (both halves
+    /// stay in its entry); returns the index of the first segment at or
+    /// after `pos`.
+    fn split_at(&mut self, pos: u64) -> usize {
+        let i = self.segs.partition_point(|s| s.end() <= pos);
+        match self.segs.get(i) {
+            Some(s) if s.off < pos => {
+                let (before, after) = (s.part(s.off, pos, s.head), s.part(pos, s.end(), false));
+                self.segs[i] = before;
+                self.segs.insert(i + 1, after);
+                i + 1
             }
-            // INVARIANT: `a` and `b` were both read from the map in this
-            // same loop iteration.
-            let cb = self.entries.remove(&b).unwrap();
-            // INVARIANT: as above — `a` is still present; only `b` was
-            // removed.
-            let ca = self.entries.get_mut(&a).unwrap();
-            if let (Some(av), Some(bv)) = (ca.bytes.as_mut(), cb.bytes.as_ref()) {
-                // Contiguous views of one backing buffer join for free
-                // (common when an entry was split and re-merges). A run
-                // that solely owns its buffer grows in place (amortized
-                // Vec growth, copying only the new bytes — the sequential
-                // append case). Only a shared, disjoint buffer pays a full
-                // counted re-concatenation through the pool.
-                if !av.try_join(bv) && !av.try_extend_from_slice(bv) {
-                    let mut m = tsue_buf::BytesMut::take(av.len() + bv.len());
-                    m.as_mut()[..av.len()].copy_from_slice(av);
-                    m.as_mut()[av.len()..].copy_from_slice(bv);
-                    tsue_buf::count_copy((av.len() + bv.len()) as u64);
-                    *av = m.freeze();
+            _ => i,
+        }
+    }
+
+    /// XOR accumulation over a window that intersects existing segments.
+    /// Every intersected entry is cut at the window's edges — its part
+    /// inside the window becomes an entry of its own and takes the XOR; so
+    /// does what continues past the window — and `chunk` fills the gaps.
+    /// Returns the index of the first segment in the window.
+    fn xor(&mut self, off: u64, chunk: &Chunk) -> usize {
+        let lo = self.split_at(off);
+        let hi = self.split_at(off + chunk.len);
+        self.set_head(lo);
+        if hi < self.segs.len() {
+            self.set_head(hi);
+        }
+        // Fold entry by entry, compacting `segs[lo..hi)` as runs shrink to
+        // one segment.
+        let (mut r, mut w) = (lo, lo);
+        while r < hi {
+            let n = self.run_len(r, hi);
+            let from = self.segs[r].off;
+            let len = self.segs[r + n - 1].end() - from;
+            let patch = chunk.slice(from - off, len);
+            if n > 1 {
+                self.segs[r] = self.gathered(r, n);
+            }
+            // In place when the segment owns its buffer (a run gathered
+            // just now does), else one copy-on-write of the overlapped
+            // span.
+            self.segs[r].chunk.xor_in(&patch);
+            self.segs.swap(w, r);
+            r += n;
+            w += 1;
+        }
+        self.segs.drain(w..hi);
+        self.fill_gaps(lo, w, off, chunk);
+        lo
+    }
+
+    /// The pairwise, non-chaining merge pass (module docs): visits the
+    /// entries that start in `[off, end]` — `segs[first]` is the first
+    /// segment at or after `off` — each paired with its left neighbour.
+    fn coalesce(&mut self, first: usize, end: u64) {
+        let mut x = first;
+        // The left member of the pair at hand was merged away by the
+        // previous pair.
+        let mut absorbed = false;
+        while x < self.segs.len() && self.segs[x].off <= end {
+            if self.segs[x].head {
+                let mergeable = !absorbed
+                    && x > 0
+                    && self.segs[x - 1].end() == self.segs[x].off
+                    && self.segs[x - 1].is_real() == self.segs[x].is_real();
+                absorbed = mergeable;
+                if mergeable {
+                    self.entries -= 1;
+                    if self.fuse(x) {
+                        continue; // `segs[x]` is now the next segment
+                    }
+                    self.segs[x].head = false;
                 }
             }
-            ca.len += cb.len;
-        }
-    }
-}
-
-/// Patches whatever partial coverage exists, then reports non-coverage.
-fn false_with_patch(map: &RangeMap, cursor: u64, end: u64, buf: Option<&mut [u8]>) -> bool {
-    // Still overlay the remaining covered pieces for content correctness.
-    if let Some(b) = buf {
-        let off0 = end - b.len() as u64;
-        for (k, c) in map.entries.range(cursor..end) {
-            if let Some(bytes) = c.bytes.as_ref() {
-                let i_end = (k + c.len).min(end);
-                let dst = &mut b[(*k - off0) as usize..(i_end - off0) as usize];
-                dst.copy_from_slice(&bytes[..(i_end - k) as usize]);
-            }
-        }
-    }
-    false
-}
-
-/// Splits `chunk` (starting at `start`) into (before `lo`, [`lo`,`hi`),
-/// after `hi`) pieces, any of which may be absent.
-/// One positioned piece produced by [`split3`]: `(offset, chunk)`.
-type Piece = Option<(u64, Chunk)>;
-
-fn split3(start: u64, chunk: Chunk, lo: u64, hi: u64) -> (Piece, Piece, Piece) {
-    let end = start + chunk.len;
-    let left = if start < lo {
-        Some((start, slice_chunk(&chunk, 0, lo.min(end) - start)))
-    } else {
-        None
-    };
-    let mid_lo = lo.max(start);
-    let mid_hi = hi.min(end);
-    let mid = if mid_hi > mid_lo {
-        Some((mid_lo, slice_chunk(&chunk, mid_lo - start, mid_hi - mid_lo)))
-    } else {
-        None
-    };
-    let right = if end > hi {
-        Some((
-            hi.max(start),
-            slice_chunk(&chunk, hi.max(start) - start, end - hi.max(start)),
-        ))
-    } else {
-        None
-    };
-    (left, mid, right)
-}
-
-/// Slices `len` bytes at relative offset `rel` out of a chunk — O(1), the
-/// piece shares the original's backing buffer.
-fn slice_chunk(chunk: &Chunk, rel: u64, len: u64) -> Chunk {
-    chunk.slice(rel, len)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn real(byte: u8, len: usize) -> Chunk {
-        Chunk::real(vec![byte; len])
-    }
-
-    /// Reference model: plain byte map.
-    fn check_against_model(map: &RangeMap, model: &std::collections::HashMap<u64, u8>, span: u64) {
-        for off in 0..span {
-            let mut buf = [0xEEu8; 1];
-            let covered = map.overlay(off, 1, Some(&mut buf));
-            match model.get(&off) {
-                Some(&b) => {
-                    assert!(covered, "offset {off} should be covered");
-                    assert_eq!(buf[0], b, "offset {off}");
-                }
-                None => assert!(!covered, "offset {off} should be uncovered"),
-            }
+            x += 1;
         }
     }
 
-    #[test]
-    fn overwrite_newest_wins() {
-        let mut m = RangeMap::new();
-        m.insert(10, real(1, 10)); // [10,20) = 1
-        m.insert(15, real(2, 10)); // [15,25) = 2
-        let mut model = std::collections::HashMap::new();
-        for o in 10..15 {
-            model.insert(o, 1);
+    /// Folds `segs[x]` into `segs[x - 1]` when that takes no copy: two
+    /// ghosts, or contiguous views of one buffer. Returns whether it did.
+    fn fuse(&mut self, x: usize) -> bool {
+        let (left, right) = self.segs.split_at_mut(x);
+        let (prev, cur) = (&mut left[x - 1].chunk, &right[0].chunk);
+        let fused = match (prev.bytes.as_mut(), cur.bytes.as_ref()) {
+            (Some(p), Some(c)) => p.try_join(c),
+            _ => true,
+        };
+        if fused {
+            prev.len += cur.len;
+            self.segs.remove(x);
         }
-        for o in 15..25 {
-            model.insert(o, 2);
-        }
-        check_against_model(&m, &model, 30);
-        assert_eq!(m.covered_bytes(), 15);
-    }
-
-    #[test]
-    fn overwrite_interior_split() {
-        let mut m = RangeMap::new();
-        m.insert(0, real(7, 30));
-        m.insert(10, real(9, 5)); // hole punched in the middle
-        let mut buf = vec![0u8; 30];
-        assert!(m.overlay(0, 30, Some(&mut buf)));
-        for (i, &b) in buf.iter().enumerate() {
-            let expect = if (10..15).contains(&i) { 9 } else { 7 };
-            assert_eq!(b, expect, "i={i}");
-        }
-        assert_eq!(m.covered_bytes(), 30);
-    }
-
-    #[test]
-    fn absent_preserves_existing() {
-        let mut m = RangeMap::new();
-        m.insert_absent(10, real(1, 10));
-        m.insert_absent(5, real(2, 10)); // only [5,10) takes
-        let mut model = std::collections::HashMap::new();
-        for o in 5..10 {
-            model.insert(o, 2);
-        }
-        for o in 10..20 {
-            model.insert(o, 1);
-        }
-        check_against_model(&m, &model, 25);
-    }
-
-    #[test]
-    fn xor_accumulates() {
-        let mut m = RangeMap::new();
-        m.insert_xor(0, real(0b0011, 8));
-        m.insert_xor(4, real(0b0101, 8)); // overlap [4,8)
-        let mut buf = vec![0u8; 12];
-        assert!(m.overlay(0, 12, Some(&mut buf)));
-        for (i, &b) in buf.iter().enumerate() {
-            let expect = match i {
-                0..=3 => 0b0011,
-                4..=7 => 0b0011 ^ 0b0101,
-                _ => 0b0101,
-            };
-            assert_eq!(b, expect, "i={i}");
-        }
-    }
-
-    #[test]
-    fn adjacency_coalesces() {
-        let mut m = RangeMap::new();
-        m.insert(0, real(1, 4));
-        m.insert(4, real(1, 4));
-        m.insert(8, real(1, 4));
-        assert_eq!(m.len(), 1, "adjacent equal-type entries merge");
-        assert_eq!(m.covered_bytes(), 12);
-    }
-
-    #[test]
-    fn ghost_chunks_track_coverage_only() {
-        let mut m = RangeMap::new();
-        m.insert(100, Chunk::ghost(50));
-        m.insert(120, Chunk::ghost(100));
-        assert_eq!(m.covered_bytes(), 120);
-        assert!(m.overlay(100, 120, None));
-        assert!(!m.overlay(90, 20, None));
-    }
-
-    #[test]
-    fn overlay_partial_returns_false_but_patches() {
-        let mut m = RangeMap::new();
-        m.insert(10, real(5, 10));
-        let mut buf = vec![0u8; 30];
-        assert!(!m.overlay(0, 30, Some(&mut buf)));
-        assert_eq!(buf[10], 5);
-        assert_eq!(buf[19], 5);
-        assert_eq!(buf[0], 0);
-        assert_eq!(buf[25], 0);
-    }
-
-    #[test]
-    fn drain_empties_in_order() {
-        let mut m = RangeMap::new();
-        m.insert(30, real(3, 4));
-        m.insert(10, real(1, 4));
-        m.insert(20, real(2, 4));
-        let drained = m.drain();
-        assert_eq!(drained.len(), 3);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(m.is_empty());
-        assert_eq!(m.covered_bytes(), 0);
-    }
-
-    #[test]
-    fn randomized_against_reference_model() {
-        // Deterministic pseudo-random fuzz of Overwrite mode vs a byte map.
-        let mut m = RangeMap::new();
-        let mut model = std::collections::HashMap::new();
-        let mut x: u64 = 0x12345;
-        for i in 0..500 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let off = (x >> 16) % 200;
-            let len = 1 + ((x >> 40) % 40);
-            let val = (i % 251) as u8;
-            m.insert(off, Chunk::real(vec![val; len as usize]));
-            for o in off..off + len {
-                model.insert(o, val);
-            }
-        }
-        check_against_model(&m, &model, 256);
-        assert_eq!(m.covered_bytes(), model.len() as u64);
-    }
-
-    #[test]
-    fn xor_randomized_against_reference() {
-        let mut m = RangeMap::new();
-        let mut model = std::collections::HashMap::<u64, u8>::new();
-        let mut x: u64 = 99;
-        for _ in 0..300 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let off = (x >> 16) % 150;
-            let len = 1 + ((x >> 40) % 30);
-            let val = (x >> 8) as u8;
-            m.insert_xor(off, Chunk::real(vec![val; len as usize]));
-            for o in off..off + len {
-                *model.entry(o).or_insert(0) ^= val;
-            }
-        }
-        for off in 0..200u64 {
-            let mut buf = [0u8; 1];
-            let covered = m.overlay(off, 1, Some(&mut buf));
-            match model.get(&off) {
-                Some(&b) => {
-                    assert!(covered);
-                    assert_eq!(buf[0], b, "offset {off}");
-                }
-                None => assert!(!covered),
-            }
-        }
+        fused
     }
 }

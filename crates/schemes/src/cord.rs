@@ -18,7 +18,7 @@
 
 use crate::{AckTable, LogRegion};
 use std::collections::{BTreeMap, VecDeque};
-use tsue_ecfs::rangemap::RangeMap;
+use tsue_ecfs::rangemap::{Gathered, RangeMap};
 use tsue_ecfs::scheme::{rmw_data_delta, Chunk, DeltaKind, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
 use tsue_sim::Sim;
@@ -133,7 +133,7 @@ impl Cord {
         // Drain in stripe order: the aggregation map is ordered by global
         // stripe, so the send sequence (and thus NIC-lane timing) is the
         // same on every run.
-        for (gstripe, roles) in std::mem::take(&mut self.agg) {
+        for (gstripe, mut roles) in std::mem::take(&mut self.agg) {
             // Reconstruct a BlockId for the parity block: stripe
             // coordinates are derivable from any block of the stripe;
             // file/stripe-local index come with the entry.
@@ -143,6 +143,12 @@ impl Cord {
                 stripe,
                 role: 0,
             };
+            // The Eq. (5) kernels want contiguous contributors: gather each
+            // role's folded runs once, ahead of the per-parity passes.
+            let roles: Vec<(usize, Gathered<'_>)> = roles
+                .iter_mut()
+                .map(|(r, map)| (*r, map.gather()))
+                .collect();
             for j in 0..m {
                 let peer = core.owner_of(gstripe, k + j);
                 let mut combined = RangeMap::new();

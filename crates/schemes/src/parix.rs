@@ -127,12 +127,17 @@ impl Parix {
                 // is uniquely owned, so no second buffer materializes).
                 let delta = match &newest.bytes {
                     Some(latest) => {
-                        let mut buf = tsue_buf::BytesMut::zeroed(latest.len());
-                        let covered =
-                            log_state
-                                .original
-                                .overlay(off, newest.len, Some(buf.as_mut()));
+                        // The overlay writes every byte of a covered range,
+                        // so the buffer needs no fill first; only a hole
+                        // (an original that never arrived) reads as zeros.
+                        let mut buf = tsue_buf::BytesMut::take(latest.len());
+                        let original = &log_state.original;
+                        let covered = original.overlay(off, newest.len, Some(buf.as_mut()));
                         debug_assert!(covered, "original must cover latest");
+                        if !covered {
+                            buf.as_mut().fill(0);
+                            original.overlay(off, newest.len, Some(buf.as_mut()));
+                        }
                         tsue_gf::xor_slice(latest, buf.as_mut());
                         Chunk::real(buf.freeze())
                     }
