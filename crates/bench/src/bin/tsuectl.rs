@@ -38,7 +38,7 @@ use tsue_sim::{Sim, MILLISECOND};
 
 const HELP: &str = "tsuectl — run TSUE cluster simulations\n\n\
 subcommands:\n\
-  run <scenario.json> [--out DIR] [--threads N] [--trace-out FILE]\n\
+  run <scenario.json> [--out DIR] [--trace-out FILE]\n\
                                           execute a scenario file; --trace-out dumps the\n\
                                           op-lifecycle spans as Chrome trace_event JSON\n\
                                           (open in Perfetto / chrome://tracing)\n\
@@ -69,8 +69,6 @@ ad-hoc flags (assembled into a scenario spec):\n\
   --file-mb N                             per-client file size (default 12)\n\
   --seed N                                workload seed (default 42)\n\
   --flush                                 drain logs and include recycle I/O\n\
-  --threads N                             worker-pool width (execution knob; results are\n\
-                                          bit-identical at any value, default 1)\n\
   --out DIR                               where to persist {spec, result} (default results)\n\
   --print-spec                            print the scenario JSON and exit";
 
@@ -317,17 +315,11 @@ fn list() {
 fn run_file(rest: &[String]) {
     let mut path: Option<String> = None;
     let mut out = String::from("results");
-    let mut threads = 1usize;
     let mut trace_out: Option<String> = None;
     let mut i = 0;
     while i < rest.len() {
         match rest[i].as_str() {
             "--out" => out = value_after(rest, &mut i),
-            "--threads" => {
-                threads = value_after(rest, &mut i)
-                    .parse()
-                    .unwrap_or_else(|e| fail(&format!("--threads: {e}")));
-            }
             "--trace-out" => trace_out = Some(value_after(rest, &mut i)),
             flag if flag.starts_with('-') => fail(&format!("unknown flag '{flag}' after 'run'")),
             p if path.is_none() => path = Some(p.to_string()),
@@ -336,22 +328,21 @@ fn run_file(rest: &[String]) {
         i += 1;
     }
     let path = path.unwrap_or_else(|| {
-        fail("usage: tsuectl run <scenario.json> [--out DIR] [--threads N] [--trace-out FILE]")
+        fail("usage: tsuectl run <scenario.json> [--out DIR] [--trace-out FILE]")
     });
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| fail(&format!("cannot read '{path}': {e}")));
     let spec: ScenarioSpec = serde_json::from_str(&text)
         .unwrap_or_else(|e| fail(&format!("cannot parse '{path}': {e}")));
-    execute(spec, &out, threads, trace_out.as_deref());
+    execute(spec, &out, trace_out.as_deref());
 }
 
 /// Runs a validated spec, prints the summary, persists `{spec, result}`.
-/// `threads` and `trace_out` are execution knobs only — the persisted
-/// `{spec, result}` is byte-identical at any value of either.
-fn execute(spec: ScenarioSpec, out: &str, threads: usize, trace_out: Option<&str>) {
-    let (result, trace) =
-        run_scenario_traced(&spec, &default_registry(), threads, trace_out.is_some())
-            .unwrap_or_else(|e| fail(&e));
+/// `trace_out` is an execution knob only — the persisted
+/// `{spec, result}` is byte-identical with or without it.
+fn execute(spec: ScenarioSpec, out: &str, trace_out: Option<&str>) {
+    let (result, trace) = run_scenario_traced(&spec, &default_registry(), 1, trace_out.is_some())
+        .unwrap_or_else(|e| fail(&e));
     print_result(&spec, &result);
     if let Some(path) = trace_out {
         let json = trace.expect("tracing was enabled");
@@ -456,7 +447,6 @@ fn adhoc(args: &[String]) {
     let mut csv: Option<String> = None;
     let mut out = String::from("results");
     let mut print_spec = false;
-    let mut threads = 1usize;
     let mut i = 0;
     let next = |i: &mut usize| value_after(args, i);
     let parse_num = |flag: &str, v: String| -> u64 {
@@ -516,7 +506,6 @@ fn adhoc(args: &[String]) {
             }
             "--trace-csv" => csv = Some(next(&mut i)),
             "--flush" => spec.flush_after = Some(true),
-            "--threads" => threads = parse_num("--threads", next(&mut i)) as usize,
             "--out" => out = next(&mut i),
             "--print-spec" => print_spec = true,
             other => fail(&format!("unknown flag '{other}'")),
@@ -542,7 +531,7 @@ fn adhoc(args: &[String]) {
         replay_csv(&spec, &path);
         return;
     }
-    execute(spec, &out, threads, None);
+    execute(spec, &out, None);
 }
 
 /// Replay path: build the scenario's cluster, then install the recorded

@@ -6,6 +6,7 @@
 //! [`ScenarioOutcome`]s pairing each result with its reproducing spec;
 //! the others reduce to figure-specific rows.
 
+use crate::scenario::fan_out;
 use crate::{
     default_registry, run_scenario, run_scenarios, MsrSel, RunResult, Scale, ScenarioOutcome,
     ScenarioSpec, SchemeSpec, TraceKind,
@@ -217,40 +218,37 @@ pub struct Table2Result {
 /// Table 2 — mean residence time per log layer under RS(12,4).
 pub fn table2(scale: Scale) -> Vec<Table2Result> {
     let registry = default_registry();
-    [TraceKind::Ali, TraceKind::Ten]
-        .into_iter()
-        .map(|trace| {
-            let mut s = ScenarioSpec::ssd(
-                format!("table2-{}", trace.token()),
-                trace,
-                12,
-                4,
-                16,
-                SchemeSpec::tsue(),
-            );
-            s.duration_ms = Some(match scale {
-                Scale::Quick => 2_000,
-                Scale::Full => 10_000,
-            });
-            // Build the cluster here (not via run_scenario) so the scheme
-            // instances remain inspectable for residency harvesting.
-            let mut world = s.build_cluster(&registry).expect("table2 spec is valid");
-            let mut sim: Sim<Cluster> = Sim::new();
-            run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
-            world.flush_all(&mut sim);
-            let stats = tsue_core::tsue::harvest_residency(&world);
-            let rows = stats
-                .rows()
-                .iter()
-                .map(|(n, a, b, r)| (n.to_string(), *a, *b, *r))
-                .collect();
-            Table2Result {
-                trace: trace.name(),
-                rows,
-                total_us: stats.total_ns() / 1000.0,
-            }
-        })
-        .collect()
+    fan_out(vec![TraceKind::Ali, TraceKind::Ten], |trace| {
+        let mut s = ScenarioSpec::ssd(
+            format!("table2-{}", trace.token()),
+            trace,
+            12,
+            4,
+            16,
+            SchemeSpec::tsue(),
+        );
+        s.duration_ms = Some(match scale {
+            Scale::Quick => 2_000,
+            Scale::Full => 10_000,
+        });
+        // Build the cluster here (not via run_scenario) so the scheme
+        // instances remain inspectable for residency harvesting.
+        let mut world = s.build_cluster(&registry).expect("table2 spec is valid");
+        let mut sim: Sim<Cluster> = Sim::new();
+        run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
+        world.flush_all(&mut sim);
+        let stats = tsue_core::tsue::harvest_residency(&world);
+        let rows = stats
+            .rows()
+            .iter()
+            .map(|(n, a, b, r)| (n.to_string(), *a, *b, *r))
+            .collect();
+        Table2Result {
+            trace: trace.name(),
+            rows,
+            total_us: stats.total_ns() / 1000.0,
+        }
+    })
 }
 
 /// The HDD lineup of Fig. 8 (no FL/CoRD, matching the paper).
@@ -432,39 +430,36 @@ pub fn ext_unit_size(scale: Scale) -> Vec<UnitSizeRow> {
         Scale::Quick => &[4, 16],
         Scale::Full => &[4, 8, 16, 32],
     };
-    sizes
-        .iter()
-        .map(|&mib| {
-            let scheme = SchemeSpec::with_knobs(
-                "tsue",
-                Value::Object(vec![("unit_size".into(), Value::UInt(mib << 20))]),
-            );
-            let mut s = ScenarioSpec::ssd(
-                format!("ext-unit-size-{mib}m"),
-                TraceKind::Ten,
-                6,
-                4,
-                16,
-                scheme,
-            );
-            s.duration_ms = Some(match scale {
-                Scale::Quick => 2_000,
-                Scale::Full => 8_000,
-            });
-            let mut world = s.build_cluster(&registry).expect("unit-size spec is valid");
-            let mut sim: Sim<Cluster> = Sim::new();
-            run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
-            let end = world.core.stop_at.unwrap().max(sim.now());
-            let iops = world.core.metrics.iops(end);
-            world.flush_all(&mut sim);
-            let stats = tsue_core::tsue::harvest_residency(&world);
-            UnitSizeRow {
-                unit_mib: mib,
-                data_buffer_ms: stats.data.buffer.mean_ns() / 1e6,
-                iops,
-            }
-        })
-        .collect()
+    fan_out(sizes.to_vec(), |mib| {
+        let scheme = SchemeSpec::with_knobs(
+            "tsue",
+            Value::Object(vec![("unit_size".into(), Value::UInt(mib << 20))]),
+        );
+        let mut s = ScenarioSpec::ssd(
+            format!("ext-unit-size-{mib}m"),
+            TraceKind::Ten,
+            6,
+            4,
+            16,
+            scheme,
+        );
+        s.duration_ms = Some(match scale {
+            Scale::Quick => 2_000,
+            Scale::Full => 8_000,
+        });
+        let mut world = s.build_cluster(&registry).expect("unit-size spec is valid");
+        let mut sim: Sim<Cluster> = Sim::new();
+        run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
+        let end = world.core.stop_at.unwrap().max(sim.now());
+        let iops = world.core.metrics.iops(end);
+        world.flush_all(&mut sim);
+        let stats = tsue_core::tsue::harvest_residency(&world);
+        UnitSizeRow {
+            unit_mib: mib,
+            data_buffer_ms: stats.data.buffer.mean_ns() / 1e6,
+            iops,
+        }
+    })
 }
 
 /// Sanity run used by integration tests: a tiny two-scheme comparison.

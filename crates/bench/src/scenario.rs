@@ -472,28 +472,12 @@ pub fn run_scenario_with(
     spec: &ScenarioSpec,
     registry: &SchemeRegistry,
 ) -> Result<RunResult, String> {
-    run_scenario_threads(spec, registry, 1)
-}
-
-/// [`run_scenario_with`] on `threads` pool workers. The thread count is
-/// an *execution* parameter, not part of the spec: results are
-/// bit-identical at any value (tick-barrier determinism — see
-/// [`tsue_sim::exec`]), which is exactly why it never appears in
-/// [`ScenarioSpec`] or the persisted goldens.
-///
-/// # Errors
-/// Fails on an invalid spec (unknown scheme, bad knobs, geometry).
-pub fn run_scenario_threads(
-    spec: &ScenarioSpec,
-    registry: &SchemeRegistry,
-    threads: usize,
-) -> Result<RunResult, String> {
-    run_scenario_traced(spec, registry, threads, false).map(|(result, _)| result)
+    run_scenario_traced(spec, registry, 1, false).map(|(result, _)| result)
 }
 
 /// Reads per-node/per-rack counters into the obs time series. Strictly
 /// read-only — sampling can never perturb simulated outcomes, so the
-/// cadence (like the thread count) stays an execution-safe knob even
+/// cadence stays an execution-safe knob even
 /// though it lives in the spec for reproducibility of the series shape.
 fn obs_probe(w: &mut Cluster, sim: &mut Sim<Cluster>) {
     let now = sim.now();
@@ -540,22 +524,26 @@ fn obs_probe(w: &mut Cluster, sim: &mut Sim<Cluster>) {
     }
 }
 
-/// [`run_scenario_threads`] with op-lifecycle tracing optionally
-/// enabled. Tracing is an execution knob like the thread count: it
-/// never appears in the spec, only records event times the simulation
-/// already produced, and therefore cannot perturb outcomes. When
-/// `trace` is set, the second element is the Chrome `trace_event` JSON
-/// covering the whole run (workload, recovery, flush, and scrub).
+/// [`run_scenario_with`] with op-lifecycle tracing optionally
+/// enabled. Tracing is an execution knob: it never appears in the
+/// spec, only records event times the simulation already produced, and
+/// therefore cannot perturb outcomes. When `trace` is set, the second
+/// element is the Chrome `trace_event` JSON covering the whole run
+/// (workload, recovery, flush, and scrub).
+///
+/// `_threads` is inert (the engine is single-threaded); the parameter
+/// stays only because the frozen `benchmark/` package passes it and
+/// leaves with the next `benchmark` PR.
 ///
 /// # Errors
 /// Fails on an invalid spec (unknown scheme, bad knobs, geometry).
 pub fn run_scenario_traced(
     spec: &ScenarioSpec,
     registry: &SchemeRegistry,
-    threads: usize,
+    _threads: usize,
     trace: bool,
 ) -> Result<(RunResult, Option<String>), String> {
-    let mut world = spec.builder(registry)?.threads(threads).build();
+    let mut world = spec.builder(registry)?.build();
     if trace {
         world
             .core
@@ -684,6 +672,36 @@ pub fn run_scenario_traced(
     Ok((result, trace_json))
 }
 
+/// Maps `f` over `items` on up to `available_parallelism` OS threads,
+/// returning the results in item order; a single item (or core) runs
+/// inline. The workspace's only host parallelism: shared-nothing, one
+/// independent [`Sim`] per thread, so every run stays deterministic.
+pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let workers = std::thread::available_parallelism()
+        .map_or(2, |n| n.get())
+        .min(items.len());
+    if workers <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    // INVARIANT (the `expect`s below): `f` runs outside both locks, so
+    // a panicking job cannot poison them; the scope re-raises its panic.
+    let jobs = std::sync::Mutex::new(items.into_iter().enumerate());
+    let results = std::sync::Mutex::new(Vec::new());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let job = jobs.lock().expect("lock never poisoned").next();
+                let Some((idx, item)) = job else { break };
+                let r = f(item);
+                results.lock().expect("lock never poisoned").push((idx, r));
+            });
+        }
+    });
+    let mut out = results.into_inner().expect("lock never poisoned");
+    out.sort_by_key(|(i, _)| *i);
+    out.into_iter().map(|(_, r)| r).collect()
+}
+
 /// Runs a batch of scenarios across OS threads (each run stays
 /// deterministic), pairing every result with its spec.
 ///
@@ -694,37 +712,10 @@ pub fn run_scenarios(specs: Vec<ScenarioSpec>) -> Result<Vec<ScenarioOutcome>, S
     for spec in &specs {
         spec.validate(&registry)?;
     }
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(2)
-        .min(specs.len().max(1));
-    let run = |spec: ScenarioSpec| -> ScenarioOutcome {
+    Ok(fan_out(specs, |spec| {
         let result = run_scenario_with(&spec, &registry).expect("spec pre-validated");
         ScenarioOutcome { spec, result }
-    };
-    if workers <= 1 || specs.len() == 1 {
-        return Ok(specs.into_iter().map(run).collect());
-    }
-    let jobs = std::sync::Mutex::new(
-        specs
-            .into_iter()
-            .enumerate()
-            .collect::<std::collections::VecDeque<_>>(),
-    );
-    let results = std::sync::Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let job = jobs.lock().unwrap().pop_front();
-                let Some((idx, spec)) = job else { break };
-                let outcome = run(spec);
-                results.lock().unwrap().push((idx, outcome));
-            });
-        }
-    });
-    let mut out = results.into_inner().unwrap();
-    out.sort_by_key(|(i, _)| *i);
-    Ok(out.into_iter().map(|(_, r)| r).collect())
+    }))
 }
 
 /// Renders the `tsuectl list` body: the scheme registry followed by the
@@ -794,4 +785,19 @@ pub fn bundled_scenarios() -> &'static [(&'static str, &'static str)] {
             include_str!("../../../scenarios/scrub_bitrot.json"),
         ),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::fan_out;
+
+    /// Sweeps index their rows by position, so results must come back
+    /// in item order however the threads interleave.
+    #[test]
+    fn fan_out_preserves_item_order() {
+        let squares = fan_out((0..100u64).collect(), |x| x * x);
+        assert_eq!(squares, (0..100u64).map(|x| x * x).collect::<Vec<_>>());
+        assert_eq!(fan_out(vec![7u64], |x| x + 1), vec![8], "one item: inline");
+        assert!(fan_out(Vec::<u64>::new(), |x| x).is_empty());
+    }
 }

@@ -36,6 +36,28 @@ fn figures_rejects_bad_arguments_with_usage() {
     }
 }
 
+/// The engine is single-threaded: the removed `--threads` knob is an
+/// unknown flag on both run paths, not a silently accepted no-op.
+#[test]
+fn threads_flag_is_gone_from_both_run_paths() {
+    let scenario = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios/smoke.json");
+    for args in [
+        &["run", scenario, "--threads", "4"][..],
+        &["--scheme", "tsue", "--threads", "4"][..],
+    ] {
+        let out = tsuectl(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown flag '--threads'"),
+            "{args:?}: {stderr}"
+        );
+        let usage = stderr.split_once("\n\n").map_or("", |(_, usage)| usage);
+        assert!(usage.contains("tsuectl"), "{args:?}: no usage");
+        assert!(!usage.contains("--threads"), "usage still lists --threads");
+    }
+}
+
 #[test]
 fn figures_fig7_quick_writes_the_six_ablation_rows() {
     let dir = scratch("fig7");

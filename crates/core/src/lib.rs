@@ -26,12 +26,9 @@
 //! * [`Tsue`] / [`TsueConfig`] — the [`tsue_ecfs::UpdateScheme`]
 //!   implementation with every Fig. 7 ablation switch (O1–O5),
 //! * [`ResidencyStats`] — per-layer append/buffer/recycle residence times
-//!   (Table 2),
-//! * [`live`] — a thread-based concurrent log pool (parking_lot +
-//!   crossbeam) demonstrating the same structure outside the simulator.
+//!   (Table 2).
 
 pub mod knobs;
-pub mod live;
 pub mod logpool;
 pub mod logunit;
 pub mod residency;
@@ -42,10 +39,4 @@ pub use logpool::LogPool;
 pub use logunit::{BlockIndex, LogUnit, UnitId, UnitState, RECORD_HEADER};
 pub use residency::{LayerResidency, ResidencyStats, StatAcc};
 
-// TSUE state rides along when a cluster moves to a bench/test worker
-// thread; assert it stays free of `Rc`/`RefCell` interior state.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<tsue::Tsue>();
-};
 pub use tsue::{DeltaKey, Tsue, TsueConfig};

@@ -181,11 +181,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Worker threads for byte-kernel parallelism. `1` (the default)
-    /// runs everything inline; any value yields bit-identical results
-    /// (see [`tsue_sim::exec`] for the tick-barrier rules).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.cfg.threads = n;
+    /// Inert: the engine is single-threaded. Kept only because the frozen
+    /// `benchmark/` package calls it; leaves with the next `benchmark` PR.
+    #[doc(hidden)]
+    pub fn threads(self, _n: usize) -> Self {
         self
     }
 

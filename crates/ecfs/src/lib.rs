@@ -37,7 +37,6 @@ pub mod replica;
 pub mod resync;
 pub mod scheme;
 pub mod scrub;
-pub mod shard;
 pub mod verify;
 
 pub use builder::ClusterBuilder;
@@ -65,14 +64,13 @@ pub use scheme::{
     UpdateScheme,
 };
 pub use scrub::{run_full_scrub, start_scrub, ScrubState};
-pub use shard::{ShardKey, ShardedMap, SHARDS, STRIPE_GROUP};
 pub use tsue_integrity::{checksum, IntegrityError, SplitRng};
 pub use verify::{check_consistency, check_data_blocks, check_parity, reference_data};
 
 use tsue_device::{Device, HddModel, SsdModel};
 use tsue_ec::{RsCode, StripeConfig};
 use tsue_net::{NetModel, NetSpec, NodeId, Topology};
-use tsue_sim::{Sim, Time, WorkerPool, MICROSECOND, MILLISECOND};
+use tsue_sim::{Sim, Time, MICROSECOND, MILLISECOND};
 
 /// Which device model backs each OSD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,12 +186,6 @@ pub struct ClusterConfig {
     pub log_replicas: usize,
     /// Master seed for workload generation.
     pub seed: u64,
-    /// Worker threads for byte-kernel parallelism (encode, replay,
-    /// rebuild decode). `1` runs everything inline on the coordinator.
-    /// An execution parameter, not an experiment parameter: results are
-    /// bit-identical at any thread count (see [`tsue_sim::exec`]), so
-    /// scenario specs and goldens never record it.
-    pub threads: usize,
 }
 
 impl ClusterConfig {
@@ -218,7 +210,6 @@ impl ClusterConfig {
             scrub_mb_s: 0,
             log_replicas: 1,
             seed: 42,
-            threads: 1,
         }
     }
 
@@ -270,9 +261,6 @@ pub struct ClusterCore {
     /// Replicated data-log records, keyed by the home OSD whose log they
     /// shadow (see [`replica`]).
     pub replicas: ReplicaStore,
-    /// Worker pool for byte-kernel parallelism inside single events
-    /// (tick-barrier model — see [`tsue_sim::exec`]).
-    pub pool: WorkerPool,
 }
 
 /// The DES world: core + pluggable per-OSD schemes.
@@ -341,7 +329,6 @@ impl Cluster {
             resync: ResyncState::default(),
             scrub: ScrubState::default(),
             replicas: ReplicaStore::default(),
-            pool: WorkerPool::new(cfg.threads),
             cfg,
         };
         let mut world = Cluster { schemes, core };

@@ -3,7 +3,7 @@
 //! rehome table filled by online recovery (a rebuilt block's new home
 //! overrides the placement policy until the layout is next rebalanced).
 
-use crate::shard::ShardedMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// File identifier.
 pub type FileId = u32;
@@ -20,6 +20,22 @@ pub struct FileMeta {
     pub base_stripe: u64,
     /// Number of stripes.
     pub stripes: u64,
+    /// Write/update bitmap: bit `p` is set once page `p` has been written.
+    /// Sized for `size` at registration; a write past `size` grows it.
+    written: Vec<u64>,
+}
+
+impl FileMeta {
+    /// Sets the bit of `page`, returning whether it was already set.
+    fn mark_written(&mut self, page: u64) -> bool {
+        let (word, bit) = ((page / 64) as usize, 1u64 << (page % 64));
+        if word >= self.written.len() {
+            self.written.resize(word + 1, 0);
+        }
+        let was = self.written[word] & bit != 0;
+        self.written[word] |= bit;
+        was
+    }
 }
 
 /// The metadata server.
@@ -31,20 +47,15 @@ pub struct FileMeta {
 pub struct Mds {
     files: Vec<FileMeta>,
     next_stripe: u64,
-    /// Pages that have been written at least once: `(file, page_index)`.
-    /// Sharded by page group so parallel client batches touching
-    /// different stripe groups never contend on one lock.
-    written_pages: ShardedMap<(FileId, u64), ()>,
     /// Liveness per OSD node.
     alive: Vec<bool>,
     /// Recovery overrides: `(global stripe, role)` → new home OSD.
-    /// Sharded by stripe group: rebuild completions for independent
-    /// stripe groups rehome concurrently.
-    rehomed: ShardedMap<(u64, usize), usize>,
+    /// Ordered, so listings schedule deterministically.
+    rehomed: BTreeMap<(u64, usize), usize>,
     /// Parity blocks known to have missed deltas (the delta NACK-bounced
     /// off a dead owner): `(global stripe, role)`. Cleared when recovery
     /// re-encodes the block or a heal-time re-sync recomputes it.
-    dirty_parity: ShardedMap<(u64, usize), ()>,
+    dirty_parity: BTreeSet<(u64, usize)>,
 }
 
 impl Mds {
@@ -53,10 +64,9 @@ impl Mds {
         Mds {
             files: Vec::new(),
             next_stripe: 0,
-            written_pages: ShardedMap::new(),
             alive: vec![true; osds],
-            rehomed: ShardedMap::new(),
-            dirty_parity: ShardedMap::new(),
+            rehomed: BTreeMap::new(),
+            dirty_parity: BTreeSet::new(),
         }
     }
 
@@ -67,6 +77,7 @@ impl Mds {
             size,
             base_stripe: self.next_stripe,
             stripes,
+            written: vec![0; size.div_ceil(MDS_PAGE).div_ceil(64) as usize],
         });
         self.next_stripe += stripes;
         id
@@ -102,9 +113,12 @@ impl Mds {
 
     /// Marks every page of `file` as written (post-provisioning state).
     pub fn mark_prepopulated(&mut self, file: FileId) {
-        let size = self.file(file).size;
-        for p in 0..size.div_ceil(MDS_PAGE) {
-            self.written_pages.insert((file, p), ());
+        let f = &mut self.files[file as usize];
+        let pages = f.size.div_ceil(MDS_PAGE);
+        let (full, tail) = ((pages / 64) as usize, pages % 64);
+        f.written[..full].fill(u64::MAX);
+        if tail > 0 {
+            f.written[full] |= (1u64 << tail) - 1;
         }
     }
 
@@ -115,11 +129,10 @@ impl Mds {
     pub fn classify_write(&mut self, file: FileId, offset: u64, len: u64) -> bool {
         let first = offset / MDS_PAGE;
         let last = (offset + len.max(1) - 1) / MDS_PAGE;
+        let f = &mut self.files[file as usize];
         let mut all_old = true;
         for p in first..=last {
-            if self.written_pages.insert((file, p), ()).is_none() {
-                all_old = false;
-            }
+            all_old &= f.mark_written(p);
         }
         all_old
     }
@@ -150,20 +163,10 @@ impl Mds {
         self.rehomed.insert((gstripe, role), node);
     }
 
-    /// Shared-plane [`Mds::rehome`]: takes only the stripe group's
-    /// segment lock, so rebuild workers on disjoint stripe groups
-    /// rehome without serializing on the whole table.
-    pub fn rehome_shared(&self, gstripe: u64, role: usize, node: usize) {
-        self.rehomed.insert_shared((gstripe, role), node);
-    }
-
-    /// The recovery override for `(gstripe, role)`, if any. A single map
-    /// lookup: an empty-map short-circuit would race the staleness that
-    /// reclaim introduces (an entry removed between the emptiness check
-    /// and the read), and the lookup is already free on an empty map.
+    /// The recovery override for `(gstripe, role)`, if any.
     #[inline]
     pub fn rehomed(&self, gstripe: u64, role: usize) -> Option<usize> {
-        self.rehomed.read(&(gstripe, role))
+        self.rehomed.get(&(gstripe, role)).copied()
     }
 
     /// Removes the recovery override for `(gstripe, role)` — the healed
@@ -173,11 +176,6 @@ impl Mds {
         self.rehomed.remove(&(gstripe, role))
     }
 
-    /// Shared-plane [`Mds::reclaim`] for workers holding `&Mds`.
-    pub fn reclaim_shared(&self, gstripe: u64, role: usize) -> Option<usize> {
-        self.rehomed.remove_shared(&(gstripe, role))
-    }
-
     /// Number of rehomed blocks (recovery progress / diagnostics).
     pub fn rehomed_count(&self) -> usize {
         self.rehomed.len()
@@ -185,13 +183,13 @@ impl Mds {
 
     /// All rehome overrides, sorted for deterministic scheduling.
     pub fn rehomed_entries(&self) -> Vec<((u64, usize), usize)> {
-        self.rehomed.entries_sorted()
+        self.rehomed.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// Marks a parity block as having missed a delta (its owner was dead
     /// when the delta arrived, so the update bounced).
     pub fn mark_parity_dirty(&mut self, gstripe: u64, role: usize) {
-        self.dirty_parity.insert((gstripe, role), ());
+        self.dirty_parity.insert((gstripe, role));
     }
 
     /// Clears the missed-delta mark (the block was re-encoded from data).
@@ -201,7 +199,7 @@ impl Mds {
 
     /// Dirty parity blocks, sorted for deterministic scheduling.
     pub fn dirty_parity_entries(&self) -> Vec<(u64, usize)> {
-        self.dirty_parity.keys_sorted()
+        self.dirty_parity.iter().copied().collect()
     }
 
     /// True when `role` of `gstripe` is marked as missing deltas — such
@@ -252,6 +250,73 @@ mod tests {
         m.mark_prepopulated(f);
         assert!(m.classify_write(f, 0, 32 << 10));
         assert!(m.classify_write(f, 12_288, 512));
+    }
+
+    #[test]
+    fn bitmap_ranges_straddle_page_and_word_edges() {
+        let mut m = Mds::new(1);
+        let f = m.register_file(130 * MDS_PAGE, 1);
+        // One byte either side of the page 0/1 edge touches both pages.
+        assert!(!m.classify_write(f, MDS_PAGE - 1, 2));
+        assert!(m.classify_write(f, 0, 2 * MDS_PAGE));
+        assert!(
+            !m.classify_write(f, 2 * MDS_PAGE, 1),
+            "page 2 was not touched"
+        );
+        // Pages 63 and 64 live in different bitmap words.
+        assert!(!m.classify_write(f, 63 * MDS_PAGE, 2 * MDS_PAGE));
+        assert!(m.classify_write(f, 63 * MDS_PAGE, MDS_PAGE));
+        assert!(m.classify_write(f, 64 * MDS_PAGE, MDS_PAGE));
+        assert!(!m.classify_write(f, 62 * MDS_PAGE, MDS_PAGE));
+        assert!(!m.classify_write(f, 65 * MDS_PAGE, MDS_PAGE));
+        // A zero-length write still touches its page.
+        assert!(!m.classify_write(f, 100 * MDS_PAGE, 0));
+        assert!(m.classify_write(f, 100 * MDS_PAGE, 1));
+    }
+
+    #[test]
+    fn prepopulate_sets_exactly_the_files_pages() {
+        let mut m = Mds::new(1);
+        // 70 pages: one full bitmap word plus a 6-bit partial one.
+        let f = m.register_file(70 * MDS_PAGE - 100, 1);
+        m.mark_prepopulated(f);
+        assert!(m.classify_write(f, 0, 70 * MDS_PAGE - 100));
+        assert!(m.classify_write(f, 69 * MDS_PAGE, 1), "last (partial) page");
+        assert!(
+            !m.classify_write(f, 70 * MDS_PAGE, 1),
+            "the page past the end was never written"
+        );
+    }
+
+    #[test]
+    fn bitmaps_are_per_file_and_grow_past_the_registered_size() {
+        let mut m = Mds::new(1);
+        let a = m.register_file(8 * MDS_PAGE, 1);
+        let b = m.register_file(8 * MDS_PAGE, 1);
+        m.mark_prepopulated(a);
+        assert!(m.classify_write(a, 0, 8 * MDS_PAGE));
+        assert!(!m.classify_write(b, 0, 8 * MDS_PAGE), "b is still fresh");
+        // Far past `size`: the bitmap grows instead of panicking.
+        assert!(!m.classify_write(b, 1000 * MDS_PAGE, 2 * MDS_PAGE));
+        assert!(m.classify_write(b, 1001 * MDS_PAGE, 1));
+        assert!(!m.classify_write(a, 1000 * MDS_PAGE, 1), "a did not grow");
+    }
+
+    #[test]
+    fn rehome_reclaim_conserves_entries_and_lists_in_key_order() {
+        let mut m = Mds::new(16);
+        let entry = |i: u64| ((i * 3, (i % 4) as usize), (i % 16) as usize);
+        // Descending insertion order; every third entry is reclaimed again.
+        for i in (0..200u64).rev() {
+            let ((gstripe, role), node) = entry(i);
+            m.rehome(gstripe, role, node);
+            if i % 3 == 0 {
+                assert_eq!(m.reclaim(gstripe, role), Some(node));
+            }
+        }
+        let want: Vec<_> = (0..200u64).filter(|i| i % 3 != 0).map(entry).collect();
+        assert_eq!(m.rehomed_count(), want.len());
+        assert_eq!(m.rehomed_entries(), want, "the survivors, in key order");
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! (correctness) mode; the device model is timing/wear-only either way.
 
 use crate::mds::FileId;
-use crate::shard::ShardedMap;
-use parking_lot::Mutex;
+use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_device::{Device, IoKind, StreamId};
 use tsue_integrity::{BlockChecksums, IntegrityError, SplitRng};
@@ -34,8 +33,8 @@ pub struct StoredBlock {
     pub dev_offset: u64,
     /// Payload (materialized mode only).
     pub data: Option<Box<[u8]>>,
-    /// Per-page checksums, maintained under the same segment lock as the
-    /// payload (materialized mode with checksums enabled only).
+    /// Per-page checksums, updated together with the payload
+    /// (materialized mode with checksums enabled only).
     pub sums: Option<BlockChecksums>,
 }
 
@@ -49,18 +48,17 @@ pub const STREAM_SCHEME_BASE: StreamId = 16;
 
 /// One storage server.
 ///
-/// The block store is sharded ([`ShardedMap`], segments keyed by stripe
-/// group), so the **content plane** — byte reads/writes decoupled from
-/// device timing — is `&self` and safe to drive from worker threads
-/// inside a tick barrier, while the **timing plane** (device submits)
-/// stays `&mut self` on the coordinator.
+/// Two access planes: the **timing plane** charges device I/O
+/// (`read_block_range`, `write_block_range`, `xor_block_range`), the
+/// **content plane** (`peek_*`, `*_poke_*`) moves bytes only, for paths
+/// that account timing separately. Every mutator of either is `&mut self`.
 pub struct Osd {
     /// Network node id (OSDs occupy ids `0..cfg.osds`).
     pub node: usize,
     /// The backing device model.
     pub device: Device,
-    /// Blocks hosted here, behind per-stripe-group lock segments.
-    store: ShardedMap<BlockId, StoredBlock>,
+    /// Blocks hosted here; ordered, so listings schedule deterministically.
+    store: BTreeMap<BlockId, StoredBlock>,
     /// True once [`crate::fail_node`] kills this node.
     pub dead: bool,
     /// Maintain per-page block checksums (materialized mode only; set
@@ -68,9 +66,8 @@ pub struct Osd {
     pub checksums: bool,
     /// Blocks whose corrupt content sourced a parity delta: the delta
     /// carried the rot to parity, so the scrubber must re-encode the
-    /// stripe's parity after repairing the data. Interior-mutable — the
-    /// producing paths run on the `&self` content plane.
-    poisoned: Mutex<Vec<BlockId>>,
+    /// stripe's parity after repairing the data.
+    poisoned: Vec<BlockId>,
     next_offset: u64,
 }
 
@@ -80,10 +77,10 @@ impl Osd {
         Osd {
             node,
             device,
-            store: ShardedMap::new(),
+            store: BTreeMap::new(),
             dead: false,
             checksums: false,
-            poisoned: Mutex::new(Vec::new()),
+            poisoned: Vec::new(),
             next_offset: 0,
         }
     }
@@ -123,21 +120,22 @@ impl Osd {
     /// Panics if the block is not hosted here.
     pub fn block_offset(&self, id: BlockId) -> u64 {
         self.store
-            .with(&id, |b| b.map(|b| b.dev_offset))
+            .get(&id)
             // INVARIANT: documented contract (# Panics above) — callers
             // resolve placement (owner_of) before touching a block.
             .expect("block not hosted here")
+            .dev_offset
     }
 
     /// True if this OSD hosts `id`.
     pub fn hosts(&self, id: BlockId) -> bool {
-        self.store.contains(&id)
+        self.store.contains_key(&id)
     }
 
-    /// Every hosted block id, sorted (deterministic scheduling source
-    /// for recovery and re-sync listings).
-    pub fn block_ids(&self) -> Vec<BlockId> {
-        self.store.keys_sorted()
+    /// Every hosted block id, in key order (deterministic scheduling
+    /// source for recovery, re-sync and scrub listings).
+    pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
+        self.store.keys().copied()
     }
 
     /// Reads `[off, off+len)` of a block: charges a device read and returns
@@ -153,19 +151,16 @@ impl Osd {
         off: u64,
         len: u64,
     ) -> (Time, Option<Bytes>) {
-        let (dev_off, data) = self.store.with(&id, |b| {
-            // INVARIANT: callers route I/O through owner_of placement, so
-            // the block is hosted on this OSD.
-            let b = b.expect("block not hosted here");
-            let data = b.data.as_ref().map(|d| {
-                assert!((off + len) as usize <= d.len(), "read beyond block");
-                Bytes::copy_from_slice(&d[off as usize..(off + len) as usize])
-            });
-            (b.dev_offset + off, data)
+        // INVARIANT: callers route I/O through owner_of placement, so
+        // the block is hosted on this OSD.
+        let b = self.store.get(&id).expect("block not hosted here");
+        let data = b.data.as_ref().map(|d| {
+            assert!((off + len) as usize <= d.len(), "read beyond block");
+            Bytes::copy_from_slice(&d[off as usize..(off + len) as usize])
         });
         let t = self
             .device
-            .submit(now, IoKind::Read, dev_off, len, STREAM_BLOCK);
+            .submit(now, IoKind::Read, b.dev_offset + off, len, STREAM_BLOCK);
         (t, data)
     }
 
@@ -244,87 +239,72 @@ impl Osd {
 
     /// Content-only read of a block range (no device charge) — used when
     /// content application and timing accounting are decoupled. Returns a
-    /// pool-recycled buffer. `&self`: safe from worker threads (segment
-    /// read lock).
+    /// pool-recycled buffer.
     pub fn peek_block_range(&self, id: BlockId, off: u64, len: u64) -> Option<Bytes> {
-        self.store.with(&id, |b| {
-            b.and_then(|b| {
-                b.data
-                    .as_ref()
-                    .map(|d| Bytes::copy_from_slice(&d[off as usize..(off + len) as usize]))
-            })
-        })
+        let d = self.block_data(id)?;
+        Some(Bytes::copy_from_slice(
+            &d[off as usize..(off + len) as usize],
+        ))
     }
 
     /// Content-only XOR of `delta` into a block range (no device charge,
     /// no intermediate buffer) — the zero-copy counterpart of peek → xor →
-    /// poke on paths that decouple content from timing. `&self`: safe
-    /// from worker threads (segment write lock); XOR commutes, so even
-    /// overlapping worker ranges stay deterministic.
-    pub fn xor_poke_range(&self, id: BlockId, off: u64, delta: &[u8]) {
-        self.store.with_mut(&id, |b| {
-            if let Some(b) = b {
-                if let Some(store) = b.data.as_mut() {
-                    if let Some(sums) = b.sums.as_mut() {
-                        sums.pre_write_scan(store, off, delta.len() as u64, false);
-                    }
-                    tsue_gf::xor_slice(delta, &mut store[off as usize..off as usize + delta.len()]);
-                    if let Some(sums) = b.sums.as_mut() {
-                        sums.update_range(store, off, delta.len() as u64);
-                    }
-                }
+    /// poke on paths that decouple content from timing.
+    pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &[u8]) {
+        let Some(b) = self.store.get_mut(&id) else {
+            return;
+        };
+        if let Some(store) = b.data.as_mut() {
+            if let Some(sums) = b.sums.as_mut() {
+                sums.pre_write_scan(store, off, delta.len() as u64, false);
             }
-        });
+            tsue_gf::xor_slice(delta, &mut store[off as usize..off as usize + delta.len()]);
+            if let Some(sums) = b.sums.as_mut() {
+                sums.update_range(store, off, delta.len() as u64);
+            }
+        }
     }
 
     /// Content-only delta capture: writes `new ⊕ current` for
     /// `[off, off + new.len())` into a pool-recycled buffer and replaces
     /// the stored range with `new`, in one pass over the store (no device
     /// charge — the timed I/O is charged separately by the caller).
-    /// Returns `None` when the block is not materialized. `&self`: safe
-    /// from worker threads provided jobs touch disjoint ranges (the
-    /// recycle planner guarantees it — merged ranges never overlap).
-    pub fn delta_poke_range(&self, id: BlockId, off: u64, new: &[u8]) -> Option<Bytes> {
-        self.store.with_mut(&id, |b| {
-            let b = b?;
-            let store = b.data.as_mut()?;
-            if let Some(sums) = b.sums.as_mut() {
-                // The delta XORs in the current bytes — rot here poisons
-                // the parity it feeds, so queue the stripe for a parity
-                // re-encode after the data is repaired.
-                if sums.verify_range(store, off, new.len() as u64).is_err() {
-                    self.poisoned.lock().push(id);
-                }
-                sums.pre_write_scan(store, off, new.len() as u64, true);
+    /// Returns `None` when the block is not materialized.
+    pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &[u8]) -> Option<Bytes> {
+        let b = self.store.get_mut(&id)?;
+        let store = b.data.as_mut()?;
+        if let Some(sums) = b.sums.as_mut() {
+            // The delta XORs in the current bytes — rot here poisons
+            // the parity it feeds, so queue the stripe for a parity
+            // re-encode after the data is repaired.
+            if sums.verify_range(store, off, new.len() as u64).is_err() {
+                self.poisoned.push(id);
             }
-            let dst = &mut store[off as usize..off as usize + new.len()];
-            let mut d = BytesMut::take(new.len());
-            tsue_gf::xor_into(dst, new, d.as_mut());
-            dst.copy_from_slice(new);
-            if let Some(sums) = b.sums.as_mut() {
-                sums.update_range(store, off, new.len() as u64);
-            }
-            Some(d.freeze())
-        })
+            sums.pre_write_scan(store, off, new.len() as u64, true);
+        }
+        let dst = &mut store[off as usize..off as usize + new.len()];
+        let mut d = BytesMut::take(new.len());
+        tsue_gf::xor_into(dst, new, d.as_mut());
+        dst.copy_from_slice(new);
+        if let Some(sums) = b.sums.as_mut() {
+            sums.update_range(store, off, new.len() as u64);
+        }
+        Some(d.freeze())
     }
 
-    /// Content-only write of a block range (no device charge). `&self`:
-    /// safe from worker threads on disjoint ranges.
-    pub fn poke_block_range(&self, id: BlockId, off: u64, data: Option<&[u8]>) {
-        if let Some(src) = data {
-            self.store.with_mut(&id, |b| {
-                if let Some(b) = b {
-                    if let Some(store) = b.data.as_mut() {
-                        if let Some(sums) = b.sums.as_mut() {
-                            sums.pre_write_scan(store, off, src.len() as u64, true);
-                        }
-                        store[off as usize..off as usize + src.len()].copy_from_slice(src);
-                        if let Some(sums) = b.sums.as_mut() {
-                            sums.update_range(store, off, src.len() as u64);
-                        }
-                    }
-                }
-            });
+    /// Content-only write of a block range (no device charge).
+    pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: Option<&[u8]>) {
+        let (Some(src), Some(b)) = (data, self.store.get_mut(&id)) else {
+            return;
+        };
+        if let Some(store) = b.data.as_mut() {
+            if let Some(sums) = b.sums.as_mut() {
+                sums.pre_write_scan(store, off, src.len() as u64, true);
+            }
+            store[off as usize..off as usize + src.len()].copy_from_slice(src);
+            if let Some(sums) = b.sums.as_mut() {
+                sums.update_range(store, off, src.len() as u64);
+            }
         }
     }
 
@@ -333,11 +313,9 @@ impl Osd {
         self.store.get_mut(&id).and_then(|b| b.data.as_deref_mut())
     }
 
-    /// Runs `f` over the materialized bytes of `id` (verification,
-    /// reference checks) under the segment read lock.
-    pub fn with_block_data<R>(&self, id: BlockId, f: impl FnOnce(Option<&[u8]>) -> R) -> R {
-        self.store
-            .with(&id, |b| f(b.and_then(|b| b.data.as_deref())))
+    /// The materialized bytes of `id` (verification, reference checks).
+    pub fn block_data(&self, id: BlockId) -> Option<&[u8]> {
+        self.store.get(&id)?.data.as_deref()
     }
 
     /// Drops a block (node failure cleanup / migration source).
@@ -394,90 +372,90 @@ impl Osd {
     /// without a checksum table (timing-only mode, checksums disabled)
     /// verify vacuously.
     pub fn verify_range(&self, id: BlockId, off: u64, len: u64) -> Result<(), IntegrityError> {
-        self.store.with(&id, |b| match b {
+        match self.store.get(&id) {
             Some(StoredBlock {
                 data: Some(d),
                 sums: Some(s),
                 ..
             }) => s.verify_range(d, off, len),
             _ => Ok(()),
-        })
+        }
     }
 
     /// Scans the whole block against its checksum table, returning the
     /// indices of corrupt pages (empty when clean or untracked).
     pub fn corrupt_pages(&self, id: BlockId) -> Vec<usize> {
-        self.store.with(&id, |b| match b {
+        match self.store.get(&id) {
             Some(StoredBlock {
                 data: Some(d),
                 sums: Some(s),
                 ..
             }) => s.corrupt_pages(d),
             _ => Vec::new(),
-        })
+        }
     }
 
     /// Recomputes the checksum table of `id` from its current content
     /// (post-repair, post-out-of-band mutation via
     /// [`Osd::block_data_mut`]); clears all taint — the caller asserts
     /// the content is authoritative.
-    pub fn rehash_block(&self, id: BlockId) {
-        self.store.with_mut(&id, |b| {
-            if let Some(b) = b {
-                if let (Some(d), Some(s)) = (b.data.as_ref(), b.sums.as_mut()) {
-                    s.update_all(d);
-                }
-            }
-        });
+    pub fn rehash_block(&mut self, id: BlockId) {
+        if let Some(StoredBlock {
+            data: Some(d),
+            sums: Some(s),
+            ..
+        }) = self.store.get_mut(&id)
+        {
+            s.update_all(d);
+        }
     }
 
     /// Stored digest of `page` of `id`, when a checksum table exists.
     pub fn page_digest(&self, id: BlockId, page: usize) -> Option<u64> {
-        self.store.with(&id, |b| {
-            b.and_then(|b| b.sums.as_ref().map(|s| s.digest(page)))
-        })
+        Some(self.store.get(&id)?.sums.as_ref()?.digest(page))
     }
 
     /// Whether `page` of `id` is flagged written-while-corrupt (its
     /// stored digest blesses untrustworthy bytes).
     pub fn page_tainted(&self, id: BlockId, page: usize) -> bool {
-        self.store.with(&id, |b| {
-            b.and_then(|b| b.sums.as_ref().map(|s| s.is_tainted(page)))
-                .unwrap_or(false)
-        })
+        self.store
+            .get(&id)
+            .and_then(|b| b.sums.as_ref())
+            .is_some_and(|s| s.is_tainted(page))
     }
 
     /// Declares that `[off, off + len)` of `id` is about to source a
     /// parity delta (read-modify-write paths). A corrupt source range
     /// poisons the emitted delta, so the block is queued for the
     /// scrubber's stripe-level parity re-encode.
-    pub fn note_delta_source(&self, id: BlockId, off: u64, len: u64) {
+    pub fn note_delta_source(&mut self, id: BlockId, off: u64, len: u64) {
         if self.verify_range(id, off, len).is_err() {
-            self.poisoned.lock().push(id);
+            self.poisoned.push(id);
         }
     }
 
     /// Drains the queue of blocks whose rot reached parity through a
     /// delta (consumed by the scrubber).
     pub fn take_poisoned(&mut self) -> Vec<BlockId> {
-        std::mem::take(&mut *self.poisoned.lock())
+        std::mem::take(&mut self.poisoned)
     }
 
     /// Installs repaired content for one page of `id`: overwrites the
     /// page bytes, recomputes its digest, and clears its taint flag.
     /// No-op in timing-only mode.
-    pub fn install_repaired_page(&self, id: BlockId, page: usize, bytes: &[u8]) {
-        self.store.with_mut(&id, |b| {
-            if let Some(b) = b {
-                if let (Some(data), Some(sums)) = (b.data.as_mut(), b.sums.as_mut()) {
-                    let s = page * tsue_integrity::PAGE as usize;
-                    let e = (s + tsue_integrity::PAGE as usize).min(data.len());
-                    data[s..e].copy_from_slice(&bytes[..e - s]);
-                    sums.update_range(data, s as u64, (e - s) as u64);
-                    sums.clear_taint(page);
-                }
-            }
-        });
+    pub fn install_repaired_page(&mut self, id: BlockId, page: usize, bytes: &[u8]) {
+        if let Some(StoredBlock {
+            data: Some(data),
+            sums: Some(sums),
+            ..
+        }) = self.store.get_mut(&id)
+        {
+            let s = page * tsue_integrity::PAGE as usize;
+            let e = (s + tsue_integrity::PAGE as usize).min(data.len());
+            data[s..e].copy_from_slice(&bytes[..e - s]);
+            sums.update_range(data, s as u64, (e - s) as u64);
+            sums.clear_taint(page);
+        }
     }
 
     /// Zeroes the accumulated device statistics (end of setup phase).
@@ -605,6 +583,6 @@ mod tests {
         o.provision_block(bid(1, 0), 4096, false);
         let (_, data) = o.read_block_range(0, bid(1, 0), 0, 128);
         assert!(data.is_none());
-        assert!(o.with_block_data(bid(1, 0), |d| d.is_none()));
+        assert!(o.block_data(bid(1, 0)).is_none());
     }
 }

@@ -91,7 +91,7 @@ impl Deserialize for PlacementKind {
 }
 
 /// A block-placement policy: a pure `(stripe, role) → OSD` map.
-pub trait PlacementPolicy: std::fmt::Debug + Send {
+pub trait PlacementPolicy: std::fmt::Debug {
     /// Policy name (diagnostics).
     fn name(&self) -> &'static str;
 

@@ -85,7 +85,7 @@ pub fn heal_node(world: &mut Cluster, sim: &mut Sim<Cluster>, node: usize) -> He
     core.net.clear_slowdown(node);
 
     // Deterministic order over the hosted blocks.
-    let owned: Vec<BlockId> = core.osds[node].block_ids();
+    let owned: Vec<BlockId> = core.osds[node].block_ids().collect();
     let mut stats = HealStats::default();
     for block in owned {
         let gstripe = core.global_stripe(block.file, block.stripe);

@@ -227,12 +227,7 @@ pub enum ReadServe {
 /// One instance per OSD. Methods receive the shared [`ClusterCore`] (all
 /// devices, network, MDS — everything except other schemes) and the DES
 /// handle for scheduling continuations.
-///
-/// `Send` is required so a cluster (scheme boxes included) can be moved
-/// onto bench/test worker threads; scheme *methods* always run on the
-/// coordinator — only the byte kernels they invoke fan out through
-/// [`ClusterCore::pool`].
-pub trait UpdateScheme: Send {
+pub trait UpdateScheme {
     /// Scheme name as used in the paper's figures ("FO", "PL", "TSUE", ...).
     fn name(&self) -> &'static str;
 

@@ -104,8 +104,8 @@ fn scrub_tick(world: &mut Cluster, sim: &mut Sim<Cluster>) {
             world.core.scrub.cursor_block = 0;
             continue;
         }
-        let ids = world.core.osds[osd].block_ids();
-        let Some(&block) = ids.get(world.core.scrub.cursor_block) else {
+        let cursor = world.core.scrub.cursor_block;
+        let Some(block) = world.core.osds[osd].block_ids().nth(cursor) else {
             world.core.scrub.cursor_osd = (osd + 1) % osds;
             world.core.scrub.cursor_block = 0;
             continue;
@@ -323,7 +323,8 @@ pub fn run_full_scrub(world: &mut Cluster, sim: &mut Sim<Cluster>) -> FullScrubR
         if world.core.osds[osd].dead {
             continue;
         }
-        for block in world.core.osds[osd].block_ids() {
+        let ids: Vec<BlockId> = world.core.osds[osd].block_ids().collect();
+        for block in ids {
             let dev = world.core.osds[osd].block_offset(block);
             world.core.osds[osd]
                 .device

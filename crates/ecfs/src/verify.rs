@@ -48,20 +48,19 @@ pub fn check_data_blocks(world: &Cluster) -> Result<usize, String> {
     for (block, expect) in &reference {
         let gstripe = world.core.global_stripe(block.file, block.stripe);
         let owner = world.core.owner_of(gstripe, block.role);
-        world.core.osds[owner].with_block_data(*block, |got| {
-            let got = got.ok_or_else(|| format!("{block:?} not materialized on OSD {owner}"))?;
-            if got != expect.as_slice() {
-                let first_diff = got
-                    .iter()
-                    .zip(expect.iter())
-                    .position(|(a, b)| a != b)
-                    .unwrap_or(0);
-                return Err(format!(
-                    "{block:?} content mismatch at byte {first_diff} (osd {owner})"
-                ));
-            }
-            Ok(())
-        })?;
+        let got = world.core.osds[owner]
+            .block_data(*block)
+            .ok_or_else(|| format!("{block:?} not materialized on OSD {owner}"))?;
+        if got != expect.as_slice() {
+            let first_diff = got
+                .iter()
+                .zip(expect.iter())
+                .position(|(a, b)| a != b)
+                .unwrap_or(0);
+            return Err(format!(
+                "{block:?} content mismatch at byte {first_diff} (osd {owner})"
+            ));
+        }
         checked += 1;
     }
     Ok(checked)
@@ -86,11 +85,10 @@ pub fn check_parity(world: &Cluster) -> Result<usize, String> {
             for role in 0..k + m {
                 let owner = world.core.owner_of(gstripe, role);
                 let block = BlockId { file, stripe, role };
-                let data = world.core.osds[owner].with_block_data(block, |d| {
-                    d.map(<[u8]>::to_vec)
-                        .ok_or_else(|| format!("{block:?} missing on OSD {owner}"))
-                })?;
-                shards.push(data);
+                let data = world.core.osds[owner]
+                    .block_data(block)
+                    .ok_or_else(|| format!("{block:?} missing on OSD {owner}"))?;
+                shards.push(data.to_vec());
             }
             let ok = world
                 .core

@@ -593,7 +593,7 @@ fn trigger(
             seed,
         } => {
             let mut rng = SplitRng::new(seed.unwrap_or(0xB1707 ^ (at_ms << 8) ^ node as u64));
-            let ids = world.core.osds[node].block_ids();
+            let ids: Vec<_> = world.core.osds[node].block_ids().collect();
             if ids.is_empty() {
                 return;
             }
@@ -780,10 +780,6 @@ fn rebuild_start(
     cfg: EngineConfig,
 ) {
     let drain_ns = sim.now() - snap.t_kill;
-    // Phase boundary: no worker-pool byte job may straddle the
-    // drain→rebuild transition (the pool joins all workers inside each
-    // event, so this only documents and checks the invariant).
-    world.core.pool.quiesce();
     world.core.recovery.concurrency = cfg.rebuild_concurrency;
     let victims = snap.killed.clone();
     let phase = start_recovery(world, sim, &victims);
@@ -928,9 +924,6 @@ fn resync_gate(
     let rebuilds_idle = world.core.recovery.pending() == 0;
     if (storm_drained && rebuilds_idle) || progress.strides >= cfg.drain_cap_strides {
         let drain_ns = sim.now() - t_heal;
-        // Phase boundary: re-sync copy-back must see every in-flight
-        // byte job retired (see the drain-gate note in `rebuild_start`).
-        world.core.pool.quiesce();
         let stats = tsue_ecfs::start_resync(world, sim, node);
         resync_poll(
             world, sim, at_ms, node, heal, t_heal, drain_ns, stats, tracker, cfg,

@@ -8,17 +8,15 @@
 //! * **`determinism-iter`** — no unordered `HashMap`/`HashSet`
 //!   iteration in data-plane crates (hash order already caused one real
 //!   bug: the DeltaLog recycle nondeterminism fixed in PR 2).
-//! * **`determinism-time`** — no `Instant::now`/`SystemTime`/raw
-//!   `thread::spawn` in data-plane crates; time is the DES clock and
-//!   concurrency is the tick-barrier `WorkerPool`.
+//! * **`determinism-time`** — no `Instant::now`/`SystemTime` or OS
+//!   threads (`thread::spawn`/`Builder`/`scope`) in data-plane crates;
+//!   time is the DES clock and the engine is single-threaded.
 //! * **`unsafe-safety`** — every `unsafe` site carries a `// SAFETY:`
 //!   justification.
 //! * **`panic-discipline`** — `unwrap`/`expect`/`panic!` in data-plane
 //!   crates carry an `// INVARIANT:` comment or an exemption.
 //! * **`cast-discipline`** — `as` casts that can truncate byte/offset
 //!   quantities carry a `// cast:` annotation or become `try_into`.
-//! * **`lock-discipline`** — no nested `ShardedMap` segment
-//!   acquisition (the segment locks are not re-entrant).
 //!
 //! Violations are silenced three ways, in order of preference: fix the
 //! code; justify inline (`// SAFETY:` / `// INVARIANT:` / `// cast:` —

@@ -1,4 +1,4 @@
-//! The six invariant rules.
+//! The five invariant rules.
 //!
 //! Every rule is a pure function from a lexed file to violations; all
 //! pragma/allowlist filtering happens afterwards in
@@ -17,7 +17,6 @@ pub const RULES: &[&str] = &[
     "unsafe-safety",
     "panic-discipline",
     "cast-discipline",
-    "lock-discipline",
 ];
 
 /// Per-file context handed to every rule.
@@ -56,13 +55,11 @@ impl Ctx<'_> {
 /// Runs every rule over one file.
 pub fn run_all(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     let tracked_hash = tracked_names(ctx.lx, &["HashMap", "HashSet"]);
-    let tracked_shard = tracked_names(ctx.lx, &["ShardedMap"]);
     determinism_iter(ctx, &tracked_hash, out);
     determinism_time(ctx, out);
     unsafe_safety(ctx, out);
     panic_discipline(ctx, out);
     cast_discipline(ctx, out);
-    lock_discipline(ctx, &tracked_shard, out);
 }
 
 /// Whether a justification comment containing `marker` covers `line`:
@@ -250,9 +247,9 @@ fn determinism_iter(ctx: &Ctx<'_>, tracked: &[String], out: &mut Vec<Violation>)
 }
 
 /// Rule `determinism-time`: no wall-clock (`Instant::now`,
-/// `SystemTime`) or unstructured `thread::spawn` in data-plane code —
-/// simulated time comes from the DES clock, and concurrency goes
-/// through the tick-barrier `WorkerPool` (`std::thread::scope`).
+/// `SystemTime`) or OS threads (`thread::spawn`, `thread::Builder`,
+/// `thread::scope`) in data-plane code — simulated time comes from the
+/// DES clock, and the engine is single-threaded by construction.
 fn determinism_time(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     let t = &ctx.lx.toks;
     for i in 0..t.len() {
@@ -288,14 +285,17 @@ fn determinism_time(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
                  from the DES clock (`Sim::now`)"
                     .into(),
             );
-        } else if path4("thread", "spawn") || path4("thread", "Builder") {
+        } else if ["spawn", "Builder", "scope"]
+            .iter()
+            .any(|f| path4("thread", f))
+        {
             ctx.push(
                 out,
                 "determinism-time",
                 line,
                 format!(
-                    "unstructured concurrency: `thread::{}` in data-plane code — use the \
-                     tick-barrier `WorkerPool` (`tsue_sim::exec`) so joins stay inside one DES event",
+                    "host concurrency: `thread::{}` in data-plane code — the engine is \
+                     single-threaded; parallelism belongs across runs (`tsue_bench::run_scenarios`)",
                     t[i + 3].text
                 ),
             );
@@ -464,77 +464,6 @@ fn cast_discipline(ctx: &Ctx<'_>, out: &mut Vec<Violation>) {
     }
 }
 
-/// `ShardedMap` methods that take a segment lock on the shared plane.
-/// `with`/`read`/`contains`/`len`/`is_empty` only count when the
-/// receiver is a tracked `ShardedMap` binding (the names are generic);
-/// the `*_shared`/`*_sorted` names are unique to `ShardedMap`.
-const LOCK_UNIQUE: &[&str] = &[
-    "with_mut",
-    "insert_shared",
-    "remove_shared",
-    "keys_sorted",
-    "entries_sorted",
-];
-const LOCK_GENERIC: &[&str] = &["with", "read", "contains", "len", "is_empty"];
-
-/// Rule `lock-discipline`: no `ShardedMap` segment acquisition nested
-/// inside another acquisition's argument/closure span. The segment
-/// locks are not re-entrant: `a.with_mut(k, |_| a.read(k2))` deadlocks
-/// whenever `k` and `k2` land on the same segment, and even cross-map
-/// nesting orders locks implicitly. Hoist the inner read out of the
-/// closure, or use the sequential (`&mut self`) plane.
-fn lock_discipline(ctx: &Ctx<'_>, tracked: &[String], out: &mut Vec<Violation>) {
-    let t = &ctx.lx.toks;
-    let is_tracked = |s: &str| tracked.iter().any(|n| n == s);
-    let mut depth = 0i32;
-    // Paren depths at which a lock-taking call's argument span opened.
-    let mut held: Vec<i32> = Vec::new();
-    for i in 0..t.len() {
-        match t[i].text.as_str() {
-            "(" => {
-                depth += 1;
-                continue;
-            }
-            ")" => {
-                depth -= 1;
-                while held.last().is_some_and(|&d| d > depth) {
-                    held.pop();
-                }
-                continue;
-            }
-            _ => {}
-        }
-        // `receiver . method (`
-        if !(i + 2 < t.len() && t[i].text == "." && t[i + 1].word && t[i + 2].text == "(") {
-            continue;
-        }
-        let m = t[i + 1].text.as_str();
-        let receiver_tracked = i >= 1 && t[i - 1].word && is_tracked(&t[i - 1].text);
-        let is_lock = LOCK_UNIQUE.contains(&m) || (LOCK_GENERIC.contains(&m) && receiver_tracked);
-        if !is_lock {
-            continue;
-        }
-        let line = t[i + 1].line;
-        if !ctx.plane(line) {
-            continue;
-        }
-        if !held.is_empty() {
-            ctx.push(
-                out,
-                "lock-discipline",
-                line,
-                format!(
-                    "nested ShardedMap segment acquisition: `.{m}(..)` inside another \
-                     segment-locking call's span — the segment locks are not re-entrant; \
-                     hoist the inner access out of the closure"
-                ),
-            );
-        }
-        // The call's argument span opens at depth+1.
-        held.push(depth + 1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -615,22 +544,13 @@ mod tests {
     }
 
     #[test]
-    fn lock_rule_flags_nesting_only() {
-        let flat = "struct S { m: ShardedMap<u64,u8> }\nimpl S { fn f(&self) { self.m.with_mut(&1, |_| ()); self.m.read(&2); } }\n";
-        let nested = "struct S { m: ShardedMap<u64,u8> }\nimpl S { fn f(&self) { self.m.with_mut(&1, |_| { self.m.read(&2); }); } }\n";
-        assert!(run(flat, true).is_empty());
-        let v = run(nested, true);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "lock-discipline");
-    }
-
-    #[test]
     fn time_rule() {
         let v = run("fn f() { let t = std::time::Instant::now(); }\n", true);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "determinism-time");
         let v = run("fn f() { std::thread::spawn(|| ()); }\n", true);
         assert_eq!(v.len(), 1);
-        assert!(run("fn f() { std::thread::scope(|_| ()); }\n", true).is_empty());
+        let v = run("fn f() { std::thread::scope(|_| ()); }\n", true);
+        assert_eq!(v.len(), 1, "scoped threads are host concurrency too");
     }
 }

@@ -20,8 +20,8 @@ fn named_worker() {
     let _ = std::thread::Builder::new(); //~ determinism-time
 }
 
-fn scoped_tick_barrier_is_fine() {
-    std::thread::scope(|_| {});
+fn scoped_workers() {
+    std::thread::scope(|_| {}); //~ determinism-time
 }
 
 fn prose_is_fine() {

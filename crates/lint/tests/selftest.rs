@@ -91,11 +91,6 @@ fn fixture_cast_discipline() {
     check_fixture("cast_discipline.rs", "cast-discipline");
 }
 
-#[test]
-fn fixture_lock_discipline() {
-    check_fixture("lock_discipline.rs", "lock-discipline");
-}
-
 /// A fresh scratch workspace under the cargo-provided tmpdir; each test
 /// uses its own subdirectory so concurrent tests never collide.
 fn scratch_workspace(tag: &str, lib_rs: &str) -> PathBuf {

@@ -97,20 +97,6 @@ impl LogMirrors {
     }
 }
 
-// Scheme state must be shippable across bench/test worker threads
-// ([`tsue_ecfs::UpdateScheme`] requires `Send`); `Sync` is asserted too
-// so none of them grows `Rc`/`RefCell` interior state that would block
-// sharing a finished cluster between threads.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Fo>();
-    assert_send_sync::<Fl>();
-    assert_send_sync::<Pl>();
-    assert_send_sync::<Plr>();
-    assert_send_sync::<Parix>();
-    assert_send_sync::<Cord>();
-};
-
 /// Scheme selector used by the experiment harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SchemeKind {

@@ -24,10 +24,8 @@
 
 #![warn(missing_docs)]
 
-pub mod exec;
 pub mod resource;
 
-pub use exec::{chunk_ranges, WorkerPool};
 pub use resource::{FifoResource, MultiResource};
 
 use std::cmp::Reverse;

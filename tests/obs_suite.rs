@@ -1,9 +1,9 @@
 //! The observability layer, end to end: histogram/series determinism
-//! across worker-pool widths, op-lifecycle trace coverage on a faulted
+//! across runs, op-lifecycle trace coverage on a faulted
 //! run, and the per-phase latency snapshots in fault reports.
 
 use tsue_repro::bench::{
-    bundled_scenarios, default_registry, run_scenario_threads, run_scenario_traced, ScenarioSpec,
+    bundled_scenarios, default_registry, run_scenario_traced, run_scenario_with, ScenarioSpec,
 };
 
 fn bundled_spec(name: &str) -> ScenarioSpec {
@@ -14,24 +14,22 @@ fn bundled_spec(name: &str) -> ScenarioSpec {
     serde_json::from_str(json).expect("bundled scenario parses")
 }
 
-/// Metric recording lives entirely on the single-threaded coordinator
-/// (workers only run byte kernels), so every histogram bucket, stage
-/// span, and series sample must be byte-identical at any thread count.
+/// Metric recording depends on virtual time only, so every histogram
+/// bucket, stage span, and series sample must be byte-identical when
+/// the same spec runs twice in one process.
 #[test]
-fn obs_sections_bit_identical_across_thread_counts() {
+fn obs_sections_bit_identical_across_runs() {
     let spec = bundled_spec("smoke.json");
     let registry = default_registry();
-    let reference = run_scenario_threads(&spec, &registry, 1).expect("scenario runs");
+    let reference = run_scenario_with(&spec, &registry).expect("scenario runs");
     let ref_obs = serde_json::to_string_pretty(&reference.obs).expect("obs serializes");
     let ref_all = serde_json::to_string_pretty(&reference).expect("result serializes");
     assert!(reference.latency.count > 0, "smoke completes client ops");
-    for threads in [2usize, 8] {
-        let got = run_scenario_threads(&spec, &registry, threads).expect("scenario runs");
-        let obs = serde_json::to_string_pretty(&got.obs).expect("obs serializes");
-        assert_eq!(ref_obs, obs, "obs section diverged at threads={threads}");
-        let all = serde_json::to_string_pretty(&got).expect("result serializes");
-        assert_eq!(ref_all, all, "full result diverged at threads={threads}");
-    }
+    let got = run_scenario_with(&spec, &registry).expect("scenario runs");
+    let obs = serde_json::to_string_pretty(&got.obs).expect("obs serializes");
+    assert_eq!(ref_obs, obs, "obs section diverged on the second run");
+    let all = serde_json::to_string_pretty(&got).expect("result serializes");
+    assert_eq!(ref_all, all, "full result diverged on the second run");
 }
 
 /// A faulted, traced run emits at least one complete Chrome span per op
@@ -89,7 +87,7 @@ fn faulted_trace_covers_every_completed_op_class() {
 #[test]
 fn fault_phases_snapshot_client_latency_around_the_kill() {
     let spec = bundled_spec("rack_failure_online.json");
-    let result = run_scenario_threads(&spec, &default_registry(), 1).expect("scenario runs");
+    let result = run_scenario_with(&spec, &default_registry()).expect("scenario runs");
     let rec = result.recovery.as_ref().expect("fault plan ran");
     assert!(!rec.phases.is_empty());
     for p in &rec.phases {

@@ -171,7 +171,7 @@ proptest! {
         let mut rng = SplitRng::new(seed ^ 0x5eed);
         for _ in 0..hits {
             let osd = rng.below(world.core.cfg.osds as u64) as usize;
-            let ids = world.core.osds[osd].block_ids();
+            let ids: Vec<_> = world.core.osds[osd].block_ids().collect();
             if ids.is_empty() {
                 continue;
             }
