@@ -456,7 +456,7 @@ pub fn ext_unit_size(scale: Scale) -> Vec<UnitSizeRow> {
         let stats = tsue_core::tsue::harvest_residency(&world);
         UnitSizeRow {
             unit_mib: mib,
-            data_buffer_ms: stats.data.buffer.mean_ns() / 1e6,
+            data_buffer_ms: stats.layers[0].buffer.mean_ns() / 1e6, // DataLog
             iops,
         }
     })

@@ -58,6 +58,17 @@ fn threads_flag_is_gone_from_both_run_paths() {
     }
 }
 
+/// A zero recycle-thread pool is a typed validation error naming the
+/// knob, not a panic inside the resource model.
+#[test]
+fn zero_recycle_threads_knob_fails_validation() {
+    let knobs = r#"{"recycle_threads":0}"#;
+    let out = tsuectl(&["--scheme", "tsue", "--duration-ms", "50", "--knobs", knobs]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("recycle_threads"), "{stderr}");
+}
+
 #[test]
 fn figures_fig7_quick_writes_the_six_ablation_rows() {
     let dir = scratch("fig7");

@@ -7,107 +7,59 @@
 //! the cumulative `breakdown_level` preset (0 = Baseline … 5 = +O5).
 
 use crate::{Tsue, TsueConfig};
-use serde::{Deserialize, Value};
+use serde::{DeError, Deserialize, Serialize, Value};
 use tsue_ecfs::{DeviceKind, MakeScheme, SchemeError, SchemeRegistry};
-
-/// Partial [`TsueConfig`] override parsed from a scenario's `knobs`
-/// object. Every field is optional; absent fields keep the base value.
-///
-/// `breakdown_level` (0–5) is applied first as the Fig. 7 cumulative
-/// ablation preset, then the individual fields override it, so
-/// `{"breakdown_level": 3, "pools": 2}` means "+O1..O3, but 2 pools".
-#[derive(Clone, Debug, Default, PartialEq, Eq, Deserialize)]
-pub struct TsueKnobs {
-    /// Log unit size in bytes.
-    pub unit_size: Option<u64>,
-    /// Units per pool.
-    pub max_units: Option<usize>,
-    /// Log pools per device per layer (O4 strength).
-    pub pools: Option<usize>,
-    /// O1: DataLog locality folding.
-    pub datalog_locality: Option<bool>,
-    /// O2: ParityLog locality folding.
-    pub paritylog_locality: Option<bool>,
-    /// O3: FIFO multi-unit pool.
-    pub use_log_pool: Option<bool>,
-    /// O5: route deltas through the DeltaLog.
-    pub use_delta_log: Option<bool>,
-    /// Total DataLog copies including the primary.
-    pub data_replicas: Option<usize>,
-    /// Recycle thread pool width per OSD.
-    pub recycle_threads: Option<usize>,
-    /// Background seal interval, ns.
-    pub seal_interval: Option<u64>,
-    /// §7 extension: compress deltas in the log layers.
-    pub compress_deltas: Option<bool>,
-    /// Fig. 7 cumulative ablation preset (0 = Baseline … 5 = +O5).
-    pub breakdown_level: Option<usize>,
-}
-
-impl TsueKnobs {
-    /// Applies the knobs on top of `base`.
-    ///
-    /// # Errors
-    /// Rejects an out-of-range `breakdown_level`.
-    pub fn apply(&self, base: TsueConfig) -> Result<TsueConfig, SchemeError> {
-        let mut cfg = match self.breakdown_level {
-            None => base,
-            Some(level @ 0..=5) => TsueConfig::breakdown(level),
-            Some(level) => {
-                return Err(SchemeError::msg(format!(
-                    "breakdown_level must be 0..=5, got {level}"
-                )))
-            }
-        };
-        macro_rules! over {
-            ($($field:ident),*) => {$(
-                if let Some(v) = self.$field {
-                    cfg.$field = v;
-                }
-            )*};
-        }
-        over!(
-            unit_size,
-            max_units,
-            pools,
-            datalog_locality,
-            paritylog_locality,
-            use_log_pool,
-            use_delta_log,
-            data_replicas,
-            recycle_threads,
-            seal_interval,
-            compress_deltas
-        );
-        if cfg.unit_size == 0 || cfg.max_units == 0 || cfg.pools == 0 || cfg.data_replicas == 0 {
-            return Err(SchemeError::msg(
-                "unit_size, max_units, pools, and data_replicas must be non-zero",
-            ));
-        }
-        Ok(cfg)
-    }
-}
 
 impl TsueConfig {
     /// Resolves a scenario `knobs` value into a full config: the device
     /// default ([`TsueConfig::ssd_default`] / [`TsueConfig::hdd_default`])
-    /// overridden by the parsed [`TsueKnobs`].
+    /// with the object's fields laid over it.
+    ///
+    /// `breakdown_level` (0–5) is not a field but a preset: it replaces
+    /// the base with the Fig. 7 cumulative ablation config before the
+    /// fields override it, so `{"breakdown_level": 3, "pools": 2}` means
+    /// "+O1..O3, but 2 pools".
     ///
     /// # Errors
-    /// Unknown knob keys, ill-typed values, and out-of-range presets are
-    /// rejected with the offending key named.
+    /// Unknown knob keys, ill-typed values, out-of-range presets and zero
+    /// sizes or counts are rejected with the offending key named.
     pub fn from_knobs(device: DeviceKind, knobs: &Value) -> Result<Self, SchemeError> {
-        let base = match device {
+        let mut base = match device {
             DeviceKind::Ssd => TsueConfig::ssd_default(),
             DeviceKind::Hdd => TsueConfig::hdd_default(),
         };
-        match knobs {
-            Value::Null => Ok(base),
-            other => {
-                let parsed =
-                    TsueKnobs::from_value(other).map_err(|e| SchemeError::msg(e.to_string()))?;
-                parsed.apply(base)
+        let bad = |e: DeError| SchemeError::msg(e.to_string());
+        let mut fields = match knobs {
+            Value::Null => return Ok(base),
+            Value::Object(fields) => fields.clone(),
+            other => return Err(bad(DeError::mismatch("knobs", "object", other))),
+        };
+        if let Some(at) = fields.iter().position(|(key, _)| key == "breakdown_level") {
+            let level = usize::from_value(&fields.remove(at).1)
+                .map_err(|e| bad(e.in_field("knobs", "breakdown_level")))?;
+            if level > 5 {
+                let range = format!("breakdown_level must be 0..=5, got {level}");
+                return Err(SchemeError::msg(range));
             }
+            base = TsueConfig::breakdown(level);
+        }
+        // A struct field deserializes from the first entry of its name, so
+        // the scenario's entries go in front of the base's; a key that is
+        // not a field is rejected by name.
+        if let Value::Object(defaults) = base.to_value() {
+            fields.extend(defaults);
+        }
+        let cfg = TsueConfig::from_value(&Value::Object(fields)).map_err(bad)?;
+        let counts = [
+            ("unit_size", cfg.unit_size),
+            ("max_units", cfg.max_units as u64),
+            ("pools", cfg.pools as u64),
+            ("data_replicas", cfg.data_replicas as u64),
+            ("recycle_threads", cfg.recycle_threads as u64),
+        ];
+        match counts.iter().find(|(_, n)| *n == 0) {
+            Some((key, _)) => Err(SchemeError::msg(format!("{key} must be non-zero"))),
+            None => Ok(cfg),
         }
     }
 }
@@ -173,5 +125,12 @@ mod tests {
 
         let zero = serde_json::value_from_str(r#"{"max_units": 0}"#).unwrap();
         assert!(TsueConfig::from_knobs(DeviceKind::Ssd, &zero).is_err());
+    }
+
+    #[test]
+    fn zero_recycle_threads_is_rejected_by_name() {
+        let zero = serde_json::value_from_str(r#"{"recycle_threads": 0}"#).unwrap();
+        let err = TsueConfig::from_knobs(DeviceKind::Ssd, &zero).expect_err("zero must fail");
+        assert!(err.to_string().contains("recycle_threads"), "{err}");
     }
 }

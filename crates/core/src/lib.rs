@@ -34,9 +34,9 @@ pub mod logunit;
 pub mod residency;
 pub mod tsue;
 
-pub use knobs::{register_tsue, TsueKnobs};
+pub use knobs::register_tsue;
 pub use logpool::LogPool;
 pub use logunit::{BlockIndex, LogUnit, UnitId, UnitState, RECORD_HEADER};
 pub use residency::{LayerResidency, ResidencyStats, StatAcc};
 
-pub use tsue::{DeltaKey, Tsue, TsueConfig};
+pub use tsue::{Tsue, TsueConfig};

@@ -10,7 +10,6 @@
 
 use crate::logunit::{LogUnit, UnitId, UnitState};
 use std::collections::VecDeque;
-use tsue_sim::Time;
 
 /// A FIFO queue of log units with a single active tail.
 #[derive(Debug)]
@@ -69,13 +68,12 @@ impl<K: Ord + Copy> LogPool<K> {
 
     /// Seals the active unit (marks it Recyclable); returns its id, or
     /// `None` if there is no active unit or it is empty of data.
-    pub fn seal_active(&mut self, now: Time) -> Option<UnitId> {
+    pub fn seal_active(&mut self) -> Option<UnitId> {
         let u = self.units.back_mut()?;
         if u.state != UnitState::Empty || u.raw_records == 0 {
             return None;
         }
         u.state = UnitState::Recyclable;
-        u.sealed_at = Some(now);
         Some(u.id)
     }
 
@@ -111,11 +109,6 @@ impl<K: Ord + Copy> LogPool<K> {
     /// Looks up a unit by id.
     pub fn unit_mut(&mut self, id: UnitId) -> Option<&mut LogUnit<K>> {
         self.units.iter_mut().find(|u| u.id == id)
-    }
-
-    /// Immutable unit lookup.
-    pub fn unit(&self, id: UnitId) -> Option<&LogUnit<K>> {
-        self.units.iter().find(|u| u.id == id)
     }
 
     /// Iterates units oldest → newest (overlay order: newest content last
@@ -210,13 +203,13 @@ mod tests {
         let mut p: LogPool<u32> = LogPool::new(1 << 20, 2, 0);
         assert!(p.provision_active());
         fill_active(&mut p, 1, 4, 4096);
-        let id = p.seal_active(100).expect("sealed");
+        let id = p.seal_active().expect("sealed");
         assert!(!p.has_active());
         assert!(p.provision_active(), "second unit under quota");
         assert_eq!(p.unit_count(), 2);
         // Both busy: no third unit.
         fill_active(&mut p, 2, 1, 4096);
-        p.seal_active(200);
+        p.seal_active();
         assert!(!p.provision_active(), "quota reached, nothing recycled");
         // Recycle the first: reuse becomes possible.
         p.unit_mut(id).unwrap().state = UnitState::Recycled;
@@ -228,7 +221,7 @@ mod tests {
     fn seal_empty_unit_returns_none() {
         let mut p: LogPool<u32> = LogPool::new(1 << 20, 2, 0);
         p.provision_active();
-        assert_eq!(p.seal_active(0), None, "no data, nothing to seal");
+        assert_eq!(p.seal_active(), None, "no data, nothing to seal");
     }
 
     #[test]
@@ -252,7 +245,7 @@ mod tests {
             true,
             0,
         );
-        p.seal_active(10);
+        p.seal_active();
         p.provision_active();
         p.active_mut().append(
             1,
@@ -275,7 +268,7 @@ mod tests {
         let mut p: LogPool<u32> = LogPool::new(1 << 20, 2, 0);
         p.provision_active();
         fill_active(&mut p, 1, 3, 4096);
-        let id = p.seal_active(0).unwrap();
+        let id = p.seal_active().unwrap();
         assert_eq!(p.pending_work(), 1, "3 adjacent appends merged to 1");
         p.unit_mut(id).unwrap().state = UnitState::Recycled;
         assert_eq!(p.pending_work(), 0);
@@ -287,7 +280,7 @@ mod tests {
         for i in 0..4 {
             p.provision_active();
             fill_active(&mut p, i, 1, 512);
-            p.seal_active(0);
+            p.seal_active();
         }
         assert_eq!(p.unit_count(), 4);
         p.shrink_to(2);

@@ -97,8 +97,6 @@ pub struct LogUnit<K> {
     pub raw_records: u64,
     /// Virtual time of the first append since the unit became Empty.
     pub first_append: Option<Time>,
-    /// When the unit was sealed (Recyclable).
-    pub sealed_at: Option<Time>,
     /// When recycling started.
     pub recycle_started: Option<Time>,
 }
@@ -116,7 +114,6 @@ impl<K: Ord + Copy> LogUnit<K> {
             bytes: 0,
             raw_records: 0,
             first_append: None,
-            sealed_at: None,
             recycle_started: None,
         }
     }
@@ -255,7 +252,6 @@ impl<K: Ord + Copy> LogUnit<K> {
         self.bytes = 0;
         self.raw_records = 0;
         self.first_append = None;
-        self.sealed_at = None;
         self.recycle_started = None;
     }
 }

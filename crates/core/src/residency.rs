@@ -43,6 +43,13 @@ impl StatAcc {
     pub fn max_ns(&self) -> Time {
         self.max
     }
+
+    /// Folds another accumulator's samples into this one.
+    pub fn merge(&mut self, other: &StatAcc) {
+        self.sum += other.sum;
+        self.count += other.count;
+        self.max = self.max.max(other.max);
+    }
 }
 
 /// Per-layer residence statistics.
@@ -66,60 +73,39 @@ impl LayerResidency {
 /// The three layers of Table 2.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ResidencyStats {
-    /// DataLog row.
-    pub data: LayerResidency,
-    /// DeltaLog row.
-    pub delta: LayerResidency,
-    /// ParityLog row.
-    pub parity: LayerResidency,
+    /// One row per layer, in pipeline order: DataLog, DeltaLog,
+    /// ParityLog.
+    pub layers: [LayerResidency; 3],
 }
+
+/// Table 2's row labels, in the order of [`ResidencyStats::layers`].
+const LAYER_NAMES: [&str; 3] = ["DATA_LOG", "DELTA_LOG", "PARITY_LOG"];
 
 impl ResidencyStats {
     /// Table 2's TOTAL TIME: mean residence summed across layers, ns.
     pub fn total_ns(&self) -> f64 {
-        self.data.total_mean_ns() + self.delta.total_mean_ns() + self.parity.total_mean_ns()
+        self.layers.iter().map(LayerResidency::total_mean_ns).sum()
     }
 
     /// Formats the three rows like Table 2 (µs).
     pub fn rows(&self) -> [(&'static str, f64, f64, f64); 3] {
-        [
+        std::array::from_fn(|i| {
+            let l = &self.layers[i];
             (
-                "DATA_LOG",
-                self.data.append.mean_us(),
-                self.data.buffer.mean_us(),
-                self.data.recycle.mean_us(),
-            ),
-            (
-                "DELTA_LOG",
-                self.delta.append.mean_us(),
-                self.delta.buffer.mean_us(),
-                self.delta.recycle.mean_us(),
-            ),
-            (
-                "PARITY_LOG",
-                self.parity.append.mean_us(),
-                self.parity.buffer.mean_us(),
-                self.parity.recycle.mean_us(),
-            ),
-        ]
+                LAYER_NAMES[i],
+                l.append.mean_us(),
+                l.buffer.mean_us(),
+                l.recycle.mean_us(),
+            )
+        })
     }
 
     /// Merges another instance (cluster-wide aggregation).
     pub fn merge(&mut self, other: &ResidencyStats) {
-        for (a, b) in [
-            (&mut self.data, &other.data),
-            (&mut self.delta, &other.delta),
-            (&mut self.parity, &other.parity),
-        ] {
-            a.append.sum += b.append.sum;
-            a.append.count += b.append.count;
-            a.append.max = a.append.max.max(b.append.max);
-            a.buffer.sum += b.buffer.sum;
-            a.buffer.count += b.buffer.count;
-            a.buffer.max = a.buffer.max.max(b.buffer.max);
-            a.recycle.sum += b.recycle.sum;
-            a.recycle.count += b.recycle.count;
-            a.recycle.max = a.recycle.max.max(b.recycle.max);
+        for (a, b) in self.layers.iter_mut().zip(&other.layers) {
+            a.append.merge(&b.append);
+            a.buffer.merge(&b.buffer);
+            a.recycle.merge(&b.recycle);
         }
     }
 }
@@ -143,9 +129,9 @@ mod tests {
     #[test]
     fn rows_report_all_layers() {
         let mut r = ResidencyStats::default();
-        r.data.append.add(1000);
-        r.delta.buffer.add(2000);
-        r.parity.recycle.add(3000);
+        r.layers[0].append.add(1000);
+        r.layers[1].buffer.add(2000);
+        r.layers[2].recycle.add(3000);
         let rows = r.rows();
         assert_eq!(rows[0].0, "DATA_LOG");
         assert_eq!(rows[0].1, 1.0);
@@ -157,11 +143,11 @@ mod tests {
     #[test]
     fn merge_combines_counts() {
         let mut a = ResidencyStats::default();
-        a.data.append.add(100);
+        a.layers[0].append.add(100);
         let mut b = ResidencyStats::default();
-        b.data.append.add(300);
+        b.layers[0].append.add(300);
         a.merge(&b);
-        assert_eq!(a.data.append.count(), 2);
-        assert_eq!(a.data.append.mean_ns(), 200.0);
+        assert_eq!(a.layers[0].append.count(), 2);
+        assert_eq!(a.layers[0].append.mean_ns(), 200.0);
     }
 }

@@ -19,25 +19,24 @@
 //! [`TsueConfig`]: data/parity-log locality folding (O1/O2), the FIFO
 //! multi-unit pool (O3), pools-per-device (O4), and the DeltaLog layer
 //! (O5).
+//!
+//! The three logs are one `Layer` held three times, each keyed by the
+//! [`BlockId`] its records belong to; what differs per layer is stated
+//! once (`merge_policy`, `pool_of`, the DataLog's replicate-and-ack tail)
+//! next to the three recycle bodies, which *are* the layers' policy.
 
 use crate::logpool::LogPool;
-use crate::logunit::{UnitId, UnitState, RECORD_HEADER};
+use crate::logunit::{LogUnit, UnitId, UnitState, RECORD_HEADER};
 use crate::residency::ResidencyStats;
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::logregion::LogRegion;
-use tsue_ecfs::rangemap::{Discipline, Gathered, RangeMap};
-use tsue_ecfs::scheme::{DeltaKind, PowerLossReport, ReadServe, SchemeMsg, UpdateReq};
-use tsue_ecfs::{
-    BlockId, Chunk, Cluster, ClusterCore, ReplicaRecord, SplitRng, UpdateScheme, ACK_BYTES,
+use tsue_ecfs::rangemap::{Discipline, Gathered};
+use tsue_ecfs::scheme::{
+    reply_at, send_at, stripe_parity_delta, AckTable, DeltaKind, PowerLossReport, ReadServe,
+    SchemeMsg, UpdateReq,
 };
+use tsue_ecfs::{BlockId, Chunk, Cluster, ClusterCore, ReplicaRecord, SplitRng, UpdateScheme};
 use tsue_sim::{MultiResource, Sim, Time, SECOND};
-
-/// DeltaLog key: (global stripe, data-block role).
-pub type DeltaKey = (u64, usize);
-
-/// Same-span delta contributions grouped for Eq. 5 combining:
-/// `(offset, length)` → `[(role, delta bytes)]`.
-type SpanGroups<'a> = std::collections::BTreeMap<(u64, u64), Vec<(usize, &'a [u8])>>;
 
 /// Message-tag values on `DeltaForward { kind: DataDelta, .. }`.
 const TAG_DELTA: u64 = 2;
@@ -47,7 +46,9 @@ const TAG_DELTA_REP: u64 = 3;
 const TK_SEAL: u64 = 1;
 const TK_JOB_DONE: u64 = 2;
 
-/// The three layers.
+/// The three layers in pipeline order. The discriminant indexes
+/// [`Tsue::layers`] and [`ResidencyStats::layers`], strides the unit ids
+/// and rides in the seal-timer tag.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum LayerKind {
     Data,
@@ -55,12 +56,17 @@ enum LayerKind {
     Parity,
 }
 
+impl LayerKind {
+    const ALL: [LayerKind; 3] = [LayerKind::Data, LayerKind::Delta, LayerKind::Parity];
+}
+
 /// TSUE tunables; every Fig. 6/7 knob lives here.
 ///
 /// Serializes field-for-field (sizes in bytes, intervals in ns), so a
-/// full config round-trips through a scenario file's `knobs` object; see
-/// [`crate::knobs::TsueKnobs`] for the partial-override form.
-#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize)]
+/// full config round-trips through a scenario file's `knobs` object, and
+/// any subset of the fields overrides the device default
+/// ([`TsueConfig::from_knobs`]).
+#[derive(Clone, Debug, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TsueConfig {
     /// Log unit size in bytes (paper: 16 MiB).
     pub unit_size: u64,
@@ -166,19 +172,17 @@ impl TsueConfig {
     }
 }
 
-/// Backpressured work waiting for a free log unit.
-enum QueuedWork {
-    Update(UpdateReq),
-    Delta {
-        key: DeltaKey,
-        off: u64,
-        chunk: Chunk,
-    },
-    Parity {
-        pblock: BlockId,
-        off: u64,
-        chunk: Chunk,
-    },
+/// One log record on its way into a layer — and the shape it waits in
+/// when every unit of its pool is busy (backpressure).
+struct QueuedWork {
+    /// The block the record belongs to: the updated data block (DataLog),
+    /// the delta's source data block (DeltaLog), the parity block
+    /// (ParityLog).
+    block: BlockId,
+    off: u64,
+    chunk: Chunk,
+    /// The client op a DataLog append acks; unused by the other layers.
+    op_id: u64,
 }
 
 /// One paced recycle job. Content has already been applied to the block
@@ -189,19 +193,6 @@ enum RecycleJob {
     Data(BlockId, u64, Chunk),
     /// ParityLog: timed read-XOR-write of `len` bytes of the parity block.
     Parity(BlockId, u64, u64),
-}
-
-/// The most recent log append on this OSD — the write a power loss tears.
-/// Only the in-flight tail record is at risk: every earlier append's
-/// framing already persisted whole, so the restart scan recovers it.
-#[derive(Clone, Copy, Debug)]
-enum TailAppend {
-    /// DataLog append: `(block, offset, length, replica seq)`.
-    Data(BlockId, u64, u64, u64),
-    /// DeltaLog append at this parity owner: `(global stripe, length)`.
-    Delta(u64, u64),
-    /// ParityLog append: `(global stripe, parity role, length)`.
-    Parity(u64, usize, u64),
 }
 
 /// In-flight recycle bookkeeping for one unit: jobs are dispatched at most
@@ -215,25 +206,27 @@ struct InflightUnit {
     running: u64,
 }
 
-/// One log layer: pools + persistence regions + backpressure queues.
-struct Layer<K> {
-    pools: Vec<LogPool<K>>,
+/// One log layer: pools + persistence regions + backpressure queues. Every
+/// layer keys its index by the [`BlockId`] its records belong to.
+struct Layer {
+    pools: Vec<LogPool<BlockId>>,
     regions: Vec<LogRegion>,
     queues: Vec<VecDeque<QueuedWork>>,
     timer_armed: Vec<bool>,
 }
 
-impl<K: Ord + Copy> Layer<K> {
-    fn new(cfg: &TsueConfig, layer_idx: u64, stream_base: u32) -> Self {
+impl Layer {
+    fn new(cfg: &TsueConfig, layer: LayerKind) -> Self {
         let pools = cfg.effective_pools();
         let region_cap = cfg.unit_size * cfg.max_units as u64 + (4 << 20);
+        let stream_base = [32, 64, 96][layer as usize];
         Layer {
             pools: (0..pools)
                 .map(|p| {
                     LogPool::new(
                         cfg.unit_size,
                         cfg.effective_max_units(),
-                        layer_idx * 16 + p as u64,
+                        layer as u64 * 16 + p as u64,
                     )
                 })
                 .collect(),
@@ -283,37 +276,18 @@ fn block_key(b: BlockId) -> u64 {
     (b.file as u64) << 40 ^ b.stripe << 8 ^ b.role as u64
 }
 
-/// Estimated wire size of a chunk after the §7 compression extension: a
-/// run-length bound on real bytes, a conservative constant ratio for
-/// timing-only chunks.
-fn compressed_len(chunk: &Chunk) -> u64 {
-    match &chunk.bytes {
-        Some(b) => {
-            let mut runs: u64 = 1;
-            for w in b.windows(2) {
-                if w[0] != w[1] {
-                    runs += 1;
-                }
-            }
-            (runs * 2).min(b.len() as u64).max(16)
-        }
-        None => (chunk.len * 11 / 20).max(16),
-    }
-}
-
 /// The TSUE scheme instance (one per OSD).
 pub struct Tsue {
     /// Configuration (public for the harness's ablation sweeps).
     pub cfg: TsueConfig,
-    data: Layer<BlockId>,
-    delta: Layer<DeltaKey>,
-    parity: Layer<BlockId>,
+    /// DataLog, DeltaLog, ParityLog — indexed by [`LayerKind`].
+    layers: [Layer; 3],
     /// Replica persistence for peer DataLogs (device-only, no memory).
     data_replica_region: LogRegion,
     /// Replica persistence for peer DeltaLogs.
     delta_replica_region: LogRegion,
     threads: MultiResource,
-    acks: tsue_ecfs::scheme::AckTable,
+    acks: AckTable,
     inflight: BTreeMap<UnitId, InflightUnit>,
     /// Monotonic sequence stamped on each replicated DataLog append, so
     /// peer replica stores can prune exactly the recycled prefix.
@@ -322,34 +296,32 @@ pub struct Tsue {
     /// the prune watermark at unit finish is the smallest remaining `min`
     /// minus one (seqs below it are durably merged into the block store).
     unit_seqs: BTreeMap<UnitId, (u64, u64)>,
-    /// The newest append on this OSD (power-loss torn-write candidate).
-    tail: Option<TailAppend>,
+    /// The newest append on this OSD, `(layer, block, offset, length)` —
+    /// the write a power loss tears. Only the in-flight tail record is at
+    /// risk: every earlier append's framing already persisted whole, so
+    /// the restart scan recovers it.
+    tail: Option<(LayerKind, BlockId, u64, u64)>,
     /// Residence-time statistics (Table 2).
     pub residency: ResidencyStats,
-    /// Reads fully served by the data log (read-cache effectiveness).
-    pub cache_hits: u64,
 }
 
 impl Tsue {
     /// Creates a TSUE instance from a config.
     pub fn new(cfg: TsueConfig) -> Self {
         Tsue {
-            data: Layer::new(&cfg, 0, 32),
-            delta: Layer::new(&cfg, 1, 64),
-            parity: Layer::new(&cfg, 2, 96),
+            layers: LayerKind::ALL.map(|layer| Layer::new(&cfg, layer)),
             data_replica_region: LogRegion::new(
                 cfg.unit_size * cfg.max_units as u64 * cfg.data_replicas as u64,
                 128,
             ),
             delta_replica_region: LogRegion::new(cfg.unit_size * cfg.max_units as u64, 132),
             threads: MultiResource::new(cfg.recycle_threads),
-            acks: tsue_ecfs::scheme::AckTable::default(),
+            acks: AckTable::default(),
             inflight: BTreeMap::new(),
             data_seq: 0,
             unit_seqs: BTreeMap::new(),
             tail: None,
             residency: ResidencyStats::default(),
-            cache_hits: 0,
             cfg,
         }
     }
@@ -365,53 +337,90 @@ impl Tsue {
     }
 
     // ------------------------------------------------------------------
-    // Append paths
+    // Per-layer policy — everything else treats the layers alike
     // ------------------------------------------------------------------
 
-    /// Front-end DataLog append: sequential persist + replication + ack.
-    fn append_data(
+    /// How a layer's index folds a record: the merge discipline and
+    /// whether locality is exploited at all (O1/O2; the DeltaLog always
+    /// merges — exploiting locality is the layer's purpose).
+    fn merge_policy(&self, layer: LayerKind) -> (Discipline, bool) {
+        match layer {
+            LayerKind::Data => (Discipline::Overwrite, self.cfg.datalog_locality),
+            LayerKind::Delta => (Discipline::Xor, true),
+            LayerKind::Parity => (Discipline::Xor, self.cfg.paritylog_locality),
+        }
+    }
+
+    /// The pool of `layer` that logs `block`: Data/ParityLog spread by
+    /// block, the DeltaLog by stripe so that a stripe's deltas meet in one
+    /// unit (Eq. 5 combines across the blocks of a stripe).
+    fn pool_of(&self, core: &ClusterCore, layer: LayerKind, block: BlockId) -> usize {
+        let key = if layer == LayerKind::Delta {
+            core.global_stripe(block.file, block.stripe)
+        } else {
+            block_key(block)
+        };
+        pool_hash(key, self.layers[layer as usize].pools.len())
+    }
+
+    /// Overlays the unmerged DataLog content of a block range onto `buf`;
+    /// true when the log alone covers the range.
+    fn overlay_data(&self, block: BlockId, off: u64, len: u64, buf: Option<&mut [u8]>) -> bool {
+        let pools = &self.layers[LayerKind::Data as usize].pools;
+        pools[pool_hash(block_key(block), pools.len())].overlay(&block, off, len, buf)
+    }
+
+    // ------------------------------------------------------------------
+    // Append path
+    // ------------------------------------------------------------------
+
+    /// Appends one record to `layer` on this OSD: index insert, sequential
+    /// persist, seal timer. A DataLog append — the synchronous front end —
+    /// is also replicated to its peers and acknowledged; the other layers
+    /// append in the background and owe nobody an answer.
+    fn append(
         &mut self,
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        req: UpdateReq,
+        layer: LayerKind,
+        work: QueuedWork,
     ) {
         let now = sim.now();
-        let pool = pool_hash(block_key(req.block), self.data.pools.len());
-        let len = req.data.len;
+        let li = layer as usize;
+        let pool = self.pool_of(core, layer, work.block);
+        let len = work.chunk.len;
         let need = len + RECORD_HEADER;
-        if !self.ensure_room(core, sim, osd, LayerKind::Data, pool, need) {
-            self.data.queues[pool].push_back(QueuedWork::Update(req));
+        if !self.ensure_room(core, sim, osd, layer, pool, need) {
+            self.layers[li].queues[pool].push_back(work);
             return;
         }
-        let (block, off, op_id) = (req.block, req.off, req.op_id);
-        let unit = self.data.pools[pool].active_mut();
+        let QueuedWork {
+            block,
+            off,
+            chunk,
+            op_id,
+        } = work;
+        let (discipline, locality) = self.merge_policy(layer);
+        let unit = self.layers[li].pools[pool].active_mut();
         let uid = unit.id;
         // The payload moves into the log index — the client's buffer is
         // shared by refcount the whole way, never duplicated.
-        unit.append(
-            block,
-            off,
-            req.data,
-            Discipline::Overwrite,
-            self.cfg.datalog_locality,
-            now,
-        );
+        unit.append(block, off, chunk, discipline, locality, now);
+        self.tail = Some((layer, block, off, len));
+        let (t_persist, _) = self.layers[li].regions[pool].append(core, osd, now, need);
+        self.residency.layers[li].append.add(t_persist - now);
+        self.arm_seal_timer(core, sim, osd, layer, pool);
+        if layer != LayerKind::Data {
+            return;
+        }
+
         self.data_seq += 1;
         let seq = self.data_seq;
         let e = self.unit_seqs.entry(uid).or_insert((seq, seq));
         e.1 = seq;
-        self.tail = Some(TailAppend::Data(block, off, len, seq));
-        let (t_persist, _) = self.data.regions[pool].append(core, osd, now, need);
-        self.residency.data.append.add(t_persist - now);
-        self.arm_seal_timer(core, sim, osd, LayerKind::Data, pool);
-
         // Ack bookkeeping: local persist + (replicas − 1) peers.
-        let copies = self
-            .cfg
-            .data_replicas
-            .saturating_sub(1)
-            .min(core.cfg.osds - 1);
+        let copies = self.replica_copies(core);
         let tag = self.acks.register(op_id, 1 + copies as u32);
         sim.schedule_at(t_persist, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
             tsue_ecfs::scheme::deliver_msg(w, sim, osd, SchemeMsg::Ack { tag });
@@ -434,66 +443,13 @@ impl Tsue {
         }
     }
 
-    /// DeltaLog append at the first parity owner.
-    fn append_delta(
-        &mut self,
-        core: &mut ClusterCore,
-        sim: &mut Sim<Cluster>,
-        osd: usize,
-        key: DeltaKey,
-        off: u64,
-        chunk: Chunk,
-    ) {
-        let now = sim.now();
-        let pool = pool_hash(key.0, self.delta.pools.len());
-        let need = chunk.len + RECORD_HEADER;
-        if !self.ensure_room(core, sim, osd, LayerKind::Delta, pool, need) {
-            self.delta.queues[pool].push_back(QueuedWork::Delta { key, off, chunk });
-            return;
-        }
-        let unit = self.delta.pools[pool].active_mut();
-        // Same-offset deltas fold by XOR (Eq. 3); DeltaLog always merges —
-        // exploiting locality is the layer's purpose.
-        let chunk_len = chunk.len;
-        unit.append(key, off, chunk, Discipline::Xor, true, now);
-        self.tail = Some(TailAppend::Delta(key.0, chunk_len));
-        let (t_persist, _) = self.delta.regions[pool].append(core, osd, now, need);
-        self.residency.delta.append.add(t_persist - now);
-        self.arm_seal_timer(core, sim, osd, LayerKind::Delta, pool);
-    }
-
-    /// ParityLog append at a parity owner.
-    fn append_parity(
-        &mut self,
-        core: &mut ClusterCore,
-        sim: &mut Sim<Cluster>,
-        osd: usize,
-        pblock: BlockId,
-        off: u64,
-        chunk: Chunk,
-    ) {
-        let now = sim.now();
-        let pool = pool_hash(block_key(pblock), self.parity.pools.len());
-        let need = chunk.len + RECORD_HEADER;
-        if !self.ensure_room(core, sim, osd, LayerKind::Parity, pool, need) {
-            self.parity.queues[pool].push_back(QueuedWork::Parity { pblock, off, chunk });
-            return;
-        }
-        let gstripe = core.global_stripe(pblock.file, pblock.stripe);
-        let chunk_len = chunk.len;
-        let unit = self.parity.pools[pool].active_mut();
-        unit.append(
-            pblock,
-            off,
-            chunk,
-            Discipline::Xor,
-            self.cfg.paritylog_locality,
-            now,
-        );
-        self.tail = Some(TailAppend::Parity(gstripe, pblock.role, chunk_len));
-        let (t_persist, _) = self.parity.regions[pool].append(core, osd, now, need);
-        self.residency.parity.append.add(t_persist - now);
-        self.arm_seal_timer(core, sim, osd, LayerKind::Parity, pool);
+    /// DataLog copies held on peers: the configured replicas minus the
+    /// primary, capped by the cluster size.
+    fn replica_copies(&self, core: &ClusterCore) -> usize {
+        self.cfg
+            .data_replicas
+            .saturating_sub(1)
+            .min(core.cfg.osds - 1)
     }
 
     /// Makes room in `(layer, pool)` for an append: seals a full active
@@ -508,50 +464,58 @@ impl Tsue {
         pool: usize,
         need: u64,
     ) -> bool {
-        let now = sim.now();
-        let sealed = {
-            let fits = match layer {
-                LayerKind::Data => self.data.pools[pool].active_fits(need),
-                LayerKind::Delta => self.delta.pools[pool].active_fits(need),
-                LayerKind::Parity => self.parity.pools[pool].active_fits(need),
-            };
-            if fits {
-                return true;
-            }
-            match layer {
-                LayerKind::Data => self.data.pools[pool].seal_active(now),
-                LayerKind::Delta => self.delta.pools[pool].seal_active(now),
-                LayerKind::Parity => self.parity.pools[pool].seal_active(now),
-            }
-        };
-        if let Some(uid) = sealed {
-            self.recycle_unit(core, sim, osd, layer, pool, uid);
+        if self.layers[layer as usize].pools[pool].active_fits(need) {
+            return true;
         }
-        match layer {
-            LayerKind::Data => self.data.pools[pool].provision_active(),
-            LayerKind::Delta => self.delta.pools[pool].provision_active(),
-            LayerKind::Parity => self.parity.pools[pool].provision_active(),
-        }
+        self.seal_and_recycle(core, sim, osd, layer, pool);
+        self.layers[layer as usize].pools[pool].provision_active()
     }
 
     // ------------------------------------------------------------------
     // Recycle paths
     // ------------------------------------------------------------------
 
-    fn recycle_unit(
+    /// Seals the active unit of `(layer, pool)` if it holds data and
+    /// starts its recycle; true when a unit was sealed.
+    fn seal_and_recycle(
         &mut self,
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
         layer: LayerKind,
         pool: usize,
-        uid: UnitId,
-    ) {
+    ) -> bool {
+        let Some(uid) = self.layers[layer as usize].pools[pool].seal_active() else {
+            return false;
+        };
         match layer {
             LayerKind::Data => self.recycle_data_unit(core, sim, osd, pool, uid),
             LayerKind::Delta => self.recycle_delta_unit(core, sim, osd, pool, uid),
             LayerKind::Parity => self.recycle_parity_unit(core, sim, osd, pool, uid),
         }
+        true
+    }
+
+    /// The preamble of every recycle: the sealed unit turns Recycling, its
+    /// start is stamped and its buffer dwell sampled (Table 2).
+    fn begin_recycle(
+        &mut self,
+        layer: LayerKind,
+        pool: usize,
+        uid: UnitId,
+        now: Time,
+    ) -> &mut LogUnit<BlockId> {
+        let li = layer as usize;
+        let pool = &mut self.layers[li].pools[pool];
+        // INVARIANT: the recycle was started with this unit id at seal
+        // time, and units are never evicted while Recyclable.
+        let unit = pool.unit_mut(uid).expect("unit exists");
+        unit.state = UnitState::Recycling;
+        unit.recycle_started = Some(now);
+        if let Some(fa) = unit.first_append {
+            self.residency.layers[li].buffer.add(now.saturating_sub(fa));
+        }
+        unit
     }
 
     /// DataLog recycle: merged read → delta compute → in-place data write
@@ -564,22 +528,11 @@ impl Tsue {
         pool: usize,
         uid: UnitId,
     ) {
-        let now = sim.now();
-        let jobs: Vec<(BlockId, u64, Chunk)> = {
-            // INVARIANT: the recycle event was scheduled with this unit id at
-            // seal time, and units are never evicted while Recyclable.
-            let unit = self.data.pools[pool].unit_mut(uid).expect("unit exists");
-            unit.state = UnitState::Recycling;
-            unit.recycle_started = Some(now);
-            if let Some(fa) = unit.first_append {
-                self.residency.data.buffer.add(now.saturating_sub(fa));
-            }
-            collect_jobs_blockid(unit)
-        };
+        let jobs = collect_jobs(self.begin_recycle(LayerKind::Data, pool, uid, sim.now()));
         // Apply content now, at seal time, so per-block newest-wins
         // semantics hold even though the timed I/O below is paced.
         let store = &mut core.osds[osd];
-        let job_queue: VecDeque<RecycleJob> = jobs
+        let jobs = jobs
             .into_iter()
             .map(|(block, off, newest)| {
                 let delta = match &newest.bytes {
@@ -599,15 +552,13 @@ impl Tsue {
                 RecycleJob::Data(block, off, delta)
             })
             .collect();
-        self.inflight.insert(
-            uid,
-            InflightUnit {
-                layer: LayerKind::Data,
-                pool,
-                jobs: job_queue,
-                running: 0,
-            },
-        );
+        let inf = InflightUnit {
+            layer: LayerKind::Data,
+            pool,
+            jobs,
+            running: 0,
+        };
+        self.inflight.insert(uid, inf);
         self.dispatch_unit_jobs(core, sim, osd, uid);
     }
 
@@ -622,7 +573,7 @@ impl Tsue {
         osd: usize,
         uid: UnitId,
     ) {
-        let width = self.cfg.recycle_threads.max(1) as u64;
+        let width = self.cfg.recycle_threads as u64;
         loop {
             let job = {
                 let Some(inf) = self.inflight.get_mut(&uid) else {
@@ -651,7 +602,7 @@ impl Tsue {
                 RecycleJob::Parity(pblock, off, len) => {
                     // Content was XORed into the store at seal time; charge
                     // the timed read-XOR-write here.
-                    let th = pool_hash(block_key(pblock), self.cfg.recycle_threads.max(1));
+                    let th = pool_hash(block_key(pblock), self.cfg.recycle_threads);
                     let now = sim.now();
                     let compute = self
                         .threads
@@ -662,6 +613,27 @@ impl Tsue {
             };
             let done_tag = TK_JOB_DONE | (uid << 4);
             core.scheme_timer(sim, osd, done_at.saturating_sub(sim.now()), done_tag);
+        }
+    }
+
+    /// Bytes a forwarded delta takes on the wire: its length, or with the
+    /// §7 compression extension an estimate — a run-length bound on real
+    /// bytes, a conservative constant ratio for timing-only chunks.
+    fn wire_len(&self, chunk: &Chunk) -> u64 {
+        if !self.cfg.compress_deltas {
+            return chunk.len;
+        }
+        match &chunk.bytes {
+            Some(b) => {
+                let mut runs: u64 = 1;
+                for w in b.windows(2) {
+                    if w[0] != w[1] {
+                        runs += 1;
+                    }
+                }
+                (runs * 2).min(b.len() as u64).max(16)
+            }
+            None => (chunk.len * 11 / 20).max(16),
         }
     }
 
@@ -679,7 +651,7 @@ impl Tsue {
         let now = sim.now();
         let k = core.cfg.stripe.k;
         let m = core.cfg.stripe.m;
-        let th = pool_hash(block_key(block), self.cfg.recycle_threads.max(1));
+        let th = pool_hash(block_key(block), self.cfg.recycle_threads);
         // Read the original once per merged range (timing; content for the
         // delta was captured at seal time).
         let (t_read, _) = core.osds[osd].read_block_range(now, block, off, delta.len);
@@ -691,11 +663,7 @@ impl Tsue {
         if self.cfg.use_delta_log {
             // Forward the raw data delta to the DeltaLog at P1, copy at P2.
             let p1 = core.owner_of(gstripe, k);
-            let len = if self.cfg.compress_deltas {
-                compressed_len(&delta)
-            } else {
-                delta.len
-            };
+            let len = self.wire_len(&delta);
             let msg = SchemeMsg::DeltaForward {
                 from: osd,
                 block,
@@ -705,9 +673,7 @@ impl Tsue {
                 parity_index: 0,
                 tag: TAG_DELTA,
             };
-            sim.schedule_at(t_write, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                w.core.send_to_scheme(sim, osd, p1, len, msg);
-            });
+            send_at(sim, t_write, osd, p1, len, msg);
             if m >= 2 {
                 let p2 = core.owner_of(gstripe, k + 1);
                 let rep = SchemeMsg::DeltaForward {
@@ -719,9 +685,7 @@ impl Tsue {
                     parity_index: 1,
                     tag: TAG_DELTA_REP,
                 };
-                sim.schedule_at(t_write, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core.send_to_scheme(sim, osd, p2, len, rep);
-                });
+                send_at(sim, t_write, osd, p2, len, rep);
             }
         } else {
             // Two-layer mode: scale per parity locally, send to each.
@@ -731,11 +695,7 @@ impl Tsue {
             for j in 0..m {
                 let peer = core.owner_of(gstripe, k + j);
                 let pd = delta.gf_scaled(core.rs.coefficient(j, block.role));
-                let len = if self.cfg.compress_deltas {
-                    compressed_len(&pd)
-                } else {
-                    pd.len
-                };
+                let len = self.wire_len(&pd);
                 let msg = SchemeMsg::DeltaForward {
                     from: osd,
                     block,
@@ -745,9 +705,7 @@ impl Tsue {
                     parity_index: j,
                     tag: 0,
                 };
-                sim.schedule_at(t_gf, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core.send_to_scheme(sim, osd, peer, len, msg);
-                });
+                send_at(sim, t_gf, osd, peer, len, msg);
             }
         }
         t_write
@@ -757,10 +715,8 @@ impl Tsue {
     /// combined parity deltas to every ParityLog.
     ///
     /// The unit's two-level index is read **in place** (no per-range
-    /// clones), and same-span deltas from different data blocks of a
-    /// stripe fold through [`tsue_ec::RsCode::combined_parity_delta_into`]
-    /// — one scratch buffer and one fused multiply-accumulate pass per
-    /// contributing block, instead of a scaled temporary per range.
+    /// clones): each block's folded runs are gathered once and a stripe's
+    /// blocks combine through [`stripe_parity_delta`], once per parity.
     fn recycle_delta_unit(
         &mut self,
         core: &mut ClusterCore,
@@ -775,89 +731,29 @@ impl Tsue {
         let mut cpu: Time = 0;
         let mut sends: Vec<(usize, BlockId, u64, Chunk, usize)> = Vec::new();
         {
-            // INVARIANT: the recycle event was scheduled with this unit id at
-            // seal time, and units are never evicted while Recyclable.
-            let unit = self.delta.pools[pool].unit_mut(uid).expect("unit exists");
-            unit.state = UnitState::Recycling;
-            unit.recycle_started = Some(now);
-            if let Some(fa) = unit.first_append {
-                self.residency.delta.buffer.add(now.saturating_sub(fa));
-            }
-            // Stripe → [(role, ranges)] view over the index, borrowed, each
-            // run gathered into one slice first (the Eq. 5 kernels want
-            // contiguous contributors). The unit index is a BTreeMap keyed
-            // by (gstripe, role), so this walk already yields roles in
-            // ascending order within each stripe — no post-sort needed.
-            let mut grouped: std::collections::BTreeMap<u64, Vec<(usize, Gathered<'_>)>> =
-                std::collections::BTreeMap::new();
-            for (&(gstripe, role), entry) in unit.index.iter_mut() {
-                grouped
-                    .entry(gstripe)
+            let unit = self.begin_recycle(LayerKind::Delta, pool, uid, now);
+            // Stripe → [(role, ranges)] view over the index, borrowed. The
+            // index orders source blocks by (file, stripe, role), so this
+            // walk meets the stripes in global-stripe order and the roles
+            // of each in ascending order — no post-sort needed.
+            let mut stripes: BTreeMap<BlockId, Vec<(usize, Gathered<'_>)>> = BTreeMap::new();
+            for (&block, entry) in unit.index.iter_mut() {
+                stripes
+                    .entry(BlockId { role: 0, ..block })
                     .or_default()
-                    .push((role, entry.ranges.gather()));
+                    .push((block.role, entry.ranges.gather()));
             }
-            // Pass 1: group spans per (stripe, parity) target and charge
-            // the CPU model.
-            //
-            // Eq. (5): one combined parity delta stream per parity.
-            // Same-(offset, length) ranges across roles — the common
-            // case under stripe-wide locality — combine through one
-            // shared accumulator; everything else scales into its
-            // own pooled buffer. XOR associativity makes the final
-            // map identical either way.
-            // (group index, parity index, offset, length, contributors).
-            type SpanJob<'a> = (usize, usize, u64, u64, Vec<(usize, &'a [u8])>);
-            let mut groups: Vec<(u64, usize, RangeMap)> = Vec::new();
-            let mut span_jobs: Vec<SpanJob<'_>> = Vec::new();
-            for (&gstripe, roles) in &grouped {
+            for (carrier, roles) in &stripes {
+                let gstripe = core.global_stripe(carrier.file, carrier.stripe);
+                // The CPU model charges one multiply-accumulate pass per
+                // logged range per parity.
+                let ranges = roles.iter().flat_map(|(_, ranges)| ranges.iter());
+                cpu += m as Time * ranges.map(|(_, c)| core.gf_time(c.len)).sum::<Time>();
                 for j in 0..m {
-                    let mut combined = RangeMap::new();
-                    let mut spans: SpanGroups<'_> = SpanGroups::new();
-                    for (role, ranges) in roles {
-                        for (off, c) in ranges.iter() {
-                            cpu += core.gf_time(c.len);
-                            match &c.bytes {
-                                Some(b) => spans
-                                    .entry((off, c.len))
-                                    .or_default()
-                                    .push((*role, b.as_slice())),
-                                None => combined.insert_xor(off, Chunk::ghost(c.len)),
-                            }
-                        }
+                    let peer = core.owner_of(gstripe, k + j);
+                    for (off, chunk) in stripe_parity_delta(&core.rs, j, roles).drain() {
+                        sends.push((peer, *carrier, off, chunk, j));
                     }
-                    let gidx = groups.len();
-                    for ((off, len), contribs) in spans {
-                        span_jobs.push((gidx, j, off, len, contribs));
-                    }
-                    groups.push((gstripe, j, combined));
-                }
-            }
-            // Pass 2: the fused multiply-accumulate kernels, each into
-            // its own fresh accumulator.
-            let filled: Vec<(usize, u64, tsue_buf::Bytes)> = span_jobs
-                .into_iter()
-                .map(|(gidx, j, off, len, contribs)| {
-                    let mut acc = tsue_buf::BytesMut::take(len as usize);
-                    core.rs
-                        .fill_combined_parity_delta(j, &contribs, acc.as_mut());
-                    (gidx, off, acc.freeze())
-                })
-                .collect();
-            // Pass 3: fold results back in submission order and emit
-            // sends per (stripe, parity) group.
-            for (gidx, off, bytes) in filled {
-                groups[gidx].2.insert_xor(off, Chunk::real(bytes));
-            }
-            for (gstripe, j, mut combined) in groups {
-                let (file, stripe) = core.mds.locate_stripe(gstripe);
-                let peer = core.owner_of(gstripe, k + j);
-                let carrier = BlockId {
-                    file,
-                    stripe,
-                    role: 0,
-                };
-                for (off, chunk) in combined.drain() {
-                    sends.push((peer, carrier, off, chunk, j));
                 }
             }
         }
@@ -871,14 +767,10 @@ impl Tsue {
             },
         );
         // One CPU job covers the whole in-memory merge (no device I/O).
-        let th = pool_hash(uid, self.cfg.recycle_threads.max(1));
+        let th = pool_hash(uid, self.cfg.recycle_threads);
         let t_cpu = self.threads.submit_to(th, now, cpu.max(tsue_ecfs::MEM_OP));
         for (peer, carrier, off, chunk, j) in sends {
-            let len = if self.cfg.compress_deltas {
-                compressed_len(&chunk)
-            } else {
-                chunk.len
-            };
+            let len = self.wire_len(&chunk);
             let msg = SchemeMsg::DeltaForward {
                 from: osd,
                 block: carrier,
@@ -888,9 +780,7 @@ impl Tsue {
                 parity_index: j,
                 tag: 0,
             };
-            sim.schedule_at(t_cpu, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                w.core.send_to_scheme(sim, osd, peer, len, msg);
-            });
+            send_at(sim, t_cpu, osd, peer, len, msg);
         }
         let done_tag = TK_JOB_DONE | (uid << 4);
         core.scheme_timer(sim, osd, t_cpu.saturating_sub(now), done_tag);
@@ -906,22 +796,11 @@ impl Tsue {
         pool: usize,
         uid: UnitId,
     ) {
-        let now = sim.now();
-        let jobs: Vec<(BlockId, u64, Chunk)> = {
-            // INVARIANT: the recycle event was scheduled with this unit id at
-            // seal time, and units are never evicted while Recyclable.
-            let unit = self.parity.pools[pool].unit_mut(uid).expect("unit exists");
-            unit.state = UnitState::Recycling;
-            unit.recycle_started = Some(now);
-            if let Some(fa) = unit.first_append {
-                self.residency.parity.buffer.add(now.saturating_sub(fa));
-            }
-            collect_jobs_blockid(unit)
-        };
+        let jobs = collect_jobs(self.begin_recycle(LayerKind::Parity, pool, uid, sim.now()));
         // Apply parity XOR content now (order-free: XOR commutes), pace the
         // timed read-modify-writes below.
         let store = &mut core.osds[osd];
-        let job_queue: VecDeque<RecycleJob> = jobs
+        let jobs = jobs
             .into_iter()
             .map(|(pblock, off, delta)| {
                 if let Some(d) = delta.bytes.as_ref() {
@@ -931,33 +810,13 @@ impl Tsue {
                 RecycleJob::Parity(pblock, off, delta.len)
             })
             .collect();
-        self.inflight.insert(
-            uid,
-            InflightUnit {
-                layer: LayerKind::Parity,
-                pool,
-                jobs: job_queue,
-                running: 0,
-            },
-        );
-        self.dispatch_unit_jobs(core, sim, osd, uid);
-    }
-
-    /// One recycle job of a unit completed: dispatch the next queued job,
-    /// or finish the unit when nothing remains.
-    fn unit_job_done(
-        &mut self,
-        core: &mut ClusterCore,
-        sim: &mut Sim<Cluster>,
-        osd: usize,
-        uid: UnitId,
-    ) {
-        {
-            let Some(inf) = self.inflight.get_mut(&uid) else {
-                return;
-            };
-            inf.running = inf.running.saturating_sub(1);
-        }
+        let inf = InflightUnit {
+            layer: LayerKind::Parity,
+            pool,
+            jobs,
+            running: 0,
+        };
+        self.inflight.insert(uid, inf);
         self.dispatch_unit_jobs(core, sim, osd, uid);
     }
 
@@ -975,46 +834,25 @@ impl Tsue {
         // which inserted this entry.
         let inf = self.inflight.remove(&uid).expect("inflight unit");
         let (layer, pool) = (inf.layer, inf.pool);
-        match layer {
-            LayerKind::Data => {
-                if let Some(unit) = self.data.pools[pool].unit_mut(uid) {
-                    unit.state = UnitState::Recycled;
-                    if let Some(start) = unit.recycle_started {
-                        self.residency.data.recycle.add(now.saturating_sub(start));
-                        core.metrics.obs.recycle_merged(osd, uid, start, now);
-                    }
-                }
-                // Every append of this unit is now merged into the block
-                // store, so its peer replica copies are dead weight. The
-                // safe prune watermark is bounded by the oldest append
-                // still sitting in an unrecycled unit (units recycle out
-                // of seq order across pools).
-                if self.unit_seqs.remove(&uid).is_some() {
-                    let watermark = match self.unit_seqs.values().map(|&(lo, _)| lo).min() {
-                        Some(lo) => lo.saturating_sub(1),
-                        None => self.data_seq,
-                    };
-                    core.replicas.prune_up_to(osd, watermark);
-                }
+        if let Some(unit) = self.layers[layer as usize].pools[pool].unit_mut(uid) {
+            unit.state = UnitState::Recycled;
+            if let Some(start) = unit.recycle_started {
+                let recycle = &mut self.residency.layers[layer as usize].recycle;
+                recycle.add(now.saturating_sub(start));
+                core.metrics.obs.recycle_merged(osd, uid, start, now);
             }
-            LayerKind::Delta => {
-                if let Some(unit) = self.delta.pools[pool].unit_mut(uid) {
-                    unit.state = UnitState::Recycled;
-                    if let Some(start) = unit.recycle_started {
-                        self.residency.delta.recycle.add(now.saturating_sub(start));
-                        core.metrics.obs.recycle_merged(osd, uid, start, now);
-                    }
-                }
-            }
-            LayerKind::Parity => {
-                if let Some(unit) = self.parity.pools[pool].unit_mut(uid) {
-                    unit.state = UnitState::Recycled;
-                    if let Some(start) = unit.recycle_started {
-                        self.residency.parity.recycle.add(now.saturating_sub(start));
-                        core.metrics.obs.recycle_merged(osd, uid, start, now);
-                    }
-                }
-            }
+        }
+        // Only DataLog units hold replica seqs. Every append of this one
+        // is now merged into the block store, so its peer replica copies
+        // are dead weight. The safe prune watermark is bounded by the
+        // oldest append still sitting in an unrecycled unit (units recycle
+        // out of seq order across pools).
+        if self.unit_seqs.remove(&uid).is_some() {
+            let watermark = match self.unit_seqs.values().map(|&(lo, _)| lo).min() {
+                Some(lo) => lo.saturating_sub(1),
+                None => self.data_seq,
+            };
+            core.replicas.prune_up_to(osd, watermark);
         }
         self.drain_queue(core, sim, osd, layer, pool);
     }
@@ -1028,35 +866,13 @@ impl Tsue {
         layer: LayerKind,
         pool: usize,
     ) {
-        loop {
-            let work = match layer {
-                LayerKind::Data => self.data.queues[pool].pop_front(),
-                LayerKind::Delta => self.delta.queues[pool].pop_front(),
-                LayerKind::Parity => self.parity.queues[pool].pop_front(),
-            };
-            let Some(work) = work else { break };
-            let before = self.queue_len(layer, pool);
-            match work {
-                QueuedWork::Update(req) => self.append_data(core, sim, osd, req),
-                QueuedWork::Delta { key, off, chunk } => {
-                    self.append_delta(core, sim, osd, key, off, chunk)
-                }
-                QueuedWork::Parity { pblock, off, chunk } => {
-                    self.append_parity(core, sim, osd, pblock, off, chunk)
-                }
-            }
+        while let Some(work) = self.layers[layer as usize].queues[pool].pop_front() {
+            let before = self.layers[layer as usize].queues[pool].len();
+            self.append(core, sim, osd, layer, work);
             // If the append re-queued itself (still no room), stop.
-            if self.queue_len(layer, pool) > before {
+            if self.layers[layer as usize].queues[pool].len() > before {
                 break;
             }
-        }
-    }
-
-    fn queue_len(&self, layer: LayerKind, pool: usize) -> usize {
-        match layer {
-            LayerKind::Data => self.data.queues[pool].len(),
-            LayerKind::Delta => self.delta.queues[pool].len(),
-            LayerKind::Parity => self.parity.queues[pool].len(),
         }
     }
 
@@ -1069,11 +885,7 @@ impl Tsue {
         layer: LayerKind,
         pool: usize,
     ) {
-        let armed = match layer {
-            LayerKind::Data => &mut self.data.timer_armed[pool],
-            LayerKind::Delta => &mut self.delta.timer_armed[pool],
-            LayerKind::Parity => &mut self.parity.timer_armed[pool],
-        };
+        let armed = &mut self.layers[layer as usize].timer_armed[pool];
         if *armed {
             return;
         }
@@ -1092,48 +904,23 @@ impl Tsue {
         layer: LayerKind,
         pool: usize,
     ) {
-        let now = sim.now();
-        let sealed = match layer {
-            LayerKind::Data => self.data.pools[pool].seal_active(now),
-            LayerKind::Delta => self.delta.pools[pool].seal_active(now),
-            LayerKind::Parity => self.parity.pools[pool].seal_active(now),
-        };
-        if let Some(uid) = sealed {
-            self.recycle_unit(core, sim, osd, layer, pool, uid);
-            match layer {
-                LayerKind::Data => self.data.pools[pool].provision_active(),
-                LayerKind::Delta => self.delta.pools[pool].provision_active(),
-                LayerKind::Parity => self.parity.pools[pool].provision_active(),
-            };
-            // Re-arm: traffic is flowing.
-            let armed = match layer {
-                LayerKind::Data => &mut self.data.timer_armed[pool],
-                LayerKind::Delta => &mut self.delta.timer_armed[pool],
-                LayerKind::Parity => &mut self.parity.timer_armed[pool],
-            };
-            *armed = false;
+        let flowing = self.seal_and_recycle(core, sim, osd, layer, pool);
+        let l = &mut self.layers[layer as usize];
+        l.timer_armed[pool] = false;
+        if flowing {
+            l.pools[pool].provision_active();
             self.arm_seal_timer(core, sim, osd, layer, pool);
         } else {
             // Idle: shrink the pool and stop the timer until new appends.
-            match layer {
-                LayerKind::Data => self.data.pools[pool].shrink_to(2),
-                LayerKind::Delta => self.delta.pools[pool].shrink_to(2),
-                LayerKind::Parity => self.parity.pools[pool].shrink_to(2),
-            }
-            let armed = match layer {
-                LayerKind::Data => &mut self.data.timer_armed[pool],
-                LayerKind::Delta => &mut self.delta.timer_armed[pool],
-                LayerKind::Parity => &mut self.parity.timer_armed[pool],
-            };
-            *armed = false;
+            l.pools[pool].shrink_to(2);
         }
     }
 }
 
-/// Collects `(block, offset, chunk)` recycle jobs from a sealed unit keyed
-/// by [`BlockId`], honouring raw (no-locality) mode. This is where a merged
-/// run's bytes are gathered — once, into the buffer the job carries.
-fn collect_jobs_blockid(unit: &mut crate::logunit::LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
+/// Collects `(block, offset, chunk)` recycle jobs from a sealed unit,
+/// honouring raw (no-locality) mode. This is where a merged run's bytes
+/// are gathered — once, into the buffer the job carries.
+fn collect_jobs(unit: &mut LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
     // The index is ordered, so the cross-block order is deterministic; raw
     // entries keep their append order *within* a block — overlapping raw
     // records must replay in arrival order for newest-wins semantics.
@@ -1161,7 +948,13 @@ impl UpdateScheme for Tsue {
         osd: usize,
         req: UpdateReq,
     ) {
-        self.append_data(core, sim, osd, req);
+        let work = QueuedWork {
+            block: req.block,
+            off: req.off,
+            chunk: req.data,
+            op_id: req.op_id,
+        };
+        self.append(core, sim, osd, LayerKind::Data, work);
     }
 
     fn on_message(
@@ -1200,51 +993,43 @@ impl UpdateScheme for Tsue {
                         data,
                     },
                 );
-                sim.schedule_at(t, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core
-                        .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                });
+                reply_at(sim, t, osd, from, SchemeMsg::Ack { tag });
             }
             SchemeMsg::DeltaForward {
-                block,
-                off,
                 data,
                 kind: DeltaKind::DataDelta,
-                tag,
+                tag: TAG_DELTA_REP,
                 ..
             } => {
-                if tag == TAG_DELTA_REP {
-                    // Second-parity copy: device persistence only.
-                    let _ = self.delta_replica_region.append(
-                        core,
-                        osd,
-                        sim.now(),
-                        data.len + RECORD_HEADER,
-                    );
-                } else {
-                    let gstripe = core.global_stripe(block.file, block.stripe);
-                    self.append_delta(core, sim, osd, (gstripe, block.role), off, data);
-                }
+                // Second-parity copy: device persistence only.
+                let need = data.len + RECORD_HEADER;
+                let _ = self.delta_replica_region.append(core, osd, sim.now(), need);
             }
             SchemeMsg::DeltaForward {
                 block,
                 off,
                 data,
-                kind: DeltaKind::ParityDelta,
+                kind,
                 parity_index,
                 ..
             } => {
-                let pblock = BlockId {
-                    role: core.cfg.stripe.k + parity_index,
-                    ..block
+                // A data delta joins the DeltaLog under its source block;
+                // a parity delta the ParityLog under the parity block.
+                let (layer, block) = match kind {
+                    DeltaKind::DataDelta => (LayerKind::Delta, block),
+                    DeltaKind::ParityDelta => {
+                        (LayerKind::Parity, core.parity_block(block, parity_index))
+                    }
                 };
-                self.append_parity(core, sim, osd, pblock, off, data);
+                let work = QueuedWork {
+                    block,
+                    off,
+                    chunk: data,
+                    op_id: 0,
+                };
+                self.append(core, sim, osd, layer, work);
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: TSUE peers exchange only the kinds above; a Control
             // frame here is a message-routing bug.
             SchemeMsg::Control { .. } => unreachable!("TSUE sends no Control messages"),
@@ -1254,17 +1039,18 @@ impl UpdateScheme for Tsue {
     fn on_timer(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize, tag: u64) {
         match tag & 0xF {
             TK_SEAL => {
-                let layer = match (tag >> 4) & 0xF {
-                    0 => LayerKind::Data,
-                    1 => LayerKind::Delta,
-                    _ => LayerKind::Parity,
-                };
+                let layer = LayerKind::ALL[((tag >> 4) & 0xF) as usize];
                 let pool = (tag >> 8) as usize;
                 self.on_seal_timer(core, sim, osd, layer, pool);
             }
             TK_JOB_DONE => {
+                // One recycle job of the unit completed: dispatch its next
+                // queued job, or finish the unit when nothing remains.
                 let uid = tag >> 4;
-                self.unit_job_done(core, sim, osd, uid);
+                if let Some(inf) = self.inflight.get_mut(&uid) {
+                    inf.running = inf.running.saturating_sub(1);
+                }
+                self.dispatch_unit_jobs(core, sim, osd, uid);
             }
             // INVARIANT: every TSUE timer is scheduled by this scheme with a
             // TK_* tag, matched exhaustively above.
@@ -1282,9 +1068,7 @@ impl UpdateScheme for Tsue {
         buf: Option<&mut [u8]>,
     ) -> ReadServe {
         // The DataLog doubles as a read cache (§3.3.3).
-        let pool = pool_hash(block_key(block), self.data.pools.len());
-        if self.data.pools[pool].overlay(&block, off, len, buf) {
-            self.cache_hits += 1;
+        if self.overlay_data(block, off, len, buf) {
             ReadServe::CacheHit
         } else {
             ReadServe::Miss
@@ -1292,32 +1076,14 @@ impl UpdateScheme for Tsue {
     }
 
     fn patch_unmerged(&self, block: BlockId, off: u64, len: u64, buf: &mut [u8]) {
-        let pool = pool_hash(block_key(block), self.data.pools.len());
-        self.data.pools[pool].overlay(&block, off, len, Some(buf));
+        self.overlay_data(block, off, len, Some(buf));
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {
-        let now = sim.now();
-        for layer in [LayerKind::Data, LayerKind::Delta, LayerKind::Parity] {
-            let pools = match layer {
-                LayerKind::Data => self.data.pools.len(),
-                LayerKind::Delta => self.delta.pools.len(),
-                LayerKind::Parity => self.parity.pools.len(),
-            };
-            for pool in 0..pools {
-                let sealed = match layer {
-                    LayerKind::Data => self.data.pools[pool].seal_active(now),
-                    LayerKind::Delta => self.delta.pools[pool].seal_active(now),
-                    LayerKind::Parity => self.parity.pools[pool].seal_active(now),
-                };
-                if let Some(uid) = sealed {
-                    self.recycle_unit(core, sim, osd, layer, pool, uid);
-                }
-                match layer {
-                    LayerKind::Data => self.data.pools[pool].provision_active(),
-                    LayerKind::Delta => self.delta.pools[pool].provision_active(),
-                    LayerKind::Parity => self.parity.pools[pool].provision_active(),
-                };
+        for layer in LayerKind::ALL {
+            for pool in 0..self.layers[layer as usize].pools.len() {
+                self.seal_and_recycle(core, sim, osd, layer, pool);
+                self.layers[layer as usize].pools[pool].provision_active();
                 self.drain_queue(core, sim, osd, layer, pool);
             }
         }
@@ -1336,39 +1102,30 @@ impl UpdateScheme for Tsue {
         // rebuild the in-memory indexes verbatim (which is why the unit
         // state needs no surgery); only the in-flight tail record is at
         // risk of a tear.
-        for pool in 0..self.data.regions.len() {
-            self.data.regions[pool].scan(core, osd, now);
-        }
-        for pool in 0..self.delta.regions.len() {
-            self.delta.regions[pool].scan(core, osd, now);
-        }
-        for pool in 0..self.parity.regions.len() {
-            self.parity.regions[pool].scan(core, osd, now);
+        for region in self.layers.iter_mut().flat_map(|l| &mut l.regions) {
+            region.scan(core, osd, now);
         }
         self.data_replica_region.scan(core, osd, now);
         self.delta_replica_region.scan(core, osd, now);
 
-        let Some(tail) = self.tail.take() else {
+        let Some((layer, block, off, len)) = self.tail.take() else {
             return rep;
         };
-        let mut rng = SplitRng::new(seed);
+        rep.torn_detected = 1;
         let k = core.cfg.stripe.k;
         let m = core.cfg.stripe.m;
-        match tail {
-            TailAppend::Data(block, off, len, _seq) => {
+        let gstripe = core.global_stripe(block.file, block.stripe);
+        let pool = self.pool_of(core, layer, block);
+        let copies = self.replica_copies(core);
+        let l = &mut self.layers[layer as usize];
+        match layer {
+            LayerKind::Data => {
                 // The tear lands at a pseudo-random offset inside the
                 // record; the framing checksum rejects *any* cut short of
                 // the full frame, so the cut position never changes what
                 // the scan recovers — a torn record is discarded whole.
-                let cut = rng.below((len + RECORD_HEADER).max(1));
+                let cut = SplitRng::new(seed).below((len + RECORD_HEADER).max(1));
                 debug_assert!(cut < len + RECORD_HEADER);
-                rep.torn_detected = 1;
-                let copies = self
-                    .cfg
-                    .data_replicas
-                    .saturating_sub(1)
-                    .min(core.cfg.osds - 1);
-                let pool = pool_hash(block_key(block), self.data.pools.len());
                 if copies > 0 {
                     // Acked ⇒ replicated: re-fetch the record from the
                     // first live replica peer and re-append it locally.
@@ -1383,14 +1140,14 @@ impl UpdateScheme for Tsue {
                         }
                         None => now,
                     };
-                    let _ = self.data.regions[pool].append(core, osd, t_fetch, len + RECORD_HEADER);
+                    let _ = l.regions[pool].append(core, osd, t_fetch, len + RECORD_HEADER);
                     rep.torn_replayed = 1;
                 } else {
                     // data_replicas == 1 opted out of the durability
                     // guarantee: the record is gone. Revert the log
                     // overlay to the pre-append store bytes so reads
                     // serve the *old* data — stale, but never torn.
-                    let reverted = self.data.pools[pool]
+                    let reverted = l.pools[pool]
                         .iter_oldest_first()
                         .filter(|u| {
                             matches!(u.state, UnitState::Empty | UnitState::Recyclable)
@@ -1404,7 +1161,7 @@ impl UpdateScheme for Tsue {
                             .map(Chunk::real)
                             .unwrap_or_else(|| Chunk::ghost(len));
                         let locality = self.cfg.datalog_locality;
-                        if let Some(unit) = self.data.pools[pool].unit_mut(uid) {
+                        if let Some(unit) = l.pools[pool].unit_mut(uid) {
                             unit.append(block, off, pre, Discipline::Overwrite, locality, now);
                         }
                         rep.torn_discarded = 1;
@@ -1416,37 +1173,32 @@ impl UpdateScheme for Tsue {
                     }
                 }
             }
-            TailAppend::Delta(gstripe, len) => {
-                rep.torn_detected = 1;
-                if self.cfg.use_delta_log && m >= 2 {
-                    // The TAG_DELTA_REP copy persists on the second parity
-                    // owner: re-fetch and re-append.
-                    let p2 = core.owner_of(gstripe, k + 1);
-                    let t_fetch = if p2 != osd && core.mds.is_alive(p2) {
-                        core.net
-                            .transfer(now, core.osds[p2].node, core.osds[osd].node, len)
-                    } else {
-                        now
-                    };
-                    let pool = pool_hash(gstripe, self.delta.pools.len());
-                    let _ =
-                        self.delta.regions[pool].append(core, osd, t_fetch, len + RECORD_HEADER);
-                    rep.torn_replayed = 1;
+            LayerKind::Delta if self.cfg.use_delta_log && m >= 2 => {
+                // The TAG_DELTA_REP copy persists on the second parity
+                // owner: re-fetch and re-append.
+                let p2 = core.owner_of(gstripe, k + 1);
+                let t_fetch = if p2 != osd && core.mds.is_alive(p2) {
+                    core.net
+                        .transfer(now, core.osds[p2].node, core.osds[osd].node, len)
                 } else {
-                    // No copy exists: the delta is lost before reaching
-                    // any parity log. Every parity of the stripe is now
-                    // stale — mark them for re-encode from data.
-                    for j in 0..m {
-                        core.mds.mark_parity_dirty(gstripe, k + j);
-                    }
-                    rep.torn_discarded = 1;
-                }
+                    now
+                };
+                let _ = l.regions[pool].append(core, osd, t_fetch, len + RECORD_HEADER);
+                rep.torn_replayed = 1;
             }
-            TailAppend::Parity(gstripe, role, _len) => {
+            LayerKind::Delta => {
+                // No copy exists: the delta is lost before reaching any
+                // parity log. Every parity of the stripe is now stale —
+                // mark them for re-encode from data.
+                for j in 0..m {
+                    core.mds.mark_parity_dirty(gstripe, k + j);
+                }
+                rep.torn_discarded = 1;
+            }
+            LayerKind::Parity => {
                 // ParityLog appends carry no replica; the lost combined
                 // delta leaves this parity stale until re-encoded.
-                rep.torn_detected = 1;
-                core.mds.mark_parity_dirty(gstripe, role);
+                core.mds.mark_parity_dirty(gstripe, block.role);
                 rep.torn_discarded = 1;
             }
         }
@@ -1459,15 +1211,13 @@ impl UpdateScheme for Tsue {
             .values()
             .map(|i| i.jobs.len() as u64 + i.running)
             .sum();
-        self.data.pending_work()
-            + self.delta.pending_work()
-            + self.parity.pending_work()
+        self.layers.iter().map(Layer::pending_work).sum::<u64>()
             + inflight
             + self.acks.outstanding() as u64
     }
 
     fn memory_usage(&self) -> u64 {
-        self.data.memory_bytes() + self.delta.memory_bytes() + self.parity.memory_bytes()
+        self.layers.iter().map(Layer::memory_bytes).sum()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

@@ -4,8 +4,10 @@
 //! a fresh encode, once the logs drain.
 
 use tsue_core::{Tsue, TsueConfig};
+use tsue_ecfs::scheme::{deliver_msg, DeltaKind};
 use tsue_ecfs::{
-    check_consistency, run_workload, Cluster, ClusterBuilder, ClusterConfig, DeviceKind,
+    check_consistency, deliver_update, run_workload, BlockId, Chunk, Cluster, ClusterBuilder,
+    ClusterConfig, DeviceKind, PowerLossReport, SchemeMsg, UpdateReq,
 };
 use tsue_sim::{Sim, SECOND};
 use tsue_trace::WorkloadProfile;
@@ -123,11 +125,110 @@ fn residency_stats_populate() {
     run_workload(&mut world, &mut sim, 3600 * SECOND);
     world.flush_all(&mut sim);
     let stats = tsue_core::tsue::harvest_residency(&world);
-    assert!(stats.data.append.count() > 0, "data appends recorded");
-    assert!(stats.data.buffer.count() > 0, "data units recycled");
+    assert!(stats.layers[0].append.count() > 0, "data appends recorded");
+    assert!(stats.layers[0].buffer.count() > 0, "data units recycled");
     assert!(
-        stats.parity.recycle.count() > 0,
+        stats.layers[2].recycle.count() > 0,
         "parity units recycled: {:?}",
         stats
     );
+}
+
+/// Delivers one record to the scheme that logs it — so it is that OSD's
+/// newest append — cuts the power there, and returns the restart's report
+/// with the parities the MDS marked dirty. `layer` picks the log: 0 the
+/// DataLog (an update at the block's owner), 1 the DeltaLog (a data delta
+/// at the first parity owner), 2 the ParityLog of the stripe's last
+/// parity.
+fn torn_tail(m: usize, cfg: TsueConfig, layer: usize) -> (PowerLossReport, Vec<(u64, usize)>) {
+    let k = 4;
+    let mut world = ClusterBuilder::from_config(small_config(k, m, 50))
+        .record_arrivals(false)
+        .scheme_fn(move |_| Box::new(Tsue::new(cfg.clone())))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    // A block of the third file, so the global stripe is not the
+    // file-local one.
+    let block = BlockId {
+        file: 2,
+        stripe: 1,
+        role: 1,
+    };
+    let gstripe = world.core.global_stripe(block.file, block.stripe);
+    assert_ne!(gstripe, block.stripe);
+    let data = Chunk::real(vec![0xA5u8; 4096]);
+    let osd = match layer {
+        0 => {
+            let osd = world.core.owner_of(gstripe, block.role);
+            let req = UpdateReq {
+                op_id: 1,
+                ext: 0,
+                block,
+                off: 8192,
+                data,
+            };
+            deliver_update(&mut world, &mut sim, osd, req);
+            osd
+        }
+        _ => {
+            let (kind, parity_index) = if layer == 1 {
+                (DeltaKind::DataDelta, 0)
+            } else {
+                (DeltaKind::ParityDelta, m - 1)
+            };
+            let osd = world.core.owner_of(gstripe, k + parity_index);
+            let msg = SchemeMsg::DeltaForward {
+                from: world.core.owner_of(gstripe, block.role),
+                block,
+                off: 8192,
+                data,
+                kind,
+                parity_index,
+                tag: if layer == 1 { 2 } else { 0 },
+            };
+            deliver_msg(&mut world, &mut sim, osd, msg);
+            osd
+        }
+    };
+    let report = world.power_loss(&mut sim, osd, 11);
+    let dirty = world.core.mds.dirty_parity_entries();
+    if layer == 0 {
+        // Replayed or reverted, the overlay never serves a torn record:
+        // it holds the new bytes, or the store's (zero) bytes again.
+        let mut buf = [0xFFu8; 4096];
+        let scheme = world.schemes[osd].as_ref().unwrap();
+        scheme.patch_unmerged(block, 8192, 4096, &mut buf);
+        let want = if report.torn_discarded == 1 { 0 } else { 0xA5 };
+        assert!(buf.iter().all(|&b| b == want), "overlay after restart");
+    }
+    // The tail is consumed: a second cut finds nothing in flight.
+    let again = world.power_loss(&mut sim, osd, 12);
+    assert_eq!(again, PowerLossReport::default());
+    assert_eq!(world.core.mds.dirty_parity_entries(), dirty);
+    (report, dirty)
+}
+
+#[test]
+fn power_loss_classifies_each_tail_kind() {
+    let report = |torn_replayed, torn_discarded| PowerLossReport {
+        torn_detected: 1,
+        torn_replayed,
+        torn_discarded,
+    };
+    let gstripe = 2 * 4 + 1; // third file of four-stripe files, stripe 1
+    let ssd = TsueConfig::ssd_default;
+    // DataLog tail: replayed from a replica peer; without one, discarded
+    // and the overlay reverted.
+    assert_eq!(torn_tail(2, ssd(), 0), (report(1, 0), vec![]));
+    let single = TsueConfig {
+        data_replicas: 1,
+        ..ssd()
+    };
+    assert_eq!(torn_tail(2, single, 0), (report(0, 1), vec![]));
+    // DeltaLog tail: re-fetched from the second parity owner's copy; with
+    // m = 1 there is none and the stripe's parity goes stale.
+    assert_eq!(torn_tail(2, ssd(), 1), (report(1, 0), vec![]));
+    assert_eq!(torn_tail(1, ssd(), 1), (report(0, 1), vec![(gstripe, 4)]));
+    // ParityLog tail: never replicated — exactly that parity goes stale.
+    assert_eq!(torn_tail(2, ssd(), 2), (report(0, 1), vec![(gstripe, 5)]));
 }

@@ -91,7 +91,7 @@ proptest! {
                 );
                 appended += 1;
             }
-            pool.seal_active(0);
+            pool.seal_active();
         }
         let pending: u64 = pool
             .iter_oldest_first()

@@ -48,13 +48,6 @@ impl std::fmt::Display for EcError {
 
 impl std::error::Error for EcError {}
 
-/// One logged delta range for replay: `(absolute offset, delta bytes)`.
-pub type DeltaRange<'a> = (u64, &'a [u8]);
-
-/// One data block's contribution to a stripe replay: the block's index
-/// paired with its logged ranges.
-pub type RoleRanges<'a> = (usize, &'a [DeltaRange<'a>]);
-
 /// A systematic Reed–Solomon code RS(k, m).
 ///
 /// The generator matrix is `[ I_k ; C ]` where `C` is a `m × k` Cauchy
@@ -417,52 +410,6 @@ impl RsCode {
         self.combined_parity_delta_into(parity_index, &deltas[1..], out);
     }
 
-    /// Stripe-batched replay (the recycle-path kernel): merges **all** of a
-    /// stripe's logged data-delta ranges into the parity delta for
-    /// `parity_index` covering `[base, base + acc.len())`, performing a
-    /// single GF multiply per contributing data block instead of one per
-    /// logged range.
-    ///
-    /// `roles` pairs each data-block index with its `(offset, delta)`
-    /// ranges (absolute offsets; every range must fall inside the span).
-    /// Per role, the ranges are first folded into `scratch` with plain XOR
-    /// (Eq. 3 — cheap), then one `∂_{j,i} ·` multiply-accumulate folds the
-    /// whole block's contribution into `acc` (Eq. 5). `acc` is accumulated
-    /// into; zero it first for a fresh delta. `scratch` is resized and
-    /// reused across calls.
-    ///
-    /// # Panics
-    /// Panics if a range falls outside the span.
-    pub fn stripe_replay_into(
-        &self,
-        parity_index: usize,
-        base: u64,
-        roles: &[RoleRanges<'_>],
-        scratch: &mut Vec<u8>,
-        acc: &mut [u8],
-    ) {
-        let span = acc.len();
-        for &(data_index, ranges) in roles {
-            if ranges.is_empty() {
-                continue;
-            }
-            // Fast path: a single range covering the whole span skips the
-            // scratch fold entirely.
-            if ranges.len() == 1 && ranges[0].0 == base && ranges[0].1.len() == span {
-                self.parity_delta_into(parity_index, data_index, ranges[0].1, acc);
-                continue;
-            }
-            scratch.resize(span, 0);
-            scratch.fill(0);
-            for &(off, delta) in ranges {
-                let rel = (off - base) as usize;
-                assert!(rel + delta.len() <= span, "range outside replay span");
-                xor_slice(delta, &mut scratch[rel..rel + delta.len()]);
-            }
-            self.parity_delta_into(parity_index, data_index, scratch, acc);
-        }
-    }
-
     /// Applies a parity delta to a parity buffer: `parity ^= delta`
     /// (the final step of every log-recycle path).
     ///
@@ -739,34 +686,6 @@ mod tests {
             let mut out = vec![0xEEu8; 32]; // dirty recycled scratch
             rs.fill_combined_parity_delta(j, &[(1, &d1), (3, &d3)], &mut out);
             assert_eq!(out, expect, "parity {j}");
-        }
-    }
-
-    #[test]
-    fn stripe_replay_matches_per_range_deltas() {
-        let rs = RsCode::new(4, 2).unwrap();
-        // Role 1 logs two disjoint ranges, role 3 one full-span range.
-        let span = 64u64;
-        let base = 128u64;
-        let r1a = vec![0x5Au8; 16];
-        let r1b = vec![0xC3u8; 8];
-        let r3 = vec![0x77u8; span as usize];
-        let role1: Vec<(u64, &[u8])> = vec![(base + 4, &r1a), (base + 40, &r1b)];
-        let role3: Vec<(u64, &[u8])> = vec![(base, &r3)];
-        let mut scratch = Vec::new();
-        for j in 0..2 {
-            let mut acc = vec![0u8; span as usize];
-            rs.stripe_replay_into(j, base, &[(1, &role1), (3, &role3)], &mut scratch, &mut acc);
-            // Reference: per-range parity deltas XORed at their offsets.
-            let mut expect = vec![0u8; span as usize];
-            for (role, ranges) in [(1usize, &role1), (3, &role3)] {
-                for &(off, d) in ranges.iter() {
-                    let pd = rs.parity_delta(j, role, d);
-                    let rel = (off - base) as usize;
-                    merge_deltas(&mut expect[rel..rel + d.len()], &pd);
-                }
-            }
-            assert_eq!(acc, expect, "parity {j}");
         }
     }
 

@@ -481,6 +481,30 @@ impl ClusterCore {
             .collect()
     }
 
+    /// The `parity_index`-th parity block of the stripe `block` is in.
+    #[inline]
+    pub fn parity_block(&self, block: BlockId, parity_index: usize) -> BlockId {
+        BlockId {
+            role: self.cfg.stripe.k + parity_index,
+            ..block
+        }
+    }
+
+    /// In-place parity merge on `osd`: a read-XOR-write of `delta` into
+    /// `pblock` at `off` starting at `now`, with the XOR's CPU time
+    /// charged between the two device ops. Returns the completion time.
+    pub fn xor_into_parity(
+        &mut self,
+        osd: usize,
+        now: Time,
+        pblock: BlockId,
+        off: u64,
+        delta: &Chunk,
+    ) -> Time {
+        let compute = self.xor_time(delta.len);
+        self.osds[osd].xor_block_range(now, pblock, off, delta.len, delta.bytes.as_deref(), compute)
+    }
+
     /// CPU time to XOR `bytes`.
     #[inline]
     pub fn xor_time(&self, bytes: u64) -> Time {

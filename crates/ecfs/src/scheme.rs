@@ -10,8 +10,11 @@
 //! (§5: "implemented on the CLIENT side and the OSD side").
 
 use crate::osd::BlockId;
-use crate::{client, Cluster, ClusterCore};
+use crate::rangemap::{Gathered, RangeMap};
+use crate::{client, Cluster, ClusterCore, ACK_BYTES};
+use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
+use tsue_ec::RsCode;
 use tsue_sim::{Sim, Time};
 
 /// A byte payload that may be timing-only. In materialized (correctness)
@@ -596,10 +599,40 @@ impl AckTable {
         }
     }
 
+    /// The [`SchemeMsg::Ack`] arm of every scheme: records one ack and,
+    /// when it was the exchange's last, completes the extent at `osd`.
+    pub fn on_ack(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize, tag: u64) {
+        if let Some(op_id) = self.ack(tag) {
+            core.extent_done(sim, osd, op_id);
+        }
+    }
+
     /// Exchanges still waiting.
     pub fn outstanding(&self) -> usize {
         self.pending.len()
     }
+}
+
+/// [`ClusterCore::send_to_scheme`], deferred: `msg` leaves `from_osd` for
+/// `to_osd` once the work that produces it completes at `at`.
+pub fn send_at(
+    sim: &mut Sim<Cluster>,
+    at: Time,
+    from_osd: usize,
+    to_osd: usize,
+    payload_bytes: u64,
+    msg: SchemeMsg,
+) {
+    sim.schedule_at(at, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
+        w.core
+            .send_to_scheme(sim, from_osd, to_osd, payload_bytes, msg);
+    });
+}
+
+/// Answers a peer: `msg` — an ack or a control word, [`ACK_BYTES`] on the
+/// wire — goes from `osd` back to `to` at `at`.
+pub fn reply_at(sim: &mut Sim<Cluster>, at: Time, osd: usize, to: usize, msg: SchemeMsg) {
+    send_at(sim, at, osd, to, ACK_BYTES, msg);
 }
 
 /// A do-nothing scheme: completes updates instantly without touching parity.
@@ -685,6 +718,41 @@ pub fn rmw_data_delta(
     let t_write =
         core.osds[osd].write_block_range(t_compute, block, off, data.len, data.bytes.as_deref());
     (t_write, delta)
+}
+
+/// Eq. (5): combines one stripe's buffered data deltas — `roles` pairs
+/// each contributing data-block index with its gathered, XOR-folded
+/// ranges — into the parity delta stream for `parity_index`. Ranges that
+/// share an `(offset, length)` span across roles, the common case under
+/// stripe-wide locality, go through one fused multiply-accumulate pass
+/// per contributing block into a single accumulator; XOR associativity
+/// makes the resulting map the same however the spans fall. Timing-only
+/// ranges combine as ghosts. The caller charges the CPU model.
+pub fn stripe_parity_delta(
+    rs: &RsCode,
+    parity_index: usize,
+    roles: &[(usize, Gathered<'_>)],
+) -> RangeMap {
+    let mut combined = RangeMap::new();
+    // Same-span contributions: `(offset, length)` → `[(role, delta bytes)]`.
+    let mut spans: BTreeMap<_, Vec<(usize, &[u8])>> = BTreeMap::new();
+    for (role, ranges) in roles {
+        for (off, c) in ranges.iter() {
+            match &c.bytes {
+                Some(b) => spans
+                    .entry((off, c.len))
+                    .or_default()
+                    .push((*role, b.as_slice())),
+                None => combined.insert_xor(off, Chunk::ghost(c.len)),
+            }
+        }
+    }
+    for ((off, len), contribs) in spans {
+        let mut acc = BytesMut::take(len as usize);
+        rs.fill_combined_parity_delta(parity_index, &contribs, acc.as_mut());
+        combined.insert_xor(off, Chunk::real(acc.freeze()));
+    }
+    combined
 }
 
 #[cfg(test)]

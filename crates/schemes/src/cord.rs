@@ -5,10 +5,9 @@
 //! delta per parity block before anything crosses the network to the
 //! parity side. A per-stripe *collector* (co-located with the first parity
 //! block) XOR-folds raw deltas per data block into interval maps and
-//! combines them per parity at drain time
-//! ([`tsue_ec::RsCode::combined_parity_delta_into`]), slashing update
-//! traffic — and, since scaling is linear, buffering each delta **once**
-//! instead of `m` scaled copies.
+//! combines them per parity at drain time ([`stripe_parity_delta`]),
+//! slashing update traffic — and, since scaling is linear, buffering each
+//! delta **once** instead of `m` scaled copies.
 //!
 //! The paper's critique, faithfully modeled: the collector's buffer log is
 //! a fixed-size, single structure with no read/write concurrency — when it
@@ -19,18 +18,16 @@
 use crate::{AckTable, LogRegion};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::rangemap::{Gathered, RangeMap};
-use tsue_ecfs::scheme::{rmw_data_delta, Chunk, DeltaKind, SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use tsue_ecfs::scheme::{
+    reply_at, rmw_data_delta, send_at, stripe_parity_delta, Chunk, DeltaKind, SchemeMsg, UpdateReq,
+};
+use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
 /// Control tag: one parity-application of a drained entry completed.
 const CTRL_APPLIED: u64 = 3;
 /// Per-entry header bytes in the collector's buffer log.
 const ENTRY_HEADER: u64 = 32;
-
-/// Same-span delta contributions grouped for Eq. 5 combining:
-/// `(offset, length)` → `[(role, delta bytes)]`.
-type SpanGroups<'a> = std::collections::BTreeMap<(u64, u64), Vec<(usize, &'a [u8])>>;
 
 /// A delta waiting because the collector is draining.
 struct Queued {
@@ -110,10 +107,7 @@ impl Cord {
             self.buf_log
                 .append(core, osd, sim.now() + compute, len + ENTRY_HEADER);
         let (from, tag) = (q.from, q.tag);
-        sim.schedule_at(t_persist, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            w.core
-                .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-        });
+        reply_at(sim, t_persist, osd, from, SchemeMsg::Ack { tag });
         if self.buffered >= self.capacity {
             self.start_drain(core, sim, osd);
         }
@@ -151,26 +145,7 @@ impl Cord {
                 .collect();
             for j in 0..m {
                 let peer = core.owner_of(gstripe, k + j);
-                let mut combined = RangeMap::new();
-                let mut spans: SpanGroups<'_> = SpanGroups::new();
-                for (role, map) in &roles {
-                    for (off, c) in map.iter() {
-                        match &c.bytes {
-                            Some(b) => spans
-                                .entry((off, c.len))
-                                .or_default()
-                                .push((*role, b.as_slice())),
-                            None => combined.insert_xor(off, Chunk::ghost(c.len)),
-                        }
-                    }
-                }
-                for ((off, len), contribs) in spans {
-                    let mut acc = tsue_buf::BytesMut::take(len as usize);
-                    core.rs
-                        .fill_combined_parity_delta(j, &contribs, acc.as_mut());
-                    combined.insert_xor(off, Chunk::real(acc.freeze()));
-                }
-                for (off, chunk) in combined.drain() {
+                for (off, chunk) in stripe_parity_delta(&core.rs, j, &roles).drain() {
                     self.drain_inflight += 1;
                     let len = chunk.len;
                     let msg = SchemeMsg::DeltaForward {
@@ -222,19 +197,16 @@ impl UpdateScheme for Cord {
         // One message to the collector instead of M to the parity owners.
         let collector = core.owner_of(gstripe, core.cfg.stripe.k);
         let tag = self.acks.register(req.op_id, 1);
-        let (block, off, len) = (req.block, req.off, req.data.len);
-        sim.schedule_at(t_rmw, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            let msg = SchemeMsg::DeltaForward {
-                from: osd,
-                block,
-                off,
-                data: delta,
-                kind: DeltaKind::DataDelta,
-                parity_index: 0,
-                tag,
-            };
-            w.core.send_to_scheme(sim, osd, collector, len, msg);
-        });
+        let msg = SchemeMsg::DeltaForward {
+            from: osd,
+            block: req.block,
+            off: req.off,
+            data: delta,
+            kind: DeltaKind::DataDelta,
+            parity_index: 0,
+            tag,
+        };
+        send_at(sim, t_rmw, osd, collector, req.data.len, msg);
     }
 
     fn on_message(
@@ -278,28 +250,15 @@ impl UpdateScheme for Cord {
                 ..
             } => {
                 // Parity owner applies the aggregated delta directly.
-                let pblock = BlockId {
-                    role: core.cfg.stripe.k + parity_index,
-                    ..block
+                let pblock = core.parity_block(block, parity_index);
+                let t = core.xor_into_parity(osd, sim.now(), pblock, off, &data);
+                let ctrl = SchemeMsg::Control {
+                    from: osd,
+                    tag: CTRL_APPLIED,
+                    a: 0,
+                    b: 0,
                 };
-                let compute = core.xor_time(data.len);
-                let t = core.osds[osd].xor_block_range(
-                    sim.now(),
-                    pblock,
-                    off,
-                    data.len,
-                    data.bytes.as_deref(),
-                    compute,
-                );
-                sim.schedule_at(t, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    let ctrl = SchemeMsg::Control {
-                        from: osd,
-                        tag: CTRL_APPLIED,
-                        a: 0,
-                        b: 0,
-                    };
-                    w.core.send_to_scheme(sim, osd, from, ACK_BYTES, ctrl);
-                });
+                reply_at(sim, t, osd, from, ctrl);
             }
             SchemeMsg::Control { tag, .. } => {
                 debug_assert_eq!(tag, CTRL_APPLIED);
@@ -308,11 +267,7 @@ impl UpdateScheme for Cord {
                     self.finish_drain(core, sim, osd);
                 }
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind a CoRD peer
             // sends; anything else is a routing bug.
             _ => unreachable!("CoRD exchanges DeltaForward/Control/Ack"),

@@ -16,8 +16,8 @@
 use crate::{AckTable, LogRegion};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::rangemap::RangeMap;
-use tsue_ecfs::scheme::{DeltaKind, ReadServe, SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use tsue_ecfs::scheme::{reply_at, send_at, DeltaKind, ReadServe, SchemeMsg, UpdateReq};
+use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
 /// Per-entry header bytes.
@@ -46,7 +46,6 @@ pub struct Fl {
     waiting: VecDeque<Waiting>,
     /// Parity-side mirrored data (for durability until discard).
     plog: BTreeMap<BlockId, RangeMap>,
-    plog_bytes: u64,
     inflight: u64,
 }
 
@@ -69,7 +68,6 @@ impl Fl {
             recycling: false,
             waiting: VecDeque::new(),
             plog: BTreeMap::new(),
-            plog_bytes: 0,
             inflight: 0,
         }
     }
@@ -95,19 +93,15 @@ impl Fl {
         let tag = self.acks.register(req.op_id, m as u32);
         for j in 0..m {
             let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
-            let data = req.data.clone();
-            let (block, off) = (req.block, req.off);
-            sim.schedule_at(t_append, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                let msg = SchemeMsg::DataForward {
-                    from: osd,
-                    block,
-                    off,
-                    data,
-                    tag,
-                    seq: 0,
-                };
-                w.core.send_to_scheme(sim, osd, peer, len, msg);
-            });
+            let msg = SchemeMsg::DataForward {
+                from: osd,
+                block: req.block,
+                off: req.off,
+                data: req.data.clone(),
+                tag,
+                seq: 0,
+            };
+            send_at(sim, t_append, osd, peer, len, msg);
         }
     }
 
@@ -153,18 +147,16 @@ impl Fl {
                     let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
                     let pd = delta.gf_scaled(core.rs.coefficient(j, block.role));
                     self.inflight += 1;
-                    sim.schedule_at(t_send, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                        let msg = SchemeMsg::DeltaForward {
-                            from: osd,
-                            block,
-                            off,
-                            data: pd,
-                            kind: DeltaKind::ParityDelta,
-                            parity_index: j,
-                            tag: TAG_RECYCLE_DONE,
-                        };
-                        w.core.send_to_scheme(sim, osd, peer, len, msg);
-                    });
+                    let msg = SchemeMsg::DeltaForward {
+                        from: osd,
+                        block,
+                        off,
+                        data: pd,
+                        kind: DeltaKind::ParityDelta,
+                        parity_index: j,
+                        tag: TAG_RECYCLE_DONE,
+                    };
+                    send_at(sim, t_send, osd, peer, len, msg);
                 }
             }
         }
@@ -227,12 +219,8 @@ impl UpdateScheme for Fl {
                 // Parity-side durability append.
                 let len = data.len;
                 let (t_append, _) = self.log.append(core, osd, sim.now(), len + ENTRY_HEADER);
-                self.plog_bytes += len + ENTRY_HEADER;
                 self.plog.entry(block).or_default().insert(off, data);
-                sim.schedule_at(t_append, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core
-                        .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                });
+                reply_at(sim, t_append, osd, from, SchemeMsg::Ack { tag });
             }
             SchemeMsg::DeltaForward {
                 from,
@@ -243,31 +231,18 @@ impl UpdateScheme for Fl {
                 ..
             } => {
                 // Recycle-time parity application.
-                let pblock = BlockId {
-                    role: core.cfg.stripe.k + parity_index,
-                    ..block
-                };
-                let compute = core.xor_time(data.len);
-                let t = core.osds[osd].xor_block_range(
-                    sim.now(),
-                    pblock,
-                    off,
-                    data.len,
-                    data.bytes.as_deref(),
-                    compute,
-                );
+                let pblock = core.parity_block(block, parity_index);
+                let t = core.xor_into_parity(osd, sim.now(), pblock, off, &data);
                 // Applied: drop the durability copy and notify the data
                 // side that one application finished.
                 self.plog.remove(&block);
-                sim.schedule_at(t, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    let ctrl = SchemeMsg::Control {
-                        from: osd,
-                        tag: CTRL_DISCARD,
-                        a: 0,
-                        b: 0,
-                    };
-                    w.core.send_to_scheme(sim, osd, from, ACK_BYTES, ctrl);
-                });
+                let ctrl = SchemeMsg::Control {
+                    from: osd,
+                    tag: CTRL_DISCARD,
+                    a: 0,
+                    b: 0,
+                };
+                reply_at(sim, t, osd, from, ctrl);
             }
             SchemeMsg::Control { tag, .. } => {
                 debug_assert_eq!(tag, CTRL_DISCARD);
@@ -276,11 +251,7 @@ impl UpdateScheme for Fl {
                     self.finish_recycle(core, sim, osd);
                 }
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
         }
     }
 

@@ -7,8 +7,8 @@
 //! small random I/O, but recovery-ready at every instant.
 
 use crate::{forward_parity_deltas, AckTable};
-use tsue_ecfs::scheme::{SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use tsue_ecfs::scheme::{reply_at, SchemeMsg, UpdateReq};
+use tsue_ecfs::{Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
 /// The FO scheme state (per OSD).
@@ -58,29 +58,11 @@ impl UpdateScheme for Fo {
                 ..
             } => {
                 // In-place parity RMW, then ack the data OSD.
-                let pblock = BlockId {
-                    role: core.cfg.stripe.k + parity_index,
-                    ..block
-                };
-                let compute = core.xor_time(data.len);
-                let t = core.osds[osd].xor_block_range(
-                    sim.now(),
-                    pblock,
-                    off,
-                    data.len,
-                    data.bytes.as_deref(),
-                    compute,
-                );
-                sim.schedule_at(t, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core
-                        .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                });
+                let pblock = core.parity_block(block, parity_index);
+                let t = core.xor_into_parity(osd, sim.now(), pblock, off, &data);
+                reply_at(sim, t, osd, from, SchemeMsg::Ack { tag });
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind an FO peer
             // sends; anything else is a routing bug.
             _ => unreachable!("FO exchanges only DeltaForward/Ack"),

@@ -32,7 +32,7 @@ pub use tsue_ecfs::scheme::AckTable;
 use std::collections::HashMap;
 use tsue_device::StreamId;
 use tsue_ecfs::registry::reject_knobs;
-use tsue_ecfs::scheme::{rmw_data_delta, DeltaKind, SchemeMsg, UpdateReq};
+use tsue_ecfs::scheme::{rmw_data_delta, send_at, DeltaKind, SchemeMsg, UpdateReq};
 use tsue_ecfs::{Cluster, ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
 use tsue_sim::{Sim, Time};
 
@@ -224,20 +224,45 @@ pub fn forward_parity_deltas(
     for j in 0..m {
         let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
         let pd = delta.gf_scaled(core.rs.coefficient(j, req.block.role));
-        let (block, off, len) = (req.block, req.off, req.data.len);
-        sim.schedule_at(t_send, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            let msg = SchemeMsg::DeltaForward {
-                from: osd,
-                block,
-                off,
-                data: pd,
-                kind: DeltaKind::ParityDelta,
-                parity_index: j,
-                tag,
-            };
-            w.core.send_to_scheme(sim, osd, peer, len, msg);
-        });
+        let msg = SchemeMsg::DeltaForward {
+            from: osd,
+            block: req.block,
+            off: req.off,
+            data: pd,
+            kind: DeltaKind::ParityDelta,
+            parity_index: j,
+            tag,
+        };
+        send_at(sim, t_send, osd, peer, req.data.len, msg);
     }
+}
+
+/// Timer tag of one recycle-time parity application in flight — the only
+/// timer PL, PLR and PARIX arm.
+const TAG_RECYCLE_DONE: u64 = 1;
+
+/// Counts a parity application that completes at `done_at` into a
+/// scheme's in-flight backlog and arms the timer that takes it out again.
+pub(crate) fn track_recycle(
+    inflight: &mut u64,
+    core: &mut ClusterCore,
+    sim: &mut Sim<Cluster>,
+    osd: usize,
+    done_at: Time,
+) {
+    *inflight += 1;
+    core.scheme_timer(
+        sim,
+        osd,
+        done_at.saturating_sub(sim.now()),
+        TAG_RECYCLE_DONE,
+    );
+}
+
+/// The `on_timer` half of [`track_recycle`].
+pub(crate) fn recycle_done(inflight: &mut u64, tag: u64) {
+    debug_assert_eq!(tag, TAG_RECYCLE_DONE);
+    *inflight -= 1;
 }
 
 #[cfg(test)]

@@ -14,19 +14,17 @@
 //! Recycle folds `latest ⊕ original` per covered range into the parity
 //! block, then promotes `latest` to be the new `original`.
 
-use crate::{parity_index_of, AckTable, LogRegion};
+use crate::{parity_index_of, recycle_done, track_recycle, AckTable, LogRegion};
 use std::collections::BTreeMap;
 use tsue_ecfs::rangemap::RangeMap;
-use tsue_ecfs::scheme::{Chunk, SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use tsue_ecfs::scheme::{reply_at, send_at, Chunk, SchemeMsg, UpdateReq};
+use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
 /// Tag bit marking a `DataForward` that carries *original* (old) data.
 const OLD_BIT: u64 = 1 << 62;
 /// Control tag: parity asks the data OSD for original data.
 const CTRL_NEED_OLD: u64 = 1;
-/// Timer tag: one recycle application finished.
-const TAG_RECYCLE_DONE: u64 = 2;
 /// Per-entry header bytes in the parity log.
 const ENTRY_HEADER: u64 = 32;
 
@@ -105,10 +103,7 @@ impl Parix {
                 continue; // stale entry after a placement change
             };
             let coeff = core.rs.coefficient(j, dblock.role);
-            let pblock = BlockId {
-                role: core.cfg.stripe.k + j,
-                ..dblock
-            };
+            let pblock = core.parity_block(dblock, j);
             // INVARIANT: `dblock` came from `blocks.keys()` just above, and
             // this loop removes nothing.
             let log_state = self.blocks.get_mut(&dblock).expect("key exists");
@@ -153,8 +148,7 @@ impl Parix {
                     pd.bytes.as_deref(),
                     compute,
                 );
-                self.inflight += 1;
-                core.scheme_timer(sim, osd, t_done.saturating_sub(now), TAG_RECYCLE_DONE);
+                track_recycle(&mut self.inflight, core, sim, osd, t_done);
                 // The merged content becomes the new original.
                 log_state.original.insert(off, newest);
             }
@@ -238,39 +232,31 @@ impl UpdateScheme for Parix {
             );
             for j in 0..m {
                 let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
-                let data = old.clone();
-                let (block, off, len) = (req.block, req.off, old.len);
+                let msg = SchemeMsg::DataForward {
+                    from: osd,
+                    block: req.block,
+                    off: req.off,
+                    data: old.clone(),
+                    tag: tag | OLD_BIT,
+                    seq: 0,
+                };
                 // Submitted before the new-data forward: per-pair FIFO
                 // guarantees the parity sees the original first.
-                sim.schedule_at(t_write, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    let msg = SchemeMsg::DataForward {
-                        from: osd,
-                        block,
-                        off,
-                        data,
-                        tag: tag | OLD_BIT,
-                        seq: 0,
-                    };
-                    w.core.send_to_scheme(sim, osd, peer, len, msg);
-                });
+                send_at(sim, t_write, osd, peer, old.len, msg);
             }
         }
         // Forward the new data to every parity owner.
         for j in 0..m {
             let peer = core.owner_of(gstripe, core.cfg.stripe.k + j);
-            let data = req.data.clone();
-            let (block, off, len) = (req.block, req.off, req.data.len);
-            sim.schedule_at(t_write, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                let msg = SchemeMsg::DataForward {
-                    from: osd,
-                    block,
-                    off,
-                    data,
-                    tag,
-                    seq: 0,
-                };
-                w.core.send_to_scheme(sim, osd, peer, len, msg);
-            });
+            let msg = SchemeMsg::DataForward {
+                from: osd,
+                block: req.block,
+                off: req.off,
+                data: req.data.clone(),
+                tag,
+                seq: 0,
+            };
+            send_at(sim, t_write, osd, peer, req.data.len, msg);
         }
     }
 
@@ -297,15 +283,7 @@ impl UpdateScheme for Parix {
                 self.log_bytes += len + ENTRY_HEADER;
                 let state = self.blocks.entry(block).or_default();
                 state.original.insert_absent(off, data);
-                sim.schedule_at(t_append, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core.send_to_scheme(
-                        sim,
-                        osd,
-                        from,
-                        ACK_BYTES,
-                        SchemeMsg::Ack { tag: real_tag },
-                    );
-                });
+                reply_at(sim, t_append, osd, from, SchemeMsg::Ack { tag: real_tag });
             }
             SchemeMsg::DataForward {
                 from,
@@ -323,23 +301,18 @@ impl UpdateScheme for Parix {
                 let state = self.blocks.entry(block).or_default();
                 let have_old = state.original.overlay(off, len, None);
                 state.latest.insert(off, data);
-                if have_old {
-                    sim.schedule_at(t_append, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                        w.core
-                            .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                    });
+                let reply = if have_old {
+                    SchemeMsg::Ack { tag }
                 } else {
                     // The 2× network penalty: request the original.
-                    sim.schedule_at(t_append, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                        let ctrl = SchemeMsg::Control {
-                            from: osd,
-                            tag,
-                            a: CTRL_NEED_OLD,
-                            b: 0,
-                        };
-                        w.core.send_to_scheme(sim, osd, from, ACK_BYTES, ctrl);
-                    });
-                }
+                    SchemeMsg::Control {
+                        from: osd,
+                        tag,
+                        a: CTRL_NEED_OLD,
+                        b: 0,
+                    }
+                };
+                reply_at(sim, t_append, osd, from, reply);
                 if self.log_bytes > self.threshold {
                     self.start_recycle(core, sim, osd);
                 }
@@ -366,26 +339,15 @@ impl UpdateScheme for Parix {
                 }
                 core.send_to_scheme(sim, osd, from, len, reply);
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind a PARIX peer
             // sends; anything else is a routing bug.
             _ => unreachable!("PARIX exchanges DataForward/Control/Ack"),
         }
     }
 
-    fn on_timer(
-        &mut self,
-        _core: &mut ClusterCore,
-        _sim: &mut Sim<Cluster>,
-        _osd: usize,
-        tag: u64,
-    ) {
-        debug_assert_eq!(tag, TAG_RECYCLE_DONE);
-        self.inflight -= 1;
+    fn on_timer(&mut self, _: &mut ClusterCore, _: &mut Sim<Cluster>, _osd: usize, tag: u64) {
+        recycle_done(&mut self.inflight, tag);
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {

@@ -9,15 +9,13 @@
 //! failure before recycling stalls recovery behind a recycle storm — the
 //! consistency issue §2.3.2 highlights.
 
-use crate::{forward_parity_deltas, AckTable, LogMirrors, LogRegion};
-use tsue_ecfs::scheme::{Chunk, SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogMirrors, LogRegion};
+use tsue_ecfs::scheme::{reply_at, Chunk, SchemeMsg, UpdateReq};
+use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
 /// Per-entry header bytes persisted with each logged delta.
 const ENTRY_HEADER: u64 = 32;
-/// Timer tag: one in-flight recycle application finished.
-const TAG_RECYCLE_DONE: u64 = 1;
 
 /// One logged parity delta awaiting recycle.
 struct PlEntry {
@@ -71,17 +69,8 @@ impl Pl {
             let t_read = self
                 .log
                 .read(core, osd, now, e.dev_off, e.data.len + ENTRY_HEADER);
-            let compute = core.xor_time(e.data.len);
-            let t_done = core.osds[osd].xor_block_range(
-                t_read,
-                e.pblock,
-                e.off,
-                e.data.len,
-                e.data.bytes.as_deref(),
-                compute,
-            );
-            self.inflight += 1;
-            core.scheme_timer(sim, osd, t_done - now, TAG_RECYCLE_DONE);
+            let t_done = core.xor_into_parity(osd, t_read, e.pblock, e.off, &e.data);
+            track_recycle(&mut self.inflight, core, sim, osd, t_done);
         }
         self.log_bytes = 0;
     }
@@ -125,10 +114,7 @@ impl UpdateScheme for Pl {
                 let len = data.len;
                 let (t_append, dev_off) = self.log.append(core, osd, sim.now(), len + ENTRY_HEADER);
                 self.entries.push(PlEntry {
-                    pblock: BlockId {
-                        role: core.cfg.stripe.k + parity_index,
-                        ..block
-                    },
+                    pblock: core.parity_block(block, parity_index),
                     off,
                     data,
                     dev_off,
@@ -139,34 +125,20 @@ impl UpdateScheme for Pl {
                 let t_ack =
                     self.mirrors
                         .replicate(core, osd, sim.now(), t_append, len + ENTRY_HEADER);
-                sim.schedule_at(t_ack, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core
-                        .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                });
+                reply_at(sim, t_ack, osd, from, SchemeMsg::Ack { tag });
                 if self.log_bytes > self.threshold {
                     self.start_recycle(core, sim, osd);
                 }
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind a PL peer
             // sends; anything else is a routing bug.
             _ => unreachable!("PL exchanges only DeltaForward/Ack"),
         }
     }
 
-    fn on_timer(
-        &mut self,
-        _core: &mut ClusterCore,
-        _sim: &mut Sim<Cluster>,
-        _osd: usize,
-        tag: u64,
-    ) {
-        debug_assert_eq!(tag, TAG_RECYCLE_DONE);
-        self.inflight -= 1;
+    fn on_timer(&mut self, _: &mut ClusterCore, _: &mut Sim<Cluster>, _osd: usize, tag: u64) {
+        recycle_done(&mut self.inflight, tag);
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {

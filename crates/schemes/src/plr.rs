@@ -10,18 +10,16 @@
 //! region fills, recycling happens *inline*, stalling the update that
 //! triggered it.
 
-use crate::{forward_parity_deltas, AckTable, LogMirrors};
+use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogMirrors};
 use std::collections::BTreeMap;
 use tsue_device::IoKind;
 use tsue_ecfs::osd::STREAM_SCHEME_BASE;
-use tsue_ecfs::scheme::{Chunk, SchemeMsg, UpdateReq};
-use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme, ACK_BYTES};
+use tsue_ecfs::scheme::{reply_at, Chunk, SchemeMsg, UpdateReq};
+use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::{Sim, Time};
 
 /// Per-entry header persisted with each logged delta.
 const ENTRY_HEADER: u64 = 32;
-/// Timer tag: an inline recycle application finished.
-const TAG_RECYCLE_DONE: u64 = 1;
 /// Reserved region size as a fraction of the block size (1/4, following
 /// the FAST '14 default of reserving modest space per parity block).
 const RESERVE_DIV: u64 = 4;
@@ -87,19 +85,9 @@ impl Plr {
         let entries = std::mem::take(&mut r.entries);
         r.cursor = 0;
         let mut t = t_read;
-        let now = sim.now();
         for (off, data) in entries {
-            let compute = core.xor_time(data.len);
-            t = core.osds[osd].xor_block_range(
-                t,
-                pblock,
-                off,
-                data.len,
-                data.bytes.as_deref(),
-                compute,
-            );
-            self.inflight += 1;
-            core.scheme_timer(sim, osd, t.saturating_sub(now), TAG_RECYCLE_DONE);
+            t = core.xor_into_parity(osd, t, pblock, off, &data);
+            track_recycle(&mut self.inflight, core, sim, osd, t);
         }
         t
     }
@@ -138,10 +126,7 @@ impl UpdateScheme for Plr {
                 tag,
                 ..
             } => {
-                let pblock = BlockId {
-                    role: core.cfg.stripe.k + parity_index,
-                    ..block
-                };
+                let pblock = core.parity_block(block, parity_index);
                 let reserve_size = core.cfg.stripe.block_size / RESERVE_DIV;
                 if let std::collections::btree_map::Entry::Vacant(e) = self.reserved.entry(pblock) {
                     // Lease + format the reserved region; formatting marks
@@ -187,31 +172,17 @@ impl UpdateScheme for Plr {
                 // The ack waits for every mirror copy (no-op at the
                 // default `log_replicas = 1`).
                 let t_ack = self.mirrors.replicate(core, osd, now, t_append, need);
-                sim.schedule_at(t_ack, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                    w.core
-                        .send_to_scheme(sim, osd, from, ACK_BYTES, SchemeMsg::Ack { tag });
-                });
+                reply_at(sim, t_ack, osd, from, SchemeMsg::Ack { tag });
             }
-            SchemeMsg::Ack { tag } => {
-                if let Some(op_id) = self.acks.ack(tag) {
-                    core.extent_done(sim, osd, op_id);
-                }
-            }
+            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind a PLR peer
             // sends; anything else is a routing bug.
             _ => unreachable!("PLR exchanges only DeltaForward/Ack"),
         }
     }
 
-    fn on_timer(
-        &mut self,
-        _core: &mut ClusterCore,
-        _sim: &mut Sim<Cluster>,
-        _osd: usize,
-        tag: u64,
-    ) {
-        debug_assert_eq!(tag, TAG_RECYCLE_DONE);
-        self.inflight -= 1;
+    fn on_timer(&mut self, _: &mut ClusterCore, _: &mut Sim<Cluster>, _osd: usize, tag: u64) {
+        recycle_done(&mut self.inflight, tag);
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {

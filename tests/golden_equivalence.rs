@@ -49,6 +49,42 @@ fn ablation_o3_scenario_matches_pre_refactor_golden() {
     );
 }
 
+/// `scenarios/scrub_bitrot.json` (materialized, 3-copy data log, bit rot →
+/// power loss → node kill) is the only scenario that consumes the torn
+/// tail record; `scenarios/rack_failure_online.json` runs TSUE on HDD —
+/// the two-layer path with rack-aware replica peers — through a rack kill.
+#[test]
+fn fault_scenarios_match_golden() {
+    assert_golden(
+        include_str!("../scenarios/scrub_bitrot.json"),
+        include_str!("golden/scrub-bitrot.json"),
+    );
+    assert_golden(
+        include_str!("../scenarios/rack_failure_online.json"),
+        include_str!("golden/rack-failure-online.json"),
+    );
+}
+
+/// The whole Fig. 7 ladder: `scenarios/tsue_ablation_o3.json` at
+/// `breakdown_level` 0…5 (levels 0–2 are the raw-record `LogUnit` path no
+/// other golden runs), against one file holding the six outcomes in order.
+#[test]
+fn ablation_ladder_matches_golden() {
+    let file = include_str!("golden/tsue-ablation-ladder.json");
+    let golden: Vec<ScenarioOutcome> = serde_json::from_str(file).expect("ladder parses");
+    assert_eq!(golden.len(), 6);
+    // Parsing loses nothing, so comparing against re-printed elements is
+    // as strict as comparing against the file's bytes.
+    assert!(serde_json::to_string_pretty(&golden).unwrap() == file);
+    for (level, want) in golden.iter().enumerate() {
+        let scenario = include_str!("../scenarios/tsue_ablation_o3.json").replace(
+            "\"breakdown_level\": 3",
+            &format!("\"breakdown_level\": {level}"),
+        );
+        assert_golden(&scenario, &serde_json::to_string_pretty(want).unwrap());
+    }
+}
+
 /// GF kernel choice never changes simulation outcomes: both golden
 /// scenarios reproduce the captured `{spec, result}` bytes on **every**
 /// kernel tier the host supports — scalar reference, portable, and
