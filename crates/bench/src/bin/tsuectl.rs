@@ -7,7 +7,6 @@
 //!                                             regenerate the paper's figures/tables
 //! tsuectl trace-check <trace.json> [--result FILE]
 //!                                             validate an emitted Chrome trace
-//! tsuectl lint [--json] [--json-out FILE]     workspace invariant checker (tsue_lint)
 //! tsuectl list                                registered schemes + bundled scenarios
 //! tsuectl [flags...]                          ad-hoc single run (see --help)
 //! ```
@@ -50,9 +49,6 @@ subcommands:\n\
                                           validate a --trace-out dump: parses the JSON and\n\
                                           requires ≥1 complete span; with --result, requires\n\
                                           a span per op class the run actually completed\n\
-  lint [--json] [--json-out FILE]         run the workspace invariant checker\n\
-                                          (tsue_lint); exits nonzero on violations or\n\
-                                          an exceeded exemption budget\n\
   list                                    print registered schemes and bundled scenarios\n\n\
 ad-hoc flags (assembled into a scenario spec):\n\
   --scheme NAME                           update scheme by registry name (default tsue)\n\
@@ -107,52 +103,10 @@ fn main() {
             list();
         }
         Some("run") => run_file(&args[1..]),
-        Some("lint") => lint(&args[1..]),
         Some("figures") => figures(&args[1..]),
         Some("trace-check") => trace_check(&args[1..]),
         Some("--help") | Some("-h") => println!("{HELP}"),
         _ => adhoc(&args),
-    }
-}
-
-/// `tsuectl lint` — the workspace invariant checker, exposed beside the
-/// run/figures entry points so one binary covers the whole workflow. Walks
-/// up from the current directory to the `lint.toml` root and exits
-/// nonzero unless the workspace is clean.
-fn lint(rest: &[String]) {
-    let mut json = false;
-    let mut json_out: Option<String> = None;
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--json" => json = true,
-            "--json-out" => json_out = Some(value_after(rest, &mut i)),
-            other => fail(&format!("unknown lint flag '{other}'")),
-        }
-        i += 1;
-    }
-    let cwd = std::env::current_dir().unwrap_or_else(|_| ".".into());
-    let root = tsue_lint::find_root(&cwd)
-        .unwrap_or_else(|| fail(&format!("no lint.toml found above {}", cwd.display())));
-    let report = match tsue_lint::run_workspace(&root) {
-        Ok(r) => r,
-        Err(e) => fail(&format!("lint failed: {e}")),
-    };
-    if let Some(path) = &json_out {
-        if let Err(e) = std::fs::write(path, report.render_json()) {
-            fail(&format!("cannot write {path}: {e}"));
-        }
-    }
-    print!(
-        "{}",
-        if json {
-            report.render_json()
-        } else {
-            report.render_text()
-        }
-    );
-    if !report.clean() {
-        std::process::exit(1);
     }
 }
 
@@ -198,6 +152,10 @@ fn figures(rest: &[String]) {
         i += 1;
     }
     let what = what.unwrap_or("all");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the stderr banner reports host wall time; no result reads it"
+    )]
     let wall = std::time::Instant::now();
     for (name, run) in FIGURES {
         if what == "all" || what == name {

@@ -450,7 +450,11 @@ pub fn ext_unit_size(scale: Scale) -> Vec<UnitSizeRow> {
         let mut world = s.build_cluster(&registry).expect("unit-size spec is valid");
         let mut sim: Sim<Cluster> = Sim::new();
         run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
-        let end = world.core.stop_at.unwrap().max(sim.now());
+        let end = world
+            .core
+            .stop_at
+            .expect("run_workload sets stop_at")
+            .max(sim.now());
         let iops = world.core.metrics.iops(end);
         world.flush_all(&mut sim);
         let stats = tsue_core::tsue::harvest_residency(&world);

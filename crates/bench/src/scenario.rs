@@ -676,6 +676,10 @@ pub fn run_scenario_traced(
 /// returning the results in item order; a single item (or core) runs
 /// inline. The workspace's only host parallelism: shared-nothing, one
 /// independent [`Sim`] per thread, so every run stays deterministic.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fan-out across independent runs; each thread owns its own `Sim`"
+)]
 pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
     let workers = std::thread::available_parallelism()
         .map_or(2, |n| n.get())

@@ -2,7 +2,7 @@
 //! byte-map reference model, and pool lifecycle conservation.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tsue_core::{LogPool, LogUnit, UnitState};
 use tsue_ecfs::rangemap::Discipline;
 use tsue_ecfs::Chunk;
@@ -18,7 +18,7 @@ proptest! {
         locality: bool,
     ) {
         let mut unit: LogUnit<u32> = LogUnit::new(0);
-        let mut model: HashMap<(u32, u64), u8> = HashMap::new();
+        let mut model: BTreeMap<(u32, u64), u8> = BTreeMap::new();
         for (key, off, len, val) in &ops {
             unit.append(
                 *key,
@@ -107,7 +107,7 @@ proptest! {
         ops in proptest::collection::vec((0u64..100, 1u64..30, any::<u8>()), 1..80),
     ) {
         let mut unit: LogUnit<u32> = LogUnit::new(0);
-        let mut model: HashMap<u64, u8> = HashMap::new();
+        let mut model: BTreeMap<u64, u8> = BTreeMap::new();
         for (off, len, val) in &ops {
             unit.append(
                 7,

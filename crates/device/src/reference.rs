@@ -1,17 +1,17 @@
-//! Test-only reference device: the hash-table bookkeeping the dense tables
-//! replaced (`HashMap` FTL in both directions, `HashSet` written-page map,
-//! `HashMap` stream tails), kept verbatim so the differential test below
-//! can hold the table-driven [`Device`] to the same completion time for
-//! every op, the same [`DeviceStats`] and the same FTL occupancy.
+//! Test-only reference device: the map-based bookkeeping the dense tables
+//! replaced (FTL map in both directions, written-page set, per-stream
+//! tails), kept so the differential test below can hold the
+//! table-driven [`Device`] to the same completion time for every op, the
+//! same [`DeviceStats`] and the same FTL occupancy.
 
 use crate::ssd::{GcWork, SsdSpec, PAGES_PER_BLOCK, PAGE_SIZE};
 use crate::{Device, DeviceStats, IoKind, Locality, SsdModel, StreamId};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use tsue_sim::{MultiResource, Time, MICROSECOND};
 
 struct RefFtl {
-    map: HashMap<u64, u64>,
-    rmap: HashMap<u64, u64>,
+    map: BTreeMap<u64, u64>,
+    rmap: BTreeMap<u64, u64>,
     valid: Vec<u16>,
     free_blocks: Vec<u64>,
     active_block: u64,
@@ -22,8 +22,8 @@ struct RefFtl {
 impl RefFtl {
     fn new(blocks: u64) -> Self {
         RefFtl {
-            map: HashMap::new(),
-            rmap: HashMap::new(),
+            map: BTreeMap::new(),
+            rmap: BTreeMap::new(),
             valid: vec![0; blocks as usize],
             free_blocks: (1..blocks).rev().collect(),
             active_block: 0,
@@ -95,8 +95,8 @@ struct RefDevice {
     channels: MultiResource,
     ftl: RefFtl,
     stats: DeviceStats,
-    stream_tails: HashMap<StreamId, u64>,
-    written: HashSet<u64>,
+    stream_tails: BTreeMap<StreamId, u64>,
+    written: BTreeSet<u64>,
 }
 
 impl RefDevice {
@@ -107,8 +107,8 @@ impl RefDevice {
             ftl: RefFtl::new(spec.flash_blocks(logical_capacity)),
             spec,
             stats: DeviceStats::default(),
-            stream_tails: HashMap::new(),
-            written: HashSet::new(),
+            stream_tails: BTreeMap::new(),
+            written: BTreeSet::new(),
         }
     }
 

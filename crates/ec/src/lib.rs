@@ -251,10 +251,10 @@ impl RsCode {
         if missing.is_empty() {
             return Ok(());
         }
-        let len = shards[present[0]].as_ref().unwrap().len();
+        let len = shards[present[0]].as_ref().expect("present shard").len();
         if present
             .iter()
-            .any(|&i| shards[i].as_ref().unwrap().len() != len)
+            .any(|&i| shards[i].as_ref().expect("present shard").len() != len)
         {
             return Err(EcError::ShardSizeMismatch);
         }
@@ -274,7 +274,7 @@ impl RsCode {
         let (out_data, out_parity) = {
             let inputs: Vec<&[u8]> = use_rows
                 .iter()
-                .map(|&i| shards[i].as_ref().unwrap().as_slice())
+                .map(|&i| shards[i].as_ref().expect("present shard").as_slice())
                 .collect();
             let out_data = if missing_data.is_empty() {
                 Vec::new()

@@ -207,7 +207,7 @@ mod tests {
         let layout = StripeLayout::new(16);
         let bps = 10; // RS(6,4)
         for stripe in 0..32u64 {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for role in 0..bps {
                 let n = layout.node_for(stripe, role, bps);
                 assert!(n < 16);

@@ -33,7 +33,7 @@ proptest! {
         let mut loss_rng = StdRng::seed_from_u64(losses_seed);
         let n_lost = loss_rng.gen_range(1..=m);
         let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-        let mut lost = std::collections::HashSet::new();
+        let mut lost = std::collections::BTreeSet::new();
         while lost.len() < n_lost {
             lost.insert(loss_rng.gen_range(0..k + m));
         }

@@ -25,7 +25,7 @@
 use crate::osd::{BlockId, STREAM_BLOCK, STREAM_JOURNAL};
 use crate::scheme::Chunk;
 use crate::{payload_into, Cluster, ClusterCore};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use tsue_device::IoKind;
 use tsue_net::NodeId;
 use tsue_sim::Sim;
@@ -51,7 +51,7 @@ pub struct DegradedJournal {
     entries: BTreeMap<BlockId, Vec<JournalEntry>>,
     /// Dedupe set: `(op_id, ext)` pairs already journaled (duplicate
     /// delivery must not replay an extent twice).
-    seen: HashSet<(u64, usize)>,
+    seen: BTreeSet<(u64, usize)>,
     /// Extents journaled (deduplicated).
     pub entries_appended: u64,
     /// Bytes journaled (deduplicated).

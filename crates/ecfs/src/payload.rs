@@ -119,7 +119,7 @@ mod tests {
     /// its own op was invisible to `check_consistency`.
     #[test]
     fn extents_and_ops_carry_pairwise_distinct_payloads() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for op_id in 0..1024 {
             for ext in 0..8 {
                 let p = payload(op_id, ext, 4096);

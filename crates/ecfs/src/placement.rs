@@ -192,7 +192,7 @@ impl PlacementPolicy for RackAwarePlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
 
     #[test]
     fn tokens_round_trip() {
@@ -224,7 +224,7 @@ mod tests {
         let p = RackAwarePlacement::new(16, 4);
         let bps = 6; // RS(4, 2)
         for s in 0..64u64 {
-            let mut nodes = HashSet::new();
+            let mut nodes = BTreeSet::new();
             let mut per_rack = [0usize; 4];
             for role in 0..bps {
                 let n = p.node_for(s, role, bps);

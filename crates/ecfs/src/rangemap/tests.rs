@@ -10,7 +10,7 @@ fn real(byte: u8, len: usize) -> Chunk {
 }
 
 /// Reference model: plain byte map.
-fn check_against_model(map: &RangeMap, model: &std::collections::HashMap<u64, u8>, span: u64) {
+fn check_against_model(map: &RangeMap, model: &std::collections::BTreeMap<u64, u8>, span: u64) {
     for off in 0..span {
         let mut buf = [0xEEu8; 1];
         let covered = map.overlay(off, 1, Some(&mut buf));
@@ -29,7 +29,7 @@ fn overwrite_newest_wins() {
     let mut m = RangeMap::new();
     m.insert(10, real(1, 10)); // [10,20) = 1
     m.insert(15, real(2, 10)); // [15,25) = 2
-    let mut model = std::collections::HashMap::new();
+    let mut model = std::collections::BTreeMap::new();
     for o in 10..15 {
         model.insert(o, 1);
     }
@@ -59,7 +59,7 @@ fn absent_preserves_existing() {
     let mut m = RangeMap::new();
     m.insert_absent(10, real(1, 10));
     m.insert_absent(5, real(2, 10)); // only [5,10) takes
-    let mut model = std::collections::HashMap::new();
+    let mut model = std::collections::BTreeMap::new();
     for o in 5..10 {
         model.insert(o, 2);
     }
@@ -135,7 +135,7 @@ fn drain_empties_in_order() {
 fn randomized_against_reference_model() {
     // Deterministic pseudo-random fuzz of Overwrite mode vs a byte map.
     let mut m = RangeMap::new();
-    let mut model = std::collections::HashMap::new();
+    let mut model = std::collections::BTreeMap::new();
     let mut x: u64 = 0x12345;
     for i in 0..500 {
         x = x
@@ -156,7 +156,7 @@ fn randomized_against_reference_model() {
 #[test]
 fn xor_randomized_against_reference() {
     let mut m = RangeMap::new();
-    let mut model = std::collections::HashMap::<u64, u8>::new();
+    let mut model = std::collections::BTreeMap::<u64, u8>::new();
     let mut x: u64 = 99;
     for _ in 0..300 {
         x = x

@@ -112,7 +112,7 @@ pub struct RecoveryState {
     /// Next phase token handed out by [`start_recovery`].
     next_phase: u64,
     /// Per-phase counters, keyed by phase token.
-    phases: std::collections::HashMap<u64, PhaseStats>,
+    phases: std::collections::BTreeMap<u64, PhaseStats>,
     /// Targets of rebuilds still in flight, `(gstripe, role, node)`:
     /// the MDS rehome table only learns a target at completion, so
     /// concurrent rebuilds of one stripe consult this to avoid doubling
@@ -121,7 +121,7 @@ pub struct RecoveryState {
     /// Blocks currently queued or in flight — overlapping victim sets
     /// (a rack kill followed by a kill of one of its nodes) must not
     /// rebuild the same block twice.
-    scheduled: std::collections::HashSet<BlockId>,
+    scheduled: std::collections::BTreeSet<BlockId>,
     /// Blocks rebuilt so far (all phases).
     pub blocks_rebuilt: u64,
     /// Blocks skipped so far (all phases; see [`PhaseStats::skipped`]).
@@ -144,9 +144,9 @@ impl Default for RecoveryState {
             concurrency: 8,
             rr: 0,
             next_phase: 0,
-            phases: std::collections::HashMap::new(),
+            phases: std::collections::BTreeMap::new(),
             inflight_targets: Vec::new(),
-            scheduled: std::collections::HashSet::new(),
+            scheduled: std::collections::BTreeSet::new(),
             blocks_rebuilt: 0,
             blocks_skipped: 0,
             blocks_unrecoverable: 0,

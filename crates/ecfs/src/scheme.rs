@@ -570,7 +570,7 @@ pub fn deliver_read(
 #[derive(Debug, Default)]
 pub struct AckTable {
     next: u64,
-    pending: std::collections::HashMap<u64, (u64, u32)>,
+    pending: std::collections::BTreeMap<u64, (u64, u32)>,
 }
 
 impl AckTable {

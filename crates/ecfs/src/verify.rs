@@ -8,14 +8,14 @@
 
 use crate::osd::BlockId;
 use crate::{payload_into, Cluster};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Rebuilds the expected content of every data block by replaying the
 /// recorded update-extent arrivals in OSD-serialized order.
 ///
 /// # Panics
 /// Panics if the cluster was not configured with `record_arrivals`.
-pub fn reference_data(world: &Cluster) -> HashMap<BlockId, Vec<u8>> {
+pub fn reference_data(world: &Cluster) -> BTreeMap<BlockId, Vec<u8>> {
     let arrivals = world
         .core
         .metrics
@@ -25,7 +25,7 @@ pub fn reference_data(world: &Cluster) -> HashMap<BlockId, Vec<u8>> {
         // names the config flag the caller must set.
         .expect("reference_data needs cfg.record_arrivals");
     let bs = world.core.cfg.stripe.block_size as usize;
-    let mut blocks: HashMap<BlockId, Vec<u8>> = HashMap::new();
+    let mut blocks: BTreeMap<BlockId, Vec<u8>> = BTreeMap::new();
     for a in arrivals {
         let buf = blocks.entry(a.block).or_insert_with(|| vec![0u8; bs]);
         payload_into(
@@ -41,7 +41,7 @@ pub fn reference_data(world: &Cluster) -> HashMap<BlockId, Vec<u8>> {
 /// Returns the number of blocks compared.
 ///
 /// # Errors
-/// Returns a description of the first mismatch.
+/// Returns a description of the first mismatch in `BlockId` order.
 pub fn check_data_blocks(world: &Cluster) -> Result<usize, String> {
     let reference = reference_data(world);
     let mut checked = 0;

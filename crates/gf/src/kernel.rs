@@ -422,8 +422,8 @@ pub(crate) mod portable {
         let mut src_chunks = src.chunks_exact(8);
         let mut dst_chunks = dst.chunks_exact_mut(8);
         for (s, d) in (&mut src_chunks).zip(&mut dst_chunks) {
-            let sv = u64::from_ne_bytes(s.try_into().unwrap());
-            let dv = u64::from_ne_bytes((&*d).try_into().unwrap());
+            let sv = u64::from_ne_bytes(s.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            let dv = u64::from_ne_bytes((&*d).try_into().expect("chunks_exact(8) yields 8 bytes"));
             d.copy_from_slice(&(sv ^ dv).to_ne_bytes());
         }
         for (s, d) in src_chunks
@@ -441,8 +441,8 @@ pub(crate) mod portable {
         let mut bc = b.chunks_exact(8);
         let mut dc = dst.chunks_exact_mut(8);
         for ((s, t), d) in (&mut ac).zip(&mut bc).zip(&mut dc) {
-            let sv = u64::from_ne_bytes(s.try_into().unwrap());
-            let tv = u64::from_ne_bytes(t.try_into().unwrap());
+            let sv = u64::from_ne_bytes(s.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            let tv = u64::from_ne_bytes(t.try_into().expect("chunks_exact(8) yields 8 bytes"));
             d.copy_from_slice(&(sv ^ tv).to_ne_bytes());
         }
         for ((s, t), d) in ac

@@ -24,12 +24,12 @@ fn for_each_tier(mut f: impl FnMut(KernelTier)) {
     struct Restore;
     impl Drop for Restore {
         fn drop(&mut self) {
-            set_kernel_tier(KernelTier::best()).unwrap();
+            set_kernel_tier(KernelTier::best()).expect("the best tier is always available");
         }
     }
     let _restore = Restore;
     for tier in KernelTier::available() {
-        set_kernel_tier(tier).unwrap();
+        set_kernel_tier(tier).expect("listed by available()");
         f(tier);
     }
 }

@@ -26,7 +26,7 @@ pub use hist::{HistReport, Histogram, LatencySummary, NUM_BUCKETS, SUB_BUCKETS};
 pub use trace::{TraceEvent, TraceRing, DEFAULT_TRACE_CAPACITY};
 
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use tsue_sim::Time;
 
 /// Completed-operation classes, each with its own latency histogram.
@@ -136,7 +136,7 @@ struct SpanState {
 pub struct ObsState {
     classes: Vec<Histogram>,
     stages: Vec<Histogram>,
-    spans: HashMap<u64, SpanState>,
+    spans: BTreeMap<u64, SpanState>,
     trace: Option<TraceRing>,
     /// Time-series samples appended by the scenario harness probe.
     pub series: ObsSeries,
@@ -148,7 +148,7 @@ impl ObsState {
         ObsState {
             classes: (0..OpClass::ALL.len()).map(|_| Histogram::new()).collect(),
             stages: (0..Stage::ALL.len()).map(|_| Histogram::new()).collect(),
-            spans: HashMap::new(),
+            spans: BTreeMap::new(),
             trace: None,
             series: ObsSeries::default(),
         }

@@ -29,7 +29,7 @@ pub use plr::Plr;
 pub use tsue_ecfs::logregion::LogRegion;
 pub use tsue_ecfs::scheme::AckTable;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use tsue_device::StreamId;
 use tsue_ecfs::registry::reject_knobs;
 use tsue_ecfs::scheme::{rmw_data_delta, send_at, DeltaKind, SchemeMsg, UpdateReq};
@@ -50,7 +50,7 @@ use tsue_sim::{Sim, Time};
 /// the durability cost the paper's single-copy baselines omit. With the
 /// default `log_replicas = 1` this is a no-op.
 pub struct LogMirrors {
-    regions: HashMap<usize, LogRegion>,
+    regions: BTreeMap<usize, LogRegion>,
     stream_base: StreamId,
 }
 
@@ -59,7 +59,7 @@ impl LogMirrors {
     /// [`LogRegion::new`]).
     pub fn new(stream_base: StreamId) -> Self {
         LogMirrors {
-            regions: HashMap::new(),
+            regions: BTreeMap::new(),
             stream_base,
         }
     }

@@ -238,7 +238,11 @@ impl TraceGen {
             }
             u -= p;
         }
-        self.profile.size_dist.last().unwrap().0
+        self.profile
+            .size_dist
+            .last()
+            .expect("validated non-empty")
+            .0
     }
 
     /// Draws an aligned offset with layered hot-set + self-similar skew.
@@ -333,7 +337,7 @@ mod tests {
     fn temporal_repeats_occur() {
         let mut g = TraceGen::new(small_profile(), 64 << 20, 9);
         let ops = g.take_ops(5_000);
-        let mut seen = std::collections::HashMap::new();
+        let mut seen = std::collections::BTreeMap::new();
         let mut repeats = 0usize;
         for op in &ops {
             *seen.entry((op.offset, op.len)).or_insert(0usize) += 1;

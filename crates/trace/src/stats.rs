@@ -2,7 +2,7 @@
 //! calibration targets (update ratio, size quantiles, footprint, locality).
 
 use crate::{OpKind, TraceOp};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Summary statistics over a trace sample.
 #[derive(Clone, Debug)]
@@ -45,7 +45,7 @@ impl TraceStats {
         let le_16k = ops.iter().filter(|o| o.len <= 16 << 10).count() as f64 / n as f64;
 
         // Page-granular access histogram.
-        let mut page_hits: HashMap<u64, u64> = HashMap::new();
+        let mut page_hits: BTreeMap<u64, u64> = BTreeMap::new();
         for op in ops {
             let first = op.offset / 4096;
             let last = (op.offset + op.len.max(1) - 1) / 4096;
@@ -64,7 +64,7 @@ impl TraceStats {
         let top_hits: u64 = hits[..decile].iter().sum();
         let top_decile_share = top_hits as f64 / total_hits.max(1) as f64;
 
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = BTreeSet::new();
         let mut repeats = 0usize;
         for op in ops {
             if !seen.insert((op.offset, op.len)) {

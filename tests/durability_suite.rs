@@ -349,6 +349,11 @@ fn checksums_off_returns_corrupt_bytes() {
         err.contains("content mismatch"),
         "the failure must be wrong data bytes, not a missing block: {err}"
     );
+    // The first mismatch is the smallest mismatching block, every call.
+    for _ in 1..16 {
+        let again = tsue_repro::ecfs::check_data_blocks(&world).expect_err("still rotted");
+        assert_eq!(again, err, "the reported first mismatch must not vary");
+    }
 }
 
 /// The bundled scrub-bitrot scenario through the declarative API: the
