@@ -85,6 +85,22 @@ fn ablation_ladder_matches_golden() {
     }
 }
 
+/// The kill/heal machinery, pinned byte for byte: `heal_rejoin.json`
+/// (kill → journal → rebuild → heal → re-sync) and three variants of
+/// `rack_failure_online.json` (flat placement, two overlapping node
+/// kills, two sequential rack kills). Each outcome re-runs its own spec.
+#[test]
+fn fault_paths_match_golden() {
+    let file = include_str!("golden/fault-paths.json");
+    let golden: Vec<ScenarioOutcome> = serde_json::from_str(file).expect("fault paths parse");
+    assert_eq!(golden.len(), 4);
+    assert!(serde_json::to_string_pretty(&golden).unwrap() == file);
+    for want in &golden {
+        let scenario = serde_json::to_string(&want.spec).unwrap();
+        assert_golden(&scenario, &serde_json::to_string_pretty(want).unwrap());
+    }
+}
+
 /// GF kernel choice never changes simulation outcomes: both golden
 /// scenarios reproduce the captured `{spec, result}` bytes on **every**
 /// kernel tier the host supports — scalar reference, portable, and
