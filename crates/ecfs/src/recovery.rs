@@ -500,6 +500,7 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
                     // roles above; decode only fails with fewer than k.
                     .expect("k survivors by construction");
             }
+            osds[target].rehash_block(block);
         }
         // Acked appends still sitting in the dead home's data log are
         // invisible to the reconstruct (survivors decode the block as of

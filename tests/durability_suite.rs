@@ -115,6 +115,17 @@ fn acked_writes_survive_kill_rebuild_heal_byte_exact() {
     let (blocks, stripes) = check_consistency(&world).expect("byte-exact end state");
     assert!(blocks > 0 && stripes > 0);
 
+    // No rot was injected, so every hosted page — rebuilt copies
+    // included — verifies against its stored digest.
+    let bad: Vec<_> = world
+        .core
+        .osds
+        .iter()
+        .flat_map(|o| o.block_ids().map(move |b| (o.node, b, o.corrupt_pages(b))))
+        .filter(|(_, _, pages)| !pages.is_empty())
+        .collect();
+    assert!(bad.is_empty(), "pages fail their digests: {bad:?}");
+
     // The fault report tells the same story.
     let report = tracker.borrow().report.clone();
     assert_eq!(report.phases.len(), 1);
