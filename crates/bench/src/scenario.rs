@@ -29,11 +29,13 @@
 use crate::{mem_probe_start, RunResult, TraceKind};
 use serde::{Deserialize, Serialize, Value};
 use tsue_core::register_tsue;
-use tsue_ecfs::{run_workload, Cluster, ClusterBuilder, DeviceKind, PlacementKind, SchemeRegistry};
+use tsue_ecfs::{
+    run_workload, Cluster, ClusterBuilder, DeviceKind, PlacementKind, RsCode, SchemeRegistry,
+};
 use tsue_fault::{run_plan_to_completion, EngineConfig, FaultEvent, FaultPlan};
 use tsue_net::{NetSpec, Topology};
 use tsue_schemes::register_baselines;
-use tsue_sim::{Sim, MILLISECOND, SECOND};
+use tsue_sim::{Sim, Time, MILLISECOND, SECOND};
 
 /// A registry populated with every scheme this workspace ships: the six
 /// baselines from `tsue_schemes` plus TSUE from `tsue_core`.
@@ -329,10 +331,10 @@ impl ScenarioSpec {
     /// # Errors
     /// Returns a human-readable description of the first problem.
     pub fn validate(&self, registry: &SchemeRegistry) -> Result<(), String> {
-        if self.k == 0 || self.m == 0 {
+        if let Err(e) = RsCode::new(self.k, self.m) {
             return Err(format!(
-                "scenario '{}': k and m must be non-zero",
-                self.name
+                "scenario '{}': RS({},{}): {e}",
+                self.name, self.k, self.m
             ));
         }
         if self.osds() < self.k + self.m {
@@ -349,6 +351,14 @@ impl ScenarioSpec {
             return Err(format!(
                 "scenario '{}': clients must be non-zero",
                 self.name
+            ));
+        }
+        if self.duration_ms().checked_mul(MILLISECOND).is_none() {
+            return Err(format!(
+                "scenario '{}': duration_ms {} exceeds the virtual clock's range ({} ms)",
+                self.name,
+                self.duration_ms(),
+                Time::MAX / MILLISECOND
             ));
         }
         if self.block_bytes() == 0 || self.file_mb() == 0 {

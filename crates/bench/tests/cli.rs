@@ -69,6 +69,52 @@ fn zero_recycle_threads_knob_fails_validation() {
     assert!(stderr.contains("recycle_threads"), "{stderr}");
 }
 
+/// Runs `tsuectl run` on a small FO scenario named `name` whose
+/// remaining fields (RS shape, faults, ...) are the JSON members `shape`.
+fn run_spec(name: &str, shape: &str) -> Output {
+    let dir = scratch(name);
+    let path = dir.join("spec.json");
+    let json = format!(
+        r#"{{"name": "{name}", "device": "ssd", "clients": 2, "trace": "ten",
+            "scheme": {{"name": "fo"}}, "duration_ms": 50, "file_mb": 1, {shape}}}"#
+    );
+    std::fs::write(&path, json).expect("spec file");
+    let (path, out_dir) = (path.display().to_string(), dir.display().to_string());
+    let out = tsuectl(&["run", &path, "--out", &out_dir]);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// An RS shape past GF(2^8)'s 255-symbol limit fits the OSD count but
+/// not the code: a validation error naming the scenario, not a panic in
+/// cluster construction.
+#[test]
+fn run_rejects_an_rs_shape_wider_than_the_field() {
+    let out = run_spec("rs-too-wide", r#""k": 250, "m": 10, "osds": 260"#);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("scenario 'rs-too-wide'"), "{stderr}");
+    assert!(stderr.contains("k + m = 260 exceeds"), "{stderr}");
+}
+
+/// A fault time whose nanoseconds overflow the virtual clock is a
+/// validation error naming the event, not a kill that fires at a wrapped
+/// instant while the report prints the scripted one.
+#[test]
+fn run_rejects_a_fault_time_past_the_virtual_clock() {
+    let out = run_spec(
+        "fault-past-clock",
+        r#""k": 4, "m": 2, "osds": 8,
+            "faults": [{"kind": "kill_node", "at_ms": 18446744073710, "node": 0}]"#,
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("fault #0 (kill_node @18446744073710ms): at_ms exceeds"),
+        "{stderr}"
+    );
+}
+
 #[test]
 fn figures_fig7_quick_writes_the_six_ablation_rows() {
     let dir = scratch("fig7");

@@ -1229,7 +1229,7 @@ impl UpdateScheme for Tsue {
 /// (the Table 2 harvest).
 pub fn harvest_residency(world: &Cluster) -> ResidencyStats {
     let mut total = ResidencyStats::default();
-    for s in world.schemes.iter().flatten() {
+    for s in &world.schemes {
         if let Some(t) = s.as_any().and_then(|a| a.downcast_ref::<Tsue>()) {
             total.merge(&t.residency);
         }

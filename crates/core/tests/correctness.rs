@@ -196,9 +196,7 @@ fn torn_tail(m: usize, cfg: TsueConfig, layer: usize) -> (PowerLossReport, Vec<(
         // Replayed or reverted, the overlay never serves a torn record:
         // it holds the new bytes, or the store's (zero) bytes again.
         let mut buf = [0xFFu8; 4096];
-        let scheme = world.schemes[osd]
-            .as_ref()
-            .expect("TSUE runs a scheme on every OSD");
+        let scheme = &world.schemes[osd];
         scheme.patch_unmerged(block, 8192, 4096, &mut buf);
         let want = if report.torn_discarded == 1 { 0 } else { 0xA5 };
         assert!(buf.iter().all(|&b| b == want), "overlay after restart");

@@ -39,12 +39,10 @@ impl StripeConfig {
     pub fn locate(&self, offset: u64) -> BlockAddr {
         let stripe = offset / self.stripe_data_bytes();
         let within = offset % self.stripe_data_bytes();
-        let block = (within / self.block_size) as usize;
-        let block_offset = within % self.block_size;
         BlockAddr {
             stripe,
-            block,
-            offset: block_offset,
+            block: (within / self.block_size) as usize,
+            offset: within % self.block_size,
         }
     }
 

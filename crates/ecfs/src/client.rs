@@ -220,29 +220,16 @@ fn degraded_read(
     off: u64,
     len: u64,
 ) {
-    let now = sim.now();
-    let bps = core.cfg.stripe.blocks_per_stripe();
     let k = core.cfg.stripe.k;
+    let sources: Vec<(usize, usize)> = (0..core.cfg.stripe.blocks_per_stripe())
+        .filter(|&role| role != block.role)
+        .map(|role| (role, core.owner_of(gstripe, role)))
+        .filter(|&(_, owner)| core.mds.is_alive(owner))
+        .take(k)
+        .collect();
     let client_node = core.clients[cid].node;
-    let mut collected = 0usize;
-    let mut ready = now;
-    for role in 0..bps {
-        if role == block.role || collected == k {
-            continue;
-        }
-        let owner = core.owner_of(gstripe, role);
-        if !core.mds.is_alive(owner) {
-            continue;
-        }
-        let src = BlockId { role, ..block };
-        let (t_read, _) = core.osds[owner].read_block_range(now, src, off, len);
-        let arrive = core
-            .net
-            .transfer(t_read, core.osds[owner].node, client_node, len);
-        ready = ready.max(arrive);
-        collected += 1;
-    }
-    if collected < k {
+    let ready = core.charge_gather(sim.now(), block, &sources, off, len, client_node);
+    if sources.len() < k {
         // Correlated failure beyond the code's tolerance: the range is
         // unreadable until (unless) more nodes heal. The op completes
         // with an error after the failover timeout — data-loss windows

@@ -22,7 +22,7 @@
 //! client retransmit racing its own failover timer — journals, and
 //! therefore replays, a parked extent exactly once.
 
-use crate::osd::{BlockId, STREAM_BLOCK, STREAM_JOURNAL};
+use crate::osd::{BlockId, STREAM_JOURNAL};
 use crate::scheme::Chunk;
 use crate::{payload_into, Cluster, ClusterCore};
 use std::collections::{BTreeMap, BTreeSet};
@@ -142,52 +142,35 @@ pub(crate) fn replay_block(
     }
     let now = sim.now();
     let gstripe = core.global_stripe(block.file, block.stripe);
-    let (k, m) = (core.cfg.stripe.k, core.cfg.stripe.m);
+    let m = core.cfg.stripe.m;
     let mut replayed = 0u64;
     for e in &entries {
         let len = e.data.len;
         replayed += len;
         // Patch the block (capturing old ⊕ new in the same pass) and
         // charge the in-place write.
-        let delta = match &e.data.bytes {
-            Some(new) => core.osds[host].delta_poke_range(block, e.off, new),
-            None => None,
-        };
-        let dev_off = core.osds[host].block_offset(block) + e.off;
-        core.osds[host]
-            .device
-            .submit(now, IoKind::Write, dev_off, len, STREAM_BLOCK);
-        // Propagate the delta to every parity role of the stripe.
+        let delta = e
+            .data
+            .bytes
+            .as_ref()
+            .and_then(|new| core.osds[host].delta_poke_range(block, e.off, new))
+            .map_or_else(|| Chunk::ghost(len), Chunk::real);
+        core.osds[host].block_io(now, IoKind::Write, block, e.off, len);
+        // Propagate the delta to every parity role of the stripe: ship
+        // it, then read-XOR-write it into the parity block.
         for j in 0..m {
-            let prole = k + j;
-            let powner = core.owner_of(gstripe, prole);
+            let pblock = core.parity_block(block, j);
+            let powner = core.owner_of(gstripe, pblock.role);
             if !core.mds.is_alive(powner) {
-                core.mds.mark_parity_dirty(gstripe, prole);
+                core.mds.mark_parity_dirty(gstripe, pblock.role);
                 continue;
-            }
-            let pblock = BlockId {
-                role: prole,
-                ..block
-            };
-            if let Some(d) = &delta {
-                let coeff = core.rs.coefficient(j, block.role);
-                let mut pd = tsue_buf::BytesMut::take(d.len());
-                tsue_gf::mul_slice(coeff, d, pd.as_mut());
-                core.osds[powner].xor_poke_range(pblock, e.off, pd.as_ref());
             }
             if powner != host {
                 core.net
                     .transfer(now, core.osds[host].node, core.osds[powner].node, len);
             }
-            let pdev = core.osds[powner].block_offset(pblock) + e.off;
-            let t_read =
-                core.osds[powner]
-                    .device
-                    .submit(now, IoKind::Read, pdev, len, STREAM_BLOCK);
-            let t_merge = t_read + core.xor_time(len);
-            core.osds[powner]
-                .device
-                .submit(t_merge, IoKind::Write, pdev, len, STREAM_BLOCK);
+            let pdelta = delta.gf_scaled(core.rs.coefficient(j, block.role));
+            core.xor_into_parity(powner, now, pblock, e.off, &pdelta);
         }
     }
     core.journal.bytes_replayed += replayed;

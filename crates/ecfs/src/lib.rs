@@ -14,10 +14,11 @@
 //! # Simulation world
 //!
 //! [`Cluster`] is the DES world type. It splits into [`ClusterCore`]
-//! (devices, network, MDS, clients, metrics) and the per-OSD scheme slots,
-//! so a scheme borrowed for a callback can still reach everything else.
-//! Schemes on different OSDs interact only through scheduled messages,
-//! mirroring the real system's RPCs and keeping borrows disjoint.
+//! (devices, network, MDS, clients, metrics) and the per-OSD schemes, so
+//! a scheme called back with `&mut ClusterCore` can reach everything but
+//! the other schemes. Schemes on different OSDs interact only through
+//! scheduled messages, mirroring the real system's RPCs and keeping
+//! borrows disjoint.
 
 #![warn(missing_docs)]
 
@@ -64,11 +65,12 @@ pub use scheme::{
     UpdateScheme,
 };
 pub use scrub::{run_full_scrub, start_scrub, ScrubState};
+pub use tsue_ec::RsCode;
 pub use tsue_integrity::{checksum, IntegrityError, SplitRng};
 pub use verify::{check_consistency, check_data_blocks, check_parity, reference_data};
 
-use tsue_device::{Device, HddModel, SsdModel};
-use tsue_ec::{RsCode, StripeConfig};
+use tsue_device::{Device, HddModel, IoKind, SsdModel};
+use tsue_ec::StripeConfig;
 use tsue_net::{NetModel, NetSpec, NodeId, Topology};
 use tsue_sim::{Sim, Time, MICROSECOND, MILLISECOND};
 
@@ -267,8 +269,9 @@ pub struct ClusterCore {
 pub struct Cluster {
     /// Shared substrate.
     pub core: ClusterCore,
-    /// One scheme instance per OSD; `None` only while a callback borrows it.
-    pub schemes: Vec<Option<Box<dyn UpdateScheme>>>,
+    /// One scheme instance per OSD, borrowed beside `core` for each
+    /// callback (scheme callbacks see only the core).
+    pub schemes: Vec<Box<dyn UpdateScheme>>,
 }
 
 impl Cluster {
@@ -313,7 +316,7 @@ impl Cluster {
                 osd
             })
             .collect();
-        let schemes = (0..cfg.osds).map(|i| Some(make_scheme(i))).collect();
+        let schemes = (0..cfg.osds).map(&mut make_scheme).collect();
         let core = ClusterCore {
             rs,
             placement,
@@ -352,12 +355,6 @@ impl Cluster {
         core.net.reset_counters();
     }
 
-    /// Split borrow used by event plumbing: the scheme slots next to the
-    /// shared core.
-    pub fn split(&mut self) -> (&mut ClusterCore, &mut Vec<Option<Box<dyn UpdateScheme>>>) {
-        (&mut self.core, &mut self.schemes)
-    }
-
     /// Total pending scheme work across *live* OSDs (0 = all logs
     /// drained). A dead node's logs are unreachable and irrelevant — its
     /// blocks are rebuilt from survivors, not from its logs.
@@ -366,8 +363,18 @@ impl Cluster {
             .iter()
             .enumerate()
             .filter(|&(osd, _)| !self.core.osds[osd].dead)
-            .map(|(_, s)| s.as_ref().map_or(0, |s| s.backlog()))
+            .map(|(_, s)| s.backlog())
             .sum()
+    }
+
+    /// Re-issues `flush` to every live OSD's scheme: the one drain pump,
+    /// shared by [`Cluster::flush_all`] and the fault engine's gates.
+    pub fn flush_live(&mut self, sim: &mut Sim<Cluster>) {
+        for (osd, s) in self.schemes.iter_mut().enumerate() {
+            if !self.core.osds[osd].dead {
+                s.flush(&mut self.core, sim, osd);
+            }
+        }
     }
 
     /// Asks every scheme to drain its logs, then runs the simulation until
@@ -377,25 +384,15 @@ impl Cluster {
     /// one so multi-stage pipelines (data → delta → parity) cascade at
     /// device speed instead of waiting for background seal timers.
     pub fn flush_all(&mut self, sim: &mut Sim<Cluster>) -> Time {
-        const STRIDE: Time = 20 * MILLISECOND;
         let mut idle_strides = 0u32;
         loop {
-            for osd in 0..self.core.cfg.osds {
-                if self.core.osds[osd].dead {
-                    continue;
-                }
-                // INVARIANT: scheme slots are taken for one event callback and
-                // restored before return; DES events never nest.
-                let mut s = self.schemes[osd].take().expect("scheme missing");
-                s.flush(&mut self.core, sim, osd);
-                self.schemes[osd] = Some(s);
-            }
+            self.flush_live(sim);
             if self.total_scheme_backlog() == 0 {
                 break;
             }
             let before = self.total_scheme_backlog();
             let had_events = sim.pending() > 0;
-            sim.run_until(self, sim.now() + STRIDE);
+            sim.run_until(self, sim.now() + DRAIN_STRIDE);
             if self.total_scheme_backlog() >= before && !had_events {
                 idle_strides += 1;
                 assert!(
@@ -419,11 +416,7 @@ impl Cluster {
         node: usize,
         seed: u64,
     ) -> PowerLossReport {
-        // INVARIANT: scheme slots are taken for one event callback and
-        // restored before return; DES events never nest.
-        let mut s = self.schemes[node].take().expect("scheme reentrancy");
-        let report = s.power_loss(&mut self.core, sim, node, seed);
-        self.schemes[node] = Some(s);
+        let report = self.schemes[node].power_loss(&mut self.core, sim, node, seed);
         self.core.metrics.torn_detected += report.torn_detected;
         self.core.metrics.torn_replayed += report.torn_replayed;
         self.core.metrics.torn_discarded += report.torn_discarded;
@@ -441,11 +434,7 @@ impl Cluster {
 
     /// Peak and mean scheme memory across OSDs, in bytes.
     pub fn scheme_memory(&self) -> (u64, u64) {
-        let per: Vec<u64> = self
-            .schemes
-            .iter()
-            .map(|s| s.as_ref().map_or(0, |s| s.memory_usage()))
-            .collect();
+        let per: Vec<u64> = self.schemes.iter().map(|s| s.memory_usage()).collect();
         let max = per.iter().copied().max().unwrap_or(0);
         let mean = if per.is_empty() {
             0
@@ -503,6 +492,30 @@ impl ClusterCore {
     ) -> Time {
         let compute = self.xor_time(delta.len);
         self.osds[osd].xor_block_range(now, pblock, off, delta.len, delta.bytes.as_deref(), compute)
+    }
+
+    /// Charges a survivor gather for `block`'s stripe: for each
+    /// `(role, owner)` in order, a device read of `[off, off+len)` of that
+    /// role's block on `owner` starting at `now`, then its transfer to
+    /// network node `dest`. Returns the latest arrival (`now` when
+    /// `sources` is empty). Moves no bytes.
+    pub fn charge_gather(
+        &mut self,
+        now: Time,
+        block: BlockId,
+        sources: &[(usize, usize)],
+        off: u64,
+        len: u64,
+        dest: NodeId,
+    ) -> Time {
+        let mut ready = now;
+        for &(role, owner) in sources {
+            let src = BlockId { role, ..block };
+            let t_read = self.osds[owner].block_io(now, IoKind::Read, src, off, len);
+            let arrive = self.net.transfer(t_read, self.osds[owner].node, dest, len);
+            ready = ready.max(arrive);
+        }
+        ready
     }
 
     /// CPU time to XOR `bytes`.
@@ -609,6 +622,10 @@ impl ClusterCore {
         self.stop_at.is_none_or(|t| now < t)
     }
 }
+
+/// Stride of every scheme drain pump: [`Cluster::flush_all`] and the
+/// fault engine's gates re-issue `flush` this often until backlogs drain.
+pub const DRAIN_STRIDE: Time = 20 * MILLISECOND;
 
 /// Ack message size on the wire.
 pub const ACK_BYTES: u64 = 64;

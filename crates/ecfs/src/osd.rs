@@ -39,7 +39,7 @@ pub struct StoredBlock {
 }
 
 /// Device stream id used for in-place block I/O.
-pub const STREAM_BLOCK: StreamId = 0;
+const STREAM_BLOCK: StreamId = 0;
 /// Device stream id used for degraded-write journal appends on the
 /// journal peer (see [`crate::journal`]).
 pub const STREAM_JOURNAL: StreamId = 15;
@@ -49,9 +49,12 @@ pub const STREAM_SCHEME_BASE: StreamId = 16;
 /// One storage server.
 ///
 /// Two access planes: the **timing plane** charges device I/O
-/// (`read_block_range`, `write_block_range`, `xor_block_range`), the
-/// **content plane** (`peek_*`, `*_poke_*`) moves bytes only, for paths
-/// that account timing separately. Every mutator of either is `&mut self`.
+/// (`block_io` alone, or with bytes: `read_block_range`,
+/// `write_block_range`, `xor_block_range`), the **content plane**
+/// (`peek_*`, `*_poke_*`, `fill_block`) moves bytes only, for paths that
+/// account timing separately. Every change to stored bytes goes through
+/// one checksum bracket (audit the pre-image, mutate, re-digest);
+/// [`Osd::corrupt_bits`] is the one deliberate bypass.
 pub struct Osd {
     /// Network node id (OSDs occupy ids `0..cfg.osds`).
     pub node: usize,
@@ -93,15 +96,12 @@ impl Osd {
         off
     }
 
-    /// Allocates and pre-populates a block: device space is marked written
-    /// (so later writes count as overwrites and the FTL starts realistic),
-    /// and zero content is materialized when requested.
-    pub fn provision_block(&mut self, id: BlockId, block_size: u64, materialize: bool) {
+    /// Allocates a zero-filled block without charging the device — the
+    /// rebuild target's copy, whose sequential write the caller times
+    /// with [`Osd::block_io`]. Zero content (digested as such) is
+    /// materialized when requested.
+    pub fn install_block(&mut self, id: BlockId, block_size: u64, materialize: bool) {
         let dev_offset = self.alloc_region(block_size);
-        // Initial population happens at virtual time zero on the block
-        // stream; the caller resets stats afterwards.
-        self.device
-            .submit(0, IoKind::Write, dev_offset, block_size, STREAM_BLOCK);
         let data = materialize.then(|| vec![0u8; block_size as usize].into_boxed_slice());
         let sums = (materialize && self.checksums).then(|| BlockChecksums::new_zeroed(block_size));
         self.store.insert(
@@ -114,17 +114,14 @@ impl Osd {
         );
     }
 
-    /// Device offset of a hosted block.
-    ///
-    /// # Panics
-    /// Panics if the block is not hosted here.
-    pub fn block_offset(&self, id: BlockId) -> u64 {
-        self.store
-            .get(&id)
-            // INVARIANT: documented contract (# Panics above) — callers
-            // resolve placement (owner_of) before touching a block.
-            .expect("block not hosted here")
-            .dev_offset
+    /// Allocates and pre-populates a block: device space is marked written
+    /// (so later writes count as overwrites and the FTL starts realistic),
+    /// and zero content is materialized when requested.
+    pub fn provision_block(&mut self, id: BlockId, block_size: u64, materialize: bool) {
+        self.install_block(id, block_size, materialize);
+        // Initial population happens at virtual time zero on the block
+        // stream; the caller resets stats afterwards.
+        self.block_io(0, IoKind::Write, id, 0, block_size);
     }
 
     /// True if this OSD hosts `id`.
@@ -136,6 +133,19 @@ impl Osd {
     /// source for recovery, re-sync and scrub listings).
     pub fn block_ids(&self) -> impl Iterator<Item = BlockId> + '_ {
         self.store.keys().copied()
+    }
+
+    /// Charges one device op on `[off, off+len)` of a hosted block,
+    /// starting at `at`, and moves no bytes. Returns its completion time.
+    ///
+    /// # Panics
+    /// Panics if the block is not hosted here.
+    pub fn block_io(&mut self, at: Time, kind: IoKind, id: BlockId, off: u64, len: u64) -> Time {
+        // INVARIANT: callers route I/O through owner_of placement, so
+        // the block is hosted on this OSD.
+        let b = self.store.get(&id).expect("block not hosted here");
+        self.device
+            .submit(at, kind, b.dev_offset + off, len, STREAM_BLOCK)
     }
 
     /// Reads `[off, off+len)` of a block: charges a device read and returns
@@ -151,17 +161,8 @@ impl Osd {
         off: u64,
         len: u64,
     ) -> (Time, Option<Bytes>) {
-        // INVARIANT: callers route I/O through owner_of placement, so
-        // the block is hosted on this OSD.
-        let b = self.store.get(&id).expect("block not hosted here");
-        let data = b.data.as_ref().map(|d| {
-            assert!((off + len) as usize <= d.len(), "read beyond block");
-            Bytes::copy_from_slice(&d[off as usize..(off + len) as usize])
-        });
-        let t = self
-            .device
-            .submit(now, IoKind::Read, b.dev_offset + off, len, STREAM_BLOCK);
-        (t, data)
+        let t = self.block_io(now, IoKind::Read, id, off, len);
+        (t, self.peek_block_range(id, off, len))
     }
 
     /// Writes `[off, off+len)` of a block in place: charges a device write
@@ -177,29 +178,16 @@ impl Osd {
         len: u64,
         data: Option<&[u8]>,
     ) -> Time {
-        let dev_off = {
-            // INVARIANT: callers route I/O through owner_of placement, so
-            // the block is hosted on this OSD.
-            let b = self.store.get_mut(&id).expect("block not hosted here");
-            if let (Some(store), Some(src)) = (b.data.as_mut(), data) {
-                assert_eq!(src.len() as u64, len, "payload length mismatch");
-                assert!((off + len) as usize <= store.len(), "write beyond block");
-                if let Some(sums) = b.sums.as_mut() {
-                    sums.pre_write_scan(store, off, len, true);
-                }
-                store[off as usize..(off + len) as usize].copy_from_slice(src);
-                if let Some(sums) = b.sums.as_mut() {
-                    sums.update_range(store, off, len);
-                }
-            }
-            b.dev_offset + off
-        };
-        self.device
-            .submit(now, IoKind::Write, dev_off, len, STREAM_BLOCK)
+        if let Some(src) = data {
+            assert_eq!(src.len() as u64, len, "payload length mismatch");
+            self.poke_block_range(id, off, src);
+        }
+        self.block_io(now, IoKind::Write, id, off, len)
     }
 
     /// Applies `delta` into block content with XOR (parity merge) and
-    /// charges the read-modify-write device traffic.
+    /// charges the read-modify-write device traffic, with `compute`
+    /// between the read and the write.
     ///
     /// Returns the completion time of the final write.
     pub fn xor_block_range(
@@ -211,30 +199,41 @@ impl Osd {
         delta: Option<&[u8]>,
         compute: Time,
     ) -> Time {
-        // Read-modify-write on the device, with the XOR cost in between.
         // The XOR is applied directly into the block store — no buffer
         // materializes on this path.
-        let dev_off = {
-            // INVARIANT: callers route I/O through owner_of placement, so
-            // the block is hosted on this OSD.
-            let b = self.store.get_mut(&id).expect("block not hosted here");
-            if let (Some(store), Some(d)) = (b.data.as_mut(), delta) {
-                assert_eq!(d.len() as u64, len, "delta length mismatch");
-                if let Some(sums) = b.sums.as_mut() {
-                    sums.pre_write_scan(store, off, len, false);
-                }
-                tsue_gf::xor_slice(d, &mut store[off as usize..(off + len) as usize]);
-                if let Some(sums) = b.sums.as_mut() {
-                    sums.update_range(store, off, len);
-                }
-            }
-            b.dev_offset + off
-        };
-        let t_read = self
-            .device
-            .submit(now, IoKind::Read, dev_off, len, STREAM_BLOCK);
-        self.device
-            .submit(t_read + compute, IoKind::Write, dev_off, len, STREAM_BLOCK)
+        if let Some(d) = delta {
+            assert_eq!(d.len() as u64, len, "delta length mismatch");
+            self.xor_poke_range(id, off, d);
+        }
+        let t_read = self.block_io(now, IoKind::Read, id, off, len);
+        self.block_io(t_read + compute, IoKind::Write, id, off, len)
+    }
+
+    /// The checksum bracket every content change goes through: audits
+    /// the pre-image of `[off, off + len)` (`overwrite` = the mutation
+    /// replaces the bytes rather than mixing them in), applies `mutate`
+    /// to that range of the stored bytes, and re-digests it. `None` when
+    /// the block is absent or not materialized.
+    fn bracket<R>(
+        &mut self,
+        id: BlockId,
+        off: u64,
+        len: u64,
+        overwrite: bool,
+        mutate: impl FnOnce(&mut [u8]) -> R,
+    ) -> Option<R> {
+        let b = self.store.get_mut(&id)?;
+        let store = b.data.as_mut()?;
+        let range = off as usize..(off + len) as usize;
+        assert!(range.end <= store.len(), "write beyond block");
+        if let Some(sums) = b.sums.as_mut() {
+            sums.pre_write_scan(store, off, len, overwrite);
+        }
+        let r = mutate(&mut store[range]);
+        if let Some(sums) = b.sums.as_mut() {
+            sums.update_range(store, off, len);
+        }
+        Some(r)
     }
 
     /// Content-only read of a block range (no device charge) — used when
@@ -251,18 +250,9 @@ impl Osd {
     /// no intermediate buffer) — the zero-copy counterpart of peek → xor →
     /// poke on paths that decouple content from timing.
     pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &[u8]) {
-        let Some(b) = self.store.get_mut(&id) else {
-            return;
-        };
-        if let Some(store) = b.data.as_mut() {
-            if let Some(sums) = b.sums.as_mut() {
-                sums.pre_write_scan(store, off, delta.len() as u64, false);
-            }
-            tsue_gf::xor_slice(delta, &mut store[off as usize..off as usize + delta.len()]);
-            if let Some(sums) = b.sums.as_mut() {
-                sums.update_range(store, off, delta.len() as u64);
-            }
-        }
+        self.bracket(id, off, delta.len() as u64, false, |dst| {
+            tsue_gf::xor_slice(delta, dst);
+        });
     }
 
     /// Content-only delta capture: writes `new ⊕ current` for
@@ -271,46 +261,32 @@ impl Osd {
     /// charge — the timed I/O is charged separately by the caller).
     /// Returns `None` when the block is not materialized.
     pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &[u8]) -> Option<Bytes> {
-        let b = self.store.get_mut(&id)?;
-        let store = b.data.as_mut()?;
-        if let Some(sums) = b.sums.as_mut() {
-            // The delta XORs in the current bytes — rot here poisons
-            // the parity it feeds, so queue the stripe for a parity
-            // re-encode after the data is repaired.
-            if sums.verify_range(store, off, new.len() as u64).is_err() {
-                self.poisoned.push(id);
-            }
-            sums.pre_write_scan(store, off, new.len() as u64, true);
-        }
-        let dst = &mut store[off as usize..off as usize + new.len()];
-        let mut d = BytesMut::take(new.len());
-        tsue_gf::xor_into(dst, new, d.as_mut());
-        dst.copy_from_slice(new);
-        if let Some(sums) = b.sums.as_mut() {
-            sums.update_range(store, off, new.len() as u64);
-        }
-        Some(d.freeze())
+        // The delta XORs in the current bytes — rot here poisons the
+        // parity it feeds, so queue the stripe for a parity re-encode
+        // after the data is repaired.
+        self.note_delta_source(id, off, new.len() as u64);
+        self.bracket(id, off, new.len() as u64, true, |dst| {
+            let mut d = BytesMut::take(new.len());
+            tsue_gf::xor_into(dst, new, d.as_mut());
+            dst.copy_from_slice(new);
+            d.freeze()
+        })
     }
 
-    /// Content-only write of a block range (no device charge).
-    pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: Option<&[u8]>) {
-        let (Some(src), Some(b)) = (data, self.store.get_mut(&id)) else {
-            return;
-        };
-        if let Some(store) = b.data.as_mut() {
-            if let Some(sums) = b.sums.as_mut() {
-                sums.pre_write_scan(store, off, src.len() as u64, true);
-            }
-            store[off as usize..off as usize + src.len()].copy_from_slice(src);
-            if let Some(sums) = b.sums.as_mut() {
-                sums.update_range(store, off, src.len() as u64);
-            }
-        }
+    /// Content-only write of a block range (no device charge). A repair
+    /// that rewrites a whole page clears its taint.
+    pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &[u8]) {
+        self.bracket(id, off, data.len() as u64, true, |dst| {
+            dst.copy_from_slice(data);
+        });
     }
 
-    /// Mutable access to materialized block bytes (tests, recovery).
-    pub fn block_data_mut(&mut self, id: BlockId) -> Option<&mut [u8]> {
-        self.store.get_mut(&id).and_then(|b| b.data.as_deref_mut())
+    /// Installs authoritative content for the whole block: `fill` writes
+    /// every byte in place (a rebuild decode), then every page is
+    /// digested afresh and all taint clears. No-op in timing-only mode.
+    pub fn fill_block(&mut self, id: BlockId, fill: impl FnOnce(&mut [u8])) {
+        let len = self.block_data(id).map_or(0, |d| d.len() as u64);
+        self.bracket(id, 0, len, true, fill);
     }
 
     /// The materialized bytes of `id` (verification, reference checks).
@@ -321,28 +297,6 @@ impl Osd {
     /// Drops a block (node failure cleanup / migration source).
     pub fn evict_block(&mut self, id: BlockId) -> Option<StoredBlock> {
         self.store.remove(&id)
-    }
-
-    /// Installs a reconstructed block (its checksum table is rebuilt from
-    /// the installed bytes).
-    pub fn install_block(&mut self, id: BlockId, block_size: u64, data: Option<Box<[u8]>>) {
-        let dev_offset = self.alloc_region(block_size);
-        let sums = match (&data, self.checksums) {
-            (Some(d), true) => {
-                let mut s = BlockChecksums::new_zeroed(block_size);
-                s.update_all(d);
-                Some(s)
-            }
-            _ => None,
-        };
-        self.store.insert(
-            id,
-            StoredBlock {
-                dev_offset,
-                data,
-                sums,
-            },
-        );
     }
 
     /// Silently flips `flips` random bits of the block's content — the
@@ -395,21 +349,6 @@ impl Osd {
         }
     }
 
-    /// Recomputes the checksum table of `id` from its current content
-    /// (post-repair, post-out-of-band mutation via
-    /// [`Osd::block_data_mut`]); clears all taint — the caller asserts
-    /// the content is authoritative.
-    pub fn rehash_block(&mut self, id: BlockId) {
-        if let Some(StoredBlock {
-            data: Some(d),
-            sums: Some(s),
-            ..
-        }) = self.store.get_mut(&id)
-        {
-            s.update_all(d);
-        }
-    }
-
     /// Stored digest of `page` of `id`, when a checksum table exists.
     pub fn page_digest(&self, id: BlockId, page: usize) -> Option<u64> {
         Some(self.store.get(&id)?.sums.as_ref()?.digest(page))
@@ -438,24 +377,6 @@ impl Osd {
     /// delta (consumed by the scrubber).
     pub fn take_poisoned(&mut self) -> Vec<BlockId> {
         std::mem::take(&mut self.poisoned)
-    }
-
-    /// Installs repaired content for one page of `id`: overwrites the
-    /// page bytes, recomputes its digest, and clears its taint flag.
-    /// No-op in timing-only mode.
-    pub fn install_repaired_page(&mut self, id: BlockId, page: usize, bytes: &[u8]) {
-        if let Some(StoredBlock {
-            data: Some(data),
-            sums: Some(sums),
-            ..
-        }) = self.store.get_mut(&id)
-        {
-            let s = page * tsue_integrity::PAGE as usize;
-            let e = (s + tsue_integrity::PAGE as usize).min(data.len());
-            data[s..e].copy_from_slice(&bytes[..e - s]);
-            sums.update_range(data, s as u64, (e - s) as u64);
-            sums.clear_taint(page);
-        }
     }
 
     /// Zeroes the accumulated device statistics (end of setup phase).
@@ -545,7 +466,7 @@ mod tests {
         // Timed write, content pokes, delta capture, and XOR merges all
         // keep the table consistent.
         o.write_block_range(0, bid(0, 0), 100, 64, Some(&[3u8; 64]));
-        o.poke_block_range(bid(0, 0), 5000, Some(&[9u8; 32]));
+        o.poke_block_range(bid(0, 0), 5000, &[9u8; 32]);
         o.delta_poke_range(bid(0, 0), 9000, &[1u8; 16]);
         o.xor_poke_range(bid(0, 0), 9000, &[0xFFu8; 16]);
         o.xor_block_range(0, bid(0, 0), 12 << 10, 8, Some(&[0x55u8; 8]), 0);
@@ -562,8 +483,8 @@ mod tests {
         assert_eq!(o.corrupt_bits(bid(1, 1), &mut rng, 3), 3);
         assert!(!o.corrupt_pages(bid(1, 1)).is_empty(), "rot must be seen");
         assert!(o.verify_range(bid(1, 1), 0, 8192).is_err());
-        // A repair path rewrites content and rehashes.
-        o.rehash_block(bid(1, 1));
+        // A repair installs authoritative content, digested afresh.
+        o.fill_block(bid(1, 1), |b| b.fill(0));
         assert!(o.verify_range(bid(1, 1), 0, 8192).is_ok());
     }
 

@@ -28,9 +28,10 @@
 //! loss is a reportable outcome, not a simulator bug.
 
 use crate::osd::BlockId;
-use crate::{Cluster, ClusterCore};
+use crate::Cluster;
 use std::collections::VecDeque;
 use tsue_buf::Bytes;
+use tsue_device::IoKind;
 use tsue_sim::{Sim, Time};
 
 /// Outcome of an offline recovery run.
@@ -384,24 +385,9 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
     // was on the wire at failure time has landed — a spawn-time snapshot
     // could tear a data write from its in-flight parity update and
     // decode garbage.
-    let mut ready = now;
     let tier0 = *core.net.tier_traffic();
-    for &(role, owner) in &survivors {
-        let src_block = BlockId { role, ..block };
-        let dev_off = core.osds[owner].block_offset(src_block);
-        let t_read = core.osds[owner].device.submit(
-            now,
-            tsue_device::IoKind::Read,
-            dev_off,
-            block_size,
-            crate::osd::STREAM_BLOCK,
-        );
-        let src_node = core.osds[owner].node;
-        let arrive = core
-            .net
-            .transfer(t_read, src_node, core.osds[target].node, block_size);
-        ready = ready.max(arrive);
-    }
+    let dest = core.osds[target].node;
+    let ready = core.charge_gather(now, block, &survivors, 0, block_size, dest);
     let moved = core.net.tier_traffic().since(&tier0);
     core.recovery.intra_rack_bytes += moved.intra_wire;
     core.recovery.cross_rack_bytes += moved.cross_wire;
@@ -409,22 +395,9 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
     // Decode cost: k GF multiply-accumulates over the block.
     let t_decoded = ready + core.gf_time(block_size * k as u64);
 
-    let placeholder = core
-        .cfg
-        .materialize
-        .then(|| vec![0u8; block_size as usize].into_boxed_slice());
-    core.osds[target].install_block(block, block_size, placeholder);
-    let t_written = {
-        // Sequential write of the freshly installed block.
-        let dev_off = core.osds[target].block_offset(block);
-        core.osds[target].device.submit(
-            t_decoded,
-            tsue_device::IoKind::Write,
-            dev_off,
-            block_size,
-            crate::osd::STREAM_BLOCK,
-        )
-    };
+    core.osds[target].install_block(block, block_size, core.cfg.materialize);
+    // Sequential write of the freshly installed block.
+    let t_written = core.osds[target].block_io(t_decoded, IoKind::Write, block, 0, block_size);
     // The whole per-block rebuild chain (survivor reads → transfers →
     // decode → device write) is deterministic at spawn time, so the
     // recovery-decode round records here. Lane id = stripe/role, a
@@ -489,18 +462,17 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
                     shards.push((role, bytes));
                 }
             }
-            // Field-split so `rs` stays readable while the target block's
-            // buffer is borrowed mutably for the in-place decode.
-            let ClusterCore { osds, rs, .. } = core;
-            if let Some(out) = osds[target].block_data_mut(block) {
-                let borrowed: Vec<(usize, &[u8])> =
-                    shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
+            // The decode lands in place through the target's checksum
+            // bracket, so the rebuilt block is digested as installed.
+            let borrowed: Vec<(usize, &[u8])> =
+                shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
+            let rs = &core.rs;
+            core.osds[target].fill_block(block, |out| {
                 rs.reconstruct_one(&borrowed, block.role, out)
                     // INVARIANT: the shard set was assembled from exactly k live
                     // roles above; decode only fails with fewer than k.
                     .expect("k survivors by construction");
-            }
-            osds[target].rehash_block(block);
+            });
         }
         // Acked appends still sitting in the dead home's data log are
         // invisible to the reconstruct (survivors decode the block as of

@@ -18,7 +18,7 @@
 //! Records are pruned once the home seals-and-recycles past them: a
 //! merged append is reconstructable from the block itself.
 
-use crate::osd::{BlockId, STREAM_BLOCK};
+use crate::osd::BlockId;
 use crate::scheme::Chunk;
 use crate::Cluster;
 use std::collections::BTreeMap;
@@ -163,23 +163,14 @@ pub(crate) fn replay_replicas(
             core.net
                 .transfer(now, core.osds[p].node, core.osds[target].node, len);
         }
-        let dev_off = core.osds[target].block_offset(block) + r.off;
-        core.osds[target]
-            .device
-            .submit(now, IoKind::Write, dev_off, len, STREAM_BLOCK);
+        core.osds[target].block_io(now, IoKind::Write, block, r.off, len);
     }
-    if core.cfg.materialize {
-        if let Some(scheme) = schemes[home].as_ref() {
-            let bs = core.cfg.stripe.block_size;
-            if let Some(bytes) = core.osds[target].peek_block_range(block, 0, bs) {
-                let mut buf = bytes.to_vec();
-                core.metrics.recovery_copies += 1;
-                core.metrics.recovery_bytes_copied += bs;
-                scheme.patch_unmerged(block, 0, bs, &mut buf);
-                core.osds[target].poke_block_range(block, 0, Some(&buf));
-            }
-        }
-    }
+    // The unmerged content patches the reconstructed bytes in place,
+    // through the target's checksum bracket.
+    let scheme = &schemes[home];
+    core.osds[target].fill_block(block, |b| {
+        scheme.patch_unmerged(block, 0, b.len() as u64, b);
+    });
     for j in 0..m {
         core.mds.mark_parity_dirty(gstripe, k + j);
     }

@@ -218,22 +218,14 @@ fn repair_dirty_parity(core: &mut ClusterCore, sim: &mut Sim<Cluster>, stats: &m
             }
             sources.push((i, downer));
         }
-        let mut ready = now;
+        let dest = core.osds[owner].node;
+        let ready = core.charge_gather(now, pblock, &sources, 0, bs, dest);
         let mut fresh = core.cfg.materialize.then(|| vec![0u8; bs as usize]);
-        for (i, downer) in sources {
-            let dblock = BlockId {
-                file,
-                stripe,
-                role: i,
-            };
-            let (t_read, data) = core.osds[downer].read_block_range(now, dblock, 0, bs);
-            let arrive =
-                core.net
-                    .transfer(t_read, core.osds[downer].node, core.osds[owner].node, bs);
-            ready = ready.max(arrive);
-            if let (Some(out), Some(d)) = (fresh.as_deref_mut(), data) {
-                let coeff = core.rs.coefficient(role - k, i);
-                tsue_gf::mul_add_slice(coeff, &d, out);
+        if let Some(out) = fresh.as_deref_mut() {
+            for &(i, downer) in &sources {
+                if let Some(d) = core.osds[downer].block_data(BlockId { role: i, ..pblock }) {
+                    tsue_gf::mul_add_slice(core.rs.coefficient(role - k, i), d, out);
+                }
             }
         }
         let t_encoded = ready + core.gf_time(bs * k as u64);

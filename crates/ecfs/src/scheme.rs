@@ -410,11 +410,7 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
             .obs
             .update_arrival(req.op_id, osd, issued, sim.now());
     }
-    // INVARIANT: scheme slots are taken for one event callback and
-    // restored before return; DES events never nest.
-    let mut s = world.schemes[osd].take().expect("scheme reentrancy");
-    s.on_update(&mut world.core, sim, osd, req);
-    world.schemes[osd] = Some(s);
+    world.schemes[osd].on_update(&mut world.core, sim, osd, req);
 }
 
 /// Event shim: deliver a peer message to an OSD's scheme. Tagged
@@ -467,11 +463,7 @@ pub fn deliver_msg(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, msg:
         }
         return;
     }
-    // INVARIANT: scheme slots are taken for one event callback and
-    // restored before return; DES events never nest.
-    let mut s = world.schemes[osd].take().expect("scheme reentrancy");
-    s.on_message(&mut world.core, sim, osd, msg);
-    world.schemes[osd] = Some(s);
+    world.schemes[osd].on_message(&mut world.core, sim, osd, msg);
 }
 
 /// Event shim: deliver a timer tick to an OSD's scheme.
@@ -479,11 +471,7 @@ pub fn deliver_timer(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, ta
     if world.core.osds[osd].dead {
         return;
     }
-    // INVARIANT: scheme slots are taken for one event callback and
-    // restored before return; DES events never nest.
-    let mut s = world.schemes[osd].take().expect("scheme reentrancy");
-    s.on_timer(&mut world.core, sim, osd, tag);
-    world.schemes[osd] = Some(s);
+    world.schemes[osd].on_timer(&mut world.core, sim, osd, tag);
 }
 
 /// Event shim: serve a read extent at the owning OSD, consulting the
@@ -526,11 +514,7 @@ pub fn deliver_read(
         return;
     }
     // Ask the scheme whether its logs cover the range.
-    // INVARIANT: scheme slots are taken for one event callback and
-    // restored before return; DES events never nest.
-    let mut s = world.schemes[osd].take().expect("scheme reentrancy");
-    let serve = s.read_overlay(&mut world.core, osd, block, off, len, None);
-    world.schemes[osd] = Some(s);
+    let serve = world.schemes[osd].read_overlay(&mut world.core, osd, block, off, len, None);
 
     let done = match serve {
         ReadServe::CacheHit => {

@@ -24,7 +24,7 @@
 //! transfers (visible in per-tier byte accounting), GF decode time, and
 //! the home's page write.
 
-use crate::osd::{BlockId, STREAM_BLOCK};
+use crate::osd::BlockId;
 use crate::{Cluster, ClusterCore};
 use std::collections::BTreeSet;
 use tsue_device::IoKind;
@@ -122,10 +122,7 @@ fn scrub_tick(world: &mut Cluster, sim: &mut Sim<Cluster>) {
 /// corruption, queues it and attempts a digest-guarded repair.
 fn scrub_one(core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize, block: BlockId) {
     let bs = core.cfg.stripe.block_size;
-    let dev = core.osds[osd].block_offset(block);
-    let done = core.osds[osd]
-        .device
-        .submit(sim.now(), IoKind::Read, dev, bs, STREAM_BLOCK);
+    let done = core.osds[osd].block_io(sim.now(), IoKind::Read, block, 0, bs);
     // One scrub round = the full-block verification read.
     let round = core.metrics.blocks_scrubbed;
     core.metrics
@@ -208,6 +205,7 @@ fn repair_block(
         }
         // Page-range shards from the first k siblings whose own page
         // verifies clean.
+        let mut sources: Vec<(usize, usize)> = Vec::with_capacity(k);
         let mut shards: Vec<(usize, tsue_buf::Bytes)> = Vec::with_capacity(k);
         for &(role, owner) in &siblings {
             if shards.len() == k {
@@ -218,6 +216,7 @@ fn repair_block(
                 continue;
             }
             if let Some(bytes) = core.osds[owner].peek_block_range(sib, s, len) {
+                sources.push((role, owner));
                 shards.push((role, bytes));
             }
         }
@@ -246,32 +245,12 @@ fn repair_block(
             continue;
         }
         // Charge the repair: k survivor page reads, transfers to the
-        // home (per-tier accounted), the decode, and the page rewrite.
-        let mut ready = now;
-        for &(role, _) in &shards {
-            let owner = siblings
-                .iter()
-                .find(|&&(r, _)| r == role)
-                .map(|&(_, o)| o)
-                // INVARIANT: `shards` was built by reading from `siblings`, so
-                // every shard role has an owner entry there.
-                .expect("shard came from a sibling");
-            let sib_dev = core.osds[owner].block_offset(block_for(block, role));
-            let t_read =
-                core.osds[owner]
-                    .device
-                    .submit(now, IoKind::Read, sib_dev + s, len, STREAM_BLOCK);
-            let arrive = core
-                .net
-                .transfer(t_read, core.osds[owner].node, core.osds[osd].node, len);
-            ready = ready.max(arrive);
-        }
+        // home (per-tier accounted), the decode, and the page rewrite
+        // (a whole-page overwrite, so the page's taint clears).
+        let home = core.osds[osd].node;
+        let ready = core.charge_gather(now, block, &sources, s, len, home);
         let t_decoded = ready + core.gf_time(len * k as u64);
-        let dev = core.osds[osd].block_offset(block);
-        core.osds[osd]
-            .device
-            .submit(t_decoded, IoKind::Write, dev + s, len, STREAM_BLOCK);
-        core.osds[osd].install_repaired_page(block, page, &out);
+        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&out));
         core.metrics.corruptions_repaired += 1;
         repaired += 1;
     }
@@ -325,10 +304,7 @@ pub fn run_full_scrub(world: &mut Cluster, sim: &mut Sim<Cluster>) -> FullScrubR
         }
         let ids: Vec<BlockId> = world.core.osds[osd].block_ids().collect();
         for block in ids {
-            let dev = world.core.osds[osd].block_offset(block);
-            world.core.osds[osd]
-                .device
-                .submit(sim.now(), IoKind::Read, dev, bs, STREAM_BLOCK);
+            world.core.osds[osd].block_io(sim.now(), IoKind::Read, block, 0, bs);
             world.core.metrics.blocks_scrubbed += 1;
             report.scrubbed += 1;
             if !world.core.osds[osd].corrupt_pages(block).is_empty() {

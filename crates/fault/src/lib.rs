@@ -9,11 +9,13 @@
 //!
 //! * [`FaultPlan`] — a serializable script of timed [`FaultEvent`]s:
 //!   node kills, whole-rack kills, transient NIC slowdowns, heals.
-//! * [`install`] — schedules the plan into the DES. Kills trigger a
-//!   *phase*: a drain gate (schemes flush their logs while clients keep
-//!   issuing — lazily-recycled schemes pay their recycle storm here),
-//!   then online rebuild through [`tsue_ecfs::RecoveryState`] with
-//!   bounded concurrency, degraded reads shrinking as blocks rehome.
+//! * [`install`] — schedules the plan into the DES. Kills and heals each
+//!   trigger a *phase*: one drain gate (schemes flush their logs while
+//!   clients keep issuing — lazily-recycled schemes pay their recycle
+//!   storm here), then the phase's work — online rebuild through
+//!   [`tsue_ecfs::RecoveryState`] with bounded concurrency (degraded
+//!   reads shrinking as blocks rehome), or the healed node's re-sync —
+//!   polled to completion and filed as a report.
 //! * A failover **watchdog** that force-completes client ops stalled by
 //!   in-flight state lost with a dead node (modeled timeout + retry), so
 //!   every scheme's closed loop survives arbitrary kill timing.
@@ -26,7 +28,10 @@
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::rc::Rc;
-use tsue_ecfs::{fail_node, reap_stalled_ops, start_recovery, Cluster, HealStats, SplitRng};
+use tsue_ecfs::{
+    fail_node, reap_stalled_ops, start_recovery, Cluster, HealStats, ResyncStats, SplitRng,
+    DRAIN_STRIDE,
+};
 use tsue_net::TierTraffic;
 use tsue_obs::{Histogram, LatencySummary};
 use tsue_sim::{Sim, Time, MILLISECOND};
@@ -278,13 +283,27 @@ impl FaultPlan {
     /// Checks every event against the cluster shape.
     ///
     /// # Errors
-    /// Returns a description of the first out-of-range node/rack or
-    /// nonsensical factor.
+    /// Returns a description of the first out-of-range node/rack, time
+    /// past the virtual clock's range, or nonsensical factor.
     pub fn validate(&self, osds: usize, racks: usize) -> Result<(), String> {
         for (i, e) in self.events.iter().enumerate() {
             // Errors name the offending event, not just its index, so a
             // scenario author can find it in a long fault list.
             let who = format!("fault #{i} ({} @{}ms)", e.kind_name(), e.at_ms());
+            // Trigger (and slowdown end) times become virtual ns; one that
+            // does not fit `Time` would wrap and fire at the wrong instant.
+            let (what, last_ms) = match *e {
+                FaultEvent::SlowNode {
+                    at_ms, duration_ms, ..
+                } => ("at_ms + duration_ms", at_ms.checked_add(duration_ms)),
+                _ => ("at_ms", Some(e.at_ms())),
+            };
+            if last_ms.is_none_or(|ms| ms > Time::MAX / MILLISECOND) {
+                return Err(format!(
+                    "{who}: {what} exceeds the virtual clock's range ({} ms)",
+                    Time::MAX / MILLISECOND
+                ));
+            }
             match *e {
                 FaultEvent::KillNode { node, .. }
                 | FaultEvent::HealNode { node, .. }
@@ -317,55 +336,40 @@ impl FaultPlan {
         }
         Ok(())
     }
-
-    /// True when the plan kills anything (i.e. recovery phases will run).
-    pub fn has_kills(&self) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e, FaultEvent::KillNode { .. } | FaultEvent::KillRack { .. }))
-    }
 }
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Drain-gate pump interval: how often dead-node phases re-issue
-    /// `flush` to live schemes while waiting for backlogs to hit zero.
-    pub drain_stride: Time,
-    /// Drain-gate cap in strides: lazily-recycled schemes that cannot
-    /// drain under sustained load start rebuilding anyway after this many
-    /// strides (the recycle storm then competes with the rebuild, which
-    /// is exactly the §5.4 failure mode).
-    pub drain_cap_strides: u32,
-    /// Strides without a new backlog minimum before the gate opens: under
-    /// live traffic the backlog never touches zero (fresh extents keep
-    /// arriving), so the gate opens once the at-failure *storm* has
-    /// drained and the backlog has flattened at its steady-state churn.
-    pub drain_stall_strides: u32,
     /// Concurrent block-rebuild jobs.
     pub rebuild_concurrency: usize,
-    /// Completion-poll interval for the rebuild phase.
-    pub poll_period: Time,
-    /// Client ops older than this are force-completed by the watchdog
-    /// (modeled client timeout + retry) while failures are in play.
-    pub op_timeout: Time,
-    /// Watchdog sweep interval.
-    pub watchdog_period: Time,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            drain_stride: 20 * MILLISECOND,
-            drain_cap_strides: 250,
-            drain_stall_strides: 3,
             rebuild_concurrency: 8,
-            poll_period: 10 * MILLISECOND,
-            op_timeout: 300 * MILLISECOND,
-            watchdog_period: 25 * MILLISECOND,
         }
     }
 }
+
+/// Drain-gate cap in strides: lazily-recycled schemes that cannot drain
+/// under sustained load start rebuilding anyway after this many strides
+/// (the recycle storm then competes with the rebuild, which is exactly
+/// the §5.4 failure mode).
+const DRAIN_CAP_STRIDES: u32 = 250;
+/// Strides without a new backlog minimum before the gate opens: under
+/// live traffic the backlog never touches zero (fresh extents keep
+/// arriving), so the gate opens once the at-failure *storm* has drained
+/// and the backlog has flattened at its steady-state churn.
+const DRAIN_STALL_STRIDES: u32 = 3;
+/// Completion-poll interval once a phase's rebuild or re-sync runs.
+const POLL_PERIOD: Time = 10 * MILLISECOND;
+/// Client ops older than this are force-completed by the watchdog
+/// (modeled client timeout + retry) while failures are in play.
+const OP_TIMEOUT: Time = 300 * MILLISECOND;
+/// Watchdog sweep interval.
+const WATCHDOG_PERIOD: Time = 25 * MILLISECOND;
 
 /// One kill event's recovery outcome.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -459,14 +463,6 @@ pub struct FaultReport {
 }
 
 impl FaultReport {
-    /// Worst (smallest) per-phase recovery bandwidth, MB/s.
-    pub fn min_recovery_mb_s(&self) -> f64 {
-        self.phases
-            .iter()
-            .map(|p| p.recovery_mb_s)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Total blocks the run could not rebuild.
     pub fn total_unrecoverable(&self) -> u64 {
         self.phases.iter().map(|p| p.blocks_unrecoverable).sum()
@@ -487,6 +483,8 @@ pub struct FaultTracker {
     /// [`PhaseReport::lat_after`]; runtime-only, never serialized.
     pub phase_end_lat: Vec<Histogram>,
     watchdog_armed: bool,
+    /// The knobs [`install`] was given.
+    cfg: EngineConfig,
 }
 
 impl FaultTracker {
@@ -517,11 +515,10 @@ pub fn install(
 ) -> Result<FaultHandle, String> {
     plan.validate(world.core.cfg.osds, world.core.net.racks())?;
     let tracker: FaultHandle = Rc::new(RefCell::new(FaultTracker {
-        // Kills run a rebuild phase, heals a re-sync phase; both must
-        // finalize before the plan counts as finished. Slowdowns,
-        // corruption injections, and power losses are instantaneous —
-        // their consequences surface through reads, scrubs, and log
-        // replays, not through a tracked phase.
+        // Kills and heals each run a phase that must finalize before the
+        // plan counts as finished. Slowdowns, corruption injections, and
+        // power losses are instantaneous — their consequences surface
+        // through reads, scrubs, and log replays, not through a phase.
         active_phases: plan
             .events
             .iter()
@@ -534,33 +531,28 @@ pub fn install(
                 )
             })
             .count(),
+        cfg,
         ..FaultTracker::default()
     }));
     for event in plan.events.iter().copied() {
         let at = event.at_ms() * MILLISECOND;
         let t = tracker.clone();
         sim.schedule_at(at, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            trigger(w, sim, event, t, cfg);
+            trigger(w, sim, event, t);
         });
     }
     Ok(tracker)
 }
 
-/// Runs the simulation until every kill phase has finished (no-op when
-/// the plan had no kills or everything already completed).
+/// Runs the simulation until every kill and heal phase has finished
+/// (no-op when the plan had none or everything already completed).
 pub fn run_plan_to_completion(world: &mut Cluster, sim: &mut Sim<Cluster>, tracker: &FaultHandle) {
     let t = tracker.clone();
     sim.run_while(world, move |_| !t.borrow().finished());
 }
 
 /// Executes one scripted event.
-fn trigger(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    event: FaultEvent,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
+fn trigger(world: &mut Cluster, sim: &mut Sim<Cluster>, event: FaultEvent, tracker: FaultHandle) {
     match event {
         FaultEvent::SlowNode {
             node,
@@ -576,15 +568,21 @@ fn trigger(
             // the heal instant (nothing can interleave); the drain-gated
             // delta re-sync and rehome reclamation follow as a phase.
             let heal = tsue_ecfs::heal_node(world, sim, node);
-            resync_phase_start(world, sim, at_ms, node, heal, tracker, cfg);
+            let kind = PhaseKind::Heal {
+                node,
+                heal,
+                resync: ResyncStats::default(),
+            };
+            let phase = Phase::new(world, sim, at_ms, kind);
+            gate(world, sim, phase, tracker);
         }
         FaultEvent::KillNode { at_ms, node } => {
             fail_node(world, node);
-            phase_start(world, sim, at_ms, vec![node], tracker, cfg);
+            kill_phase(world, sim, at_ms, vec![node], tracker);
         }
         FaultEvent::KillRack { at_ms, rack } => {
             let victims = tsue_ecfs::fail_rack(world, rack);
-            phase_start(world, sim, at_ms, victims, tracker, cfg);
+            kill_phase(world, sim, at_ms, victims, tracker);
         }
         FaultEvent::CorruptBlock {
             at_ms,
@@ -612,87 +610,40 @@ fn trigger(
     }
 }
 
-/// Snapshot taken at phase start, consumed at finalize. Block counts
-/// come from the recovery engine's per-phase stats (exact even when
-/// kill phases overlap); the traffic and degraded-read fields are
-/// whole-cluster deltas over the phase window.
-#[derive(Clone)]
-struct PhaseSnapshot {
-    at_ms: u64,
-    killed: Vec<usize>,
-    t_kill: Time,
-    backlog_at_failure: u64,
-    tier0: TierTraffic,
-    degraded0: u64,
-    /// Cumulative client-op latency histogram at the kill instant; the
-    /// phase window's distribution is recovered with [`Histogram::since`].
-    lat0: Histogram,
-}
-
 /// Kill landed: snapshot, arm the watchdog, enter the drain gate.
-fn phase_start(
+fn kill_phase(
     world: &mut Cluster,
     sim: &mut Sim<Cluster>,
     at_ms: u64,
     killed: Vec<usize>,
     tracker: FaultHandle,
-    cfg: EngineConfig,
 ) {
-    let snap = PhaseSnapshot {
-        at_ms,
+    let snap = KillSnapshot {
         killed,
-        t_kill: sim.now(),
-        backlog_at_failure: world.total_scheme_backlog(),
         tier0: *world.core.net.tier_traffic(),
         degraded0: world.core.metrics.degraded_reads,
         lat0: world.core.metrics.obs.client_op_hist(),
     };
-    arm_watchdog(world, sim, tracker.clone(), cfg);
-    let best = snap.backlog_at_failure;
-    drain_gate(
-        world,
-        sim,
-        snap,
-        DrainProgress {
-            strides: 0,
-            best,
-            stalled: 0,
-        },
-        tracker,
-        cfg,
-    );
-}
-
-/// Drain-gate loop state.
-#[derive(Clone, Copy)]
-struct DrainProgress {
-    strides: u32,
-    /// Lowest live-scheme backlog observed since the kill.
-    best: u64,
-    /// Consecutive strides without a new minimum.
-    stalled: u32,
+    let kind = PhaseKind::Kill { snap, rebuild: 0 };
+    let phase = Phase::new(world, sim, at_ms, kind);
+    arm_watchdog(sim, tracker.clone());
+    gate(world, sim, phase, tracker);
 }
 
 /// The failover watchdog: periodically force-completes client ops that
-/// have been in flight longer than `op_timeout` — state lost inside a
+/// have been in flight longer than [`OP_TIMEOUT`] — state lost inside a
 /// dead node must not wedge any scheme's closed loop.
-fn arm_watchdog(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
+fn arm_watchdog(sim: &mut Sim<Cluster>, tracker: FaultHandle) {
     if tracker.borrow().watchdog_armed {
         return;
     }
     tracker.borrow_mut().watchdog_armed = true;
-    let _ = world;
-    watchdog_tick(sim, tracker, cfg);
+    watchdog_tick(sim, tracker);
 }
 
-fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle, cfg: EngineConfig) {
+fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle) {
     sim.schedule(
-        cfg.watchdog_period,
+        WATCHDOG_PERIOD,
         move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
             let any_dead = w.core.osds.iter().any(|o| o.dead);
             // Reap only while a node is actually down: ops merely queued
@@ -700,13 +651,13 @@ fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle, cfg: EngineConfig
             // their true completion, not be clipped at the timeout.
             // (Reaped ops are counted separately in `metrics.reaped_ops`.)
             if any_dead {
-                let deadline = sim.now().saturating_sub(cfg.op_timeout);
+                let deadline = sim.now().saturating_sub(OP_TIMEOUT);
                 reap_stalled_ops(w, sim, deadline);
             }
             let keep = !tracker.borrow().finished()
                 || (any_dead && (!w.core.pending.is_empty() || w.core.accepting(sim.now())));
             if keep {
-                watchdog_tick(sim, tracker, cfg);
+                watchdog_tick(sim, tracker);
             } else {
                 tracker.borrow_mut().watchdog_armed = false;
             }
@@ -714,272 +665,217 @@ fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle, cfg: EngineConfig
     );
 }
 
-/// One gate stride, shared by the kill (drain) and heal (re-sync)
-/// gates: folds the current live-scheme backlog into the progress
-/// tracker and reports whether the at-failure log storm has drained —
-/// backlog either reaches zero (TSUE: almost immediately; traffic
-/// stopped) or flattens at its steady-state churn (live traffic keeps a
-/// small rolling backlog).
-fn gate_observe(world: &Cluster, progress: &mut DrainProgress, cfg: EngineConfig) -> bool {
-    let backlog = world.total_scheme_backlog();
-    if progress.strides > 0 {
-        if backlog < progress.best {
-            progress.best = backlog;
-            progress.stalled = 0;
-        } else {
-            progress.stalled += 1;
-        }
-    }
-    backlog == 0 || progress.stalled >= cfg.drain_stall_strides
-}
-
-/// Re-issues `flush` to every live scheme (the gate's pump half).
-fn flush_live_schemes(world: &mut Cluster, sim: &mut Sim<Cluster>) {
-    for osd in 0..world.core.cfg.osds {
-        if world.core.osds[osd].dead {
-            continue;
-        }
-        let mut s = world.schemes[osd].take().expect("scheme missing");
-        s.flush(&mut world.core, sim, osd);
-        world.schemes[osd] = Some(s);
-    }
-}
-
-/// Drain gate: pump flushes each stride until the storm has drained or
-/// the stride cap fires; then start the rebuild.
-fn drain_gate(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    snap: PhaseSnapshot,
-    mut progress: DrainProgress,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    let storm_drained = gate_observe(world, &mut progress, cfg);
-    if storm_drained || progress.strides >= cfg.drain_cap_strides {
-        rebuild_start(world, sim, snap, tracker, cfg);
-        return;
-    }
-    flush_live_schemes(world, sim);
-    progress.strides += 1;
-    sim.schedule(
-        cfg.drain_stride,
-        move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            drain_gate(w, sim, snap, progress, tracker, cfg);
-        },
-    );
-}
-
-/// Logs drained (or the cap fired): enumerate lost blocks and rebuild
-/// them online, then poll for completion.
-fn rebuild_start(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    snap: PhaseSnapshot,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    let drain_ns = sim.now() - snap.t_kill;
-    world.core.recovery.concurrency = cfg.rebuild_concurrency;
-    let victims = snap.killed.clone();
-    let phase = start_recovery(world, sim, &victims);
-    poll_done(world, sim, snap, drain_ns, phase, tracker, cfg);
-}
-
-fn poll_done(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    snap: PhaseSnapshot,
-    drain_ns: Time,
-    phase: u64,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    if world.core.recovery.phase_stats(phase).pending() > 0 {
-        sim.schedule(
-            cfg.poll_period,
-            move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                poll_done(w, sim, snap, drain_ns, phase, tracker, cfg);
-            },
-        );
-        return;
-    }
-    finalize_phase(world, sim, snap, drain_ns, phase, tracker);
-}
-
-fn finalize_phase(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    snap: PhaseSnapshot,
-    drain_ns: Time,
-    phase: u64,
-    tracker: FaultHandle,
-) {
-    const MB: f64 = 1e6;
-    let core = &world.core;
-    let stats = core.recovery.phase_stats(phase);
-    let total_ns = sim.now().saturating_sub(snap.t_kill).max(1);
-    let tier = core.net.tier_traffic().since(&snap.tier0);
-    let phase = PhaseReport {
-        at_ms: snap.at_ms,
-        killed: snap.killed.clone(),
-        backlog_at_failure: snap.backlog_at_failure,
-        drain_ms: drain_ns as f64 / MILLISECOND as f64,
-        rebuild_ms: (total_ns - drain_ns) as f64 / MILLISECOND as f64,
-        blocks_lost: stats.enqueued,
-        blocks_rebuilt: stats.rebuilt,
-        blocks_unrecoverable: stats.unrecoverable,
-        blocks_skipped: stats.skipped,
-        bytes_rebuilt: stats.bytes_rebuilt,
-        journal_replayed_bytes: stats.journal_replayed_bytes,
-        recovery_mb_s: stats.bytes_rebuilt as f64 * 1e9 / total_ns as f64 / MB,
-        intra_rack_mb: tier.intra_wire as f64 / MB,
-        cross_rack_mb: tier.cross_wire as f64 / MB,
-        degraded_reads: core.metrics.degraded_reads - snap.degraded0,
-        lat_before: snap.lat0.summary(),
-        lat_during: core
-            .metrics
-            .obs
-            .client_op_hist()
-            .since(&snap.lat0)
-            .summary(),
-        lat_after: None,
-    };
-    let mut t = tracker.borrow_mut();
-    t.phase_end_lat.push(core.metrics.obs.client_op_hist());
-    t.report.phases.push(phase);
-    t.report.rebuild_intra_bytes = core.recovery.intra_rack_bytes;
-    t.report.rebuild_cross_bytes = core.recovery.cross_rack_bytes;
-    t.active_phases -= 1;
-}
-
-/// Heal landed: run the re-sync phase. The gate re-flushes live schemes
-/// each stride until the log storm has drained *and* the recovery engine
-/// has no queued/in-flight rebuilds (a rebuild completing after the
-/// copy-back would re-populate the rehome table the re-sync just
-/// reclaimed); then the copy-back + reclamation + parity repair run and
-/// the phase polls their modeled I/O to completion.
-fn resync_phase_start(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
+/// A kill or a heal in progress: what happened, when, how far its drain
+/// gate has come, and — once the gate opens — its running work.
+struct Phase {
+    /// Trigger time, virtual ms (as scripted).
     at_ms: u64,
-    node: usize,
-    heal: HealStats,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    let t_heal = sim.now();
-    let best = world.total_scheme_backlog();
-    resync_gate(
-        world,
-        sim,
-        at_ms,
-        node,
-        heal,
-        t_heal,
-        DrainProgress {
-            strides: 0,
-            best,
-            stalled: 0,
-        },
-        tracker,
-        cfg,
-    );
+    /// Trigger instant.
+    start: Time,
+    /// Live-scheme backlog at the trigger instant.
+    backlog0: u64,
+    /// Gate strides taken so far.
+    strides: u32,
+    /// Lowest live-scheme backlog observed since the trigger.
+    best: u64,
+    /// Consecutive strides without a new minimum.
+    stalled: u32,
+    /// Virtual ns from the trigger to the gate opening.
+    drain_ns: Time,
+    kind: PhaseKind,
 }
 
-#[allow(clippy::too_many_arguments)] // phase context threaded through the gate loop
-fn resync_gate(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    at_ms: u64,
-    node: usize,
-    heal: HealStats,
-    t_heal: Time,
-    mut progress: DrainProgress,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    if !world.core.mds.is_alive(node) {
-        // The node was re-killed while the gate was striding (a flapping
-        // node). Copying content onto a dead OSD and reclaiming its
-        // rehome entries would point live reads at a corpse — abandon
-        // the re-sync; the re-kill's own phase (and the next heal's
-        // re-sync) take over from here.
-        let drain_ns = sim.now() - t_heal;
-        resync_poll(
-            world,
-            sim,
+/// What a phase recovers from, and the work its open gate started.
+enum PhaseKind {
+    /// Nodes died: rebuild their blocks online.
+    Kill {
+        snap: KillSnapshot,
+        /// The recovery engine's token for this phase's rebuild.
+        rebuild: u64,
+    },
+    /// A node came back: re-sync it and reclaim its rehome entries.
+    Heal {
+        node: usize,
+        heal: HealStats,
+        /// What the re-sync did (empty when it was abandoned).
+        resync: ResyncStats,
+    },
+}
+
+/// Snapshot taken at a kill, consumed at finalize. Block counts come
+/// from the recovery engine's per-phase stats (exact even when kill
+/// phases overlap); the traffic and degraded-read fields are
+/// whole-cluster deltas over the phase window.
+struct KillSnapshot {
+    killed: Vec<usize>,
+    tier0: TierTraffic,
+    degraded0: u64,
+    /// Cumulative client-op latency histogram at the kill instant; the
+    /// phase window's distribution is recovered with [`Histogram::since`].
+    lat0: Histogram,
+}
+
+impl Phase {
+    fn new(world: &Cluster, sim: &Sim<Cluster>, at_ms: u64, kind: PhaseKind) -> Self {
+        let backlog0 = world.total_scheme_backlog();
+        Phase {
             at_ms,
-            node,
-            heal,
-            t_heal,
-            drain_ns,
-            tsue_ecfs::ResyncStats::default(),
-            tracker,
-            cfg,
-        );
+            start: sim.now(),
+            backlog0,
+            strides: 0,
+            best: backlog0,
+            stalled: 0,
+            drain_ns: 0,
+            kind,
+        }
+    }
+
+    /// One gate stride: folds the live-scheme backlog into the drain
+    /// progress and reports whether the at-failure log storm has drained
+    /// — the backlog either reaches zero (TSUE: almost immediately;
+    /// traffic stopped) or flattens at its steady-state churn (live
+    /// traffic keeps a small rolling backlog). A heal also waits for the
+    /// recovery engine to go idle: a rebuild completing after the
+    /// copy-back would re-populate the rehome table the re-sync just
+    /// reclaimed. The stride cap opens the gate regardless.
+    fn gate_open(&mut self, world: &Cluster) -> bool {
+        let backlog = world.total_scheme_backlog();
+        if self.strides > 0 {
+            if backlog < self.best {
+                self.best = backlog;
+                self.stalled = 0;
+            } else {
+                self.stalled += 1;
+            }
+        }
+        let storm_drained = backlog == 0 || self.stalled >= DRAIN_STALL_STRIDES;
+        let rebuilds_idle =
+            matches!(self.kind, PhaseKind::Kill { .. }) || world.core.recovery.pending() == 0;
+        (storm_drained && rebuilds_idle) || self.strides >= DRAIN_CAP_STRIDES
+    }
+
+    /// Gate open: start the rebuild or the re-sync.
+    fn start_work(&mut self, world: &mut Cluster, sim: &mut Sim<Cluster>, concurrency: usize) {
+        self.drain_ns = sim.now() - self.start;
+        match &mut self.kind {
+            PhaseKind::Kill { snap, rebuild } => {
+                world.core.recovery.concurrency = concurrency;
+                *rebuild = start_recovery(world, sim, &snap.killed);
+            }
+            PhaseKind::Heal { node, resync, .. } => {
+                *resync = tsue_ecfs::start_resync(world, sim, *node);
+            }
+        }
+    }
+
+    /// Work the phase still waits on.
+    fn pending(&self, world: &Cluster) -> u64 {
+        match self.kind {
+            PhaseKind::Kill { rebuild, .. } => world.core.recovery.phase_stats(rebuild).pending(),
+            PhaseKind::Heal { .. } => world.core.resync.pending(),
+        }
+    }
+
+    /// Work done: file the phase's report.
+    fn finalize(self, world: &Cluster, now: Time, t: &mut FaultTracker) {
+        const MB: f64 = 1e6;
+        let core = &world.core;
+        let ms = |ns: Time| ns as f64 / MILLISECOND as f64;
+        match self.kind {
+            PhaseKind::Kill { snap, rebuild } => {
+                let stats = core.recovery.phase_stats(rebuild);
+                let total_ns = now.saturating_sub(self.start).max(1);
+                let tier = core.net.tier_traffic().since(&snap.tier0);
+                let lat_now = core.metrics.obs.client_op_hist();
+                t.report.phases.push(PhaseReport {
+                    at_ms: self.at_ms,
+                    killed: snap.killed,
+                    backlog_at_failure: self.backlog0,
+                    drain_ms: ms(self.drain_ns),
+                    rebuild_ms: ms(total_ns - self.drain_ns),
+                    blocks_lost: stats.enqueued,
+                    blocks_rebuilt: stats.rebuilt,
+                    blocks_unrecoverable: stats.unrecoverable,
+                    blocks_skipped: stats.skipped,
+                    bytes_rebuilt: stats.bytes_rebuilt,
+                    journal_replayed_bytes: stats.journal_replayed_bytes,
+                    recovery_mb_s: stats.bytes_rebuilt as f64 * 1e9 / total_ns as f64 / MB,
+                    intra_rack_mb: tier.intra_wire as f64 / MB,
+                    cross_rack_mb: tier.cross_wire as f64 / MB,
+                    degraded_reads: core.metrics.degraded_reads - snap.degraded0,
+                    lat_before: snap.lat0.summary(),
+                    lat_during: lat_now.since(&snap.lat0).summary(),
+                    lat_after: None,
+                });
+                t.phase_end_lat.push(lat_now);
+                t.report.rebuild_intra_bytes = core.recovery.intra_rack_bytes;
+                t.report.rebuild_cross_bytes = core.recovery.cross_rack_bytes;
+            }
+            PhaseKind::Heal { node, heal, resync } => {
+                let total_ns = now.saturating_sub(self.start);
+                t.report.resyncs.push(ResyncReport {
+                    at_ms: self.at_ms,
+                    node,
+                    drain_ms: ms(self.drain_ns),
+                    resync_ms: ms(total_ns.saturating_sub(self.drain_ns)),
+                    blocks_replayed: heal.blocks_replayed,
+                    replayed_bytes: heal.replayed_bytes,
+                    blocks_copied_back: resync.blocks_copied_back,
+                    bytes_copied_back: resync.bytes_copied_back,
+                    blocks_reclaimed: resync.blocks_reclaimed,
+                    parity_repaired: resync.parity_repaired,
+                    rehomed_residual: core.mds.rehomed_count() as u64,
+                });
+            }
+        }
+        t.active_phases -= 1;
+    }
+}
+
+/// The drain gate, one stride per call, for kills and heals alike: pump
+/// flushes each [`DRAIN_STRIDE`] until [`Phase::gate_open`], then start
+/// the phase's work and poll it to completion. A heal whose node was
+/// re-killed while the gate strode (a flapping node) abandons its
+/// re-sync: copying content onto a dead OSD and reclaiming its rehome
+/// entries would point live reads at a corpse, and the re-kill's own
+/// phase (and the next heal's re-sync) take over from here.
+fn gate(world: &mut Cluster, sim: &mut Sim<Cluster>, mut phase: Phase, tracker: FaultHandle) {
+    if let PhaseKind::Heal { node, .. } = phase.kind {
+        if !world.core.mds.is_alive(node) {
+            phase.drain_ns = sim.now() - phase.start;
+            poll(world, sim, phase, tracker);
+            return;
+        }
+    }
+    if phase.gate_open(world) {
+        let concurrency = tracker.borrow().cfg.rebuild_concurrency;
+        phase.start_work(world, sim, concurrency);
+        poll(world, sim, phase, tracker);
         return;
     }
-    let storm_drained = gate_observe(world, &mut progress, cfg);
-    let rebuilds_idle = world.core.recovery.pending() == 0;
-    if (storm_drained && rebuilds_idle) || progress.strides >= cfg.drain_cap_strides {
-        let drain_ns = sim.now() - t_heal;
-        let stats = tsue_ecfs::start_resync(world, sim, node);
-        resync_poll(
-            world, sim, at_ms, node, heal, t_heal, drain_ns, stats, tracker, cfg,
-        );
-        return;
-    }
-    flush_live_schemes(world, sim);
-    progress.strides += 1;
+    world.flush_live(sim);
+    phase.strides += 1;
     sim.schedule(
-        cfg.drain_stride,
+        DRAIN_STRIDE,
         move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            resync_gate(w, sim, at_ms, node, heal, t_heal, progress, tracker, cfg);
+            gate(w, sim, phase, tracker);
         },
     );
 }
 
-#[allow(clippy::too_many_arguments)] // phase context threaded through the poll loop
-fn resync_poll(
-    world: &mut Cluster,
-    sim: &mut Sim<Cluster>,
-    at_ms: u64,
-    node: usize,
-    heal: HealStats,
-    t_heal: Time,
-    drain_ns: Time,
-    stats: tsue_ecfs::ResyncStats,
-    tracker: FaultHandle,
-    cfg: EngineConfig,
-) {
-    if world.core.resync.pending() > 0 {
+/// Polls a phase's work every [`POLL_PERIOD`] until it completes, then
+/// finalizes the phase.
+fn poll(world: &mut Cluster, sim: &mut Sim<Cluster>, phase: Phase, tracker: FaultHandle) {
+    if phase.pending(world) > 0 {
         sim.schedule(
-            cfg.poll_period,
+            POLL_PERIOD,
             move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-                resync_poll(
-                    w, sim, at_ms, node, heal, t_heal, drain_ns, stats, tracker, cfg,
-                );
+                poll(w, sim, phase, tracker);
             },
         );
         return;
     }
-    let total_ns = sim.now().saturating_sub(t_heal);
-    let mut t = tracker.borrow_mut();
-    t.report.resyncs.push(ResyncReport {
-        at_ms,
-        node,
-        drain_ms: drain_ns as f64 / MILLISECOND as f64,
-        resync_ms: total_ns.saturating_sub(drain_ns) as f64 / MILLISECOND as f64,
-        blocks_replayed: heal.blocks_replayed,
-        replayed_bytes: heal.replayed_bytes,
-        blocks_copied_back: stats.blocks_copied_back,
-        bytes_copied_back: stats.bytes_copied_back,
-        blocks_reclaimed: stats.blocks_reclaimed,
-        parity_repaired: stats.parity_repaired,
-        rehomed_residual: world.core.mds.rehomed_count() as u64,
-    });
-    t.active_phases -= 1;
+    phase.finalize(world, sim.now(), &mut tracker.borrow_mut());
 }
 
 #[cfg(test)]
@@ -1071,7 +967,15 @@ mod tests {
             duration_ms: 1,
         }]);
         assert!(plan.validate(16, 4).is_err());
+        let plan = FaultPlan::new(vec![FaultEvent::SlowNode {
+            at_ms: 1,
+            node: 0,
+            factor: 2.0,
+            duration_ms: u64::MAX / MILLISECOND,
+        }]);
+        let err = plan.validate(16, 4).unwrap_err();
+        assert!(err.starts_with("fault #0 (slow_node @1ms)"), "{err}");
+        assert!(err.contains("at_ms + duration_ms"), "{err}");
         assert!(FaultPlan::default().validate(16, 4).is_ok());
-        assert!(!FaultPlan::default().has_kills());
     }
 }

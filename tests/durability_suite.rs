@@ -70,7 +70,6 @@ fn acked_writes_survive_kill_rebuild_heal_byte_exact() {
     ]);
     let cfg = EngineConfig {
         rebuild_concurrency: 1,
-        ..EngineConfig::default()
     };
     let tracker = install(&world, &mut sim, &plan, cfg).expect("valid plan");
     run_workload(&mut world, &mut sim, 3600 * SECOND);

@@ -176,11 +176,7 @@ proptest! {
                 continue;
             }
             let block = ids[rng.below(ids.len() as u64) as usize];
-            let bs = world.core.cfg.stripe.block_size;
-            let pos = rng.below(bs) as usize;
-            if let Some(bytes) = world.core.osds[osd].block_data_mut(block) {
-                bytes[pos] ^= 0xa5;
-            }
+            world.core.osds[osd].corrupt_bits(block, &mut rng, 1);
         }
 
         let first = run_full_scrub(&mut world, &mut sim);

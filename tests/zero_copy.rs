@@ -71,13 +71,11 @@ fn data_log_stage_performs_zero_payload_copies_per_client_write() {
     assert_eq!(world.core.metrics.payload_bytes_copied, 0);
 
     // And the log really holds the content (overlay sees the newest data).
-    let scheme = world.schemes[owner].take().expect("scheme present");
     let mut got = vec![0u8; 4096];
-    let mut probe = scheme;
-    let serve = probe.read_overlay(&mut world.core, owner, block, 0, 4096, Some(&mut got));
+    let serve =
+        world.schemes[owner].read_overlay(&mut world.core, owner, block, 0, 4096, Some(&mut got));
     assert_eq!(serve, tsue_repro::ecfs::scheme::ReadServe::CacheHit);
     assert!(got.iter().all(|&b| b == 0), "first write fills with 0");
-    world.schemes[owner] = Some(probe);
 }
 
 /// The full two-stage pipeline in steady state recycles buffers through
