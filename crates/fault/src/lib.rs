@@ -756,7 +756,6 @@ impl Phase {
 
     /// Gate open: start the rebuild or the re-sync.
     fn start_work(&mut self, world: &mut Cluster, sim: &mut Sim<Cluster>, concurrency: usize) {
-        self.drain_ns = sim.now() - self.start;
         match &mut self.kind {
             PhaseKind::Kill { snap, rebuild } => {
                 world.core.recovery.concurrency = concurrency;
@@ -840,16 +839,14 @@ impl Phase {
 /// entries would point live reads at a corpse, and the re-kill's own
 /// phase (and the next heal's re-sync) take over from here.
 fn gate(world: &mut Cluster, sim: &mut Sim<Cluster>, mut phase: Phase, tracker: FaultHandle) {
-    if let PhaseKind::Heal { node, .. } = phase.kind {
-        if !world.core.mds.is_alive(node) {
-            phase.drain_ns = sim.now() - phase.start;
-            poll(world, sim, phase, tracker);
-            return;
+    let abandoned =
+        matches!(phase.kind, PhaseKind::Heal { node, .. } if !world.core.mds.is_alive(node));
+    if abandoned || phase.gate_open(world) {
+        phase.drain_ns = sim.now() - phase.start;
+        if !abandoned {
+            let concurrency = tracker.borrow().cfg.rebuild_concurrency;
+            phase.start_work(world, sim, concurrency);
         }
-    }
-    if phase.gate_open(world) {
-        let concurrency = tracker.borrow().cfg.rebuild_concurrency;
-        phase.start_work(world, sim, concurrency);
         poll(world, sim, phase, tracker);
         return;
     }
