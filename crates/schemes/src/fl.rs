@@ -16,7 +16,9 @@
 use crate::{AckTable, LogRegion};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::rangemap::RangeMap;
-use tsue_ecfs::scheme::{reply_at, send_at, DeltaKind, ReadServe, SchemeMsg, UpdateReq};
+use tsue_ecfs::scheme::{
+    reply_at, rmw_data_delta, send_at, DeltaKind, ReadServe, SchemeMsg, UpdateReq,
+};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
@@ -124,23 +126,7 @@ impl Fl {
             for (off, newest) in map.drain() {
                 let len = newest.len;
                 // RMW the data block: read old, delta, write merged.
-                let (t_read, old) = core.osds[osd].read_block_range(now, block, off, len);
-                let delta = match (&newest.bytes, old) {
-                    (Some(new), Some(old)) => {
-                        let mut d = tsue_buf::BytesMut::take(new.len());
-                        tsue_ec::data_delta_into(&old, new, d.as_mut());
-                        tsue_ecfs::Chunk::real(d.freeze())
-                    }
-                    _ => tsue_ecfs::Chunk::ghost(len),
-                };
-                let t_compute = t_read + core.xor_time(len);
-                let t_write = core.osds[osd].write_block_range(
-                    t_compute,
-                    block,
-                    off,
-                    len,
-                    newest.bytes.as_deref(),
-                );
+                let (t_write, delta) = rmw_data_delta(core, now, osd, block, off, &newest);
                 // Parity deltas to every parity owner.
                 let t_send = t_write + core.gf_time(len * m as u64);
                 for j in 0..m {

@@ -176,7 +176,9 @@ impl UpdateScheme for Parix {
         let first = !coverage.overlay(req.off, req.data.len, None);
 
         let (t_write, old_chunk) = if first {
-            // Must capture the original before overwriting it.
+            // Must capture the original before overwriting it. The parity
+            // side folds it into a delta, so rot in it poisons parity.
+            core.osds[osd].note_delta_source(req.block, req.off, req.data.len);
             let (t_read, old) =
                 core.osds[osd].read_block_range(now, req.block, req.off, req.data.len);
             let t_w = core.osds[osd].write_block_range(

@@ -5,10 +5,12 @@
 //! rejoins — and after a full re-sync the rehome table returns to empty.
 
 use proptest::prelude::*;
-use tsue_repro::bench::{bundled_scenarios, run_scenario, ScenarioSpec};
+use tsue_repro::bench::{
+    bundled_scenarios, default_registry, run_scenario, ScenarioSpec, SchemeSpec, TraceKind,
+};
 use tsue_repro::ecfs::{
-    check_consistency, fail_node, heal_node, run_workload, start_resync, BlockId, Chunk, Cluster,
-    ClusterBuilder, DegradedJournal, JournalEntry,
+    check_consistency, fail_node, heal_node, run_full_scrub, run_workload, start_resync,
+    start_scrub, BlockId, Chunk, Cluster, ClusterBuilder, DegradedJournal, JournalEntry,
 };
 use tsue_repro::fault::{install, run_plan_to_completion, EngineConfig, FaultEvent, FaultPlan};
 use tsue_repro::schemes::SchemeKind;
@@ -391,6 +393,57 @@ fn scrub_bitrot_scenario_reports_full_repair() {
         "the dead home's data log replayed"
     );
     assert_eq!(result.failed_reads, 0, "no read failed outright");
+}
+
+/// Bit rot under the log-buffered baselines that source parity deltas
+/// from stored data bytes: FL's recycle read-modify-write and PARIX's
+/// first-touch capture of the original. A delta built from rotted bytes
+/// carries the rot into parity, whose digests the XOR updates, so the
+/// wrong parity verifies clean; only the source block's poison flag
+/// makes the final sweep re-encode that stripe. Both schemes must end
+/// byte-exact with consistent parity.
+#[test]
+fn rot_sourced_deltas_never_leave_parity_inconsistent() {
+    for scheme in ["fl", "parix"] {
+        for seed in 1..=3u64 {
+            let scheme_spec = SchemeSpec::named(scheme);
+            let mut spec =
+                ScenarioSpec::ssd("rot-delta-source", TraceKind::Ten, 4, 2, 4, scheme_spec);
+            spec.osds = Some(8);
+            spec.block_kib = Some(64);
+            spec.file_mb = Some(2);
+            spec.seed = Some(seed);
+            spec.ops_per_client = Some(300);
+            spec.materialize = Some(true);
+            spec.checksums = Some(true);
+            spec.scrub_mb_s = Some(64);
+            let mut world = spec
+                .builder(&default_registry())
+                .expect("valid spec")
+                .record_arrivals(true)
+                .build();
+            let mut sim: Sim<Cluster> = Sim::new();
+            let plan = FaultPlan::new(vec![FaultEvent::CorruptBlock {
+                at_ms: 5,
+                node: 2,
+                blocks: Some(8),
+                seed: Some(seed ^ 0xB17),
+            }]);
+            let tracker =
+                install(&world, &mut sim, &plan, EngineConfig::default()).expect("valid plan");
+            start_scrub(&mut world, &mut sim);
+            run_workload(&mut world, &mut sim, 3600 * SECOND);
+            run_plan_to_completion(&mut world, &mut sim, &tracker);
+            world.flush_all(&mut sim);
+            let report = run_full_scrub(&mut world, &mut sim);
+
+            assert!(world.core.metrics.corruptions_detected > 0, "rot detected");
+            assert_eq!(report.unrecoverable, 0);
+            if let Err(e) = check_consistency(&world) {
+                panic!("{scheme} seed {seed}: {e}");
+            }
+        }
+    }
 }
 
 /// Strategy: a list of distinct journal entries (op ids unique by index)
