@@ -35,7 +35,9 @@ use tsue_ecfs::scheme::{
     reply_at, send_at, stripe_parity_delta, AckTable, DeltaKind, PowerLossReport, ReadServe,
     SchemeMsg, UpdateReq,
 };
-use tsue_ecfs::{BlockId, Chunk, Cluster, ClusterCore, ReplicaRecord, SplitRng, UpdateScheme};
+use tsue_ecfs::{
+    BlockId, Chunk, Cluster, ClusterCore, IoKind, ReplicaRecord, SplitRng, UpdateScheme,
+};
 use tsue_sim::{MultiResource, Sim, Time, SECOND};
 
 /// Message-tag values on `DeltaForward { kind: DataDelta, .. }`.
@@ -652,13 +654,13 @@ impl Tsue {
         let k = core.cfg.stripe.k;
         let m = core.cfg.stripe.m;
         let th = pool_hash(block_key(block), self.cfg.recycle_threads);
-        // Read the original once per merged range (timing; content for the
-        // delta was captured at seal time).
-        let (t_read, _) = core.osds[osd].read_block_range(now, block, off, delta.len);
+        // Read the original once per merged range (timing only: content
+        // for the delta was captured at seal time).
+        let t_read = core.osds[osd].block_io(now, IoKind::Read, block, off, delta.len);
         let t_cpu = self.threads.submit_to(th, t_read, core.xor_time(delta.len));
         // In-place data overwrite with the merged newest content (timing
         // only — the store already holds it).
-        let t_write = core.osds[osd].write_block_range(t_cpu, block, off, delta.len, None);
+        let t_write = core.osds[osd].block_io(t_cpu, IoKind::Write, block, off, delta.len);
         let gstripe = core.global_stripe(block.file, block.stripe);
         if self.cfg.use_delta_log {
             // Forward the raw data delta to the DeltaLog at P1, copy at P2.

@@ -65,11 +65,12 @@ pub use scheme::{
     UpdateScheme,
 };
 pub use scrub::{run_full_scrub, start_scrub, ScrubState};
+pub use tsue_device::IoKind;
 pub use tsue_ec::RsCode;
 pub use tsue_integrity::{checksum, IntegrityError, SplitRng};
 pub use verify::{check_consistency, check_data_blocks, check_parity, reference_data};
 
-use tsue_device::{Device, HddModel, IoKind, SsdModel};
+use tsue_device::{Device, HddModel, SsdModel};
 use tsue_ec::StripeConfig;
 use tsue_net::{NetModel, NetSpec, NodeId, Topology};
 use tsue_sim::{Sim, Time, MICROSECOND, MILLISECOND};

@@ -4,14 +4,19 @@
 //! stripe) at device offsets handed out by a bump allocator, plus arbitrary
 //! *regions* that update schemes lease for their logs. Block payload bytes
 //! are kept in memory only when the cluster runs in materialized
-//! (correctness) mode; the device model is timing/wear-only either way.
+//! (correctness) mode, one [`PAGE`] at a time as content is first written;
+//! the device model is timing/wear-only either way.
 
 use crate::mds::FileId;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_device::{Device, IoKind, StreamId};
-use tsue_integrity::{BlockChecksums, IntegrityError, SplitRng};
+use tsue_integrity::{BlockChecksums, IntegrityError, SplitRng, PAGE};
 use tsue_sim::Time;
+
+#[cfg(test)]
+mod reference;
 
 /// Identifies one block of one stripe of one file.
 ///
@@ -31,11 +36,180 @@ pub struct BlockId {
 pub struct StoredBlock {
     /// Device byte offset of the block.
     pub dev_offset: u64,
-    /// Payload (materialized mode only).
-    pub data: Option<Box<[u8]>>,
-    /// Per-page checksums, updated together with the payload
-    /// (materialized mode with checksums enabled only).
-    pub sums: Option<BlockChecksums>,
+    /// Bytes and checksums (materialized mode only).
+    content: Option<Box<Content>>,
+}
+
+/// A materialized block: a table of [`PAGE`]-byte pages, each allocated
+/// on its first content change, plus the per-page checksum table.
+///
+/// The absent-page invariant: a page that was never written reads as
+/// zeros, holds the zero-page digest and is never tainted, so no audit,
+/// verification or scrub has to hash it.
+#[derive(Debug)]
+struct Content {
+    /// Block length in bytes.
+    len: usize,
+    pages: Vec<Option<Box<[u8]>>>,
+    /// Per-page digests and taint ([`crate::ClusterConfig::checksums`]).
+    sums: Option<BlockChecksums>,
+}
+
+/// What a bracketed mutation does to the bytes it lands on.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Mutation {
+    /// Mixes into them (XOR merge): rot in a page survives the write.
+    Mix,
+    /// Replaces them: a page replaced whole sheds its taint unhashed.
+    Replace,
+    /// Replaces them after folding them into a parity delta: every
+    /// pre-image page is verified, once, for its taint and for the
+    /// delta's source check alike.
+    Capture,
+}
+
+/// All-zero content, compared against to keep zero pages absent.
+static ZERO_PAGE: [u8; PAGE as usize] = [0; PAGE as usize];
+
+/// The pages `[off, off + len)` spans: `(page, range within that page,
+/// offset of the range within [off, off + len))`.
+fn segments(off: u64, len: u64) -> impl Iterator<Item = (usize, Range<usize>, usize)> {
+    let page = PAGE as usize;
+    let (start, end) = (off as usize, (off + len) as usize);
+    let last = if len == 0 {
+        start / page
+    } else {
+        end.div_ceil(page)
+    };
+    (start / page..last).map(move |p| {
+        let base = p * page;
+        let (s, e) = (start.max(base), end.min(base + page));
+        (p, s - base..e - base, s - start)
+    })
+}
+
+impl Content {
+    fn new(len: u64, checksums: bool) -> Self {
+        Content {
+            len: len as usize,
+            pages: vec![None; len.div_ceil(PAGE) as usize],
+            sums: checksums.then(|| BlockChecksums::new_zeroed(len)),
+        }
+    }
+
+    /// The bytes of `page` in a table for a `len`-byte block, allocated
+    /// (zeroed) on first use.
+    fn materialize(slot: &mut Option<Box<[u8]>>, len: usize, page: usize) -> &mut [u8] {
+        let page_len = (len - page * PAGE as usize).min(PAGE as usize);
+        slot.get_or_insert_with(|| vec![0; page_len].into_boxed_slice())
+    }
+
+    /// The checksum bracket, walked page by page over `[off, off + len)`:
+    /// materialize the page, audit its pre-image if it existed, apply
+    /// `mutate` to its segment (handed the segment's position within the
+    /// range), re-digest it. Returns whether a [`Mutation::Capture`] found
+    /// its pre-image corrupt.
+    fn bracket(
+        &mut self,
+        off: u64,
+        len: u64,
+        kind: Mutation,
+        mut mutate: impl FnMut(Range<usize>, &mut [u8]),
+    ) -> bool {
+        assert!(off + len <= self.len as u64, "write beyond block");
+        let Content {
+            len: block_len,
+            pages,
+            sums,
+        } = self;
+        let mut rotted = false;
+        for (page, seg, at) in segments(off, len) {
+            let slot = &mut pages[page];
+            if let (Some(old), Some(sums)) = (slot.as_deref(), sums.as_mut()) {
+                // A page replaced whole cannot carry rot forward; any
+                // other write over a corrupt (or already tainted)
+                // pre-image would fold the rot into its fresh digest, so
+                // the page stays or becomes tainted.
+                let whole = kind != Mutation::Mix && seg.len() == old.len();
+                let bad = (kind == Mutation::Capture || !whole) && sums.check(page, old).is_err();
+                rotted |= bad && kind == Mutation::Capture;
+                sums.set_tainted(page, bad && !whole);
+            }
+            let n = seg.len();
+            let bytes = Self::materialize(slot, *block_len, page);
+            mutate(at..at + n, &mut bytes[seg]);
+            if let Some(sums) = sums.as_mut() {
+                sums.rehash(page, bytes);
+            }
+        }
+        rotted
+    }
+
+    /// Copies `[off, off + out.len())` into `out`.
+    fn read_into(&self, off: u64, out: &mut [u8]) {
+        assert!(off as usize + out.len() <= self.len, "read beyond block");
+        for (page, seg, at) in segments(off, out.len() as u64) {
+            let dst = &mut out[at..at + seg.len()];
+            match &self.pages[page] {
+                Some(bytes) => dst.copy_from_slice(&bytes[seg]),
+                None => dst.fill(0),
+            }
+        }
+    }
+
+    /// Installs `src` as the whole block's authoritative content: every
+    /// page is re-digested with its taint cleared, and an absent page
+    /// whose new content is all zeros stays absent.
+    fn install(&mut self, src: &[u8]) {
+        for (page, seg, at) in segments(0, self.len as u64) {
+            let new = &src[at..at + seg.len()];
+            let slot = &mut self.pages[page];
+            match slot {
+                Some(bytes) => bytes.copy_from_slice(new),
+                None if *new == ZERO_PAGE[..new.len()] => continue,
+                None => *slot = Some(new.into()),
+            }
+            if let Some(sums) = self.sums.as_mut() {
+                sums.set_tainted(page, false);
+                sums.rehash(page, new);
+            }
+        }
+    }
+
+    /// Flips one bit in place, bypassing the checksum table (bit rot).
+    fn flip(&mut self, byte: usize, bit: u8) {
+        let page = byte / PAGE as usize;
+        Self::materialize(&mut self.pages[page], self.len, page)[byte % PAGE as usize] ^= 1 << bit;
+    }
+
+    /// Verifies the written pages overlapping `[off, off + len)`.
+    fn verify(&self, off: u64, len: u64) -> Result<(), IntegrityError> {
+        let Some(sums) = &self.sums else {
+            return Ok(());
+        };
+        for (page, _, _) in segments(off, len) {
+            if let Some(bytes) = &self.pages[page] {
+                sums.check(page, bytes)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Indices of the written pages that fail their digests or are
+    /// tainted.
+    fn corrupt_pages(&self) -> Vec<usize> {
+        let Some(sums) = &self.sums else {
+            return Vec::new();
+        };
+        self.pages
+            .iter()
+            .enumerate()
+            .filter_map(|(page, slot)| {
+                let bytes = slot.as_deref()?;
+                sums.check(page, bytes).is_err().then_some(page)
+            })
+            .collect()
+    }
 }
 
 /// Device stream id used for in-place block I/O.
@@ -53,8 +227,9 @@ pub const STREAM_SCHEME_BASE: StreamId = 16;
 /// `write_block_range`, `xor_block_range`), the **content plane**
 /// (`peek_*`, `*_poke_*`, `fill_block`) moves bytes only, for paths that
 /// account timing separately. Every change to stored bytes goes through
-/// one checksum bracket (audit the pre-image, mutate, re-digest);
-/// [`Osd::corrupt_bits`] is the one deliberate bypass.
+/// one checksum bracket that walks the pages of its range (materialize,
+/// audit the pre-image, mutate, re-digest); [`Osd::corrupt_bits`] is the
+/// one deliberate bypass.
 pub struct Osd {
     /// Network node id (OSDs occupy ids `0..cfg.osds`).
     pub node: usize,
@@ -96,20 +271,18 @@ impl Osd {
         off
     }
 
-    /// Allocates a zero-filled block without charging the device — the
+    /// Allocates an all-zero block without charging the device — the
     /// rebuild target's copy, whose sequential write the caller times
-    /// with [`Osd::block_io`]. Zero content (digested as such) is
-    /// materialized when requested.
+    /// with [`Osd::block_io`]. When `materialize` is set the block gets
+    /// a page table and a checksum table, but no page holds bytes yet.
     pub fn install_block(&mut self, id: BlockId, block_size: u64, materialize: bool) {
         let dev_offset = self.alloc_region(block_size);
-        let data = materialize.then(|| vec![0u8; block_size as usize].into_boxed_slice());
-        let sums = (materialize && self.checksums).then(|| BlockChecksums::new_zeroed(block_size));
+        let content = materialize.then(|| Box::new(Content::new(block_size, self.checksums)));
         self.store.insert(
             id,
             StoredBlock {
                 dev_offset,
-                data,
-                sums,
+                content,
             },
         );
     }
@@ -209,50 +382,44 @@ impl Osd {
         self.block_io(t_read + compute, IoKind::Write, id, off, len)
     }
 
-    /// The checksum bracket every content change goes through: audits
-    /// the pre-image of `[off, off + len)` (`overwrite` = the mutation
-    /// replaces the bytes rather than mixing them in), applies `mutate`
-    /// to that range of the stored bytes, and re-digests it. `None` when
-    /// the block is absent or not materialized.
-    fn bracket<R>(
-        &mut self,
-        id: BlockId,
-        off: u64,
-        len: u64,
-        overwrite: bool,
-        mutate: impl FnOnce(&mut [u8]) -> R,
-    ) -> Option<R> {
-        let b = self.store.get_mut(&id)?;
-        let store = b.data.as_mut()?;
-        let range = off as usize..(off + len) as usize;
-        assert!(range.end <= store.len(), "write beyond block");
-        if let Some(sums) = b.sums.as_mut() {
-            sums.pre_write_scan(store, off, len, overwrite);
-        }
-        let r = mutate(&mut store[range]);
-        if let Some(sums) = b.sums.as_mut() {
-            sums.update_range(store, off, len);
-        }
-        Some(r)
+    fn content(&self, id: BlockId) -> Option<&Content> {
+        self.store.get(&id)?.content.as_deref()
+    }
+
+    fn content_mut(&mut self, id: BlockId) -> Option<&mut Content> {
+        self.store.get_mut(&id)?.content.as_deref_mut()
     }
 
     /// Content-only read of a block range (no device charge) — used when
     /// content application and timing accounting are decoupled. Returns a
-    /// pool-recycled buffer.
+    /// pool-recycled buffer; `None` when the block is not materialized.
     pub fn peek_block_range(&self, id: BlockId, off: u64, len: u64) -> Option<Bytes> {
-        let d = self.block_data(id)?;
-        Some(Bytes::copy_from_slice(
-            &d[off as usize..(off + len) as usize],
-        ))
+        let c = self.content(id)?;
+        let mut out = BytesMut::take(len as usize);
+        c.read_into(off, &mut out);
+        tsue_buf::count_copy(len);
+        Some(out.freeze())
+    }
+
+    /// Content-only read of `[off, off + out.len())` into `out` (no
+    /// device charge). False when the block is not materialized.
+    pub fn peek_into(&self, id: BlockId, off: u64, out: &mut [u8]) -> bool {
+        let Some(c) = self.content(id) else {
+            return false;
+        };
+        c.read_into(off, out);
+        true
     }
 
     /// Content-only XOR of `delta` into a block range (no device charge,
     /// no intermediate buffer) — the zero-copy counterpart of peek → xor →
     /// poke on paths that decouple content from timing.
     pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &[u8]) {
-        self.bracket(id, off, delta.len() as u64, false, |dst| {
-            tsue_gf::xor_slice(delta, dst);
-        });
+        if let Some(c) = self.content_mut(id) {
+            c.bracket(off, delta.len() as u64, Mutation::Mix, |r, dst| {
+                tsue_gf::xor_slice(&delta[r], dst);
+            });
+        }
     }
 
     /// Content-only delta capture: writes `new ⊕ current` for
@@ -261,37 +428,43 @@ impl Osd {
     /// charge — the timed I/O is charged separately by the caller).
     /// Returns `None` when the block is not materialized.
     pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &[u8]) -> Option<Bytes> {
-        // The delta XORs in the current bytes — rot here poisons the
-        // parity it feeds, so queue the stripe for a parity re-encode
-        // after the data is repaired.
-        self.note_delta_source(id, off, new.len() as u64);
-        self.bracket(id, off, new.len() as u64, true, |dst| {
-            let mut d = BytesMut::take(new.len());
-            tsue_gf::xor_into(dst, new, d.as_mut());
-            dst.copy_from_slice(new);
-            d.freeze()
-        })
+        let c = self.content_mut(id)?;
+        let mut d = BytesMut::take(new.len());
+        let rotted = c.bracket(off, new.len() as u64, Mutation::Capture, |r, dst| {
+            tsue_gf::xor_into(dst, &new[r.clone()], &mut d[r.clone()]);
+            dst.copy_from_slice(&new[r]);
+        });
+        if rotted {
+            // The delta XORed in rotted bytes and poisons the parity it
+            // feeds: queue the stripe for a parity re-encode after the
+            // data is repaired.
+            self.poisoned.push(id);
+        }
+        Some(d.freeze())
     }
 
     /// Content-only write of a block range (no device charge). A repair
     /// that rewrites a whole page clears its taint.
     pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &[u8]) {
-        self.bracket(id, off, data.len() as u64, true, |dst| {
-            dst.copy_from_slice(data);
-        });
+        if let Some(c) = self.content_mut(id) {
+            c.bracket(off, data.len() as u64, Mutation::Replace, |r, dst| {
+                dst.copy_from_slice(&data[r]);
+            });
+        }
     }
 
-    /// Installs authoritative content for the whole block: `fill` writes
-    /// every byte in place (a rebuild decode), then every page is
-    /// digested afresh and all taint clears. No-op in timing-only mode.
+    /// Installs authoritative content for the whole block: `fill` edits
+    /// a scratch copy of the current bytes (a rebuild decode, a replica
+    /// patch), which lands page by page with every page digested afresh
+    /// and all taint cleared. No-op in timing-only mode.
     pub fn fill_block(&mut self, id: BlockId, fill: impl FnOnce(&mut [u8])) {
-        let len = self.block_data(id).map_or(0, |d| d.len() as u64);
-        self.bracket(id, 0, len, true, fill);
-    }
-
-    /// The materialized bytes of `id` (verification, reference checks).
-    pub fn block_data(&self, id: BlockId) -> Option<&[u8]> {
-        self.store.get(&id)?.data.as_deref()
+        let Some(c) = self.content_mut(id) else {
+            return;
+        };
+        let mut scratch = BytesMut::take(c.len);
+        c.read_into(0, &mut scratch);
+        fill(&mut scratch);
+        c.install(&scratch);
     }
 
     /// Drops a block (node failure cleanup / migration source).
@@ -307,13 +480,13 @@ impl Osd {
         // INVARIANT: fault injection targets blocks the placement map
         // hosts on this OSD.
         let b = self.store.get_mut(&id).expect("block not hosted here");
-        let Some(store) = b.data.as_mut() else {
+        let Some(c) = b.content.as_mut() else {
             return 0;
         };
         for _ in 0..flips {
-            let byte = rng.below(store.len() as u64) as usize;
+            let byte = rng.below(c.len as u64) as usize;
             let bit = rng.below(8) as u8;
-            store[byte] ^= 1 << bit;
+            c.flip(byte, bit);
         }
         flips
     }
@@ -326,47 +499,34 @@ impl Osd {
     /// without a checksum table (timing-only mode, checksums disabled)
     /// verify vacuously.
     pub fn verify_range(&self, id: BlockId, off: u64, len: u64) -> Result<(), IntegrityError> {
-        match self.store.get(&id) {
-            Some(StoredBlock {
-                data: Some(d),
-                sums: Some(s),
-                ..
-            }) => s.verify_range(d, off, len),
-            _ => Ok(()),
-        }
+        self.content(id).map_or(Ok(()), |c| c.verify(off, len))
     }
 
     /// Scans the whole block against its checksum table, returning the
     /// indices of corrupt pages (empty when clean or untracked).
     pub fn corrupt_pages(&self, id: BlockId) -> Vec<usize> {
-        match self.store.get(&id) {
-            Some(StoredBlock {
-                data: Some(d),
-                sums: Some(s),
-                ..
-            }) => s.corrupt_pages(d),
-            _ => Vec::new(),
-        }
+        self.content(id)
+            .map_or_else(Vec::new, Content::corrupt_pages)
     }
 
     /// Stored digest of `page` of `id`, when a checksum table exists.
     pub fn page_digest(&self, id: BlockId, page: usize) -> Option<u64> {
-        Some(self.store.get(&id)?.sums.as_ref()?.digest(page))
+        Some(self.content(id)?.sums.as_ref()?.digest(page))
     }
 
     /// Whether `page` of `id` is flagged written-while-corrupt (its
     /// stored digest blesses untrustworthy bytes).
     pub fn page_tainted(&self, id: BlockId, page: usize) -> bool {
-        self.store
-            .get(&id)
-            .and_then(|b| b.sums.as_ref())
+        self.content(id)
+            .and_then(|c| c.sums.as_ref())
             .is_some_and(|s| s.is_tainted(page))
     }
 
     /// Declares that `[off, off + len)` of `id` is about to source a
-    /// parity delta (read-modify-write paths). A corrupt source range
-    /// poisons the emitted delta, so the block is queued for the
-    /// scrubber's stripe-level parity re-encode.
+    /// parity delta outside [`Osd::delta_poke_range`] (a read of the
+    /// original that another node folds). A corrupt source range poisons
+    /// the emitted delta, so the block is queued for the scrubber's
+    /// stripe-level parity re-encode.
     pub fn note_delta_source(&mut self, id: BlockId, off: u64, len: u64) {
         if self.verify_range(id, off, len).is_err() {
             self.poisoned.push(id);
@@ -382,6 +542,13 @@ impl Osd {
     /// Zeroes the accumulated device statistics (end of setup phase).
     pub fn reset_stats(&mut self) {
         self.device.reset_stats();
+    }
+
+    /// Pages of `id` holding bytes (0 for a block never written).
+    #[cfg(test)]
+    fn resident_pages(&self, id: BlockId) -> usize {
+        self.content(id)
+            .map_or(0, |c| c.pages.iter().filter(|p| p.is_some()).count())
     }
 }
 
@@ -504,6 +671,58 @@ mod tests {
         o.provision_block(bid(1, 0), 4096, false);
         let (_, data) = o.read_block_range(0, bid(1, 0), 0, 128);
         assert!(data.is_none());
-        assert!(o.block_data(bid(1, 0)).is_none());
+        assert!(!o.peek_into(bid(1, 0), 0, &mut [0u8; 16]));
+    }
+
+    /// A checksummed, materialized 1 MiB block, provisioned.
+    fn paged_osd() -> Osd {
+        let mut o = osd();
+        o.checksums = true;
+        o.provision_block(bid(0, 0), 1 << 20, true);
+        o
+    }
+
+    #[test]
+    fn provisioned_block_holds_no_pages() {
+        assert_eq!(paged_osd().resident_pages(bid(0, 0)), 0);
+    }
+
+    #[test]
+    fn unaligned_page_write_materializes_two_pages() {
+        let mut o = paged_osd();
+        o.write_block_range(0, bid(0, 0), 512, 4096, Some(&[5u8; 4096]));
+        assert_eq!(o.resident_pages(bid(0, 0)), 2);
+        let got = o
+            .peek_block_range(bid(0, 0), 0, 8192)
+            .expect("materialized");
+        assert!(got[..512].iter().chain(&got[4608..]).all(|&b| b == 0));
+        assert!(got[512..4608].iter().all(|&b| b == 5));
+        assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
+    }
+
+    #[test]
+    fn reads_and_verifies_of_unwritten_ranges_materialize_nothing() {
+        let mut o = paged_osd();
+        let (_, zeros) = o.read_block_range(0, bid(0, 0), 100, 3 << 12);
+        assert!(zeros.expect("materialized").iter().all(|&b| b == 0));
+        assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
+        assert!(o.corrupt_pages(bid(0, 0)).is_empty());
+        o.note_delta_source(bid(0, 0), 0, 1 << 20);
+        assert!(o.take_poisoned().is_empty());
+        // A rebuild that decodes all zeros keeps the block empty.
+        o.fill_block(bid(0, 0), |b| b.fill(0));
+        assert_eq!(o.resident_pages(bid(0, 0)), 0);
+    }
+
+    #[test]
+    fn one_bit_flip_materializes_one_page() {
+        let mut o = paged_osd();
+        assert_eq!(o.corrupt_bits(bid(0, 0), &mut SplitRng::new(3), 1), 1);
+        assert_eq!(o.resident_pages(bid(0, 0)), 1);
+        assert_eq!(
+            o.corrupt_pages(bid(0, 0)).len(),
+            1,
+            "the stale digest flags it"
+        );
     }
 }

@@ -1,0 +1,258 @@
+//! Test-only reference store: one block as flat, fully allocated bytes
+//! with a range-scanning checksum table — the representation the paged
+//! [`Osd`] store replaced — kept so the differential test below can hold
+//! the paged store to the same bytes, verification results, corrupt-page
+//! lists, digests and taint after every operation.
+
+use super::{BlockId, Osd};
+use std::ops::Range;
+use tsue_device::{Device, SsdModel};
+use tsue_integrity::{checksum, IntegrityError, SplitRng, PAGE};
+
+/// One block's bytes and checksum table, flat.
+struct FlatBlock {
+    data: Vec<u8>,
+    /// Per-page digests and taint flags; `None` with checksums off.
+    sums: Option<(Vec<u64>, Vec<bool>)>,
+    /// Set when a delta capture read a corrupt source range.
+    poisoned: bool,
+}
+
+impl FlatBlock {
+    fn new(len: u64, checksums: bool) -> Self {
+        let data = vec![0u8; len as usize];
+        let sums = checksums.then(|| {
+            let digests = data.chunks(PAGE as usize).map(checksum).collect::<Vec<_>>();
+            let tainted = vec![false; digests.len()];
+            (digests, tainted)
+        });
+        FlatBlock {
+            data,
+            sums,
+            poisoned: false,
+        }
+    }
+
+    /// Byte range of `page`.
+    fn page_range(&self, page: usize) -> Range<usize> {
+        let s = page * PAGE as usize;
+        s..(s + PAGE as usize).min(self.data.len())
+    }
+
+    /// Pages overlapping `[off, off + len)`.
+    fn pages_of(off: u64, len: u64) -> Range<usize> {
+        if len == 0 {
+            return 0..0;
+        }
+        (off / PAGE) as usize..((off + len - 1) / PAGE) as usize + 1
+    }
+
+    /// Audits the pre-image: taints each page about to fold corruption
+    /// into its digest, and clears the taint of a page an overwrite
+    /// covers whole.
+    fn pre_write_scan(&mut self, off: u64, len: u64, overwrite: bool) {
+        for page in Self::pages_of(off, len) {
+            let r = self.page_range(page);
+            let covered = off as usize <= r.start && (off + len) as usize >= r.end;
+            let got = checksum(&self.data[r]);
+            if let Some((digests, tainted)) = self.sums.as_mut() {
+                if overwrite && covered {
+                    tainted[page] = false;
+                } else if !tainted[page] && got != digests[page] {
+                    tainted[page] = true;
+                }
+            }
+        }
+    }
+
+    fn update_range(&mut self, off: u64, len: u64) {
+        for page in Self::pages_of(off, len) {
+            let got = checksum(&self.data[self.page_range(page)]);
+            if let Some((digests, _)) = self.sums.as_mut() {
+                digests[page] = got;
+            }
+        }
+    }
+
+    fn bracket(&mut self, off: u64, len: u64, overwrite: bool, mutate: impl FnOnce(&mut [u8])) {
+        self.pre_write_scan(off, len, overwrite);
+        mutate(&mut self.data[off as usize..(off + len) as usize]);
+        self.update_range(off, len);
+    }
+
+    fn verify_range(&self, off: u64, len: u64) -> Result<(), IntegrityError> {
+        let Some((digests, tainted)) = &self.sums else {
+            return Ok(());
+        };
+        for page in Self::pages_of(off, len) {
+            if tainted[page] {
+                return Err(IntegrityError::TaintedPage { page });
+            }
+            let got = checksum(&self.data[self.page_range(page)]);
+            if got != digests[page] {
+                return Err(IntegrityError::CorruptPage {
+                    page,
+                    expect: digests[page],
+                    got,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    fn corrupt_pages(&self) -> Vec<usize> {
+        let Some((digests, tainted)) = &self.sums else {
+            return Vec::new();
+        };
+        (0..digests.len())
+            .filter(|&p| tainted[p] || checksum(&self.data[self.page_range(p)]) != digests[p])
+            .collect()
+    }
+
+    fn poke(&mut self, off: u64, src: &[u8]) {
+        self.bracket(off, src.len() as u64, true, |d| d.copy_from_slice(src));
+    }
+
+    fn xor(&mut self, off: u64, delta: &[u8]) {
+        self.bracket(off, delta.len() as u64, false, |d| {
+            d.iter_mut().zip(delta).for_each(|(a, b)| *a ^= b);
+        });
+    }
+
+    fn delta_poke(&mut self, off: u64, new: &[u8]) -> Vec<u8> {
+        let len = new.len() as u64;
+        self.poisoned |= self.verify_range(off, len).is_err();
+        let mut delta = Vec::new();
+        self.bracket(off, len, true, |d| {
+            delta = d.iter().zip(new).map(|(a, b)| a ^ b).collect();
+            d.copy_from_slice(new);
+        });
+        delta
+    }
+
+    fn fill(&mut self, fill: impl FnOnce(&mut [u8])) {
+        self.bracket(0, self.data.len() as u64, true, fill);
+    }
+
+    fn corrupt_bits(&mut self, rng: &mut SplitRng, flips: usize) {
+        for _ in 0..flips {
+            let byte = rng.below(self.data.len() as u64) as usize;
+            let bit = rng.below(8) as u8;
+            self.data[byte] ^= 1 << bit;
+        }
+    }
+}
+
+/// A random range of a `len`-byte block: small and page-crossing
+/// extents, whole aligned pages, the whole block, and now and then an
+/// empty one.
+fn random_range(rng: &mut SplitRng, len: u64) -> (u64, u64) {
+    match rng.below(8) {
+        0 => (rng.below(len), 0),
+        1 => (0, len),
+        2 | 3 => {
+            let pages = len.div_ceil(PAGE);
+            let first = rng.below(pages);
+            let n = 1 + rng.below(pages - first);
+            (first * PAGE, (n * PAGE).min(len - first * PAGE))
+        }
+        _ => {
+            let off = rng.below(len);
+            (off, 1 + rng.below((len - off).min(3 * PAGE)))
+        }
+    }
+}
+
+/// `n` random bytes, all zero one time in four.
+fn random_bytes(rng: &mut SplitRng, n: u64) -> Vec<u8> {
+    let zero = rng.below(4) == 0;
+    (0..n)
+        .map(|_| if zero { 0 } else { rng.next_u64() as u8 })
+        .collect()
+}
+
+/// A seeded mix of every content-plane operation, run on the paged store
+/// and on the flat reference side by side, with and without checksums,
+/// on a block whose last page is short. After every op the two agree on
+/// every byte, on verification of a random range, on the corrupt-page
+/// list, and on every page's digest and taint.
+#[test]
+fn paged_store_matches_flat_reference() {
+    let len = 5 * PAGE + 1000;
+    let pages = len.div_ceil(PAGE) as usize;
+    let id = BlockId {
+        file: 0,
+        stripe: 0,
+        role: 0,
+    };
+    for checksums in [true, false] {
+        for seed in 1..=4 {
+            let mut osd = Osd::new(0, Device::new_ssd(SsdModel::datacenter(64 << 20)));
+            osd.checksums = checksums;
+            osd.provision_block(id, len, true);
+            let mut flat = FlatBlock::new(len, checksums);
+            let mut rng = SplitRng::new(seed);
+            for step in 0..400 {
+                let (off, n) = random_range(&mut rng, len);
+                let bytes = random_bytes(&mut rng, n);
+                match rng.below(7) {
+                    0 => {
+                        osd.poke_block_range(id, off, &bytes);
+                        flat.poke(off, &bytes);
+                    }
+                    1 => {
+                        osd.xor_poke_range(id, off, &bytes);
+                        flat.xor(off, &bytes);
+                    }
+                    2 => {
+                        let got = osd.delta_poke_range(id, off, &bytes).expect("materialized");
+                        assert_eq!(got[..], flat.delta_poke(off, &bytes)[..], "step {step}");
+                    }
+                    3 => {
+                        // A decode's output: a fresh range over the
+                        // current bytes, or all zeros.
+                        let (o, b) = (off as usize, &bytes);
+                        let patch = |d: &mut [u8]| {
+                            if b.is_empty() {
+                                d.fill(0);
+                            } else {
+                                d[o..o + b.len()].copy_from_slice(b);
+                            }
+                        };
+                        osd.fill_block(id, patch);
+                        flat.fill(patch);
+                    }
+                    4 => {
+                        let flips = 1 + rng.below(3) as usize;
+                        flat.corrupt_bits(&mut rng.clone(), flips);
+                        osd.corrupt_bits(id, &mut rng, flips);
+                    }
+                    5 => {
+                        let got = osd.peek_block_range(id, off, n).expect("materialized");
+                        assert_eq!(got[..], flat.data[off as usize..(off + n) as usize]);
+                    }
+                    _ => assert_eq!(
+                        osd.verify_range(id, off, n),
+                        flat.verify_range(off, n),
+                        "seed {seed} step {step}"
+                    ),
+                }
+                let all = osd.peek_block_range(id, 0, len).expect("materialized");
+                assert_eq!(all[..], flat.data[..], "seed {seed} step {step}");
+                assert_eq!(!osd.take_poisoned().is_empty(), flat.poisoned);
+                flat.poisoned = false;
+                let (off, n) = random_range(&mut rng, len);
+                assert_eq!(osd.verify_range(id, off, n), flat.verify_range(off, n));
+                assert_eq!(osd.corrupt_pages(id), flat.corrupt_pages());
+                for page in 0..pages {
+                    let (digest, tainted) = match &flat.sums {
+                        Some((d, t)) => (Some(d[page]), t[page]),
+                        None => (None, false),
+                    };
+                    assert_eq!(osd.page_digest(id, page), digest, "page {page}");
+                    assert_eq!(osd.page_tainted(id, page), tainted, "page {page}");
+                }
+            }
+        }
+    }
+}

@@ -223,8 +223,9 @@ fn repair_dirty_parity(core: &mut ClusterCore, sim: &mut Sim<Cluster>, stats: &m
         let mut fresh = core.cfg.materialize.then(|| vec![0u8; bs as usize]);
         if let Some(out) = fresh.as_deref_mut() {
             for &(i, downer) in &sources {
-                if let Some(d) = core.osds[downer].block_data(BlockId { role: i, ..pblock }) {
-                    tsue_gf::mul_add_slice(core.rs.coefficient(role - k, i), d, out);
+                let dblock = BlockId { role: i, ..pblock };
+                if let Some(d) = core.osds[downer].peek_block_range(dblock, 0, bs) {
+                    tsue_gf::mul_add_slice(core.rs.coefficient(role - k, i), &d, out);
                 }
             }
         }

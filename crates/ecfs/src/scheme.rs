@@ -14,6 +14,7 @@ use crate::rangemap::{Gathered, RangeMap};
 use crate::{client, Cluster, ClusterCore, ACK_BYTES};
 use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
+use tsue_device::IoKind;
 use tsue_ec::RsCode;
 use tsue_sim::{Sim, Time};
 
@@ -522,7 +523,7 @@ pub fn deliver_read(
             sim.now() + crate::MEM_OP
         }
         ReadServe::Miss => {
-            let (t, _) = world.core.osds[osd].read_block_range(sim.now(), block, off, len);
+            let t = world.core.osds[osd].block_io(sim.now(), IoKind::Read, block, off, len);
             if world.core.osds[osd].verify_range(block, off, len).is_err() {
                 // The store returned rotted bytes: surface the typed
                 // error as a detection and queue the block for repair at
@@ -684,23 +685,18 @@ pub fn rmw_data_delta(
     off: u64,
     data: &Chunk,
 ) -> (Time, Chunk) {
-    // Rot in the read range would ride the delta to parity: flag it for
-    // the scrubber's stripe-level parity re-encode before it is folded.
-    core.osds[osd].note_delta_source(block, off, data.len);
-    let (t_read, old) = core.osds[osd].read_block_range(now, block, off, data.len);
-    let delta = match (&data.bytes, old) {
-        (Some(new), Some(old)) => {
-            // One fused pass into a pool-recycled buffer — no intermediate
-            // copy of the new data.
-            let mut d = BytesMut::take(new.len());
-            tsue_ec::data_delta_into(&old, new, d.as_mut());
-            Chunk::real(d.freeze())
-        }
-        _ => Chunk::ghost(data.len),
-    };
+    // One pass over the store captures old ⊕ new into a pooled buffer and
+    // installs the new bytes. Rot in the old bytes would ride the delta
+    // to parity, so the capture flags it for the scrubber's stripe-level
+    // parity re-encode.
+    let delta = data
+        .bytes
+        .as_ref()
+        .and_then(|new| core.osds[osd].delta_poke_range(block, off, new))
+        .map_or_else(|| Chunk::ghost(data.len), Chunk::real);
+    let t_read = core.osds[osd].block_io(now, IoKind::Read, block, off, data.len);
     let t_compute = t_read + core.xor_time(data.len);
-    let t_write =
-        core.osds[osd].write_block_range(t_compute, block, off, data.len, data.bytes.as_deref());
+    let t_write = core.osds[osd].block_io(t_compute, IoKind::Write, block, off, data.len);
     (t_write, delta)
 }
 

@@ -45,13 +45,14 @@ pub fn reference_data(world: &Cluster) -> BTreeMap<BlockId, Vec<u8>> {
 pub fn check_data_blocks(world: &Cluster) -> Result<usize, String> {
     let reference = reference_data(world);
     let mut checked = 0;
+    let mut got = vec![0u8; world.core.cfg.stripe.block_size as usize];
     for (block, expect) in &reference {
         let gstripe = world.core.global_stripe(block.file, block.stripe);
         let owner = world.core.owner_of(gstripe, block.role);
-        let got = world.core.osds[owner]
-            .block_data(*block)
-            .ok_or_else(|| format!("{block:?} not materialized on OSD {owner}"))?;
-        if got != expect.as_slice() {
+        if !world.core.osds[owner].peek_into(*block, 0, &mut got) {
+            return Err(format!("{block:?} not materialized on OSD {owner}"));
+        }
+        if got != *expect {
             let first_diff = got
                 .iter()
                 .zip(expect.iter())
@@ -74,6 +75,7 @@ pub fn check_data_blocks(world: &Cluster) -> Result<usize, String> {
 pub fn check_parity(world: &Cluster) -> Result<usize, String> {
     let k = world.core.cfg.stripe.k;
     let m = world.core.cfg.stripe.m;
+    let bs = world.core.cfg.stripe.block_size as usize;
     let mut verified = 0;
     // cast: file ids are u32 everywhere (BlockId::file); file_count is
     // bounded by the configured file set, far below u32::MAX.
@@ -85,10 +87,11 @@ pub fn check_parity(world: &Cluster) -> Result<usize, String> {
             for role in 0..k + m {
                 let owner = world.core.owner_of(gstripe, role);
                 let block = BlockId { file, stripe, role };
-                let data = world.core.osds[owner]
-                    .block_data(block)
-                    .ok_or_else(|| format!("{block:?} missing on OSD {owner}"))?;
-                shards.push(data.to_vec());
+                let mut data = vec![0u8; bs];
+                if !world.core.osds[owner].peek_into(block, 0, &mut data) {
+                    return Err(format!("{block:?} missing on OSD {owner}"));
+                }
+                shards.push(data);
             }
             let ok = world
                 .core

@@ -142,9 +142,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     state ^ (state >> 29)
 }
 
-/// The per-block checksum page table: one digest per [`PAGE`]-byte page,
-/// recomputed for touched pages on every write and compared on reads
-/// and scrub passes.
+/// The per-block checksum page table: one digest and one taint flag per
+/// [`PAGE`]-byte page, addressed by page index. The store walks the
+/// pages a mutation or a read touches and calls in here once per page.
 #[derive(Clone, Debug)]
 pub struct BlockChecksums {
     sums: Vec<u64>,
@@ -160,17 +160,12 @@ impl BlockChecksums {
     #[must_use]
     pub fn new_zeroed(block_len: u64) -> Self {
         let pages = block_len.div_ceil(PAGE) as usize;
-        let mut sums = vec![0u64; pages];
-        let full = checksum(&[0u8; PAGE as usize]);
-        for (i, s) in sums.iter_mut().enumerate() {
-            let len = page_len(block_len, i);
-            *s = if len == PAGE as usize {
-                full
-            } else {
-                checksum(&vec![0u8; len])
-            };
+        let mut sums = vec![checksum(&[0u8; PAGE as usize]); pages];
+        let tail = block_len % PAGE;
+        if tail > 0 {
+            sums[pages - 1] = checksum(&vec![0u8; tail as usize]);
         }
-        let tainted = vec![false; sums.len()];
+        let tainted = vec![false; pages];
         BlockChecksums { sums, tainted }
     }
 
@@ -183,131 +178,50 @@ impl BlockChecksums {
     /// Stored digest of `page`.
     ///
     /// # Panics
-    /// Panics when `page` is out of range.
+    /// Panics when `page` is out of range (as do the other per-page
+    /// methods).
     #[must_use]
     pub fn digest(&self, page: usize) -> u64 {
         self.sums[page]
     }
 
-    /// Recomputes the digests of every page overlapping
-    /// `[off, off + len)` from the block's current `data`.
-    pub fn update_range(&mut self, data: &[u8], off: u64, len: u64) {
-        if len == 0 {
-            return;
-        }
-        let first = (off / PAGE) as usize;
-        let last = ((off + len - 1) / PAGE) as usize;
-        for page in first..=last.min(self.sums.len().saturating_sub(1)) {
-            let s = page * PAGE as usize;
-            let e = (s + PAGE as usize).min(data.len());
-            self.sums[page] = checksum(&data[s..e]);
-        }
+    /// Records `bytes`, the page's whole current content, as its digest.
+    pub fn rehash(&mut self, page: usize, bytes: &[u8]) {
+        self.sums[page] = checksum(bytes);
     }
 
-    /// Recomputes every digest (post-install / post-repair resync). The
-    /// caller asserts the content is authoritative, so all taint clears.
-    pub fn update_all(&mut self, data: &[u8]) {
-        self.update_range(data, 0, data.len() as u64);
-        self.tainted.fill(false);
-    }
-
-    /// Pre-mutation audit: call with the block's **pre-image** before a
-    /// write to `[off, off + len)`. A page whose old content no longer
-    /// matches its digest is about to have corruption folded into its
-    /// recomputed digest, so it is marked tainted — except when a plain
-    /// overwrite covers the page entirely, which replaces the content
-    /// wholesale and *clears* any taint. Read-modify-write mutations
-    /// (`overwrite = false`, XOR merges and delta captures) can never
-    /// clean a page: they mix the rotted bytes into the result.
-    pub fn pre_write_scan(&mut self, data: &[u8], off: u64, len: u64, overwrite: bool) {
-        if len == 0 {
-            return;
+    /// Verifies `page` against `bytes`, its whole current content. A
+    /// tainted page fails without being hashed.
+    ///
+    /// # Errors
+    /// [`IntegrityError::TaintedPage`] for a page written while corrupt,
+    /// else [`IntegrityError::CorruptPage`] when the digest mismatches.
+    pub fn check(&self, page: usize, bytes: &[u8]) -> Result<(), IntegrityError> {
+        if self.tainted[page] {
+            return Err(IntegrityError::TaintedPage { page });
         }
-        let first = (off / PAGE) as usize;
-        let last = ((off + len - 1) / PAGE) as usize;
-        for page in first..=last.min(self.sums.len().saturating_sub(1)) {
-            let s = page * PAGE as usize;
-            let e = (s + PAGE as usize).min(data.len());
-            let covered = off as usize <= s && (off + len) as usize >= e;
-            if overwrite && covered {
-                self.tainted[page] = false;
-            } else if !self.tainted[page] && checksum(&data[s..e]) != self.sums[page] {
-                self.tainted[page] = true;
-            }
+        let got = checksum(bytes);
+        if got != self.sums[page] {
+            return Err(IntegrityError::CorruptPage {
+                page,
+                expect: self.sums[page],
+                got,
+            });
         }
+        Ok(())
     }
 
     /// Whether `page` is flagged as written-while-corrupt.
     #[must_use]
     pub fn is_tainted(&self, page: usize) -> bool {
-        self.tainted.get(page).copied().unwrap_or(false)
+        self.tainted[page]
     }
 
-    /// Clears the taint flag of one repaired page.
-    pub fn clear_taint(&mut self, page: usize) {
-        if let Some(t) = self.tainted.get_mut(page) {
-            *t = false;
-        }
+    /// Flags `page` as written-while-corrupt, or clears the flag once its
+    /// content has been replaced whole.
+    pub fn set_tainted(&mut self, page: usize, tainted: bool) {
+        self.tainted[page] = tainted;
     }
-
-    /// Every tainted page index, ascending.
-    #[must_use]
-    pub fn tainted_pages(&self) -> Vec<usize> {
-        (0..self.tainted.len())
-            .filter(|&p| self.tainted[p])
-            .collect()
-    }
-
-    /// Verifies every page overlapping `[off, off + len)` against
-    /// `data`, returning the first mismatch.
-    ///
-    /// # Errors
-    /// [`IntegrityError::CorruptPage`] naming the first corrupt page.
-    pub fn verify_range(&self, data: &[u8], off: u64, len: u64) -> Result<(), IntegrityError> {
-        if len == 0 {
-            return Ok(());
-        }
-        let first = (off / PAGE) as usize;
-        let last = ((off + len - 1) / PAGE) as usize;
-        for page in first..=last.min(self.sums.len().saturating_sub(1)) {
-            if self.tainted[page] {
-                return Err(IntegrityError::TaintedPage { page });
-            }
-            let s = page * PAGE as usize;
-            let e = (s + PAGE as usize).min(data.len());
-            let got = checksum(&data[s..e]);
-            if got != self.sums[page] {
-                return Err(IntegrityError::CorruptPage {
-                    page,
-                    expect: self.sums[page],
-                    got,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Scans the whole block, returning the indices of every corrupt or
-    /// tainted page (empty = clean).
-    #[must_use]
-    pub fn corrupt_pages(&self, data: &[u8]) -> Vec<usize> {
-        (0..self.sums.len())
-            .filter(|&page| {
-                if self.tainted[page] {
-                    return true;
-                }
-                let s = page * PAGE as usize;
-                let e = (s + PAGE as usize).min(data.len());
-                checksum(&data[s..e]) != self.sums[page]
-            })
-            .collect()
-    }
-}
-
-/// Length in bytes of page `page` of a block of `block_len` bytes.
-fn page_len(block_len: u64, page: usize) -> usize {
-    let start = page as u64 * PAGE;
-    (block_len.saturating_sub(start)).min(PAGE) as usize
 }
 
 /// One record recovered by [`scan_log`].
@@ -442,29 +356,39 @@ mod tests {
         assert_ne!(checksum(&[]), checksum(&[0]));
     }
 
+    /// The pages of `data` that fail their digests or are tainted.
+    fn bad_pages(sums: &BlockChecksums, data: &[u8]) -> Vec<usize> {
+        data.chunks(PAGE as usize)
+            .enumerate()
+            .filter(|&(p, bytes)| sums.check(p, bytes).is_err())
+            .map(|(p, _)| p)
+            .collect()
+    }
+
     #[test]
     fn page_table_tracks_range_updates() {
         let mut data = vec![0u8; (2 * PAGE + 100) as usize];
         let mut sums = BlockChecksums::new_zeroed(data.len() as u64);
         assert_eq!(sums.pages(), 3);
-        assert!(sums.verify_range(&data, 0, data.len() as u64).is_ok());
+        assert!(bad_pages(&sums, &data).is_empty(), "the tail page too");
 
         data[5000] = 0xAB; // page 1
-        assert!(sums.verify_range(&data, 4096, 10).is_err());
-        sums.update_range(&data, 5000, 1);
-        assert!(sums.verify_range(&data, 0, data.len() as u64).is_ok());
-        assert_eq!(sums.corrupt_pages(&data), Vec::<usize>::new());
+        assert_eq!(bad_pages(&sums, &data), vec![1]);
+        sums.rehash(1, &data[PAGE as usize..2 * PAGE as usize]);
+        assert!(bad_pages(&sums, &data).is_empty());
     }
 
     #[test]
     fn corrupt_pages_names_silent_flips() {
         let mut data = vec![7u8; (3 * PAGE) as usize];
         let mut sums = BlockChecksums::new_zeroed(data.len() as u64);
-        sums.update_all(&data);
+        for (p, bytes) in data.chunks(PAGE as usize).enumerate() {
+            sums.rehash(p, bytes);
+        }
         data[0] ^= 1;
         data[(2 * PAGE) as usize + 17] ^= 0x80;
-        assert_eq!(sums.corrupt_pages(&data), vec![0, 2]);
-        let err = sums.verify_range(&data, 0, PAGE).unwrap_err();
+        assert_eq!(bad_pages(&sums, &data), vec![0, 2]);
+        let err = sums.check(0, &data[..PAGE as usize]).unwrap_err();
         assert!(matches!(err, IntegrityError::CorruptPage { page: 0, .. }));
     }
 
@@ -472,31 +396,24 @@ mod tests {
     fn taint_survives_partial_overwrite_and_clears_on_full() {
         let mut data = vec![0u8; (2 * PAGE) as usize];
         let mut sums = BlockChecksums::new_zeroed(data.len() as u64);
-        // Rot a bit of page 0, then partially overwrite the page: the
-        // recomputed digest would bless the rot without the taint flag.
+        // Rot a bit of page 0 and rehash it after a partial write: the
+        // recomputed digest blesses the rot, and only the taint flag
+        // still fails the page — without hashing it.
         data[100] ^= 4;
-        sums.pre_write_scan(&data, 200, 8, true);
         data[200..208].fill(9);
-        sums.update_range(&data, 200, 8);
-        assert!(sums.is_tainted(0));
-        assert_eq!(sums.corrupt_pages(&data), vec![0]);
-        assert!(matches!(
-            sums.verify_range(&data, 0, 10),
+        sums.set_tainted(0, true);
+        sums.rehash(0, &data[..PAGE as usize]);
+        assert_eq!(bad_pages(&sums, &data), vec![0]);
+        assert_eq!(
+            sums.check(0, &[]),
             Err(IntegrityError::TaintedPage { page: 0 })
-        ));
-        // A full-page plain overwrite replaces the content wholesale.
-        sums.pre_write_scan(&data, 0, PAGE, true);
+        );
+        // A full-page replacement clears the flag.
         data[..PAGE as usize].fill(3);
-        sums.update_range(&data, 0, PAGE);
+        sums.set_tainted(0, false);
+        sums.rehash(0, &data[..PAGE as usize]);
         assert!(!sums.is_tainted(0));
-        assert!(sums.verify_range(&data, 0, PAGE).is_ok());
-        // An XOR merge over a rotted page taints even at full coverage.
-        data[PAGE as usize] ^= 1;
-        sums.pre_write_scan(&data, PAGE, PAGE, false);
-        assert!(sums.is_tainted(1));
-        sums.clear_taint(1);
-        sums.update_all(&data);
-        assert!(sums.corrupt_pages(&data).is_empty());
+        assert!(bad_pages(&sums, &data).is_empty());
     }
 
     #[test]
