@@ -353,13 +353,27 @@ impl ScenarioSpec {
                 self.name
             ));
         }
-        if self.duration_ms().checked_mul(MILLISECOND).is_none() {
-            return Err(format!(
-                "scenario '{}': duration_ms {} exceeds the virtual clock's range ({} ms)",
-                self.name,
-                self.duration_ms(),
-                Time::MAX / MILLISECOND
-            ));
+        // Every size and period is scaled to bytes or ns before use; a
+        // value whose scaled form leaves `u64` would wrap silently.
+        for (field, value, unit, suffix) in [
+            ("duration_ms", self.duration_ms(), MILLISECOND, "ms"),
+            ("obs_cadence_ms", self.obs_cadence_ms(), MILLISECOND, "ms"),
+            ("block_kib", self.block_kib.unwrap_or(1024), 1 << 10, "KiB"),
+            ("file_mb", self.file_mb(), 1 << 20, "MiB"),
+            ("scrub_mb_s", self.scrub_mb_s(), 1 << 20, "MiB/s"),
+        ] {
+            if value.checked_mul(unit).is_none() {
+                let range = if unit == MILLISECOND {
+                    "the virtual clock's range"
+                } else {
+                    "the byte range"
+                };
+                return Err(format!(
+                    "scenario '{}': {field} {value} exceeds {range} ({} {suffix})",
+                    self.name,
+                    Time::MAX / unit
+                ));
+            }
         }
         if self.block_bytes() == 0 || self.file_mb() == 0 {
             return Err(format!(

@@ -76,7 +76,7 @@ fn run_spec(name: &str, shape: &str) -> Output {
     let path = dir.join("spec.json");
     let json = format!(
         r#"{{"name": "{name}", "device": "ssd", "clients": 2, "trace": "ten",
-            "scheme": {{"name": "fo"}}, "duration_ms": 50, "file_mb": 1, {shape}}}"#
+            "scheme": {{"name": "fo"}}, "duration_ms": 50, {shape}}}"#
     );
     std::fs::write(&path, json).expect("spec file");
     let (path, out_dir) = (path.display().to_string(), dir.display().to_string());
@@ -113,6 +113,57 @@ fn run_rejects_a_fault_time_past_the_virtual_clock() {
         stderr.contains("fault #0 (kill_node @18446744073710ms): at_ms exceeds"),
         "{stderr}"
     );
+}
+
+/// Asserts `tsuectl run` rejected scenario `name` at validation with an
+/// error naming `field`.
+fn assert_rejects_field(name: &str, out: &Output, field: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains(&format!("scenario '{name}': {field} ")),
+        "{stderr}"
+    );
+    assert!(stderr.contains("exceeds"), "{stderr}");
+}
+
+/// A scrub rate whose bytes per second overflow `u64` is a validation
+/// error, not a divide-by-zero panic in the scrub pacer.
+#[test]
+fn run_rejects_a_scrub_rate_past_the_byte_range() {
+    let name = "scrub-rate-overflow";
+    let shape = r#""k": 4, "m": 2, "osds": 8, "materialize": true,
+        "scrub_mb_s": 17592186044416"#;
+    assert_rejects_field(name, &run_spec(name, shape), "scrub_mb_s");
+}
+
+/// A file size whose bytes overflow `u64` is a validation error, not a
+/// run on a wrapped (1 MiB) file while the persisted spec names the huge
+/// one.
+#[test]
+fn run_rejects_a_file_size_past_the_byte_range() {
+    let name = "file-size-overflow";
+    let shape = r#""k": 4, "m": 2, "osds": 8, "file_mb": 17592186044417"#;
+    assert_rejects_field(name, &run_spec(name, shape), "file_mb");
+}
+
+/// A block size whose bytes overflow `u64` is a validation error, not a
+/// run on wrapped (64 KiB) blocks.
+#[test]
+fn run_rejects_a_block_size_past_the_byte_range() {
+    let name = "block-size-overflow";
+    let shape = r#""k": 4, "m": 2, "osds": 8, "block_kib": 18014398509482048"#;
+    assert_rejects_field(name, &run_spec(name, shape), "block_kib");
+}
+
+/// A sampling cadence whose nanoseconds overflow the virtual clock is a
+/// validation error, not a probe period wrapped to 0 that re-fires at
+/// one instant forever.
+#[test]
+fn run_rejects_an_obs_cadence_past_the_virtual_clock() {
+    let name = "obs-cadence-overflow";
+    let shape = r#""k": 4, "m": 2, "osds": 8, "obs_cadence_ms": 9223372036854775808"#;
+    assert_rejects_field(name, &run_spec(name, shape), "obs_cadence_ms");
 }
 
 #[test]
