@@ -144,9 +144,6 @@ pub struct ScenarioSpec {
     /// Maintain real block/log bytes (correctness runs) instead of
     /// timing-only accounting; default false.
     pub materialize: Option<bool>,
-    /// Journal failure-window writes and replay them after rebuild/heal
-    /// (degraded-write durability); default true.
-    pub journal: Option<bool>,
     /// Maintain per-page block checksums and verify them on reads and
     /// scrub sweeps (only effective with `materialize`); default true.
     pub checksums: Option<bool>,
@@ -154,10 +151,6 @@ pub struct ScenarioSpec {
     /// disables the scrubber. A non-zero rate also runs one full
     /// authoritative sweep after the workload and fault plan complete.
     pub scrub_mb_s: Option<u64>,
-    /// Parity-log replica count for log-buffered baselines (PL/PLR);
-    /// default 1 (no replication). TSUE's data-log replication is the
-    /// scheme knob `data_replicas` instead.
-    pub log_replicas: Option<usize>,
     /// Per-node/per-rack metric sampling cadence in virtual ms; default
     /// 250, `0` disables the time series. The probe only reads counters,
     /// so the cadence cannot perturb simulated outcomes.
@@ -194,10 +187,8 @@ impl ScenarioSpec {
             seed: None,
             flush_after: None,
             materialize: None,
-            journal: None,
             checksums: None,
             scrub_mb_s: None,
-            log_replicas: None,
             obs_cadence_ms: None,
         }
     }
@@ -290,11 +281,6 @@ impl ScenarioSpec {
         self.materialize.unwrap_or(false)
     }
 
-    /// Whether failure-window writes are journaled (default on).
-    pub fn journal(&self) -> bool {
-        self.journal.unwrap_or(true)
-    }
-
     /// Whether per-page block checksums are maintained (default on).
     pub fn checksums(&self) -> bool {
         self.checksums.unwrap_or(true)
@@ -303,11 +289,6 @@ impl ScenarioSpec {
     /// Background scrub rate in MiB/s per OSD (default 0 = off).
     pub fn scrub_mb_s(&self) -> u64 {
         self.scrub_mb_s.unwrap_or(0)
-    }
-
-    /// Parity-log replica count with its default (1) applied.
-    pub fn log_replicas(&self) -> usize {
-        self.log_replicas.unwrap_or(1)
     }
 
     /// Metric-sampling cadence in virtual ms with its default (250)
@@ -401,12 +382,6 @@ impl ScenarioSpec {
                 topo.racks
             ));
         }
-        if self.log_replicas() == 0 {
-            return Err(format!(
-                "scenario '{}': log_replicas must be ≥ 1 (1 = no replication)",
-                self.name
-            ));
-        }
         if self.scrub_mb_s() > 0 && !(self.materialize() && self.checksums()) {
             return Err(format!(
                 "scenario '{}': scrubbing (scrub_mb_s > 0) needs \
@@ -449,10 +424,8 @@ impl ScenarioSpec {
             .file_size_per_client(self.file_mb() << 20)
             .seed(self.seed())
             .materialize(self.materialize())
-            .journal(self.journal())
             .checksums(self.checksums())
             .scrub_mb_s(self.scrub_mb_s())
-            .log_replicas(self.log_replicas())
             .workload(&self.trace.profile());
         if let Some(n) = self.ops_per_client {
             b = b.ops_per_client(n);
@@ -577,8 +550,6 @@ pub fn run_scenario_traced(
     }
     world.core.metrics.obs.series.cadence_ms = spec.obs_cadence_ms();
     let mut sim: Sim<Cluster> = Sim::new();
-    // Window the zero-copy counters to the run itself (setup excluded).
-    let buf_start = tsue_buf::stats();
     mem_probe_start(&mut sim);
     if spec.obs_cadence_ms() > 0 {
         sim.schedule(spec.obs_cadence_ms() * MILLISECOND, obs_probe);
@@ -631,10 +602,6 @@ pub fn run_scenario_traced(
         tsue_ecfs::run_full_scrub(&mut world, &mut sim);
     }
 
-    world
-        .core
-        .metrics
-        .absorb_buf_stats(tsue_buf::stats().since(&buf_start));
     let (mem_now, _) = world.scheme_memory();
     let mem_peak = world.core.metrics.mem_peak.max(mem_now);
     const GIB: f64 = (1u64 << 30) as f64;

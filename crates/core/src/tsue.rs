@@ -939,10 +939,6 @@ fn collect_jobs(unit: &mut LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
 }
 
 impl UpdateScheme for Tsue {
-    fn name(&self) -> &'static str {
-        "TSUE"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,
@@ -1272,6 +1268,5 @@ mod tests {
         let t = Tsue::ssd();
         assert_eq!(t.backlog(), 0);
         assert_eq!(t.memory_usage(), 0);
-        assert_eq!(t.name(), "TSUE");
     }
 }

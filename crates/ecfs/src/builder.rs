@@ -19,26 +19,18 @@
 //! ```
 
 use crate::registry::{MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
-use crate::{Cluster, ClusterConfig, ComputeSpec, DeviceKind, PlacementKind, UpdateScheme};
+use crate::{Cluster, ClusterConfig, DeviceKind, PlacementKind, UpdateScheme};
 use tsue_ec::StripeConfig;
 use tsue_net::{NetSpec, Topology};
-use tsue_trace::{TraceOp, WorkloadProfile};
-
-/// Workload installed right after the cluster is provisioned.
-enum Workload {
-    /// No generator; callers drive clients manually.
-    None,
-    /// Synthetic profile, per-client seeded.
-    Profile(WorkloadProfile),
-    /// Recorded trace, phase-shifted per client.
-    Replay(Vec<TraceOp>),
-}
+use tsue_trace::WorkloadProfile;
 
 /// Fluent builder for [`Cluster`].
 pub struct ClusterBuilder {
     cfg: ClusterConfig,
     make: Option<MakeScheme>,
-    workload: Workload,
+    /// Synthetic profile installed on every client right after
+    /// provisioning; `None` leaves the clients without a generator.
+    workload: Option<WorkloadProfile>,
     ops_per_client: Option<u64>,
 }
 
@@ -61,7 +53,7 @@ impl ClusterBuilder {
         ClusterBuilder {
             cfg,
             make: None,
-            workload: Workload::None,
+            workload: None,
             ops_per_client: None,
         }
     }
@@ -69,12 +61,6 @@ impl ClusterBuilder {
     /// Number of OSD nodes.
     pub fn osds(mut self, n: usize) -> Self {
         self.cfg.osds = n;
-        self
-    }
-
-    /// Number of closed-loop clients.
-    pub fn clients(mut self, n: usize) -> Self {
-        self.cfg.clients = n;
         self
     }
 
@@ -97,12 +83,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Per-OSD device capacity in bytes (0 = derive from the footprint).
-    pub fn device_capacity(mut self, bytes: u64) -> Self {
-        self.cfg.device_capacity = bytes;
-        self
-    }
-
     /// Network fabric parameters.
     pub fn net(mut self, net: NetSpec) -> Self {
         self.cfg.net = net;
@@ -119,12 +99,6 @@ impl ClusterBuilder {
     /// Block placement policy (flat round-robin vs rack-aware spread).
     pub fn placement(mut self, placement: PlacementKind) -> Self {
         self.cfg.placement = placement;
-        self
-    }
-
-    /// CPU cost model.
-    pub fn compute(mut self, compute: ComputeSpec) -> Self {
-        self.cfg.compute = compute;
         self
     }
 
@@ -155,23 +129,9 @@ impl ClusterBuilder {
         self
     }
 
-    /// Parity-log replica count for log-buffered baselines (default 1 =
-    /// no replication; see [`crate::ClusterConfig::log_replicas`]).
-    pub fn log_replicas(mut self, n: usize) -> Self {
-        self.cfg.log_replicas = n;
-        self
-    }
-
     /// Record per-extent arrival order (needed by correctness checks).
     pub fn record_arrivals(mut self, on: bool) -> Self {
         self.cfg.record_arrivals = on;
-        self
-    }
-
-    /// Journal failure-window writes for replay after rebuild/heal
-    /// (default on); off restores the drop-the-payload failover model.
-    pub fn journal(mut self, on: bool) -> Self {
-        self.cfg.journal = on;
         self
     }
 
@@ -220,13 +180,7 @@ impl ClusterBuilder {
     /// Installs a synthetic workload profile on every client after
     /// provisioning.
     pub fn workload(mut self, profile: &WorkloadProfile) -> Self {
-        self.workload = Workload::Profile(profile.clone());
-        self
-    }
-
-    /// Installs a recorded trace, phase-shifted across clients.
-    pub fn replay(mut self, ops: &[TraceOp]) -> Self {
-        self.workload = Workload::Replay(ops.to_vec());
+        self.workload = Some(profile.clone());
         self
     }
 
@@ -250,10 +204,8 @@ impl ClusterBuilder {
             // assembled without a scheme; the message names the fix.
             .expect("ClusterBuilder: no scheme chosen — call .scheme() or .scheme_fn()");
         let mut world = Cluster::new(self.cfg, make);
-        match &self.workload {
-            Workload::None => {}
-            Workload::Profile(p) => world.set_workload(p),
-            Workload::Replay(ops) => world.set_replay(ops),
+        if let Some(p) = &self.workload {
+            world.set_workload(p);
         }
         if let Some(n) = self.ops_per_client {
             for c in &mut world.core.clients {

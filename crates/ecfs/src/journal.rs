@@ -178,7 +178,7 @@ pub(crate) fn replay_block(
 }
 
 /// Parks one degraded-write extent: counts it, ships it to the journal
-/// peer when journaling is on, and completes the extent for the client.
+/// peer, and completes the extent for the client.
 /// Shared by the two detection sites: the client noticing a dead home
 /// at dispatch, and [`crate::scheme::deliver_update`] catching an
 /// extent that was on the wire when its owner died. Each parked extent
@@ -203,14 +203,9 @@ pub(crate) fn park_degraded_write(
 ) {
     core.metrics.degraded_writes += 1;
     core.pending.mark_degraded(op_id);
-    let peer = core
-        .cfg
-        .journal
-        .then(|| core.mds.live_nodes().into_iter().next());
-    let Some(Some(peer)) = peer else {
-        // Journaling off (or nothing left alive to host the journal):
-        // the extent completes as a failover error and its payload is
-        // dropped — the pre-journal behavior.
+    let Some(peer) = core.mds.live_nodes().into_iter().next() else {
+        // Nothing left alive to host the journal: the extent completes as
+        // a failover error and its payload is dropped.
         crate::fail_over_ack(sim, op_id);
         return;
     };

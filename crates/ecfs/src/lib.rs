@@ -47,7 +47,7 @@ pub use mds::{FileId, FileMeta, Mds};
 pub use metrics::{ArrivalRecord, ClusterMetrics};
 pub use osd::{BlockId, Osd, StoredBlock};
 pub use payload::payload_into;
-pub use placement::{FlatPlacement, PlacementKind, PlacementPolicy, RackAwarePlacement};
+pub use placement::{Placement, PlacementKind};
 pub use rangemap::{Discipline, RangeMap};
 pub use recovery::{
     fail_node, fail_rack, reap_stalled_ops, run_recovery, start_recovery, PhaseStats,
@@ -121,24 +121,6 @@ impl serde::Deserialize for DeviceKind {
     }
 }
 
-/// CPU cost model for delta/parity math.
-#[derive(Clone, Copy, Debug)]
-pub struct ComputeSpec {
-    /// XOR throughput cost, ns per KiB.
-    pub xor_ns_per_kib: Time,
-    /// GF(2^8) multiply-accumulate cost, ns per KiB.
-    pub gf_ns_per_kib: Time,
-}
-
-impl Default for ComputeSpec {
-    fn default() -> Self {
-        ComputeSpec {
-            xor_ns_per_kib: 60,
-            gf_ns_per_kib: 280,
-        }
-    }
-}
-
 /// Static configuration of a cluster experiment.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -150,8 +132,6 @@ pub struct ClusterConfig {
     pub stripe: StripeConfig,
     /// SSD or HDD backing.
     pub device: DeviceKind,
-    /// Per-OSD device capacity in bytes; 0 = derive from the footprint.
-    pub device_capacity: u64,
     /// Network fabric parameters.
     pub net: NetSpec,
     /// Fabric shape: flat non-blocking switch or racks behind
@@ -159,18 +139,11 @@ pub struct ClusterConfig {
     pub topology: Topology,
     /// Block placement policy (rack-oblivious vs rack-aware).
     pub placement: PlacementKind,
-    /// CPU cost model.
-    pub compute: ComputeSpec,
     /// Bytes of file data owned by each client.
     pub file_size_per_client: u64,
     /// Maintain real block/log bytes (correctness runs) or timing only
     /// (performance runs).
     pub materialize: bool,
-    /// Journal failure-window writes at the MDS (via a surviving peer)
-    /// and replay them into rebuilt/healed blocks, instead of dropping
-    /// their payloads. On by default: acked writes stay durable across
-    /// kill→rebuild→heal windows.
-    pub journal: bool,
     /// Record per-extent arrival order (needed by correctness tests).
     pub record_arrivals: bool,
     /// Maintain per-page block checksums and verify them on every read
@@ -182,11 +155,6 @@ pub struct ClusterConfig {
     /// The scrubber sweeps every materialized block, verifies its
     /// checksums, and repairs corrupt pages from the stripe's survivors.
     pub scrub_mb_s: u64,
-    /// Replication factor for scheme *parity-log* appends (PL/PLR-style
-    /// logs). `1` means no replication; `r > 1` charges `r - 1` extra
-    /// network transfers and peer log writes per append, modeling the
-    /// durability cost of surviving a log-holder crash.
-    pub log_replicas: usize,
     /// Master seed for workload generation.
     pub seed: u64,
 }
@@ -200,18 +168,14 @@ impl ClusterConfig {
             clients,
             stripe: StripeConfig::new(k, m, 1 << 20),
             device: DeviceKind::Ssd,
-            device_capacity: 0,
             net: NetSpec::ethernet_25g(),
             topology: Topology::flat(),
             placement: PlacementKind::Flat,
-            compute: ComputeSpec::default(),
             file_size_per_client: 16 << 20,
             materialize: false,
-            journal: true,
             record_arrivals: false,
             checksums: true,
             scrub_mb_s: 0,
-            log_replicas: 1,
             seed: 42,
         }
     }
@@ -238,7 +202,7 @@ pub struct ClusterCore {
     /// The Reed–Solomon code shared by all nodes.
     pub rs: RsCode,
     /// Block placement policy (see [`placement`]).
-    pub placement: Box<dyn PlacementPolicy>,
+    pub placement: Placement,
     /// The network fabric.
     pub net: NetModel,
     /// One OSD per storage node.
@@ -281,7 +245,7 @@ impl Cluster {
     /// replay methodology). Device/network stats are reset afterwards.
     ///
     /// `make_scheme` constructs the update scheme for each OSD index.
-    pub fn new<F>(mut cfg: ClusterConfig, mut make_scheme: F) -> Self
+    pub fn new<F>(cfg: ClusterConfig, mut make_scheme: F) -> Self
     where
         F: FnMut(usize) -> Box<dyn UpdateScheme>,
     {
@@ -294,23 +258,21 @@ impl Cluster {
             cfg.osds >= cfg.stripe.k + cfg.stripe.m,
             "cluster smaller than stripe width"
         );
-        if cfg.device_capacity == 0 {
-            // Block footprint (data + parity) plus a generous allowance for
-            // scheme log regions, spread over the OSDs. The device's page
-            // tables follow the touched pages, so oversizing costs no
-            // memory for untouched space.
-            let raw = cfg.total_data() as f64
-                * ((cfg.stripe.k + cfg.stripe.m) as f64 / cfg.stripe.k as f64)
-                / cfg.osds as f64;
-            cfg.device_capacity = (raw * 2.0) as u64 + (768 << 20);
-        }
+        // Per-OSD device capacity: the block footprint (data + parity)
+        // plus a generous allowance for scheme log regions, spread over
+        // the OSDs. The device's page tables follow the touched pages, so
+        // oversizing costs no memory for untouched space.
+        let raw = cfg.total_data() as f64
+            * ((cfg.stripe.k + cfg.stripe.m) as f64 / cfg.stripe.k as f64)
+            / cfg.osds as f64;
+        let capacity = (raw * 2.0) as u64 + (768 << 20);
         let rack_map = cfg.topology.rack_map(cfg.osds, cfg.clients);
         let net = NetModel::with_topology(cfg.net, cfg.topology, rack_map);
         let osds = (0..cfg.osds)
             .map(|n| {
                 let device = match cfg.device {
-                    DeviceKind::Ssd => Device::new_ssd(SsdModel::datacenter(cfg.device_capacity)),
-                    DeviceKind::Hdd => Device::new_hdd(HddModel::nearline(cfg.device_capacity)),
+                    DeviceKind::Ssd => Device::new_ssd(SsdModel::datacenter(capacity)),
+                    DeviceKind::Hdd => Device::new_hdd(HddModel::nearline(capacity)),
                 };
                 let mut osd = Osd::new(n, device);
                 osd.checksums = cfg.checksums;
@@ -522,17 +484,13 @@ impl ClusterCore {
     /// CPU time to XOR `bytes`.
     #[inline]
     pub fn xor_time(&self, bytes: u64) -> Time {
-        (bytes * self.cfg.compute.xor_ns_per_kib)
-            .div_ceil(1024)
-            .max(200)
+        (bytes * XOR_NS_PER_KIB).div_ceil(1024).max(200)
     }
 
     /// CPU time for a GF multiply-accumulate over `bytes`.
     #[inline]
     pub fn gf_time(&self, bytes: u64) -> Time {
-        (bytes * self.cfg.compute.gf_ns_per_kib)
-            .div_ceil(1024)
-            .max(300)
+        (bytes * GF_NS_PER_KIB).div_ceil(1024).max(300)
     }
 
     /// Creates a file of `size` bytes: registers stripes with the MDS,
@@ -623,6 +581,12 @@ impl ClusterCore {
         self.stop_at.is_none_or(|t| now < t)
     }
 }
+
+/// Modeled XOR throughput cost of delta/parity math, ns per KiB.
+const XOR_NS_PER_KIB: Time = 60;
+
+/// Modeled GF(2^8) multiply-accumulate cost, ns per KiB.
+const GF_NS_PER_KIB: Time = 280;
 
 /// Stride of every scheme drain pump: [`Cluster::flush_all`] and the
 /// fault engine's gates re-issue `flush` this often until backlogs drain.

@@ -22,12 +22,6 @@ pub struct ArrivalRecord {
 
 /// Cluster-wide experiment metrics.
 pub struct ClusterMetrics {
-    /// The GF slice-kernel tier the run's byte work dispatched to
-    /// (`avx2`/`ssse3`/`neon`/`portable`/`scalar`). Informational only —
-    /// all tiers are byte-identical, so it never appears in serialized
-    /// results, but harness summaries record it so perf numbers stay
-    /// interpretable across hosts.
-    pub gf_kernel: &'static str,
     /// Completed client operations (reads + updates).
     pub ops_completed: u64,
     /// Completed update operations.
@@ -54,40 +48,14 @@ pub struct ClusterMetrics {
     /// Reads served via stripe reconstruction because the owner was dead.
     pub degraded_reads: u64,
     /// Updates parked because their owner was dead and not yet rebuilt.
-    /// With journaling on (the default) the payload is shipped to the
-    /// degraded-write journal and replayed after rebuild/heal; with it
-    /// off the extent completes as a failover error and the payload is
-    /// dropped. Each parked extent counts exactly once, whichever side
-    /// (client dispatch or on-wire delivery) detected the dead home.
+    /// The payload is shipped to the degraded-write journal and replayed
+    /// after rebuild/heal. Each parked extent counts exactly once,
+    /// whichever side (client dispatch or on-wire delivery) detected the
+    /// dead home.
     pub degraded_writes: u64,
     /// Reads that could not be served at all: the owner was dead and
     /// fewer than `k` survivors remained (data loss window).
     pub failed_reads: u64,
-    /// Scheme messages negatively acknowledged because the destination
-    /// OSD was dead (failure-time parity traffic given up on).
-    pub nacked_msgs: u64,
-    /// In-flight client ops force-completed by the failover watchdog
-    /// (modeled client timeout + retry during a failure window).
-    pub reaped_ops: u64,
-    /// Blocks rebuilt by the recovery engine.
-    pub blocks_rebuilt: u64,
-    /// Blocks the recovery engine could not rebuild (fewer than `k`
-    /// survivors — correlated failure exceeded the code's tolerance).
-    pub blocks_unrecoverable: u64,
-    /// Buffer copies the recovery cold path still performs (survivor
-    /// store → pooled shard per rebuild; the decode itself is zero-copy).
-    pub recovery_copies: u64,
-    /// Bytes moved by those recovery copies.
-    pub recovery_bytes_copied: u64,
-    /// Deep copies of payload buffers during the run (zero-copy regression
-    /// counter; harvested from [`tsue_buf::stats`]).
-    pub payload_copies: u64,
-    /// Bytes moved by those deep copies.
-    pub payload_bytes_copied: u64,
-    /// Buffer-pool hits during the run (scratch served without allocating).
-    pub buf_pool_hits: u64,
-    /// Buffer-pool misses (allocations) during the run.
-    pub buf_pool_misses: u64,
     /// Blocks swept by the background scrubber (checksum verification).
     pub blocks_scrubbed: u64,
     /// Corrupt pages detected (scrub sweep or read-path verification).
@@ -109,7 +77,6 @@ impl ClusterMetrics {
     /// Creates zeroed metrics; `record_arrivals` enables the arrival log.
     pub fn new(record_arrivals: bool) -> Self {
         ClusterMetrics {
-            gf_kernel: tsue_gf::kernel_tier().name(),
             ops_completed: 0,
             updates_completed: 0,
             reads_completed: 0,
@@ -123,16 +90,6 @@ impl ClusterMetrics {
             degraded_reads: 0,
             degraded_writes: 0,
             failed_reads: 0,
-            nacked_msgs: 0,
-            reaped_ops: 0,
-            blocks_rebuilt: 0,
-            blocks_unrecoverable: 0,
-            recovery_copies: 0,
-            recovery_bytes_copied: 0,
-            payload_copies: 0,
-            payload_bytes_copied: 0,
-            buf_pool_hits: 0,
-            buf_pool_misses: 0,
             blocks_scrubbed: 0,
             corruptions_detected: 0,
             corruptions_repaired: 0,
@@ -140,25 +97,6 @@ impl ClusterMetrics {
             torn_detected: 0,
             torn_replayed: 0,
             torn_discarded: 0,
-        }
-    }
-
-    /// Folds a window of buffer statistics (`tsue_buf::stats().since(..)`
-    /// of the run's start snapshot) into the copy/allocation counters.
-    pub fn absorb_buf_stats(&mut self, window: tsue_buf::BufStats) {
-        self.payload_copies += window.deep_copies;
-        self.payload_bytes_copied += window.bytes_copied;
-        self.buf_pool_hits += window.pool_hits;
-        self.buf_pool_misses += window.pool_misses;
-    }
-
-    /// Pool hit rate over everything absorbed so far, in `[0, 1]`.
-    pub fn buf_pool_hit_rate(&self) -> f64 {
-        let total = self.buf_pool_hits + self.buf_pool_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.buf_pool_hits as f64 / total as f64
         }
     }
 
@@ -287,22 +225,6 @@ mod tests {
         }
         let iops = m.iops(2 * SECOND);
         assert!((iops - 100.0).abs() < 1e-6, "iops {iops}");
-    }
-
-    #[test]
-    fn buf_stats_absorb_and_hit_rate() {
-        let mut m = ClusterMetrics::new(false);
-        assert_eq!(m.buf_pool_hit_rate(), 0.0);
-        m.absorb_buf_stats(tsue_buf::BufStats {
-            pool_hits: 6,
-            pool_misses: 2,
-            recycled: 5,
-            deep_copies: 3,
-            bytes_copied: 300,
-        });
-        assert_eq!(m.payload_copies, 3);
-        assert_eq!(m.payload_bytes_copied, 300);
-        assert!((m.buf_pool_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! ([`tsue_ec::StripeLayout`]). With a rack topology in the fabric model,
 //! placement becomes a policy decision with availability consequences:
 //!
-//! * [`FlatPlacement`] — the seed behavior: consecutive roles on
+//! * [`Placement::Flat`] — the seed behavior: consecutive roles on
 //!   consecutive OSDs, rotated per stripe. Oblivious to racks, so a
 //!   stripe's blocks can pile onto one rack and a single rack failure can
 //!   exceed the code's tolerance `m` (data loss).
-//! * [`RackAwarePlacement`] — spreads each stripe's `k + m` blocks
+//! * [`Placement::RackAware`] — spreads each stripe's `k + m` blocks
 //!   round-robin across racks (at most `ceil((k+m)/racks)` per rack), so
 //!   whenever `ceil((k+m)/racks) <= m` any single-rack failure stays
 //!   recoverable — the property Rashmi et al. and CNC-style maintenance
@@ -61,13 +61,24 @@ impl PlacementKind {
     /// `racks` racks.
     ///
     /// # Panics
-    /// Panics if rack-aware placement is requested with `osds` not
-    /// divisible by `racks` (unequal racks would break the distinctness
-    /// guarantee); scenario validation reports this before construction.
-    pub fn build(&self, osds: usize, racks: usize) -> Box<dyn PlacementPolicy> {
+    /// Panics if rack-aware placement is requested with `racks == 0` or
+    /// `osds` not divisible by `racks` (unequal racks would break the
+    /// distinctness guarantee); scenario validation reports this before
+    /// construction.
+    pub fn build(&self, osds: usize, racks: usize) -> Placement {
         match self {
-            PlacementKind::Flat => Box::new(FlatPlacement::new(osds)),
-            PlacementKind::RackAware => Box::new(RackAwarePlacement::new(osds, racks)),
+            PlacementKind::Flat => Placement::Flat(StripeLayout::new(osds)),
+            PlacementKind::RackAware => {
+                assert!(racks > 0, "rack-aware placement needs at least one rack");
+                assert!(
+                    osds.is_multiple_of(racks),
+                    "rack-aware placement needs equal racks ({osds} OSDs across {racks} racks)"
+                );
+                Placement::RackAware {
+                    racks,
+                    per_rack: osds / racks,
+                }
+            }
         }
     }
 }
@@ -90,102 +101,45 @@ impl Deserialize for PlacementKind {
     }
 }
 
-/// A block-placement policy: a pure `(stripe, role) → OSD` map.
-pub trait PlacementPolicy: std::fmt::Debug {
-    /// Policy name (diagnostics).
-    fn name(&self) -> &'static str;
-
-    /// The OSD hosting `role` (0..k data, k..k+m parity) of `stripe`.
-    fn node_for(&self, stripe: u64, role: usize, blocks_per_stripe: usize) -> usize;
-
-    /// All roles of `stripe` hosted on `node` (recovery enumeration).
-    fn roles_on_node(&self, stripe: u64, node: usize, blocks_per_stripe: usize) -> Vec<usize> {
-        (0..blocks_per_stripe)
-            .filter(|&r| self.node_for(stripe, r, blocks_per_stripe) == node)
-            .collect()
-    }
-}
-
-/// The seed policy: [`StripeLayout`]'s per-stripe-rotated round-robin.
+/// A built block-placement policy: a pure `(stripe, role) → OSD` map.
 #[derive(Clone, Copy, Debug)]
-pub struct FlatPlacement {
-    layout: StripeLayout,
-}
-
-impl FlatPlacement {
-    /// Creates the policy over `osds` nodes.
-    pub fn new(osds: usize) -> Self {
-        FlatPlacement {
-            layout: StripeLayout::new(osds),
-        }
-    }
-}
-
-impl PlacementPolicy for FlatPlacement {
-    fn name(&self) -> &'static str {
-        "flat"
-    }
-
-    #[inline]
-    fn node_for(&self, stripe: u64, role: usize, blocks_per_stripe: usize) -> usize {
-        self.layout.node_for(stripe, role, blocks_per_stripe)
-    }
-}
-
-/// Rack-aware placement over `racks` equal racks of `osds / racks` nodes
-/// (rack `r` owns OSDs `r*len .. (r+1)*len`, matching
-/// [`tsue_net::Topology::rack_map`]'s contiguous OSD assignment).
-///
-/// Role `r` of stripe `s` goes to rack `(s + r) % racks` — consecutive
-/// roles fan out over consecutive racks, and the stripe index rotates
-/// which rack takes the first block so parity load balances. Within the
-/// rack, the slot rotates by `s / racks` so stripes also balance across
-/// the rack's members. Distinctness: two roles land on the same rack only
-/// when they differ by a multiple of `racks`, and then their in-rack
-/// slots differ because `ceil(bps / racks) <= osds / racks` (implied by
-/// `bps <= osds`).
-#[derive(Clone, Copy, Debug)]
-pub struct RackAwarePlacement {
-    racks: usize,
-    per_rack: usize,
-}
-
-impl RackAwarePlacement {
-    /// Creates the policy.
+pub enum Placement {
+    /// The seed policy: [`StripeLayout`]'s per-stripe-rotated round-robin.
+    Flat(StripeLayout),
+    /// Rack-aware placement over `racks` equal racks of `per_rack` nodes
+    /// (rack `r` owns OSDs `r*per_rack .. (r+1)*per_rack`, matching
+    /// [`tsue_net::Topology::rack_map`]'s contiguous OSD assignment).
     ///
-    /// # Panics
-    /// Panics if `racks == 0` or `osds` is not divisible by `racks`.
-    pub fn new(osds: usize, racks: usize) -> Self {
-        assert!(racks > 0, "rack-aware placement needs at least one rack");
-        assert!(
-            osds.is_multiple_of(racks),
-            "rack-aware placement needs equal racks ({osds} OSDs across {racks} racks)"
-        );
-        RackAwarePlacement {
-            racks,
-            per_rack: osds / racks,
-        }
-    }
-
-    /// Blocks of one stripe a single rack can host — the quantity that
-    /// must stay `<= m` for single-rack-failure survivability.
-    pub fn max_blocks_per_rack(&self, blocks_per_stripe: usize) -> usize {
-        blocks_per_stripe.div_ceil(self.racks)
-    }
+    /// Role `r` of stripe `s` goes to rack `(s + r) % racks` — consecutive
+    /// roles fan out over consecutive racks, and the stripe index rotates
+    /// which rack takes the first block so parity load balances. Within
+    /// the rack, the slot rotates by `s / racks` so stripes also balance
+    /// across the rack's members. Distinctness: two roles land on the same
+    /// rack only when they differ by a multiple of `racks`, and then their
+    /// in-rack slots differ because `ceil(bps / racks) <= per_rack`
+    /// (implied by `bps <= osds`).
+    RackAware {
+        /// Number of racks.
+        racks: usize,
+        /// OSDs per rack.
+        per_rack: usize,
+    },
 }
 
-impl PlacementPolicy for RackAwarePlacement {
-    fn name(&self) -> &'static str {
-        "rack-aware"
-    }
-
+impl Placement {
+    /// The OSD hosting `role` (0..k data, k..k+m parity) of `stripe`.
     #[inline]
-    fn node_for(&self, stripe: u64, role: usize, blocks_per_stripe: usize) -> usize {
-        debug_assert!(role < blocks_per_stripe);
-        debug_assert!(blocks_per_stripe <= self.racks * self.per_rack);
-        let rack = (stripe as usize + role) % self.racks;
-        let slot = (stripe as usize / self.racks + role / self.racks) % self.per_rack;
-        rack * self.per_rack + slot
+    pub fn node_for(&self, stripe: u64, role: usize, blocks_per_stripe: usize) -> usize {
+        match *self {
+            Placement::Flat(layout) => layout.node_for(stripe, role, blocks_per_stripe),
+            Placement::RackAware { racks, per_rack } => {
+                debug_assert!(role < blocks_per_stripe);
+                debug_assert!(blocks_per_stripe <= racks * per_rack);
+                let rack = (stripe as usize + role) % racks;
+                let slot = (stripe as usize / racks + role / racks) % per_rack;
+                rack * per_rack + slot
+            }
+        }
     }
 }
 
@@ -208,9 +162,20 @@ mod tests {
         assert!(PlacementKind::parse("diagonal").is_none());
     }
 
+    fn rack_aware(osds: usize, racks: usize) -> Placement {
+        PlacementKind::RackAware.build(osds, racks)
+    }
+
+    /// All roles of `stripe` hosted on `node`.
+    fn roles_on_node(p: &Placement, stripe: u64, node: usize, bps: usize) -> Vec<usize> {
+        (0..bps)
+            .filter(|&r| p.node_for(stripe, r, bps) == node)
+            .collect()
+    }
+
     #[test]
     fn flat_matches_stripe_layout() {
-        let p = FlatPlacement::new(16);
+        let p = PlacementKind::Flat.build(16, 1);
         let l = StripeLayout::new(16);
         for s in 0..40u64 {
             for role in 0..6 {
@@ -221,7 +186,7 @@ mod tests {
 
     #[test]
     fn rack_aware_nodes_are_distinct_and_spread() {
-        let p = RackAwarePlacement::new(16, 4);
+        let p = rack_aware(16, 4);
         let bps = 6; // RS(4, 2)
         for s in 0..64u64 {
             let mut nodes = BTreeSet::new();
@@ -232,7 +197,9 @@ mod tests {
                 assert!(nodes.insert(n), "stripe {s} role {role} collides");
                 per_rack[n / 4] += 1;
             }
-            let cap = p.max_blocks_per_rack(bps);
+            // The most blocks of one stripe a single rack can host — the
+            // quantity that must stay `<= m` for single-rack survivability.
+            let cap = bps.div_ceil(4);
             assert!(
                 per_rack.iter().all(|&c| c <= cap),
                 "stripe {s} overloads a rack: {per_rack:?}"
@@ -245,7 +212,7 @@ mod tests {
 
     #[test]
     fn rack_aware_rotates_racks_and_slots() {
-        let p = RackAwarePlacement::new(8, 2);
+        let p = rack_aware(8, 2);
         // Rack of the first role rotates with the stripe index.
         let r0 = p.node_for(0, 0, 4) / 4;
         let r1 = p.node_for(1, 0, 4) / 4;
@@ -257,15 +224,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "equal racks")]
     fn rack_aware_rejects_unequal_racks() {
-        RackAwarePlacement::new(10, 4);
+        rack_aware(10, 4);
     }
 
     #[test]
     fn roles_on_node_matches_forward_map() {
-        let p = RackAwarePlacement::new(12, 3);
+        let p = rack_aware(12, 3);
         for s in 0..12u64 {
             for node in 0..12 {
-                for role in p.roles_on_node(s, node, 7) {
+                for role in roles_on_node(&p, s, node, 7) {
                     assert_eq!(p.node_for(s, role, 7), node);
                 }
             }

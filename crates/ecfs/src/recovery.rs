@@ -217,7 +217,6 @@ pub fn reap_stalled_ops(world: &mut Cluster, sim: &mut Sim<Cluster>, deadline: T
             continue;
         };
         reaped += 1;
-        world.core.metrics.reaped_ops += 1;
         world.core.metrics.record_completion(&op, op_id, sim.now());
         crate::client::client_issue(world, sim, op.client);
     }
@@ -327,7 +326,6 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
     }
     if survivors.len() < k {
         core.recovery.blocks_unrecoverable += 1;
-        core.metrics.blocks_unrecoverable += 1;
         core.recovery.scheduled.remove(&block);
         let p = core.recovery.phase_mut(phase);
         p.queued -= 1;
@@ -442,7 +440,6 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
         }
         core.recovery.blocks_rebuilt += 1;
         core.recovery.bytes_rebuilt += block_size;
-        core.metrics.blocks_rebuilt += 1;
         // Materialized reconstruction from the *completion-time* cut:
         // survivors re-resolved through `owner_of` (a sibling rebuilt or
         // replayed meanwhile hands over its current copy), peeked in one
@@ -455,10 +452,6 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
                 let owner_now = core.owner_of(gstripe, role);
                 if let Some(bytes) = core.osds[owner_now].peek_block_range(src_block, 0, block_size)
                 {
-                    // The store→shard copy is the cold path's one
-                    // remaining copy per survivor; the decode is in-place.
-                    core.metrics.recovery_copies += 1;
-                    core.metrics.recovery_bytes_copied += block_size;
                     shards.push((role, bytes));
                 }
             }

@@ -232,9 +232,6 @@ pub enum ReadServe {
 /// devices, network, MDS — everything except other schemes) and the DES
 /// handle for scheduling continuations.
 pub trait UpdateScheme {
-    /// Scheme name as used in the paper's figures ("FO", "PL", "TSUE", ...).
-    fn name(&self) -> &'static str;
-
     /// An update extent arrived at this OSD (which owns `req.block`).
     /// The scheme must eventually call `core.extent_done(sim, osd, req.op_id)`
     /// exactly once — that is the client-visible completion.
@@ -454,7 +451,6 @@ pub fn deliver_msg(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, msg:
             SchemeMsg::Ack { .. } => None,
         };
         if let Some((from, tag)) = bounce {
-            world.core.metrics.nacked_msgs += 1;
             sim.schedule(
                 crate::FAILOVER_DELAY,
                 move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
@@ -631,10 +627,6 @@ pub struct InstantScheme {
 }
 
 impl UpdateScheme for InstantScheme {
-    fn name(&self) -> &'static str {
-        "instant"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,

@@ -649,7 +649,6 @@ fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle) {
             // Reap only while a node is actually down: ops merely queued
             // behind recovery congestion on a healed cluster must run to
             // their true completion, not be clipped at the timeout.
-            // (Reaped ops are counted separately in `metrics.reaped_ops`.)
             if any_dead {
                 let deadline = sim.now().saturating_sub(OP_TIMEOUT);
                 reap_stalled_ops(w, sim, deadline);

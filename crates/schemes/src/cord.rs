@@ -180,10 +180,6 @@ impl Cord {
 }
 
 impl UpdateScheme for Cord {
-    fn name(&self) -> &'static str {
-        "CoRD"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,

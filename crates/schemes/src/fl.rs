@@ -164,10 +164,6 @@ impl Fl {
 }
 
 impl UpdateScheme for Fl {
-    fn name(&self) -> &'static str {
-        "FL"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,

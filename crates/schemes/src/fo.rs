@@ -25,10 +25,6 @@ impl Fo {
 }
 
 impl UpdateScheme for Fo {
-    fn name(&self) -> &'static str {
-        "FO"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,

@@ -29,73 +29,10 @@ pub use plr::Plr;
 pub use tsue_ecfs::logregion::LogRegion;
 pub use tsue_ecfs::scheme::AckTable;
 
-use std::collections::BTreeMap;
-use tsue_device::StreamId;
 use tsue_ecfs::registry::reject_knobs;
 use tsue_ecfs::scheme::{rmw_data_delta, send_at, DeltaKind, SchemeMsg, UpdateReq};
 use tsue_ecfs::{Cluster, ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
 use tsue_sim::{Sim, Time};
-
-/// Per-peer mirror regions for parity-log replication
-/// ([`tsue_ecfs::ClusterConfig::log_replicas`]).
-///
-/// A parity-log append is the *only* durable copy of its delta until
-/// recycle; schemes that buffer deltas in a log (PL, PLR) therefore lose
-/// acked updates if the logging OSD dies first. With `log_replicas > 1`
-/// each append is mirrored to the next `log_replicas - 1` ring
-/// successors — a wire transfer plus a sequential append into a lazily
-/// allocated mirror region on the peer's device — and the ack waits for
-/// the slowest copy. Timing-only: payloads are not duplicated (the
-/// content plane keeps one logical copy); the mirror exists to charge
-/// the durability cost the paper's single-copy baselines omit. With the
-/// default `log_replicas = 1` this is a no-op.
-pub struct LogMirrors {
-    regions: BTreeMap<usize, LogRegion>,
-    stream_base: StreamId,
-}
-
-impl LogMirrors {
-    /// Creates an empty mirror set appending on `stream_base` (see
-    /// [`LogRegion::new`]).
-    pub fn new(stream_base: StreamId) -> Self {
-        LogMirrors {
-            regions: BTreeMap::new(),
-            stream_base,
-        }
-    }
-
-    /// Charges the transfer and mirror append of one `len`-byte log
-    /// record to each ring successor; returns the instant the slowest
-    /// copy persists (`t_local` when replication is off) — the ack gate.
-    pub fn replicate(
-        &mut self,
-        core: &mut ClusterCore,
-        osd: usize,
-        now: Time,
-        t_local: Time,
-        len: u64,
-    ) -> Time {
-        let extra = core
-            .cfg
-            .log_replicas
-            .saturating_sub(1)
-            .min(core.cfg.osds.saturating_sub(1));
-        let mut t_done = t_local;
-        for r in 1..=extra {
-            let peer = (osd + r) % core.cfg.osds;
-            let t_arrive = core
-                .net
-                .transfer(now, core.osds[osd].node, core.osds[peer].node, len);
-            let region = self
-                .regions
-                .entry(peer)
-                .or_insert_with(|| LogRegion::new(512 << 20, self.stream_base));
-            let (t, _) = region.append(core, peer, t_arrive, len);
-            t_done = t_done.max(t);
-        }
-        t_done
-    }
-}
 
 /// Scheme selector used by the experiment harness.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

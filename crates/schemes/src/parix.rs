@@ -158,10 +158,6 @@ impl Parix {
 }
 
 impl UpdateScheme for Parix {
-    fn name(&self) -> &'static str {
-        "PARIX"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,

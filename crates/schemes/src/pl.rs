@@ -9,7 +9,7 @@
 //! failure before recycling stalls recovery behind a recycle storm — the
 //! consistency issue §2.3.2 highlights.
 
-use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogMirrors, LogRegion};
+use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogRegion};
 use tsue_ecfs::scheme::{reply_at, Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
@@ -34,8 +34,6 @@ pub struct Pl {
     /// Recycle trigger: log bytes before a drain starts.
     pub threshold: u64,
     inflight: u64,
-    /// Ring-successor mirror regions for `cfg.log_replicas > 1`.
-    mirrors: LogMirrors,
 }
 
 impl Default for Pl {
@@ -56,7 +54,6 @@ impl Pl {
             log_bytes: 0,
             threshold: 256 << 20,
             inflight: 0,
-            mirrors: LogMirrors::new(40),
         }
     }
 
@@ -77,10 +74,6 @@ impl Pl {
 }
 
 impl UpdateScheme for Pl {
-    fn name(&self) -> &'static str {
-        "PL"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,
@@ -120,12 +113,7 @@ impl UpdateScheme for Pl {
                     dev_off,
                 });
                 self.log_bytes += len + ENTRY_HEADER;
-                // The ack waits for every mirror copy (no-op at the
-                // default `log_replicas = 1`).
-                let t_ack =
-                    self.mirrors
-                        .replicate(core, osd, sim.now(), t_append, len + ENTRY_HEADER);
-                reply_at(sim, t_ack, osd, from, SchemeMsg::Ack { tag });
+                reply_at(sim, t_append, osd, from, SchemeMsg::Ack { tag });
                 if self.log_bytes > self.threshold {
                     self.start_recycle(core, sim, osd);
                 }

@@ -10,7 +10,7 @@
 //! region fills, recycling happens *inline*, stalling the update that
 //! triggered it.
 
-use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogMirrors};
+use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable};
 use std::collections::BTreeMap;
 use tsue_device::IoKind;
 use tsue_ecfs::osd::STREAM_SCHEME_BASE;
@@ -36,8 +36,6 @@ pub struct Plr {
     acks: AckTable,
     reserved: BTreeMap<BlockId, Reserved>,
     inflight: u64,
-    /// Ring-successor mirror regions for `cfg.log_replicas > 1`.
-    mirrors: LogMirrors,
 }
 
 impl Default for Plr {
@@ -53,7 +51,6 @@ impl Plr {
             acks: AckTable::default(),
             reserved: BTreeMap::new(),
             inflight: 0,
-            mirrors: LogMirrors::new(44),
         }
     }
 
@@ -94,10 +91,6 @@ impl Plr {
 }
 
 impl UpdateScheme for Plr {
-    fn name(&self) -> &'static str {
-        "PLR"
-    }
-
     fn on_update(
         &mut self,
         core: &mut ClusterCore,
@@ -169,10 +162,7 @@ impl UpdateScheme for Plr {
                 );
                 r.cursor += need;
                 r.entries.push((off, data));
-                // The ack waits for every mirror copy (no-op at the
-                // default `log_replicas = 1`).
-                let t_ack = self.mirrors.replicate(core, osd, now, t_append, need);
-                reply_at(sim, t_ack, osd, from, SchemeMsg::Ack { tag });
+                reply_at(sim, t_append, osd, from, SchemeMsg::Ack { tag });
             }
             SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
             // INVARIANT: the arms above cover every message kind a PLR peer

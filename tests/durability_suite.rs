@@ -184,29 +184,6 @@ fn heal_before_rebuild_replays_journal_in_place() {
     check_consistency(&world).expect("healed-in-place end state is byte-exact");
 }
 
-/// With journaling off, the old drop-the-payload failover semantics are
-/// preserved (and clearly reported): degraded writes are counted but
-/// nothing is journaled.
-#[test]
-fn journaling_off_restores_drop_semantics() {
-    let mut world = ClusterBuilder::ssd(4, 2, 3)
-        .osds(10)
-        .file_size_per_client(2 << 20)
-        .journal(false)
-        .seed(7)
-        .workload(&write_heavy())
-        .ops_per_client(80)
-        .scheme_fn(|_| SchemeKind::Fo.build())
-        .build();
-    let mut sim: Sim<Cluster> = Sim::new();
-    let plan = FaultPlan::new(vec![FaultEvent::KillNode { at_ms: 5, node: 2 }]);
-    let tracker = install(&world, &mut sim, &plan, EngineConfig::default()).expect("valid plan");
-    run_workload(&mut world, &mut sim, 3600 * SECOND);
-    run_plan_to_completion(&mut world, &mut sim, &tracker);
-    assert!(world.core.metrics.degraded_writes > 0);
-    assert_eq!(world.core.journal.entries_appended, 0, "journaling was off");
-}
-
 /// A flapping node must not be re-synced while dead: re-sync on a
 /// re-killed node would reclaim rehome entries back onto the corpse,
 /// pointing every future read at a dead OSD.

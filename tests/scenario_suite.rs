@@ -67,14 +67,21 @@ fn unknown_scheme_and_knob_typos_are_rejected() {
 /// A scenario JSON with an unknown top-level field must not load.
 #[test]
 fn scenario_files_reject_unknown_fields() {
-    let err = serde_json::from_str::<ScenarioSpec>(
-        r#"{
-            "name": "x", "device": "ssd", "k": 4, "m": 2, "clients": 4,
-            "trace": "ten", "scheme": {"name": "fo"}, "duration_sm": 100
-        }"#,
-    )
-    .expect_err("duration_sm is a typo of duration_ms");
-    assert!(err.to_string().contains("duration_sm"), "{err}");
+    // A typo, and two keys the spec no longer has: journaling is always
+    // on and parity logs are single-copy.
+    for (key, value) in [
+        ("duration_sm", "100"),
+        ("journal", "true"),
+        ("log_replicas", "2"),
+    ] {
+        let json = format!(
+            r#"{{"name": "x", "device": "ssd", "k": 4, "m": 2, "clients": 4,
+                "trace": "ten", "scheme": {{"name": "fo"}}, "{key}": {value}}}"#
+        );
+        let err =
+            serde_json::from_str::<ScenarioSpec>(&json).expect_err("an unknown key fails the load");
+        assert!(err.to_string().contains(key), "{key}: {err}");
+    }
 }
 
 /// Every bundled scenario parses, validates, and re-serializes to an
