@@ -67,7 +67,7 @@ fn unknown_scheme_and_knob_typos_are_rejected() {
 /// A scenario JSON with an unknown top-level field must not load.
 #[test]
 fn scenario_files_reject_unknown_fields() {
-    // A typo, and two keys the spec no longer has: journaling is always
+    // A typo, and two keys the spec does not have: journaling is always
     // on and parity logs are single-copy.
     for (key, value) in [
         ("duration_sm", "100"),
