@@ -57,7 +57,8 @@ pub struct Parix {
     /// exceeded, the data side conservatively re-enters first-touch mode
     /// (the recurring 2× round-trip penalty after log reclamation).
     pub speculation_budget: u64,
-    /// Data-side: cached originals for in-flight first updates.
+    /// Data-side: cached originals for in-flight first updates, each held
+    /// until its ack exchange completes.
     pend_old: BTreeMap<u64, PendingOld>,
     /// Parity-side log region (holds both old and new entries).
     log: LogRegion,
@@ -218,7 +219,8 @@ impl UpdateScheme for Parix {
         let need = if old_chunk.is_some() { 2 * m } else { m };
         let tag = self.acks.register(req.op_id, need as u32);
         if let Some(old) = old_chunk {
-            // Keep a copy for the (now rare) NeedOld fallback path.
+            // Keep a copy for the (now rare) NeedOld fallback path until
+            // the exchange's last ack is in.
             self.pend_old.insert(
                 tag,
                 PendingOld {
@@ -337,7 +339,14 @@ impl UpdateScheme for Parix {
                 }
                 core.send_to_scheme(sim, osd, from, len, reply);
             }
-            SchemeMsg::Ack { tag } => self.acks.on_ack(core, sim, osd, tag),
+            SchemeMsg::Ack { tag } => {
+                if let Some(op_id) = self.acks.ack(tag) {
+                    // A NeedOld is answered before its ack, so none can
+                    // arrive for a completed exchange: the original goes.
+                    self.pend_old.remove(&tag);
+                    core.extent_done(sim, osd, op_id);
+                }
+            }
             // INVARIANT: the arms above cover every message kind a PARIX peer
             // sends; anything else is a routing bug.
             _ => unreachable!("PARIX exchanges DataForward/Control/Ack"),
@@ -367,5 +376,64 @@ impl UpdateScheme for Parix {
             .map(|b| b.original.covered_bytes() + b.latest.covered_bytes())
             .sum();
         maps + self.pend_old.len() as u64 * 64
+    }
+
+    fn as_any(&self) -> Option<&dyn std::any::Any> {
+        Some(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsue_ecfs::{run_workload, ClusterBuilder, ClusterConfig};
+    use tsue_sim::SECOND;
+    use tsue_trace::WorkloadProfile;
+
+    /// Every first touch caches its original in `pend_old` for a NeedOld
+    /// that can only come while the touch's ack exchange is open; once a
+    /// materialized run has drained, no cached original may be left.
+    #[test]
+    fn drained_run_holds_no_cached_original() {
+        let mut cfg = ClusterConfig::ssd_testbed(4, 2, 4);
+        cfg.osds = 8;
+        cfg.stripe = tsue_ec::StripeConfig::new(4, 2, 64 << 10);
+        cfg.file_size_per_client = 1 << 20;
+        cfg.materialize = true;
+        cfg.seed = 15;
+        let profile = WorkloadProfile {
+            name: "first-touch".into(),
+            update_fraction: 0.8,
+            size_dist: vec![(4096, 0.7), (16384, 0.3)],
+            hot_fraction: 0.2,
+            hot_access_prob: 0.7,
+            skew_depth: 2,
+            repeat_prob: 0.3,
+            seq_run_prob: 0.15,
+            align: 4096,
+        };
+        let mut world = ClusterBuilder::from_config(cfg)
+            .workload(&profile)
+            .ops_per_client(60)
+            .scheme_fn(|_| Box::new(Parix::new()))
+            .build();
+        let mut sim: Sim<Cluster> = Sim::new();
+        run_workload(&mut world, &mut sim, 3600 * SECOND);
+        world.flush_all(&mut sim);
+        assert_eq!(world.total_scheme_backlog(), 0, "drained");
+        let mut first_touched = 0;
+        for (osd, s) in world.schemes.iter().enumerate() {
+            let parix = s
+                .as_any()
+                .and_then(|a| a.downcast_ref::<Parix>())
+                .expect("every OSD runs PARIX");
+            first_touched += parix.old_sent.len();
+            assert!(
+                parix.pend_old.is_empty(),
+                "OSD {osd} still caches {} originals",
+                parix.pend_old.len()
+            );
+        }
+        assert!(first_touched > 0, "the run must take the first-touch path");
     }
 }
