@@ -2,8 +2,9 @@
 //!
 //! A pool manages a bounded set of fixed-size [`LogUnit`]s in a FIFO
 //! queue: exactly one Empty unit (the tail) accepts appends; sealed units
-//! await/undergo recycling; Recycled units linger as read caches until the
-//! pool reuses them as fresh Empty units. The quota (`max_units`) bounds
+//! await/undergo recycling; Recycled units linger until the pool reuses
+//! them as fresh Empty units — a DataLog unit as the read cache, a Delta or
+//! Parity unit as extents only, its bytes released once consumed. The quota (`max_units`) bounds
 //! memory; when every unit is still busy recycling, appends experience
 //! backpressure — which is precisely the Fig. 6b effect (throughput
 //! collapses at `max_units = 2`, saturates at 4+).

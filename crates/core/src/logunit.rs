@@ -29,7 +29,9 @@ pub enum UnitState {
     Recyclable,
     /// Being recycled.
     Recycling,
-    /// Recycled; contents retained as a read cache until reuse.
+    /// Recycled; extents retained until reuse. A DataLog unit keeps its
+    /// bytes too, as the read cache; Delta and Parity units released theirs
+    /// when recycle consumed them ([`LogUnit::release_bytes`]).
     Recycled,
 }
 
@@ -244,6 +246,18 @@ impl<K: Ord + Copy> LogUnit<K> {
         cursor
     }
 
+    /// Drops every record's bytes once recycle has consumed them, keeping
+    /// its extent: [`LogUnit::work_items`], [`LogUnit::work_bytes`],
+    /// [`LogUnit::memory_bytes`] and coverage — the modelled state — stay.
+    pub fn release_bytes(&mut self) {
+        for e in self.index.values_mut() {
+            e.ranges.release_bytes();
+            for (_, chunk) in &mut e.raw {
+                chunk.bytes = None;
+            }
+        }
+    }
+
     /// Reuses the unit as a fresh Empty segment (read-cache content is
     /// dropped here, matching the paper's "retained until reused" rule).
     pub fn reset(&mut self) {
@@ -333,6 +347,26 @@ mod tests {
         assert!(u.overlay(&1, 0, 16, Some(&mut buf)));
         assert!(buf.iter().all(|&b| b == 0b0110));
         assert_eq!(u.work_items(), 1);
+    }
+
+    #[test]
+    fn release_keeps_the_modelled_state() {
+        for locality in [true, false] {
+            let mut u: LogUnit<u32> = LogUnit::new(0);
+            u.append(1, 0, real(1, 4096), Discipline::Xor, locality, 0);
+            u.append(1, 4096, real(2, 4096), Discipline::Xor, locality, 0);
+            u.append(1, 2048, real(3, 512), Discipline::Xor, locality, 0);
+            u.append(2, 9000, real(4, 100), Discipline::Xor, locality, 0);
+            let before = (u.work_items(), u.work_bytes(), u.memory_bytes());
+            let reach = u.covered_until(&1, 0, 1 << 20);
+            u.release_bytes();
+            assert_eq!((u.work_items(), u.work_bytes(), u.memory_bytes()), before);
+            assert_eq!(u.covered_until(&1, 0, 1 << 20), reach);
+            let real_left = u.index.values().any(|e| {
+                e.ranges.iter().any(|r| r.is_real()) || e.raw.iter().any(|(_, c)| c.bytes.is_some())
+            });
+            assert!(!real_left, "locality {locality}: bytes left");
+        }
     }
 
     #[test]

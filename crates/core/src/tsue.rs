@@ -758,6 +758,9 @@ impl Tsue {
                     }
                 }
             }
+            // The combined deltas own fresh buffers; the unit's bytes are
+            // read by nothing from here on.
+            unit.release_bytes();
         }
         self.inflight.insert(
             uid,
@@ -798,7 +801,11 @@ impl Tsue {
         pool: usize,
         uid: UnitId,
     ) {
-        let jobs = collect_jobs(self.begin_recycle(LayerKind::Parity, pool, uid, sim.now()));
+        let unit = self.begin_recycle(LayerKind::Parity, pool, uid, sim.now());
+        let jobs = collect_jobs(unit);
+        // The jobs hold the bytes until the store takes them below; nothing
+        // reads them from the unit again.
+        unit.release_bytes();
         // Apply parity XOR content now (order-free: XOR commutes), pace the
         // timed read-modify-writes below.
         let store = &mut core.osds[osd];
@@ -1268,5 +1275,81 @@ mod tests {
         let t = Tsue::ssd();
         assert_eq!(t.backlog(), 0);
         assert_eq!(t.memory_usage(), 0);
+    }
+
+    /// Real bytes held by the units of one layer.
+    fn real_bytes(t: &Tsue, layer: LayerKind) -> u64 {
+        let index = t.layers[layer as usize]
+            .pools
+            .iter()
+            .flat_map(LogPool::iter_oldest_first)
+            .flat_map(|u| u.index.values());
+        index
+            .map(|e| {
+                let merged = e.ranges.iter().filter(|r| r.is_real()).map(|r| r.len());
+                let raw = e.raw.iter().filter_map(|(_, c)| c.bytes.as_ref());
+                merged.sum::<u64>() + raw.map(|b| b.len() as u64).sum::<u64>()
+            })
+            .sum()
+    }
+
+    /// A small TSUE cluster after a run and a full drain.
+    fn flushed(materialize: bool) -> Cluster {
+        use tsue_ecfs::{run_workload, ClusterBuilder, ClusterConfig};
+        let mut cfg = ClusterConfig::ssd_testbed(4, 2, 4);
+        cfg.osds = 8;
+        cfg.stripe = tsue_ec::StripeConfig::new(4, 2, 64 << 10);
+        cfg.file_size_per_client = 1 << 20;
+        cfg.materialize = materialize;
+        cfg.seed = 21;
+        let profile = tsue_trace::WorkloadProfile {
+            name: "release".into(),
+            update_fraction: 0.8,
+            size_dist: vec![(512, 0.3), (4096, 0.4), (16384, 0.2), (40960, 0.1)],
+            hot_fraction: 0.2,
+            hot_access_prob: 0.7,
+            skew_depth: 2,
+            repeat_prob: 0.3,
+            seq_run_prob: 0.15,
+            align: 512,
+        };
+        let mut world = ClusterBuilder::from_config(cfg)
+            .workload(&profile)
+            .ops_per_client(80)
+            .scheme_fn(|_| {
+                let mut c = TsueConfig::ssd_default();
+                c.unit_size = 256 << 10;
+                c.seal_interval = tsue_sim::SECOND / 2;
+                Box::new(Tsue::new(c))
+            })
+            .build();
+        let mut sim: Sim<Cluster> = Sim::new();
+        run_workload(&mut world, &mut sim, 3600 * tsue_sim::SECOND);
+        world.flush_all(&mut sim);
+        world
+    }
+
+    /// Recycle consumes a Delta or Parity unit's bytes, so the unit keeps
+    /// only its extents: zero real bytes after a materialized drain, and
+    /// the same scheme memory as the timing-only twin, whose units never
+    /// held any. The DataLog keeps its bytes as the read cache.
+    #[test]
+    fn consumed_delta_and_parity_units_keep_extents_only() {
+        let (real, ghost) = (flushed(true), flushed(false));
+        let (mut cache, mut extents) = (0, 0);
+        for (osd, (a, b)) in real.schemes.iter().zip(&ghost.schemes).enumerate() {
+            let t = a
+                .as_any()
+                .and_then(|x| x.downcast_ref::<Tsue>())
+                .expect("every OSD runs TSUE");
+            assert_eq!(real_bytes(t, LayerKind::Delta), 0, "OSD {osd} DeltaLog");
+            assert_eq!(real_bytes(t, LayerKind::Parity), 0, "OSD {osd} ParityLog");
+            assert_eq!(a.memory_usage(), b.memory_usage(), "OSD {osd} memory");
+            cache += real_bytes(t, LayerKind::Data);
+            extents += t.layers[LayerKind::Delta as usize].memory_bytes()
+                + t.layers[LayerKind::Parity as usize].memory_bytes();
+        }
+        assert!(cache > 0, "the DataLog keeps its read cache");
+        assert!(extents > 0, "recycled units keep their extents");
     }
 }

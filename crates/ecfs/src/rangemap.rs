@@ -26,7 +26,13 @@
 //! bytes of a run are gathered into one buffer **at most once, at the
 //! consumer**: [`RangeMap::gather`] (a sealed log unit handing out recycle
 //! jobs) and [`RangeMap::drain`]. Before that, entries are only visible as
-//! [`Entry`] segment views, so half-gathered bytes cannot escape.
+//! [`Entry`] segment views, so half-gathered bytes cannot escape. A
+//! consumer that can work segment by segment takes the handles themselves,
+//! ungathered, from [`RangeMap::drain_runs`].
+//!
+//! A consumer that is done with the bytes but not with the extents calls
+//! [`RangeMap::release_bytes`]: every entry becomes one ghost segment of the
+//! same offset and length, so what the model reads stays and the buffers go.
 //!
 //! All segments live in one sorted `Vec` searched by `partition_point`
 //! (log indexes hold tens of entries, never thousands); a `head` flag marks
@@ -113,7 +119,7 @@ fn copy_run(segs: &[Seg], dst: &mut [u8]) {
 }
 
 /// One entry as stored: a ghost extent or a run of byte segments that has
-/// not been gathered. Handed out by [`RangeMap::iter`].
+/// not been gathered. Handed out by [`RangeMap::iter`] and [`Runs::iter`].
 #[derive(Clone, Copy, Debug)]
 pub struct Entry<'a> {
     segs: &'a [Seg],
@@ -142,6 +148,12 @@ impl<'a> Entry<'a> {
         self.segs.iter().filter_map(|s| s.chunk.bytes.as_deref())
     }
 
+    /// The entry's segment handles as `(offset, chunk)`, adjacent and in
+    /// offset order (one ghost chunk for a ghost).
+    pub fn chunks(&self) -> impl Iterator<Item = (u64, &'a Chunk)> {
+        self.segs.iter().map(|s| (s.off, &s.chunk))
+    }
+
     /// Copies the entry's bytes into `dst` (left untouched by a ghost).
     ///
     /// # Panics
@@ -164,6 +176,26 @@ impl<'a> Gathered<'a> {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &'a Chunk)> {
         self.segs.iter().map(|s| (s.off, &s.chunk))
     }
+}
+
+/// The entries of a drained map as their runs of segment handles, not
+/// gathered. Only [`RangeMap::drain_runs`] makes one.
+#[derive(Debug)]
+pub struct Runs {
+    segs: Vec<Seg>,
+}
+
+impl Runs {
+    /// Iterates the entries in offset order.
+    pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
+        entries(&self.segs)
+    }
+}
+
+/// The entries of an offset-sorted segment list.
+fn entries(segs: &[Seg]) -> impl Iterator<Item = Entry<'_>> {
+    segs.chunk_by(|_, next| !next.head)
+        .map(|segs| Entry { segs })
 }
 
 /// Non-overlapping, offset-sorted interval map of chunks.
@@ -207,9 +239,7 @@ impl RangeMap {
 
     /// Iterates the entries in offset order, as stored (ungathered).
     pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
-        self.segs
-            .chunk_by(|_, next| !next.head)
-            .map(|segs| Entry { segs })
+        entries(&self.segs)
     }
 
     /// Gathers every multi-segment entry into one pooled buffer (the single
@@ -239,6 +269,34 @@ impl RangeMap {
         self.entries = 0;
         self.covered = 0;
         self.segs.drain(..).map(|s| (s.off, s.chunk)).collect()
+    }
+
+    /// Drains all entries in offset order as their runs of segment handles:
+    /// nothing is gathered, no byte is copied.
+    pub fn drain_runs(&mut self) -> Runs {
+        self.entries = 0;
+        self.covered = 0;
+        Runs {
+            segs: std::mem::take(&mut self.segs),
+        }
+    }
+
+    /// Drops the bytes and keeps the extents: every entry becomes one ghost
+    /// segment with its offset and length, so [`RangeMap::len`],
+    /// [`RangeMap::covered_bytes`] and [`RangeMap::covered_until`] answer
+    /// as before. For a consumer that is done with the bytes; an insert
+    /// after it coalesces the entries as the ghosts they now are.
+    pub fn release_bytes(&mut self) {
+        let (mut r, mut w) = (0, 0);
+        while r < self.segs.len() {
+            let n = self.run_len(r, self.segs.len());
+            let off = self.segs[r].off;
+            let len = self.segs[r + n - 1].end() - off;
+            self.segs[w] = Seg::entry(off, Chunk::ghost(len));
+            r += n;
+            w += 1;
+        }
+        self.segs.truncate(w);
     }
 
     /// Newest-wins insertion with adjacency coalescing.

@@ -279,7 +279,8 @@ fn assert_same_bytes(new: &RangeMap, old: &RefMap, span: u64, rng: &mut Rng, ctx
     }
 }
 
-/// `gather` (on a clone) and `drain` hand out what the reference holds.
+/// `gather` (on a clone) and `drain` hand out what the reference holds;
+/// so do `drain_runs` (on a clone) once its segments are concatenated.
 fn assert_same_drain(new: &mut RangeMap, old: &mut RefMap, ctx: &str) {
     let flat = |v: Vec<(u64, Chunk)>| -> Vec<(u64, u64, Option<Vec<u8>>)> {
         v.into_iter()
@@ -291,9 +292,59 @@ fn assert_same_drain(new: &mut RangeMap, old: &mut RefMap, ctx: &str) {
     let gathered = flat(copy.gather().iter().map(|(o, c)| (o, c.clone())).collect());
     assert!(gathered == want, "gather {ctx}");
     check_invariants(&copy);
+    assert_released_keeps_extents(new, ctx);
+    let mut copy = new.clone();
+    let runs = copy.drain_runs();
+    assert!(copy.is_empty() && (copy.len(), copy.covered_bytes()) == (0, 0));
+    let concatenated: Vec<_> = runs
+        .iter()
+        .map(|e| {
+            let mut at = e.off();
+            let mut bytes = Vec::new();
+            for (off, c) in e.chunks() {
+                assert_eq!(off, at, "segments of a run are adjacent {ctx}");
+                assert_eq!(c.bytes.is_some(), e.is_real(), "one kind per run {ctx}");
+                bytes.extend_from_slice(c.bytes.as_deref().unwrap_or(&[]));
+                at += c.len;
+            }
+            (e.off(), e.len(), e.is_real().then_some(bytes))
+        })
+        .collect();
+    assert!(concatenated == want, "drain_runs {ctx}");
     assert!(flat(new.drain()) == want, "drain {ctx}");
     assert!(new.is_empty());
     assert_eq!((new.len(), new.covered_bytes()), (0, 0));
+}
+
+/// `release_bytes` (on a clone) keeps the counters, every entry's extent
+/// and `covered_until` at every entry edge, and leaves each entry one
+/// ghost segment.
+fn assert_released_keeps_extents(map: &RangeMap, ctx: &str) {
+    let mut released = map.clone();
+    released.release_bytes();
+    check_invariants(&released);
+    assert!(
+        released.segs.iter().all(|s| s.head && !s.is_real()),
+        "one ghost segment per entry {ctx}"
+    );
+    let extents = |m: &RangeMap| m.iter().map(|e| (e.off(), e.len())).collect::<Vec<_>>();
+    assert_eq!(extents(&released), extents(map), "extents {ctx}");
+    assert_eq!(released.len(), map.len(), "len {ctx}");
+    assert_eq!(
+        released.covered_bytes(),
+        map.covered_bytes(),
+        "covered {ctx}"
+    );
+    let limit = map.iter().last().map_or(0, |e| e.off() + e.len()) + 1;
+    for e in map.iter() {
+        for pos in [e.off().saturating_sub(1), e.off(), e.off() + e.len() / 2] {
+            assert_eq!(
+                released.covered_until(pos, limit),
+                map.covered_until(pos, limit),
+                "covered_until({pos}) {ctx}"
+            );
+        }
+    }
 }
 
 /// Both maps under test, fed identical content from buffers of their own

@@ -108,15 +108,6 @@ impl ReplicaStore {
     pub fn is_empty(&self) -> bool {
         self.by_home.is_empty()
     }
-
-    /// Approximate bytes pinned by parked payloads.
-    pub fn memory_usage(&self) -> u64 {
-        self.by_home
-            .values()
-            .flat_map(|v| v.iter())
-            .map(|r| r.data.len + std::mem::size_of::<ReplicaRecord>() as u64)
-            .sum()
-    }
 }
 
 /// Replays `home`'s live replica records for `block` onto the rebuilt
@@ -225,13 +216,5 @@ mod tests {
         assert_eq!(s.records_for_block(0, &bid(0, 0))[0].seq, 4);
         s.prune_up_to(0, 99);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn memory_counts_payloads() {
-        let mut s = ReplicaStore::default();
-        assert_eq!(s.memory_usage(), 0);
-        s.push(1, rec(1, 0, 0));
-        assert!(s.memory_usage() >= 8);
     }
 }

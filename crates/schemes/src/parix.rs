@@ -108,36 +108,42 @@ impl Parix {
             // INVARIANT: `dblock` came from `blocks.keys()` just above, and
             // this loop removes nothing.
             let log_state = self.blocks.get_mut(&dblock).expect("key exists");
-            let latest = log_state.latest.drain();
-            for (off, newest) in latest {
+            // Each entry is consumed as its run of segments — the handles
+            // the client's forwards arrived in — and never gathered.
+            let latest = log_state.latest.drain_runs();
+            for newest in latest.iter() {
+                let (off, len) = (newest.off(), newest.len());
                 // Log reads: the latest entry and the original entry
                 // (two scattered reads — PARIX's recycle cost).
                 // Approximate entry placement: reads wrap inside the log
                 // region, so the cost model sees two scattered reads.
-                let t1 = self.log.read(core, osd, now, off, newest.len);
+                let t1 = self.log.read(core, osd, now, off, len);
                 let t2 = self
                     .log
-                    .read(core, osd, t1, off.wrapping_mul(2654435761), newest.len);
+                    .read(core, osd, t1, off.wrapping_mul(2654435761), len);
                 // delta = latest ⊕ original over this range, built in one
                 // pooled scratch buffer and GF-scaled in place (the buffer
                 // is uniquely owned, so no second buffer materializes).
-                let delta = match &newest.bytes {
-                    Some(latest) => {
-                        // The overlay writes every byte of a covered range,
-                        // so the buffer needs no fill first; only a hole
-                        // (an original that never arrived) reads as zeros.
-                        let mut buf = tsue_buf::BytesMut::take(latest.len());
-                        let original = &log_state.original;
-                        let covered = original.overlay(off, newest.len, Some(buf.as_mut()));
-                        debug_assert!(covered, "original must cover latest");
-                        if !covered {
-                            buf.as_mut().fill(0);
-                            original.overlay(off, newest.len, Some(buf.as_mut()));
-                        }
-                        tsue_gf::xor_slice(latest, buf.as_mut());
-                        Chunk::real(buf.freeze())
+                let delta = if newest.is_real() {
+                    // The overlay writes every byte of a covered range,
+                    // so the buffer needs no fill first; only a hole
+                    // (an original that never arrived) reads as zeros.
+                    let mut buf = tsue_buf::BytesMut::take(len as usize);
+                    let original = &log_state.original;
+                    let covered = original.overlay(off, len, Some(buf.as_mut()));
+                    debug_assert!(covered, "original must cover latest");
+                    if !covered {
+                        buf.as_mut().fill(0);
+                        original.overlay(off, len, Some(buf.as_mut()));
                     }
-                    None => Chunk::ghost(newest.len),
+                    let mut at = 0;
+                    for seg in newest.segments() {
+                        tsue_gf::xor_slice(seg, &mut buf.as_mut()[at..at + seg.len()]);
+                        at += seg.len();
+                    }
+                    Chunk::real(buf.freeze())
+                } else {
+                    Chunk::ghost(len)
                 };
                 let pd = delta.into_gf_scaled(coeff);
                 let compute = core.gf_time(pd.len);
@@ -150,8 +156,12 @@ impl Parix {
                     compute,
                 );
                 track_recycle(&mut self.inflight, core, sim, osd, t_done);
-                // The merged content becomes the new original.
-                log_state.original.insert(off, newest);
+                // The merged content becomes the new original: the same
+                // handles, so the m parity peers share the buffers the
+                // client forwarded.
+                for (at, seg) in newest.chunks() {
+                    log_state.original.insert(at, seg.clone());
+                }
             }
         }
         self.log_bytes = 0;

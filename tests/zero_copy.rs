@@ -10,6 +10,7 @@ use tsue_repro::buf;
 use tsue_repro::core::Tsue;
 use tsue_repro::ecfs::scheme::{deliver_update, UpdateReq};
 use tsue_repro::ecfs::{BlockId, Chunk, Cluster, ClusterBuilder};
+use tsue_repro::schemes::Parix;
 use tsue_repro::sim::Sim;
 
 fn materialized_tsue_cluster() -> Cluster {
@@ -127,4 +128,49 @@ fn steady_state_recycle_runs_out_of_the_pool() {
         window.pool_hits >= 4 * window.pool_misses.max(1),
         "pool hit rate must dominate in steady state: {window:?}"
     );
+}
+
+/// PARIX's recycle consumes each `latest` entry as its run of segments:
+/// the delta XORs segment by segment into its scratch buffer and the
+/// promotion to `original` moves the same handles. A run built from many
+/// separately forwarded buffers is therefore never gathered.
+#[test]
+fn parix_promotion_to_original_makes_no_copy() {
+    let mut world = ClusterBuilder::ssd(4, 2, 1)
+        .materialize(true)
+        .file_size_per_client(4 << 20)
+        .scheme_fn(|_| Box::new(Parix::new()))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    let block = BlockId {
+        file: 0,
+        stripe: 0,
+        role: 0,
+    };
+    let gstripe = world.core.global_stripe(0, 0);
+    let owner = world.core.owner_of(gstripe, 0);
+    // Adjacent writes, each in a buffer of its own: on every parity peer
+    // `latest` holds one entry that is a run of 16 segments.
+    for i in 0..16u64 {
+        let req = UpdateReq {
+            op_id: i,
+            ext: 0,
+            block,
+            off: i * 4096,
+            data: payload(4096, i as u8 + 1),
+        };
+        deliver_update(&mut world, &mut sim, owner, req);
+    }
+    sim.run_until(&mut world, 1_000_000_000);
+    assert!(world.total_scheme_backlog() > 0, "latest still unmerged");
+
+    let before = buf::stats();
+    world.flush_all(&mut sim);
+    let window = buf::stats().since(&before);
+    assert_eq!(world.total_scheme_backlog(), 0);
+    assert_eq!(
+        window.deep_copies, 0,
+        "PARIX recycle must not gather latest runs: {window:?}"
+    );
+    assert_eq!(window.bytes_copied, 0);
 }
