@@ -293,6 +293,29 @@ mod tests {
     }
 
     #[test]
+    fn hot_page_rewrites_inside_a_run_stay_one_work_item() {
+        // A DataLog run of 64 adjacent 4 KiB appends, then rewrites of a
+        // few hot pages inside it: one recycle job, not one per seam.
+        let mut u: LogUnit<u32> = LogUnit::new(0);
+        for i in 0..64 {
+            u.append(5, i * 4096, real(1, 4096), Discipline::Overwrite, true, i);
+        }
+        assert_eq!(u.work_items(), 1);
+        for (i, page) in [9, 40, 9, 17, 40, 63, 0].into_iter().enumerate() {
+            u.append(
+                5,
+                page * 4096,
+                real(2 + i as u8, 4096),
+                Discipline::Overwrite,
+                true,
+                100,
+            );
+            assert_eq!(u.work_items(), 1, "after rewriting page {page}");
+        }
+        assert_eq!(u.work_bytes(), 64 * 4096);
+    }
+
+    #[test]
     fn raw_mode_keeps_every_record() {
         let mut u: LogUnit<u32> = LogUnit::new(0);
         for i in 0..5 {

@@ -41,21 +41,22 @@
 //! # Entry boundaries are modelled state
 //!
 //! [`RangeMap::len`] feeds recycle job counts, device ops and the scheme
-//! memory metric, so the boundaries follow the original tree
-//! implementation (kept under `#[cfg(test)]` as the differential
-//! reference) exactly — including its *pairwise, non-chaining* merge: after
-//! an insert, neighbouring entries around the inserted range are visited
-//! left to right as overlapping pairs `(a, b)`, `(b, c)`, …; a pair that is
-//! exactly adjacent and of one kind merges, and the next pair is then
-//! skipped because its left member no longer exists. An interior overwrite
-//! of `[k, e)` by `[off, end)` therefore leaves `[k, end)` and `[end, e)`
-//! as two entries.
+//! memory metric, so where one entry ends and the next begins is part of
+//! the model. The rule is *canonical form*: each entry is a maximal run of
+//! exactly adjacent coverage of one kind (real or ghost). An insert only
+//! changes coverage and kinds inside `[off, end)`, so after it the merge
+//! pass visits every entry that starts in `[off, end]` and joins it to its
+//! left neighbour when the two are adjacent and of one kind; merges chain,
+//! so an interior overwrite of a run leaves one entry, and any number of
+//! adjacent pieces filled in by one insert become one. What holds the
+//! bytes apart — segments of different buffers — never shows as an entry
+//! boundary. [`RangeMap::release_bytes`] is the one exception: it keeps
+//! the boundaries it finds, so a real entry next to a ghost becomes two
+//! adjacent ghosts, which merge once an insert touches their seam.
 
 use crate::scheme::Chunk;
 use tsue_buf::BytesMut;
 
-#[cfg(test)]
-mod reference;
 #[cfg(test)]
 mod tests;
 
@@ -517,28 +518,24 @@ impl RangeMap {
         lo
     }
 
-    /// The pairwise, non-chaining merge pass (module docs): visits the
-    /// entries that start in `[off, end]` — `segs[first]` is the first
-    /// segment at or after `off` — each paired with its left neighbour.
+    /// The merge pass: every entry that starts in `[off, end]` —
+    /// `segs[first]` is the first segment at or after `off` — joins its
+    /// left neighbour when the two are exactly adjacent and of one kind.
+    /// Merges chain, so the window comes out in canonical form.
     fn coalesce(&mut self, first: usize, end: u64) {
         let mut x = first;
-        // The left member of the pair at hand was merged away by the
-        // previous pair.
-        let mut absorbed = false;
         while x < self.segs.len() && self.segs[x].off <= end {
-            if self.segs[x].head {
-                let mergeable = !absorbed
-                    && x > 0
-                    && self.segs[x - 1].end() == self.segs[x].off
-                    && self.segs[x - 1].is_real() == self.segs[x].is_real();
-                absorbed = mergeable;
-                if mergeable {
-                    self.entries -= 1;
-                    if self.fuse(x) {
-                        continue; // `segs[x]` is now the next segment
-                    }
-                    self.segs[x].head = false;
+            let s = &self.segs[x];
+            if s.head
+                && x > 0
+                && self.segs[x - 1].end() == s.off
+                && self.segs[x - 1].is_real() == s.is_real()
+            {
+                self.entries -= 1;
+                if self.fuse(x) {
+                    continue; // `segs[x]` is now the next segment
                 }
+                self.segs[x].head = false;
             }
             x += 1;
         }
