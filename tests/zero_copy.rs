@@ -128,6 +128,13 @@ fn steady_state_recycle_runs_out_of_the_pool() {
         window.pool_hits >= 4 * window.pool_misses.max(1),
         "pool hit rate must dominate in steady state: {window:?}"
     );
+    // Drained, the thread's free lists still hold no more than the budget.
+    assert!(
+        buf::pooled_bytes() <= buf::POOL_BUDGET,
+        "free lists retain {} bytes, budget {}",
+        buf::pooled_bytes(),
+        buf::POOL_BUDGET
+    );
 }
 
 /// PARIX's recycle consumes each `latest` entry as its run of segments:
