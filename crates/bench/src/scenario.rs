@@ -389,6 +389,15 @@ impl ScenarioSpec {
                 self.name
             ));
         }
+        for fault in self.faults.iter().flatten().filter(|_| !self.materialize()) {
+            if let FaultEvent::CorruptBlock { at_ms, .. } = fault {
+                return Err(format!(
+                    "scenario '{}': corrupt_block at {at_ms} ms needs materialize \
+                     enabled (a timing-only run has no bytes to flip)",
+                    self.name
+                ));
+            }
+        }
         if let Some(plan) = self.fault_plan() {
             plan.validate(self.osds(), topo.racks)
                 .map_err(|e| format!("scenario '{}': {e}", self.name))?;

@@ -619,23 +619,14 @@ impl Tsue {
     }
 
     /// Bytes a forwarded delta takes on the wire: its length, or with the
-    /// §7 compression extension an estimate — a run-length bound on real
-    /// bytes, a conservative constant ratio for timing-only chunks.
-    fn wire_len(&self, chunk: &Chunk) -> u64 {
-        if !self.cfg.compress_deltas {
-            return chunk.len;
-        }
-        match &chunk.bytes {
-            Some(b) => {
-                let mut runs: u64 = 1;
-                for w in b.windows(2) {
-                    if w[0] != w[1] {
-                        runs += 1;
-                    }
-                }
-                (runs * 2).min(b.len() as u64).max(16)
-            }
-            None => (chunk.len * 11 / 20).max(16),
+    /// §7 compression extension a conservative constant ratio (11/20, at
+    /// least 16 B). The estimate sees only the length, so timing-only and
+    /// materialized runs put the same bytes on the wire.
+    fn wire_len(&self, len: u64) -> u64 {
+        if self.cfg.compress_deltas {
+            (len * 11 / 20).max(16)
+        } else {
+            len
         }
     }
 
@@ -665,7 +656,7 @@ impl Tsue {
         if self.cfg.use_delta_log {
             // Forward the raw data delta to the DeltaLog at P1, copy at P2.
             let p1 = core.owner_of(gstripe, k);
-            let len = self.wire_len(&delta);
+            let len = self.wire_len(delta.len);
             let msg = SchemeMsg::DeltaForward {
                 from: osd,
                 block,
@@ -697,7 +688,7 @@ impl Tsue {
             for j in 0..m {
                 let peer = core.owner_of(gstripe, k + j);
                 let pd = delta.gf_scaled(core.rs.coefficient(j, block.role));
-                let len = self.wire_len(&pd);
+                let len = self.wire_len(pd.len);
                 let msg = SchemeMsg::DeltaForward {
                     from: osd,
                     block,
@@ -775,7 +766,7 @@ impl Tsue {
         let th = pool_hash(uid, self.cfg.recycle_threads);
         let t_cpu = self.threads.submit_to(th, now, cpu.max(tsue_ecfs::MEM_OP));
         for (peer, carrier, off, chunk, j) in sends {
-            let len = self.wire_len(&chunk);
+            let len = self.wire_len(chunk.len);
             let msg = SchemeMsg::DeltaForward {
                 from: osd,
                 block: carrier,

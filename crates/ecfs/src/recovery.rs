@@ -165,11 +165,11 @@ impl RecoveryState {
     }
 
     /// True when any role of `block`'s stripe has a rebuild queued or in
-    /// flight. Materialized runs fence client updates to such stripes
-    /// (see [`crate::scheme::deliver_update`]): the rebuild decodes from
-    /// a consistent data/parity cut at completion, and a sibling write
-    /// admitted mid-rebuild whose parity delta is still on the wire
-    /// would tear that cut.
+    /// flight. Client updates to such stripes are fenced in every run,
+    /// timing-only or materialized (see [`crate::scheme::deliver_update`]):
+    /// the rebuild decodes from a consistent data/parity cut at
+    /// completion, and a sibling write admitted mid-rebuild whose parity
+    /// delta is still on the wire would tear that cut.
     pub fn stripe_fenced(&self, block: &BlockId, blocks_per_stripe: usize) -> bool {
         !self.scheduled.is_empty()
             && (0..blocks_per_stripe)

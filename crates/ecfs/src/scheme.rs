@@ -348,8 +348,7 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
         });
         return;
     }
-    if world.core.cfg.materialize
-        && !world.core.osds[osd].dead
+    if !world.core.osds[osd].dead
         && world
             .core
             .recovery
@@ -359,8 +358,8 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
         // now could tear the rebuild's data/parity cut (its parity delta
         // might still be on the wire at decode time), so the extent waits
         // out the rebuild — the stripe-level write fence every online
-        // reconstruction needs. Timing-only runs skip the fence: without
-        // content there is no cut to protect.
+        // reconstruction needs. Timing-only runs fence too, so both modes
+        // model the same system.
         sim.schedule(
             crate::FAILOVER_DELAY,
             move |w: &mut Cluster, sim: &mut Sim<Cluster>| {

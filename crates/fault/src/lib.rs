@@ -75,8 +75,10 @@ pub enum FaultEvent {
     },
     /// Flip a few random bits in stored blocks on one OSD (silent media
     /// corruption / bit rot). Only materialized runs carry real bytes to
-    /// corrupt; timing-only runs treat this as a no-op. Detection happens
-    /// later, at read-time verification or a scrub sweep — never here.
+    /// corrupt: a scenario rejects it in a timing-only run, and an engine
+    /// driven directly without bytes treats it as a no-op. Detection
+    /// happens later, at read-time verification or a scrub sweep — never
+    /// here.
     CorruptBlock {
         /// Trigger time, virtual ms.
         at_ms: u64,

@@ -15,7 +15,7 @@
 //! bottleneck"), and the data-side still pays the full read-modify-write
 //! to produce its delta.
 
-use crate::{AckTable, LogRegion};
+use crate::{AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::rangemap::{Gathered, RangeMap};
 use tsue_ecfs::scheme::{
@@ -26,8 +26,6 @@ use tsue_sim::Sim;
 
 /// Control tag: one parity-application of a drained entry completed.
 const CTRL_APPLIED: u64 = 3;
-/// Per-entry header bytes in the collector's buffer log.
-const ENTRY_HEADER: u64 = 32;
 
 /// A delta waiting because the collector is draining.
 struct Queued {

@@ -13,7 +13,7 @@
 //! recycle computes deltas (read-modify-write per logged range) and ships
 //! parity deltas, after which parity owners drop their log copies.
 
-use crate::{AckTable, LogRegion};
+use crate::{AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::rangemap::RangeMap;
 use tsue_ecfs::scheme::{
@@ -22,8 +22,6 @@ use tsue_ecfs::scheme::{
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
-/// Per-entry header bytes.
-const ENTRY_HEADER: u64 = 32;
 /// Control tag: a parity owner may discard its log copies for a block.
 const CTRL_DISCARD: u64 = 4;
 /// Timer tag: one recycle chain completed.

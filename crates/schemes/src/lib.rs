@@ -174,6 +174,15 @@ pub fn forward_parity_deltas(
     }
 }
 
+/// Header bytes persisted with each entry of a baseline's log.
+pub(crate) const ENTRY_HEADER: u64 = 32;
+
+/// Memory one logged parity delta holds in PL's and PLR's in-memory
+/// index: its header plus 48 B of block, offset and length fields. The
+/// content lives on the log device, so `memory_usage` counts entries,
+/// not payload bytes, in every run.
+pub(crate) const LOG_INDEX_ENTRY: u64 = ENTRY_HEADER + 48;
+
 /// Timer tag of one recycle-time parity application in flight — the only
 /// timer PL, PLR and PARIX arm.
 const TAG_RECYCLE_DONE: u64 = 1;

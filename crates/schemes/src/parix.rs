@@ -14,7 +14,7 @@
 //! Recycle folds `latest ⊕ original` per covered range into the parity
 //! block, then promotes `latest` to be the new `original`.
 
-use crate::{parity_index_of, recycle_done, track_recycle, AckTable, LogRegion};
+use crate::{parity_index_of, recycle_done, track_recycle, AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::BTreeMap;
 use tsue_ecfs::rangemap::RangeMap;
 use tsue_ecfs::scheme::{reply_at, send_at, Chunk, SchemeMsg, UpdateReq};
@@ -25,8 +25,6 @@ use tsue_sim::Sim;
 const OLD_BIT: u64 = 1 << 62;
 /// Control tag: parity asks the data OSD for original data.
 const CTRL_NEED_OLD: u64 = 1;
-/// Per-entry header bytes in the parity log.
-const ENTRY_HEADER: u64 = 32;
 
 /// Parity-side per-data-block log state.
 #[derive(Default)]

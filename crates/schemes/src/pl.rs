@@ -9,13 +9,13 @@
 //! failure before recycling stalls recovery behind a recycle storm — the
 //! consistency issue §2.3.2 highlights.
 
-use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable, LogRegion};
+use crate::{
+    forward_parity_deltas, recycle_done, track_recycle, AckTable, LogRegion, ENTRY_HEADER,
+    LOG_INDEX_ENTRY,
+};
 use tsue_ecfs::scheme::{reply_at, Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
-
-/// Per-entry header bytes persisted with each logged delta.
-const ENTRY_HEADER: u64 = 32;
 
 /// One logged parity delta awaiting recycle.
 struct PlEntry {
@@ -140,11 +140,7 @@ impl UpdateScheme for Pl {
     }
 
     fn memory_usage(&self) -> u64 {
-        // Log content is on disk; memory holds the entry index (and bytes
-        // in materialized runs, which model the index + buffer cache).
-        self.entries
-            .iter()
-            .map(|e| ENTRY_HEADER + e.data.bytes.as_ref().map_or(48, |b| b.len() as u64))
-            .sum()
+        // Log content is on disk; memory holds only the entry index.
+        self.entries.len() as u64 * LOG_INDEX_ENTRY
     }
 }

@@ -10,7 +10,9 @@
 //! region fills, recycling happens *inline*, stalling the update that
 //! triggered it.
 
-use crate::{forward_parity_deltas, recycle_done, track_recycle, AckTable};
+use crate::{
+    forward_parity_deltas, recycle_done, track_recycle, AckTable, ENTRY_HEADER, LOG_INDEX_ENTRY,
+};
 use std::collections::BTreeMap;
 use tsue_device::IoKind;
 use tsue_ecfs::osd::STREAM_SCHEME_BASE;
@@ -18,8 +20,6 @@ use tsue_ecfs::scheme::{reply_at, Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::{Sim, Time};
 
-/// Per-entry header persisted with each logged delta.
-const ENTRY_HEADER: u64 = 32;
 /// Reserved region size as a fraction of the block size (1/4, following
 /// the FAST '14 default of reserving modest space per parity block).
 const RESERVE_DIV: u64 = 4;
@@ -52,6 +52,11 @@ impl Plr {
             reserved: BTreeMap::new(),
             inflight: 0,
         }
+    }
+
+    /// Logged deltas awaiting recycle, over every reserved region.
+    fn logged(&self) -> u64 {
+        self.reserved.values().map(|r| r.entries.len() as u64).sum()
     }
 
     /// Merges a full reserved region into its parity block: one (cheap,
@@ -189,20 +194,11 @@ impl UpdateScheme for Plr {
     }
 
     fn backlog(&self) -> u64 {
-        self.reserved
-            .values()
-            .map(|r| r.entries.len() as u64)
-            .sum::<u64>()
-            + self.inflight
-            + self.acks.outstanding() as u64
+        self.logged() + self.inflight + self.acks.outstanding() as u64
     }
 
     fn memory_usage(&self) -> u64 {
         // Reserved-space entries index; content lives on disk.
-        self.reserved
-            .values()
-            .flat_map(|r| r.entries.iter())
-            .map(|(_, c)| ENTRY_HEADER + c.bytes.as_ref().map_or(48, |b| b.len() as u64))
-            .sum()
+        self.logged() * LOG_INDEX_ENTRY
     }
 }

@@ -1,12 +1,23 @@
-//! Golden equivalence: the zero-copy data plane must be **observationally
-//! invisible**. `tests/golden/*.json` holds the `{spec, result}` outcomes
-//! captured from the pre-refactor (`Vec`-chunk, allocating-kernel) build;
-//! re-running the same scenarios through the shared-buffer path must
-//! reproduce them byte for byte — same virtual-time behavior, same device
-//! and network accounting, same serialized output.
+//! Golden equivalence: refactors must be **observationally invisible**.
+//! `tests/golden/*.json` holds `{spec, result}` outcomes; re-running the
+//! same scenarios must reproduce them byte for byte — same virtual-time
+//! behavior, same device and network accounting, same serialized output.
+//! The files were first captured from the pre-zero-copy (`Vec`-chunk,
+//! allocating-kernel) build and last regenerated when timing-only runs
+//! began fencing writes to stripes under rebuild, as materialized runs
+//! already did (`rack-failure-online.json` and the `double-node-kill` and
+//! `double-rack-kill` outcomes of `fault-paths.json` moved).
 //!
 //! To re-capture after an *intentional* behavior change:
-//! `tsuectl run scenarios/<name>.json --out tests/golden`.
+//! - one scenario: `tsuectl run scenarios/<name>.json --out tests/golden`;
+//! - a multi-outcome file (`fault-paths.json`, `tsue-ablation-ladder.json`):
+//!   re-run each outcome's spec (`fault-paths` embeds its four specs; the
+//!   ladder is `scenarios/tsue_ablation_o3.json` at `breakdown_level`
+//!   0…5, in order) and write `serde_json::to_string_pretty` of the
+//!   `Vec<ScenarioOutcome>` — equivalently, each `tsuectl run` output
+//!   indented two spaces, joined by `,\n` inside `[\n` … `\n]`, with no
+//!   trailing newline. The tests re-print the parsed file, so any other
+//!   layout fails.
 
 use tsue_repro::bench::{run_scenario, ScenarioOutcome, ScenarioSpec};
 
@@ -18,7 +29,7 @@ fn assert_golden(scenario_json: &str, golden_json: &str) {
     let want = golden_json;
     assert!(
         got == want,
-        "zero-copy run diverged from the pre-refactor golden capture.\n\
+        "run diverged from the golden capture.\n\
          First differing byte at {}.\n--- golden ---\n{}\n--- got ---\n{}",
         got.bytes()
             .zip(want.bytes())

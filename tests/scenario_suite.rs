@@ -7,6 +7,7 @@ use tsue_repro::bench::{
     TraceKind,
 };
 use tsue_repro::ecfs::{DeviceKind, SchemeParams};
+use tsue_repro::fault::FaultEvent;
 
 /// Every scheme the paper evaluates is constructible by name.
 #[test]
@@ -62,6 +63,66 @@ fn unknown_scheme_and_knob_typos_are_rejected() {
     );
     let err = spec.validate(&reg).expect_err("RS(12,8) needs > 16 OSDs");
     assert!(err.contains("OSD"), "{err}");
+}
+
+/// Work that only bytes can do fails validation in a timing-only run,
+/// naming the scenario and what needs bytes: a scrub needs materialized,
+/// checksummed blocks, and bit rot needs bytes to flip.
+#[test]
+fn byte_only_work_is_rejected_in_timing_only_runs() {
+    let reg = default_registry();
+    let mut spec = ScenarioSpec::ssd(
+        "ghost-scrub",
+        TraceKind::Ten,
+        4,
+        2,
+        4,
+        SchemeSpec::named("fo"),
+    );
+    spec.scrub_mb_s = Some(64);
+    let err = spec
+        .validate(&reg)
+        .expect_err("a timing-only scrub must fail");
+    assert!(
+        err.contains("'ghost-scrub'") && err.contains("scrub_mb_s"),
+        "{err}"
+    );
+    spec.materialize = Some(true);
+    spec.checksums = Some(false);
+    let err = spec
+        .validate(&reg)
+        .expect_err("a scrub without checksums must fail");
+    assert!(err.contains("scrub_mb_s"), "{err}");
+    spec.checksums = Some(true);
+    spec.validate(&reg)
+        .expect("a materialized, checksummed scrub is valid");
+
+    let mut spec = ScenarioSpec::ssd(
+        "ghost-rot",
+        TraceKind::Ten,
+        4,
+        2,
+        4,
+        SchemeSpec::named("fo"),
+    );
+    spec.faults = Some(vec![
+        FaultEvent::KillNode { at_ms: 50, node: 1 },
+        FaultEvent::CorruptBlock {
+            at_ms: 100,
+            node: 2,
+            blocks: Some(4),
+            seed: Some(7),
+        },
+    ]);
+    let err = spec
+        .validate(&reg)
+        .expect_err("timing-only bit rot must fail");
+    assert!(
+        err.contains("'ghost-rot'") && err.contains("corrupt_block") && err.contains("100 ms"),
+        "{err}"
+    );
+    spec.materialize = Some(true);
+    spec.validate(&reg).expect("materialized bit rot is valid");
 }
 
 /// A scenario JSON with an unknown top-level field must not load.
