@@ -210,19 +210,34 @@ impl Rng {
 /// Drives both devices with one seeded op sequence over a `capacity`-byte
 /// SSD and compares them op by op. `span` is the address range the ops
 /// fall in: at or just under `capacity` the device runs near full, so GC
-/// picks nearly-full victims and migrates heavily.
-fn run_differential(seed: u64, capacity: u64, span: u64, ops: u32) -> DeviceStats {
+/// picks nearly-full victims and migrates heavily. With `long_max > 0`,
+/// one op in eight is up to `long_max` bytes long. Returns the reference
+/// stats and the erases charged during writes longer than a flash block.
+fn run_differential(
+    seed: u64,
+    capacity: u64,
+    span: u64,
+    ops: u32,
+    long_max: u64,
+) -> (DeviceStats, u64) {
     let mut rng = Rng(seed);
     let mut new = Device::new_ssd(SsdModel::datacenter(capacity));
     let mut old = RefDevice::new(capacity);
     let mut now: Time = 0;
     // A log stream's append cursor, so part of the mix is sequential.
     let mut log_cursor = 0u64;
+    let mut long_erases = 0;
     for op in 0..ops {
         now += rng.below(50) * MICROSECOND;
         // Unaligned offsets and lengths that straddle pages, words of the
-        // written bitmap, table chunks and flash blocks.
-        let len = 1 + rng.below(96 << 10);
+        // written bitmap, table chunks and flash blocks; a long op crosses
+        // many blocks, and a table chunk (512 pages) past 2 MiB.
+        let len = if long_max > 0 && rng.below(8) == 0 {
+            1 + rng.below(long_max)
+        } else {
+            1 + rng.below(96 << 10)
+        };
+        let erases_before = new.stats().erase_ops;
         let offset = rng.below(span - len);
         // cast: `below(6)` is at most 5.
         let stream = rng.below(6) as StreamId;
@@ -251,6 +266,9 @@ fn run_differential(seed: u64, capacity: u64, span: u64, ops: u32) -> DeviceStat
             ),
         };
         assert_eq!(t_new, t_old, "seed {seed} op {op}: completion time");
+        if len > PAGES_PER_BLOCK * PAGE_SIZE {
+            long_erases += new.stats().erase_ops - erases_before;
+        }
         if op % 64 == 0 {
             assert_eq!(new.stats(), &old.stats, "seed {seed} op {op}: stats");
             assert_eq!(occupancy(&new), old.occupancy(), "seed {seed} op {op}");
@@ -259,7 +277,7 @@ fn run_differential(seed: u64, capacity: u64, span: u64, ops: u32) -> DeviceStat
     assert_eq!(new.stats(), &old.stats, "seed {seed}: final stats");
     assert_eq!(occupancy(&new), old.occupancy(), "seed {seed}: occupancy");
     assert_eq!(new.busy_ticks(), old.channels.busy_ticks());
-    old.stats
+    (old.stats, long_erases)
 }
 
 #[test]
@@ -268,7 +286,7 @@ fn tables_match_the_hash_reference_through_gc() {
     let mut migrated = 0;
     for seed in 0..6 {
         // 4 MiB logical => 18 flash blocks.
-        let stats = run_differential(seed, 4 << 20, 4 << 20, 3_000);
+        let (stats, _) = run_differential(seed, 4 << 20, 4 << 20, 3_000, 0);
         erases += stats.erase_ops;
         migrated += stats.pages_migrated;
     }
@@ -280,7 +298,33 @@ fn tables_match_the_hash_reference_through_gc() {
 fn tables_match_the_hash_reference_below_gc_onset() {
     // Fewer page programs than the device has pages: no erase, as in the
     // benchmark workloads — the bookkeeping must agree there too.
-    let stats = run_differential(99, 64 << 20, 4 << 20, 800);
+    let (stats, _) = run_differential(99, 64 << 20, 4 << 20, 800, 0);
     assert_eq!(stats.erase_ops, 0);
     assert!(stats.overwrite_ops > 0 && stats.seq_ops > 0);
+}
+
+#[test]
+fn long_runs_match_the_reference_where_gc_starts_them() {
+    // Writes and prefills of up to 3 MiB (768 pages) on the near-full
+    // 4 MiB device: they start mid-block, cross flash blocks and the
+    // table chunk at 2 MiB, and run out of room where a run starts.
+    let mut long_erases = 0;
+    for seed in 10..14 {
+        let (stats, long) = run_differential(seed, 4 << 20, 4 << 20, 1_500, 3 << 20);
+        assert!(stats.pages_migrated > 0);
+        long_erases += long;
+    }
+    assert!(
+        long_erases > 1_000,
+        "long writes barely hit GC: {long_erases}"
+    );
+}
+
+#[test]
+fn long_runs_match_the_reference_across_chunks_below_gc_onset() {
+    // Runs of up to 6 MiB over 16 MiB of a 64 MiB device cross several
+    // table chunks with no GC in the way.
+    let (stats, long) = run_differential(7, 64 << 20, 16 << 20, 300, 6 << 20);
+    assert_eq!((stats.erase_ops, long), (0, 0));
+    assert!(stats.write_bytes > 32 << 20, "too few long writes");
 }

@@ -11,7 +11,7 @@
 
 use crate::table::{Table, NONE};
 use crate::{DeviceStats, IoKind, Locality, DENSE_PAGES};
-use std::ops::Range;
+use std::ops::{Range, RangeInclusive};
 use tsue_sim::{MultiResource, Time, MICROSECOND, MILLISECOND};
 
 /// Flash page size — the FTL mapping granularity.
@@ -136,16 +136,13 @@ impl SsdModel {
             // Program the touched pages through the FTL; GC work is issued
             // as internal jobs on the channel pool so it delays foreground
             // I/O by queueing rather than by inflating this op's service.
-            let first = offset / PAGE_SIZE;
-            let last = (offset + len.max(1) - 1) / PAGE_SIZE;
-            for lpn in first..=last {
-                let gc = self.ftl.program(lpn, stats);
-                if gc.erases > 0 {
-                    let gc_service = gc.erases as Time * self.spec.erase_time
-                        + gc.migrated as Time * self.spec.migrate_page_time;
-                    self.channels.submit(now, gc_service);
-                }
-            }
+            let spec = &self.spec;
+            let channels = &mut self.channels;
+            self.ftl.program_range(pages(offset, len), stats, |gc| {
+                let gc_service = gc.erases as Time * spec.erase_time
+                    + gc.migrated as Time * spec.migrate_page_time;
+                channels.submit(now, gc_service);
+            });
         }
         self.channels.submit(now, service)
     }
@@ -153,16 +150,28 @@ impl SsdModel {
     /// Programs the FTL pages of `[offset, offset+len)` into `sink` stats
     /// without going through the channel queues (setup-time prefill).
     pub fn prefill(&mut self, offset: u64, len: u64, sink: &mut DeviceStats) {
-        let first = offset / PAGE_SIZE;
-        let last = (offset + len.max(1) - 1) / PAGE_SIZE;
-        for lpn in first..=last {
-            let _ = self.ftl.program(lpn, sink);
-        }
+        self.ftl.program_range(pages(offset, len), sink, |_| ());
     }
 
     /// Fraction of physical pages currently holding live data.
     pub fn ftl_occupancy(&self) -> f64 {
         self.ftl.occupancy()
+    }
+}
+
+/// The logical pages `[offset, offset+len)` touches (at least one).
+fn pages(offset: u64, len: u64) -> RangeInclusive<u64> {
+    offset / PAGE_SIZE..=(offset + len.max(1) - 1) / PAGE_SIZE
+}
+
+/// Drops `old`, the physical copy a rewritten page leaves behind, or
+/// counts a first write (`old == NONE`) as one more live page.
+fn invalidate(old: u64, live_pages: &mut u64, rmap: &mut [u64], valid: &mut [u16]) {
+    if old == NONE {
+        *live_pages += 1;
+    } else {
+        rmap[old as usize] = NONE;
+        valid[(old / PAGES_PER_BLOCK) as usize] -= 1;
     }
 }
 
@@ -218,23 +227,54 @@ impl Ftl {
         }
     }
 
-    /// Programs one logical page. Returns any GC work performed.
+    /// Programs the logical pages `pages` in ascending order, one run at
+    /// a time: as many pages as fit in the active flash block and in one
+    /// chunk of the logical map. Every page keeps the per-page order —
+    /// invalidate its old copy, make room, place it — but only a run that
+    /// starts on a full block can need room, so GC runs only there;
+    /// `on_gc` receives each such pass that erased.
     ///
     /// # Panics
     /// Panics if the logical footprint exceeds physical capacity (the model
     /// equivalent of a full disk) — size the device to the experiment.
-    fn program(&mut self, lpn: u64, stats: &mut DeviceStats) -> GcWork {
-        // Invalidate the previous location, if any.
-        let old = *self.map.slot(lpn);
-        if old == NONE {
-            self.live_pages += 1;
-        } else {
-            self.rmap[old as usize] = NONE;
-            self.valid[(old / PAGES_PER_BLOCK) as usize] -= 1;
+    fn program_range(
+        &mut self,
+        pages: RangeInclusive<u64>,
+        stats: &mut DeviceStats,
+        mut on_gc: impl FnMut(GcWork),
+    ) {
+        let (mut lpn, last) = pages.into_inner();
+        while lpn <= last {
+            if self.active_cursor >= PAGES_PER_BLOCK {
+                // The page is invalidated before GC picks its victim, so
+                // GC never migrates it.
+                let old = *self.map.slot(lpn);
+                invalidate(old, &mut self.live_pages, &mut self.rmap, &mut self.valid);
+                let gc = self.ensure_space(stats);
+                if gc.erases > 0 {
+                    on_gc(gc);
+                }
+                self.place(lpn, stats);
+                lpn += 1;
+                continue;
+            }
+            let first = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
+            let run = self.map.run(
+                lpn,
+                (last - lpn + 1).min(PAGES_PER_BLOCK - self.active_cursor),
+            );
+            let n = run.len() as u64;
+            for (ppn, slot) in (first..).zip(run) {
+                let old = std::mem::replace(slot, ppn);
+                invalidate(old, &mut self.live_pages, &mut self.rmap, &mut self.valid);
+                self.rmap[ppn as usize] = lpn + (ppn - first);
+            }
+            self.active_cursor += n;
+            // cast: a run fits in one flash block, so `n <= 64`.
+            self.valid[self.active_block as usize] += n as u16;
+            stats.pages_programmed += n;
+            lpn += n;
         }
-        let gc = self.ensure_space(stats);
-        self.place(lpn, stats);
-        gc
     }
 
     /// Maps `lpn` to the next free page of the active block.

@@ -46,15 +46,34 @@ impl Table {
 
     /// The slot of `key`, materialized (as `empty`) on first use.
     pub(crate) fn slot(&mut self, key: u64) -> &mut u64 {
-        let empty = self.empty;
         if key >= self.dense_keys {
-            return self.side.entry(key).or_insert(empty);
+            return self.side.entry(key).or_insert(self.empty);
         }
-        let (chunk, at) = ((key / CHUNK) as usize, (key % CHUNK) as usize);
+        &mut self.chunk(key)[(key % CHUNK) as usize]
+    }
+
+    /// The slots of `key..key + n`, materialized on first use, for the
+    /// largest `n <= max` that stays inside `key`'s chunk and the dense
+    /// range (`max >= 1`). A side key is a run of one.
+    pub(crate) fn run(&mut self, key: u64, max: u64) -> &mut [u64] {
+        debug_assert!(max >= 1);
+        if key >= self.dense_keys {
+            return std::slice::from_mut(self.slot(key));
+        }
+        let end = (key + max)
+            .min((key / CHUNK + 1) * CHUNK)
+            .min(self.dense_keys);
+        let at = (key % CHUNK) as usize;
+        &mut self.chunk(key)[at..at + (end - key) as usize]
+    }
+
+    /// The chunk holding dense `key`, materialized on first use.
+    fn chunk(&mut self, key: u64) -> &mut [u64; CHUNK as usize] {
+        let (chunk, empty) = ((key / CHUNK) as usize, self.empty);
         if chunk >= self.chunks.len() {
             self.chunks.resize_with(chunk + 1, || None);
         }
-        &mut self.chunks[chunk].get_or_insert_with(|| Box::new([empty; CHUNK as usize]))[at]
+        self.chunks[chunk].get_or_insert_with(|| Box::new([empty; CHUNK as usize]))
     }
 }
 
@@ -82,6 +101,23 @@ mod tests {
         }
         assert_eq!(*t.slot(1), 0);
         assert_eq!(t.side.len(), 3);
+    }
+
+    #[test]
+    fn runs_stop_at_chunk_and_dense_ends() {
+        let mut t = Table::new(2 * CHUNK + 100, NONE);
+        assert_eq!(t.run(3, 1000).len(), 509);
+        assert_eq!(t.run(3, 7).len(), 7);
+        assert_eq!(t.run(CHUNK, 1000).len(), 512);
+        assert_eq!(t.run(2 * CHUNK + 90, 1000).len(), 10);
+        assert_eq!(t.run(2 * CHUNK + 100, 1000).len(), 1, "side key");
+        for (i, s) in t.run(CHUNK - 2, 4).iter_mut().enumerate() {
+            *s = i as u64;
+        }
+        assert_eq!((*t.slot(CHUNK - 2), *t.slot(CHUNK - 1)), (0, 1));
+        assert_eq!(*t.slot(CHUNK), NONE, "the run ended at the chunk");
+        t.run(u64::MAX, 9)[0] = 5;
+        assert_eq!(*t.slot(u64::MAX), 5);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use verify::{check_consistency, check_data_blocks, check_parity, reference_d
 use tsue_device::{Device, HddModel, SsdModel};
 use tsue_ec::StripeConfig;
 use tsue_net::{NetModel, NetSpec, NodeId, Topology};
-use tsue_sim::{Sim, Time, MICROSECOND, MILLISECOND};
+use tsue_sim::{IdWindow, Sim, Time, MICROSECOND, MILLISECOND};
 
 /// Which device model backs each OSD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -616,7 +616,7 @@ pub fn fail_over_ack(sim: &mut Sim<Cluster>, op_id: u64) {
 #[derive(Default)]
 pub struct PendingTable {
     next_id: u64,
-    ops: std::collections::BTreeMap<u64, PendingOp>,
+    ops: IdWindow<PendingOp>,
 }
 
 /// One in-flight client op (possibly spanning several extents).
@@ -661,17 +661,17 @@ impl PendingTable {
 
     /// Client that issued `op`, if still pending.
     pub fn client_of(&self, op: u64) -> Option<usize> {
-        self.ops.get(&op).map(|p| p.client)
+        self.ops.get(op).map(|p| p.client)
     }
 
     /// Issue time of `op`, if still pending.
     pub fn issued_at(&self, op: u64) -> Option<Time> {
-        self.ops.get(&op).map(|p| p.issued_at)
+        self.ops.get(op).map(|p| p.issued_at)
     }
 
     /// Flags `op` as degraded (an extent parked or failed over).
     pub fn mark_degraded(&mut self, op: u64) {
-        if let Some(p) = self.ops.get_mut(&op) {
+        if let Some(p) = self.ops.get_mut(op) {
             p.degraded = true;
         }
     }
@@ -679,10 +679,10 @@ impl PendingTable {
     /// Decrements the remaining-extent count; returns the finished op when
     /// it reaches zero.
     pub fn complete_extent(&mut self, op: u64) -> Option<PendingOp> {
-        let entry = self.ops.get_mut(&op)?;
+        let entry = self.ops.get_mut(op)?;
         entry.remaining -= 1;
         if entry.remaining == 0 {
-            self.ops.remove(&op)
+            self.ops.remove(op)
         } else {
             None
         }
@@ -705,7 +705,7 @@ impl PendingTable {
             .ops
             .iter()
             .filter(|(_, op)| op.issued_at <= deadline)
-            .map(|(&id, op)| (op.issued_at, id))
+            .map(|(id, op)| (op.issued_at, id))
             .collect();
         ids.sort_unstable();
         ids.into_iter().map(|(_, id)| id).collect()
@@ -714,7 +714,7 @@ impl PendingTable {
     /// Removes an op outright regardless of outstanding extents (failover
     /// watchdog). Later extent acks for it become no-ops.
     pub fn force_remove(&mut self, op: u64) -> Option<PendingOp> {
-        self.ops.remove(&op)
+        self.ops.remove(op)
     }
 }
 

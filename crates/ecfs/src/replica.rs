@@ -48,19 +48,25 @@ pub struct ReplicaStore {
 }
 
 impl ReplicaStore {
-    /// Parks one record shadowing `home`'s data log. Records arrive in
-    /// `seq` order per home (one sender, FIFO wire), so the vector stays
-    /// sorted by construction.
+    /// Parks one record shadowing `home`'s data log, keeping the home's
+    /// records sorted by `seq` (arrival order among equal `seq`s).
+    /// Records almost always arrive in that order (one sender, FIFO
+    /// wire), but with two peers, or after a kill moves the replica to
+    /// another peer, a later append can overtake an earlier one; the
+    /// earlier one is then slotted in ahead of it.
     pub fn push(&mut self, home: usize, rec: ReplicaRecord) {
-        self.by_home.entry(home).or_default().push(rec);
+        let v = self.by_home.entry(home).or_default();
+        let at = v.partition_point(|r| r.seq <= rec.seq);
+        v.insert(at, rec);
     }
 
     /// Drops every record of `home` with `seq <= watermark` — the home
     /// recycled its log past them, so the block itself now holds the
-    /// content.
+    /// content. They are the sorted prefix.
     pub fn prune_up_to(&mut self, home: usize, watermark: u64) {
         if let Some(v) = self.by_home.get_mut(&home) {
-            v.retain(|r| r.seq > watermark);
+            let cut = v.partition_point(|r| r.seq <= watermark);
+            v.drain(..cut);
             if v.is_empty() {
                 self.by_home.remove(&home);
             }
@@ -203,6 +209,46 @@ mod tests {
         assert_eq!(s.len(3), 3);
         assert_eq!(s.len(4), 1);
         assert_eq!(s.tail(3).unwrap().seq, 3);
+    }
+
+    fn seqs(s: &ReplicaStore, home: usize) -> Vec<u64> {
+        s.by_home
+            .get(&home)
+            .map(|v| v.iter().map(|r| r.seq).collect())
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn records_stay_sorted_and_prune_drops_exactly_the_watermark() {
+        let mut s = ReplicaStore::default();
+        // Two peers' copies interleaved, one overtaken: 1 1 3 2 2 3 5 4 6.
+        for (q, stripe) in [
+            (1, 0),
+            (1, 0),
+            (3, 1),
+            (2, 0),
+            (2, 0),
+            (3, 1),
+            (5, 0),
+            (4, 1),
+            (6, 0),
+        ] {
+            s.push(0, rec(q, stripe, q * 8));
+            let v = seqs(&s, 0);
+            assert!(v.is_sorted(), "push keeps seq order: {v:?}");
+        }
+        assert_eq!(s.tail(0).unwrap().seq, 6);
+        s.prune_block(0, &bid(1, 0));
+        assert_eq!(seqs(&s, 0), [1, 1, 2, 2, 5, 6]);
+        for watermark in [0, 1, 4, 5] {
+            s.prune_up_to(0, watermark);
+            let v = seqs(&s, 0);
+            assert!(v.is_sorted() && v.iter().all(|&q| q > watermark), "{v:?}");
+        }
+        assert_eq!(seqs(&s, 0), [6]);
+        s.push(0, rec(7, 0, 0));
+        s.prune_up_to(0, 6);
+        assert_eq!(seqs(&s, 0), [7]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_device::IoKind;
 use tsue_ec::RsCode;
-use tsue_sim::{Sim, Time};
+use tsue_sim::{IdWindow, Sim, Time};
 
 /// A byte payload that may be timing-only. In materialized (correctness)
 /// runs chunks carry real bytes; in performance runs only the length.
@@ -550,7 +550,7 @@ pub fn deliver_read(
 #[derive(Debug, Default)]
 pub struct AckTable {
     next: u64,
-    pending: std::collections::BTreeMap<u64, (u64, u32)>,
+    pending: IdWindow<(u64, u32)>,
 }
 
 impl AckTable {
@@ -568,11 +568,11 @@ impl AckTable {
 
     /// Records one ack; returns the op id when the exchange completes.
     pub fn ack(&mut self, tag: u64) -> Option<u64> {
-        let (op, need) = self.pending.get_mut(&tag)?;
+        let (op, need) = self.pending.get_mut(tag)?;
         *need -= 1;
         if *need == 0 {
             let op = *op;
-            self.pending.remove(&tag);
+            self.pending.remove(tag);
             Some(op)
         } else {
             None

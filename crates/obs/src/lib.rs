@@ -26,8 +26,8 @@ pub use hist::{HistReport, Histogram, LatencySummary, NUM_BUCKETS, SUB_BUCKETS};
 pub use trace::{TraceEvent, TraceRing, DEFAULT_TRACE_CAPACITY};
 
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
-use tsue_sim::Time;
+use std::collections::VecDeque;
+use tsue_sim::{IdWindow, Time};
 
 /// Completed-operation classes, each with its own latency histogram.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -136,7 +136,7 @@ struct SpanState {
 pub struct ObsState {
     classes: Vec<Histogram>,
     stages: Vec<Histogram>,
-    spans: BTreeMap<u64, SpanState>,
+    spans: IdWindow<SpanState>,
     trace: Option<TraceRing>,
     /// Time-series samples appended by the scenario harness probe.
     pub series: ObsSeries,
@@ -148,7 +148,7 @@ impl ObsState {
         ObsState {
             classes: (0..OpClass::ALL.len()).map(|_| Histogram::new()).collect(),
             stages: (0..Stage::ALL.len()).map(|_| Histogram::new()).collect(),
-            spans: BTreeMap::new(),
+            spans: IdWindow::new(),
             trace: None,
             series: ObsSeries::default(),
         }
@@ -234,7 +234,7 @@ impl ObsState {
     /// A client op was issued: starts its span and records the (zero-cost
     /// in this model) MDS map stage.
     pub fn op_issued(&mut self, op_id: u64, client: usize, now: Time) {
-        self.spans.entry(op_id).or_default();
+        self.spans.get_or_insert_with(op_id, SpanState::default);
         self.stages[Stage::MdsMap.idx()].record(0);
         self.emit(Stage::MdsMap.token(), "stage", now, 0, client as u64, op_id);
     }
@@ -244,7 +244,10 @@ impl ObsState {
     pub fn update_arrival(&mut self, op_id: u64, osd: usize, issued_at: Time, now: Time) {
         let dur = now.saturating_sub(issued_at);
         self.stages[Stage::ClientIssue.idx()].record(dur);
-        self.spans.entry(op_id).or_default().arrivals.push_back(now);
+        self.spans
+            .get_or_insert_with(op_id, SpanState::default)
+            .arrivals
+            .push_back(now);
         self.emit(
             Stage::ClientIssue.token(),
             "stage",
@@ -260,7 +263,7 @@ impl ObsState {
     pub fn extent_service_done(&mut self, op_id: u64, osd: usize, now: Time) {
         let Some(t0) = self
             .spans
-            .get_mut(&op_id)
+            .get_mut(op_id)
             .and_then(|s| s.arrivals.pop_front())
         else {
             return; // degraded extents park without a tracked arrival
@@ -331,7 +334,7 @@ impl ObsState {
             class,
             OpClass::Update | OpClass::Read | OpClass::DegradedWrite
         ) {
-            self.spans.remove(&op_id);
+            self.spans.remove(op_id);
         }
         self.emit(class.token(), "op", started, dur, node as u64, op_id);
     }

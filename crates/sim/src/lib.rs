@@ -25,8 +25,10 @@
 #![warn(missing_docs)]
 
 pub mod resource;
+pub mod window;
 
 pub use resource::{FifoResource, MultiResource};
+pub use window::IdWindow;
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
