@@ -144,7 +144,8 @@ pub struct Device {
 
 #[derive(Debug)]
 enum Backend {
-    Ssd(SsdModel),
+    /// Boxed: the FTL's two page tables make it the far larger variant.
+    Ssd(Box<SsdModel>),
     Hdd(HddModel),
 }
 
@@ -185,7 +186,7 @@ impl WrittenMap {
 impl Device {
     /// Creates an SSD-backed device.
     pub fn new_ssd(model: SsdModel) -> Self {
-        Self::new(Backend::Ssd(model))
+        Self::new(Backend::Ssd(Box::new(model)))
     }
 
     /// Creates an HDD-backed device.

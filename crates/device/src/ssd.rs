@@ -166,11 +166,14 @@ fn pages(offset: u64, len: u64) -> RangeInclusive<u64> {
 
 /// Drops `old`, the physical copy a rewritten page leaves behind, or
 /// counts a first write (`old == NONE`) as one more live page.
-fn invalidate(old: u64, live_pages: &mut u64, rmap: &mut [u64], valid: &mut [u16]) {
+fn invalidate(old: u64, live_pages: &mut u64, rmap: &mut Table, valid: &mut [u16]) {
     if old == NONE {
         *live_pages += 1;
     } else {
-        rmap[old as usize] = NONE;
+        // INVARIANT: `old` was programmed, which materialized its chunk.
+        *rmap
+            .get_mut(old)
+            .expect("a programmed page has a reverse entry") = NONE;
         valid[(old / PAGES_PER_BLOCK) as usize] -= 1;
     }
 }
@@ -189,17 +192,17 @@ pub(crate) struct GcWork {
 
 /// Page-mapped FTL with greedy (min-valid) garbage collection.
 ///
-/// Both directions of the mapping are indexed, not hashed: logical pages
-/// through a [`Table`] (OSDs bump-allocate device space from 0), physical
-/// pages through a plain vector (blocks are first programmed in ascending
-/// order, so the touched physical range is a prefix).
+/// Both directions of the mapping are [`Table`]s, indexed, not hashed:
+/// OSDs bump-allocate device space from 0, and flash blocks are first
+/// programmed in ascending order, so each side's chunks follow the pages
+/// actually touched and nothing grows by copying.
 #[derive(Debug)]
 struct Ftl {
     /// logical page -> physical page, `NONE` while unmapped.
     map: Table,
     /// physical page -> logical page (for migration), `NONE` while the
-    /// page holds no live data; covers the blocks programmed so far.
-    rmap: Vec<u64>,
+    /// page holds no live data. A flash block lies inside one chunk.
+    rmap: Table,
     /// Logical pages currently mapped.
     live_pages: u64,
     /// Per-block count of valid pages.
@@ -217,7 +220,7 @@ impl Ftl {
     fn new(blocks: u64) -> Self {
         Ftl {
             map: Table::new(DENSE_PAGES, NONE),
-            rmap: vec![NONE; PAGES_PER_BLOCK as usize],
+            rmap: Table::new(blocks * PAGES_PER_BLOCK, NONE),
             live_pages: 0,
             valid: vec![0; blocks as usize],
             fresh_blocks: 1..blocks,
@@ -267,7 +270,13 @@ impl Ftl {
             for (ppn, slot) in (first..).zip(run) {
                 let old = std::mem::replace(slot, ppn);
                 invalidate(old, &mut self.live_pages, &mut self.rmap, &mut self.valid);
-                self.rmap[ppn as usize] = lpn + (ppn - first);
+            }
+            // The run's physical pages are unprogrammed, so no old copy
+            // invalidated above lies among them.
+            let back = self.rmap.run(first, n);
+            debug_assert_eq!(back.len() as u64, n, "a flash block lies in one chunk");
+            for (slot, l) in back.iter_mut().zip(lpn..) {
+                *slot = l;
             }
             self.active_cursor += n;
             // cast: a run fits in one flash block, so `n <= 64`.
@@ -282,7 +291,7 @@ impl Ftl {
         let ppn = self.active_block * PAGES_PER_BLOCK + self.active_cursor;
         self.active_cursor += 1;
         *self.map.slot(lpn) = ppn;
-        self.rmap[ppn as usize] = lpn;
+        *self.rmap.slot(ppn) = lpn;
         self.valid[self.active_block as usize] += 1;
         stats.pages_programmed += 1;
     }
@@ -295,8 +304,6 @@ impl Ftl {
             if let Some(blk) = self.fresh_blocks.next() {
                 self.active_block = blk;
                 self.active_cursor = 0;
-                self.rmap
-                    .resize(((blk + 1) * PAGES_PER_BLOCK) as usize, NONE);
                 break;
             }
             // Greedy victim: the block (other than active) with fewest
@@ -314,28 +321,30 @@ impl Ftl {
                 (self.valid[victim as usize] as u64) < PAGES_PER_BLOCK,
                 "FTL capacity exhausted: logical footprint exceeds device size"
             );
-            // Lift the survivors out (their `map` slots are rewritten by
-            // `place` below, so only the physical side is cleared here).
-            let first = (victim * PAGES_PER_BLOCK) as usize;
-            let mut moved = Vec::new();
-            for slot in &mut self.rmap[first..first + PAGES_PER_BLOCK as usize] {
-                let lpn = std::mem::replace(slot, NONE);
+            // Erase the victim and re-program its survivors, in page
+            // order, at the front of it: one pass over its reverse run.
+            let first = victim * PAGES_PER_BLOCK;
+            let back = self.rmap.run(first, PAGES_PER_BLOCK);
+            let mut moved = 0;
+            for at in 0..back.len() {
+                let lpn = std::mem::replace(&mut back[at], NONE);
                 if lpn != NONE {
-                    moved.push(lpn);
+                    back[moved] = lpn;
+                    *self.map.slot(lpn) = first + moved as u64;
+                    moved += 1;
                 }
             }
-            debug_assert_eq!(self.valid[victim as usize] as usize, moved.len());
-            self.valid[victim as usize] = 0;
+            debug_assert_eq!(self.valid[victim as usize] as usize, moved);
+            // cast: `moved <= 64`.
+            let moved = moved as u64;
+            self.valid[victim as usize] = moved as u16;
             stats.erase_ops += 1;
+            stats.pages_programmed += moved;
+            stats.pages_migrated += moved;
             work.erases += 1;
+            work.migrated += moved;
             self.active_block = victim;
-            self.active_cursor = 0;
-            // Re-program survivors into the freshly erased block.
-            for lpn in moved {
-                self.place(lpn, stats);
-                stats.pages_migrated += 1;
-                work.migrated += 1;
-            }
+            self.active_cursor = moved;
             // If the victim was nearly full, the loop condition sends us
             // around again for another victim.
         }
@@ -447,15 +456,36 @@ mod tests {
         // rmap is the exact inverse of map: every logical page maps to a
         // physical page that points back, and nothing else is live.
         for lpn in 0..pages {
-            let ppn = *ssd.ftl.map.slot(lpn);
+            let ppn = ssd.ftl.map.get(lpn);
             assert_ne!(ppn, NONE, "lpn {lpn} lost its mapping");
-            assert_eq!(ssd.ftl.rmap[ppn as usize], lpn);
+            assert_eq!(ssd.ftl.rmap.get(ppn), lpn);
         }
-        let mapped_back = ssd.ftl.rmap.iter().filter(|&&lpn| lpn != NONE).count();
+        let physical = ssd.ftl.total_blocks * PAGES_PER_BLOCK;
+        let mapped_back = (0..physical)
+            .filter(|&ppn| ssd.ftl.rmap.get(ppn) != NONE)
+            .count();
         assert_eq!(mapped_back as u64, live);
         // valid counters agree with the mapping.
         let total_valid: u64 = ssd.ftl.valid.iter().map(|&v| v as u64).sum();
         assert_eq!(total_valid, live);
+    }
+
+    #[test]
+    fn reverse_map_follows_programmed_pages_not_capacity() {
+        // A fresh device programs physical pages from 0 up, so N pages
+        // touch exactly ceil(N / 512) reverse-map chunks, however large
+        // the device.
+        for n in [1, 63, 64, 511, 512, 513, 1_000, 4_100] {
+            let mut stats = DeviceStats::default();
+            let mut ssd = SsdModel::datacenter(1 << 30);
+            program_range(&mut ssd, &mut stats, 0, n * PAGE_SIZE);
+            assert_eq!(stats.erase_ops, 0);
+            assert_eq!(
+                ssd.ftl.rmap.chunks_allocated() as u64,
+                n.div_ceil(512),
+                "{n} pages programmed"
+            );
+        }
     }
 
     #[test]

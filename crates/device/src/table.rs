@@ -67,6 +67,31 @@ impl Table {
         &mut self.chunk(key)[at..at + (end - key) as usize]
     }
 
+    /// The slot of `key` if it was ever materialized; never allocates.
+    pub(crate) fn get_mut(&mut self, key: u64) -> Option<&mut u64> {
+        if key >= self.dense_keys {
+            return self.side.get_mut(&key);
+        }
+        let chunk = self
+            .chunks
+            .get_mut((key / CHUNK) as usize)?
+            .as_deref_mut()?;
+        Some(&mut chunk[(key % CHUNK) as usize])
+    }
+
+    /// What `key` reads as, without materializing anything.
+    #[cfg(test)]
+    pub(crate) fn get(&mut self, key: u64) -> u64 {
+        let empty = self.empty;
+        self.get_mut(key).map_or(empty, |slot| *slot)
+    }
+
+    /// Dense chunks materialized so far.
+    #[cfg(test)]
+    pub(crate) fn chunks_allocated(&self) -> usize {
+        self.chunks.iter().flatten().count()
+    }
+
     /// The chunk holding dense `key`, materialized on first use.
     fn chunk(&mut self, key: u64) -> &mut [u64; CHUNK as usize] {
         let (chunk, empty) = ((key / CHUNK) as usize, self.empty);
@@ -121,12 +146,27 @@ mod tests {
     }
 
     #[test]
+    fn get_mut_never_materializes() {
+        let mut t = Table::new(2 * CHUNK, NONE);
+        assert_eq!(t.get_mut(7), None);
+        assert_eq!(t.get_mut(u64::MAX), None);
+        assert_eq!(t.get(CHUNK + 3), NONE);
+        assert_eq!(t.chunks_allocated(), 0);
+        *t.slot(CHUNK + 3) = 9;
+        assert_eq!(t.get_mut(7), None, "chunk 0 is still absent");
+        *t.get_mut(CHUNK + 4).expect("chunk 1 exists") = 4;
+        assert_eq!((t.get(CHUNK + 3), t.get(CHUNK + 4)), (9, 4));
+        assert_eq!(t.chunks_allocated(), 1);
+        assert!(t.side.is_empty());
+    }
+
+    #[test]
     fn memory_follows_touched_chunks_not_the_key_range() {
         let mut t = Table::new(1 << 30, NONE);
         *t.slot(5) = 1;
         *t.slot(200 * CHUNK + 7) = 2;
         assert_eq!(t.chunks.len(), 201);
-        assert_eq!(t.chunks.iter().flatten().count(), 2);
+        assert_eq!(t.chunks_allocated(), 2);
         assert!(t.side.is_empty());
     }
 }

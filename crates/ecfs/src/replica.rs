@@ -21,7 +21,7 @@
 use crate::osd::BlockId;
 use crate::scheme::Chunk;
 use crate::Cluster;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use tsue_device::IoKind;
 use tsue_sim::Sim;
 
@@ -40,9 +40,15 @@ pub struct ReplicaRecord {
 
 /// All live replica records, keyed by the home OSD whose data log they
 /// shadow. Owned by [`crate::ClusterCore`].
+///
+/// Each home's records sit in a ring sorted by `seq`: appends land at
+/// the back and recycles prune from the front, so both are O(1) per
+/// record and no survivor moves. A home's ring is kept when it drains,
+/// so a steady append/recycle cycle reuses its buffer.
 #[derive(Debug, Default)]
 pub struct ReplicaStore {
-    by_home: BTreeMap<usize, Vec<ReplicaRecord>>,
+    /// `by_home[home]`; grows to the highest home seen.
+    by_home: Vec<VecDeque<ReplicaRecord>>,
     /// Cumulative bytes replayed onto rebuilt blocks.
     pub bytes_replayed: u64,
 }
@@ -51,24 +57,30 @@ impl ReplicaStore {
     /// Parks one record shadowing `home`'s data log, keeping the home's
     /// records sorted by `seq` (arrival order among equal `seq`s).
     /// Records almost always arrive in that order (one sender, FIFO
-    /// wire), but with two peers, or after a kill moves the replica to
-    /// another peer, a later append can overtake an earlier one; the
-    /// earlier one is then slotted in ahead of it.
+    /// wire) and go to the back; but with two peers, or after a kill
+    /// moves the replica to another peer, a later append can overtake an
+    /// earlier one, and the earlier one is then slotted in ahead of it.
     pub fn push(&mut self, home: usize, rec: ReplicaRecord) {
-        let v = self.by_home.entry(home).or_default();
-        let at = v.partition_point(|r| r.seq <= rec.seq);
-        v.insert(at, rec);
+        if home >= self.by_home.len() {
+            self.by_home.resize_with(home + 1, VecDeque::new);
+        }
+        let ring = &mut self.by_home[home];
+        match ring.back() {
+            Some(tail) if rec.seq < tail.seq => {
+                let at = ring.partition_point(|r| r.seq <= rec.seq);
+                ring.insert(at, rec);
+            }
+            _ => ring.push_back(rec),
+        }
     }
 
     /// Drops every record of `home` with `seq <= watermark` — the home
     /// recycled its log past them, so the block itself now holds the
     /// content. They are the sorted prefix.
     pub fn prune_up_to(&mut self, home: usize, watermark: u64) {
-        if let Some(v) = self.by_home.get_mut(&home) {
-            let cut = v.partition_point(|r| r.seq <= watermark);
-            v.drain(..cut);
-            if v.is_empty() {
-                self.by_home.remove(&home);
+        if let Some(ring) = self.by_home.get_mut(home) {
+            while ring.front().is_some_and(|r| r.seq <= watermark) {
+                ring.pop_front();
             }
         }
     }
@@ -78,25 +90,22 @@ impl ReplicaStore {
     /// block.
     pub fn records_for_block(&self, home: usize, block: &BlockId) -> Vec<ReplicaRecord> {
         self.by_home
-            .get(&home)
-            .map(|v| v.iter().filter(|r| r.block == *block).cloned().collect())
+            .get(home)
+            .map(|ring| ring.iter().filter(|r| r.block == *block).cloned().collect())
             .unwrap_or_default()
     }
 
     /// The highest-`seq` record of `home` (the log tail a power loss
     /// would tear), if any records are live.
     pub fn tail(&self, home: usize) -> Option<&ReplicaRecord> {
-        self.by_home.get(&home).and_then(|v| v.last())
+        self.by_home.get(home).and_then(VecDeque::back)
     }
 
     /// Drops `home`'s records targeting `block` — they were just
     /// replayed onto the rebuilt copy.
     pub fn prune_block(&mut self, home: usize, block: &BlockId) {
-        if let Some(v) = self.by_home.get_mut(&home) {
-            v.retain(|r| r.block != *block);
-            if v.is_empty() {
-                self.by_home.remove(&home);
-            }
+        if let Some(ring) = self.by_home.get_mut(home) {
+            ring.retain(|r| r.block != *block);
         }
     }
 
@@ -107,12 +116,12 @@ impl ReplicaStore {
 
     /// Live records shadowing `home`'s log.
     pub fn len(&self, home: usize) -> usize {
-        self.by_home.get(&home).map_or(0, Vec::len)
+        self.by_home.get(home).map_or(0, VecDeque::len)
     }
 
     /// True when no record of any home is live.
     pub fn is_empty(&self) -> bool {
-        self.by_home.is_empty()
+        self.by_home.iter().all(VecDeque::is_empty)
     }
 }
 
@@ -179,6 +188,7 @@ pub(crate) fn replay_replicas(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn bid(stripe: u64, role: usize) -> BlockId {
         BlockId {
@@ -213,7 +223,7 @@ mod tests {
 
     fn seqs(s: &ReplicaStore, home: usize) -> Vec<u64> {
         s.by_home
-            .get(&home)
+            .get(home)
             .map(|v| v.iter().map(|r| r.seq).collect())
             .unwrap_or_default()
     }
@@ -262,5 +272,154 @@ mod tests {
         assert_eq!(s.records_for_block(0, &bid(0, 0))[0].seq, 4);
         s.prune_up_to(0, 99);
         assert!(s.is_empty());
+    }
+
+    /// The reference store: one sorted `Vec` per home, a stable sorted
+    /// insert per push and a map entry that disappears when the home
+    /// drains. Its prunes `retain`, so they do not lean on the sort. The
+    /// differential below holds the rings to it.
+    #[derive(Default)]
+    struct Oracle {
+        by_home: BTreeMap<usize, Vec<ReplicaRecord>>,
+    }
+
+    impl Oracle {
+        fn push(&mut self, home: usize, rec: ReplicaRecord) {
+            let v = self.by_home.entry(home).or_default();
+            let at = v.partition_point(|r| r.seq <= rec.seq);
+            v.insert(at, rec);
+        }
+
+        fn prune_up_to(&mut self, home: usize, watermark: u64) {
+            if let Some(v) = self.by_home.get_mut(&home) {
+                v.retain(|r| r.seq > watermark);
+                if v.is_empty() {
+                    self.by_home.remove(&home);
+                }
+            }
+        }
+
+        fn prune_block(&mut self, home: usize, block: &BlockId) {
+            if let Some(v) = self.by_home.get_mut(&home) {
+                v.retain(|r| r.block != *block);
+                if v.is_empty() {
+                    self.by_home.remove(&home);
+                }
+            }
+        }
+
+        fn records_for_block(&self, home: usize, block: &BlockId) -> Vec<ReplicaRecord> {
+            self.by_home
+                .get(&home)
+                .map(|v| v.iter().filter(|r| r.block == *block).cloned().collect())
+                .unwrap_or_default()
+        }
+
+        fn tail(&self, home: usize) -> Option<&ReplicaRecord> {
+            self.by_home.get(&home).and_then(|v| v.last())
+        }
+
+        fn len(&self, home: usize) -> usize {
+            self.by_home.get(&home).map_or(0, Vec::len)
+        }
+    }
+
+    /// The high bits of a 64-bit LCG.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// What a record is, for comparing: `off` is unique per push, so
+    /// equal-`seq` records are told apart by their arrival order.
+    fn key(r: &ReplicaRecord) -> (u64, u64, u64) {
+        (r.seq, r.block.stripe, r.off)
+    }
+
+    const HOMES: usize = 4;
+    const STRIPES: u64 = 3;
+
+    fn assert_same(s: &ReplicaStore, o: &Oracle, at: &str) {
+        assert_eq!(s.is_empty(), o.by_home.is_empty(), "{at}: is_empty");
+        // One home past the last ever pushed to: absent on both sides.
+        for home in 0..=HOMES {
+            assert_eq!(s.len(home), o.len(home), "{at}: len of {home}");
+            assert_eq!(
+                s.tail(home).map(key),
+                o.tail(home).map(key),
+                "{at}: tail of {home}"
+            );
+            for stripe in 0..STRIPES {
+                let b = bid(stripe, 0);
+                let got: Vec<_> = s.records_for_block(home, &b).iter().map(key).collect();
+                let want: Vec<_> = o.records_for_block(home, &b).iter().map(key).collect();
+                assert_eq!(got, want, "{at}: records of home {home} stripe {stripe}");
+            }
+        }
+    }
+
+    /// One seeded sequence over several homes, applied to the rings and
+    /// to the oracle alike. Per home, appends arrive the way two peers
+    /// deliver them: mostly in order, sometimes the same `seq` twice,
+    /// sometimes an earlier `seq` overtaken by later ones. Recycles
+    /// prune at random watermarks, rebuilds prune a block, and now and
+    /// then a home drains completely and is refilled.
+    fn differential(seed: u64, steps: u32) {
+        let mut rng = Rng(seed);
+        let (mut s, mut o) = (ReplicaStore::default(), Oracle::default());
+        let mut next = [0u64; HOMES];
+        let mut off = 0;
+        for step in 0..steps {
+            let at = format!("seed {seed} step {step}");
+            let home = rng.below(HOMES as u64) as usize;
+            match rng.below(16) {
+                0..=10 => {
+                    let seq = match rng.below(6) {
+                        // The other peer's copy of the latest append.
+                        0 => next[home],
+                        // An append overtaken by up to four later ones.
+                        1 => next[home].saturating_sub(1 + rng.below(4)),
+                        _ => {
+                            next[home] += 1;
+                            next[home]
+                        }
+                    };
+                    off += 8;
+                    let r = rec(seq, rng.below(STRIPES), off);
+                    s.push(home, r.clone());
+                    o.push(home, r);
+                }
+                11..=12 => {
+                    let watermark = next[home].saturating_sub(rng.below(12));
+                    s.prune_up_to(home, watermark);
+                    o.prune_up_to(home, watermark);
+                }
+                13..=14 => {
+                    let b = bid(rng.below(STRIPES), 0);
+                    s.prune_block(home, &b);
+                    o.prune_block(home, &b);
+                }
+                _ => {
+                    s.prune_up_to(home, next[home]);
+                    o.prune_up_to(home, next[home]);
+                    assert_eq!(s.len(home), 0, "{at}: drained");
+                }
+            }
+            assert_same(&s, &o, &at);
+        }
+    }
+
+    #[test]
+    fn rings_match_the_sorted_vec_store() {
+        for seed in 0..8 {
+            differential(seed, 3_000);
+        }
     }
 }
