@@ -665,7 +665,7 @@ pub fn run_scenario_traced(
         torn_detected: world.core.metrics.torn_detected,
         torn_replayed: world.core.metrics.torn_replayed,
         torn_discarded: world.core.metrics.torn_discarded,
-        replica_replayed_bytes: world.core.replicas.bytes_replayed,
+        replica_replayed_bytes: world.core.recovery.replica_replayed_bytes,
         recovery,
         obs,
     };

@@ -49,10 +49,12 @@ impl<K: Ord + Copy> LogPool<K> {
 
     /// True if the back unit is Empty (appendable).
     pub fn has_active(&self) -> bool {
-        matches!(
-            self.units.back(),
-            Some(u) if u.state == UnitState::Empty
-        )
+        self.active().is_some()
+    }
+
+    /// The active unit, if there is one.
+    pub fn active(&self) -> Option<&LogUnit<K>> {
+        self.units.back().filter(|u| u.state == UnitState::Empty)
     }
 
     /// Mutable access to the active unit.
@@ -142,6 +144,14 @@ impl<K: Ord + Copy> LogPool<K> {
             }
         }
         true
+    }
+
+    /// Drops `key`'s entries from every unit: the log no longer holds
+    /// anything for it, neither work nor read cache.
+    pub fn forget(&mut self, key: &K) {
+        for u in &mut self.units {
+            u.index.remove(key);
+        }
     }
 
     /// Total unrecycled work items (active + sealed units).

@@ -101,6 +101,11 @@ pub struct LogUnit<K> {
     pub first_append: Option<Time>,
     /// When recycling started.
     pub recycle_started: Option<Time>,
+    /// The peers that hold a copy of every record of this unit, each as
+    /// `(osd, failures)` at the forward ([`tsue_ecfs::Mds::failures`]).
+    /// DataLog units only; a change of peers seals the unit, so one list
+    /// serves all its records.
+    pub copies: Vec<(usize, u32)>,
 }
 
 /// Per-record header bytes accounted in the unit fill level.
@@ -117,6 +122,7 @@ impl<K: Ord + Copy> LogUnit<K> {
             raw_records: 0,
             first_append: None,
             recycle_started: None,
+            copies: Vec::new(),
         }
     }
 
@@ -267,6 +273,7 @@ impl<K: Ord + Copy> LogUnit<K> {
         self.raw_records = 0;
         self.first_append = None;
         self.recycle_started = None;
+        self.copies.clear();
     }
 }
 

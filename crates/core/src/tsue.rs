@@ -36,7 +36,7 @@ use tsue_ecfs::scheme::{
     SchemeMsg, UpdateReq,
 };
 use tsue_ecfs::{
-    BlockId, Chunk, Cluster, ClusterCore, IoKind, ReplicaRecord, SplitRng, UpdateScheme,
+    BlockId, Chunk, Cluster, ClusterCore, IoKind, Mds, OwedExtent, SplitRng, UpdateScheme,
 };
 use tsue_sim::{MultiResource, Sim, Time, SECOND};
 
@@ -254,24 +254,28 @@ fn pool_hash(x: u64, pools: usize) -> usize {
     (x.wrapping_mul(0x9e3779b97f4a7c15) >> 33) as usize % pools
 }
 
-/// The peers holding DataLog replica copies for `home`: the next `copies`
-/// nodes around the ring — except on a racked topology, where peers in
-/// *other* racks are preferred (ring order within each preference class),
-/// so a whole-rack failure cannot take the primary and every copy at once.
-/// On a flat topology — or under rack-oblivious placement, which opts
-/// the whole cluster out of rack safety — this is exactly
-/// `(home + r) % osds`.
-fn replica_peers(core: &ClusterCore, home: usize, copies: usize) -> Vec<usize> {
+/// The peers that take `home`'s DataLog copies, each with its failure
+/// count ([`LogUnit::copies`]): the next `copies` live nodes around the
+/// ring — except on a racked topology, where peers in *other* racks are
+/// preferred (ring order within each preference class), so a whole-rack
+/// failure cannot take the primary and every copy at once. On a flat
+/// topology — or under rack-oblivious placement, which opts the whole
+/// cluster out of rack safety — with every node alive this is exactly
+/// `(home + r) % osds`. Dead nodes are passed over: a copy sent to one
+/// would exist nowhere.
+fn replica_peers(core: &ClusterCore, home: usize, copies: usize) -> Vec<(usize, u32)> {
     let osds = core.cfg.osds;
-    let mut order: Vec<usize> = (1..osds).map(|r| (home + r) % osds).collect();
-    if core.cfg.placement == tsue_ecfs::PlacementKind::RackAware && core.net.racks() > 1 {
-        let home_rack = core.net.rack_of(core.osds[home].node);
-        // Stable sort: `false < true` puts other-rack peers first while
-        // keeping ring order inside each class.
-        order.sort_by_key(|&p| core.net.rack_of(core.osds[p].node) == home_rack);
-    }
-    order.truncate(copies);
-    order
+    let ring = (1..osds).map(|r| (home + r) % osds);
+    let racked = core.cfg.placement == tsue_ecfs::PlacementKind::RackAware && core.net.racks() > 1;
+    let rack = |p: usize| core.net.rack_of(core.osds[p].node);
+    let other_rack = |p: &usize| !racked || rack(*p) != rack(home);
+    ring.clone()
+        .filter(other_rack)
+        .chain(ring.filter(|p| !other_rack(p)))
+        .filter(|&p| core.mds.is_alive(p))
+        .take(copies)
+        .map(|p| (p, core.mds.failures(p)))
+        .collect()
 }
 
 fn block_key(b: BlockId) -> u64 {
@@ -291,13 +295,6 @@ pub struct Tsue {
     threads: MultiResource,
     acks: AckTable,
     inflight: BTreeMap<UnitId, InflightUnit>,
-    /// Monotonic sequence stamped on each replicated DataLog append, so
-    /// peer replica stores can prune exactly the recycled prefix.
-    data_seq: u64,
-    /// `(min, max)` replica seq held by each not-yet-recycled data unit;
-    /// the prune watermark at unit finish is the smallest remaining `min`
-    /// minus one (seqs below it are durably merged into the block store).
-    unit_seqs: BTreeMap<UnitId, (u64, u64)>,
     /// The newest append on this OSD, `(layer, block, offset, length)` —
     /// the write a power loss tears. Only the in-flight tail record is at
     /// risk: every earlier append's framing already persisted whole, so
@@ -320,8 +317,6 @@ impl Tsue {
             threads: MultiResource::new(cfg.recycle_threads),
             acks: AckTable::default(),
             inflight: BTreeMap::new(),
-            data_seq: 0,
-            unit_seqs: BTreeMap::new(),
             tail: None,
             residency: ResidencyStats::default(),
             cfg,
@@ -365,11 +360,16 @@ impl Tsue {
         pool_hash(key, self.layers[layer as usize].pools.len())
     }
 
+    /// The DataLog pool that logs `block`.
+    fn data_pool(&self, block: BlockId) -> &LogPool<BlockId> {
+        let pools = &self.layers[LayerKind::Data as usize].pools;
+        &pools[pool_hash(block_key(block), pools.len())]
+    }
+
     /// Overlays the unmerged DataLog content of a block range onto `buf`;
     /// true when the log alone covers the range.
     fn overlay_data(&self, block: BlockId, off: u64, len: u64, buf: Option<&mut [u8]>) -> bool {
-        let pools = &self.layers[LayerKind::Data as usize].pools;
-        pools[pool_hash(block_key(block), pools.len())].overlay(&block, off, len, buf)
+        self.data_pool(block).overlay(&block, off, len, buf)
     }
 
     // ------------------------------------------------------------------
@@ -393,6 +393,19 @@ impl Tsue {
         let pool = self.pool_of(core, layer, work.block);
         let len = work.chunk.len;
         let need = len + RECORD_HEADER;
+        // A DataLog unit's records all have their copies on the same
+        // peers: when those change (one died or rejoined), the active
+        // unit seals and the append opens a fresh one.
+        let peers = match layer {
+            LayerKind::Data => replica_peers(core, osd, self.replica_copies(core)),
+            _ => Vec::new(),
+        };
+        if self.layers[li].pools[pool]
+            .active()
+            .is_some_and(|u| u.copies != peers)
+        {
+            self.seal_and_recycle(core, sim, osd, layer, pool);
+        }
         if !self.ensure_room(core, sim, osd, layer, pool, need) {
             self.layers[li].queues[pool].push_back(work);
             return;
@@ -405,10 +418,12 @@ impl Tsue {
         } = work;
         let (discipline, locality) = self.merge_policy(layer);
         let unit = self.layers[li].pools[pool].active_mut();
-        let uid = unit.id;
         // The payload moves into the log index — the client's buffer is
         // shared by refcount the whole way, never duplicated.
         unit.append(block, off, chunk, discipline, locality, now);
+        if unit.copies != peers {
+            unit.copies.clone_from(&peers); // the unit's first record
+        }
         self.tail = Some((layer, block, off, len));
         let (t_persist, _) = self.layers[li].regions[pool].append(core, osd, now, need);
         self.residency.layers[li].append.add(t_persist - now);
@@ -417,29 +432,23 @@ impl Tsue {
             return;
         }
 
-        self.data_seq += 1;
-        let seq = self.data_seq;
-        let e = self.unit_seqs.entry(uid).or_insert((seq, seq));
-        e.1 = seq;
-        // Ack bookkeeping: local persist + (replicas − 1) peers.
-        let copies = self.replica_copies(core);
-        let tag = self.acks.register(op_id, 1 + copies as u32);
+        // Ack bookkeeping: local persist + one per peer copy.
+        let tag = self.acks.register(op_id, 1 + peers.len() as u32);
         sim.schedule_at(t_persist, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
             tsue_ecfs::scheme::deliver_msg(w, sim, osd, SchemeMsg::Ack { tag });
         });
-        for peer in replica_peers(core, osd, copies) {
+        for &(peer, _) in &peers {
             let msg = SchemeMsg::DataForward {
                 from: osd,
                 block,
                 off,
                 // The wire and peer-append costs are charged for the full
-                // payload, but the parked record is a ghost: the content
-                // plane keeps one logical copy (the unit index), which
-                // replay reads back through `patch_unmerged` — pinning a
-                // second ref here would defeat in-place run coalescing.
+                // payload, but the forwarded copy is a ghost: the content
+                // plane keeps one logical copy (the unit index), which a
+                // rebuild reads back through `unmerged_extents` — pinning
+                // a second ref here would defeat in-place run coalescing.
                 data: Chunk::ghost(len),
                 tag,
-                seq,
             };
             core.send_to_scheme(sim, osd, peer, len, msg);
         }
@@ -842,18 +851,6 @@ impl Tsue {
                 core.metrics.obs.recycle_merged(osd, uid, start, now);
             }
         }
-        // Only DataLog units hold replica seqs. Every append of this one
-        // is now merged into the block store, so its peer replica copies
-        // are dead weight. The safe prune watermark is bounded by the
-        // oldest append still sitting in an unrecycled unit (units recycle
-        // out of seq order across pools).
-        if self.unit_seqs.remove(&uid).is_some() {
-            let watermark = match self.unit_seqs.values().map(|&(lo, _)| lo).min() {
-                Some(lo) => lo.saturating_sub(1),
-                None => self.data_seq,
-            };
-            core.replicas.prune_up_to(osd, watermark);
-        }
         self.drain_queue(core, sim, osd, layer, pool);
     }
 
@@ -962,33 +959,17 @@ impl UpdateScheme for Tsue {
     ) {
         match msg {
             SchemeMsg::DataForward {
-                from,
-                block,
-                off,
-                data,
-                tag,
-                seq,
+                from, data, tag, ..
             } => {
                 // Peer DataLog replica: persist to device only (§4.1 — the
-                // replica is stored solely on the SSD, no memory).
+                // replica is stored solely on the SSD, no memory). If the
+                // home dies before the append recycles, the rebuild reads
+                // it back from here; which records those are, and that
+                // this peer holds them, the home's own unit index says
+                // (its units' `copies`, read by `unmerged_extents`).
                 let (t, _) =
                     self.data_replica_region
                         .append(core, osd, sim.now(), data.len + RECORD_HEADER);
-                // Every append also lands in the cluster's replica index,
-                // keyed by the home OSD: if the home dies before this
-                // append recycles, the rebuild replays the records (seq
-                // order) so acked writes stay byte-exact. Records are
-                // ghosts — replay content comes from the home's unit
-                // index via `UpdateScheme::patch_unmerged`.
-                core.replicas.push(
-                    from,
-                    ReplicaRecord {
-                        seq,
-                        block,
-                        off,
-                        data,
-                    },
-                );
                 reply_at(sim, t, osd, from, SchemeMsg::Ack { tag });
             }
             SchemeMsg::DeltaForward {
@@ -1071,8 +1052,61 @@ impl UpdateScheme for Tsue {
         }
     }
 
-    fn patch_unmerged(&self, block: BlockId, off: u64, len: u64, buf: &mut [u8]) {
-        self.overlay_data(block, off, len, Some(buf));
+    fn unmerged_extents(
+        &self,
+        mds: &Mds,
+        block: BlockId,
+        buf: Option<&mut [u8]>,
+    ) -> Vec<OwedExtent> {
+        // A unit's copies are readable on its first peer that is alive and
+        // has not failed since the forward; with none, the unit is lost.
+        let src = |u: &LogUnit<BlockId>| {
+            u.copies
+                .iter()
+                .find(|&&(p, failures)| mds.is_alive(p) && mds.failures(p) == failures)
+                .map(|&(p, _)| p)
+        };
+        let pool = self.data_pool(block);
+        let mut owed = Vec::new();
+        for u in pool
+            .iter_oldest_first()
+            .filter(|u| u.state != UnitState::Recycled)
+        {
+            let (Some(src), Some(entry)) = (src(u), u.index.get(&block)) else {
+                continue;
+            };
+            let extents: Vec<(u64, u64)> = if entry.raw.is_empty() {
+                entry.ranges.iter().map(|e| (e.off(), e.len())).collect()
+            } else {
+                entry.raw.iter().map(|(off, c)| (*off, c.len)).collect()
+            };
+            owed.extend(
+                extents
+                    .into_iter()
+                    .map(|(off, len)| OwedExtent { off, len, src }),
+            );
+        }
+        if let Some(buf) = buf {
+            // Newest wins per extent, over every unit whose content the
+            // rebuilt block can have: the ones replayed here, and the
+            // recycled ones the reconstruct decoded — a younger unit may
+            // finish recycling before an older one.
+            for e in &owed {
+                let dst = &mut buf[e.off as usize..(e.off + e.len) as usize];
+                for u in pool.iter_oldest_first() {
+                    if u.state == UnitState::Recycled || src(u).is_some() {
+                        u.overlay(&block, e.off, e.len, Some(&mut *dst));
+                    }
+                }
+            }
+        }
+        owed
+    }
+
+    fn forget_block(&mut self, block: BlockId) {
+        let pools = &mut self.layers[LayerKind::Data as usize].pools;
+        let n = pools.len();
+        pools[pool_hash(block_key(block), n)].forget(&block);
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {
@@ -1126,11 +1160,9 @@ impl UpdateScheme for Tsue {
                     // Acked ⇒ replicated: re-fetch the record from the
                     // first live replica peer and re-append it locally.
                     // Content-wise the unit index already holds it.
-                    let src = replica_peers(core, osd, copies)
-                        .into_iter()
-                        .find(|&p| core.mds.is_alive(p));
+                    let src = replica_peers(core, osd, copies).first().copied();
                     let t_fetch = match src {
-                        Some(p) => {
+                        Some((p, _)) => {
                             core.net
                                 .transfer(now, core.osds[p].node, core.osds[osd].node, len)
                         }

@@ -34,7 +34,6 @@ pub mod placement;
 pub mod rangemap;
 pub mod recovery;
 pub mod registry;
-pub mod replica;
 pub mod resync;
 pub mod scheme;
 pub mod scrub;
@@ -56,13 +55,12 @@ pub use recovery::{
 pub use registry::{
     MakeScheme, RegisteredScheme, SchemeError, SchemeFactory, SchemeParams, SchemeRegistry,
 };
-pub use replica::{ReplicaRecord, ReplicaStore};
 pub use resync::{
     heal_node, repair_all_dirty_parity, start_resync, HealStats, ResyncState, ResyncStats,
 };
 pub use scheme::{
-    deliver_read, deliver_update, Chunk, InstantScheme, PowerLossReport, SchemeMsg, UpdateReq,
-    UpdateScheme,
+    deliver_read, deliver_update, Chunk, InstantScheme, OwedExtent, PowerLossReport, SchemeMsg,
+    UpdateReq, UpdateScheme,
 };
 pub use scrub::{run_full_scrub, start_scrub, ScrubState};
 pub use tsue_device::IoKind;
@@ -225,9 +223,6 @@ pub struct ClusterCore {
     pub resync: ResyncState,
     /// Background scrub cursor and statistics (see [`scrub`]).
     pub scrub: ScrubState,
-    /// Replicated data-log records, keyed by the home OSD whose log they
-    /// shadow (see [`replica`]).
-    pub replicas: ReplicaStore,
 }
 
 /// The DES world: core + pluggable per-OSD schemes.
@@ -294,7 +289,6 @@ impl Cluster {
             journal: DegradedJournal::default(),
             resync: ResyncState::default(),
             scrub: ScrubState::default(),
-            replicas: ReplicaStore::default(),
             cfg,
         };
         let mut world = Cluster { schemes, core };

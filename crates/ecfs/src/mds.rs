@@ -49,6 +49,8 @@ pub struct Mds {
     next_stripe: u64,
     /// Liveness per OSD node.
     alive: Vec<bool>,
+    /// Times each OSD node has been marked dead.
+    failures: Vec<u32>,
     /// Recovery overrides: `(global stripe, role)` → new home OSD.
     /// Ordered, so listings schedule deterministically.
     rehomed: BTreeMap<(u64, usize), usize>,
@@ -65,6 +67,7 @@ impl Mds {
             files: Vec::new(),
             next_stripe: 0,
             alive: vec![true; osds],
+            failures: vec![0; osds],
             rehomed: BTreeMap::new(),
             dirty_parity: BTreeSet::new(),
         }
@@ -140,6 +143,7 @@ impl Mds {
     /// Heartbeat bookkeeping: marks a node dead.
     pub fn mark_dead(&mut self, node: usize) {
         self.alive[node] = false;
+        self.failures[node] += 1;
     }
 
     /// Marks a node alive again (post-recovery).
@@ -150,6 +154,13 @@ impl Mds {
     /// Is the node alive?
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive[node]
+    }
+
+    /// How many times the node has been marked dead. State a peer keeps
+    /// for a node's sake (a log replica) is trusted only within one
+    /// failure count: a node that failed and rejoined lost it.
+    pub fn failures(&self, node: usize) -> u32 {
+        self.failures[node]
     }
 
     /// Indices of all live nodes.
@@ -357,5 +368,7 @@ mod tests {
         assert_eq!(m.live_nodes(), vec![0, 2]);
         m.mark_alive(1);
         assert_eq!(m.live_nodes(), vec![0, 1, 2]);
+        // A rejoined node is alive again but not the node it was.
+        assert_eq!((m.failures(0), m.failures(1)), (0, 1));
     }
 }

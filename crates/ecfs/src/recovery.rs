@@ -85,8 +85,9 @@ pub struct PhaseStats {
     /// Journaled degraded-write bytes replayed into blocks this phase
     /// rebuilt (applied after `reconstruct_one`, before the rehome).
     pub journal_replayed_bytes: u64,
-    /// Replicated data-log bytes replayed into blocks this phase rebuilt
-    /// (acked appends the dead home never merged; see [`crate::replica`]).
+    /// Replicated data-log bytes replayed into blocks this phase rebuilt:
+    /// the extents the dead home's log still owed them
+    /// ([`crate::UpdateScheme::unmerged_extents`]).
     pub replica_replayed_bytes: u64,
 }
 
@@ -135,6 +136,9 @@ pub struct RecoveryState {
     pub intra_rack_bytes: u64,
     /// Rebuild wire bytes that crossed racks.
     pub cross_rack_bytes: u64,
+    /// Replicated data-log bytes replayed onto rebuilt blocks (all phases;
+    /// see [`PhaseStats::replica_replayed_bytes`]).
+    pub replica_replayed_bytes: u64,
 }
 
 impl Default for RecoveryState {
@@ -154,6 +158,7 @@ impl Default for RecoveryState {
             bytes_rebuilt: 0,
             intra_rack_bytes: 0,
             cross_rack_bytes: 0,
+            replica_replayed_bytes: 0,
         }
     }
 }
@@ -469,9 +474,9 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
         }
         // Acked appends still sitting in the dead home's data log are
         // invisible to the reconstruct (survivors decode the block as of
-        // the last log merge): land their replica copies first, in
-        // append order, so the rebuilt block carries every acked write.
-        let from_replicas = crate::replica::replay_replicas(w, sim, target, home, block);
+        // the last log merge): land their replica copies first, so the
+        // rebuilt block carries every acked write.
+        let from_replicas = replay_unmerged(w, sim, target, home, block);
         let core = &mut w.core;
         // Then acked failure-window writes parked in the degraded-write
         // journal — after the reconstruct, before the rehome — so the
@@ -486,9 +491,60 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
         p.bytes_rebuilt += block_size;
         p.journal_replayed_bytes += replayed;
         p.replica_replayed_bytes += from_replicas;
+        core.recovery.replica_replayed_bytes += from_replicas;
         core.mds.rehome(gstripe, block.role, target);
         pump_recovery(w, sim);
     });
+}
+
+/// Replays what the dead `home`'s replicated data log still owes `block`
+/// onto the rebuilt copy at `target`; returns the bytes replayed.
+///
+/// The reconstruct decodes the block *as of the last log merge*, so
+/// acked appends the home had not yet recycled exist only in its log
+/// and on the peers it forwarded copies to. The home's own log index
+/// names those records and, for each, a live peer that holds it
+/// ([`crate::UpdateScheme::unmerged_extents`]): each is read back from
+/// that peer and written in place, charged per extent from `now` (the
+/// same in timing-only and materialized runs). In materialized runs the
+/// index also patches their bytes over the reconstructed ones, through
+/// the target's checksum bracket. Some replayed appends never produced a
+/// parity delta and others' may not have landed, so every parity role of
+/// the stripe is marked dirty for the next authoritative re-encode.
+/// Either way the home's log then forgets the block: a record no live
+/// peer holds died with the node, and one replayed here must not be
+/// replayed again should the home rejoin and fail once more.
+fn replay_unmerged(
+    world: &mut Cluster,
+    sim: &mut Sim<Cluster>,
+    target: usize,
+    home: usize,
+    block: BlockId,
+) -> u64 {
+    let Cluster { core, schemes, .. } = world;
+    let scheme = &mut schemes[home];
+    let owed = scheme.unmerged_extents(&core.mds, block, None);
+    if !owed.is_empty() {
+        let now = sim.now();
+        for e in &owed {
+            if e.src != target {
+                core.net
+                    .transfer(now, core.osds[e.src].node, core.osds[target].node, e.len);
+            }
+            core.osds[target].block_io(now, IoKind::Write, block, e.off, e.len);
+        }
+        let mds = &core.mds;
+        core.osds[target].fill_block(block, |b| {
+            scheme.unmerged_extents(mds, block, Some(b));
+        });
+        let gstripe = core.global_stripe(block.file, block.stripe);
+        let (k, m) = (core.cfg.stripe.k, core.cfg.stripe.m);
+        for j in 0..m {
+            core.mds.mark_parity_dirty(gstripe, k + j);
+        }
+    }
+    scheme.forget_block(block);
+    owed.iter().map(|e| e.len).sum()
 }
 
 /// Runs a full **offline** recovery of `victim`'s blocks onto the

@@ -11,7 +11,7 @@
 
 use crate::osd::BlockId;
 use crate::rangemap::{Gathered, RangeMap};
-use crate::{client, Cluster, ClusterCore, ACK_BYTES};
+use crate::{client, Cluster, ClusterCore, Mds, ACK_BYTES};
 use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_device::IoKind;
@@ -155,11 +155,6 @@ pub enum SchemeMsg {
         data: Chunk,
         /// Scheme-specific discriminator.
         tag: u64,
-        /// Replica sequence number: TSUE data-log replication stamps each
-        /// forwarded append with the home OSD's monotonically increasing
-        /// counter so peers can prune replayed/recycled records exactly.
-        /// Schemes that do not replicate a data log send 0.
-        seq: u64,
     },
     /// A delta destined for parity handling.
     DeltaForward {
@@ -215,6 +210,18 @@ impl PowerLossReport {
         self.torn_replayed += other.torn_replayed;
         self.torn_discarded += other.torn_discarded;
     }
+}
+
+/// One record that a dead OSD's replicated data log still owes a block
+/// — see [`UpdateScheme::unmerged_extents`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct OwedExtent {
+    /// Offset in the block.
+    pub off: u64,
+    /// Length in bytes.
+    pub len: u64,
+    /// The live peer whose copy the rebuild reads the record back from.
+    pub src: usize,
 }
 
 /// Result of asking a scheme to overlay a read from its logs.
@@ -311,14 +318,31 @@ pub trait UpdateScheme {
         PowerLossReport::default()
     }
 
-    /// Patches `buf` with this scheme's unmerged (log-buffered, not yet
-    /// recycled) content for `[off, off+len)` of `block`, newest wins.
-    /// Unlike [`Self::read_overlay`] this charges nothing and touches no
-    /// read-path statistics: it is the recovery-side content source when
-    /// replica records of a dead home are replayed onto a rebuilt block
-    /// (see [`crate::replica`]). Schemes that keep no data log have no
-    /// unmerged content and use this no-op default.
-    fn patch_unmerged(&self, _block: BlockId, _off: u64, _len: u64, _buf: &mut [u8]) {}
+    /// What this scheme's *replicated* data log still owes `block`, for
+    /// a rebuild after this OSD died: one [`OwedExtent`] per record in a
+    /// log unit that has not finished recycling and whose copy a peer
+    /// still holds (alive in `mds`, and not failed since the forward),
+    /// oldest unit first, each naming that peer. With
+    /// `buf` (the whole block, in materialized runs) their bytes are
+    /// patched in as well, newest content the rebuilt block can have
+    /// winning. Records no live peer holds are owed nothing: they were
+    /// lost with the node. Charges nothing and touches no read-path
+    /// statistics (see [`crate::recovery`]). Schemes that keep no data
+    /// log, or no peer copy of it, owe nothing and use this default.
+    fn unmerged_extents(
+        &self,
+        _mds: &Mds,
+        _block: BlockId,
+        _buf: Option<&mut [u8]>,
+    ) -> Vec<OwedExtent> {
+        Vec::new()
+    }
+
+    /// Drops whatever this scheme's log still holds for `block`, once a
+    /// rebuild has made the copy elsewhere authoritative: what was owed
+    /// is replayed, the rest died with the node. A node that rejoins then
+    /// replays none of it twice and serves none of it from a read cache.
+    fn forget_block(&mut self, _block: BlockId) {}
 
     /// Downcast hook for harness-side introspection (e.g. harvesting
     /// TSUE residency statistics).

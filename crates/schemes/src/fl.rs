@@ -99,7 +99,6 @@ impl Fl {
                 off: req.off,
                 data: req.data.clone(),
                 tag,
-                seq: 0,
             };
             send_at(sim, t_append, osd, peer, len, msg);
         }

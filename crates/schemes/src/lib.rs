@@ -31,106 +31,57 @@ pub use tsue_ecfs::scheme::AckTable;
 
 use tsue_ecfs::registry::reject_knobs;
 use tsue_ecfs::scheme::{rmw_data_delta, send_at, DeltaKind, SchemeMsg, UpdateReq};
-use tsue_ecfs::{Cluster, ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry};
+use tsue_ecfs::{
+    Cluster, ClusterCore, MakeScheme, SchemeError, SchemeParams, SchemeRegistry, UpdateScheme,
+};
 use tsue_sim::{Sim, Time};
-
-/// Scheme selector used by the experiment harness.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum SchemeKind {
-    /// Full overwrite.
-    Fo,
-    /// Full logging.
-    Fl,
-    /// Parity logging.
-    Pl,
-    /// Parity logging with reserved space.
-    Plr,
-    /// Speculative partial writes.
-    Parix,
-    /// Collector-based delta combining.
-    Cord,
-}
-
-impl SchemeKind {
-    /// All baselines the paper evaluates on SSDs (Fig. 5), in paper order.
-    pub fn ssd_baselines() -> [SchemeKind; 5] {
-        [
-            SchemeKind::Fo,
-            SchemeKind::Pl,
-            SchemeKind::Plr,
-            SchemeKind::Parix,
-            SchemeKind::Cord,
-        ]
-    }
-
-    /// Display name as used in the figures.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Fo => "FO",
-            SchemeKind::Fl => "FL",
-            SchemeKind::Pl => "PL",
-            SchemeKind::Plr => "PLR",
-            SchemeKind::Parix => "PARIX",
-            SchemeKind::Cord => "CoRD",
-        }
-    }
-
-    /// Instantiates the scheme for one OSD.
-    pub fn build(self) -> Box<dyn tsue_ecfs::UpdateScheme> {
-        match self {
-            SchemeKind::Fo => Box::new(Fo::new()),
-            SchemeKind::Fl => Box::new(Fl::new()),
-            SchemeKind::Pl => Box::new(Pl::new()),
-            SchemeKind::Plr => Box::new(Plr::new()),
-            SchemeKind::Parix => Box::new(Parix::new()),
-            SchemeKind::Cord => Box::new(Cord::new()),
-        }
-    }
-}
 
 /// Registers every baseline with a [`SchemeRegistry`] under the names
 /// `fo`, `fl`, `pl`, `plr`, `parix`, `cord`. The baselines take no
 /// scenario knobs; passing any is rejected.
 pub fn register_baselines(reg: &mut SchemeRegistry) {
-    fn bare(params: &SchemeParams, kind: SchemeKind) -> Result<MakeScheme, SchemeError> {
+    fn bare(
+        params: &SchemeParams,
+        make: fn() -> Box<dyn UpdateScheme>,
+    ) -> Result<MakeScheme, SchemeError> {
         reject_knobs(&params.knobs)?;
-        Ok(Box::new(move |_| kind.build()))
+        Ok(Box::new(move |_| make()))
     }
     reg.register(
         "fo",
         "FO",
         "full overwrite: synchronous in-place RMW of data and every parity",
-        |p| bare(p, SchemeKind::Fo),
+        |p| bare(p, || Box::new(Fo::new())),
     );
     reg.register(
         "fl",
         "FL",
         "full logging: data and parity updates appended to logs, threshold recycle",
-        |p| bare(p, SchemeKind::Fl),
+        |p| bare(p, || Box::new(Fl::new())),
     );
     reg.register(
         "pl",
         "PL",
         "parity logging: in-place data, parity deltas appended to a parity log",
-        |p| bare(p, SchemeKind::Pl),
+        |p| bare(p, || Box::new(Pl::new())),
     );
     reg.register(
         "plr",
         "PLR",
         "parity logging with reserved space next to each parity block",
-        |p| bare(p, SchemeKind::Plr),
+        |p| bare(p, || Box::new(Plr::new())),
     );
     reg.register(
         "parix",
         "PARIX",
         "speculative partial writes: old data fetched on first touch",
-        |p| bare(p, SchemeKind::Parix),
+        |p| bare(p, || Box::new(Parix::new())),
     );
     reg.register(
         "cord",
         "CoRD",
         "collector-based delta combining before parity writes",
-        |p| bare(p, SchemeKind::Cord),
+        |p| bare(p, || Box::new(Cord::new())),
     );
 }
 
@@ -243,9 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn scheme_kind_names() {
-        assert_eq!(SchemeKind::Fo.name(), "FO");
-        assert_eq!(SchemeKind::Cord.name(), "CoRD");
-        assert_eq!(SchemeKind::ssd_baselines().len(), 5);
+    fn baselines_register_under_their_figure_names() {
+        let mut reg = SchemeRegistry::new();
+        register_baselines(&mut reg);
+        assert_eq!(reg.names(), ["fo", "fl", "pl", "plr", "parix", "cord"]);
+        assert_eq!(reg.get("fo").unwrap().display, "FO");
+        assert_eq!(reg.get("CORD").unwrap().display, "CoRD");
     }
 }

@@ -246,7 +246,6 @@ impl UpdateScheme for Parix {
                     off: req.off,
                     data: old.clone(),
                     tag: tag | OLD_BIT,
-                    seq: 0,
                 };
                 // Submitted before the new-data forward: per-pair FIFO
                 // guarantees the parity sees the original first.
@@ -262,7 +261,6 @@ impl UpdateScheme for Parix {
                 off: req.off,
                 data: req.data.clone(),
                 tag,
-                seq: 0,
             };
             send_at(sim, t_write, osd, peer, req.data.len, msg);
         }
@@ -339,7 +337,6 @@ impl UpdateScheme for Parix {
                     off: po.off,
                     data: po.old.clone(),
                     tag: tag | OLD_BIT,
-                    seq: 0,
                 };
                 let len = po.old.len;
                 if done {

@@ -1,8 +1,8 @@
 //! Behavioral tests: each baseline must exhibit the specific pathology or
 //! strength the paper attributes to it, not just converge.
 
-use tsue_ecfs::{run_workload, Cluster, ClusterBuilder, ClusterConfig};
-use tsue_schemes::{Cord, Parix, Pl, SchemeKind};
+use tsue_ecfs::{run_workload, Cluster, ClusterBuilder, ClusterConfig, UpdateScheme};
+use tsue_schemes::{Cord, Fl, Fo, Parix, Pl, Plr};
 use tsue_sim::{Sim, MILLISECOND, SECOND};
 use tsue_trace::WorkloadProfile;
 
@@ -43,10 +43,15 @@ fn cold_profile() -> WorkloadProfile {
     }
 }
 
-fn run(cfg: ClusterConfig, profile: &WorkloadProfile, scheme: SchemeKind, ms: u64) -> Cluster {
+fn run(
+    cfg: ClusterConfig,
+    profile: &WorkloadProfile,
+    make: fn() -> Box<dyn UpdateScheme>,
+    ms: u64,
+) -> Cluster {
     let mut world = ClusterBuilder::from_config(cfg)
         .workload(profile)
-        .scheme_fn(move |_| scheme.build())
+        .scheme_fn(move |_| make())
         .build();
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, ms * MILLISECOND);
@@ -58,8 +63,8 @@ fn run(cfg: ClusterConfig, profile: &WorkloadProfile, scheme: SchemeKind, ms: u6
 /// holds none.
 #[test]
 fn pl_accumulates_backlog_fo_does_not() {
-    let pl = run(cluster(1, 8), &hot_profile(), SchemeKind::Pl, 500);
-    let fo = run(cluster(1, 8), &hot_profile(), SchemeKind::Fo, 500);
+    let pl = run(cluster(1, 8), &hot_profile(), || Box::new(Pl::new()), 500);
+    let fo = run(cluster(1, 8), &hot_profile(), || Box::new(Fo::new()), 500);
     assert_eq!(fo.total_scheme_backlog(), 0, "FO is synchronous");
     assert!(
         pl.total_scheme_backlog() > 100,
@@ -82,7 +87,7 @@ fn pl_threshold_bounds_backlog() {
         .build();
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, SECOND / 2);
-    let lazy = run(cluster(2, 8), &hot_profile(), SchemeKind::Pl, 500);
+    let lazy = run(cluster(2, 8), &hot_profile(), || Box::new(Pl::new()), 500);
     assert!(
         world.total_scheme_backlog() < lazy.total_scheme_backlog() / 2,
         "tight threshold {} should hold far less than lazy {}",
@@ -95,8 +100,8 @@ fn pl_threshold_bounds_backlog() {
 /// the highest overwrite count of all schemes on the same workload.
 #[test]
 fn plr_pays_the_write_penalty() {
-    let plr = run(cluster(3, 8), &hot_profile(), SchemeKind::Plr, 500);
-    let pl = run(cluster(3, 8), &hot_profile(), SchemeKind::Pl, 500);
+    let plr = run(cluster(3, 8), &hot_profile(), || Box::new(Plr::new()), 500);
+    let pl = run(cluster(3, 8), &hot_profile(), || Box::new(Pl::new()), 500);
     let plr_ow =
         plr.device_stats().overwrite_ops as f64 / plr.core.metrics.updates_completed.max(1) as f64;
     let pl_ow =
@@ -112,8 +117,18 @@ fn plr_pays_the_write_penalty() {
 /// lower throughput than hot workloads.
 #[test]
 fn parix_depends_on_temporal_locality() {
-    let hot = run(cluster(4, 8), &hot_profile(), SchemeKind::Parix, 500);
-    let cold = run(cluster(4, 8), &cold_profile(), SchemeKind::Parix, 500);
+    let hot = run(
+        cluster(4, 8),
+        &hot_profile(),
+        || Box::new(Parix::new()),
+        500,
+    );
+    let cold = run(
+        cluster(4, 8),
+        &cold_profile(),
+        || Box::new(Parix::new()),
+        500,
+    );
     let hot_net_per_op =
         hot.core.net.total_payload() as f64 / hot.core.metrics.updates_completed.max(1) as f64;
     let cold_net_per_op =
@@ -178,8 +193,8 @@ fn cord_buffer_size_gates_throughput() {
 /// owners: its network traffic sits well below PL's on the same workload.
 #[test]
 fn cord_cuts_network_traffic() {
-    let cord = run(cluster(7, 8), &hot_profile(), SchemeKind::Cord, 500);
-    let pl = run(cluster(7, 8), &hot_profile(), SchemeKind::Pl, 500);
+    let cord = run(cluster(7, 8), &hot_profile(), || Box::new(Cord::new()), 500);
+    let pl = run(cluster(7, 8), &hot_profile(), || Box::new(Pl::new()), 500);
     let cord_net =
         cord.core.net.total_payload() as f64 / cord.core.metrics.updates_completed.max(1) as f64;
     let pl_net =
@@ -194,8 +209,8 @@ fn cord_cuts_network_traffic() {
 /// but it pays with log state that reads must consult.
 #[test]
 fn fl_trades_latency_for_log_state() {
-    let fl = run(cluster(8, 8), &hot_profile(), SchemeKind::Fl, 500);
-    let fo = run(cluster(8, 8), &hot_profile(), SchemeKind::Fo, 500);
+    let fl = run(cluster(8, 8), &hot_profile(), || Box::new(Fl::new()), 500);
+    let fo = run(cluster(8, 8), &hot_profile(), || Box::new(Fo::new()), 500);
     assert!(
         fl.core.metrics.mean_latency() < fo.core.metrics.mean_latency(),
         "FL append path ({:.0} ns) must beat FO RMW path ({:.0} ns)",

@@ -5,8 +5,9 @@
 
 use tsue_ecfs::{
     check_consistency, run_workload, Cluster, ClusterBuilder, ClusterConfig, DeviceKind,
+    MakeScheme, SchemeParams, SchemeRegistry,
 };
-use tsue_schemes::SchemeKind;
+use tsue_schemes::register_baselines;
 use tsue_sim::{Sim, SECOND};
 use tsue_trace::WorkloadProfile;
 
@@ -35,66 +36,87 @@ fn test_profile() -> WorkloadProfile {
     }
 }
 
-/// Runs `ops_per_client` ops under `kind`, drains, and checks consistency.
-fn run_and_check(kind: SchemeKind, k: usize, m: usize, seed: u64, ops: u64) {
+/// The baselines as registered for scenario files and the CLI.
+fn registry() -> SchemeRegistry {
+    let mut reg = SchemeRegistry::new();
+    register_baselines(&mut reg);
+    reg
+}
+
+/// The per-OSD constructor of the baseline registered as `name`.
+fn baseline(name: &str) -> MakeScheme {
+    registry()
+        .instantiate(name, &SchemeParams::bare(DeviceKind::Ssd))
+        .expect("a registered baseline")
+}
+
+/// The baselines the paper evaluates on SSDs (Fig. 5): all but FL.
+fn ssd_baselines() -> Vec<&'static str> {
+    let names = registry().names();
+    names.into_iter().filter(|&n| n != "fl").collect()
+}
+
+/// Runs `ops_per_client` ops under the baseline `name`, drains, and
+/// checks consistency.
+fn run_and_check(name: &str, k: usize, m: usize, seed: u64, ops: u64) {
     let mut world = ClusterBuilder::from_config(small_config(k, m, seed))
         .workload(&test_profile())
         .ops_per_client(ops)
-        .scheme_fn(move |_| kind.build())
+        .scheme_fn(baseline(name))
         .build();
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, 3600 * SECOND);
     assert!(world.core.pending.is_empty(), "ops still in flight");
     world.flush_all(&mut sim);
-    assert_eq!(world.total_scheme_backlog(), 0, "{}: backlog", kind.name());
+    assert_eq!(world.total_scheme_backlog(), 0, "{name}: backlog");
     let (blocks, stripes) =
-        check_consistency(&world).unwrap_or_else(|e| panic!("{} inconsistent: {e}", kind.name()));
+        check_consistency(&world).unwrap_or_else(|e| panic!("{name} inconsistent: {e}"));
     assert!(blocks > 0, "no blocks were updated");
     assert!(stripes > 0);
 }
 
 #[test]
 fn fo_converges_rs42() {
-    run_and_check(SchemeKind::Fo, 4, 2, 11, 60);
+    run_and_check("fo", 4, 2, 11, 60);
 }
 
 #[test]
 fn fl_converges_rs42() {
-    run_and_check(SchemeKind::Fl, 4, 2, 12, 60);
+    run_and_check("fl", 4, 2, 12, 60);
 }
 
 #[test]
 fn pl_converges_rs42() {
-    run_and_check(SchemeKind::Pl, 4, 2, 13, 60);
+    run_and_check("pl", 4, 2, 13, 60);
 }
 
 #[test]
 fn plr_converges_rs42() {
-    run_and_check(SchemeKind::Plr, 4, 2, 14, 60);
+    run_and_check("plr", 4, 2, 14, 60);
 }
 
 #[test]
 fn parix_converges_rs42() {
-    run_and_check(SchemeKind::Parix, 4, 2, 15, 60);
+    run_and_check("parix", 4, 2, 15, 60);
 }
 
 #[test]
 fn cord_converges_rs42() {
-    run_and_check(SchemeKind::Cord, 4, 2, 16, 60);
+    run_and_check("cord", 4, 2, 16, 60);
 }
 
 #[test]
 fn all_schemes_converge_rs63() {
-    for (i, kind) in SchemeKind::ssd_baselines().into_iter().enumerate() {
-        run_and_check(kind, 6, 3, 100 + i as u64, 40);
+    for (i, name) in ssd_baselines().into_iter().enumerate() {
+        run_and_check(name, 6, 3, 100 + i as u64, 40);
     }
 }
 
 #[test]
 fn all_schemes_converge_rs22() {
     // Minimal stripe width exercises the m=2 corner.
-    for (i, kind) in SchemeKind::ssd_baselines().into_iter().enumerate() {
-        run_and_check(kind, 2, 2, 200 + i as u64, 40);
+    for (i, name) in ssd_baselines().into_iter().enumerate() {
+        run_and_check(name, 2, 2, 200 + i as u64, 40);
     }
 }
 
@@ -102,19 +124,19 @@ fn all_schemes_converge_rs22() {
 fn schemes_differ_in_cost_not_state() {
     // Same workload/seed under two schemes: identical end state, different
     // device-op counts.
-    let mk = |kind: SchemeKind| {
+    let mk = |name: &str| {
         let mut world = ClusterBuilder::from_config(small_config(4, 2, 77))
             .workload(&test_profile())
             .ops_per_client(50)
-            .scheme_fn(move |_| kind.build())
+            .scheme_fn(baseline(name))
             .build();
         let mut sim: Sim<Cluster> = Sim::new();
         run_workload(&mut world, &mut sim, 3600 * SECOND);
         world.flush_all(&mut sim);
         world
     };
-    let a = mk(SchemeKind::Fo);
-    let b = mk(SchemeKind::Pl);
+    let a = mk("fo");
+    let b = mk("pl");
     // Completion-driven issue order makes op ids (and therefore payload
     // bytes) scheme-dependent, so raw contents differ between runs; the
     // invariant is that each run is self-consistent.
@@ -135,7 +157,7 @@ fn hdd_cluster_converges() {
         .device(DeviceKind::Hdd)
         .workload(&test_profile())
         .ops_per_client(30)
-        .scheme_fn(|_| SchemeKind::Pl.build())
+        .scheme_fn(baseline("pl"))
         .build();
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, 3600 * SECOND);

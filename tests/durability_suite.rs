@@ -13,7 +13,7 @@ use tsue_repro::ecfs::{
     start_scrub, BlockId, Chunk, Cluster, ClusterBuilder, DegradedJournal, JournalEntry,
 };
 use tsue_repro::fault::{install, run_plan_to_completion, EngineConfig, FaultEvent, FaultPlan};
-use tsue_repro::schemes::SchemeKind;
+use tsue_repro::schemes::Fo;
 use tsue_repro::sim::{Sim, SECOND};
 use tsue_repro::trace::WorkloadProfile;
 
@@ -47,7 +47,7 @@ fn durability_cluster(seed: u64, file_size: u64, ops: u64) -> Cluster {
         .seed(seed)
         .workload(&write_heavy())
         .ops_per_client(ops)
-        .scheme_fn(|_| SchemeKind::Fo.build())
+        .scheme_fn(|_| Box::new(Fo::new()))
         .build()
 }
 

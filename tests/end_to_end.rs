@@ -7,7 +7,7 @@ use tsue_repro::ecfs::{
     check_consistency, run_recovery, run_workload, Cluster, ClusterBuilder, ClusterConfig,
     DeviceKind,
 };
-use tsue_repro::schemes::SchemeKind;
+use tsue_repro::schemes::{Cord, Fo, Pl};
 use tsue_repro::sim::{Sim, SECOND};
 use tsue_repro::trace::{ali_cloud, ten_cloud, TraceGen, TraceStats, WorkloadProfile};
 
@@ -74,7 +74,7 @@ fn simulation_is_deterministic() {
             .file_size_per_client(4 << 20)
             .seed(seed)
             .workload(&ten_cloud())
-            .scheme_fn(|_| SchemeKind::Pl.build())
+            .scheme_fn(|_| Box::new(Pl::new()))
             .build();
         let mut sim: Sim<Cluster> = Sim::new();
         run_workload(&mut world, &mut sim, SECOND);
@@ -98,9 +98,9 @@ fn simulation_is_deterministic() {
 fn all_schemes_and_tsue_converge_msr_style() {
     type SchemeFactory = Box<dyn Fn() -> Box<dyn tsue_repro::ecfs::UpdateScheme>>;
     let schemes: Vec<(String, SchemeFactory)> = vec![
-        ("FO".into(), Box::new(|| SchemeKind::Fo.build())),
-        ("PL".into(), Box::new(|| SchemeKind::Pl.build())),
-        ("CoRD".into(), Box::new(|| SchemeKind::Cord.build())),
+        ("FO".into(), Box::new(|| Box::new(Fo::new()))),
+        ("PL".into(), Box::new(|| Box::new(Pl::new()))),
+        ("CoRD".into(), Box::new(|| Box::new(Cord::new()))),
         (
             "TSUE".into(),
             Box::new(|| {
@@ -215,7 +215,7 @@ fn degraded_reads_survive_node_failure() {
         .file_size_per_client(4 << 20)
         .workload(&profile)
         .ops_per_client(50)
-        .scheme_fn(|_| SchemeKind::Fo.build())
+        .scheme_fn(|_| Box::new(Fo::new()))
         .build();
     tsue_repro::ecfs::fail_node(&mut world, 1);
     let mut sim: Sim<Cluster> = Sim::new();

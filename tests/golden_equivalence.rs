@@ -3,10 +3,14 @@
 //! same scenarios must reproduce them byte for byte — same virtual-time
 //! behavior, same device and network accounting, same serialized output.
 //! The files were first captured from the pre-zero-copy (`Vec`-chunk,
-//! allocating-kernel) build and last regenerated when timing-only runs
-//! began fencing writes to stripes under rebuild, as materialized runs
-//! already did (`rack-failure-online.json` and the `double-node-kill` and
-//! `double-rack-kill` outcomes of `fault-paths.json` moved).
+//! allocating-kernel) build and last regenerated when a rebuild began
+//! replaying only what the dead home's DataLog index still owes — the
+//! appends of its unrecycled units that a live peer holds a copy of, once
+//! each — instead of every append a cluster-side replica store had not
+//! yet pruned, and TSUE began sending DataLog copies to live peers only
+//! (`scrub-bitrot.json`, `rack-failure-online.json` and the
+//! `rack-failure-flat`, `double-node-kill` and `double-rack-kill`
+//! outcomes of `fault-paths.json` moved).
 //!
 //! To re-capture after an *intentional* behavior change:
 //! - one scenario: `tsuectl run scenarios/<name>.json --out tests/golden`;

@@ -3,8 +3,11 @@
 
 use proptest::prelude::*;
 use tsue_repro::core::{Tsue, TsueConfig};
-use tsue_repro::ecfs::{check_consistency, run_workload, Cluster, ClusterBuilder, ClusterConfig};
-use tsue_repro::schemes::SchemeKind;
+use tsue_repro::ecfs::{
+    check_consistency, run_workload, Cluster, ClusterBuilder, ClusterConfig, DeviceKind,
+    SchemeParams, SchemeRegistry, UpdateScheme,
+};
+use tsue_repro::schemes::register_baselines;
 use tsue_repro::sim::{Sim, SECOND};
 use tsue_repro::trace::WorkloadProfile;
 
@@ -24,7 +27,7 @@ fn profile_from(update_frac: f64, hot: f64, repeat: f64, seq: f64) -> WorkloadPr
 
 fn converge_check(
     scheme: &str,
-    make: impl Fn() -> Box<dyn tsue_repro::ecfs::UpdateScheme> + 'static,
+    make: impl FnMut(usize) -> Box<dyn UpdateScheme> + 'static,
     k: usize,
     m: usize,
     seed: u64,
@@ -41,7 +44,7 @@ fn converge_check(
     let mut world = ClusterBuilder::from_config(cfg)
         .workload(profile)
         .ops_per_client(ops)
-        .scheme_fn(move |_| make())
+        .scheme_fn(make)
         .build();
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, 3600 * SECOND);
@@ -68,17 +71,14 @@ proptest! {
         seq in 0.0f64..0.3,
         scheme_idx in 0usize..6,
     ) {
-        let schemes = [
-            SchemeKind::Fo,
-            SchemeKind::Fl,
-            SchemeKind::Pl,
-            SchemeKind::Plr,
-            SchemeKind::Parix,
-            SchemeKind::Cord,
-        ];
-        let kind = schemes[scheme_idx];
+        let mut registry = SchemeRegistry::new();
+        register_baselines(&mut registry);
+        let baseline = &registry.entries()[scheme_idx];
+        let make = baseline
+            .instantiate(&SchemeParams::bare(DeviceKind::Ssd))
+            .expect("baselines take no knobs");
         let profile = profile_from(update_frac, hot, repeat, seq);
-        converge_check(kind.name(), move || kind.build(), 3, 2, seed, &profile, 40)?;
+        converge_check(baseline.display, make, 3, 2, seed, &profile, 40)?;
     }
 
     /// TSUE under random workload shapes and random ablation levels.
@@ -93,7 +93,7 @@ proptest! {
         let profile = profile_from(update_frac, hot, repeat, 0.1);
         converge_check(
             "TSUE",
-            move || {
+            move |_| {
                 let mut c = TsueConfig::breakdown(level);
                 c.unit_size = 128 << 10;
                 c.seal_interval = SECOND / 2;
@@ -251,7 +251,7 @@ proptest! {
         let profile = profile_from(0.8, 0.2, 0.3, 0.1);
         converge_check(
             "TSUE",
-            || {
+            |_| {
                 let mut c = TsueConfig::ssd_default();
                 c.unit_size = 128 << 10;
                 c.seal_interval = SECOND / 2;
