@@ -1,12 +1,13 @@
 //! One function per table/figure of the paper's evaluation (§5).
 //!
 //! Every sweep is expressed as a list of [`ScenarioSpec`]s — the same
-//! declarative descriptions `tsuectl run` consumes from JSON. The
-//! sweeps that return raw results (`fig5`, `table1`, `fig8a`) yield
-//! [`ScenarioOutcome`]s pairing each result with its reproducing spec;
-//! the others reduce to figure-specific rows.
+//! declarative descriptions `tsuectl run` consumes from JSON — run by
+//! [`run_scenarios`]. The sweeps that return raw results (`fig5`,
+//! `table1`, `fig8a`) yield [`ScenarioOutcome`]s pairing each result with
+//! its reproducing spec; the others reduce to figure-specific rows, Table 2
+//! and the unit-size extra from the residence grid in each result's `obs`.
+//! Fig. 8b alone still drives a cluster by hand, for its offline recovery.
 
-use crate::scenario::fan_out;
 use crate::{
     default_registry, run_scenario, run_scenarios, MsrSel, RunResult, Scale, ScenarioOutcome,
     ScenarioSpec, SchemeSpec, TraceKind,
@@ -14,6 +15,7 @@ use crate::{
 use serde::{Deserialize, Serialize, Value};
 use tsue_core::TsueConfig;
 use tsue_ecfs::{run_recovery, run_workload, Cluster};
+use tsue_obs::{HistReport, Histogram};
 use tsue_sim::{Sim, MILLISECOND};
 
 /// The six RS shapes of Fig. 5, in paper order.
@@ -204,7 +206,7 @@ pub fn table1(scale: Scale) -> Vec<ScenarioOutcome> {
     run_scenarios(specs).expect("table1 specs are valid")
 }
 
-/// Table 2 result: residency rows for one trace.
+/// Table 2 result: residence rows for one trace.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Table2Result {
     /// Trace name.
@@ -215,40 +217,56 @@ pub struct Table2Result {
     pub total_us: f64,
 }
 
-/// Table 2 — mean residence time per log layer under RS(12,4).
+/// A residence cell's mean, ns, from its exact sum and count.
+fn mean_ns(cell: &HistReport) -> f64 {
+    Histogram::from_report(cell).mean()
+}
+
+/// Table 2 — mean residence time per log layer under RS(12,4), with the
+/// logs drained so every unit's recycle is counted.
 pub fn table2(scale: Scale) -> Vec<Table2Result> {
-    let registry = default_registry();
-    fan_out(vec![TraceKind::Ali, TraceKind::Ten], |trace| {
-        let mut s = ScenarioSpec::ssd(
-            format!("table2-{}", trace.token()),
-            trace,
-            12,
-            4,
-            16,
-            SchemeSpec::tsue(),
-        );
-        s.duration_ms = Some(match scale {
-            Scale::Quick => 2_000,
-            Scale::Full => 10_000,
-        });
-        // Build the cluster here (not via run_scenario) so the scheme
-        // instances remain inspectable for residency harvesting.
-        let mut world = s.build_cluster(&registry).expect("table2 spec is valid");
-        let mut sim: Sim<Cluster> = Sim::new();
-        run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
-        world.flush_all(&mut sim);
-        let stats = tsue_core::tsue::harvest_residency(&world);
-        let rows = stats
-            .rows()
-            .iter()
-            .map(|(n, a, b, r)| (n.to_string(), *a, *b, *r))
-            .collect();
-        Table2Result {
-            trace: trace.name(),
-            rows,
-            total_us: stats.total_ns() / 1000.0,
-        }
-    })
+    let specs = [TraceKind::Ali, TraceKind::Ten]
+        .into_iter()
+        .map(|trace| {
+            let mut s = ScenarioSpec::ssd(
+                format!("table2-{}", trace.token()),
+                trace,
+                12,
+                4,
+                16,
+                SchemeSpec::tsue(),
+            );
+            s.duration_ms = Some(match scale {
+                Scale::Quick => 2_000,
+                Scale::Full => 10_000,
+            });
+            s.flush_after = Some(true);
+            s
+        })
+        .collect();
+    run_scenarios(specs)
+        .expect("table2 specs are valid")
+        .into_iter()
+        .map(|o| {
+            let layers = &o.result.obs.residence;
+            Table2Result {
+                // Table 2's row labels: `DATA_LOG`, `DELTA_LOG`, `PARITY_LOG`.
+                rows: layers
+                    .iter()
+                    .map(|l| {
+                        let label = l.layer.to_ascii_uppercase();
+                        (label, l.append.mean_us, l.buffer.mean_us, l.recycle.mean_us)
+                    })
+                    .collect(),
+                total_us: layers
+                    .iter()
+                    .map(|l| mean_ns(&l.append) + mean_ns(&l.buffer) + mean_ns(&l.recycle))
+                    .sum::<f64>()
+                    / 1000.0,
+                trace: o.result.trace,
+            }
+        })
+        .collect()
 }
 
 /// The HDD lineup of Fig. 8 (no FL/CoRD, matching the paper).
@@ -423,47 +441,46 @@ pub struct UnitSizeRow {
     pub iops: f64,
 }
 
-/// Runs the unit-size residence ablation.
+/// Runs the unit-size residence ablation, draining the logs after the
+/// window so every unit's buffer dwell is counted.
 pub fn ext_unit_size(scale: Scale) -> Vec<UnitSizeRow> {
-    let registry = default_registry();
     let sizes: &[u64] = match scale {
         Scale::Quick => &[4, 16],
         Scale::Full => &[4, 8, 16, 32],
     };
-    fan_out(sizes.to_vec(), |mib| {
-        let scheme = SchemeSpec::with_knobs(
-            "tsue",
-            Value::Object(vec![("unit_size".into(), Value::UInt(mib << 20))]),
-        );
-        let mut s = ScenarioSpec::ssd(
-            format!("ext-unit-size-{mib}m"),
-            TraceKind::Ten,
-            6,
-            4,
-            16,
-            scheme,
-        );
-        s.duration_ms = Some(match scale {
-            Scale::Quick => 2_000,
-            Scale::Full => 8_000,
-        });
-        let mut world = s.build_cluster(&registry).expect("unit-size spec is valid");
-        let mut sim: Sim<Cluster> = Sim::new();
-        run_workload(&mut world, &mut sim, s.duration_ms() * MILLISECOND);
-        let end = world
-            .core
-            .stop_at
-            .expect("run_workload sets stop_at")
-            .max(sim.now());
-        let iops = world.core.metrics.iops(end);
-        world.flush_all(&mut sim);
-        let stats = tsue_core::tsue::harvest_residency(&world);
-        UnitSizeRow {
+    let specs = sizes
+        .iter()
+        .map(|&mib| {
+            let scheme = SchemeSpec::with_knobs(
+                "tsue",
+                Value::Object(vec![("unit_size".into(), Value::UInt(mib << 20))]),
+            );
+            let mut s = ScenarioSpec::ssd(
+                format!("ext-unit-size-{mib}m"),
+                TraceKind::Ten,
+                6,
+                4,
+                16,
+                scheme,
+            );
+            s.duration_ms = Some(match scale {
+                Scale::Quick => 2_000,
+                Scale::Full => 8_000,
+            });
+            s.flush_after = Some(true);
+            s
+        })
+        .collect();
+    let results = run_scenarios(specs).expect("unit-size specs are valid");
+    sizes
+        .iter()
+        .zip(results)
+        .map(|(&mib, o)| UnitSizeRow {
             unit_mib: mib,
-            data_buffer_ms: stats.layers[0].buffer.mean_ns() / 1e6, // DataLog
-            iops,
-        }
-    })
+            data_buffer_ms: mean_ns(&o.result.obs.residence[0].buffer) / 1e6, // DataLog
+            iops: o.result.iops,
+        })
+        .collect()
 }
 
 /// Sanity run used by integration tests: a tiny two-scheme comparison.

@@ -24,19 +24,17 @@
 //! * [`LogUnit`] / [`LogPool`] — the FIFO log-pool structure with the
 //!   two-level (block → offset) coalescing index and bitmap filter (§3.2),
 //! * [`Tsue`] / [`TsueConfig`] — the [`tsue_ecfs::UpdateScheme`]
-//!   implementation with every Fig. 7 ablation switch (O1–O5),
-//! * [`ResidencyStats`] — per-layer append/buffer/recycle residence times
-//!   (Table 2).
+//!   implementation with every Fig. 7 ablation switch (O1–O5). It records
+//!   each layer's append, buffer and recycle residence (Table 2) in the
+//!   cluster's observability state, `tsue_obs::ObsState`.
 
 pub mod knobs;
 pub mod logpool;
 pub mod logunit;
-pub mod residency;
 pub mod tsue;
 
 pub use knobs::register_tsue;
 pub use logpool::LogPool;
 pub use logunit::{BlockIndex, LogUnit, UnitId, UnitState, RECORD_HEADER};
-pub use residency::{LayerResidency, ResidencyStats, StatAcc};
 
 pub use tsue::{Tsue, TsueConfig};

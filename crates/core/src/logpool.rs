@@ -121,12 +121,15 @@ impl<K: Ord + Copy> LogPool<K> {
     }
 
     /// Overlays the pool's content for `key` across all units (read-cache
-    /// path); returns true when the union fully covers the range.
+    /// path), oldest first so the newest content wins; returns true when
+    /// the union fully covers the range.
     pub fn overlay(&self, key: &K, off: u64, len: u64, mut buf: Option<&mut [u8]>) -> bool {
+        let mut covered = false; // some single unit covers the range
         for u in &self.units {
-            if u.overlay(key, off, len, buf.as_deref_mut()) {
-                return true; // a single unit fully covers (fast path)
-            }
+            covered |= u.overlay(key, off, len, buf.as_deref_mut());
+        }
+        if covered {
+            return true;
         }
         // Union check over extents only: advance a cursor through whichever
         // unit covers it furthest, touching just the entries on the way.
@@ -272,6 +275,28 @@ mod tests {
         assert!(buf[50..].iter().all(|&b| b == 0xBB), "newer unit wins");
         // Uncovered gap → not a full hit.
         assert!(!p.overlay(&1, 0, 200, None));
+    }
+
+    /// An older unit that covers the whole read alone must not shadow a
+    /// newer unit's bytes over the same range.
+    #[test]
+    fn overlay_newer_unit_wins_over_an_older_full_cover() {
+        let mut p: LogPool<u32> = LogPool::new(1 << 20, 3, 0);
+        for (byte, now) in [(0xAA, 0), (0xBB, 20)] {
+            p.provision_active();
+            p.active_mut().append(
+                1,
+                0,
+                Chunk::real(vec![byte; 100]),
+                Discipline::Overwrite,
+                true,
+                now,
+            );
+            p.seal_active();
+        }
+        let mut buf = vec![0u8; 100];
+        assert!(p.overlay(&1, 0, 100, Some(&mut buf)));
+        assert!(buf.iter().all(|&b| b == 0xBB), "newer unit wins");
     }
 
     #[test]

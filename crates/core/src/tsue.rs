@@ -27,7 +27,6 @@
 
 use crate::logpool::LogPool;
 use crate::logunit::{LogUnit, UnitId, UnitState, RECORD_HEADER};
-use crate::residency::ResidencyStats;
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::logregion::LogRegion;
 use tsue_ecfs::rangemap::{Discipline, Gathered};
@@ -38,6 +37,7 @@ use tsue_ecfs::scheme::{
 use tsue_ecfs::{
     BlockId, Chunk, Cluster, ClusterCore, IoKind, Mds, OwedExtent, SplitRng, UpdateScheme,
 };
+use tsue_obs::LogLayer;
 use tsue_sim::{MultiResource, Sim, Time, SECOND};
 
 /// Message-tag values on `DeltaForward { kind: DataDelta, .. }`.
@@ -47,20 +47,6 @@ const TAG_DELTA_REP: u64 = 3;
 /// Timer-tag kinds (low 4 bits).
 const TK_SEAL: u64 = 1;
 const TK_JOB_DONE: u64 = 2;
-
-/// The three layers in pipeline order. The discriminant indexes
-/// [`Tsue::layers`] and [`ResidencyStats::layers`], strides the unit ids
-/// and rides in the seal-timer tag.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum LayerKind {
-    Data,
-    Delta,
-    Parity,
-}
-
-impl LayerKind {
-    const ALL: [LayerKind; 3] = [LayerKind::Data, LayerKind::Delta, LayerKind::Parity];
-}
 
 /// TSUE tunables; every Fig. 6/7 knob lives here.
 ///
@@ -202,7 +188,7 @@ enum RecycleJob {
 /// pacing that keeps foreground appends interleaved on the device instead
 /// of queueing behind a recycle dump.
 struct InflightUnit {
-    layer: LayerKind,
+    layer: LogLayer,
     pool: usize,
     jobs: VecDeque<RecycleJob>,
     running: u64,
@@ -218,7 +204,7 @@ struct Layer {
 }
 
 impl Layer {
-    fn new(cfg: &TsueConfig, layer: LayerKind) -> Self {
+    fn new(cfg: &TsueConfig, layer: LogLayer) -> Self {
         let pools = cfg.effective_pools();
         let region_cap = cfg.unit_size * cfg.max_units as u64 + (4 << 20);
         let stream_base = [32, 64, 96][layer as usize];
@@ -286,7 +272,7 @@ fn block_key(b: BlockId) -> u64 {
 pub struct Tsue {
     /// Configuration (public for the harness's ablation sweeps).
     pub cfg: TsueConfig,
-    /// DataLog, DeltaLog, ParityLog — indexed by [`LayerKind`].
+    /// DataLog, DeltaLog, ParityLog — indexed by [`LogLayer`].
     layers: [Layer; 3],
     /// Replica persistence for peer DataLogs (device-only, no memory).
     data_replica_region: LogRegion,
@@ -299,16 +285,14 @@ pub struct Tsue {
     /// the write a power loss tears. Only the in-flight tail record is at
     /// risk: every earlier append's framing already persisted whole, so
     /// the restart scan recovers it.
-    tail: Option<(LayerKind, BlockId, u64, u64)>,
-    /// Residence-time statistics (Table 2).
-    pub residency: ResidencyStats,
+    tail: Option<(LogLayer, BlockId, u64, u64)>,
 }
 
 impl Tsue {
     /// Creates a TSUE instance from a config.
     pub fn new(cfg: TsueConfig) -> Self {
         Tsue {
-            layers: LayerKind::ALL.map(|layer| Layer::new(&cfg, layer)),
+            layers: LogLayer::ALL.map(|layer| Layer::new(&cfg, layer)),
             data_replica_region: LogRegion::new(
                 cfg.unit_size * cfg.max_units as u64 * cfg.data_replicas as u64,
                 128,
@@ -318,7 +302,6 @@ impl Tsue {
             acks: AckTable::default(),
             inflight: BTreeMap::new(),
             tail: None,
-            residency: ResidencyStats::default(),
             cfg,
         }
     }
@@ -340,19 +323,19 @@ impl Tsue {
     /// How a layer's index folds a record: the merge discipline and
     /// whether locality is exploited at all (O1/O2; the DeltaLog always
     /// merges — exploiting locality is the layer's purpose).
-    fn merge_policy(&self, layer: LayerKind) -> (Discipline, bool) {
+    fn merge_policy(&self, layer: LogLayer) -> (Discipline, bool) {
         match layer {
-            LayerKind::Data => (Discipline::Overwrite, self.cfg.datalog_locality),
-            LayerKind::Delta => (Discipline::Xor, true),
-            LayerKind::Parity => (Discipline::Xor, self.cfg.paritylog_locality),
+            LogLayer::Data => (Discipline::Overwrite, self.cfg.datalog_locality),
+            LogLayer::Delta => (Discipline::Xor, true),
+            LogLayer::Parity => (Discipline::Xor, self.cfg.paritylog_locality),
         }
     }
 
     /// The pool of `layer` that logs `block`: Data/ParityLog spread by
     /// block, the DeltaLog by stripe so that a stripe's deltas meet in one
     /// unit (Eq. 5 combines across the blocks of a stripe).
-    fn pool_of(&self, core: &ClusterCore, layer: LayerKind, block: BlockId) -> usize {
-        let key = if layer == LayerKind::Delta {
+    fn pool_of(&self, core: &ClusterCore, layer: LogLayer, block: BlockId) -> usize {
+        let key = if layer == LogLayer::Delta {
             core.global_stripe(block.file, block.stripe)
         } else {
             block_key(block)
@@ -362,7 +345,7 @@ impl Tsue {
 
     /// The DataLog pool that logs `block`.
     fn data_pool(&self, block: BlockId) -> &LogPool<BlockId> {
-        let pools = &self.layers[LayerKind::Data as usize].pools;
+        let pools = &self.layers[LogLayer::Data as usize].pools;
         &pools[pool_hash(block_key(block), pools.len())]
     }
 
@@ -385,7 +368,7 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         work: QueuedWork,
     ) {
         let now = sim.now();
@@ -397,7 +380,7 @@ impl Tsue {
         // peers: when those change (one died or rejoined), the active
         // unit seals and the append opens a fresh one.
         let peers = match layer {
-            LayerKind::Data => replica_peers(core, osd, self.replica_copies(core)),
+            LogLayer::Data => replica_peers(core, osd, self.replica_copies(core)),
             _ => Vec::new(),
         };
         if self.layers[li].pools[pool]
@@ -426,9 +409,11 @@ impl Tsue {
         }
         self.tail = Some((layer, block, off, len));
         let (t_persist, _) = self.layers[li].regions[pool].append(core, osd, now, need);
-        self.residency.layers[li].append.add(t_persist - now);
+        core.metrics.obs.residence[li]
+            .append
+            .record(t_persist - now);
         self.arm_seal_timer(core, sim, osd, layer, pool);
-        if layer != LayerKind::Data {
+        if layer != LogLayer::Data {
             return;
         }
 
@@ -471,7 +456,7 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         pool: usize,
         need: u64,
     ) -> bool {
@@ -493,16 +478,16 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         pool: usize,
     ) -> bool {
         let Some(uid) = self.layers[layer as usize].pools[pool].seal_active() else {
             return false;
         };
         match layer {
-            LayerKind::Data => self.recycle_data_unit(core, sim, osd, pool, uid),
-            LayerKind::Delta => self.recycle_delta_unit(core, sim, osd, pool, uid),
-            LayerKind::Parity => self.recycle_parity_unit(core, sim, osd, pool, uid),
+            LogLayer::Data => self.recycle_data_unit(core, sim, osd, pool, uid),
+            LogLayer::Delta => self.recycle_delta_unit(core, sim, osd, pool, uid),
+            LogLayer::Parity => self.recycle_parity_unit(core, sim, osd, pool, uid),
         }
         true
     }
@@ -511,20 +496,21 @@ impl Tsue {
     /// start is stamped and its buffer dwell sampled (Table 2).
     fn begin_recycle(
         &mut self,
-        layer: LayerKind,
+        core: &mut ClusterCore,
+        layer: LogLayer,
         pool: usize,
         uid: UnitId,
         now: Time,
     ) -> &mut LogUnit<BlockId> {
-        let li = layer as usize;
-        let pool = &mut self.layers[li].pools[pool];
+        let pool = &mut self.layers[layer as usize].pools[pool];
         // INVARIANT: the recycle was started with this unit id at seal
         // time, and units are never evicted while Recyclable.
         let unit = pool.unit_mut(uid).expect("unit exists");
         unit.state = UnitState::Recycling;
         unit.recycle_started = Some(now);
         if let Some(fa) = unit.first_append {
-            self.residency.layers[li].buffer.add(now.saturating_sub(fa));
+            let buffer = &mut core.metrics.obs.residence[layer as usize].buffer;
+            buffer.record(now.saturating_sub(fa));
         }
         unit
     }
@@ -539,7 +525,7 @@ impl Tsue {
         pool: usize,
         uid: UnitId,
     ) {
-        let jobs = collect_jobs(self.begin_recycle(LayerKind::Data, pool, uid, sim.now()));
+        let jobs = collect_jobs(self.begin_recycle(core, LogLayer::Data, pool, uid, sim.now()));
         // Apply content now, at seal time, so per-block newest-wins
         // semantics hold even though the timed I/O below is paced.
         let store = &mut core.osds[osd];
@@ -564,7 +550,7 @@ impl Tsue {
             })
             .collect();
         let inf = InflightUnit {
-            layer: LayerKind::Data,
+            layer: LogLayer::Data,
             pool,
             jobs,
             running: 0,
@@ -733,7 +719,7 @@ impl Tsue {
         let mut cpu: Time = 0;
         let mut sends: Vec<(usize, BlockId, u64, Chunk, usize)> = Vec::new();
         {
-            let unit = self.begin_recycle(LayerKind::Delta, pool, uid, now);
+            let unit = self.begin_recycle(core, LogLayer::Delta, pool, uid, now);
             // Stripe → [(role, ranges)] view over the index, borrowed. The
             // index orders source blocks by (file, stripe, role), so this
             // walk meets the stripes in global-stripe order and the roles
@@ -765,7 +751,7 @@ impl Tsue {
         self.inflight.insert(
             uid,
             InflightUnit {
-                layer: LayerKind::Delta,
+                layer: LogLayer::Delta,
                 pool,
                 jobs: VecDeque::new(),
                 running: 1,
@@ -801,7 +787,7 @@ impl Tsue {
         pool: usize,
         uid: UnitId,
     ) {
-        let unit = self.begin_recycle(LayerKind::Parity, pool, uid, sim.now());
+        let unit = self.begin_recycle(core, LogLayer::Parity, pool, uid, sim.now());
         let jobs = collect_jobs(unit);
         // The jobs hold the bytes until the store takes them below; nothing
         // reads them from the unit again.
@@ -820,7 +806,7 @@ impl Tsue {
             })
             .collect();
         let inf = InflightUnit {
-            layer: LayerKind::Parity,
+            layer: LogLayer::Parity,
             pool,
             jobs,
             running: 0,
@@ -846,9 +832,7 @@ impl Tsue {
         if let Some(unit) = self.layers[layer as usize].pools[pool].unit_mut(uid) {
             unit.state = UnitState::Recycled;
             if let Some(start) = unit.recycle_started {
-                let recycle = &mut self.residency.layers[layer as usize].recycle;
-                recycle.add(now.saturating_sub(start));
-                core.metrics.obs.recycle_merged(osd, uid, start, now);
+                core.metrics.obs.recycle_merged(osd, layer, uid, start, now);
             }
         }
         self.drain_queue(core, sim, osd, layer, pool);
@@ -860,7 +844,7 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         pool: usize,
     ) {
         while let Some(work) = self.layers[layer as usize].queues[pool].pop_front() {
@@ -879,7 +863,7 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         pool: usize,
     ) {
         let armed = &mut self.layers[layer as usize].timer_armed[pool];
@@ -898,7 +882,7 @@ impl Tsue {
         core: &mut ClusterCore,
         sim: &mut Sim<Cluster>,
         osd: usize,
-        layer: LayerKind,
+        layer: LogLayer,
         pool: usize,
     ) {
         let flowing = self.seal_and_recycle(core, sim, osd, layer, pool);
@@ -947,7 +931,7 @@ impl UpdateScheme for Tsue {
             chunk: req.data,
             op_id: req.op_id,
         };
-        self.append(core, sim, osd, LayerKind::Data, work);
+        self.append(core, sim, osd, LogLayer::Data, work);
     }
 
     fn on_message(
@@ -993,9 +977,9 @@ impl UpdateScheme for Tsue {
                 // A data delta joins the DeltaLog under its source block;
                 // a parity delta the ParityLog under the parity block.
                 let (layer, block) = match kind {
-                    DeltaKind::DataDelta => (LayerKind::Delta, block),
+                    DeltaKind::DataDelta => (LogLayer::Delta, block),
                     DeltaKind::ParityDelta => {
-                        (LayerKind::Parity, core.parity_block(block, parity_index))
+                        (LogLayer::Parity, core.parity_block(block, parity_index))
                     }
                 };
                 let work = QueuedWork {
@@ -1016,7 +1000,7 @@ impl UpdateScheme for Tsue {
     fn on_timer(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize, tag: u64) {
         match tag & 0xF {
             TK_SEAL => {
-                let layer = LayerKind::ALL[((tag >> 4) & 0xF) as usize];
+                let layer = LogLayer::ALL[((tag >> 4) & 0xF) as usize];
                 let pool = (tag >> 8) as usize;
                 self.on_seal_timer(core, sim, osd, layer, pool);
             }
@@ -1104,13 +1088,13 @@ impl UpdateScheme for Tsue {
     }
 
     fn forget_block(&mut self, block: BlockId) {
-        let pools = &mut self.layers[LayerKind::Data as usize].pools;
+        let pools = &mut self.layers[LogLayer::Data as usize].pools;
         let n = pools.len();
         pools[pool_hash(block_key(block), n)].forget(&block);
     }
 
     fn flush(&mut self, core: &mut ClusterCore, sim: &mut Sim<Cluster>, osd: usize) {
-        for layer in LayerKind::ALL {
+        for layer in LogLayer::ALL {
             for pool in 0..self.layers[layer as usize].pools.len() {
                 self.seal_and_recycle(core, sim, osd, layer, pool);
                 self.layers[layer as usize].pools[pool].provision_active();
@@ -1149,7 +1133,7 @@ impl UpdateScheme for Tsue {
         let copies = self.replica_copies(core);
         let l = &mut self.layers[layer as usize];
         match layer {
-            LayerKind::Data => {
+            LogLayer::Data => {
                 // The tear lands at a pseudo-random offset inside the
                 // record; the framing checksum rejects *any* cut short of
                 // the full frame, so the cut position never changes what
@@ -1201,7 +1185,7 @@ impl UpdateScheme for Tsue {
                     }
                 }
             }
-            LayerKind::Delta if self.cfg.use_delta_log && m >= 2 => {
+            LogLayer::Delta if self.cfg.use_delta_log && m >= 2 => {
                 // The TAG_DELTA_REP copy persists on the second parity
                 // owner: re-fetch and re-append.
                 let p2 = core.owner_of(gstripe, k + 1);
@@ -1214,7 +1198,7 @@ impl UpdateScheme for Tsue {
                 let _ = l.regions[pool].append(core, osd, t_fetch, len + RECORD_HEADER);
                 rep.torn_replayed = 1;
             }
-            LayerKind::Delta => {
+            LogLayer::Delta => {
                 // No copy exists: the delta is lost before reaching any
                 // parity log. Every parity of the stripe is now stale —
                 // mark them for re-encode from data.
@@ -1223,7 +1207,7 @@ impl UpdateScheme for Tsue {
                 }
                 rep.torn_discarded = 1;
             }
-            LayerKind::Parity => {
+            LogLayer::Parity => {
                 // ParityLog appends carry no replica; the lost combined
                 // delta leaves this parity stale until re-encoded.
                 core.mds.mark_parity_dirty(gstripe, block.role);
@@ -1247,22 +1231,6 @@ impl UpdateScheme for Tsue {
     fn memory_usage(&self) -> u64 {
         self.layers.iter().map(Layer::memory_bytes).sum()
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-}
-
-/// Aggregates residency statistics from every TSUE instance in a cluster
-/// (the Table 2 harvest).
-pub fn harvest_residency(world: &Cluster) -> ResidencyStats {
-    let mut total = ResidencyStats::default();
-    for s in &world.schemes {
-        if let Some(t) = s.as_any().and_then(|a| a.downcast_ref::<Tsue>()) {
-            total.merge(&t.residency);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -1301,7 +1269,7 @@ mod tests {
     }
 
     /// Real bytes held by the units of one layer.
-    fn real_bytes(t: &Tsue, layer: LayerKind) -> u64 {
+    fn real_bytes(t: &Tsue, layer: LogLayer) -> u64 {
         let index = t.layers[layer as usize]
             .pools
             .iter()
@@ -1361,16 +1329,15 @@ mod tests {
         let (real, ghost) = (flushed(true), flushed(false));
         let (mut cache, mut extents) = (0, 0);
         for (osd, (a, b)) in real.schemes.iter().zip(&ghost.schemes).enumerate() {
-            let t = a
-                .as_any()
-                .and_then(|x| x.downcast_ref::<Tsue>())
+            let t = (&**a as &dyn std::any::Any)
+                .downcast_ref::<Tsue>()
                 .expect("every OSD runs TSUE");
-            assert_eq!(real_bytes(t, LayerKind::Delta), 0, "OSD {osd} DeltaLog");
-            assert_eq!(real_bytes(t, LayerKind::Parity), 0, "OSD {osd} ParityLog");
+            assert_eq!(real_bytes(t, LogLayer::Delta), 0, "OSD {osd} DeltaLog");
+            assert_eq!(real_bytes(t, LogLayer::Parity), 0, "OSD {osd} ParityLog");
             assert_eq!(a.memory_usage(), b.memory_usage(), "OSD {osd} memory");
-            cache += real_bytes(t, LayerKind::Data);
-            extents += t.layers[LayerKind::Delta as usize].memory_bytes()
-                + t.layers[LayerKind::Parity as usize].memory_bytes();
+            cache += real_bytes(t, LogLayer::Data);
+            extents += t.layers[LogLayer::Delta as usize].memory_bytes()
+                + t.layers[LogLayer::Parity as usize].memory_bytes();
         }
         assert!(cache > 0, "the DataLog keeps its read cache");
         assert!(extents > 0, "recycled units keep their extents");

@@ -10,6 +10,7 @@ use tsue_ecfs::{
     start_recovery, start_resync, BlockId, Chunk, Cluster, ClusterBuilder, ClusterConfig,
     DeviceKind, PhaseStats, PlacementKind, PowerLossReport, SchemeMsg, UpdateReq,
 };
+use tsue_obs::LogLayer;
 use tsue_sim::{Sim, MILLISECOND, SECOND};
 use tsue_trace::WorkloadProfile;
 
@@ -125,13 +126,14 @@ fn residency_stats_populate() {
     let mut sim: Sim<Cluster> = Sim::new();
     run_workload(&mut world, &mut sim, 3600 * SECOND);
     world.flush_all(&mut sim);
-    let stats = tsue_core::tsue::harvest_residency(&world);
-    assert!(stats.layers[0].append.count() > 0, "data appends recorded");
-    assert!(stats.layers[0].buffer.count() > 0, "data units recycled");
+    let obs = &world.core.metrics.obs;
+    let data = &obs.residence[LogLayer::Data as usize];
+    assert!(data.append.count() > 0, "data appends recorded");
+    assert!(data.buffer.count() > 0, "data units recycled");
     assert!(
-        stats.layers[2].recycle.count() > 0,
+        obs.residence[LogLayer::Parity as usize].recycle.count() > 0,
         "parity units recycled: {:?}",
-        stats
+        obs.report().residence
     );
 }
 

@@ -237,8 +237,9 @@ pub enum ReadServe {
 ///
 /// One instance per OSD. Methods receive the shared [`ClusterCore`] (all
 /// devices, network, MDS — everything except other schemes) and the DES
-/// handle for scheduling continuations.
-pub trait UpdateScheme {
+/// handle for scheduling continuations. A test that inspects a concrete
+/// scheme upcasts to [`std::any::Any`] and downcasts from there.
+pub trait UpdateScheme: std::any::Any {
     /// An update extent arrived at this OSD (which owns `req.block`).
     /// The scheme must eventually call `core.extent_done(sim, osd, req.op_id)`
     /// exactly once — that is the client-visible completion.
@@ -343,12 +344,6 @@ pub trait UpdateScheme {
     /// is replayed, the rest died with the node. A node that rejoins then
     /// replays none of it twice and serves none of it from a read cache.
     fn forget_block(&mut self, _block: BlockId) {}
-
-    /// Downcast hook for harness-side introspection (e.g. harvesting
-    /// TSUE residency statistics).
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
 }
 
 /// Event shim: deliver an update extent to the owning OSD's scheme.

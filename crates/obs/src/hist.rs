@@ -213,6 +213,23 @@ impl Histogram {
         }
     }
 
+    /// The histogram a [`HistReport`] was exported from: its fields hold
+    /// every bucket count, the sample count, sum, min and max, so this
+    /// inverts [`Self::report`] exactly.
+    pub fn from_report(r: &HistReport) -> Histogram {
+        let mut h = Histogram::new();
+        for &(idx, c) in &r.buckets {
+            h.counts[idx as usize] = c;
+        }
+        h.count = r.count;
+        h.sum = r.sum_ns;
+        if r.count > 0 {
+            h.min = r.min_ns;
+        }
+        h.max = r.max_ns;
+        h
+    }
+
     /// The full serializable export: the summary plus the sparse buckets.
     pub fn report(&self, name: &str) -> HistReport {
         let buckets = self.nonzero_buckets();
@@ -381,6 +398,11 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: HistReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+        assert_eq!(Histogram::from_report(&back), h, "exact inverse");
+        assert_eq!(
+            Histogram::from_report(&Histogram::new().report("empty")),
+            Histogram::new()
+        );
         // Quantiles are recomputable from the sparse buckets alone.
         let mut h2 = Histogram::new();
         for &(idx, c) in &back.buckets {

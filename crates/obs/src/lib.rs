@@ -4,9 +4,11 @@
 //!
 //! * [`Histogram`] — log-bucketed HDR-style latency histograms
 //!   (p50/p90/p99/p999/max) recorded per **op class** (update, read,
-//!   degraded write, recovery decode, scrub round) and per pipeline
+//!   degraded write, recovery decode, scrub round), per pipeline
 //!   **stage** (client issue → MDS map → OSD data-log append → delta
-//!   forward → recycle merge → ack).
+//!   forward → recycle merge → ack), and per **log layer × residence
+//!   phase** (DataLog, DeltaLog, ParityLog × append, buffer, recycle —
+//!   the paper's Table 2).
 //! * [`TraceRing`] — an optional bounded ring of op-lifecycle spans,
 //!   exported as Chrome `trace_event` JSON (`tsuectl run --trace-out`).
 //! * [`ObsSeries`] — per-node / per-rack metric families (bytes, ops,
@@ -87,7 +89,8 @@ pub enum Stage {
     DataLogAppend,
     /// Scheme-to-scheme delta forward wire hop (data/parity deltas).
     DeltaForward,
-    /// One log-unit recycle merge (data, delta, or parity layer).
+    /// One log-unit recycle merge (data, delta, or parity layer): the
+    /// three layers' recycle histograms of the residence grid, merged.
     RecycleMerge,
     /// Ack wire time: OSD completion back to the issuing client.
     Ack,
@@ -121,6 +124,45 @@ impl Stage {
     }
 }
 
+/// A log layer of TSUE's three-layer log structure, in pipeline order.
+/// The discriminant indexes the residence grid, and TSUE uses it to index
+/// its layers, stride its unit ids and tag its seal timers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LogLayer {
+    /// The DataLog: update extents at their home OSD.
+    Data,
+    /// The DeltaLog: data deltas at the first parity owner.
+    Delta,
+    /// The ParityLog: parity deltas at every parity owner.
+    Parity,
+}
+
+impl LogLayer {
+    /// Every layer, in pipeline order (Table 2's rows).
+    pub const ALL: [LogLayer; 3] = [LogLayer::Data, LogLayer::Delta, LogLayer::Parity];
+
+    /// Stable lower-snake token used in reports.
+    pub fn token(self) -> &'static str {
+        match self {
+            LogLayer::Data => "data_log",
+            LogLayer::Delta => "delta_log",
+            LogLayer::Parity => "parity_log",
+        }
+    }
+}
+
+/// One log layer's residence histograms: where its records' time goes
+/// between append and the end of their unit's recycle (a row of Table 2).
+#[derive(Clone, Debug, Default)]
+pub struct LayerHists {
+    /// Append persist latency, one sample per record.
+    pub append: Histogram,
+    /// Dwell from a unit's first append to its recycle start, per unit.
+    pub buffer: Histogram,
+    /// Recycle duration, per unit (recorded by [`ObsState::recycle_merged`]).
+    pub recycle: Histogram,
+}
+
 /// Per-op span bookkeeping: extent arrivals not yet matched with their
 /// service completion. FIFO pairing — OSD scheme callbacks complete
 /// extents in coordinator event order, which is deterministic.
@@ -129,13 +171,18 @@ struct SpanState {
     arrivals: VecDeque<Time>,
 }
 
-/// The cluster's observability state: per-class and per-stage histograms,
-/// in-flight span bookkeeping keyed by `op_id`, the optional trace ring,
-/// and the time-series samples collected by the harness probe.
+/// The cluster's observability state: per-class, per-stage and
+/// per-residence histograms, in-flight span bookkeeping keyed by `op_id`,
+/// the optional trace ring, and the time-series samples collected by the
+/// harness probe.
 #[derive(Debug, Default)]
 pub struct ObsState {
     classes: Vec<Histogram>,
+    /// Indexed by [`Stage`]; the `RecycleMerge` slot stays empty, that
+    /// stage being the merge of the three `residence[..].recycle`.
     stages: Vec<Histogram>,
+    /// TSUE's log-layer residence (Table 2), indexed by [`LogLayer`].
+    pub residence: [LayerHists; 3],
     spans: IdWindow<SpanState>,
     trace: Option<TraceRing>,
     /// Time-series samples appended by the scenario harness probe.
@@ -148,6 +195,7 @@ impl ObsState {
         ObsState {
             classes: (0..OpClass::ALL.len()).map(|_| Histogram::new()).collect(),
             stages: (0..Stage::ALL.len()).map(|_| Histogram::new()).collect(),
+            residence: Default::default(),
             spans: IdWindow::new(),
             trace: None,
             series: ObsSeries::default(),
@@ -202,13 +250,15 @@ impl ObsState {
     }
 
     /// The cumulative histogram of one pipeline stage.
-    pub fn stage_hist(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.idx()]
-    }
-
-    /// Records a duration sample into a stage histogram (no trace event).
-    pub fn record_stage(&mut self, stage: Stage, dur: Time) {
-        self.stages[stage.idx()].record(dur);
+    pub fn stage_hist(&self, stage: Stage) -> Histogram {
+        if stage != Stage::RecycleMerge {
+            return self.stages[stage.idx()].clone();
+        }
+        let mut h = Histogram::new();
+        for layer in LogLayer::ALL {
+            h.merge(&self.residence[layer as usize].recycle);
+        }
+        h
     }
 
     /// All client-op completions (update + read + degraded write) merged,
@@ -302,11 +352,18 @@ impl ObsState {
         );
     }
 
-    /// One log-unit recycle merge finished on `osd`, having started at
-    /// `started`.
-    pub fn recycle_merged(&mut self, osd: usize, unit: u64, started: Time, now: Time) {
+    /// One `layer` log-unit recycle merge finished on `osd`, having
+    /// started at `started`.
+    pub fn recycle_merged(
+        &mut self,
+        osd: usize,
+        layer: LogLayer,
+        unit: u64,
+        started: Time,
+        now: Time,
+    ) {
         let dur = now.saturating_sub(started);
-        self.stages[Stage::RecycleMerge.idx()].record(dur);
+        self.residence[layer as usize].recycle.record(dur);
         self.emit(
             Stage::RecycleMerge.token(),
             "stage",
@@ -339,8 +396,8 @@ impl ObsState {
         self.emit(class.token(), "op", started, dur, node as u64, op_id);
     }
 
-    /// The serializable report: per-class and per-stage histograms in
-    /// fixed order plus the collected time series.
+    /// The serializable report: per-class, per-stage and per-residence
+    /// histograms in fixed order plus the collected time series.
     pub fn report(&self) -> ObsReport {
         ObsReport {
             classes: OpClass::ALL
@@ -349,7 +406,19 @@ impl ObsState {
                 .collect(),
             stages: Stage::ALL
                 .iter()
-                .map(|&s| self.stages[s.idx()].report(s.token()))
+                .map(|&s| self.stage_hist(s).report(s.token()))
+                .collect(),
+            residence: LogLayer::ALL
+                .iter()
+                .map(|&layer| {
+                    let h = &self.residence[layer as usize];
+                    LayerResidence {
+                        layer: layer.token().to_string(),
+                        append: h.append.report("append"),
+                        buffer: h.buffer.report("buffer"),
+                        recycle: h.recycle.report("recycle"),
+                    }
+                })
                 .collect(),
             series: self.series.clone(),
         }
@@ -405,6 +474,19 @@ pub struct ObsSeries {
     pub samples: Vec<ObsSample>,
 }
 
+/// One log layer's row of the residence grid (a row of Table 2).
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LayerResidence {
+    /// The [`LogLayer::token`].
+    pub layer: String,
+    /// Append persist latency, one sample per record.
+    pub append: HistReport,
+    /// Dwell from a unit's first append to its recycle start, per unit.
+    pub buffer: HistReport,
+    /// Recycle duration, per unit.
+    pub recycle: HistReport,
+}
+
 /// The full serialized observability section of a `RunResult`.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ObsReport {
@@ -412,6 +494,9 @@ pub struct ObsReport {
     pub classes: Vec<HistReport>,
     /// Per-stage duration histograms, in [`Stage::ALL`] order.
     pub stages: Vec<HistReport>,
+    /// Per-log-layer residence rows, in [`LogLayer::ALL`] order; only
+    /// TSUE records samples in them.
+    pub residence: Vec<LayerResidence>,
     /// Per-node / per-rack time series.
     pub series: ObsSeries,
 }
@@ -464,7 +549,7 @@ mod tests {
         obs.extent_service_done(1, 3, 190);
         obs.ack_sent(1, 0, 190, 210);
         obs.delta_forwarded(3, 4, 160, 170);
-        obs.recycle_merged(3, 9, 120, 400);
+        obs.recycle_merged(3, LogLayer::Delta, 9, 120, 400);
         obs.op_complete(OpClass::Update, 1, 0, 100, 210);
         for s in Stage::ALL {
             assert_eq!(obs.stage_hist(s).count(), 1, "stage {:?}", s);

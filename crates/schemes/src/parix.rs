@@ -382,10 +382,6 @@ impl UpdateScheme for Parix {
             .sum();
         maps + self.pend_old.len() as u64 * 64
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -428,9 +424,8 @@ mod tests {
         assert_eq!(world.total_scheme_backlog(), 0, "drained");
         let mut first_touched = 0;
         for (osd, s) in world.schemes.iter().enumerate() {
-            let parix = s
-                .as_any()
-                .and_then(|a| a.downcast_ref::<Parix>())
+            let parix = (&**s as &dyn std::any::Any)
+                .downcast_ref::<Parix>()
                 .expect("every OSD runs PARIX");
             first_touched += parix.old_sent.len();
             assert!(

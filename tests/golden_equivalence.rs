@@ -3,14 +3,15 @@
 //! same scenarios must reproduce them byte for byte — same virtual-time
 //! behavior, same device and network accounting, same serialized output.
 //! The files were first captured from the pre-zero-copy (`Vec`-chunk,
-//! allocating-kernel) build and last regenerated when a rebuild began
-//! replaying only what the dead home's DataLog index still owes — the
-//! appends of its unrecycled units that a live peer holds a copy of, once
-//! each — instead of every append a cluster-side replica store had not
-//! yet pruned, and TSUE began sending DataLog copies to live peers only
-//! (`scrub-bitrot.json`, `rack-failure-online.json` and the
-//! `rack-failure-flat`, `double-node-kill` and `double-rack-kill`
-//! outcomes of `fault-paths.json` moved).
+//! allocating-kernel) build. Their simulated outcomes last moved when a
+//! rebuild began replaying only what the dead home's DataLog index still
+//! owes and TSUE began sending DataLog copies to live peers only
+//! (`scrub-bitrot.json`, `rack-failure-online.json` and three outcomes
+//! of `fault-paths.json`). Every file was last regenerated when the obs
+//! section gained the per-log-layer residence grid
+//! (`result.obs.residence`, Table 2's source): with that section deleted,
+//! each file equals its previous capture, and the `recycle_merge` stage
+//! the grid now feeds is unchanged.
 //!
 //! To re-capture after an *intentional* behavior change:
 //! - one scenario: `tsuectl run scenarios/<name>.json --out tests/golden`;

@@ -1,10 +1,13 @@
 //! The observability layer, end to end: histogram/series determinism
 //! across runs, op-lifecycle trace coverage on a faulted
-//! run, and the per-phase latency snapshots in fault reports.
+//! run, the per-phase latency snapshots in fault reports, and the
+//! per-log-layer residence grid behind Table 2.
 
 use tsue_repro::bench::{
-    bundled_scenarios, default_registry, run_scenario_traced, run_scenario_with, ScenarioSpec,
+    bundled_scenarios, default_registry, run_scenario_traced, run_scenario_with, RunResult,
+    ScenarioSpec, SchemeSpec,
 };
+use tsue_repro::obs::Histogram;
 
 fn bundled_spec(name: &str) -> ScenarioSpec {
     let (_, json) = bundled_scenarios()
@@ -122,4 +125,40 @@ fn fault_phases_snapshot_client_latency_around_the_kill() {
         last.racks.iter().all(|r| (0.0..=1.0).contains(&r.up_util)),
         "utilization is normalized"
     );
+}
+
+/// A flushed TSUE run samples every cell of the residence grid, and its
+/// `recycle_merge` stage is exactly the three recycle rows merged: each
+/// recycle is recorded once, in its layer's row. FO, which has no log
+/// layers, reports the same three rows empty.
+#[test]
+fn residence_grid_fills_tsue_layers_and_composes_recycle_merge() {
+    let mut spec = bundled_spec("smoke.json");
+    assert!(spec.flush_after(), "smoke drains its logs");
+    let registry = default_registry();
+    let tsue = run_scenario_with(&spec, &registry).expect("scenario runs");
+    spec.scheme = SchemeSpec::named("fo");
+    let fo = run_scenario_with(&spec, &registry).expect("scenario runs");
+    let cells = |r: &RunResult| -> Vec<u64> {
+        let rows = r.obs.residence.iter();
+        rows.flat_map(|l| [l.append.count, l.buffer.count, l.recycle.count])
+            .collect()
+    };
+    let layers: Vec<&str> = tsue
+        .obs
+        .residence
+        .iter()
+        .map(|r| r.layer.as_str())
+        .collect();
+    assert_eq!(layers, ["data_log", "delta_log", "parity_log"]);
+    assert!(cells(&tsue).iter().all(|&c| c > 0), "{:?}", cells(&tsue));
+    assert_eq!(cells(&fo), [0; 9]);
+
+    let mut merged = Histogram::new();
+    for row in &tsue.obs.residence {
+        merged.merge(&Histogram::from_report(&row.recycle));
+    }
+    let stages = &tsue.obs.stages;
+    let stage = stages.iter().find(|s| s.name == "recycle_merge");
+    assert_eq!(Some(&merged.report("recycle_merge")), stage);
 }
