@@ -6,8 +6,8 @@
 //! concurrent clients.
 
 use crate::osd::BlockId;
-use crate::scheme::{deliver_read, deliver_update, Chunk, UpdateReq};
-use crate::{payload_into, Cluster, FileId};
+use crate::scheme::{deliver_read, deliver_update, UpdateReq};
+use crate::{payload_chunk, Cluster, FileId};
 use tsue_net::NodeId;
 use tsue_sim::Sim;
 use tsue_trace::{OpKind, TraceGen, WorkloadProfile};
@@ -147,16 +147,9 @@ pub fn client_issue(world: &mut Cluster, sim: &mut Sim<Cluster>, cid: usize) {
                 client_node,
             );
         } else if is_write {
-            let data = if core.cfg.materialize {
-                // Generate straight into a pool-recycled buffer: the
-                // payload is born zero-copy and travels by refcount from
-                // here to the data log.
-                let mut buf = tsue_buf::BytesMut::take(e.len as usize);
-                payload_into(op_id, ext_idx, buf.as_mut());
-                Chunk::real(buf.freeze())
-            } else {
-                Chunk::ghost(e.len)
-            };
+            // Generated on its first read: TSUE's seal-time capture, or
+            // a baseline's write on arrival.
+            let data = payload_chunk(op_id, ext_idx, e.len, core.cfg.materialize);
             // The fabric model accounts lengths only — the payload buffer
             // itself moves by refcount, never serialized into a copy.
             let arrival = core.net.transfer(now, client_node, owner_node, e.len);

@@ -24,7 +24,7 @@
 
 use crate::osd::{BlockId, STREAM_JOURNAL};
 use crate::scheme::Chunk;
-use crate::{payload_into, Cluster, ClusterCore};
+use crate::{payload_chunk, Cluster, ClusterCore};
 use std::collections::{BTreeMap, BTreeSet};
 use tsue_device::IoKind;
 use tsue_net::NodeId;
@@ -186,9 +186,9 @@ pub(crate) fn replay_block(
 /// branch for the one case with nobody left to ack (the op was already
 /// force-completed by the failover watchdog, so nothing is parked).
 ///
-/// `data` is the already-materialized payload when the caller has one
-/// (the on-the-wire case); otherwise the deterministic payload is
-/// regenerated here in materialized runs.
+/// `data` is the payload when the caller has one (the on-the-wire case);
+/// otherwise the client's chunk is built again here, and it fills only
+/// if a replay reads it.
 #[allow(clippy::too_many_arguments)] // one parameter per field of the extent descriptor
 pub(crate) fn park_degraded_write(
     core: &mut ClusterCore,
@@ -209,15 +209,7 @@ pub(crate) fn park_degraded_write(
         crate::fail_over_ack(sim, op_id);
         return;
     };
-    let chunk = data.unwrap_or_else(|| {
-        if core.cfg.materialize {
-            let mut buf = tsue_buf::BytesMut::take(len as usize);
-            payload_into(op_id, ext, buf.as_mut());
-            Chunk::real(buf.freeze())
-        } else {
-            Chunk::ghost(len)
-        }
-    });
+    let chunk = data.unwrap_or_else(|| payload_chunk(op_id, ext, len, core.cfg.materialize));
     let now = sim.now();
     let arrival = core.net.transfer(now, src_node, core.osds[peer].node, len);
     sim.schedule_at(arrival, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {

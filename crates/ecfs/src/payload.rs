@@ -1,14 +1,19 @@
 //! Deterministic update payloads.
 //!
 //! Clients do not carry a data set: the bytes of extent `ext` of op
-//! `op_id` are generated where the op is issued and *re*-generated
-//! wherever they are needed again — the degraded-write journal fills
-//! them in for an extent parked without its data, and the verification
-//! replay rebuilds every block from the recorded arrivals. That contract
-//! is the whole interface: [`payload_into`] is a pure function of
-//! `(op_id, ext, buf.len())`. The content itself appears in no golden
-//! file and no stored result, so changing the generator regenerates
-//! nothing.
+//! `op_id` are generated on the first read of the chunk the op is issued
+//! with ([`payload_chunk`]) and *re*-generated wherever they are needed
+//! again — the degraded-write journal builds the same chunk for an
+//! extent parked without its data, and the verification replay rebuilds
+//! every block from the recorded arrivals. That contract is the whole
+//! interface: [`payload_into`] is a pure function of
+//! `(op_id, ext, buf.len())`, so a chunk filled late holds the bytes it
+//! would have held at issue, and bytes a log supersedes before anything
+//! reads them are never generated. The content itself appears in no
+//! golden file and no stored result, so changing the generator
+//! regenerates nothing.
+
+use crate::scheme::Chunk;
 
 /// Weyl increment of the word counter (2⁶⁴ / φ, odd).
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -58,6 +63,23 @@ pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
     for dst in blocks.into_remainder().chunks_mut(8) {
         dst.copy_from_slice(&scramble(counter).to_le_bytes()[..dst.len()]);
         counter = counter.wrapping_add(GAMMA);
+    }
+}
+
+/// The `len` bytes of extent `ext` of op `op_id` as a client write
+/// carries them: in a materialized run a real chunk that [`payload_into`]
+/// fills on its first read (see [`tsue_buf::Bytes::deferred`]), otherwise
+/// a ghost.
+pub fn payload_chunk(op_id: u64, ext: usize, len: u64, materialize: bool) -> Chunk {
+    if materialize {
+        Chunk::real(tsue_buf::Bytes::deferred(
+            len as usize,
+            payload_into,
+            op_id,
+            ext,
+        ))
+    } else {
+        Chunk::ghost(len)
     }
 }
 
