@@ -535,7 +535,7 @@ impl Tsue {
                 let delta = match &newest.bytes {
                     Some(new) => {
                         // One pass over the store: capture new ⊕ old into a
-                        // pooled buffer and install the new content, with
+                        // new buffer and install the new content, with
                         // no intermediate materialization of the old data.
                         let d = store
                             .delta_poke_range(block, off, new)

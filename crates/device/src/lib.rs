@@ -203,19 +203,9 @@ impl Device {
         }
     }
 
-    /// Is this an SSD?
-    pub fn is_ssd(&self) -> bool {
-        matches!(self.backend, Backend::Ssd(_))
-    }
-
     /// Immutable stats view.
     pub fn stats(&self) -> &DeviceStats {
         &self.stats
-    }
-
-    /// SSD erase count so far (0 for HDDs).
-    pub fn erase_count(&self) -> u64 {
-        self.stats.erase_ops
     }
 
     /// Total device busy time (channel/actuator service ticks), virtual

@@ -319,7 +319,7 @@ impl Cluster {
         self.schemes
             .iter()
             .enumerate()
-            .filter(|&(osd, _)| !self.core.osds[osd].dead)
+            .filter(|&(osd, _)| self.core.mds.is_alive(osd))
             .map(|(_, s)| s.backlog())
             .sum()
     }
@@ -328,7 +328,7 @@ impl Cluster {
     /// shared by [`Cluster::flush_all`] and the fault engine's gates.
     pub fn flush_live(&mut self, sim: &mut Sim<Cluster>) {
         for (osd, s) in self.schemes.iter_mut().enumerate() {
-            if !self.core.osds[osd].dead {
+            if self.core.mds.is_alive(osd) {
                 s.flush(&mut self.core, sim, osd);
             }
         }
@@ -418,13 +418,6 @@ impl ClusterCore {
             .placement
             .node_for(stripe, role, self.cfg.stripe.blocks_per_stripe());
         self.mds.rehomed(stripe, role).unwrap_or(node)
-    }
-
-    /// OSDs hosting the parity blocks of `stripe`, in parity order.
-    pub fn parity_owners(&self, stripe: u64) -> Vec<usize> {
-        (0..self.cfg.stripe.m)
-            .map(|j| self.owner_of(stripe, self.cfg.stripe.k + j))
-            .collect()
     }
 
     /// The `parity_index`-th parity block of the stripe `block` is in.

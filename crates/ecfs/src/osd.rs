@@ -237,8 +237,6 @@ pub struct Osd {
     pub device: Device,
     /// Blocks hosted here; ordered, so listings schedule deterministically.
     store: BTreeMap<BlockId, StoredBlock>,
-    /// True once [`crate::fail_node`] kills this node.
-    pub dead: bool,
     /// Maintain per-page block checksums (materialized mode only; set
     /// from [`crate::ClusterConfig::checksums`]).
     pub checksums: bool,
@@ -256,7 +254,6 @@ impl Osd {
             node,
             device,
             store: BTreeMap::new(),
-            dead: false,
             checksums: false,
             poisoned: Vec::new(),
             next_offset: 0,
@@ -323,7 +320,7 @@ impl Osd {
 
     /// Reads `[off, off+len)` of a block: charges a device read and returns
     /// `(completion_time, bytes-if-materialized)`. The returned bytes live
-    /// in a pool-recycled buffer, so steady-state reads allocate nothing.
+    /// in a new buffer.
     ///
     /// # Panics
     /// Panics if the block is absent or the range exceeds it.
@@ -392,7 +389,7 @@ impl Osd {
 
     /// Content-only read of a block range (no device charge) — used when
     /// content application and timing accounting are decoupled. Returns a
-    /// pool-recycled buffer; `None` when the block is not materialized.
+    /// new buffer; `None` when the block is not materialized.
     pub fn peek_block_range(&self, id: BlockId, off: u64, len: u64) -> Option<Bytes> {
         let c = self.content(id)?;
         let mut out = BytesMut::take(len as usize);
@@ -423,7 +420,7 @@ impl Osd {
     }
 
     /// Content-only delta capture: writes `new ⊕ current` for
-    /// `[off, off + new.len())` into a pool-recycled buffer and replaces
+    /// `[off, off + new.len())` into a new buffer and replaces
     /// the stored range with `new`, in one pass over the store (no device
     /// charge — the timed I/O is charged separately by the caller).
     /// Returns `None` when the block is not materialized.

@@ -113,16 +113,16 @@ mod tests {
 
     #[test]
     fn fill_ignores_buffer_alignment_and_prior_content() {
-        // Sub-slices of one pooled buffer at every offset within a word,
+        // Sub-slices of one buffer at every offset within a word,
         // over stale bytes: the result depends on (op_id, ext, len) only.
         let want = payload(11, 2, 4099);
         for align in 0..8 {
-            let mut pooled = tsue_buf::BytesMut::take(align + 4099 + 8);
-            pooled.as_mut().fill(0xa5);
-            payload_into(11, 2, &mut pooled.as_mut()[align..align + 4099]);
-            assert_eq!(&pooled.as_mut()[align..align + 4099], &want[..]);
-            assert!(pooled.as_mut()[..align].iter().all(|&b| b == 0xa5));
-            assert!(pooled.as_mut()[align + 4099..].iter().all(|&b| b == 0xa5));
+            let mut buf = tsue_buf::BytesMut::take(align + 4099 + 8);
+            buf.as_mut().fill(0xa5);
+            payload_into(11, 2, &mut buf.as_mut()[align..align + 4099]);
+            assert_eq!(&buf.as_mut()[align..align + 4099], &want[..]);
+            assert!(buf.as_mut()[..align].iter().all(|&b| b == 0xa5));
+            assert!(buf.as_mut()[align + 4099..].iter().all(|&b| b == 0xa5));
         }
         assert_eq!(payload(11, 2, 4099), want, "two calls, one stream");
     }

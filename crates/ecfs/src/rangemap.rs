@@ -243,7 +243,7 @@ impl RangeMap {
         entries(&self.segs)
     }
 
-    /// Gathers every multi-segment entry into one pooled buffer (the single
+    /// Gathers every multi-segment entry into one new buffer (the single
     /// counted copy of a run's bytes) and returns the entries as contiguous
     /// chunks. Entries that are already one segment are not touched.
     pub fn gather(&mut self) -> Gathered<'_> {
@@ -392,7 +392,7 @@ impl RangeMap {
         1 + self.segs[r + 1..hi].iter().take_while(|s| !s.head).count()
     }
 
-    /// The `n`-segment run at `segs[r]` as one segment over one pooled
+    /// The `n`-segment run at `segs[r]` as one segment over one new
     /// buffer — the single counted copy of a run's bytes.
     fn gathered(&self, r: usize, n: usize) -> Seg {
         let run = &self.segs[r..r + n];

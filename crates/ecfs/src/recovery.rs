@@ -124,14 +124,6 @@ pub struct RecoveryState {
     /// (a rack kill followed by a kill of one of its nodes) must not
     /// rebuild the same block twice.
     scheduled: std::collections::BTreeSet<BlockId>,
-    /// Blocks rebuilt so far (all phases).
-    pub blocks_rebuilt: u64,
-    /// Blocks skipped so far (all phases; see [`PhaseStats::skipped`]).
-    pub blocks_skipped: u64,
-    /// Blocks with fewer than `k` survivors (all phases).
-    pub blocks_unrecoverable: u64,
-    /// Bytes of reconstructed blocks (all phases).
-    pub bytes_rebuilt: u64,
     /// Rebuild wire bytes that stayed inside a rack.
     pub intra_rack_bytes: u64,
     /// Rebuild wire bytes that crossed racks.
@@ -152,10 +144,6 @@ impl Default for RecoveryState {
             phases: std::collections::BTreeMap::new(),
             inflight_targets: Vec::new(),
             scheduled: std::collections::BTreeSet::new(),
-            blocks_rebuilt: 0,
-            blocks_skipped: 0,
-            blocks_unrecoverable: 0,
-            bytes_rebuilt: 0,
             intra_rack_bytes: 0,
             cross_rack_bytes: 0,
             replica_replayed_bytes: 0,
@@ -194,7 +182,6 @@ impl RecoveryState {
 /// Marks a node dead (heartbeat loss). Pending messages to it bounce as
 /// failover NACKs (see [`crate::scheme::deliver_msg`]).
 pub fn fail_node(world: &mut Cluster, node: usize) {
-    world.core.osds[node].dead = true;
     world.core.mds.mark_dead(node);
 }
 
@@ -281,7 +268,6 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
     // in the queue; nothing to do then.
     let home = core.owner_of(gstripe, block.role);
     if core.mds.is_alive(home) && core.osds[home].hosts(block) {
-        core.recovery.blocks_skipped += 1;
         core.recovery.scheduled.remove(&block);
         let p = core.recovery.phase_mut(phase);
         p.queued -= 1;
@@ -330,7 +316,6 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
         }
     }
     if survivors.len() < k {
-        core.recovery.blocks_unrecoverable += 1;
         core.recovery.scheduled.remove(&block);
         let p = core.recovery.phase_mut(phase);
         p.queued -= 1;
@@ -436,15 +421,12 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
             // home authoritative — rehoming now would shadow the healed
             // copy and leak a rehome entry past the re-sync.
             core.osds[target].evict_block(block);
-            core.recovery.blocks_skipped += 1;
             let p = core.recovery.phase_mut(phase);
             p.inflight -= 1;
             p.skipped += 1;
             pump_recovery(w, sim);
             return;
         }
-        core.recovery.blocks_rebuilt += 1;
-        core.recovery.bytes_rebuilt += block_size;
         // Materialized reconstruction from the *completion-time* cut:
         // survivors re-resolved through `owner_of` (a sibling rebuilt or
         // replayed meanwhile hands over its current copy), peeked in one

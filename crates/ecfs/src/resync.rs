@@ -80,7 +80,6 @@ pub struct ResyncStats {
 /// outage are left to [`start_resync`]'s copy-back.
 pub fn heal_node(world: &mut Cluster, sim: &mut Sim<Cluster>, node: usize) -> HealStats {
     let core = &mut world.core;
-    core.osds[node].dead = false;
     core.mds.mark_alive(node);
     core.net.clear_slowdown(node);
 

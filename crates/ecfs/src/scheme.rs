@@ -77,7 +77,7 @@ impl Chunk {
                 if let Some(buf) = a.unique_mut() {
                     tsue_gf::xor_slice(b, buf);
                 } else {
-                    // Copy-on-write: one pooled buffer, one fused pass
+                    // Copy-on-write: one new buffer, one fused pass
                     // (counted — the shared buffer forced a duplication).
                     let mut m = BytesMut::take(b.len());
                     tsue_gf::xor_into(a, b, m.as_mut());
@@ -90,7 +90,7 @@ impl Chunk {
     }
 
     /// Returns a GF-scaled copy: `coeff * self` (parity-delta computation).
-    /// The result lives in a pool-recycled buffer.
+    /// The result lives in a new buffer.
     pub fn gf_scaled(&self, coeff: u8) -> Chunk {
         match &self.bytes {
             Some(b) => {
@@ -367,7 +367,7 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
         });
         return;
     }
-    if !world.core.osds[osd].dead
+    if world.core.mds.is_alive(osd)
         && world
             .core
             .recovery
@@ -387,7 +387,7 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
         );
         return;
     }
-    if world.core.osds[osd].dead {
+    if !world.core.mds.is_alive(osd) {
         // The owner died while the extent was on the wire. The client
         // re-ships the payload to the degraded-write journal (acked once
         // durable); recovery or re-sync replays it into the block later.
@@ -435,7 +435,7 @@ pub fn deliver_update(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, r
 /// instead of wedging the sender's in-flight state forever — the moral
 /// equivalent of a connection-refused failover in the real system.
 pub fn deliver_msg(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, msg: SchemeMsg) {
-    if world.core.osds[osd].dead {
+    if !world.core.mds.is_alive(osd) {
         if let SchemeMsg::DeltaForward {
             block,
             kind,
@@ -483,7 +483,7 @@ pub fn deliver_msg(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, msg:
 
 /// Event shim: deliver a timer tick to an OSD's scheme.
 pub fn deliver_timer(world: &mut Cluster, sim: &mut Sim<Cluster>, osd: usize, tag: u64) {
-    if world.core.osds[osd].dead {
+    if !world.core.mds.is_alive(osd) {
         return;
     }
     world.schemes[osd].on_timer(&mut world.core, sim, osd, tag);
@@ -516,7 +516,7 @@ pub fn deliver_read(
         });
         return;
     }
-    if world.core.osds[osd].dead {
+    if !world.core.mds.is_alive(osd) {
         // Owner died with the read on the wire: after the failover
         // timeout the client retries it as a real degraded read, paying
         // the survivor reads, transfers, and decode.
@@ -695,7 +695,7 @@ pub fn rmw_data_delta(
     off: u64,
     data: &Chunk,
 ) -> (Time, Chunk) {
-    // One pass over the store captures old ⊕ new into a pooled buffer and
+    // One pass over the store captures old ⊕ new into a new buffer and
     // installs the new bytes. Rot in the old bytes would ride the delta
     // to parity, so the capture flags it for the scrubber's stripe-level
     // parity re-encode.

@@ -99,7 +99,7 @@ fn scrub_tick(world: &mut Cluster, sim: &mut Sim<Cluster>) {
     let osds = world.core.cfg.osds;
     for _ in 0..osds {
         let osd = world.core.scrub.cursor_osd;
-        if world.core.osds[osd].dead {
+        if !world.core.mds.is_alive(osd) {
             world.core.scrub.cursor_osd = (osd + 1) % osds;
             world.core.scrub.cursor_block = 0;
             continue;
@@ -299,7 +299,7 @@ pub fn run_full_scrub(world: &mut Cluster, sim: &mut Sim<Cluster>) -> FullScrubR
     // for pages whose survivors only became clean mid-pass.
     let mut corrupt: Vec<(usize, BlockId)> = Vec::new();
     for osd in 0..world.core.cfg.osds {
-        if world.core.osds[osd].dead {
+        if !world.core.mds.is_alive(osd) {
             continue;
         }
         let ids: Vec<BlockId> = world.core.osds[osd].block_ids().collect();
@@ -317,7 +317,7 @@ pub fn run_full_scrub(world: &mut Cluster, sim: &mut Sim<Cluster>) -> FullScrubR
     // sweep above re-finds them, but queue entries may predate it).
     let queued: Vec<(usize, BlockId)> = world.core.scrub.queue.clone();
     for (osd, block) in queued {
-        if !world.core.osds[osd].dead && !corrupt.contains(&(osd, block)) {
+        if world.core.mds.is_alive(osd) && !corrupt.contains(&(osd, block)) {
             corrupt.push((osd, block));
         }
     }

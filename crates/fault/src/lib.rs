@@ -647,7 +647,7 @@ fn watchdog_tick(sim: &mut Sim<Cluster>, tracker: FaultHandle) {
     sim.schedule(
         WATCHDOG_PERIOD,
         move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
-            let any_dead = w.core.osds.iter().any(|o| o.dead);
+            let any_dead = (0..w.core.cfg.osds).any(|n| !w.core.mds.is_alive(n));
             // Reap only while a node is actually down: ops merely queued
             // behind recovery congestion on a healed cluster must run to
             // their true completion, not be clipped at the timeout.

@@ -93,15 +93,6 @@ pub fn exp2(n: usize) -> u8 {
     EXP_TABLE[n % 255]
 }
 
-/// A borrowed view of the 256-entry multiplication row for a constant
-/// coefficient: `row[x] == mul(c, x)` for all `x`.
-///
-/// Slice kernels use this so the inner loop is a single table lookup.
-#[inline]
-pub fn mul_row(c: u8) -> &'static [u8; 256] {
-    &tables::MUL_TABLE[c as usize]
-}
-
 /// `dst[i] = c * src[i]` for all `i`.
 ///
 /// # Panics

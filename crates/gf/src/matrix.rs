@@ -3,7 +3,7 @@
 //! Sized for erasure coding: dimensions are `k + m ≤ 255`, so everything is
 //! small enough that simple Gauss–Jordan elimination is the right tool.
 
-use crate::{div, inv, mul, mul_add_slice, mul_slice};
+use crate::{inv, mul, mul_add_slice, mul_slice};
 use std::fmt;
 
 /// A dense row-major matrix over GF(2^8).
@@ -277,14 +277,6 @@ impl Matrix {
             let v = mul(self.get(src, c), f);
             let d = self.get(dst, c);
             self.set(dst, c, d ^ v);
-        }
-    }
-
-    /// Solves nothing — helper to divide a row for display or testing.
-    pub fn div_row(&mut self, r: usize, d: u8) {
-        for c in 0..self.cols {
-            let v = self.get(r, c);
-            self.set(r, c, div(v, d));
         }
     }
 }

@@ -207,11 +207,6 @@ impl ObsState {
         self.trace = Some(TraceRing::new(capacity));
     }
 
-    /// Whether span tracing is on.
-    pub fn trace_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// The trace ring, when tracing is on.
     pub fn trace(&self) -> Option<&TraceRing> {
         self.trace.as_ref()

@@ -120,20 +120,14 @@ impl Parix {
                     .log
                     .read(core, osd, t1, off.wrapping_mul(2654435761), len);
                 // delta = latest ⊕ original over this range, built in one
-                // pooled scratch buffer and GF-scaled in place (the buffer
+                // scratch buffer and GF-scaled in place (the buffer
                 // is uniquely owned, so no second buffer materializes).
                 let delta = if newest.is_real() {
-                    // The overlay writes every byte of a covered range,
-                    // so the buffer needs no fill first; only a hole
-                    // (an original that never arrived) reads as zeros.
+                    // The overlay writes every covered byte; a hole (an
+                    // original that never arrived) reads as zeros.
                     let mut buf = tsue_buf::BytesMut::take(len as usize);
-                    let original = &log_state.original;
-                    let covered = original.overlay(off, len, Some(buf.as_mut()));
+                    let covered = log_state.original.overlay(off, len, Some(buf.as_mut()));
                     debug_assert!(covered, "original must cover latest");
-                    if !covered {
-                        buf.as_mut().fill(0);
-                        original.overlay(off, len, Some(buf.as_mut()));
-                    }
                     let mut at = 0;
                     for seg in newest.segments() {
                         tsue_gf::xor_slice(seg, &mut buf.as_mut()[at..at + seg.len()]);

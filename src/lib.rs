@@ -7,8 +7,8 @@
 //!
 //! * [`gf`] / [`ec`] — GF(2^8) algebra and the systematic Reed–Solomon
 //!   codec with the paper's incremental-update equations.
-//! * [`buf`] — shared byte buffers (`Bytes`/`BytesMut`) and the recycling
-//!   buffer pool behind the zero-copy data plane.
+//! * [`buf`] — shared byte buffers (`Bytes`/`BytesMut`) with copy and
+//!   allocation counters: the zero-copy data plane.
 //! * [`sim`] — deterministic discrete-event kernel (virtual time).
 //! * [`device`] / [`net`] — SSD (FTL + wear) / HDD and network fabric
 //!   models that substitute for the paper's Chameleon testbed.

@@ -1,5 +1,5 @@
 //! Zero-copy invariants of the data plane, measured with the
-//! [`tsue_buf`] copy/pool counters.
+//! [`tsue_buf`] copy and allocation counters.
 //!
 //! The headline guarantee: the **data-log stage** — a client write landing
 //! at its OSD, appending to the DataLog index, and acking — performs zero
@@ -28,7 +28,7 @@ fn materialized_tsue_cluster() -> Cluster {
         .build()
 }
 
-/// A pooled payload chunk, generated in place (no copy, by construction).
+/// A payload chunk, generated in place (no copy, by construction).
 fn payload(len: usize, fill: u8) -> Chunk {
     let mut b = buf::BytesMut::take(len);
     b.as_mut().fill(fill);
@@ -79,69 +79,6 @@ fn data_log_stage_performs_zero_payload_copies_per_client_write() {
         world.schemes[owner].read_overlay(&mut world.core, owner, block, 0, 4096, Some(&mut got));
     assert_eq!(serve, tsue_repro::ecfs::scheme::ReadServe::CacheHit);
     assert!(got.iter().all(|&b| b == 0), "first write fills with 0");
-}
-
-/// The full two-stage pipeline in steady state recycles buffers through
-/// the pool instead of allocating: after a warm-up run, pool hits
-/// dominate misses.
-#[test]
-fn steady_state_recycle_runs_out_of_the_pool() {
-    let mut world = materialized_tsue_cluster();
-    let mut sim: Sim<Cluster> = Sim::new();
-    let gstripe = world.core.global_stripe(0, 0);
-    let owner = world.core.owner_of(gstripe, 0);
-    let block = BlockId {
-        file: 0,
-        stripe: 0,
-        role: 0,
-    };
-
-    // Warm-up: fill pools, trigger seals/recycles via flush.
-    for i in 0..64u64 {
-        let req = UpdateReq {
-            op_id: i,
-            ext: 0,
-            block,
-            off: (i % 16) * 4096,
-            data: payload(4096, i as u8),
-        };
-        deliver_update(&mut world, &mut sim, owner, req);
-    }
-    world.flush_all(&mut sim);
-
-    // Measured window: same traffic again, now against warm pools.
-    let before = buf::stats();
-    for i in 64..128u64 {
-        let req = UpdateReq {
-            op_id: i,
-            ext: 0,
-            block,
-            off: (i % 16) * 4096,
-            data: payload(4096, i as u8),
-        };
-        deliver_update(&mut world, &mut sim, owner, req);
-    }
-    world.flush_all(&mut sim);
-    let window = buf::stats().since(&before);
-
-    assert!(
-        window.pool_hits > 0,
-        "steady-state traffic must reuse pooled buffers: {window:?}"
-    );
-    // Adjacent writes coalesce by growing the run in place (plain Vec
-    // growth, not pool draws), so the pool serves the remaining scratch
-    // traffic; hits must still dominate misses by a wide margin.
-    assert!(
-        window.pool_hits >= 4 * window.pool_misses.max(1),
-        "pool hit rate must dominate in steady state: {window:?}"
-    );
-    // Drained, the thread's free lists still hold no more than the budget.
-    assert!(
-        buf::pooled_bytes() <= buf::POOL_BUDGET,
-        "free lists retain {} bytes, budget {}",
-        buf::pooled_bytes(),
-        buf::POOL_BUDGET
-    );
 }
 
 /// PARIX's recycle consumes each `latest` entry as its run of segments:
