@@ -215,7 +215,7 @@ impl<K: Ord + Copy> LogUnit<K> {
                 }
                 if let (Some(b), Some(bytes)) = (buf.as_deref_mut(), chunk.bytes.as_ref()) {
                     let dst = &mut b[(i_start - off) as usize..(i_end - off) as usize];
-                    dst.copy_from_slice(&bytes[(i_start - roff) as usize..(i_end - roff) as usize]);
+                    bytes.read_into((i_start - roff) as usize, dst);
                 }
             }
             self.covered_until(key, off, off + len) >= off + len

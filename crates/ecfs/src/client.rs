@@ -147,7 +147,7 @@ pub fn client_issue(world: &mut Cluster, sim: &mut Sim<Cluster>, cid: usize) {
                 client_node,
             );
         } else if is_write {
-            // Generated on its first read: TSUE's seal-time capture, or
+            // Generated where it is read: TSUE's seal-time capture, or
             // a baseline's write on arrival.
             let data = payload_chunk(op_id, ext_idx, e.len, core.cfg.materialize);
             // The fabric model accounts lengths only — the payload buffer

@@ -187,8 +187,8 @@ pub(crate) fn replay_block(
 /// force-completed by the failover watchdog, so nothing is parked).
 ///
 /// `data` is the payload when the caller has one (the on-the-wire case);
-/// otherwise the client's chunk is built again here, and it fills only
-/// if a replay reads it.
+/// otherwise the client's chunk is built again here, and it is generated
+/// only if a replay reads it.
 #[allow(clippy::too_many_arguments)] // one parameter per field of the extent descriptor
 pub(crate) fn park_degraded_write(
     core: &mut ClusterCore,

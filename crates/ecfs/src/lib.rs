@@ -45,7 +45,7 @@ pub use journal::{DegradedJournal, JournalEntry};
 pub use mds::{FileId, FileMeta, Mds};
 pub use metrics::{ArrivalRecord, ClusterMetrics};
 pub use osd::{BlockId, Osd, StoredBlock};
-pub use payload::{payload_chunk, payload_into};
+pub use payload::{payload_at, payload_chunk, payload_into};
 pub use placement::{Placement, PlacementKind};
 pub use rangemap::{Discipline, RangeMap};
 pub use recovery::{

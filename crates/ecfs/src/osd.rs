@@ -336,7 +336,9 @@ impl Osd {
     }
 
     /// Writes `[off, off+len)` of a block in place: charges a device write
-    /// (an overwrite, by construction) and stores bytes when materialized.
+    /// (an overwrite, by construction) and stores bytes when materialized,
+    /// read straight from `data` into the store (see
+    /// [`Osd::poke_block_range`]).
     ///
     /// # Panics
     /// Panics if the block is absent or the range exceeds it.
@@ -346,7 +348,7 @@ impl Osd {
         id: BlockId,
         off: u64,
         len: u64,
-        data: Option<&[u8]>,
+        data: Option<&Bytes>,
     ) -> Time {
         if let Some(src) = data {
             assert_eq!(src.len() as u64, len, "payload length mismatch");
@@ -423,13 +425,18 @@ impl Osd {
     /// `[off, off + new.len())` into a new buffer and replaces
     /// the stored range with `new`, in one pass over the store (no device
     /// charge — the timed I/O is charged separately by the caller).
+    /// `new` is read a page at a time into a stack scratch, so an unfilled
+    /// deferred payload is generated there and never buffered.
     /// Returns `None` when the block is not materialized.
-    pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &[u8]) -> Option<Bytes> {
+    pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &Bytes) -> Option<Bytes> {
         let c = self.content_mut(id)?;
         let mut d = BytesMut::take(new.len());
+        let mut scratch = [0u8; PAGE as usize];
         let rotted = c.bracket(off, new.len() as u64, Mutation::Capture, |r, dst| {
-            tsue_gf::xor_into(dst, &new[r.clone()], &mut d[r.clone()]);
-            dst.copy_from_slice(&new[r]);
+            let src = &mut scratch[..r.len()];
+            new.read_into(r.start, src);
+            tsue_gf::xor_into(dst, src, &mut d[r]);
+            dst.copy_from_slice(src);
         });
         if rotted {
             // The delta XORed in rotted bytes and poisons the parity it
@@ -441,11 +448,13 @@ impl Osd {
     }
 
     /// Content-only write of a block range (no device charge). A repair
-    /// that rewrites a whole page clears its taint.
-    pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &[u8]) {
+    /// that rewrites a whole page clears its taint. `data` is read
+    /// straight into the store pages, so an unfilled deferred payload is
+    /// generated there and never buffered.
+    pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &Bytes) {
         if let Some(c) = self.content_mut(id) {
             c.bracket(off, data.len() as u64, Mutation::Replace, |r, dst| {
-                dst.copy_from_slice(&data[r]);
+                data.read_into(r.start, dst);
             });
         }
     }
@@ -566,6 +575,10 @@ mod tests {
         }
     }
 
+    fn bytes(src: &[u8]) -> Bytes {
+        Bytes::copy_from_slice(src)
+    }
+
     #[test]
     fn alloc_region_is_aligned_and_disjoint() {
         let mut o = osd();
@@ -582,7 +595,7 @@ mod tests {
     fn provision_then_read_write_roundtrip() {
         let mut o = osd();
         o.provision_block(bid(0, 1), 8192, true);
-        let payload = vec![7u8; 100];
+        let payload = Bytes::from(vec![7u8; 100]);
         let t1 = o.write_block_range(0, bid(0, 1), 50, 100, Some(&payload));
         assert!(t1 > 0);
         let (_, data) = o.read_block_range(t1, bid(0, 1), 50, 100);
@@ -605,7 +618,7 @@ mod tests {
     fn xor_block_range_applies_delta() {
         let mut o = osd();
         o.provision_block(bid(2, 3), 4096, true);
-        let base = vec![0xF0u8; 64];
+        let base = Bytes::from(vec![0xF0u8; 64]);
         o.write_block_range(0, bid(2, 3), 0, 64, Some(&base));
         let delta = vec![0x0Fu8; 64];
         o.xor_block_range(0, bid(2, 3), 0, 64, Some(&delta), 0);
@@ -629,9 +642,9 @@ mod tests {
 
         // Timed write, content pokes, delta capture, and XOR merges all
         // keep the table consistent.
-        o.write_block_range(0, bid(0, 0), 100, 64, Some(&[3u8; 64]));
-        o.poke_block_range(bid(0, 0), 5000, &[9u8; 32]);
-        o.delta_poke_range(bid(0, 0), 9000, &[1u8; 16]);
+        o.write_block_range(0, bid(0, 0), 100, 64, Some(&bytes(&[3u8; 64])));
+        o.poke_block_range(bid(0, 0), 5000, &bytes(&[9u8; 32]));
+        o.delta_poke_range(bid(0, 0), 9000, &bytes(&[1u8; 16]));
         o.xor_poke_range(bid(0, 0), 9000, &[0xFFu8; 16]);
         o.xor_block_range(0, bid(0, 0), 12 << 10, 8, Some(&[0x55u8; 8]), 0);
         assert!(o.verify_range(bid(0, 0), 0, 16 << 10).is_ok());
@@ -687,7 +700,7 @@ mod tests {
     #[test]
     fn unaligned_page_write_materializes_two_pages() {
         let mut o = paged_osd();
-        o.write_block_range(0, bid(0, 0), 512, 4096, Some(&[5u8; 4096]));
+        o.write_block_range(0, bid(0, 0), 512, 4096, Some(&bytes(&[5u8; 4096])));
         assert_eq!(o.resident_pages(bid(0, 0)), 2);
         let got = o
             .peek_block_range(bid(0, 0), 0, 8192)
@@ -709,6 +722,88 @@ mod tests {
         // A rebuild that decodes all zeros keeps the block empty.
         o.fill_block(bid(0, 0), |b| b.fill(0));
         assert_eq!(o.resident_pages(bid(0, 0)), 0);
+    }
+
+    /// A client payload of `len` bytes, deferred and not yet read.
+    fn unread_payload(len: usize) -> Bytes {
+        Bytes::deferred(len, crate::payload_at, 77, 1)
+    }
+
+    /// Two identical checksummed 12 KiB blocks, written, then rotted by
+    /// the same bit flips.
+    fn rotted_pair() -> [Osd; 2] {
+        [osd(), osd()].map(|mut o| {
+            o.checksums = true;
+            o.provision_block(bid(0, 0), 3 * PAGE, true);
+            o.poke_block_range(bid(0, 0), 0, &Bytes::from(vec![0x3c; 3 * PAGE as usize]));
+            assert_eq!(o.corrupt_bits(bid(0, 0), &mut SplitRng::new(5), 4), 4);
+            o
+        })
+    }
+
+    /// Page contents, digests and taint flags of block `bid(0, 0)`.
+    fn store_state(o: &Osd) -> (Option<Bytes>, Vec<(Option<u64>, bool)>) {
+        let pages = (0..3)
+            .map(|p| (o.page_digest(bid(0, 0), p), o.page_tainted(bid(0, 0), p)))
+            .collect();
+        (o.peek_block_range(bid(0, 0), 0, 3 * PAGE), pages)
+    }
+
+    #[test]
+    fn capture_streamed_from_an_unread_payload_poisons_like_a_filled_one() {
+        let [mut streamed, mut filled] = rotted_pair();
+        // An unaligned range over all three rotted pages, partial at both
+        // ends.
+        let (off, len) = (100, 3 * PAGE as usize - 300);
+        let unread = unread_payload(len);
+        let read = unread_payload(len);
+        assert_eq!(read.len(), read.as_slice().len(), "filled up front");
+
+        let before = tsue_buf::stats();
+        let got = streamed.delta_poke_range(bid(0, 0), off, &unread);
+        let window = tsue_buf::stats().since(&before);
+        assert_eq!(window.filled_bytes, 0, "the capture streamed the payload");
+        assert_eq!(window.streamed_bytes, len as u64);
+
+        let want = filled.delta_poke_range(bid(0, 0), off, &read);
+        assert!(got.is_some() && got == want, "same delta");
+        assert_eq!(
+            streamed.take_poisoned(),
+            vec![bid(0, 0)],
+            "rot reached parity"
+        );
+        assert_eq!(filled.take_poisoned(), vec![bid(0, 0)]);
+        assert_eq!(store_state(&streamed), store_state(&filled));
+        assert!(
+            !streamed.corrupt_pages(bid(0, 0)).is_empty(),
+            "partial pages over rot stay flagged"
+        );
+    }
+
+    #[test]
+    fn in_place_write_of_an_unread_payload_taints_a_rotted_partial_page() {
+        let [mut streamed, mut filled] = rotted_pair();
+        let rotted = streamed.corrupt_pages(bid(0, 0));
+        assert!(!rotted.is_empty());
+        // [512, 12 KiB − 512): partial over pages 0 and 2, whole over 1.
+        let (off, len) = (512, 3 * PAGE - 1024);
+        let unread = unread_payload(len as usize);
+        let read = unread_payload(len as usize);
+        let _ = read.as_slice();
+        streamed.write_block_range(0, bid(0, 0), off, len, Some(&unread));
+        filled.write_block_range(0, bid(0, 0), off, len, Some(&read));
+        let partial: Vec<usize> = rotted.iter().copied().filter(|&p| p != 1).collect();
+        assert!(!partial.is_empty(), "rot in a partially written page");
+        for page in 0..3 {
+            let tainted = streamed.page_tainted(bid(0, 0), page);
+            assert_eq!(tainted, partial.contains(&page), "page {page}");
+        }
+        assert_eq!(streamed.corrupt_pages(bid(0, 0)), partial);
+        assert_eq!(store_state(&streamed), store_state(&filled));
+        assert!(
+            streamed.take_poisoned().is_empty(),
+            "a blind write sources no delta"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use super::{BlockId, Osd};
 use std::ops::Range;
+use tsue_buf::Bytes;
 use tsue_device::{Device, SsdModel};
 use tsue_integrity::{checksum, IntegrityError, SplitRng, PAGE};
 
@@ -194,10 +195,18 @@ fn paged_store_matches_flat_reference() {
             let mut rng = SplitRng::new(seed);
             for step in 0..400 {
                 let (off, n) = random_range(&mut rng, len);
-                let bytes = random_bytes(&mut rng, n);
+                let mut bytes = random_bytes(&mut rng, n);
+                // Odd steps write an unfilled client payload, which the
+                // store generates page by page as it lands.
+                let data = if step % 2 == 1 {
+                    crate::payload_into(step, seed as usize, &mut bytes);
+                    Bytes::deferred(bytes.len(), crate::payload_at, step, seed as usize)
+                } else {
+                    Bytes::from(bytes.clone())
+                };
                 match rng.below(7) {
                     0 => {
-                        osd.poke_block_range(id, off, &bytes);
+                        osd.poke_block_range(id, off, &data);
                         flat.poke(off, &bytes);
                     }
                     1 => {
@@ -205,7 +214,7 @@ fn paged_store_matches_flat_reference() {
                         flat.xor(off, &bytes);
                     }
                     2 => {
-                        let got = osd.delta_poke_range(id, off, &bytes).expect("materialized");
+                        let got = osd.delta_poke_range(id, off, &data).expect("materialized");
                         assert_eq!(got[..], flat.delta_poke(off, &bytes)[..], "step {step}");
                     }
                     3 => {

@@ -1,17 +1,23 @@
 //! Deterministic update payloads.
 //!
 //! Clients do not carry a data set: the bytes of extent `ext` of op
-//! `op_id` are generated on the first read of the chunk the op is issued
-//! with ([`payload_chunk`]) and *re*-generated wherever they are needed
-//! again — the degraded-write journal builds the same chunk for an
+//! `op_id` are generated wherever the chunk the op is issued with
+//! ([`payload_chunk`]) is read, and *re*-generated wherever they are
+//! needed again — the degraded-write journal builds the same chunk for an
 //! extent parked without its data, and the verification replay rebuilds
 //! every block from the recorded arrivals. That contract is the whole
-//! interface: [`payload_into`] is a pure function of
-//! `(op_id, ext, buf.len())`, so a chunk filled late holds the bytes it
-//! would have held at issue, and bytes a log supersedes before anything
-//! reads them are never generated. The content itself appears in no
-//! golden file and no stored result, so changing the generator
-//! regenerates nothing.
+//! interface: byte `i` of a payload is a pure function of
+//! `(op_id, ext, i)`, so a chunk generated late holds the bytes it would
+//! have held at issue, and bytes a log supersedes before anything reads
+//! them are never generated.
+//!
+//! The chunk's consumers rely on the per-byte form: they stream it
+//! ([`tsue_buf::Bytes::read_into`]) a page at a time, or a segment at a
+//! time, into the store, a delta or a gather, and [`payload_at`] writes
+//! any window `[at, at + len)` without generating what precedes it. A
+//! payload that only streams is never buffered. The content itself
+//! appears in no golden file and no stored result, so changing the
+//! generator regenerates nothing.
 
 use crate::scheme::Chunk;
 
@@ -36,19 +42,31 @@ fn scramble(counter: u64) -> u64 {
     z ^ (z >> 29)
 }
 
-/// Fills `buf` with the payload of extent `ext` of op `op_id`.
+/// Fills `buf` with the payload of extent `ext` of op `op_id`: the
+/// window of the stream that starts at byte 0 ([`payload_at`]).
+pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
+    payload_at(op_id, ext, 0, buf);
+}
+
+/// Fills `buf` with bytes `[at, at + buf.len())` of the payload stream
+/// of extent `ext` of op `op_id`.
 ///
 /// Counter-based: little-endian word `i` of the stream is
 /// `scramble(key + (i + 1)·γ)` with `key` a full avalanche of
-/// `(op_id, ext)`. Two extents with different keys differ in *every*
-/// word, not just on average, and no word depends on its predecessor:
-/// the bulk loop computes eight independent words per step, which the
-/// compiler interleaves. A trailing partial word takes the leading bytes
-/// of the next word, so a shorter fill is a prefix of a longer one
-/// (nothing relies on that; the contract is `(op_id, ext, len)`).
-pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
+/// `(op_id, ext)`, and byte `at` is byte `at % 8` of word `at / 8`. Two
+/// extents with different keys differ in *every* word, not just on
+/// average, and no word depends on its predecessor: a window starts at
+/// its own word, and the bulk loop computes eight independent words per
+/// step, which the compiler interleaves.
+pub fn payload_at(op_id: u64, ext: usize, at: usize, buf: &mut [u8]) {
     let key = mix64(mix64(op_id) ^ (ext as u64).wrapping_mul(DISPERSE));
-    let mut counter = key.wrapping_add(GAMMA);
+    let word = |i: usize| scramble(key.wrapping_add((i as u64 + 1).wrapping_mul(GAMMA)));
+    // The tail of the word `at` falls in, then whole words.
+    let skip = at % 8;
+    let head = ((8 - skip) % 8).min(buf.len());
+    let (lead, buf) = buf.split_at_mut(head);
+    lead.copy_from_slice(&word(at / 8).to_le_bytes()[skip..skip + head]);
+    let mut counter = key.wrapping_add(((at + head) as u64 / 8 + 1).wrapping_mul(GAMMA));
     let mut blocks = buf.chunks_exact_mut(8 * LANES);
     for block in blocks.by_ref() {
         let mut lanes = [0u64; LANES];
@@ -67,14 +85,14 @@ pub fn payload_into(op_id: u64, ext: usize, buf: &mut [u8]) {
 }
 
 /// The `len` bytes of extent `ext` of op `op_id` as a client write
-/// carries them: in a materialized run a real chunk that [`payload_into`]
-/// fills on its first read (see [`tsue_buf::Bytes::deferred`]), otherwise
-/// a ghost.
+/// carries them: in a materialized run a real chunk whose bytes
+/// [`payload_at`] generates where they are read (see
+/// [`tsue_buf::Bytes::deferred`]), otherwise a ghost.
 pub fn payload_chunk(op_id: u64, ext: usize, len: u64, materialize: bool) -> Chunk {
     if materialize {
         Chunk::real(tsue_buf::Bytes::deferred(
             len as usize,
-            payload_into,
+            payload_at,
             op_id,
             ext,
         ))
@@ -125,6 +143,51 @@ mod tests {
             assert!(buf.as_mut()[align + 4099..].iter().all(|&b| b == 0xa5));
         }
         assert_eq!(payload(11, 2, 4099), want, "two calls, one stream");
+    }
+
+    #[test]
+    fn every_window_matches_the_stream_and_the_definition() {
+        let stream = payload(3, 1, 300);
+        let defined = by_definition(3, 1, 300);
+        assert_eq!(stream, defined);
+        for at in 0..=72 {
+            for len in 0..=200 {
+                let mut buf = vec![0xa5u8; len];
+                payload_at(3, 1, at, &mut buf);
+                assert_eq!(buf, stream[at..at + len], "at {at} len {len}");
+            }
+        }
+        // Windows that straddle a page and a 1 MiB boundary, from both
+        // sides, at every offset within a word.
+        let stream = payload(9, 4, (1 << 20) + 8192);
+        for edge in [4096, 1 << 20] {
+            for at in (edge - 4096..edge - 4088).chain(edge - 9..edge + 1) {
+                for len in [1, 7, 8, 9, 64, 65, 4096, 4103] {
+                    let mut buf = vec![0u8; len];
+                    payload_at(9, 4, at, &mut buf);
+                    assert_eq!(buf, stream[at..at + len], "at {at} len {len}");
+                }
+            }
+        }
+        let mut tail = vec![0u8; 4096];
+        payload_at(9, 4, 1 << 20, &mut tail);
+        assert_eq!(tail, by_definition(9, 4, (1 << 20) + 4096)[1 << 20..]);
+    }
+
+    #[test]
+    fn a_streamed_chunk_reads_its_payload_without_a_buffer() {
+        let chunk = payload_chunk(21, 3, 9000, true);
+        let bytes = chunk.bytes.expect("materialized");
+        let want = payload(21, 3, 9000);
+        let before = tsue_buf::stats();
+        let mut got = vec![0u8; 9000];
+        for (rel, dst) in (0..).step_by(4096).zip(got.chunks_mut(4096)) {
+            bytes.slice(rel, dst.len()).read_into(0, dst);
+        }
+        assert_eq!(got, want);
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!((s.streamed_bytes, s.filled_bytes), (9000, 0));
+        assert_eq!(bytes.as_slice(), &want[..], "a borrow fills the same bytes");
     }
 
     #[test]

@@ -110,11 +110,12 @@ impl Seg {
     }
 }
 
-/// Copies a run of real segments, back to back, into `dst`.
+/// Copies a run of real segments, back to back, into `dst`; a deferred
+/// payload is generated there ([`tsue_buf::Bytes::read_into`]).
 fn copy_run(segs: &[Seg], dst: &mut [u8]) {
     let mut at = 0;
-    for bytes in segs.iter().filter_map(|s| s.chunk.bytes.as_deref()) {
-        dst[at..at + bytes.len()].copy_from_slice(bytes);
+    for bytes in segs.iter().filter_map(|s| s.chunk.bytes.as_ref()) {
+        bytes.read_into(0, &mut dst[at..at + bytes.len()]);
         at += bytes.len();
     }
 }
@@ -141,12 +142,6 @@ impl<'a> Entry<'a> {
     /// True when the entry carries bytes (false for timing-only ghosts).
     pub fn is_real(&self) -> bool {
         self.segs[0].is_real()
-    }
-
-    /// The entry's bytes as adjacent slices in offset order (none for a
-    /// ghost).
-    pub fn segments(&self) -> impl Iterator<Item = &'a [u8]> {
-        self.segs.iter().filter_map(|s| s.chunk.bytes.as_deref())
     }
 
     /// The entry's segment handles as `(offset, chunk)`, adjacent and in
@@ -348,7 +343,8 @@ impl RangeMap {
 
     /// Overlays stored content onto `buf` (which represents
     /// `[off, off+len)`); returns `true` if the map fully covers the range.
-    /// Whatever part is covered is patched either way.
+    /// Whatever part is covered is patched either way, by reading each
+    /// segment straight into `buf` ([`tsue_buf::Bytes::read_into`]).
     pub fn overlay(&self, off: u64, len: u64, mut buf: Option<&mut [u8]>) -> bool {
         let end = off + len;
         let lo = self.segs.partition_point(|s| s.end() <= off);
@@ -358,8 +354,8 @@ impl RangeMap {
             let (from, to) = (s.off.max(off), s.end().min(end));
             holes |= from > cursor;
             if let (Some(b), Some(bytes)) = (buf.as_deref_mut(), s.chunk.bytes.as_ref()) {
-                b[(from - off) as usize..(to - off) as usize]
-                    .copy_from_slice(&bytes[(from - s.off) as usize..(to - s.off) as usize]);
+                let dst = &mut b[(from - off) as usize..(to - off) as usize];
+                bytes.read_into((from - s.off) as usize, dst);
             }
             cursor = to;
         }

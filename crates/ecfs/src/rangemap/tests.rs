@@ -325,7 +325,9 @@ fn check_against_model(map: &RangeMap, model: &Model, rng: &mut Rng, ctx: &str) 
     for (e, (_, _, bytes)) in map.iter().zip(&want) {
         let want = bytes.as_deref().unwrap_or(&[]);
         let mut joined = Vec::new();
-        e.segments().for_each(|b| joined.extend_from_slice(b));
+        e.chunks()
+            .filter_map(|(_, c)| c.bytes.as_deref())
+            .for_each(|b| joined.extend_from_slice(b));
         assert!(joined == want, "segment view {ctx}");
         let mut copied = vec![0u8; e.len() as usize];
         e.copy_to(&mut copied);

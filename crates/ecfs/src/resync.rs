@@ -163,7 +163,7 @@ fn copy_back_rehomed(
         let arrive = core
             .net
             .transfer(t_read, core.osds[tgt].node, core.osds[node].node, bs);
-        let t_written = core.osds[node].write_block_range(arrive, block, 0, bs, data.as_deref());
+        let t_written = core.osds[node].write_block_range(arrive, block, 0, bs, data.as_ref());
         core.resync.blocks_copied_back += 1;
         core.resync.bytes_copied_back += bs;
         stats.blocks_copied_back += 1;
@@ -229,8 +229,9 @@ fn repair_dirty_parity(core: &mut ClusterCore, sim: &mut Sim<Cluster>, stats: &m
             }
         }
         let t_encoded = ready + core.gf_time(bs * k as u64);
+        let fresh = fresh.map(tsue_buf::Bytes::from);
         let t_written =
-            core.osds[owner].write_block_range(t_encoded, pblock, 0, bs, fresh.as_deref());
+            core.osds[owner].write_block_range(t_encoded, pblock, 0, bs, fresh.as_ref());
         core.mds.clear_parity_dirty(gstripe, role);
         core.resync.parity_repaired += 1;
         core.resync.parity_repair_bytes += bs;

@@ -659,7 +659,7 @@ impl UpdateScheme for InstantScheme {
             req.block,
             req.off,
             req.data.len,
-            req.data.bytes.as_deref(),
+            req.data.bytes.as_ref(),
         );
         let op = req.op_id;
         sim.schedule_at(t, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {

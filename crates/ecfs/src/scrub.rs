@@ -250,7 +250,7 @@ fn repair_block(
         let home = core.osds[osd].node;
         let ready = core.charge_gather(now, block, &sources, s, len, home);
         let t_decoded = ready + core.gf_time(len * k as u64);
-        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&out));
+        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&out.into()));
         core.metrics.corruptions_repaired += 1;
         repaired += 1;
     }

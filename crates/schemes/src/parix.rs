@@ -16,6 +16,7 @@
 
 use crate::{parity_index_of, recycle_done, track_recycle, AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::BTreeMap;
+use tsue_buf::Bytes;
 use tsue_ecfs::rangemap::RangeMap;
 use tsue_ecfs::scheme::{reply_at, send_at, Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
@@ -25,6 +26,20 @@ use tsue_sim::Sim;
 const OLD_BIT: u64 = 1 << 62;
 /// Control tag: parity asks the data OSD for original data.
 const CTRL_NEED_OLD: u64 = 1;
+/// Bytes of a `latest` segment XORed per step of the recycle.
+const XOR_STEP: usize = 4096;
+
+/// XORs `src` into `dst` through a stack scratch, [`XOR_STEP`] bytes at a
+/// time: a client payload forwarded unread is generated there and never
+/// buffered.
+fn xor_streamed(src: &Bytes, dst: &mut [u8]) {
+    let mut scratch = [0u8; XOR_STEP];
+    for (rel, d) in (0..).step_by(XOR_STEP).zip(dst.chunks_mut(XOR_STEP)) {
+        let s = &mut scratch[..d.len()];
+        src.read_into(rel, s);
+        tsue_gf::xor_slice(s, d);
+    }
+}
 
 /// Parity-side per-data-block log state.
 #[derive(Default)]
@@ -128,10 +143,11 @@ impl Parix {
                     let mut buf = tsue_buf::BytesMut::take(len as usize);
                     let covered = log_state.original.overlay(off, len, Some(buf.as_mut()));
                     debug_assert!(covered, "original must cover latest");
-                    let mut at = 0;
-                    for seg in newest.segments() {
-                        tsue_gf::xor_slice(seg, &mut buf.as_mut()[at..at + seg.len()]);
-                        at += seg.len();
+                    for (at, seg) in newest.chunks() {
+                        if let Some(bytes) = &seg.bytes {
+                            let from = (at - off) as usize;
+                            xor_streamed(bytes, &mut buf.as_mut()[from..from + bytes.len()]);
+                        }
                     }
                     Chunk::real(buf.freeze())
                 } else {
@@ -185,7 +201,7 @@ impl UpdateScheme for Parix {
                 req.block,
                 req.off,
                 req.data.len,
-                req.data.bytes.as_deref(),
+                req.data.bytes.as_ref(),
             );
             let old_chunk = match old {
                 Some(b) => Chunk::real(b),
@@ -201,7 +217,7 @@ impl UpdateScheme for Parix {
                 req.block,
                 req.off,
                 req.data.len,
-                req.data.bytes.as_deref(),
+                req.data.bytes.as_ref(),
             );
             (t_w, None)
         };

@@ -7,8 +7,12 @@
 //! buffer the log holds, shared by refcount.
 //!
 //! A client write's payload is a deferred buffer ([`payload_chunk`]):
-//! generated on its first read, so bytes TSUE's DataLog supersedes before
-//! its seal-time capture are never generated at all.
+//! nothing is generated when it is issued, and its consumers — the store
+//! page of an in-place write, the page scratch of a delta capture or a
+//! recycle XOR, a gather — each generate the window they read straight
+//! into their own memory. No scheme fills a client payload into a buffer
+//! of its own (`filled_bytes` stays 0), and bytes TSUE's DataLog
+//! supersedes before its seal-time capture are never generated at all.
 
 use tsue_repro::buf;
 use tsue_repro::core::Tsue;
@@ -17,7 +21,7 @@ use tsue_repro::ecfs::{
     check_consistency, payload_chunk, payload_into, BlockId, Chunk, Cluster, ClusterBuilder,
     UpdateScheme,
 };
-use tsue_repro::schemes::Parix;
+use tsue_repro::schemes::{Cord, Fl, Fo, Parix, Pl, Plr};
 use tsue_repro::sim::Sim;
 
 fn materialized_tsue_cluster() -> Cluster {
@@ -126,12 +130,15 @@ fn parix_promotion_to_original_makes_no_copy() {
     assert_eq!(window.bytes_copied, 0);
 }
 
+/// Makes the scheme instance of one OSD.
+type NewScheme = fn() -> Box<dyn UpdateScheme>;
+
 /// Builds the chunks of `n` client overwrites of block 0's first 4 KiB
 /// (op ids `0..n`, as the client issues them), checks that building
 /// them fills nothing, delivers them, drains every log, and checks the
 /// cluster against the arrival replay. Returns the buffer-counter window
 /// from the first chunk built to the end of the drain.
-fn overwrite_one_range(scheme: fn() -> Box<dyn UpdateScheme>, n: u64) -> buf::BufStats {
+fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
     let mut world = ClusterBuilder::ssd(4, 2, 1)
         .materialize(true)
         .record_arrivals(true)
@@ -176,22 +183,50 @@ fn overwrite_one_range(scheme: fn() -> Box<dyn UpdateScheme>, n: u64) -> buf::Bu
 }
 
 /// TSUE's DataLog absorbs 16 overwrites of one range newest-wins before
-/// its seal-time capture reads them: only the newest payload is ever
-/// generated.
+/// its seal-time capture reads them, and the capture streams that one
+/// payload into its page scratch: 1 × 4096 bytes are generated, none of
+/// them into a buffer of the payload's own.
 #[test]
 fn tsue_generates_only_the_payload_its_data_log_keeps() {
     let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 16);
+    assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
     assert_eq!(
-        window.filled_bytes, 4096,
+        window.streamed_bytes, 4096,
         "superseded payloads must never be generated: {window:?}"
     );
 }
 
-/// PARIX writes each update in place on arrival, so the same traffic
-/// generates every payload byte, each exactly once.
+/// PARIX writes each update in place on arrival, generating it straight
+/// into the store pages: 16 × 4096 bytes. Its forwards share that unread
+/// handle, and on each of the m = 2 parity peers `latest` keeps only the
+/// newest, which the flush's recycle XORs in through its page scratch:
+/// 2 × 4096 more (the originals it XORs against are store reads, not
+/// payloads). 16·4096 + 2·4096 = 73 728 bytes generated, none buffered.
 #[test]
 fn parix_generates_every_payload_on_arrival() {
     let window = overwrite_one_range(|| Box::new(Parix::new()), 16);
     assert_eq!(window.deferred_bytes, 16 * 4096);
-    assert_eq!(window.filled_bytes, window.deferred_bytes, "{window:?}");
+    assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
+    assert_eq!(window.streamed_bytes, (16 + 2) * 4096, "{window:?}");
+}
+
+/// The schemes whose data side is a read-modify-write on arrival (FO,
+/// PL, PLR, CoRD) stream every payload into the delta capture's page
+/// scratch: 16 × 4096 bytes. FL logs the data side newest-wins and its
+/// drain captures only the newest: 1 × 4096. None fills a payload into a
+/// buffer.
+#[test]
+fn no_other_scheme_fills_a_client_payload() {
+    let schemes: [(&str, NewScheme, u64); 5] = [
+        ("FO", || Box::new(Fo::new()), 16),
+        ("FL", || Box::new(Fl::new()), 1),
+        ("PL", || Box::new(Pl::new()), 16),
+        ("PLR", || Box::new(Plr::new()), 16),
+        ("CoRD", || Box::new(Cord::new()), 16),
+    ];
+    for (name, scheme, payloads) in schemes {
+        let window = overwrite_one_range(scheme, 16);
+        assert_eq!(window.filled_bytes, 0, "{name}: {window:?}");
+        assert_eq!(window.streamed_bytes, payloads * 4096, "{name}: {window:?}");
+    }
 }
