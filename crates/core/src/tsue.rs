@@ -29,7 +29,7 @@ use crate::logpool::LogPool;
 use crate::logunit::{LogUnit, UnitId, UnitState, RECORD_HEADER};
 use std::collections::{BTreeMap, VecDeque};
 use tsue_ecfs::logregion::LogRegion;
-use tsue_ecfs::rangemap::{Discipline, Gathered};
+use tsue_ecfs::rangemap::{Discipline, RangeMap};
 use tsue_ecfs::scheme::{
     reply_at, send_at, stripe_parity_delta, AckTable, DeltaKind, PowerLossReport, ReadServe,
     SchemeMsg, UpdateReq,
@@ -702,9 +702,11 @@ impl Tsue {
     /// DeltaLog recycle: purely in-memory Eq. 3/5 combination, then
     /// combined parity deltas to every ParityLog.
     ///
-    /// The unit's two-level index is read **in place** (no per-range
-    /// clones): each block's folded runs are gathered once and a stripe's
-    /// blocks combine through [`stripe_parity_delta`], once per parity.
+    /// The unit's two-level index is read **in place**: a stripe's blocks
+    /// combine through [`stripe_parity_delta`], which shapes the entries
+    /// once for all parities, and each parity's delta is a recipe over the
+    /// unit's own data-delta handles, generated where the ParityLog
+    /// applies it. Nothing is gathered and no buffer is allocated.
     fn recycle_delta_unit(
         &mut self,
         core: &mut ClusterCore,
@@ -724,28 +726,29 @@ impl Tsue {
             // index orders source blocks by (file, stripe, role), so this
             // walk meets the stripes in global-stripe order and the roles
             // of each in ascending order — no post-sort needed.
-            let mut stripes: BTreeMap<BlockId, Vec<(usize, Gathered<'_>)>> = BTreeMap::new();
-            for (&block, entry) in unit.index.iter_mut() {
+            let mut stripes: BTreeMap<BlockId, Vec<(usize, &RangeMap)>> = BTreeMap::new();
+            for (&block, entry) in &unit.index {
                 stripes
                     .entry(BlockId { role: 0, ..block })
                     .or_default()
-                    .push((block.role, entry.ranges.gather()));
+                    .push((block.role, &entry.ranges));
             }
             for (carrier, roles) in &stripes {
                 let gstripe = core.global_stripe(carrier.file, carrier.stripe);
                 // The CPU model charges one multiply-accumulate pass per
                 // logged range per parity.
                 let ranges = roles.iter().flat_map(|(_, ranges)| ranges.iter());
-                cpu += m as Time * ranges.map(|(_, c)| core.gf_time(c.len)).sum::<Time>();
+                cpu += m as Time * ranges.map(|e| core.gf_time(e.len())).sum::<Time>();
+                let entries = stripe_parity_delta(roles);
                 for j in 0..m {
                     let peer = core.owner_of(gstripe, k + j);
-                    for (off, chunk) in stripe_parity_delta(&core.rs, j, roles).drain() {
-                        sends.push((peer, *carrier, off, chunk, j));
+                    for e in &entries {
+                        sends.push((peer, *carrier, e.off, e.parity_delta(&core.rs, j), j));
                     }
                 }
             }
-            // The combined deltas own fresh buffers; the unit's bytes are
-            // read by nothing from here on.
+            // The combined deltas hold their own handles to the data
+            // deltas; the unit reads its bytes no more.
             unit.release_bytes();
         }
         self.inflight.insert(
@@ -788,23 +791,31 @@ impl Tsue {
         uid: UnitId,
     ) {
         let unit = self.begin_recycle(core, LogLayer::Parity, pool, uid, sim.now());
-        let jobs = collect_jobs(unit);
-        // The jobs hold the bytes until the store takes them below; nothing
-        // reads them from the unit again.
-        unit.release_bytes();
-        // Apply parity XOR content now (order-free: XOR commutes), pace the
-        // timed read-modify-writes below.
+        // Apply parity XOR content now (order-free: XOR commutes), segment
+        // by segment straight from the deltas' handles, and pace one timed
+        // read-modify-write per entry (or raw record) below.
         let store = &mut core.osds[osd];
-        let jobs = jobs
-            .into_iter()
-            .map(|(pblock, off, delta)| {
+        let mut jobs = VecDeque::new();
+        for (&pblock, entry) in &unit.index {
+            let mut apply = |off: u64, delta: &Chunk| {
                 if let Some(d) = delta.bytes.as_ref() {
-                    // In-place XOR into the store — no peek/poke round trip.
                     store.xor_poke_range(pblock, off, d);
                 }
-                RecycleJob::Parity(pblock, off, delta.len)
-            })
-            .collect();
+            };
+            if entry.raw.is_empty() {
+                for e in entry.ranges.iter() {
+                    e.chunks().for_each(|(off, delta)| apply(off, delta));
+                    jobs.push_back(RecycleJob::Parity(pblock, e.off(), e.len()));
+                }
+            } else {
+                for (off, delta) in &entry.raw {
+                    apply(*off, delta);
+                    jobs.push_back(RecycleJob::Parity(pblock, *off, delta.len));
+                }
+            }
+        }
+        // Applied: nothing reads the unit's bytes again.
+        unit.release_bytes();
         let inf = InflightUnit {
             layer: LogLayer::Parity,
             pool,

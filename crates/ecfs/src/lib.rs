@@ -441,7 +441,7 @@ impl ClusterCore {
         delta: &Chunk,
     ) -> Time {
         let compute = self.xor_time(delta.len);
-        self.osds[osd].xor_block_range(now, pblock, off, delta.len, delta.bytes.as_deref(), compute)
+        self.osds[osd].xor_block_range(now, pblock, off, delta.len, delta.bytes.as_ref(), compute)
     }
 
     /// Charges a survivor gather for `block`'s stripe: for each

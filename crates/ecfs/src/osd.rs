@@ -368,11 +368,11 @@ impl Osd {
         id: BlockId,
         off: u64,
         len: u64,
-        delta: Option<&[u8]>,
+        delta: Option<&Bytes>,
         compute: Time,
     ) -> Time {
         // The XOR is applied directly into the block store — no buffer
-        // materializes on this path.
+        // materializes on this path ([`Osd::xor_poke_range`]).
         if let Some(d) = delta {
             assert_eq!(d.len() as u64, len, "delta length mismatch");
             self.xor_poke_range(id, off, d);
@@ -412,12 +412,29 @@ impl Osd {
 
     /// Content-only XOR of `delta` into a block range (no device charge,
     /// no intermediate buffer) — the zero-copy counterpart of peek → xor →
-    /// poke on paths that decouple content from timing.
-    pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &[u8]) {
-        if let Some(c) = self.content_mut(id) {
-            c.bracket(off, delta.len() as u64, Mutation::Mix, |r, dst| {
-                tsue_gf::xor_slice(&delta[r], dst);
-            });
+    /// poke on paths that decouple content from timing. A delta that holds
+    /// its bytes is XORed from them; an unfilled deferred one (a parity
+    /// delta's recipe) is generated a page at a time into a stack scratch
+    /// and never buffered.
+    pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &Bytes) {
+        let Some(c) = self.content_mut(id) else {
+            return;
+        };
+        let len = delta.len() as u64;
+        match delta.try_as_slice() {
+            Some(d) => {
+                c.bracket(off, len, Mutation::Mix, |r, dst| {
+                    tsue_gf::xor_slice(&d[r], dst);
+                });
+            }
+            None => {
+                let mut scratch = [0u8; PAGE as usize];
+                c.bracket(off, len, Mutation::Mix, |r, dst| {
+                    let src = &mut scratch[..r.len()];
+                    delta.read_into(r.start, src);
+                    tsue_gf::xor_slice(src, dst);
+                });
+            }
         }
     }
 
@@ -620,7 +637,7 @@ mod tests {
         o.provision_block(bid(2, 3), 4096, true);
         let base = Bytes::from(vec![0xF0u8; 64]);
         o.write_block_range(0, bid(2, 3), 0, 64, Some(&base));
-        let delta = vec![0x0Fu8; 64];
+        let delta = bytes(&[0x0Fu8; 64]);
         o.xor_block_range(0, bid(2, 3), 0, 64, Some(&delta), 0);
         let (_, got) = o.read_block_range(0, bid(2, 3), 0, 64);
         assert!(got.unwrap().iter().all(|&b| b == 0xFF));
@@ -645,8 +662,8 @@ mod tests {
         o.write_block_range(0, bid(0, 0), 100, 64, Some(&bytes(&[3u8; 64])));
         o.poke_block_range(bid(0, 0), 5000, &bytes(&[9u8; 32]));
         o.delta_poke_range(bid(0, 0), 9000, &bytes(&[1u8; 16]));
-        o.xor_poke_range(bid(0, 0), 9000, &[0xFFu8; 16]);
-        o.xor_block_range(0, bid(0, 0), 12 << 10, 8, Some(&[0x55u8; 8]), 0);
+        o.xor_poke_range(bid(0, 0), 9000, &bytes(&[0xFFu8; 16]));
+        o.xor_block_range(0, bid(0, 0), 12 << 10, 8, Some(&bytes(&[0x55u8; 8])), 0);
         assert!(o.verify_range(bid(0, 0), 0, 16 << 10).is_ok());
         assert!(o.corrupt_pages(bid(0, 0)).is_empty());
     }
@@ -726,7 +743,7 @@ mod tests {
 
     /// A client payload of `len` bytes, deferred and not yet read.
     fn unread_payload(len: usize) -> Bytes {
-        Bytes::deferred(len, crate::payload_at, 77, 1)
+        crate::payload::payload_bytes(77, 1, len as u64)
     }
 
     /// Two identical checksummed 12 KiB blocks, written, then rotted by

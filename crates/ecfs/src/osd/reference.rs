@@ -200,7 +200,7 @@ fn paged_store_matches_flat_reference() {
                 // store generates page by page as it lands.
                 let data = if step % 2 == 1 {
                     crate::payload_into(step, seed as usize, &mut bytes);
-                    Bytes::deferred(bytes.len(), crate::payload_at, step, seed as usize)
+                    crate::payload::payload_bytes(step, seed as usize, bytes.len() as u64)
                 } else {
                     Bytes::from(bytes.clone())
                 };
@@ -210,7 +210,7 @@ fn paged_store_matches_flat_reference() {
                         flat.poke(off, &bytes);
                     }
                     1 => {
-                        osd.xor_poke_range(id, off, &bytes);
+                        osd.xor_poke_range(id, off, &data);
                         flat.xor(off, &bytes);
                     }
                     2 => {

@@ -20,6 +20,7 @@
 //! generator regenerates nothing.
 
 use crate::scheme::Chunk;
+use tsue_buf::{Bytes, Recipe};
 
 /// Weyl increment of the word counter (2⁶⁴ / φ, odd).
 const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -84,18 +85,31 @@ pub fn payload_at(op_id: u64, ext: usize, at: usize, buf: &mut [u8]) {
     }
 }
 
+/// The recipe of a client payload: [`payload_at`] of its keys.
+struct Payload {
+    op_id: u64,
+    ext: usize,
+}
+
+impl Recipe for Payload {
+    fn write(&self, at: usize, dst: &mut [u8]) {
+        payload_at(self.op_id, self.ext, at, dst);
+    }
+}
+
+/// The `len` bytes of extent `ext` of op `op_id`, deferred: generated by
+/// [`payload_at`] where they are read (see [`tsue_buf::Bytes::deferred`]).
+pub(crate) fn payload_bytes(op_id: u64, ext: usize, len: u64) -> Bytes {
+    Bytes::deferred(len as usize, Payload { op_id, ext })
+}
+
 /// The `len` bytes of extent `ext` of op `op_id` as a client write
 /// carries them: in a materialized run a real chunk whose bytes
 /// [`payload_at`] generates where they are read (see
 /// [`tsue_buf::Bytes::deferred`]), otherwise a ghost.
 pub fn payload_chunk(op_id: u64, ext: usize, len: u64, materialize: bool) -> Chunk {
     if materialize {
-        Chunk::real(tsue_buf::Bytes::deferred(
-            len as usize,
-            payload_at,
-            op_id,
-            ext,
-        ))
+        Chunk::real(payload_bytes(op_id, ext, len))
     } else {
         Chunk::ghost(len)
     }

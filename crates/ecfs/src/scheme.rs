@@ -10,12 +10,12 @@
 //! (§5: "implemented on the CLIENT side and the OSD side").
 
 use crate::osd::BlockId;
-use crate::rangemap::{Gathered, RangeMap};
+use crate::rangemap::RangeMap;
 use crate::{client, Cluster, ClusterCore, Mds, ACK_BYTES};
-use std::collections::BTreeMap;
-use tsue_buf::{Bytes, BytesMut};
+use tsue_buf::{Bytes, BytesMut, Recipe};
 use tsue_device::IoKind;
 use tsue_ec::RsCode;
+use tsue_integrity::PAGE;
 use tsue_sim::{IdWindow, Sim, Time};
 
 /// A byte payload that may be timing-only. In materialized (correctness)
@@ -57,7 +57,9 @@ impl Chunk {
     /// # Panics
     /// Panics if the range exceeds the chunk.
     pub fn slice(&self, rel: u64, len: u64) -> Chunk {
-        debug_assert!(rel + len <= self.len, "chunk slice out of range");
+        // INVARIANT: documented contract (# Panics above); a ghost has no
+        // buffer whose own bound would catch a slice past its end.
+        assert!(rel + len <= self.len, "chunk slice out of range");
         match &self.bytes {
             Some(b) => Chunk::real(b.slice(rel as usize, len as usize)),
             None => Chunk::ghost(len),
@@ -75,12 +77,19 @@ impl Chunk {
         match (self.bytes.as_mut(), other.bytes.as_ref()) {
             (Some(a), Some(b)) => {
                 if let Some(buf) = a.unique_mut() {
-                    tsue_gf::xor_slice(b, buf);
+                    xor_streamed(b, buf);
                 } else {
-                    // Copy-on-write: one new buffer, one fused pass
+                    // Copy-on-write: one new buffer, one fused pass when
+                    // both sides hold their bytes, else each streamed in
                     // (counted — the shared buffer forced a duplication).
                     let mut m = BytesMut::take(b.len());
-                    tsue_gf::xor_into(a, b, m.as_mut());
+                    match (a.try_as_slice(), b.try_as_slice()) {
+                        (Some(x), Some(y)) => tsue_gf::xor_into(x, y, m.as_mut()),
+                        _ => {
+                            a.read_into(0, m.as_mut());
+                            xor_streamed(b, m.as_mut());
+                        }
+                    }
                     tsue_buf::count_copy(b.len() as u64);
                     *a = m.freeze();
                 }
@@ -89,29 +98,98 @@ impl Chunk {
         }
     }
 
-    /// Returns a GF-scaled copy: `coeff * self` (parity-delta computation).
-    /// The result lives in a new buffer.
+    /// `coeff * self` (a per-parity delta, Eq. 2): a deferred one-term
+    /// linear combination over this chunk's handle, generated where it is
+    /// read. Nothing is allocated or computed here.
     pub fn gf_scaled(&self, coeff: u8) -> Chunk {
-        match &self.bytes {
-            Some(b) => {
-                let mut out = BytesMut::take(b.len());
-                tsue_gf::mul_slice(coeff, b, out.as_mut());
-                Chunk::real(out.freeze())
-            }
-            None => Chunk::ghost(self.len),
+        Chunk {
+            len: self.len,
+            bytes: self
+                .bytes
+                .as_ref()
+                .map(|b| Combination::deferred(b.len(), vec![(coeff, 0, b.clone())])),
         }
     }
+}
 
-    /// Consuming GF scale: scales in place when the buffer is uniquely
-    /// owned (zero scratch), else behaves like [`Chunk::gf_scaled`].
-    pub fn into_gf_scaled(mut self, coeff: u8) -> Chunk {
-        if let Some(b) = self.bytes.as_mut() {
-            if let Some(buf) = b.unique_mut() {
-                tsue_gf::mul_slice_assign(coeff, buf);
-                return self;
+/// Bytes of a deferred buffer generated per step into a stack scratch:
+/// one store page.
+const STEP: usize = PAGE as usize;
+
+/// XORs `src` into `dst`: straight from its bytes when it holds them,
+/// otherwise generated a page at a time into a stack scratch, so a
+/// deferred buffer (a client payload, a parity delta) is never buffered.
+///
+/// # Panics
+/// Panics if the lengths differ.
+pub fn xor_streamed(src: &Bytes, dst: &mut [u8]) {
+    assert_eq!(src.len(), dst.len(), "xor_streamed length mismatch");
+    if let Some(s) = src.try_as_slice() {
+        tsue_gf::xor_slice(s, dst);
+        return;
+    }
+    let mut scratch = [0u8; STEP];
+    for (rel, d) in (0..).step_by(STEP).zip(dst.chunks_mut(STEP)) {
+        let s = &mut scratch[..d.len()];
+        src.read_into(rel, s);
+        tsue_gf::xor_slice(s, d);
+    }
+}
+
+/// A deferred linear combination over GF(2⁸): `Σ c · d` over windows
+/// `d` of other buffers, each placed at its offset in the content, zero
+/// where no window reaches — the recipe of every parity delta. Terms are
+/// `(c, offset within the content, window)`.
+struct Combination {
+    terms: Vec<(u8, usize, Bytes)>,
+}
+
+impl Combination {
+    /// A `len`-byte buffer whose content is the combination of `terms`.
+    fn deferred(len: usize, terms: Vec<(u8, usize, Bytes)>) -> Bytes {
+        Bytes::deferred(len, Combination { terms })
+    }
+}
+
+impl Recipe for Combination {
+    fn write(&self, at: usize, dst: &mut [u8]) {
+        let end = at + dst.len();
+        // Whether `dst` holds a partial sum yet: the first term multiplies
+        // straight into it when it covers the window, else `dst` is zeroed.
+        let mut started = false;
+        for (c, t_at, d) in &self.terms {
+            let (from, to) = (at.max(*t_at), end.min(t_at + d.len()));
+            if from >= to {
+                continue;
+            }
+            let assign = !started && from == at && to == end;
+            if !started && !assign {
+                dst.fill(0);
+            }
+            started = true;
+            let out = &mut dst[from - at..to - at];
+            let rel = from - t_at;
+            let mul = if assign {
+                tsue_gf::mul_slice
+            } else {
+                tsue_gf::mul_add_slice
+            };
+            match d.try_as_slice() {
+                Some(src) => mul(*c, &src[rel..rel + out.len()], out),
+                None => {
+                    // A deferred window streams through a page of stack.
+                    let mut scratch = [0u8; STEP];
+                    for (i, out) in out.chunks_mut(STEP).enumerate() {
+                        let src = &mut scratch[..out.len()];
+                        d.read_into(rel + i * STEP, src);
+                        mul(*c, src, out);
+                    }
+                }
             }
         }
-        self.gf_scaled(coeff)
+        if !started {
+            dst.fill(0);
+        }
     }
 }
 
@@ -710,40 +788,118 @@ pub fn rmw_data_delta(
     (t_write, delta)
 }
 
-/// Eq. (5): combines one stripe's buffered data deltas — `roles` pairs
-/// each contributing data-block index with its gathered, XOR-folded
-/// ranges — into the parity delta stream for `parity_index`. Ranges that
-/// share an `(offset, length)` span across roles, the common case under
-/// stripe-wide locality, go through one fused multiply-accumulate pass
-/// per contributing block into a single accumulator; XOR associativity
-/// makes the resulting map the same however the spans fall. Timing-only
-/// ranges combine as ghosts. The caller charges the CPU model.
-pub fn stripe_parity_delta(
-    rs: &RsCode,
-    parity_index: usize,
-    roles: &[(usize, Gathered<'_>)],
-) -> RangeMap {
-    let mut combined = RangeMap::new();
-    // Same-span contributions: `(offset, length)` → `[(role, delta bytes)]`.
-    let mut spans: BTreeMap<_, Vec<(usize, &[u8])>> = BTreeMap::new();
-    for (role, ranges) in roles {
-        for (off, c) in ranges.iter() {
-            match &c.bytes {
-                Some(b) => spans
-                    .entry((off, c.len))
-                    .or_default()
-                    .push((*role, b.as_slice())),
-                None => combined.insert_xor(off, Chunk::ghost(c.len)),
+/// One entry of a stripe's combined parity deltas (Eq. 5): an extent
+/// every parity shares and, for a real entry, the windows of the data
+/// deltas that combine into it. [`CombinedEntry::parity_delta`] makes the
+/// delta of one parity.
+#[derive(Debug)]
+pub struct CombinedEntry {
+    /// Offset within the block.
+    pub off: u64,
+    /// Length in bytes.
+    pub len: u64,
+    /// `(role, offset within the entry, data-delta window)`, by role and
+    /// offset; `None` for a ghost entry.
+    terms: Option<Vec<(usize, usize, Bytes)>>,
+}
+
+impl CombinedEntry {
+    /// The entry's parity delta for `parity_index`, `Σ c(j, role) · d_role`
+    /// over its windows: deferred, so it is generated where it is read
+    /// and never buffered. A ghost entry gives a ghost.
+    pub fn parity_delta(&self, rs: &RsCode, parity_index: usize) -> Chunk {
+        match &self.terms {
+            Some(terms) => {
+                let terms = terms
+                    .iter()
+                    .map(|(role, at, d)| (rs.coefficient(parity_index, *role), *at, d.clone()))
+                    .collect();
+                Chunk::real(Combination::deferred(self.len as usize, terms))
             }
+            None => Chunk::ghost(self.len),
         }
     }
-    for ((off, len), contribs) in spans {
-        let mut acc = BytesMut::take(len as usize);
-        rs.fill_combined_parity_delta(parity_index, &contribs, acc.as_mut());
-        combined.insert_xor(off, Chunk::real(acc.freeze()));
-    }
-    combined
 }
+
+/// Eq. (5): the shape of one stripe's combined parity deltas, from its
+/// buffered data deltas — `roles` pairs each contributing data-block index
+/// with its XOR-folded map. The entries are the canonical runs of the
+/// union of the contributors' extents (see [`crate::rangemap`]): maximal
+/// runs of exactly adjacent coverage, ghost wherever any contributor is a
+/// ghost, real elsewhere. So they are the same for every parity and in
+/// timing-only and materialized runs alike, and an XOR fold of the scaled
+/// deltas into one map would give the same entries. A real entry holds
+/// handles to the windows of the data deltas it combines; nothing is
+/// gathered, copied or computed. The caller charges the CPU model.
+pub fn stripe_parity_delta(roles: &[(usize, &RangeMap)]) -> Vec<CombinedEntry> {
+    // Every contributing entry opens its coverage at its offset and
+    // closes it at its end: `(offset, Δ real, Δ ghost)`.
+    let mut edges: Vec<(u64, i32, i32)> = Vec::new();
+    for (_, map) in roles {
+        for e in map.iter() {
+            let (r, g) = if e.is_real() { (1, 0) } else { (0, 1) };
+            edges.push((e.off(), r, g));
+            edges.push((e.off() + e.len(), -r, -g));
+        }
+    }
+    edges.sort_unstable_by_key(|e| e.0);
+    // The runs, `(off, end, real)`: a run goes on while the kind at the
+    // next boundary is the same and nothing in between is uncovered.
+    let mut runs: Vec<(u64, u64, bool)> = Vec::new();
+    let (mut real, mut ghost) = (0, 0);
+    let mut open: Option<(u64, bool)> = None;
+    for group in edges.chunk_by(|a, b| a.0 == b.0) {
+        let pos = group[0].0;
+        for &(_, r, g) in group {
+            real += r;
+            ghost += g;
+        }
+        let kind = (real + ghost > 0).then_some(ghost == 0);
+        if open.map(|(_, k)| k) != kind {
+            if let Some((start, k)) = open {
+                runs.push((start, pos, k));
+            }
+            open = kind.map(|k| (pos, k));
+        }
+    }
+    // Each real run's windows, one cursor per role: a role's segments are
+    // sorted and disjoint, and a segment may reach into the next run.
+    let mut cursors: Vec<_> = roles
+        .iter()
+        .map(|(role, map)| {
+            let segs: Vec<_> = map.iter().flat_map(|e| e.chunks()).collect();
+            (*role, segs, 0)
+        })
+        .collect();
+    runs.into_iter()
+        .map(|(off, end, is_real)| {
+            let terms = is_real.then(|| {
+                let mut terms = Vec::new();
+                for (role, segs, cur) in &mut cursors {
+                    while segs.get(*cur).is_some_and(|(s, c)| s + c.len <= off) {
+                        *cur += 1;
+                    }
+                    for (s, c) in segs[*cur..].iter().take_while(|(s, _)| *s < end) {
+                        let (from, to) = (off.max(*s), end.min(s + c.len));
+                        if let Some(d) = &c.bytes {
+                            let window = d.slice((from - s) as usize, (to - from) as usize);
+                            terms.push((*role, (from - off) as usize, window));
+                        }
+                    }
+                }
+                terms
+            });
+            CombinedEntry {
+                off,
+                len: end - off,
+                terms,
+            }
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -780,6 +936,61 @@ mod tests {
         let s = c.gf_scaled(9);
         let expect: Vec<u8> = [3, 5, 7].iter().map(|&x| tsue_gf::mul(9, x)).collect();
         assert_eq!(s.bytes.unwrap(), expect);
+    }
+
+    #[test]
+    fn chunk_gf_scaled_is_deferred_and_streams() {
+        let src = Chunk::real((0..=255u8).cycle().take(9000).collect::<Vec<u8>>());
+        let before = tsue_buf::stats();
+        let s = src.gf_scaled(0x53);
+        let bytes = s.bytes.as_ref().expect("real");
+        let mut got = vec![0u8; 5000];
+        bytes.read_into(3000, &mut got);
+        let want: Vec<u8> = (0..=255u8)
+            .cycle()
+            .take(9000)
+            .map(|x| tsue_gf::mul(0x53, x))
+            .collect();
+        assert_eq!(got, want[3000..8000]);
+        let d = tsue_buf::stats().since(&before);
+        assert_eq!(
+            (d.pool_misses, d.filled_bytes, d.streamed_bytes),
+            (0, 0, 5000)
+        );
+        assert_eq!(Chunk::ghost(7).gf_scaled(3), Chunk::ghost(7));
+    }
+
+    #[test]
+    fn xor_fold_of_two_recipes_fills_only_the_one_it_folds_into() {
+        let mut a = Chunk::real(vec![7u8; 100]).gf_scaled(3);
+        let b = Chunk::real(vec![9u8; 100]).gf_scaled(5);
+        let before = tsue_buf::stats();
+        a.xor_in(&b);
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!((s.filled_bytes, s.streamed_bytes), (100, 100), "{s:?}");
+        let want = tsue_gf::mul(3, 7) ^ tsue_gf::mul(5, 9);
+        assert!(a.bytes.expect("real").iter().all(|&x| x == want));
+    }
+
+    #[test]
+    fn xor_fold_onto_a_shared_recipe_copies_without_filling() {
+        let whole = Chunk::real(vec![7u8; 100]).gf_scaled(3);
+        let mut a = whole.slice(20, 50);
+        let b = Chunk::real(vec![9u8; 50]).gf_scaled(5);
+        let before = tsue_buf::stats();
+        a.xor_in(&b);
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!((s.filled_bytes, s.streamed_bytes), (0, 100), "{s:?}");
+        assert_eq!((s.pool_misses, s.bytes_copied), (1, 50), "one counted copy");
+        let want = tsue_gf::mul(3, 7) ^ tsue_gf::mul(5, 9);
+        assert!(a.bytes.expect("real").iter().all(|&x| x == want));
+        assert!(whole.bytes.expect("real").try_as_slice().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk slice out of range")]
+    fn ghost_slice_past_the_end_panics() {
+        Chunk::ghost(4096).slice(4000, 200);
     }
 
     #[test]

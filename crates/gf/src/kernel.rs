@@ -4,8 +4,8 @@
 //! # Design
 //!
 //! Every public slice kernel in the crate root ([`crate::mul_slice`],
-//! [`crate::mul_add_slice`], [`crate::mul_slice_assign`],
-//! [`crate::xor_slice`], [`crate::xor_into`]) funnels through one
+//! [`crate::mul_add_slice`], [`crate::xor_slice`], [`crate::xor_into`])
+//! funnels through one
 //! function-pointer vtable (`Kernels`) selected once at first use and
 //! cached in an atomic. Five tiers exist:
 //!
@@ -166,7 +166,6 @@ pub(crate) struct Kernels {
     pub(crate) tier: KernelTier,
     pub(crate) mul_slice: fn(u8, &[u8], &mut [u8]),
     pub(crate) mul_add_slice: fn(u8, &[u8], &mut [u8]),
-    pub(crate) mul_slice_assign: fn(u8, &mut [u8]),
     pub(crate) xor_slice: fn(&[u8], &mut [u8]),
     pub(crate) xor_into: fn(&[u8], &[u8], &mut [u8]),
 }
@@ -175,7 +174,6 @@ static SCALAR: Kernels = Kernels {
     tier: KernelTier::Scalar,
     mul_slice: scalar::mul_slice,
     mul_add_slice: scalar::mul_add_slice,
-    mul_slice_assign: scalar::mul_slice_assign,
     xor_slice: scalar::xor_slice,
     xor_into: scalar::xor_into,
 };
@@ -184,7 +182,6 @@ static PORTABLE: Kernels = Kernels {
     tier: KernelTier::Portable,
     mul_slice: portable::mul_slice,
     mul_add_slice: portable::mul_add_slice,
-    mul_slice_assign: portable::mul_slice_assign,
     xor_slice: portable::xor_slice,
     xor_into: portable::xor_into,
 };
@@ -194,7 +191,6 @@ static SSSE3: Kernels = Kernels {
     tier: KernelTier::Ssse3,
     mul_slice: x86::mul_slice_ssse3,
     mul_add_slice: x86::mul_add_slice_ssse3,
-    mul_slice_assign: x86::mul_slice_assign_ssse3,
     xor_slice: x86::xor_slice_sse2,
     xor_into: x86::xor_into_sse2,
 };
@@ -204,7 +200,6 @@ static AVX2: Kernels = Kernels {
     tier: KernelTier::Avx2,
     mul_slice: x86::mul_slice_avx2,
     mul_add_slice: x86::mul_add_slice_avx2,
-    mul_slice_assign: x86::mul_slice_assign_avx2,
     xor_slice: x86::xor_slice_avx2,
     xor_into: x86::xor_into_avx2,
 };
@@ -214,7 +209,6 @@ static NEON: Kernels = Kernels {
     tier: KernelTier::Neon,
     mul_slice: neon::mul_slice_neon,
     mul_add_slice: neon::mul_add_slice_neon,
-    mul_slice_assign: neon::mul_slice_assign_neon,
     xor_slice: neon::xor_slice_neon,
     xor_into: neon::xor_into_neon,
 };
@@ -321,14 +315,6 @@ pub mod reference {
         }
     }
 
-    /// `buf[i] = c * buf[i]`, one table lookup per byte.
-    pub fn mul_slice_assign(c: u8, buf: &mut [u8]) {
-        let row = &MUL_TABLE[c as usize];
-        for d in buf.iter_mut() {
-            *d = row[*d as usize];
-        }
-    }
-
     /// `dst[i] ^= src[i]`, one byte at a time.
     pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
         for (s, d) in src.iter().zip(dst.iter_mut()) {
@@ -396,24 +382,6 @@ pub(crate) mod portable {
             .zip(dst_chunks.into_remainder())
         {
             *d ^= row[*s as usize];
-        }
-    }
-
-    pub(super) fn mul_slice_assign(c: u8, buf: &mut [u8]) {
-        let row = &MUL_TABLE[c as usize];
-        let mut chunks = buf.chunks_exact_mut(8);
-        for d in &mut chunks {
-            d[0] = row[d[0] as usize];
-            d[1] = row[d[1] as usize];
-            d[2] = row[d[2] as usize];
-            d[3] = row[d[3] as usize];
-            d[4] = row[d[4] as usize];
-            d[5] = row[d[5] as usize];
-            d[6] = row[d[6] as usize];
-            d[7] = row[d[7] as usize];
-        }
-        for d in chunks.into_remainder() {
-            *d = row[*d as usize];
         }
     }
 
@@ -525,26 +493,6 @@ mod x86 {
         portable::mul_add_slice(c, &src[n..], &mut dst[n..]);
     }
 
-    /// # Safety
-    /// Caller must have verified SSSE3 support.
-    // SAFETY: single-buffer variant — each iteration loads and stores
-    // the same 16 in-bounds bytes (`i + 16 <= n <= buf.len()`); table
-    // loads stay within the `[u8; 16]` rows.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_slice_assign_ssse3_impl(c: u8, buf: &mut [u8]) {
-        let lo = _mm_loadu_si128(tables::NIB_LO[c as usize].as_ptr().cast());
-        let hi = _mm_loadu_si128(tables::NIB_HI[c as usize].as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0f);
-        let n = buf.len() & !15;
-        let mut i = 0;
-        while i < n {
-            let x = _mm_loadu_si128(buf.as_ptr().add(i).cast());
-            _mm_storeu_si128(buf.as_mut_ptr().add(i).cast(), mul16(lo, hi, mask, x));
-            i += 16;
-        }
-        portable::mul_slice_assign(c, &mut buf[n..]);
-    }
-
     pub(super) fn mul_slice_ssse3(c: u8, src: &[u8], dst: &mut [u8]) {
         // SAFETY: this fn is only reachable through the ssse3 vtable,
         // installed after `is_x86_feature_detected!("ssse3")`.
@@ -554,11 +502,6 @@ mod x86 {
     pub(super) fn mul_add_slice_ssse3(c: u8, src: &[u8], dst: &mut [u8]) {
         // SAFETY: as above — ssse3 verified before vtable install.
         unsafe { mul_add_slice_ssse3_impl(c, src, dst) }
-    }
-
-    pub(super) fn mul_slice_assign_ssse3(c: u8, buf: &mut [u8]) {
-        // SAFETY: as above — ssse3 verified before vtable install.
-        unsafe { mul_slice_assign_ssse3_impl(c, buf) }
     }
 
     // ---- AVX2 split-nibble multiply ----
@@ -635,25 +578,6 @@ mod x86 {
         mul_add_slice_ssse3_impl(c, &src[n..], &mut dst[n..]);
     }
 
-    /// # Safety
-    /// Caller must have verified AVX2 support.
-    // SAFETY: single-buffer variant — each iteration loads and stores
-    // the same 32 in-bounds bytes (`i + 32 <= n <= buf.len()`); AVX2
-    // implies SSSE3 for the tail call.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_slice_assign_avx2_impl(c: u8, buf: &mut [u8]) {
-        let (lo, hi) = tables256(c);
-        let mask = _mm256_set1_epi8(0x0f);
-        let n = buf.len() & !31;
-        let mut i = 0;
-        while i < n {
-            let x = _mm256_loadu_si256(buf.as_ptr().add(i).cast());
-            _mm256_storeu_si256(buf.as_mut_ptr().add(i).cast(), mul32(lo, hi, mask, x));
-            i += 32;
-        }
-        mul_slice_assign_ssse3_impl(c, &mut buf[n..]);
-    }
-
     pub(super) fn mul_slice_avx2(c: u8, src: &[u8], dst: &mut [u8]) {
         // SAFETY: this fn is only reachable through the avx2 vtable,
         // installed after `is_x86_feature_detected!("avx2")` (which
@@ -664,11 +588,6 @@ mod x86 {
     pub(super) fn mul_add_slice_avx2(c: u8, src: &[u8], dst: &mut [u8]) {
         // SAFETY: as above — avx2 verified before vtable install.
         unsafe { mul_add_slice_avx2_impl(c, src, dst) }
-    }
-
-    pub(super) fn mul_slice_assign_avx2(c: u8, buf: &mut [u8]) {
-        // SAFETY: as above — avx2 verified before vtable install.
-        unsafe { mul_slice_assign_avx2_impl(c, buf) }
     }
 
     // ---- wide XOR ----
@@ -814,25 +733,6 @@ mod neon {
 
     /// # Safety
     /// NEON must be available (always true on aarch64).
-    // SAFETY: single-buffer variant — each iteration loads and stores
-    // the same 16 in-bounds bytes (`i + 16 <= n <= buf.len()`); table
-    // loads stay within the `[u8; 16]` rows.
-    #[target_feature(enable = "neon")]
-    unsafe fn mul_slice_assign_neon_impl(c: u8, buf: &mut [u8]) {
-        let lo = vld1q_u8(tables::NIB_LO[c as usize].as_ptr());
-        let hi = vld1q_u8(tables::NIB_HI[c as usize].as_ptr());
-        let n = buf.len() & !15;
-        let mut i = 0;
-        while i < n {
-            let x = vld1q_u8(buf.as_ptr().add(i));
-            vst1q_u8(buf.as_mut_ptr().add(i), mul16(lo, hi, x));
-            i += 16;
-        }
-        portable::mul_slice_assign(c, &mut buf[n..]);
-    }
-
-    /// # Safety
-    /// NEON must be available (always true on aarch64).
     // SAFETY: 16-byte loads/stores at `i` with
     // `i + 16 <= n <= src.len() == dst.len()` (lengths asserted equal by
     // the public wrappers); tail handled by portable code.
@@ -875,11 +775,6 @@ mod neon {
     pub(super) fn mul_add_slice_neon(c: u8, src: &[u8], dst: &mut [u8]) {
         // SAFETY: NEON is baseline on aarch64.
         unsafe { mul_add_slice_neon_impl(c, src, dst) }
-    }
-
-    pub(super) fn mul_slice_assign_neon(c: u8, buf: &mut [u8]) {
-        // SAFETY: NEON is baseline on aarch64.
-        unsafe { mul_slice_assign_neon_impl(c, buf) }
     }
 
     pub(super) fn xor_slice_neon(src: &[u8], dst: &mut [u8]) {

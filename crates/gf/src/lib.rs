@@ -127,19 +127,6 @@ pub fn mul_add_slice(c: u8, src: &[u8], dst: &mut [u8]) {
     (kernel::active().mul_add_slice)(c, src, dst);
 }
 
-/// `buf[i] = c * buf[i]` for all `i` — in-place scaling, for callers that
-/// own their buffer uniquely and want no scratch at all.
-pub fn mul_slice_assign(c: u8, buf: &mut [u8]) {
-    if c == 0 {
-        buf.fill(0);
-        return;
-    }
-    if c == 1 {
-        return;
-    }
-    (kernel::active().mul_slice_assign)(c, buf);
-}
-
 /// `dst[i] = a[i] ^ b[i]` for all `i` — a one-pass delta kernel writing
 /// into caller-provided scratch (no intermediate copy of either input).
 ///
@@ -283,18 +270,6 @@ mod tests {
             for (i, (&s, &d)) in src.iter().zip(acc.iter()).enumerate() {
                 assert_eq!(d, s ^ mul(c, s), "c={c} i={i}");
             }
-        }
-    }
-
-    #[test]
-    fn mul_slice_assign_matches_mul_slice() {
-        let src: Vec<u8> = (0..=255u8).chain(0..=12u8).collect();
-        for c in [0u8, 1, 2, 29, 255] {
-            let mut expect = vec![0u8; src.len()];
-            mul_slice(c, &src, &mut expect);
-            let mut buf = src.clone();
-            mul_slice_assign(c, &mut buf);
-            assert_eq!(buf, expect, "c={c}");
         }
     }
 

@@ -17,7 +17,7 @@
 
 use crate::{AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::{BTreeMap, VecDeque};
-use tsue_ecfs::rangemap::{Gathered, RangeMap};
+use tsue_ecfs::rangemap::RangeMap;
 use tsue_ecfs::scheme::{
     reply_at, rmw_data_delta, send_at, stripe_parity_delta, Chunk, DeltaKind, SchemeMsg, UpdateReq,
 };
@@ -125,7 +125,7 @@ impl Cord {
         // Drain in stripe order: the aggregation map is ordered by global
         // stripe, so the send sequence (and thus NIC-lane timing) is the
         // same on every run.
-        for (gstripe, mut roles) in std::mem::take(&mut self.agg) {
+        for (gstripe, roles) in std::mem::take(&mut self.agg) {
             // Reconstruct a BlockId for the parity block: stripe
             // coordinates are derivable from any block of the stripe;
             // file/stripe-local index come with the entry.
@@ -135,27 +135,25 @@ impl Cord {
                 stripe,
                 role: 0,
             };
-            // The Eq. (5) kernels want contiguous contributors: gather each
-            // role's folded runs once, ahead of the per-parity passes.
-            let roles: Vec<(usize, Gathered<'_>)> = roles
-                .iter_mut()
-                .map(|(r, map)| (*r, map.gather()))
-                .collect();
+            // One entry shape for every parity; each parity's delta is a
+            // recipe over the folded runs' handles, generated where the
+            // parity owner applies it.
+            let roles: Vec<(usize, &RangeMap)> = roles.iter().map(|(r, map)| (*r, map)).collect();
+            let entries = stripe_parity_delta(&roles);
             for j in 0..m {
                 let peer = core.owner_of(gstripe, k + j);
-                for (off, chunk) in stripe_parity_delta(&core.rs, j, &roles).drain() {
+                for e in &entries {
                     self.drain_inflight += 1;
-                    let len = chunk.len;
                     let msg = SchemeMsg::DeltaForward {
                         from: osd,
                         block: carrier,
-                        off,
-                        data: chunk,
+                        off: e.off,
+                        data: e.parity_delta(&core.rs, j),
                         kind: DeltaKind::ParityDelta,
                         parity_index: j,
                         tag: 0,
                     };
-                    core.send_to_scheme(sim, osd, peer, len, msg);
+                    core.send_to_scheme(sim, osd, peer, e.len, msg);
                 }
             }
         }

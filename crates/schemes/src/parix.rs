@@ -16,9 +16,8 @@
 
 use crate::{parity_index_of, recycle_done, track_recycle, AckTable, LogRegion, ENTRY_HEADER};
 use std::collections::BTreeMap;
-use tsue_buf::Bytes;
 use tsue_ecfs::rangemap::RangeMap;
-use tsue_ecfs::scheme::{reply_at, send_at, Chunk, SchemeMsg, UpdateReq};
+use tsue_ecfs::scheme::{reply_at, send_at, xor_streamed, Chunk, SchemeMsg, UpdateReq};
 use tsue_ecfs::{BlockId, Cluster, ClusterCore, UpdateScheme};
 use tsue_sim::Sim;
 
@@ -26,21 +25,6 @@ use tsue_sim::Sim;
 const OLD_BIT: u64 = 1 << 62;
 /// Control tag: parity asks the data OSD for original data.
 const CTRL_NEED_OLD: u64 = 1;
-/// Bytes of a `latest` segment XORed per step of the recycle.
-const XOR_STEP: usize = 4096;
-
-/// XORs `src` into `dst` through a stack scratch, [`XOR_STEP`] bytes at a
-/// time: a client payload forwarded unread is generated there and never
-/// buffered.
-fn xor_streamed(src: &Bytes, dst: &mut [u8]) {
-    let mut scratch = [0u8; XOR_STEP];
-    for (rel, d) in (0..).step_by(XOR_STEP).zip(dst.chunks_mut(XOR_STEP)) {
-        let s = &mut scratch[..d.len()];
-        src.read_into(rel, s);
-        tsue_gf::xor_slice(s, d);
-    }
-}
-
 /// Parity-side per-data-block log state.
 #[derive(Default)]
 struct BlockLog {
@@ -135,8 +119,8 @@ impl Parix {
                     .log
                     .read(core, osd, t1, off.wrapping_mul(2654435761), len);
                 // delta = latest ⊕ original over this range, built in one
-                // scratch buffer and GF-scaled in place (the buffer
-                // is uniquely owned, so no second buffer materializes).
+                // scratch buffer; its GF scaling is a recipe over it,
+                // generated page by page as it lands in the parity block.
                 let delta = if newest.is_real() {
                     // The overlay writes every covered byte; a hole (an
                     // original that never arrived) reads as zeros.
@@ -153,14 +137,14 @@ impl Parix {
                 } else {
                     Chunk::ghost(len)
                 };
-                let pd = delta.into_gf_scaled(coeff);
+                let pd = delta.gf_scaled(coeff);
                 let compute = core.gf_time(pd.len);
                 let t_done = core.osds[osd].xor_block_range(
                     t2,
                     pblock,
                     off,
                     pd.len,
-                    pd.bytes.as_deref(),
+                    pd.bytes.as_ref(),
                     compute,
                 );
                 track_recycle(&mut self.inflight, core, sim, osd, t_done);

@@ -10,9 +10,13 @@
 //! nothing is generated when it is issued, and its consumers — the store
 //! page of an in-place write, the page scratch of a delta capture or a
 //! recycle XOR, a gather — each generate the window they read straight
-//! into their own memory. No scheme fills a client payload into a buffer
-//! of its own (`filled_bytes` stays 0), and bytes TSUE's DataLog
-//! supersedes before its seal-time capture are never generated at all.
+//! into their own memory. Every parity delta is deferred the same way: a
+//! recipe over the data delta's handle (`c · Δ`, or Eq. 5's `Σ c · Δ`),
+//! generated page by page as it lands in the parity block. No scheme
+//! fills a payload or a parity delta into a buffer of its own
+//! (`filled_bytes` stays 0), the only buffer an update allocates is its
+//! data delta (`pool_misses`), and bytes TSUE's DataLog supersedes before
+//! its seal-time capture are never generated at all.
 
 use tsue_repro::buf;
 use tsue_repro::core::Tsue;
@@ -184,49 +188,65 @@ fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
 
 /// TSUE's DataLog absorbs 16 overwrites of one range newest-wins before
 /// its seal-time capture reads them, and the capture streams that one
-/// payload into its page scratch: 1 × 4096 bytes are generated, none of
-/// them into a buffer of the payload's own.
+/// payload into its page scratch: 4096 bytes. The capture's delta is the
+/// one buffer allocated. The DeltaLog recycle combines it into one
+/// recipe per parity, and each ParityLog recycle generates its recipe
+/// into the parity block's pages: m · 4096 more. 4096 + 2·4096 = 12 288
+/// bytes generated, none buffered.
 #[test]
 fn tsue_generates_only_the_payload_its_data_log_keeps() {
     let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 16);
     assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
     assert_eq!(
-        window.streamed_bytes, 4096,
+        window.streamed_bytes,
+        4096 + 2 * 4096,
         "superseded payloads must never be generated: {window:?}"
     );
+    assert_eq!(window.pool_misses, 1, "only the data delta: {window:?}");
 }
 
 /// PARIX writes each update in place on arrival, generating it straight
 /// into the store pages: 16 × 4096 bytes. Its forwards share that unread
 /// handle, and on each of the m = 2 parity peers `latest` keeps only the
-/// newest, which the flush's recycle XORs in through its page scratch:
-/// 2 × 4096 more (the originals it XORs against are store reads, not
-/// payloads). 16·4096 + 2·4096 = 73 728 bytes generated, none buffered.
+/// newest, which the flush's recycle XORs into the delta's buffer through
+/// its page scratch: 2 × 4096 more (the originals it XORs against are
+/// store reads, not payloads). Each peer's scaled delta is a recipe
+/// generated into the parity block: 2 × 4096 more. 16·4096 + 2·4096 +
+/// 2·4096 = 81 920 bytes generated, none buffered. Three buffers are
+/// allocated: the first touch's read of the original, which it forwards,
+/// and one delta per parity peer.
 #[test]
 fn parix_generates_every_payload_on_arrival() {
     let window = overwrite_one_range(|| Box::new(Parix::new()), 16);
-    assert_eq!(window.deferred_bytes, 16 * 4096);
+    assert_eq!(window.deferred_bytes, 16 * 4096 + 2 * 4096);
     assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
-    assert_eq!(window.streamed_bytes, (16 + 2) * 4096, "{window:?}");
+    assert_eq!(window.streamed_bytes, (16 + 2 + 2) * 4096, "{window:?}");
+    assert_eq!(window.pool_misses, 1 + 2, "{window:?}");
 }
 
-/// The schemes whose data side is a read-modify-write on arrival (FO,
-/// PL, PLR, CoRD) stream every payload into the delta capture's page
-/// scratch: 16 × 4096 bytes. FL logs the data side newest-wins and its
-/// drain captures only the newest: 1 × 4096. None fills a payload into a
-/// buffer.
+/// The schemes whose data side is a read-modify-write on arrival stream
+/// every payload into the delta capture's page scratch (16 × 4096 bytes)
+/// and allocate one buffer per capture, the data delta (16). FO, PL and
+/// PLR send m = 2 scaled deltas per update, each a recipe generated into
+/// the parity block: 16·4096 + 16·2·4096 = 196 608 bytes. CoRD folds the
+/// 16 deltas at its collector and drains one combined recipe per parity:
+/// 16·4096 + 2·4096 = 73 728. FL logs the data side newest-wins, and its
+/// drain captures only the newest (one delta, one buffer) and scales it
+/// twice: 4096 + 2·4096 = 12 288. None fills a payload or a parity delta
+/// into a buffer.
 #[test]
 fn no_other_scheme_fills_a_client_payload() {
-    let schemes: [(&str, NewScheme, u64); 5] = [
-        ("FO", || Box::new(Fo::new()), 16),
-        ("FL", || Box::new(Fl::new()), 1),
-        ("PL", || Box::new(Pl::new()), 16),
-        ("PLR", || Box::new(Plr::new()), 16),
-        ("CoRD", || Box::new(Cord::new()), 16),
+    let schemes: [(&str, NewScheme, u64, u64); 5] = [
+        ("FO", || Box::new(Fo::new()), 16 + 16 * 2, 16),
+        ("FL", || Box::new(Fl::new()), 1 + 2, 1),
+        ("PL", || Box::new(Pl::new()), 16 + 16 * 2, 16),
+        ("PLR", || Box::new(Plr::new()), 16 + 16 * 2, 16),
+        ("CoRD", || Box::new(Cord::new()), 16 + 2, 16),
     ];
-    for (name, scheme, payloads) in schemes {
+    for (name, scheme, pages, allocations) in schemes {
         let window = overwrite_one_range(scheme, 16);
         assert_eq!(window.filled_bytes, 0, "{name}: {window:?}");
-        assert_eq!(window.streamed_bytes, payloads * 4096, "{name}: {window:?}");
+        assert_eq!(window.streamed_bytes, pages * 4096, "{name}: {window:?}");
+        assert_eq!(window.pool_misses, allocations, "{name}: {window:?}");
     }
 }
