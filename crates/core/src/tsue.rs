@@ -534,9 +534,9 @@ impl Tsue {
             .map(|(block, off, newest)| {
                 let delta = match &newest.bytes {
                     Some(new) => {
-                        // One pass over the store: capture new ⊕ old into a
-                        // new buffer and install the new content, with
-                        // no intermediate materialization of the old data.
+                        // One pass over the store: install the new content
+                        // and capture new ⊕ old as a recipe over `new` and
+                        // the replaced pages, copying neither.
                         let d = store
                             .delta_poke_range(block, off, new)
                             // INVARIANT: jobs carry bytes only in materialized runs, where
@@ -910,17 +910,19 @@ impl Tsue {
 }
 
 /// Collects `(block, offset, chunk)` recycle jobs from a sealed unit,
-/// honouring raw (no-locality) mode. This is where a merged run's bytes
-/// are gathered — once, into the buffer the job carries.
-fn collect_jobs(unit: &mut LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
+/// honouring raw (no-locality) mode. A merged run is handed out as one
+/// deferred concatenation of its segment handles ([`Entry::chunk`]), so
+/// nothing is gathered and the unit's index keeps the handles.
+///
+/// [`Entry::chunk`]: tsue_ecfs::rangemap::Entry::chunk
+fn collect_jobs(unit: &LogUnit<BlockId>) -> Vec<(BlockId, u64, Chunk)> {
     // The index is ordered, so the cross-block order is deterministic; raw
     // entries keep their append order *within* a block — overlapping raw
     // records must replay in arrival order for newest-wins semantics.
     let mut jobs = Vec::new();
-    for (&block, entry) in unit.index.iter_mut() {
+    for (&block, entry) in unit.index.iter() {
         if entry.raw.is_empty() {
-            let merged = entry.ranges.gather();
-            jobs.extend(merged.iter().map(|(off, c)| (block, off, c.clone())));
+            jobs.extend(entry.ranges.iter().map(|e| (block, e.off(), e.chunk())));
         } else {
             jobs.extend(entry.raw.iter().map(|(off, c)| (block, *off, c.clone())));
         }

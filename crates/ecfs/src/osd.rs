@@ -4,15 +4,18 @@
 //! stripe) at device offsets handed out by a bump allocator, plus arbitrary
 //! *regions* that update schemes lease for their logs. Block payload bytes
 //! are kept in memory only when the cluster runs in materialized
-//! (correctness) mode, one [`PAGE`] at a time as content is first written;
-//! the device model is timing/wear-only either way.
+//! (correctness) mode, one [`PAGE`] at a time: a page holds zeros, its own
+//! bytes, or a view of what wrote it. Pages are copy-on-write, so a read
+//! and a delta capture share them instead of copying them; the device
+//! model is timing/wear-only either way.
 
 use crate::mds::FileId;
+use crate::scheme::Combination;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_device::{Device, IoKind, StreamId};
-use tsue_integrity::{BlockChecksums, IntegrityError, SplitRng, PAGE};
+use tsue_integrity::{checksum, BlockChecksums, IntegrityError, SplitRng, PAGE};
 use tsue_sim::Time;
 
 #[cfg(test)]
@@ -40,18 +43,33 @@ pub struct StoredBlock {
     content: Option<Box<Content>>,
 }
 
-/// A materialized block: a table of [`PAGE`]-byte pages, each allocated
-/// on its first content change, plus the per-page checksum table.
+/// A materialized block: a table of [`PAGE`]-byte pages plus the per-page
+/// checksum table, both allocated on the block's first write.
 ///
-/// The absent-page invariant: a page that was never written reads as
-/// zeros, holds the zero-page digest and is never tainted, so no audit,
-/// verification or scrub has to hash it.
+/// A page holds zeros, its own bytes, or a view of what wrote it:
+///
+/// * **zeros** — a page never written is absent: it holds the zero-page
+///   digest and is never tainted, so no audit, verification or scrub has
+///   to hash it;
+/// * **its own bytes** — a buffer only the page holds, mutated in place;
+/// * **a view** — a window of the deferred source a write covered the
+///   whole page with ([`viewable`]), or a buffer that a read or a delta
+///   shares with the page.
+///
+/// Views are copy-on-write: a partial write, an XOR merge, a bit flip or
+/// an install gives the page bytes of its own first, so whatever shares
+/// the old buffer keeps the bytes it saw.
 #[derive(Debug)]
 struct Content {
     /// Block length in bytes.
     len: usize,
-    pages: Vec<Option<Box<[u8]>>>,
-    /// Per-page digests and taint ([`crate::ClusterConfig::checksums`]).
+    /// Keep per-page digests ([`crate::ClusterConfig::checksums`]).
+    checksums: bool,
+    /// One slot per page, `None` for an absent one; empty until the
+    /// block's first write.
+    pages: Vec<Option<Bytes>>,
+    /// Per-page digests and taint; `None` until the block's first write,
+    /// and with checksums off.
     sums: Option<BlockChecksums>,
 }
 
@@ -71,6 +89,24 @@ enum Mutation {
 /// All-zero content, compared against to keep zero pages absent.
 static ZERO_PAGE: [u8; PAGE as usize] = [0; PAGE as usize];
 
+/// The deepest source a page may view: a client payload (1), or a log
+/// run's concatenation of payloads (2). A store read declares itself one
+/// deeper ([`Content::snapshot`]), so a read written back — a re-sync, a
+/// torn-tail revert — and a run that concatenates one are generated into
+/// bytes of the page's own. Reading a page runs through at most this many
+/// recipes, and a store read through one more.
+const MAX_VIEW_DEPTH: usize = 2;
+
+/// Whether a write that covers a whole page with `src` makes the page a
+/// view of it: `src` is deferred, unfilled and no deeper than
+/// [`MAX_VIEW_DEPTH`]. A source that holds its bytes is copied and a
+/// store read is generated, so a page never pins another page's bytes or
+/// a built buffer larger than itself: an unfilled source pins only its
+/// recipe and the handles that recipe reads.
+fn viewable(src: &Bytes) -> bool {
+    (1..=MAX_VIEW_DEPTH).contains(&src.depth())
+}
+
 /// The pages `[off, off + len)` spans: `(page, range within that page,
 /// offset of the range within [off, off + len))`.
 fn segments(off: u64, len: u64) -> impl Iterator<Item = (usize, Range<usize>, usize)> {
@@ -88,61 +124,163 @@ fn segments(off: u64, len: u64) -> impl Iterator<Item = (usize, Range<usize>, us
     })
 }
 
+/// Runs `f` on the bytes of `page`: straight from its buffer when that
+/// holds them, else generated into `scratch`.
+fn with_bytes<R>(page: &Bytes, scratch: &mut [u8; PAGE as usize], f: impl FnOnce(&[u8]) -> R) -> R {
+    match page.try_as_slice() {
+        Some(bytes) => f(bytes),
+        None => {
+            let bytes = &mut scratch[..page.len()];
+            page.read_into(0, bytes);
+            f(bytes)
+        }
+    }
+}
+
+/// The bytes of the `page_len`-byte page in `slot`, which then holds them
+/// alone: in place when it already does, else in a new buffer — zeros,
+/// or with `keep` a copy of the page's bytes (copy-on-write).
+fn own(slot: &mut Option<Bytes>, page_len: usize, keep: bool) -> &mut [u8] {
+    if slot.as_mut().is_none_or(|p| p.try_unique_mut().is_none()) {
+        let fresh = match slot.as_ref().filter(|_| keep) {
+            Some(old) => match old.try_as_slice() {
+                Some(bytes) => BytesMut::copy_of(bytes),
+                None => {
+                    let mut m = BytesMut::take(page_len);
+                    old.read_into(0, &mut m);
+                    m
+                }
+            },
+            None => BytesMut::take(page_len),
+        };
+        *slot = Some(fresh.freeze());
+    }
+    slot.as_mut()
+        .and_then(Bytes::try_unique_mut)
+        // INVARIANT: the slot holds a built buffer no one else shares.
+        .expect("a page of its own")
+}
+
+/// Writes bytes `[at, at + seg.len())` of `src` over `seg` of the
+/// `page_len`-byte page in `slot`: a whole page becomes a view of a
+/// [`viewable`] source; anything else lands in bytes of the page's own.
+fn write_page(
+    slot: &mut Option<Bytes>,
+    seg: Range<usize>,
+    page_len: usize,
+    src: &Bytes,
+    at: usize,
+) {
+    let whole = seg.len() == page_len;
+    if whole && viewable(src) {
+        *slot = Some(src.slice(at, page_len));
+    } else {
+        src.read_into(at, &mut own(slot, page_len, !whole)[seg]);
+    }
+}
+
+/// Appends the window `v` at `at` to `terms`, which are in offset order
+/// and disjoint, as a term of coefficient 1: joined to the last term when
+/// it continues that one in the same buffer.
+fn push_term(terms: &mut Vec<(u8, usize, Bytes)>, at: usize, v: Bytes) {
+    if let Some((_, t_at, last)) = terms.last_mut() {
+        if *t_at + last.len() == at && last.try_join(&v) {
+            return;
+        }
+    }
+    terms.push((1, at, v));
+}
+
 impl Content {
     fn new(len: u64, checksums: bool) -> Self {
         Content {
             len: len as usize,
-            pages: vec![None; len.div_ceil(PAGE) as usize],
-            sums: checksums.then(|| BlockChecksums::new_zeroed(len)),
+            checksums,
+            pages: Vec::new(),
+            sums: None,
         }
     }
 
-    /// The bytes of `page` in a table for a `len`-byte block, allocated
-    /// (zeroed) on first use.
-    fn materialize(slot: &mut Option<Box<[u8]>>, len: usize, page: usize) -> &mut [u8] {
-        let page_len = (len - page * PAGE as usize).min(PAGE as usize);
-        slot.get_or_insert_with(|| vec![0; page_len].into_boxed_slice())
+    /// Length of `page`.
+    fn page_len(&self, page: usize) -> usize {
+        (self.len - page * PAGE as usize).min(PAGE as usize)
+    }
+
+    /// The page `page` holds, `None` when absent.
+    fn page(&self, page: usize) -> Option<&Bytes> {
+        self.pages.get(page)?.as_ref()
+    }
+
+    /// Allocates the page and checksum tables on the block's first write.
+    fn allocate(&mut self) {
+        if self.pages.is_empty() {
+            self.pages = vec![None; self.len.div_ceil(PAGE as usize)];
+            self.sums = self
+                .checksums
+                .then(|| BlockChecksums::new_zeroed(self.len as u64));
+        }
     }
 
     /// The checksum bracket, walked page by page over `[off, off + len)`:
-    /// materialize the page, audit its pre-image if it existed, apply
-    /// `mutate` to its segment (handed the segment's position within the
-    /// range), re-digest it. Returns whether a [`Mutation::Capture`] found
-    /// its pre-image corrupt.
+    /// audit the page's pre-image if it exists, hand `mutate` the page's
+    /// slot, the segment, the segment's position within the range and the
+    /// page's length, re-digest the page. A view is audited and digested
+    /// by generating it into a stack page. Returns whether a
+    /// [`Mutation::Capture`] found its pre-image corrupt.
     fn bracket(
         &mut self,
         off: u64,
         len: u64,
         kind: Mutation,
-        mut mutate: impl FnMut(Range<usize>, &mut [u8]),
+        mut mutate: impl FnMut(&mut Option<Bytes>, Range<usize>, usize, usize),
     ) -> bool {
         assert!(off + len <= self.len as u64, "write beyond block");
-        let Content {
-            len: block_len,
-            pages,
-            sums,
-        } = self;
+        if len == 0 {
+            return false;
+        }
+        self.allocate();
+        let mut scratch = [0u8; PAGE as usize];
         let mut rotted = false;
         for (page, seg, at) in segments(off, len) {
-            let slot = &mut pages[page];
-            if let (Some(old), Some(sums)) = (slot.as_deref(), sums.as_mut()) {
+            let page_len = self.page_len(page);
+            let slot = &mut self.pages[page];
+            if let (Some(old), Some(sums)) = (slot.as_ref(), self.sums.as_mut()) {
                 // A page replaced whole cannot carry rot forward; any
                 // other write over a corrupt (or already tainted)
                 // pre-image would fold the rot into its fresh digest, so
                 // the page stays or becomes tainted.
-                let whole = kind != Mutation::Mix && seg.len() == old.len();
-                let bad = (kind == Mutation::Capture || !whole) && sums.check(page, old).is_err();
+                let whole = kind != Mutation::Mix && seg.len() == page_len;
+                let bad = (kind == Mutation::Capture || !whole)
+                    && with_bytes(old, &mut scratch, |b| sums.check(page, b)).is_err();
                 rotted |= bad && kind == Mutation::Capture;
                 sums.set_tainted(page, bad && !whole);
             }
-            let n = seg.len();
-            let bytes = Self::materialize(slot, *block_len, page);
-            mutate(at..at + n, &mut bytes[seg]);
-            if let Some(sums) = sums.as_mut() {
-                sums.rehash(page, bytes);
+            mutate(slot, seg, at, page_len);
+            if let (Some(new), Some(sums)) = (slot.as_ref(), self.sums.as_mut()) {
+                with_bytes(new, &mut scratch, |b| sums.rehash(page, b));
             }
         }
         rotted
+    }
+
+    /// A snapshot of `[off, off + len)` that copies nothing: a view of the
+    /// one page that covers the range when that page holds its bytes,
+    /// else a deferred concatenation of the pages' views, zeros where a
+    /// page is absent, declared too deep for a page to view.
+    fn snapshot(&self, off: u64, len: u64) -> Bytes {
+        assert!(off + len <= self.len as u64, "read beyond block");
+        let mut terms = Vec::new();
+        for (page, seg, at) in segments(off, len) {
+            if let Some(p) = self.page(page) {
+                push_term(&mut terms, at, p.slice(seg.start, seg.len()));
+            }
+        }
+        if let [(_, 0, v)] = &terms[..] {
+            if v.len() as u64 == len && v.try_as_slice().is_some() {
+                return v.clone();
+            }
+        }
+        Combination::deferred_at_depth(len as usize, terms, MAX_VIEW_DEPTH + 1)
     }
 
     /// Copies `[off, off + out.len())` into `out`.
@@ -150,8 +288,8 @@ impl Content {
         assert!(off as usize + out.len() <= self.len, "read beyond block");
         for (page, seg, at) in segments(off, out.len() as u64) {
             let dst = &mut out[at..at + seg.len()];
-            match &self.pages[page] {
-                Some(bytes) => dst.copy_from_slice(&bytes[seg]),
+            match self.page(page) {
+                Some(p) => p.read_into(seg.start, dst),
                 None => dst.fill(0),
             }
         }
@@ -163,12 +301,11 @@ impl Content {
     fn install(&mut self, src: &[u8]) {
         for (page, seg, at) in segments(0, self.len as u64) {
             let new = &src[at..at + seg.len()];
-            let slot = &mut self.pages[page];
-            match slot {
-                Some(bytes) => bytes.copy_from_slice(new),
-                None if *new == ZERO_PAGE[..new.len()] => continue,
-                None => *slot = Some(new.into()),
+            if self.page(page).is_none() && *new == ZERO_PAGE[..new.len()] {
+                continue;
             }
+            self.allocate();
+            own(&mut self.pages[page], new.len(), false).copy_from_slice(new);
             if let Some(sums) = self.sums.as_mut() {
                 sums.set_tainted(page, false);
                 sums.rehash(page, new);
@@ -178,8 +315,10 @@ impl Content {
 
     /// Flips one bit in place, bypassing the checksum table (bit rot).
     fn flip(&mut self, byte: usize, bit: u8) {
+        self.allocate();
         let page = byte / PAGE as usize;
-        Self::materialize(&mut self.pages[page], self.len, page)[byte % PAGE as usize] ^= 1 << bit;
+        let page_len = self.page_len(page);
+        own(&mut self.pages[page], page_len, true)[byte % PAGE as usize] ^= 1 << bit;
     }
 
     /// Verifies the written pages overlapping `[off, off + len)`.
@@ -187,9 +326,10 @@ impl Content {
         let Some(sums) = &self.sums else {
             return Ok(());
         };
+        let mut scratch = [0u8; PAGE as usize];
         for (page, _, _) in segments(off, len) {
-            if let Some(bytes) = &self.pages[page] {
-                sums.check(page, bytes)?;
+            if let Some(p) = self.page(page) {
+                with_bytes(p, &mut scratch, |b| sums.check(page, b))?;
             }
         }
         Ok(())
@@ -201,14 +341,24 @@ impl Content {
         let Some(sums) = &self.sums else {
             return Vec::new();
         };
-        self.pages
-            .iter()
-            .enumerate()
-            .filter_map(|(page, slot)| {
-                let bytes = slot.as_deref()?;
-                sums.check(page, bytes).is_err().then_some(page)
+        let mut scratch = [0u8; PAGE as usize];
+        (0..self.pages.len())
+            .filter(|&page| {
+                self.page(page)
+                    .is_some_and(|p| with_bytes(p, &mut scratch, |b| sums.check(page, b)).is_err())
             })
             .collect()
+    }
+
+    /// Stored digest of `page`: the zero-page digest until the block's
+    /// first write; `None` with checksums off.
+    fn digest(&self, page: usize) -> Option<u64> {
+        match &self.sums {
+            Some(sums) => Some(sums.digest(page)),
+            None => self
+                .checksums
+                .then(|| checksum(&ZERO_PAGE[..self.page_len(page)])),
+        }
     }
 }
 
@@ -227,9 +377,9 @@ pub const STREAM_SCHEME_BASE: StreamId = 16;
 /// `write_block_range`, `xor_block_range`), the **content plane**
 /// (`peek_*`, `*_poke_*`, `fill_block`) moves bytes only, for paths that
 /// account timing separately. Every change to stored bytes goes through
-/// one checksum bracket that walks the pages of its range (materialize,
-/// audit the pre-image, mutate, re-digest); [`Osd::corrupt_bits`] is the
-/// one deliberate bypass.
+/// one checksum bracket that walks the pages of its range (audit the
+/// pre-image, mutate, re-digest); [`Osd::corrupt_bits`] is the one
+/// deliberate bypass.
 pub struct Osd {
     /// Network node id (OSDs occupy ids `0..cfg.osds`).
     pub node: usize,
@@ -270,8 +420,9 @@ impl Osd {
 
     /// Allocates an all-zero block without charging the device — the
     /// rebuild target's copy, whose sequential write the caller times
-    /// with [`Osd::block_io`]. When `materialize` is set the block gets
-    /// a page table and a checksum table, but no page holds bytes yet.
+    /// with [`Osd::block_io`]. When `materialize` is set the block holds
+    /// content, all absent pages: its page and checksum tables come with
+    /// its first write.
     pub fn install_block(&mut self, id: BlockId, block_size: u64, materialize: bool) {
         let dev_offset = self.alloc_region(block_size);
         let content = materialize.then(|| Box::new(Content::new(block_size, self.checksums)));
@@ -319,8 +470,8 @@ impl Osd {
     }
 
     /// Reads `[off, off+len)` of a block: charges a device read and returns
-    /// `(completion_time, bytes-if-materialized)`. The returned bytes live
-    /// in a new buffer.
+    /// `(completion_time, bytes-if-materialized)`. The bytes are a
+    /// snapshot that copies nothing ([`Osd::peek_block_range`]).
     ///
     /// # Panics
     /// Panics if the block is absent or the range exceeds it.
@@ -391,13 +542,14 @@ impl Osd {
 
     /// Content-only read of a block range (no device charge) — used when
     /// content application and timing accounting are decoupled. Returns a
-    /// new buffer; `None` when the block is not materialized.
+    /// snapshot that copies and allocates nothing: a view of the page
+    /// that covers the range when that page holds its bytes, else a
+    /// deferred recipe over the views of the pages the range touches,
+    /// zeros where a page is absent. Pages are copy-on-write, so the
+    /// snapshot keeps its bytes after later writes. `None` when the block
+    /// is not materialized.
     pub fn peek_block_range(&self, id: BlockId, off: u64, len: u64) -> Option<Bytes> {
-        let c = self.content(id)?;
-        let mut out = BytesMut::take(len as usize);
-        c.read_into(off, &mut out);
-        tsue_buf::count_copy(len);
-        Some(out.freeze())
+        Some(self.content(id)?.snapshot(off, len))
     }
 
     /// Content-only read of `[off, off + out.len())` into `out` (no
@@ -423,56 +575,79 @@ impl Osd {
         let len = delta.len() as u64;
         match delta.try_as_slice() {
             Some(d) => {
-                c.bracket(off, len, Mutation::Mix, |r, dst| {
-                    tsue_gf::xor_slice(&d[r], dst);
+                c.bracket(off, len, Mutation::Mix, |slot, seg, at, page_len| {
+                    let n = seg.len();
+                    tsue_gf::xor_slice(&d[at..at + n], &mut own(slot, page_len, true)[seg]);
                 });
             }
             None => {
                 let mut scratch = [0u8; PAGE as usize];
-                c.bracket(off, len, Mutation::Mix, |r, dst| {
-                    let src = &mut scratch[..r.len()];
-                    delta.read_into(r.start, src);
-                    tsue_gf::xor_slice(src, dst);
+                c.bracket(off, len, Mutation::Mix, |slot, seg, at, page_len| {
+                    let src = &mut scratch[..seg.len()];
+                    delta.read_into(at, src);
+                    tsue_gf::xor_slice(src, &mut own(slot, page_len, true)[seg]);
                 });
             }
         }
     }
 
-    /// Content-only delta capture: writes `new ⊕ current` for
-    /// `[off, off + new.len())` into a new buffer and replaces
-    /// the stored range with `new`, in one pass over the store (no device
-    /// charge — the timed I/O is charged separately by the caller).
-    /// `new` is read a page at a time into a stack scratch, so an unfilled
-    /// deferred payload is generated there and never buffered.
-    /// Returns `None` when the block is not materialized.
+    /// Content-only delta capture: replaces `[off, off + new.len())` with
+    /// `new` and returns the data delta `new ⊕ old`, in one pass over the
+    /// store (no device charge — the timed I/O is charged separately by
+    /// the caller). The delta copies nothing: where the range was never
+    /// written it is `new`'s own handle, else a deferred combination of
+    /// `new` and the pre-image views, into which every page the capture
+    /// replaces whole is moved. Every pre-image page is audited; a corrupt
+    /// one poisons the block. Returns `None` when the block is not
+    /// materialized.
     pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &Bytes) -> Option<Bytes> {
         let c = self.content_mut(id)?;
-        let mut d = BytesMut::take(new.len());
-        let mut scratch = [0u8; PAGE as usize];
-        let rotted = c.bracket(off, new.len() as u64, Mutation::Capture, |r, dst| {
-            let src = &mut scratch[..r.len()];
-            new.read_into(r.start, src);
-            tsue_gf::xor_into(dst, src, &mut d[r]);
-            dst.copy_from_slice(src);
-        });
+        let mut old = Vec::new();
+        let rotted = c.bracket(
+            off,
+            new.len() as u64,
+            Mutation::Capture,
+            |slot, seg, at, page_len| {
+                let pre = if seg.len() == page_len {
+                    slot.take()
+                } else {
+                    slot.as_ref().map(|p| p.slice(seg.start, seg.len()))
+                };
+                if let Some(pre) = pre {
+                    push_term(&mut old, at, pre);
+                }
+                write_page(slot, seg, page_len, new, at);
+            },
+        );
         if rotted {
             // The delta XORed in rotted bytes and poisons the parity it
             // feeds: queue the stripe for a parity re-encode after the
             // data is repaired.
             self.poisoned.push(id);
         }
-        Some(d.freeze())
+        if old.is_empty() {
+            return Some(new.clone());
+        }
+        let terms = std::iter::once((1, 0, new.clone())).chain(old).collect();
+        Some(Combination::deferred(new.len(), terms))
     }
 
     /// Content-only write of a block range (no device charge). A repair
-    /// that rewrites a whole page clears its taint. `data` is read
-    /// straight into the store pages, so an unfilled deferred payload is
-    /// generated there and never buffered.
+    /// that rewrites a whole page clears its taint. A page `data` covers
+    /// whole becomes a view of it when `data` is an unfilled client
+    /// payload or a log run's concatenation of them; the rest of `data` is
+    /// read straight into the store pages, so such a payload is generated
+    /// there and never buffered.
     pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &Bytes) {
         if let Some(c) = self.content_mut(id) {
-            c.bracket(off, data.len() as u64, Mutation::Replace, |r, dst| {
-                data.read_into(r.start, dst);
-            });
+            c.bracket(
+                off,
+                data.len() as u64,
+                Mutation::Replace,
+                |slot, seg, at, page_len| {
+                    write_page(slot, seg, page_len, data, at);
+                },
+            );
         }
     }
 
@@ -534,7 +709,7 @@ impl Osd {
 
     /// Stored digest of `page` of `id`, when a checksum table exists.
     pub fn page_digest(&self, id: BlockId, page: usize) -> Option<u64> {
-        Some(self.content(id)?.sums.as_ref()?.digest(page))
+        self.content(id)?.digest(page)
     }
 
     /// Whether `page` of `id` is flagged written-while-corrupt (its
@@ -821,6 +996,105 @@ mod tests {
             streamed.take_poisoned().is_empty(),
             "a blind write sources no delta"
         );
+    }
+
+    /// Depth of every page of `bid(0, 0)` that holds something.
+    fn page_depths(o: &Osd) -> Vec<usize> {
+        let c = o.content(bid(0, 0)).expect("materialized");
+        c.pages.iter().flatten().map(Bytes::depth).collect()
+    }
+
+    #[test]
+    fn a_payload_written_whole_is_viewed_and_a_built_source_copied() {
+        let mut o = paged_osd();
+        let before = tsue_buf::stats();
+        o.poke_block_range(bid(0, 0), 0, &unread_payload(4 * PAGE as usize));
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!((s.pool_misses, s.filled_bytes), (0, 0), "four views");
+        assert_eq!(s.streamed_bytes, 4 * PAGE, "generated for the digests");
+        assert_eq!(page_depths(&o), [1; 4]);
+        // A source that holds its bytes is copied into pages of their
+        // own, so no page pins a buffer larger than itself.
+        let before = tsue_buf::stats();
+        let built = Bytes::from(vec![1u8; 2 * PAGE as usize]);
+        o.poke_block_range(bid(0, 0), PAGE, &built);
+        assert_eq!(tsue_buf::stats().since(&before).pool_misses, 2);
+        assert_eq!(page_depths(&o), [1, 0, 0, 1]);
+        assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
+    }
+
+    #[test]
+    fn a_read_over_a_page_that_holds_its_bytes_is_a_view_of_it() {
+        let mut o = paged_osd();
+        o.poke_block_range(bid(0, 0), 0, &bytes(&[6u8; 100]));
+        let newer = bytes(&[7u8; 100]);
+        let before = tsue_buf::stats();
+        let got = o.peek_block_range(bid(0, 0), 10, 50).expect("materialized");
+        assert_eq!(got.try_as_slice(), Some(&[6u8; 50][..]), "built: no recipe");
+        // The page is now shared: the next write copies it first.
+        o.poke_block_range(bid(0, 0), 0, &newer);
+        assert_eq!(
+            got.try_as_slice(),
+            Some(&[6u8; 50][..]),
+            "the read kept its bytes"
+        );
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!(
+            (s.pool_misses, s.bytes_copied),
+            (1, PAGE),
+            "one copy-on-write"
+        );
+    }
+
+    /// A read written back — a re-sync, a torn-tail revert — would stack
+    /// one more recipe per round if pages viewed it. A store read declares
+    /// itself deeper than [`MAX_VIEW_DEPTH`], so the store generates it
+    /// into bytes of the page's own instead, and views only what a log
+    /// run hands it: every page stays at most that deep and every read
+    /// one deeper, however many rounds run.
+    #[test]
+    fn views_stay_shallow() {
+        let mut o = paged_osd();
+        let id = bid(0, 0);
+        let len = 8 * PAGE;
+        o.poke_block_range(id, 0, &unread_payload(len as usize));
+        let run = Combination::deferred(
+            2 * PAGE as usize,
+            vec![
+                (1, 0, unread_payload(PAGE as usize)),
+                (1, PAGE as usize, unread_payload(PAGE as usize)),
+            ],
+        );
+        assert_eq!(run.depth(), MAX_VIEW_DEPTH, "a log run's concatenation");
+        for round in 0..32u64 {
+            let snap = o.peek_block_range(id, 0, len).expect("materialized");
+            assert!(snap.depth() <= MAX_VIEW_DEPTH + 1, "round {round}");
+            let mut want = vec![0u8; len as usize];
+            snap.read_into(0, &mut want);
+            let at = round % 4 * PAGE;
+            let back = snap.slice(0, (len - at) as usize);
+            match round % 3 {
+                0 => o.poke_block_range(id, at, &back),
+                1 => {
+                    let d = o.delta_poke_range(id, at, &back).expect("materialized");
+                    assert!(d.depth() <= MAX_VIEW_DEPTH + 1 + 1, "round {round}");
+                }
+                _ => o.poke_block_range(id, at, &run),
+            }
+            assert!(
+                page_depths(&o).iter().all(|&d| d <= MAX_VIEW_DEPTH),
+                "round {round}"
+            );
+            if round % 3 != 2 {
+                let mut got = vec![0u8; len as usize];
+                assert!(o.peek_into(id, 0, &mut got));
+                assert!(
+                    got[at as usize..] == want[..(len - at) as usize],
+                    "round {round}"
+                );
+            }
+        }
+        assert!(o.verify_range(id, 0, 1 << 20).is_ok());
     }
 
     #[test]

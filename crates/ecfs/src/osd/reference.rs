@@ -2,9 +2,11 @@
 //! with a range-scanning checksum table — the representation the paged
 //! [`Osd`] store replaced — kept so the differential test below can hold
 //! the paged store to the same bytes, verification results, corrupt-page
-//! lists, digests and taint after every operation.
+//! lists, digests and taint after every operation, and its copy-on-write
+//! reads and deltas to the bytes they saw.
 
-use super::{BlockId, Osd};
+use super::{BlockId, Osd, MAX_VIEW_DEPTH};
+use crate::scheme::Combination;
 use std::ops::Range;
 use tsue_buf::Bytes;
 use tsue_device::{Device, SsdModel};
@@ -172,11 +174,88 @@ fn random_bytes(rng: &mut SplitRng, n: u64) -> Vec<u8> {
         .collect()
 }
 
+/// The bytes of `b`, read without filling it.
+fn read(b: &Bytes) -> Vec<u8> {
+    let mut out = vec![0u8; b.len()];
+    b.read_into(0, &mut out);
+    out
+}
+
+/// A source of `bytes.len()` bytes for a write, by `kind`: the random
+/// bytes in a buffer of their own; an unfilled client payload (a whole
+/// page it covers becomes a view of it); two payload pieces concatenated
+/// by a recipe, as a log run hands a recycle its segments (still
+/// viewable); or a read of the block itself, written back as a torn-tail
+/// revert or a re-sync does (too deep to view). Rewrites `bytes` to what
+/// the source reads as.
+fn source(
+    kind: u64,
+    osd: &Osd,
+    id: BlockId,
+    flat: &FlatBlock,
+    rng: &mut SplitRng,
+    bytes: &mut [u8],
+) -> Bytes {
+    let n = bytes.len();
+    let key = rng.next_u64();
+    match kind {
+        0 => Bytes::from(bytes.to_vec()),
+        1 => {
+            crate::payload_into(key, 1, bytes);
+            crate::payload::payload_bytes(key, 1, n as u64)
+        }
+        2 => {
+            let cut = rng.below(n as u64 + 1) as usize;
+            crate::payload_into(key, 2, &mut bytes[..cut]);
+            crate::payload_into(key, 3, &mut bytes[cut..]);
+            let pieces = [(0, 2, cut), (cut, 3, n - cut)];
+            let terms = pieces
+                .into_iter()
+                .map(|(at, ext, len)| (1, at, crate::payload::payload_bytes(key, ext, len as u64)))
+                .collect();
+            Combination::deferred(n, terms)
+        }
+        _ => {
+            let at = rng.below(flat.data.len() as u64 - n as u64 + 1) as usize;
+            bytes.copy_from_slice(&flat.data[at..at + n]);
+            osd.peek_block_range(id, at as u64, n as u64)
+                .expect("materialized")
+        }
+    }
+}
+
+/// Reads and deltas the store handed out, each with the bytes it must
+/// keep reading as whatever the store does after.
+#[derive(Default)]
+struct Held(Vec<(Bytes, Vec<u8>, &'static str)>);
+
+impl Held {
+    /// Holds `b`, which reads as `want`, in place of a random older one
+    /// once eight are held.
+    fn hold(&mut self, rng: &mut SplitRng, b: Bytes, want: Vec<u8>, what: &'static str) {
+        assert!(read(&b) == want, "{what} reads as it should");
+        if self.0.len() == 8 {
+            self.0.swap_remove(rng.below(8) as usize);
+        }
+        self.0.push((b, want, what));
+    }
+
+    fn check(&self, ctx: &str) {
+        for (b, want, what) in &self.0 {
+            assert!(read(b) == *want, "a held {what} changed: {ctx}");
+        }
+    }
+}
+
 /// A seeded mix of every content-plane operation, run on the paged store
 /// and on the flat reference side by side, with and without checksums,
-/// on a block whose last page is short. After every op the two agree on
-/// every byte, on verification of a random range, on the corrupt-page
-/// list, and on every page's digest and taint.
+/// on a block whose last page is short, from every kind of [`source`].
+/// After every op the two agree on every byte, on verification of a
+/// random range, on the corrupt-page list, and on every page's digest
+/// and taint. Every read and delta the store handed out and the test
+/// still holds reads as it did when it was made, whatever pokes, XORs,
+/// captures, bit flips and installs came since; and no page is deeper
+/// than [`MAX_VIEW_DEPTH`].
 #[test]
 fn paged_store_matches_flat_reference() {
     let len = 5 * PAGE + 1000;
@@ -193,17 +272,14 @@ fn paged_store_matches_flat_reference() {
             osd.provision_block(id, len, true);
             let mut flat = FlatBlock::new(len, checksums);
             let mut rng = SplitRng::new(seed);
+            let mut held = Held::default();
+            // Steps after which some page is a view.
+            let mut views = 0;
             for step in 0..400 {
+                let ctx = format!("checksums {checksums} seed {seed} step {step}");
                 let (off, n) = random_range(&mut rng, len);
                 let mut bytes = random_bytes(&mut rng, n);
-                // Odd steps write an unfilled client payload, which the
-                // store generates page by page as it lands.
-                let data = if step % 2 == 1 {
-                    crate::payload_into(step, seed as usize, &mut bytes);
-                    crate::payload::payload_bytes(step, seed as usize, bytes.len() as u64)
-                } else {
-                    Bytes::from(bytes.clone())
-                };
+                let data = source(step % 4, &osd, id, &flat, &mut rng, &mut bytes);
                 match rng.below(7) {
                     0 => {
                         osd.poke_block_range(id, off, &data);
@@ -215,7 +291,7 @@ fn paged_store_matches_flat_reference() {
                     }
                     2 => {
                         let got = osd.delta_poke_range(id, off, &data).expect("materialized");
-                        assert_eq!(got[..], flat.delta_poke(off, &bytes)[..], "step {step}");
+                        held.hold(&mut rng, got, flat.delta_poke(off, &bytes), "delta");
                     }
                     3 => {
                         // A decode's output: a fresh range over the
@@ -238,16 +314,23 @@ fn paged_store_matches_flat_reference() {
                     }
                     5 => {
                         let got = osd.peek_block_range(id, off, n).expect("materialized");
-                        assert_eq!(got[..], flat.data[off as usize..(off + n) as usize]);
+                        assert!(got.depth() <= MAX_VIEW_DEPTH + 1, "{ctx}");
+                        let want = flat.data[off as usize..(off + n) as usize].to_vec();
+                        held.hold(&mut rng, got, want, "read");
                     }
                     _ => assert_eq!(
                         osd.verify_range(id, off, n),
                         flat.verify_range(off, n),
-                        "seed {seed} step {step}"
+                        "{ctx}"
                     ),
                 }
+                held.check(&ctx);
                 let all = osd.peek_block_range(id, 0, len).expect("materialized");
-                assert_eq!(all[..], flat.data[..], "seed {seed} step {step}");
+                assert!(read(&all) == flat.data, "{ctx}");
+                let content = osd.content(id).expect("materialized");
+                let deepest = content.pages.iter().flatten().map(Bytes::depth).max();
+                assert!(deepest.unwrap_or(0) <= MAX_VIEW_DEPTH, "{ctx}");
+                views += usize::from(deepest.unwrap_or(0) > 0);
                 assert_eq!(!osd.take_poisoned().is_empty(), flat.poisoned);
                 flat.poisoned = false;
                 let (off, n) = random_range(&mut rng, len);
@@ -262,6 +345,7 @@ fn paged_store_matches_flat_reference() {
                     assert_eq!(osd.page_tainted(id, page), tainted, "page {page}");
                 }
             }
+            assert!(views > 40, "pages become views: {views} of 400 steps");
         }
     }
 }

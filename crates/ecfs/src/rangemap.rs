@@ -22,13 +22,13 @@
 //! (and fuses the two handles when they are contiguous views of one
 //! buffer); splitting an entry slices a handle; an overwrite or XOR touches
 //! only the span it covers. No insert copies bytes it was not given, so an
-//! insert costs O(log n + new bytes) however long the run it lands in. The
-//! bytes of a run are gathered into one buffer **at most once, at the
-//! consumer**: [`RangeMap::gather`] (a sealed log unit handing out recycle
-//! jobs) and [`RangeMap::drain`]. Before that, entries are only visible as
-//! [`Entry`] segment views, so half-gathered bytes cannot escape. A
-//! consumer that can work segment by segment takes the handles themselves,
-//! ungathered, from [`RangeMap::drain_runs`].
+//! insert costs O(log n + new bytes) however long the run it lands in. A
+//! run's bytes are never gathered into one buffer for a consumer: it sees
+//! an entry as its [`Entry`] segment views, or as one chunk that is a
+//! deferred concatenation of them ([`Entry::chunk`]), generated where it
+//! is read. A consumer that is done with the map takes the handles
+//! themselves from [`RangeMap::drain_runs`]. Only an XOR that lands on a
+//! multi-segment run copies the run once, into the buffer it folds into.
 //!
 //! A consumer that is done with the bytes but not with the extents calls
 //! [`RangeMap::release_bytes`]: every entry becomes one ghost segment of the
@@ -54,7 +54,7 @@
 //! the boundaries it finds, so a real entry next to a ghost becomes two
 //! adjacent ghosts, which merge once an insert touches their seam.
 
-use crate::scheme::Chunk;
+use crate::scheme::{Chunk, Combination};
 use tsue_buf::BytesMut;
 
 #[cfg(test)]
@@ -120,8 +120,8 @@ fn copy_run(segs: &[Seg], dst: &mut [u8]) {
     }
 }
 
-/// One entry as stored: a ghost extent or a run of byte segments that has
-/// not been gathered. Handed out by [`RangeMap::iter`] and [`Runs::iter`].
+/// One entry as stored: a ghost extent or a run of byte segments. Handed
+/// out by [`RangeMap::iter`] and [`Runs::iter`].
 #[derive(Clone, Copy, Debug)]
 pub struct Entry<'a> {
     segs: &'a [Seg],
@@ -150,6 +150,24 @@ impl<'a> Entry<'a> {
         self.segs.iter().map(|s| (s.off, &s.chunk))
     }
 
+    /// The entry as one chunk, with nothing gathered: its one segment's
+    /// handle (a ghost for a ghost), or a deferred concatenation of its
+    /// segments' handles — the recipe of a store read.
+    pub fn chunk(&self) -> Chunk {
+        match self.segs {
+            [one] => one.chunk.clone(),
+            segs => {
+                let terms = segs
+                    .iter()
+                    .filter_map(|s| {
+                        Some((1, (s.off - self.off()) as usize, s.chunk.bytes.clone()?))
+                    })
+                    .collect();
+                Chunk::real(Combination::deferred(self.len() as usize, terms))
+            }
+        }
+    }
+
     /// Copies the entry's bytes into `dst` (left untouched by a ghost).
     ///
     /// # Panics
@@ -160,22 +178,8 @@ impl<'a> Entry<'a> {
     }
 }
 
-/// The entries of a gathered map: one contiguous [`Chunk`] each. Only
-/// [`RangeMap::gather`] makes one, so holding it proves the gather ran.
-#[derive(Clone, Copy, Debug)]
-pub struct Gathered<'a> {
-    segs: &'a [Seg],
-}
-
-impl<'a> Gathered<'a> {
-    /// Iterates `(offset, chunk)` in offset order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &'a Chunk)> {
-        self.segs.iter().map(|s| (s.off, &s.chunk))
-    }
-}
-
-/// The entries of a drained map as their runs of segment handles, not
-/// gathered. Only [`RangeMap::drain_runs`] makes one.
+/// The entries of a drained map as their runs of segment handles. Only
+/// [`RangeMap::drain_runs`] makes one.
 #[derive(Debug)]
 pub struct Runs {
     segs: Vec<Seg>,
@@ -233,42 +237,13 @@ impl RangeMap {
         self.covered = 0;
     }
 
-    /// Iterates the entries in offset order, as stored (ungathered).
+    /// Iterates the entries in offset order, as stored.
     pub fn iter(&self) -> impl Iterator<Item = Entry<'_>> {
         entries(&self.segs)
     }
 
-    /// Gathers every multi-segment entry into one new buffer (the single
-    /// counted copy of a run's bytes) and returns the entries as contiguous
-    /// chunks. Entries that are already one segment are not touched.
-    pub fn gather(&mut self) -> Gathered<'_> {
-        if self.segs.len() > self.entries {
-            let (mut r, mut w) = (0, 0);
-            while r < self.segs.len() {
-                let n = self.run_len(r, self.segs.len());
-                if n == 1 {
-                    self.segs.swap(w, r);
-                } else {
-                    self.segs[w] = self.gathered(r, n);
-                }
-                r += n;
-                w += 1;
-            }
-            self.segs.truncate(w);
-        }
-        Gathered { segs: &self.segs }
-    }
-
-    /// Drains all entries in offset order, gathered.
-    pub fn drain(&mut self) -> Vec<(u64, Chunk)> {
-        self.gather();
-        self.entries = 0;
-        self.covered = 0;
-        self.segs.drain(..).map(|s| (s.off, s.chunk)).collect()
-    }
-
     /// Drains all entries in offset order as their runs of segment handles:
-    /// nothing is gathered, no byte is copied.
+    /// no byte is copied.
     pub fn drain_runs(&mut self) -> Runs {
         self.entries = 0;
         self.covered = 0;
@@ -389,7 +364,8 @@ impl RangeMap {
     }
 
     /// The `n`-segment run at `segs[r]` as one segment over one new
-    /// buffer — the single counted copy of a run's bytes.
+    /// buffer — the single counted copy of a run's bytes, which an XOR
+    /// then folds into in place.
     fn gathered(&self, r: usize, n: usize) -> Seg {
         let run = &self.segs[r..r + n];
         let off = run[0].off;

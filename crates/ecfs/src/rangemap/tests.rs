@@ -102,9 +102,8 @@ fn drain_empties_in_order() {
     m.insert(30, real(3, 4));
     m.insert(10, real(1, 4));
     m.insert(20, real(2, 4));
-    let drained = m.drain();
-    assert_eq!(drained.len(), 3);
-    assert!(drained.windows(2).all(|w| w[0].0 < w[1].0));
+    let drained: Vec<u64> = m.drain_runs().iter().map(|e| e.off()).collect();
+    assert_eq!(drained, [10, 20, 30]);
     assert!(m.is_empty());
     assert_eq!(m.covered_bytes(), 0);
 }
@@ -335,19 +334,26 @@ fn check_against_model(map: &RangeMap, model: &Model, rng: &mut Rng, ctx: &str) 
     }
 }
 
-/// `gather` (on a clone) and `drain` hand out the model's entries; so do
-/// `drain_runs` (on a clone) once its segments are concatenated.
+/// Every entry as one chunk ([`Entry::chunk`]) holds the model's entry,
+/// and copies nothing; so does `drain_runs` (on a clone) once its
+/// segments are concatenated, and `drain_runs` itself.
 fn check_drain(map: &mut RangeMap, model: &Model, ctx: &str) {
-    let flat = |v: Vec<(u64, Chunk)>| -> Vec<ModelEntry> {
-        v.into_iter()
-            .map(|(o, c)| (o, c.len, c.bytes.map(|b| b.to_vec())))
+    let flat = |map: &RangeMap| -> Vec<ModelEntry> {
+        map.iter()
+            .map(|e| {
+                let c = e.chunk();
+                (e.off(), c.len, c.bytes.map(|b| b.to_vec()))
+            })
             .collect()
     };
     let want = model.entries();
-    let mut copy = map.clone();
-    let gathered = flat(copy.gather().iter().map(|(o, c)| (o, c.clone())).collect());
-    assert!(gathered == want, "gather {ctx}");
-    check_invariants(&copy);
+    let before = tsue_buf::stats();
+    let chunks: Vec<Chunk> = map.iter().map(|e| e.chunk()).collect();
+    let s = tsue_buf::stats().since(&before);
+    assert_eq!((s.pool_misses, s.bytes_copied), (0, 0), "chunk {ctx}");
+    drop(chunks);
+    assert!(flat(map) == want, "chunk {ctx}");
+    check_invariants(map);
     assert_released_keeps_extents(map, ctx);
     let mut copy = map.clone();
     let runs = copy.drain_runs();
@@ -367,7 +373,7 @@ fn check_drain(map: &mut RangeMap, model: &Model, ctx: &str) {
         })
         .collect();
     assert!(concatenated == want, "drain_runs {ctx}");
-    assert!(flat(map.drain()) == want, "drain {ctx}");
+    map.drain_runs();
     assert!(map.is_empty());
     assert_eq!((map.len(), map.covered_bytes()), (0, 0));
 }
@@ -662,7 +668,7 @@ fn copied_by_random_inserts(disc: Discipline) -> u64 {
             disc,
         );
     }
-    let drained: u64 = m.drain().iter().map(|(_, c)| c.len).sum();
+    let drained: u64 = m.drain_runs().iter().map(|e| e.chunk().len).sum();
     assert_eq!(drained, 1 << 20);
     tsue_buf::take_stats().bytes_copied
 }
@@ -693,16 +699,22 @@ fn sequential_appends_copy_each_byte_at_most_once() {
         0,
         "appends copy nothing"
     );
-    let drained = m.drain();
-    assert_eq!(drained.len(), 1);
+    let runs = m.drain_runs();
+    let run = runs.iter().next().expect("one run");
+    let concat = run.chunk();
+    assert_eq!(concat.len, 256 * PAGE);
     let s = tsue_buf::take_stats();
-    assert!(
-        s.bytes_copied <= 256 * PAGE,
-        "{} bytes copied",
-        s.bytes_copied
+    assert_eq!(
+        (s.pool_misses, s.deep_copies),
+        (0, 0),
+        "the run's chunk concatenates its handles"
     );
-    assert_eq!(s.deep_copies, 1, "one gather per run");
-    // Appends sliced from one buffer re-join by handle: nothing to gather.
+    // Read, it is the run's bytes, back to back.
+    let mut copied = vec![0u8; concat.len as usize];
+    run.copy_to(&mut copied);
+    assert!(concat.bytes.expect("real") == copied);
+    // Appends sliced from one buffer re-join by handle: the run is one
+    // segment, and its chunk is the buffer itself.
     let whole = tsue_buf::Bytes::from(rng.bytes(1 << 20));
     for i in 0..256 {
         m.insert(
@@ -710,7 +722,9 @@ fn sequential_appends_copy_each_byte_at_most_once() {
             Chunk::real(whole.slice((i * PAGE) as usize, PAGE as usize)),
         );
     }
-    assert_eq!(m.drain()[0].1.bytes.as_ref(), Some(&whole));
+    let runs = m.drain_runs();
+    let run = runs.iter().next().expect("one run");
+    assert_eq!(run.chunk().bytes.as_ref(), Some(&whole));
     assert_eq!(tsue_buf::take_stats().bytes_copied, 0);
 }
 

@@ -138,26 +138,62 @@ pub fn xor_streamed(src: &Bytes, dst: &mut [u8]) {
 
 /// A deferred linear combination over GF(2⁸): `Σ c · d` over windows
 /// `d` of other buffers, each placed at its offset in the content, zero
-/// where no window reaches — the recipe of every parity delta. Terms are
+/// where no window reaches — the recipe of every parity delta, of a store
+/// read and capture, and of a log run's concatenation. Terms are
 /// `(c, offset within the content, window)`.
-struct Combination {
+pub(crate) struct Combination {
     terms: Vec<(u8, usize, Bytes)>,
+    /// The terms are in offset order and disjoint (a store read, a
+    /// concatenation), so a window seeks the first term it reaches.
+    sorted: bool,
+    /// [`Recipe::depth`], fixed from the terms' depths.
+    depth: usize,
 }
 
 impl Combination {
     /// A `len`-byte buffer whose content is the combination of `terms`.
-    fn deferred(len: usize, terms: Vec<(u8, usize, Bytes)>) -> Bytes {
-        Bytes::deferred(len, Combination { terms })
+    pub(crate) fn deferred(len: usize, terms: Vec<(u8, usize, Bytes)>) -> Bytes {
+        Combination::deferred_at_depth(len, terms, 0)
+    }
+
+    /// [`Combination::deferred`], declared at least `depth` deep
+    /// ([`Recipe::depth`] is a bound): a store read rules itself out as
+    /// the source of a page view this way.
+    pub(crate) fn deferred_at_depth(
+        len: usize,
+        terms: Vec<(u8, usize, Bytes)>,
+        depth: usize,
+    ) -> Bytes {
+        let sorted = terms.windows(2).all(|w| w[0].1 + w[0].2.len() <= w[1].1);
+        let deepest = terms.iter().map(|t| t.2.depth()).max().unwrap_or(0);
+        let depth = depth.max(1 + deepest);
+        Bytes::deferred(
+            len,
+            Combination {
+                terms,
+                sorted,
+                depth,
+            },
+        )
     }
 }
 
 impl Recipe for Combination {
     fn write(&self, at: usize, dst: &mut [u8]) {
         let end = at + dst.len();
+        let first = if self.sorted {
+            self.terms
+                .partition_point(|(_, t_at, d)| t_at + d.len() <= at)
+        } else {
+            0
+        };
         // Whether `dst` holds a partial sum yet: the first term multiplies
         // straight into it when it covers the window, else `dst` is zeroed.
         let mut started = false;
-        for (c, t_at, d) in &self.terms {
+        for (c, t_at, d) in &self.terms[first..] {
+            if self.sorted && *t_at >= end {
+                break;
+            }
             let (from, to) = (at.max(*t_at), end.min(t_at + d.len()));
             if from >= to {
                 continue;
@@ -190,6 +226,10 @@ impl Recipe for Combination {
         if !started {
             dst.fill(0);
         }
+    }
+
+    fn depth(&self) -> usize {
+        self.depth
     }
 }
 

@@ -5,7 +5,7 @@
 //! the same extents and the same bytes.
 
 use super::{stripe_parity_delta, Chunk};
-use crate::rangemap::{Gathered, RangeMap};
+use crate::rangemap::RangeMap;
 use std::collections::BTreeMap;
 use tsue_buf::{Bytes, BytesMut};
 use tsue_ec::RsCode;
@@ -17,12 +17,13 @@ use tsue_integrity::SplitRng;
 fn eager_parity_delta(
     rs: &RsCode,
     parity_index: usize,
-    roles: &[(usize, Gathered<'_>)],
+    roles: &[(usize, Vec<(u64, Chunk)>)],
 ) -> RangeMap {
     let mut combined = RangeMap::new();
     let mut spans: BTreeMap<_, Vec<(usize, &[u8])>> = BTreeMap::new();
     for (role, ranges) in roles {
-        for (off, c) in ranges.iter() {
+        for (off, c) in ranges {
+            let off = *off;
             match &c.bytes {
                 Some(b) => spans
                     .entry((off, c.len))
@@ -169,7 +170,7 @@ fn deferred_combination_matches_the_eager_reference() {
         let n = 1 + case / layouts.len() % k;
         // Ghost-only every tenth case, a ghost mix every fifth.
         let ghosts = [2, 0, 0, 0, 0, 1, 0, 0, 0, 0][case % 10];
-        let mut roles = stripe(&mut rng, k, n, layout, ghosts);
+        let roles = stripe(&mut rng, k, n, layout, ghosts);
         let views: Vec<(usize, &RangeMap)> = roles.iter().map(|(r, m)| (*r, m)).collect();
         let entries = stripe_parity_delta(&views);
         // The deferred side reads first, so a payload delta is still
@@ -201,14 +202,22 @@ fn deferred_combination_matches_the_eager_reference() {
             (0, 0),
             "case {case}: {d:?}"
         );
-        // Now the reference, over the same handles, gathered.
-        let gathered: Vec<(usize, Gathered<'_>)> =
-            roles.iter_mut().map(|(r, m)| (*r, m.gather())).collect();
+        // Now the reference, over the same handles, each entry one chunk.
+        let chunks: Vec<(usize, Vec<(u64, Chunk)>)> = roles
+            .iter()
+            .map(|(r, m)| (*r, m.iter().map(|e| (e.off(), e.chunk())).collect()))
+            .collect();
         for (j, per_parity) in got.into_iter().enumerate() {
-            let want: Entries = eager_parity_delta(&rs, j, &gathered)
-                .drain()
-                .into_iter()
-                .map(|(off, c)| (off, c.len, c.bytes.map(|b| b.as_slice().to_vec())))
+            let want: Entries = eager_parity_delta(&rs, j, &chunks)
+                .iter()
+                .map(|e| {
+                    let bytes = e.is_real().then(|| {
+                        let mut b = vec![0u8; e.len() as usize];
+                        e.copy_to(&mut b);
+                        b
+                    });
+                    (e.off(), e.len(), bytes)
+                })
                 .collect();
             real_entries += want.iter().filter(|w| w.2.is_some()).count();
             assert_eq!(

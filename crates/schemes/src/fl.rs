@@ -119,8 +119,9 @@ impl Fl {
             let gstripe = core.global_stripe(block.file, block.stripe);
             // INVARIANT: `block` came from `dlog.keys()` just above, and
             // entries are only removed by this loop.
-            let mut map = self.dlog.remove(&block).expect("key exists");
-            for (off, newest) in map.drain() {
+            let map = self.dlog.remove(&block).expect("key exists");
+            for run in map.iter() {
+                let (off, newest) = (run.off(), run.chunk());
                 let len = newest.len;
                 // RMW the data block: read old, delta, write merged.
                 let (t_write, delta) = rmw_data_delta(core, now, osd, block, off, &newest);

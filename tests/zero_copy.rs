@@ -7,16 +7,25 @@
 //! buffer the log holds, shared by refcount.
 //!
 //! A client write's payload is a deferred buffer ([`payload_chunk`]):
-//! nothing is generated when it is issued, and its consumers — the store
-//! page of an in-place write, the page scratch of a delta capture or a
-//! recycle XOR, a gather — each generate the window they read straight
-//! into their own memory. Every parity delta is deferred the same way: a
-//! recipe over the data delta's handle (`c · Δ`, or Eq. 5's `Σ c · Δ`),
-//! generated page by page as it lands in the parity block. No scheme
-//! fills a payload or a parity delta into a buffer of its own
-//! (`filled_bytes` stays 0), the only buffer an update allocates is its
-//! data delta (`pool_misses`), and bytes TSUE's DataLog supersedes before
-//! its seal-time capture are never generated at all.
+//! nothing is generated when it is issued, and its consumers each
+//! generate the window they read straight into their own memory. The
+//! block store keeps copy-on-write pages: a page an in-place write or a
+//! delta capture covers whole becomes a view of the payload, generated
+//! only into a stack page for its digest (and for the audit of a later
+//! capture over it). A store read is a recipe over the pages' views, and
+//! a data delta `new ⊕ old` a recipe over the payload and the pages the
+//! capture replaced — or, over a never-written page, the payload's own
+//! handle. Every parity delta is a recipe over the data delta's handle
+//! (`c · Δ`, or Eq. 5's `Σ c · Δ`), generated page by page as it lands in
+//! the parity block, and each level of recipe a read runs through counts
+//! the window in `streamed_bytes`.
+//!
+//! No scheme fills a payload or a parity delta into a buffer of its own
+//! (`filled_bytes` stays 0), and no update allocates a buffer for its data
+//! delta or its store read: what `pool_misses` counts is the parity pages
+//! the XOR merges land in (m = 2, each allocated on its first write),
+//! PARIX's recycle deltas and CoRD's one copy-on-write fold. Bytes TSUE's
+//! DataLog supersedes before its seal-time capture are never generated.
 
 use tsue_repro::buf;
 use tsue_repro::core::Tsue;
@@ -187,61 +196,153 @@ fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
 }
 
 /// TSUE's DataLog absorbs 16 overwrites of one range newest-wins before
-/// its seal-time capture reads them, and the capture streams that one
-/// payload into its page scratch: 4096 bytes. The capture's delta is the
-/// one buffer allocated. The DeltaLog recycle combines it into one
-/// recipe per parity, and each ParityLog recycle generates its recipe
-/// into the parity block's pages: m · 4096 more. 4096 + 2·4096 = 12 288
-/// bytes generated, none buffered.
+/// its seal-time capture reads them. The page was never written, so the
+/// capture makes it a view of that one payload, generated once for its
+/// digest (4096), and the data delta is the payload's own handle. The
+/// DeltaLog recycle combines it into one Eq. 5 recipe per parity, and
+/// each ParityLog recycle generates its recipe (4096) over the payload
+/// (4096) into the parity block's page: m · 8192. 4096 + 2·8192 = 20 480
+/// bytes streamed, none buffered. The two allocations are the parity
+/// pages; the capture allocates nothing.
 #[test]
 fn tsue_generates_only_the_payload_its_data_log_keeps() {
     let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 16);
     assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
     assert_eq!(
         window.streamed_bytes,
-        4096 + 2 * 4096,
+        4096 + 2 * (4096 + 4096),
         "superseded payloads must never be generated: {window:?}"
     );
-    assert_eq!(window.pool_misses, 1, "only the data delta: {window:?}");
+    assert_eq!(window.pool_misses, 2, "only the parity pages: {window:?}");
 }
 
-/// PARIX writes each update in place on arrival, generating it straight
-/// into the store pages: 16 × 4096 bytes. Its forwards share that unread
-/// handle, and on each of the m = 2 parity peers `latest` keeps only the
-/// newest, which the flush's recycle XORs into the delta's buffer through
-/// its page scratch: 2 × 4096 more (the originals it XORs against are
-/// store reads, not payloads). Each peer's scaled delta is a recipe
-/// generated into the parity block: 2 × 4096 more. 16·4096 + 2·4096 +
-/// 2·4096 = 81 920 bytes generated, none buffered. Three buffers are
-/// allocated: the first touch's read of the original, which it forwards,
-/// and one delta per parity peer.
+/// TSUE's DataLog recycle captures a run over a never-written page with
+/// [`tsue_repro::ecfs::Osd::delta_poke_range`]: the page becomes a view
+/// of the new data and the delta is the new data's own handle, so the
+/// capture allocates nothing, copies nothing and fills nothing; it
+/// generates the page once, for its digest. End to end, one write makes
+/// the same m = 2 allocations as sixteen: the parity pages.
+#[test]
+fn tsue_capture_over_a_never_written_page_allocates_nothing() {
+    let mut world = materialized_tsue_cluster();
+    let block = BlockId {
+        file: 0,
+        stripe: 0,
+        role: 1,
+    };
+    let owner = world.core.owner_of(world.core.global_stripe(0, 0), 1);
+    let new = payload_chunk(9, 0, 3 * 4096, true).bytes.expect("real");
+    let before = buf::stats();
+    let delta = world.core.osds[owner]
+        .delta_poke_range(block, 8192, &new)
+        .expect("materialized");
+    let window = buf::stats().since(&before);
+    assert_eq!(window.pool_misses, 0, "{window:?}");
+    assert_eq!((window.filled_bytes, window.bytes_copied), (0, 0));
+    assert_eq!(window.streamed_bytes, 3 * 4096, "the pages' digests");
+    let mut want = vec![0u8; 3 * 4096];
+    payload_into(9, 0, &mut want);
+    let mut got = vec![0u8; 3 * 4096];
+    delta.read_into(0, &mut got);
+    assert!(got == want, "new ⊕ zeros is the new data");
+    assert!(world.core.osds[owner].peek_into(block, 8192, &mut got));
+    assert!(got == want, "the store holds the new data");
+
+    let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 1);
+    assert_eq!(window.pool_misses, 2, "only the parity pages: {window:?}");
+}
+
+/// PARIX writes each update in place on arrival: the page becomes a view
+/// of the payload, generated once for its digest — 16 × 4096 bytes. The
+/// first touch reads the never-written original as a recipe of zeros
+/// (4096 deferred, nothing allocated) and forwards it. On each of the
+/// m = 2 parity peers the flush's recycle builds the delta `latest ⊕
+/// original` in a buffer: the original's recipe streams its zeros into it
+/// (4096) and `latest`, which keeps only the newest payload, is XORed in
+/// through a page scratch (4096). Each peer's scaled delta is a recipe
+/// over that buffer, generated into the parity block (4096). 16·4096 +
+/// 2·3·4096 = 90 112 bytes streamed, none buffered. Four buffers are
+/// allocated: one delta and one parity page per peer.
 #[test]
 fn parix_generates_every_payload_on_arrival() {
     let window = overwrite_one_range(|| Box::new(Parix::new()), 16);
-    assert_eq!(window.deferred_bytes, 16 * 4096 + 2 * 4096);
+    assert_eq!(window.deferred_bytes, 16 * 4096 + 4096 + 2 * 4096);
     assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
-    assert_eq!(window.streamed_bytes, (16 + 2 + 2) * 4096, "{window:?}");
-    assert_eq!(window.pool_misses, 1 + 2, "{window:?}");
+    assert_eq!(window.streamed_bytes, (16 + 2 * 3) * 4096, "{window:?}");
+    assert_eq!(window.pool_misses, 2 + 2, "{window:?}");
 }
 
-/// The schemes whose data side is a read-modify-write on arrival stream
-/// every payload into the delta capture's page scratch (16 × 4096 bytes)
-/// and allocate one buffer per capture, the data delta (16). FO, PL and
-/// PLR send m = 2 scaled deltas per update, each a recipe generated into
-/// the parity block: 16·4096 + 16·2·4096 = 196 608 bytes. CoRD folds the
-/// 16 deltas at its collector and drains one combined recipe per parity:
-/// 16·4096 + 2·4096 = 73 728. FL logs the data side newest-wins, and its
-/// drain captures only the newest (one delta, one buffer) and scales it
-/// twice: 4096 + 2·4096 = 12 288. None fills a payload or a parity delta
-/// into a buffer.
+/// PARIX's first touch of a range reads its original before it writes
+/// in place. Over a never-written range the read is a recipe of zeros and
+/// the write makes each page a view of the payload, so the whole
+/// exchange — the read, the write, both forwards to each parity peer and
+/// their log appends — allocates nothing.
+#[test]
+fn parix_first_touch_read_allocates_nothing() {
+    let mut world = ClusterBuilder::ssd(4, 2, 1)
+        .materialize(true)
+        .file_size_per_client(4 << 20)
+        .scheme_fn(|_| Box::new(Parix::new()))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    let block = BlockId {
+        file: 0,
+        stripe: 0,
+        role: 0,
+    };
+    let owner = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+    let req = UpdateReq {
+        op_id: 0,
+        ext: 0,
+        block,
+        off: 0,
+        data: payload_chunk(0, 0, 8 * 4096, true),
+    };
+    let before = buf::stats();
+    deliver_update(&mut world, &mut sim, owner, req);
+    sim.run_until(&mut world, 1_000_000);
+    let window = buf::stats().since(&before);
+    assert!(
+        world.total_scheme_backlog() > 0,
+        "the originals reached the logs"
+    );
+    assert_eq!(window.pool_misses, 0, "{window:?}");
+    assert_eq!((window.filled_bytes, window.bytes_copied), (0, 0));
+    assert_eq!(window.deferred_bytes, 8 * 4096, "the original, deferred");
+}
+
+/// The schemes whose data side is a read-modify-write on arrival capture
+/// every update. The first overwrites a never-written page: the page
+/// becomes a view of the payload, generated for its digest (4096), and
+/// the delta is the payload's handle, which each of the m = 2 scaled
+/// recipes reads through (2 · 2·4096): 5 · 4096. Each of the other 15
+/// audits the page it replaces (4096) and digests the new view (4096);
+/// its delta is a recipe over the payload and the replaced view, so each
+/// scaled recipe reads four windows (2 · 4·4096): 10 · 4096. FO, PL and
+/// PLR apply every scaled delta: (5 + 15·10) · 4096 = 634 880 bytes.
+/// CoRD folds the 16 deltas at its collector: the first fold copies the
+/// first delta out of the payload it shares (4096, counted as the one
+/// copy) and XORs in the second (3 · 4096), each later fold XORs one
+/// delta in place (3 · 4096); it drains one scaled recipe per parity over
+/// the folded buffer (2 · 4096): (16 + 15 + 4 + 14·3 + 2) · 4096 =
+/// 323 584. FL logs the data side newest-wins and its drain captures only
+/// the newest, over a never-written page, like TSUE: (1 + 2·2) · 4096 =
+/// 20 480. None fills a payload or a parity delta into a buffer; none
+/// allocates a data delta. Every scheme allocates the two parity pages,
+/// and CoRD its fold's buffer.
 #[test]
 fn no_other_scheme_fills_a_client_payload() {
     let schemes: [(&str, NewScheme, u64, u64); 5] = [
-        ("FO", || Box::new(Fo::new()), 16 + 16 * 2, 16),
-        ("FL", || Box::new(Fl::new()), 1 + 2, 1),
-        ("PL", || Box::new(Pl::new()), 16 + 16 * 2, 16),
-        ("PLR", || Box::new(Plr::new()), 16 + 16 * 2, 16),
-        ("CoRD", || Box::new(Cord::new()), 16 + 2, 16),
+        ("FO", || Box::new(Fo::new()), 5 + 15 * 10, 2),
+        ("FL", || Box::new(Fl::new()), 1 + 2 * 2, 2),
+        ("PL", || Box::new(Pl::new()), 5 + 15 * 10, 2),
+        ("PLR", || Box::new(Plr::new()), 5 + 15 * 10, 2),
+        (
+            "CoRD",
+            || Box::new(Cord::new()),
+            16 + 15 + 4 + 14 * 3 + 2,
+            1 + 2,
+        ),
     ];
     for (name, scheme, pages, allocations) in schemes {
         let window = overwrite_one_range(scheme, 16);
