@@ -359,17 +359,18 @@ fn rebuilt(world: &Cluster, home: usize, block: BlockId) -> Vec<u8> {
     let gstripe = world.core.global_stripe(block.file, block.stripe);
     let owner = world.core.owner_of(gstripe, block.role);
     assert_ne!(owner, home, "rebuilt elsewhere");
-    world.core.osds[owner]
-        .peek_block_range(block, 0, 16 * APPEND)
-        .expect("materialized")
-        .as_slice()
-        .to_vec()
+    let mut out = vec![0u8; 16 * APPEND as usize];
+    assert!(
+        world.core.osds[owner].peek_into(block, 0, &mut out),
+        "materialized"
+    );
+    out
 }
 
 /// True when `block` holds the `i`-th append at `at`.
 fn holds(block: &[u8], at: u64, i: u64) -> bool {
     let at = at as usize;
-    block[at..at + APPEND as usize] == *payload(i).bytes.expect("real bytes")
+    payload(i).bytes.expect("real bytes") == block[at..at + APPEND as usize]
 }
 
 #[test]

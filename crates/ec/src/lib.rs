@@ -7,18 +7,21 @@
 //! On top of plain encode/reconstruct, the crate exposes the *incremental
 //! update* algebra every parity-logging scheme builds on:
 //!
-//! * [`RsCode::parity_delta`] — Eq. (2): `ΔP_j = ∂_{j,i} · ΔD_i`,
-//! * [`merge_deltas`] — Eq. (3)/(4): same-offset deltas fold by XOR, so only
-//!   the accumulated difference against the *original* data matters,
-//! * [`RsCode::combined_parity_delta`] — Eq. (5): data deltas from several
-//!   blocks of the same stripe at the same offset combine into a single
-//!   parity delta per parity block.
+//! * [`data_delta_into`] — the data delta `ΔD = D_new ⊕ D_old`; Eq. (3)/(4):
+//!   same-offset deltas fold by XOR, so only the accumulated difference
+//!   against the *original* data matters,
+//! * [`RsCode::parity_delta_into`] — Eq. (2): `ΔP_j = ∂_{j,i} · ΔD_i`,
+//! * [`RsCode::fill_combined_parity_delta`] — Eq. (5): data deltas from
+//!   several blocks of the same stripe at the same offset combine into a
+//!   single parity delta per parity block.
+//!
+//! Every form writes into caller-provided buffers.
 
 pub mod stripe;
 
 pub use stripe::{StripeConfig, StripeLayout};
 
-use tsue_gf::{xor_slice, Matrix};
+use tsue_gf::Matrix;
 
 /// Errors reported by the codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,29 +112,8 @@ impl RsCode {
         self.generator.get(self.k + parity_index, data_index)
     }
 
-    /// Encodes `k` data blocks into `m` parity blocks (paper Eq. (1)).
-    ///
-    /// # Errors
-    /// Fails if the input count is not `k` or the buffers differ in length.
-    pub fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, EcError> {
-        if data.len() != self.k {
-            return Err(EcError::InvalidParameters(format!(
-                "expected {} data blocks, got {}",
-                self.k,
-                data.len()
-            )));
-        }
-        let len = data[0].len();
-        if data.iter().any(|d| d.len() != len) {
-            return Err(EcError::ShardSizeMismatch);
-        }
-        let mut parity = vec![Vec::new(); self.m];
-        self.encode_into(data, &mut parity)?;
-        Ok(parity)
-    }
-
-    /// Scratch-reusing variant of [`Self::encode`]: writes the `m` parity
-    /// blocks into caller-provided buffers (resized in place), so repeated
+    /// Encodes `k` data blocks into `m` parity blocks (paper Eq. (1)),
+    /// written into caller-provided buffers (resized in place), so repeated
     /// encodes of same-size stripes perform zero allocations after the
     /// first call.
     ///
@@ -226,86 +208,6 @@ impl RsCode {
         Ok(())
     }
 
-    /// Reconstructs all missing shards in place. `shards` must have length
-    /// `k + m`; indices `0..k` are data, `k..k+m` parity. Present shards are
-    /// `Some`, missing ones `None`.
-    ///
-    /// # Errors
-    /// Fails if fewer than `k` shards are present or sizes mismatch.
-    pub fn reconstruct(&self, shards: &mut [Option<Vec<u8>>]) -> Result<(), EcError> {
-        if shards.len() != self.n() {
-            return Err(EcError::InvalidParameters(format!(
-                "expected {} shard slots, got {}",
-                self.n(),
-                shards.len()
-            )));
-        }
-        let present: Vec<usize> = (0..self.n()).filter(|&i| shards[i].is_some()).collect();
-        if present.len() < self.k {
-            return Err(EcError::TooFewShards {
-                present: present.len(),
-                needed: self.k,
-            });
-        }
-        let missing: Vec<usize> = (0..self.n()).filter(|&i| shards[i].is_none()).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        let len = shards[present[0]].as_ref().expect("present shard").len();
-        if present
-            .iter()
-            .any(|&i| shards[i].as_ref().expect("present shard").len() != len)
-        {
-            return Err(EcError::ShardSizeMismatch);
-        }
-
-        // Decode matrix: rows of the generator for the first k present
-        // shards; its inverse maps those shards back to the data blocks.
-        let use_rows: Vec<usize> = present.iter().copied().take(self.k).collect();
-        let sub = self.generator.select_rows(&use_rows);
-        let decode = sub
-            .inverse()
-            .expect("MDS generator: any k rows are invertible");
-
-        let missing_data: Vec<usize> = missing.iter().copied().filter(|&i| i < self.k).collect();
-        let missing_parity: Vec<usize> = missing.iter().copied().filter(|&i| i >= self.k).collect();
-
-        // Compute everything from the surviving shards before mutating.
-        let (out_data, out_parity) = {
-            let inputs: Vec<&[u8]> = use_rows
-                .iter()
-                .map(|&i| shards[i].as_ref().expect("present shard").as_slice())
-                .collect();
-            let out_data = if missing_data.is_empty() {
-                Vec::new()
-            } else {
-                let rows = decode.select_rows(&missing_data);
-                let mut out = vec![Vec::new(); missing_data.len()];
-                rows.apply(&inputs, &mut out);
-                out
-            };
-            let out_parity = if missing_parity.is_empty() {
-                Vec::new()
-            } else {
-                // Generator rows for the missing parity composed with the
-                // decode matrix give coefficients over the present shards.
-                let gen_rows = self.generator.select_rows(&missing_parity);
-                let eff = gen_rows.mul(&decode);
-                let mut out = vec![Vec::new(); missing_parity.len()];
-                eff.apply(&inputs, &mut out);
-                out
-            };
-            (out_data, out_parity)
-        };
-        for (slot, buf) in missing_data.iter().zip(out_data) {
-            shards[*slot] = Some(buf);
-        }
-        for (slot, buf) in missing_parity.iter().zip(out_parity) {
-            shards[*slot] = Some(buf);
-        }
-        Ok(())
-    }
-
     /// Verifies that the parity shards are consistent with the data shards.
     ///
     /// # Errors
@@ -319,27 +221,15 @@ impl RsCode {
             )));
         }
         let data: Vec<&[u8]> = shards[..self.k].iter().map(|v| v.as_slice()).collect();
-        let parity = self.encode(&data)?;
+        let mut parity = vec![Vec::new(); self.m];
+        self.encode_into(&data, &mut parity)?;
         Ok(parity.iter().zip(&shards[self.k..]).all(|(a, b)| a == b))
     }
 
-    /// Eq. (2): computes the parity delta for parity block `parity_index`
-    /// given the data delta `ΔD = D_new ⊕ D_old` of data block `data_index`:
-    /// `ΔP_j = ∂_{j,i} · ΔD_i`. XORing the result into the old parity yields
-    /// the new parity.
-    pub fn parity_delta(
-        &self,
-        parity_index: usize,
-        data_index: usize,
-        data_delta: &[u8],
-    ) -> Vec<u8> {
-        let c = self.coefficient(parity_index, data_index);
-        let mut out = vec![0u8; data_delta.len()];
-        tsue_gf::mul_slice(c, data_delta, &mut out);
-        out
-    }
-
-    /// In-place variant of [`Self::parity_delta`]: `acc ^= ∂_{j,i} · ΔD`.
+    /// Eq. (2): accumulates the parity delta of parity block
+    /// `parity_index` for the data delta `ΔD = D_new ⊕ D_old` of data block
+    /// `data_index` into `acc`: `acc ^= ∂_{j,i} · ΔD`. XORing `ΔP_j =
+    /// ∂_{j,i} · ΔD_i` into the old parity yields the new parity.
     ///
     /// # Panics
     /// Panics if buffer lengths differ.
@@ -354,45 +244,13 @@ impl RsCode {
         tsue_gf::mul_add_slice(c, data_delta, acc);
     }
 
-    /// Eq. (5): combines same-offset data deltas from several data blocks of
-    /// one stripe into a single parity delta for parity `parity_index`.
-    ///
-    /// `deltas` pairs each contributing data-block index with its delta
-    /// bytes; all deltas must have equal length.
-    ///
-    /// # Panics
-    /// Panics if deltas have inconsistent lengths.
-    pub fn combined_parity_delta(&self, parity_index: usize, deltas: &[(usize, &[u8])]) -> Vec<u8> {
-        assert!(!deltas.is_empty(), "need at least one delta");
-        let mut acc = vec![0u8; deltas[0].1.len()];
-        self.combined_parity_delta_into(parity_index, deltas, &mut acc);
-        acc
-    }
-
-    /// Scratch-reusing variant of [`Self::combined_parity_delta`]:
-    /// XOR-accumulates `∂_{j,i} · Δ_i` for every `(i, Δ_i)` pair into
-    /// `acc` (one fused multiply-accumulate pass per contributing block,
-    /// no intermediate buffers). `acc` is *accumulated into*, not
-    /// overwritten — zero it first for a fresh combined delta.
-    ///
-    /// # Panics
-    /// Panics if any delta's length differs from `acc`'s.
-    pub fn combined_parity_delta_into(
-        &self,
-        parity_index: usize,
-        deltas: &[(usize, &[u8])],
-        acc: &mut [u8],
-    ) {
-        for &(data_index, delta) in deltas {
-            assert_eq!(delta.len(), acc.len(), "delta length mismatch");
-            self.parity_delta_into(parity_index, data_index, delta, acc);
-        }
-    }
-
-    /// Overwriting variant of [`Self::combined_parity_delta_into`]: writes
-    /// the combined delta into `out` (the first block multiplies straight
-    /// into the buffer — no zero-fill, no read-modify on the first pass),
-    /// so a recycled scratch buffer needs no clearing between uses.
+    /// Eq. (5): combines same-offset data deltas from several data blocks
+    /// of one stripe into a single parity delta for parity `parity_index`,
+    /// written into `out`: `Σ ∂_{j,i} · Δ_i` over the `(i, Δ_i)` pairs of
+    /// `deltas`, one fused multiply-accumulate pass per contributing block.
+    /// The first block multiplies straight into the buffer (no zero-fill,
+    /// no read-modify on the first pass), so a recycled scratch buffer
+    /// needs no clearing between uses.
     ///
     /// # Panics
     /// Panics if `deltas` is empty or any delta's length differs from
@@ -407,43 +265,17 @@ impl RsCode {
         let (first_index, first) = deltas[0];
         assert_eq!(first.len(), out.len(), "delta length mismatch");
         tsue_gf::mul_slice(self.coefficient(parity_index, first_index), first, out);
-        self.combined_parity_delta_into(parity_index, &deltas[1..], out);
-    }
-
-    /// Applies a parity delta to a parity buffer: `parity ^= delta`
-    /// (the final step of every log-recycle path).
-    ///
-    /// # Panics
-    /// Panics if buffer lengths differ.
-    pub fn apply_parity_delta(parity: &mut [u8], delta: &[u8]) {
-        xor_slice(delta, parity);
+        for &(data_index, delta) in &deltas[1..] {
+            assert_eq!(delta.len(), out.len(), "delta length mismatch");
+            self.parity_delta_into(parity_index, data_index, delta, out);
+        }
     }
 }
 
-/// Eq. (3)/(4): folds a newer delta into an accumulated delta at the same
-/// offset. Because deltas are differences against the original data,
-/// accumulation is plain XOR and the *latest write wins* emerges from
-/// `new ⊕ old ⊕ old = new`.
-///
-/// # Panics
-/// Panics if the buffers have different lengths.
-pub fn merge_deltas(acc: &mut [u8], newer: &[u8]) {
-    xor_slice(newer, acc);
-}
-
-/// Computes a data delta `new ⊕ old` into a fresh buffer.
-///
-/// # Panics
-/// Panics if the buffers have different lengths.
-pub fn data_delta(old: &[u8], new: &[u8]) -> Vec<u8> {
-    assert_eq!(old.len(), new.len(), "data_delta length mismatch");
-    let mut d = vec![0u8; new.len()];
-    data_delta_into(old, new, &mut d);
-    d
-}
-
-/// Scratch-reusing variant of [`data_delta`]: writes `new ⊕ old` into
-/// caller-provided scratch in one pass (no intermediate copy of `new`).
+/// Writes the data delta `new ⊕ old` into caller-provided scratch in one
+/// pass (no intermediate copy of `new`). Eq. (3)/(4): same-offset deltas
+/// fold by XOR, because deltas are differences against the *original*
+/// data, so the *latest write wins* emerges from `new ⊕ old ⊕ old = new`.
 ///
 /// # Panics
 /// Panics if the buffers have different lengths.
@@ -465,6 +297,14 @@ mod tests {
             .collect()
     }
 
+    /// `data` followed by its `rs.m()` parity blocks.
+    fn stripe(rs: &RsCode, data: &[Vec<u8>]) -> Vec<Vec<u8>> {
+        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
+        let mut parity = vec![Vec::new(); rs.m()];
+        rs.encode_into(&refs, &mut parity).unwrap();
+        data.iter().cloned().chain(parity).collect()
+    }
+
     #[test]
     fn new_rejects_bad_parameters() {
         assert!(RsCode::new(0, 2).is_err());
@@ -476,12 +316,8 @@ mod tests {
     #[test]
     fn encode_then_verify() {
         let rs = RsCode::new(6, 3).unwrap();
-        let data = blocks(6, 64, 3);
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
-        assert_eq!(parity.len(), 3);
-        let mut shards = data.clone();
-        shards.extend(parity);
+        let mut shards = stripe(&rs, &blocks(6, 64, 3));
+        assert_eq!(shards.len(), 9);
         assert!(rs.verify(&shards).unwrap());
         // Corrupt one byte: verify fails.
         shards[2][5] ^= 0xff;
@@ -491,21 +327,20 @@ mod tests {
     #[test]
     fn reconstruct_all_loss_patterns_up_to_m() {
         let rs = RsCode::new(4, 2).unwrap();
-        let data = blocks(4, 32, 9);
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
-        let mut full: Vec<Vec<u8>> = data.clone();
-        full.extend(parity);
+        let full = stripe(&rs, &blocks(4, 32, 9));
 
-        // All single and double losses.
+        // All single and double losses, one decode per lost shard from
+        // the first k survivors.
         for a in 0..6 {
             for b in a..6 {
-                let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
-                shards[a] = None;
-                shards[b] = None;
-                rs.reconstruct(&mut shards).unwrap();
-                for (i, s) in shards.iter().enumerate() {
-                    assert_eq!(s.as_ref().unwrap(), &full[i], "loss ({a},{b}) slot {i}");
+                let survivors: Vec<(usize, &[u8])> = (0..6)
+                    .filter(|&r| r != a && r != b)
+                    .map(|r| (r, full[r].as_slice()))
+                    .collect();
+                for lost in [a, b] {
+                    let mut out = vec![0u8; 32];
+                    rs.reconstruct_one(&survivors, lost, &mut out).unwrap();
+                    assert_eq!(out, full[lost], "loss ({a},{b}) slot {lost}");
                 }
             }
         }
@@ -514,11 +349,7 @@ mod tests {
     #[test]
     fn reconstruct_one_matches_full_reconstruct() {
         let rs = RsCode::new(4, 2).unwrap();
-        let data = blocks(4, 32, 13);
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
-        let mut full: Vec<Vec<u8>> = data.clone();
-        full.extend(parity);
+        let full = stripe(&rs, &blocks(4, 32, 13));
 
         // Rebuild every role from every window of k survivors.
         for target in 0..6 {
@@ -561,15 +392,13 @@ mod tests {
     #[test]
     fn reconstruct_fails_beyond_m() {
         let rs = RsCode::new(4, 2).unwrap();
-        let data = blocks(4, 16, 1);
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
-        let mut shards: Vec<Option<Vec<u8>>> = data.into_iter().chain(parity).map(Some).collect();
-        shards[0] = None;
-        shards[1] = None;
-        shards[4] = None;
+        let full = stripe(&rs, &blocks(4, 16, 1));
+        // Shards 0, 1 and 4 lost: three survivors for a k = 4 code.
+        let survivors: Vec<(usize, &[u8])> =
+            [2, 3, 5].iter().map(|&r| (r, full[r].as_slice())).collect();
+        let mut out = vec![0u8; 16];
         assert!(matches!(
-            rs.reconstruct(&mut shards),
+            rs.reconstruct_one(&survivors, 0, &mut out),
             Err(EcError::TooFewShards {
                 present: 3,
                 needed: 4
@@ -581,46 +410,42 @@ mod tests {
     fn incremental_update_matches_full_reencode() {
         let rs = RsCode::new(6, 4).unwrap();
         let mut data = blocks(6, 128, 7);
-        let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut parity = rs.encode(&refs).unwrap();
+        let mut parity = stripe(&rs, &data).split_off(6);
 
         // Update bytes 10..20 of data block 2.
-        let old = data[2][10..20].to_vec();
         let new: Vec<u8> = (0..10u8)
             .map(|x| x.wrapping_mul(37).wrapping_add(5))
             .collect();
-        let delta = data_delta(&old, &new);
+        let mut delta = vec![0u8; 10];
+        data_delta_into(&data[2][10..20], &new, &mut delta);
         data[2][10..20].copy_from_slice(&new);
 
         for (j, p) in parity.iter_mut().enumerate() {
-            let pd = rs.parity_delta(j, 2, &delta);
-            RsCode::apply_parity_delta(&mut p[10..20], &pd);
+            rs.parity_delta_into(j, 2, &delta, &mut p[10..20]);
         }
 
-        let refs2: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let expect = rs.encode(&refs2).unwrap();
-        assert_eq!(parity, expect);
+        assert_eq!(parity, stripe(&rs, &data).split_off(6));
     }
 
     #[test]
     fn repeated_updates_fold_to_latest() {
         // Eq. (4): N updates at the same offset collapse into one delta
         // against the original data.
-        let rs = RsCode::new(3, 2).unwrap();
         let original = vec![0u8; 8];
         let v1 = vec![1u8; 8];
         let v2 = vec![2u8; 8];
         let v3 = vec![9u8; 8];
 
-        // Per-update deltas chained: d1 = v1^orig, d2 = v2^v1, d3 = v3^v2.
-        let d1 = data_delta(&original, &v1);
-        let d2 = data_delta(&v1, &v2);
-        let d3 = data_delta(&v2, &v3);
-        let mut acc = d1;
-        merge_deltas(&mut acc, &d2);
-        merge_deltas(&mut acc, &d3);
-        assert_eq!(acc, data_delta(&original, &v3));
-        let _ = rs; // rs unused beyond construction sanity
+        // Per-update deltas chained: d1 = v1^orig, d2 = v2^v1, d3 = v3^v2,
+        // folded by XOR.
+        let mut acc = vec![0u8; 8];
+        let mut d = vec![0u8; 8];
+        for (old, new) in [(&original, &v1), (&v1, &v2), (&v2, &v3)] {
+            data_delta_into(old, new, &mut d);
+            tsue_gf::xor_slice(&d, &mut acc);
+        }
+        data_delta_into(&original, &v3, &mut d);
+        assert_eq!(acc, d);
     }
 
     #[test]
@@ -631,10 +456,12 @@ mod tests {
         let d2 = vec![0x25u8; 16];
         let d3 = vec![0xa7u8; 16];
         for j in 0..3 {
-            let combined = rs.combined_parity_delta(j, &[(0, &d0), (2, &d2), (3, &d3)]);
-            let mut expect = rs.parity_delta(j, 0, &d0);
-            merge_deltas(&mut expect, &rs.parity_delta(j, 2, &d2));
-            merge_deltas(&mut expect, &rs.parity_delta(j, 3, &d3));
+            let mut combined = vec![0u8; 16];
+            rs.fill_combined_parity_delta(j, &[(0, &d0), (2, &d2), (3, &d3)], &mut combined);
+            let mut expect = vec![0u8; 16];
+            for (i, d) in [(0, &d0), (2, &d2), (3, &d3)] {
+                rs.parity_delta_into(j, i, d, &mut expect);
+            }
             assert_eq!(combined, expect, "parity {j}");
         }
     }
@@ -644,7 +471,16 @@ mod tests {
         let rs = RsCode::new(5, 3).unwrap();
         let data = blocks(5, 96, 11);
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let expect = rs.encode(&refs).unwrap();
+        // Eq. (1) byte by byte: P_j = Σ ∂_{j,i} · D_i.
+        let expect: Vec<Vec<u8>> = (0..3)
+            .map(|j| {
+                (0..96)
+                    .map(|x| {
+                        (0..5).fold(0, |p, i| p ^ tsue_gf::mul(rs.coefficient(j, i), data[i][x]))
+                    })
+                    .collect()
+            })
+            .collect();
         // Pre-dirtied, wrong-size buffers must come out right.
         let mut parity = vec![vec![0xAAu8; 7]; 3];
         rs.encode_into(&refs, &mut parity).unwrap();
@@ -666,13 +502,14 @@ mod tests {
         let d0 = vec![0x11u8; 16];
         let d2 = vec![0x25u8; 16];
         for j in 0..3 {
-            let expect = rs.combined_parity_delta(j, &[(0, &d0), (2, &d2)]);
-            let mut acc = vec![0u8; 16];
-            rs.combined_parity_delta_into(j, &[(0, &d0), (2, &d2)], &mut acc);
-            assert_eq!(acc, expect, "parity {j}");
+            let mut once = vec![0u8; 16];
+            rs.fill_combined_parity_delta(j, &[(0, &d0), (2, &d2)], &mut once);
+            assert!(once.iter().any(|&b| b != 0), "parity {j}");
             // Accumulation semantics: a second pass cancels (XOR algebra).
-            rs.combined_parity_delta_into(j, &[(0, &d0), (2, &d2)], &mut acc);
-            assert!(acc.iter().all(|&b| b == 0), "parity {j} must cancel");
+            let mut twice = vec![0u8; 16];
+            let pairs = [(0, &d0[..]), (2, &d2[..]), (0, &d0[..]), (2, &d2[..])];
+            rs.fill_combined_parity_delta(j, &pairs, &mut twice);
+            assert!(twice.iter().all(|&b| b == 0), "parity {j} must cancel");
         }
     }
 
@@ -682,7 +519,9 @@ mod tests {
         let d1 = vec![0x42u8; 32];
         let d3 = vec![0x9Eu8; 32];
         for j in 0..2 {
-            let expect = rs.combined_parity_delta(j, &[(1, &d1), (3, &d3)]);
+            let mut expect = vec![0u8; 32];
+            rs.parity_delta_into(j, 1, &d1, &mut expect);
+            rs.parity_delta_into(j, 3, &d3, &mut expect);
             let mut out = vec![0xEEu8; 32]; // dirty recycled scratch
             rs.fill_combined_parity_delta(j, &[(1, &d1), (3, &d3)], &mut out);
             assert_eq!(out, expect, "parity {j}");
@@ -693,9 +532,10 @@ mod tests {
     fn data_delta_into_matches_allocating_form() {
         let old: Vec<u8> = (0..50u8).collect();
         let new: Vec<u8> = (100..150u8).collect();
-        let mut out = vec![0u8; 50];
+        let mut out = vec![0xEEu8; 50];
         data_delta_into(&old, &new, &mut out);
-        assert_eq!(out, data_delta(&old, &new));
+        let want: Vec<u8> = old.iter().zip(&new).map(|(o, n)| o ^ n).collect();
+        assert_eq!(out, want);
     }
 
     #[test]
@@ -710,7 +550,7 @@ mod tests {
         let a = vec![0u8; 8];
         let b = vec![0u8; 9];
         assert_eq!(
-            rs.encode(&[&a, &b]).unwrap_err(),
+            rs.encode_into(&[&a, &b], &mut [Vec::new()]).unwrap_err(),
             EcError::ShardSizeMismatch
         );
     }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsue_ec::{data_delta, merge_deltas, RsCode, StripeConfig};
+use tsue_ec::{data_delta_into, RsCode, StripeConfig};
 
 fn make_blocks(rng: &mut StdRng, k: usize, len: usize) -> Vec<Vec<u8>> {
     (0..k)
@@ -27,22 +27,25 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let data = make_blocks(&mut rng, k, len);
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let parity = rs.encode(&refs).unwrap();
+        let mut parity = vec![Vec::new(); m];
+        rs.encode_into(&refs, &mut parity).unwrap();
         let full: Vec<Vec<u8>> = data.into_iter().chain(parity).collect();
 
         let mut loss_rng = StdRng::seed_from_u64(losses_seed);
         let n_lost = loss_rng.gen_range(1..=m);
-        let mut shards: Vec<Option<Vec<u8>>> = full.iter().cloned().map(Some).collect();
         let mut lost = std::collections::BTreeSet::new();
         while lost.len() < n_lost {
             lost.insert(loss_rng.gen_range(0..k + m));
         }
+        // One decode per lost shard, from the survivors.
+        let survivors: Vec<(usize, &[u8])> = (0..k + m)
+            .filter(|i| !lost.contains(i))
+            .map(|i| (i, full[i].as_slice()))
+            .collect();
         for &i in &lost {
-            shards[i] = None;
-        }
-        rs.reconstruct(&mut shards).unwrap();
-        for (i, s) in shards.iter().enumerate() {
-            prop_assert_eq!(s.as_ref().unwrap(), &full[i]);
+            let mut out = vec![0u8; len];
+            rs.reconstruct_one(&survivors, i, &mut out).unwrap();
+            prop_assert_eq!(&out, &full[i]);
         }
     }
 
@@ -61,23 +64,25 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut data = make_blocks(&mut rng, k, len);
         let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let mut parity = rs.encode(&refs).unwrap();
+        let mut parity = vec![Vec::new(); m];
+        rs.encode_into(&refs, &mut parity).unwrap();
 
         for _ in 0..n_updates {
             let b = rng.gen_range(0..k);
             let off = rng.gen_range(0..len);
             let ulen = rng.gen_range(1..=len - off);
             let new: Vec<u8> = (0..ulen).map(|_| rng.gen()).collect();
-            let delta = data_delta(&data[b][off..off + ulen], &new);
+            let mut delta = vec![0u8; ulen];
+            data_delta_into(&data[b][off..off + ulen], &new, &mut delta);
             data[b][off..off + ulen].copy_from_slice(&new);
             for (j, p) in parity.iter_mut().enumerate() {
-                let pd = rs.parity_delta(j, b, &delta);
-                tsue_ec::RsCode::apply_parity_delta(&mut p[off..off + ulen], &pd);
+                rs.parity_delta_into(j, b, &delta, &mut p[off..off + ulen]);
             }
         }
 
         let refs2: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-        let expect = rs.encode(&refs2).unwrap();
+        let mut expect = vec![Vec::new(); m];
+        rs.encode_into(&refs2, &mut expect).unwrap();
         prop_assert_eq!(parity, expect);
     }
 
@@ -96,11 +101,13 @@ proptest! {
             versions.push((0..len).map(|_| rng.gen()).collect());
         }
         let mut acc = vec![0u8; len];
+        let mut d = vec![0u8; len];
         for w in versions.windows(2) {
-            let d = data_delta(&w[0], &w[1]);
-            merge_deltas(&mut acc, &d);
+            data_delta_into(&w[0], &w[1], &mut d);
+            tsue_gf::xor_slice(&d, &mut acc);
         }
-        prop_assert_eq!(acc, data_delta(&original, versions.last().unwrap()));
+        data_delta_into(&original, versions.last().unwrap(), &mut d);
+        prop_assert_eq!(acc, d);
     }
 
     /// Eq. (5) grouping: one combined parity delta from many blocks equals
@@ -117,11 +124,11 @@ proptest! {
         let deltas: Vec<Vec<u8>> = (0..k).map(|_| (0..len).map(|_| rng.gen()).collect()).collect();
         let pairs: Vec<(usize, &[u8])> = deltas.iter().enumerate().map(|(i, d)| (i, d.as_slice())).collect();
         for j in 0..m {
-            let combined = rs.combined_parity_delta(j, &pairs);
+            let mut combined = vec![0u8; len];
+            rs.fill_combined_parity_delta(j, &pairs, &mut combined);
             let mut sep = vec![0u8; len];
             for (i, d) in &pairs {
-                let pd = rs.parity_delta(j, *i, d);
-                merge_deltas(&mut sep, &pd);
+                rs.parity_delta_into(j, *i, d, &mut sep);
             }
             prop_assert_eq!(combined, sep);
         }

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tsue_ec::{data_delta, RsCode};
+use tsue_ec::{data_delta_into, RsCode};
 use tsue_gf::{set_kernel_tier, KernelTier};
 
 #[test]
@@ -20,13 +20,15 @@ fn encode_and_parity_delta_identical_on_every_tier() {
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
     let new_block: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
-    let delta = data_delta(&data[1], &new_block);
+    let mut delta = vec![0u8; len];
+    data_delta_into(&data[1], &new_block, &mut delta);
 
     type Blocks = Vec<Vec<u8>>;
     let mut baseline: Option<(Blocks, Blocks)> = None;
     for tier in KernelTier::available() {
         set_kernel_tier(tier).unwrap();
-        let parity = rs.encode(&refs).unwrap();
+        let mut parity = vec![Vec::new(); 2];
+        rs.encode_into(&refs, &mut parity).unwrap();
         let parity_deltas: Vec<Vec<u8>> = (0..2)
             .map(|p| {
                 let mut out = vec![0u8; len];

@@ -108,7 +108,7 @@ impl DegradedJournal {
     pub fn apply_into(entries: &[JournalEntry], buf: &mut [u8]) {
         for e in entries {
             if let Some(bytes) = &e.data.bytes {
-                buf[e.off as usize..(e.off + e.data.len) as usize].copy_from_slice(bytes);
+                bytes.read_into(0, &mut buf[e.off as usize..(e.off + e.data.len) as usize]);
             }
         }
     }

@@ -95,14 +95,14 @@ static ZERO_PAGE: [u8; PAGE as usize] = [0; PAGE as usize];
 /// torn-tail revert — and a run that concatenates one are generated into
 /// bytes of the page's own. Reading a page runs through at most this many
 /// recipes, and a store read through one more.
-const MAX_VIEW_DEPTH: usize = 2;
+pub(crate) const MAX_VIEW_DEPTH: usize = 2;
 
 /// Whether a write that covers a whole page with `src` makes the page a
-/// view of it: `src` is deferred, unfilled and no deeper than
-/// [`MAX_VIEW_DEPTH`]. A source that holds its bytes is copied and a
-/// store read is generated, so a page never pins another page's bytes or
-/// a built buffer larger than itself: an unfilled source pins only its
-/// recipe and the handles that recipe reads.
+/// view of it: `src` is deferred and no deeper than [`MAX_VIEW_DEPTH`].
+/// A built source is copied and a store read is generated, so a page
+/// never pins another page's bytes or a built buffer larger than itself:
+/// a deferred source holds no bytes, only its recipe and the handles that
+/// recipe reads.
 fn viewable(src: &Bytes) -> bool {
     (1..=MAX_VIEW_DEPTH).contains(&src.depth())
 }
@@ -127,7 +127,7 @@ fn segments(off: u64, len: u64) -> impl Iterator<Item = (usize, Range<usize>, us
 /// Runs `f` on the bytes of `page`: straight from its buffer when that
 /// holds them, else generated into `scratch`.
 fn with_bytes<R>(page: &Bytes, scratch: &mut [u8; PAGE as usize], f: impl FnOnce(&[u8]) -> R) -> R {
-    match page.try_as_slice() {
+    match page.as_slice() {
         Some(bytes) => f(bytes),
         None => {
             let bytes = &mut scratch[..page.len()];
@@ -141,22 +141,15 @@ fn with_bytes<R>(page: &Bytes, scratch: &mut [u8; PAGE as usize], f: impl FnOnce
 /// alone: in place when it already does, else in a new buffer — zeros,
 /// or with `keep` a copy of the page's bytes (copy-on-write).
 fn own(slot: &mut Option<Bytes>, page_len: usize, keep: bool) -> &mut [u8] {
-    if slot.as_mut().is_none_or(|p| p.try_unique_mut().is_none()) {
+    if slot.as_mut().is_none_or(|p| p.unique_mut().is_none()) {
         let fresh = match slot.as_ref().filter(|_| keep) {
-            Some(old) => match old.try_as_slice() {
-                Some(bytes) => BytesMut::copy_of(bytes),
-                None => {
-                    let mut m = BytesMut::take(page_len);
-                    old.read_into(0, &mut m);
-                    m
-                }
-            },
+            Some(old) => old.to_mut(),
             None => BytesMut::take(page_len),
         };
         *slot = Some(fresh.freeze());
     }
     slot.as_mut()
-        .and_then(Bytes::try_unique_mut)
+        .and_then(Bytes::unique_mut)
         // INVARIANT: the slot holds a built buffer no one else shares.
         .expect("a page of its own")
 }
@@ -276,7 +269,7 @@ impl Content {
             }
         }
         if let [(_, 0, v)] = &terms[..] {
-            if v.len() as u64 == len && v.try_as_slice().is_some() {
+            if v.len() as u64 == len && v.as_slice().is_some() {
                 return v.clone();
             }
         }
@@ -564,31 +557,24 @@ impl Osd {
 
     /// Content-only XOR of `delta` into a block range (no device charge,
     /// no intermediate buffer) — the zero-copy counterpart of peek → xor →
-    /// poke on paths that decouple content from timing. A delta that holds
-    /// its bytes is XORed from them; an unfilled deferred one (a parity
-    /// delta's recipe) is generated a page at a time into a stack scratch
-    /// and never buffered.
+    /// poke on paths that decouple content from timing. A built delta is
+    /// XORed from its bytes; a deferred one (a parity delta's recipe) is
+    /// generated a page at a time into a stack scratch and never buffered.
     pub fn xor_poke_range(&mut self, id: BlockId, off: u64, delta: &Bytes) {
         let Some(c) = self.content_mut(id) else {
             return;
         };
-        let len = delta.len() as u64;
-        match delta.try_as_slice() {
-            Some(d) => {
-                c.bracket(off, len, Mutation::Mix, |slot, seg, at, page_len| {
-                    let n = seg.len();
-                    tsue_gf::xor_slice(&d[at..at + n], &mut own(slot, page_len, true)[seg]);
+        c.bracket(
+            off,
+            delta.len() as u64,
+            Mutation::Mix,
+            |slot, seg, at, page_len| {
+                let dst = &mut own(slot, page_len, true)[seg];
+                delta.for_each_window(at, dst.len(), |i, d| {
+                    tsue_gf::xor_slice(d, &mut dst[i..i + d.len()]);
                 });
-            }
-            None => {
-                let mut scratch = [0u8; PAGE as usize];
-                c.bracket(off, len, Mutation::Mix, |slot, seg, at, page_len| {
-                    let src = &mut scratch[..seg.len()];
-                    delta.read_into(at, src);
-                    tsue_gf::xor_slice(src, &mut own(slot, page_len, true)[seg]);
-                });
-            }
-        }
+            },
+        );
     }
 
     /// Content-only delta capture: replaces `[off, off + new.len())` with
@@ -634,7 +620,7 @@ impl Osd {
 
     /// Content-only write of a block range (no device charge). A repair
     /// that rewrites a whole page clears its taint. A page `data` covers
-    /// whole becomes a view of it when `data` is an unfilled client
+    /// whole becomes a view of it when `data` is a (deferred) client
     /// payload or a log run's concatenation of them; the rest of `data` is
     /// read straight into the store pages, so such a payload is generated
     /// there and never buffered.
@@ -794,7 +780,7 @@ mod tests {
         assert_eq!(data.unwrap(), payload);
         // Outside the written range stays zero.
         let (_, zeros) = o.read_block_range(t1, bid(0, 1), 0, 50);
-        assert!(zeros.unwrap().iter().all(|&b| b == 0));
+        assert_eq!(zeros.unwrap(), vec![0u8; 50]);
     }
 
     #[test]
@@ -815,7 +801,7 @@ mod tests {
         let delta = bytes(&[0x0Fu8; 64]);
         o.xor_block_range(0, bid(2, 3), 0, 64, Some(&delta), 0);
         let (_, got) = o.read_block_range(0, bid(2, 3), 0, 64);
-        assert!(got.unwrap().iter().all(|&b| b == 0xFF));
+        assert_eq!(got.unwrap(), vec![0xFFu8; 64]);
     }
 
     #[test]
@@ -897,8 +883,9 @@ mod tests {
         let got = o
             .peek_block_range(bid(0, 0), 0, 8192)
             .expect("materialized");
-        assert!(got[..512].iter().chain(&got[4608..]).all(|&b| b == 0));
-        assert!(got[512..4608].iter().all(|&b| b == 5));
+        assert_eq!(got.slice(0, 512), vec![0u8; 512]);
+        assert_eq!(got.slice(512, 4096), vec![5u8; 4096]);
+        assert_eq!(got.slice(4608, 3584), vec![0u8; 3584]);
         assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
     }
 
@@ -906,7 +893,7 @@ mod tests {
     fn reads_and_verifies_of_unwritten_ranges_materialize_nothing() {
         let mut o = paged_osd();
         let (_, zeros) = o.read_block_range(0, bid(0, 0), 100, 3 << 12);
-        assert!(zeros.expect("materialized").iter().all(|&b| b == 0));
+        assert_eq!(zeros.expect("materialized"), vec![0u8; 3 << 12]);
         assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
         assert!(o.corrupt_pages(bid(0, 0)).is_empty());
         o.note_delta_source(bid(0, 0), 0, 1 << 20);
@@ -943,29 +930,27 @@ mod tests {
 
     #[test]
     fn capture_streamed_from_an_unread_payload_poisons_like_a_filled_one() {
-        let [mut streamed, mut filled] = rotted_pair();
+        let [mut streamed, mut built] = rotted_pair();
         // An unaligned range over all three rotted pages, partial at both
         // ends.
         let (off, len) = (100, 3 * PAGE as usize - 300);
         let unread = unread_payload(len);
-        let read = unread_payload(len);
-        assert_eq!(read.len(), read.as_slice().len(), "filled up front");
+        let read = unread_payload(len).into_built();
 
         let before = tsue_buf::stats();
         let got = streamed.delta_poke_range(bid(0, 0), off, &unread);
         let window = tsue_buf::stats().since(&before);
-        assert_eq!(window.filled_bytes, 0, "the capture streamed the payload");
-        assert_eq!(window.streamed_bytes, len as u64);
+        assert_eq!(window.streamed_bytes, len as u64, "streamed once");
 
-        let want = filled.delta_poke_range(bid(0, 0), off, &read);
+        let want = built.delta_poke_range(bid(0, 0), off, &read);
         assert!(got.is_some() && got == want, "same delta");
         assert_eq!(
             streamed.take_poisoned(),
             vec![bid(0, 0)],
             "rot reached parity"
         );
-        assert_eq!(filled.take_poisoned(), vec![bid(0, 0)]);
-        assert_eq!(store_state(&streamed), store_state(&filled));
+        assert_eq!(built.take_poisoned(), vec![bid(0, 0)]);
+        assert_eq!(store_state(&streamed), store_state(&built));
         assert!(
             !streamed.corrupt_pages(bid(0, 0)).is_empty(),
             "partial pages over rot stay flagged"
@@ -974,16 +959,15 @@ mod tests {
 
     #[test]
     fn in_place_write_of_an_unread_payload_taints_a_rotted_partial_page() {
-        let [mut streamed, mut filled] = rotted_pair();
+        let [mut streamed, mut built] = rotted_pair();
         let rotted = streamed.corrupt_pages(bid(0, 0));
         assert!(!rotted.is_empty());
         // [512, 12 KiB − 512): partial over pages 0 and 2, whole over 1.
         let (off, len) = (512, 3 * PAGE - 1024);
         let unread = unread_payload(len as usize);
-        let read = unread_payload(len as usize);
-        let _ = read.as_slice();
+        let read = unread_payload(len as usize).into_built();
         streamed.write_block_range(0, bid(0, 0), off, len, Some(&unread));
-        filled.write_block_range(0, bid(0, 0), off, len, Some(&read));
+        built.write_block_range(0, bid(0, 0), off, len, Some(&read));
         let partial: Vec<usize> = rotted.iter().copied().filter(|&p| p != 1).collect();
         assert!(!partial.is_empty(), "rot in a partially written page");
         for page in 0..3 {
@@ -991,7 +975,7 @@ mod tests {
             assert_eq!(tainted, partial.contains(&page), "page {page}");
         }
         assert_eq!(streamed.corrupt_pages(bid(0, 0)), partial);
-        assert_eq!(store_state(&streamed), store_state(&filled));
+        assert_eq!(store_state(&streamed), store_state(&built));
         assert!(
             streamed.take_poisoned().is_empty(),
             "a blind write sources no delta"
@@ -1010,7 +994,7 @@ mod tests {
         let before = tsue_buf::stats();
         o.poke_block_range(bid(0, 0), 0, &unread_payload(4 * PAGE as usize));
         let s = tsue_buf::stats().since(&before);
-        assert_eq!((s.pool_misses, s.filled_bytes), (0, 0), "four views");
+        assert_eq!(s.pool_misses, 0, "four views");
         assert_eq!(s.streamed_bytes, 4 * PAGE, "generated for the digests");
         assert_eq!(page_depths(&o), [1; 4]);
         // A source that holds its bytes is copied into pages of their
@@ -1030,11 +1014,11 @@ mod tests {
         let newer = bytes(&[7u8; 100]);
         let before = tsue_buf::stats();
         let got = o.peek_block_range(bid(0, 0), 10, 50).expect("materialized");
-        assert_eq!(got.try_as_slice(), Some(&[6u8; 50][..]), "built: no recipe");
+        assert_eq!(got.as_slice(), Some(&[6u8; 50][..]), "built: no recipe");
         // The page is now shared: the next write copies it first.
         o.poke_block_range(bid(0, 0), 0, &newer);
         assert_eq!(
-            got.try_as_slice(),
+            got.as_slice(),
             Some(&[6u8; 50][..]),
             "the read kept its bytes"
         );

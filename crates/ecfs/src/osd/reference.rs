@@ -182,7 +182,7 @@ fn read(b: &Bytes) -> Vec<u8> {
 }
 
 /// A source of `bytes.len()` bytes for a write, by `kind`: the random
-/// bytes in a buffer of their own; an unfilled client payload (a whole
+/// bytes in a buffer of their own; a (deferred) client payload (a whole
 /// page it covers becomes a view of it); two payload pieces concatenated
 /// by a recipe, as a log run hands a recycle its segments (still
 /// viewable); or a read of the block itself, written back as a torn-tail

@@ -200,8 +200,9 @@ mod tests {
         }
         assert_eq!(got, want);
         let s = tsue_buf::stats().since(&before);
-        assert_eq!((s.streamed_bytes, s.filled_bytes), (9000, 0));
-        assert_eq!(bytes.as_slice(), &want[..], "a borrow fills the same bytes");
+        assert_eq!((s.streamed_bytes, s.pool_misses), (9000, 0));
+        let built = bytes.into_built();
+        assert_eq!(built.as_slice(), Some(&want[..]), "one window, same bytes");
     }
 
     #[test]

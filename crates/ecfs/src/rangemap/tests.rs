@@ -4,6 +4,13 @@
 
 use super::*;
 
+/// The content of `b`, streamed.
+fn contents(b: &tsue_buf::Bytes) -> Vec<u8> {
+    let mut v = vec![0u8; b.len()];
+    b.read_into(0, &mut v);
+    v
+}
+
 fn real(byte: u8, len: usize) -> Chunk {
     Chunk::real(vec![byte; len])
 }
@@ -196,11 +203,9 @@ impl Model {
     /// What `insert_with(off, chunk, disc)` does to each byte: XOR with a
     /// ghost on either side leaves a ghost.
     fn insert(&mut self, off: u64, chunk: &Chunk, disc: Discipline) {
+        let bytes = chunk.bytes.as_ref().map(contents);
         for i in 0..chunk.len as usize {
-            let new = chunk
-                .bytes
-                .as_ref()
-                .map_or(Cell::Ghost, |b| Cell::Real(b[i]));
+            let new = bytes.as_ref().map_or(Cell::Ghost, |b| Cell::Real(b[i]));
             let cell = &mut self.cells[off as usize + i];
             self.covered += u64::from(*cell == Cell::Empty);
             *cell = match (disc, *cell, new) {
@@ -325,8 +330,8 @@ fn check_against_model(map: &RangeMap, model: &Model, rng: &mut Rng, ctx: &str) 
         let want = bytes.as_deref().unwrap_or(&[]);
         let mut joined = Vec::new();
         e.chunks()
-            .filter_map(|(_, c)| c.bytes.as_deref())
-            .for_each(|b| joined.extend_from_slice(b));
+            .filter_map(|(_, c)| c.bytes.as_ref().map(contents))
+            .for_each(|b| joined.extend_from_slice(&b));
         assert!(joined == want, "segment view {ctx}");
         let mut copied = vec![0u8; e.len() as usize];
         e.copy_to(&mut copied);
@@ -342,7 +347,7 @@ fn check_drain(map: &mut RangeMap, model: &Model, ctx: &str) {
         map.iter()
             .map(|e| {
                 let c = e.chunk();
-                (e.off(), c.len, c.bytes.map(|b| b.to_vec()))
+                (e.off(), c.len, c.bytes.as_ref().map(contents))
             })
             .collect()
     };
@@ -366,7 +371,9 @@ fn check_drain(map: &mut RangeMap, model: &Model, ctx: &str) {
             for (off, c) in e.chunks() {
                 assert_eq!(off, at, "segments of a run are adjacent {ctx}");
                 assert_eq!(c.bytes.is_some(), e.is_real(), "one kind per run {ctx}");
-                bytes.extend_from_slice(c.bytes.as_deref().unwrap_or(&[]));
+                if let Some(b) = &c.bytes {
+                    bytes.extend_from_slice(&contents(b));
+                }
                 at += c.len;
             }
             (e.off(), e.len(), e.is_real().then_some(bytes))

@@ -439,13 +439,16 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
                 let owner_now = core.owner_of(gstripe, role);
                 if let Some(bytes) = core.osds[owner_now].peek_block_range(src_block, 0, block_size)
                 {
-                    shards.push((role, bytes));
+                    shards.push((role, bytes.into_built()));
                 }
             }
             // The decode lands in place through the target's checksum
             // bracket, so the rebuilt block is digested as installed.
-            let borrowed: Vec<(usize, &[u8])> =
-                shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
+            let borrowed: Vec<(usize, &[u8])> = shards
+                .iter()
+                // INVARIANT: every shard went through `into_built` above.
+                .map(|(r, b)| (*r, b.as_slice().expect("a built shard")))
+                .collect();
             let rs = &core.rs;
             core.osds[target].fill_block(block, |out| {
                 rs.reconstruct_one(&borrowed, block.role, out)

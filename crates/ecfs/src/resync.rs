@@ -23,7 +23,8 @@
 //! forward from that instant; [`ResyncState::pending`] tracks the charge
 //! horizon so the fault engine can report the phase's wall time.
 
-use crate::osd::BlockId;
+use crate::osd::{BlockId, MAX_VIEW_DEPTH};
+use crate::scheme::Combination;
 use crate::{Cluster, ClusterCore};
 use tsue_sim::Sim;
 
@@ -219,17 +220,20 @@ fn repair_dirty_parity(core: &mut ClusterCore, sim: &mut Sim<Cluster>, stats: &m
         }
         let dest = core.osds[owner].node;
         let ready = core.charge_gather(now, pblock, &sources, 0, bs, dest);
-        let mut fresh = core.cfg.materialize.then(|| vec![0u8; bs as usize]);
-        if let Some(out) = fresh.as_deref_mut() {
-            for &(i, downer) in &sources {
-                let dblock = BlockId { role: i, ..pblock };
-                if let Some(d) = core.osds[downer].peek_block_range(dblock, 0, bs) {
-                    tsue_gf::mul_add_slice(core.rs.coefficient(role - k, i), &d, out);
-                }
-            }
-        }
+        // Eq. (1) over snapshots of the data blocks, generated straight
+        // into the parity pages: declared a store read, so no page views it.
+        let fresh = core.cfg.materialize.then(|| {
+            let terms = sources
+                .iter()
+                .filter_map(|&(i, downer)| {
+                    let dblock = BlockId { role: i, ..pblock };
+                    let d = core.osds[downer].peek_block_range(dblock, 0, bs)?;
+                    Some((core.rs.coefficient(role - k, i), 0, d))
+                })
+                .collect();
+            Combination::deferred_at_depth(bs as usize, terms, MAX_VIEW_DEPTH + 1)
+        });
         let t_encoded = ready + core.gf_time(bs * k as u64);
-        let fresh = fresh.map(tsue_buf::Bytes::from);
         let t_written =
             core.osds[owner].write_block_range(t_encoded, pblock, 0, bs, fresh.as_ref());
         core.mds.clear_parity_dirty(gstripe, role);

@@ -12,10 +12,9 @@
 use crate::osd::BlockId;
 use crate::rangemap::RangeMap;
 use crate::{client, Cluster, ClusterCore, Mds, ACK_BYTES};
-use tsue_buf::{Bytes, BytesMut, Recipe};
+use tsue_buf::{Bytes, Recipe};
 use tsue_device::IoKind;
 use tsue_ec::RsCode;
-use tsue_integrity::PAGE;
 use tsue_sim::{IdWindow, Sim, Time};
 
 /// A byte payload that may be timing-only. In materialized (correctness)
@@ -67,8 +66,9 @@ impl Chunk {
     }
 
     /// XORs `other` into this chunk (delta folding); ghost chunks fold into
-    /// ghost chunks. Folds in place when this chunk owns its buffer
-    /// uniquely; a shared buffer triggers one copy-on-write.
+    /// ghost chunks. Folds in place when this chunk alone holds a built
+    /// buffer; otherwise into one new buffer, into which a shared built
+    /// buffer is copied (a counted deep copy) and a deferred one streamed.
     ///
     /// # Panics
     /// Panics on length mismatch.
@@ -79,18 +79,8 @@ impl Chunk {
                 if let Some(buf) = a.unique_mut() {
                     xor_streamed(b, buf);
                 } else {
-                    // Copy-on-write: one new buffer, one fused pass when
-                    // both sides hold their bytes, else each streamed in
-                    // (counted — the shared buffer forced a duplication).
-                    let mut m = BytesMut::take(b.len());
-                    match (a.try_as_slice(), b.try_as_slice()) {
-                        (Some(x), Some(y)) => tsue_gf::xor_into(x, y, m.as_mut()),
-                        _ => {
-                            a.read_into(0, m.as_mut());
-                            xor_streamed(b, m.as_mut());
-                        }
-                    }
-                    tsue_buf::count_copy(b.len() as u64);
+                    let mut m = a.to_mut();
+                    xor_streamed(b, &mut m);
                     *a = m.freeze();
                 }
             }
@@ -112,28 +102,17 @@ impl Chunk {
     }
 }
 
-/// Bytes of a deferred buffer generated per step into a stack scratch:
-/// one store page.
-const STEP: usize = PAGE as usize;
-
-/// XORs `src` into `dst`: straight from its bytes when it holds them,
-/// otherwise generated a page at a time into a stack scratch, so a
-/// deferred buffer (a client payload, a parity delta) is never buffered.
+/// XORs `src` into `dst` window by window ([`Bytes::for_each_window`]),
+/// so a deferred buffer (a client payload, a parity delta) is never
+/// buffered.
 ///
 /// # Panics
 /// Panics if the lengths differ.
 pub fn xor_streamed(src: &Bytes, dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "xor_streamed length mismatch");
-    if let Some(s) = src.try_as_slice() {
-        tsue_gf::xor_slice(s, dst);
-        return;
-    }
-    let mut scratch = [0u8; STEP];
-    for (rel, d) in (0..).step_by(STEP).zip(dst.chunks_mut(STEP)) {
-        let s = &mut scratch[..d.len()];
-        src.read_into(rel, s);
-        tsue_gf::xor_slice(s, d);
-    }
+    src.for_each_window(0, dst.len(), |i, s| {
+        tsue_gf::xor_slice(s, &mut dst[i..i + s.len()]);
+    });
 }
 
 /// A deferred linear combination over GF(2⁸): `Σ c · d` over windows
@@ -210,18 +189,9 @@ impl Recipe for Combination {
             } else {
                 tsue_gf::mul_add_slice
             };
-            match d.try_as_slice() {
-                Some(src) => mul(*c, &src[rel..rel + out.len()], out),
-                None => {
-                    // A deferred window streams through a page of stack.
-                    let mut scratch = [0u8; STEP];
-                    for (i, out) in out.chunks_mut(STEP).enumerate() {
-                        let src = &mut scratch[..out.len()];
-                        d.read_into(rel + i * STEP, src);
-                        mul(*c, src, out);
-                    }
-                }
-            }
+            d.for_each_window(rel, out.len(), |i, src| {
+                mul(*c, src, &mut out[i..i + src.len()]);
+            });
         }
         if !started {
             dst.fill(0);
@@ -993,10 +963,7 @@ mod tests {
             .collect();
         assert_eq!(got, want[3000..8000]);
         let d = tsue_buf::stats().since(&before);
-        assert_eq!(
-            (d.pool_misses, d.filled_bytes, d.streamed_bytes),
-            (0, 0, 5000)
-        );
+        assert_eq!((d.pool_misses, d.streamed_bytes), (0, 5000));
         assert_eq!(Chunk::ghost(7).gf_scaled(3), Chunk::ghost(7));
     }
 
@@ -1007,9 +974,10 @@ mod tests {
         let before = tsue_buf::stats();
         a.xor_in(&b);
         let s = tsue_buf::stats().since(&before);
-        assert_eq!((s.filled_bytes, s.streamed_bytes), (100, 100), "{s:?}");
+        assert_eq!(s.streamed_bytes, 200, "both streamed: {s:?}");
+        assert_eq!((s.pool_misses, s.bytes_copied), (1, 0), "one new buffer");
         let want = tsue_gf::mul(3, 7) ^ tsue_gf::mul(5, 9);
-        assert!(a.bytes.expect("real").iter().all(|&x| x == want));
+        assert_eq!(a.bytes.expect("real"), vec![want; 100]);
     }
 
     #[test]
@@ -1020,11 +988,38 @@ mod tests {
         let before = tsue_buf::stats();
         a.xor_in(&b);
         let s = tsue_buf::stats().since(&before);
-        assert_eq!((s.filled_bytes, s.streamed_bytes), (0, 100), "{s:?}");
-        assert_eq!((s.pool_misses, s.bytes_copied), (1, 50), "one counted copy");
+        assert_eq!(s.streamed_bytes, 100, "{s:?}");
+        assert_eq!(
+            (s.pool_misses, s.bytes_copied),
+            (1, 0),
+            "streamed, not copied"
+        );
         let want = tsue_gf::mul(3, 7) ^ tsue_gf::mul(5, 9);
-        assert!(a.bytes.expect("real").iter().all(|&x| x == want));
-        assert!(whole.bytes.expect("real").try_as_slice().is_none());
+        assert_eq!(a.bytes.expect("real"), vec![want; 50]);
+        assert_eq!(whole.bytes.expect("real").depth(), 1, "still deferred");
+    }
+
+    #[test]
+    fn xor_fold_onto_a_shared_built_buffer_counts_one_copy() {
+        let whole = Chunk::real(vec![7u8; 100]);
+        let mut a = whole.slice(20, 50);
+        let b = Chunk::real(vec![9u8; 50]).gf_scaled(5);
+        let before = tsue_buf::stats();
+        a.xor_in(&b);
+        let s = tsue_buf::stats().since(&before);
+        assert_eq!((s.pool_misses, s.deep_copies, s.bytes_copied), (1, 1, 50));
+        assert_eq!(s.streamed_bytes, 50, "the deferred side streams: {s:?}");
+        assert_eq!(a.bytes.expect("real"), vec![7 ^ tsue_gf::mul(5, 9); 50]);
+        assert_eq!(whole.bytes.expect("real"), vec![7u8; 100], "copy-on-write");
+        // A built buffer held alone folds in place.
+        let mut c = Chunk::real(vec![1u8; 50]);
+        let before = tsue_buf::stats();
+        c.xor_in(&Chunk::real(vec![3u8; 50]));
+        assert_eq!(
+            tsue_buf::stats().since(&before),
+            tsue_buf::BufStats::default()
+        );
+        assert_eq!(c.bytes.expect("real"), vec![2u8; 50]);
     }
 
     #[test]

@@ -217,7 +217,7 @@ fn repair_block(
             }
             if let Some(bytes) = core.osds[owner].peek_block_range(sib, s, len) {
                 sources.push((role, owner));
-                shards.push((role, bytes));
+                shards.push((role, bytes.into_built()));
             }
         }
         if shards.len() < k {
@@ -229,8 +229,11 @@ fn repair_block(
         }
         let mut out = vec![0u8; len as usize];
         {
-            let borrowed: Vec<(usize, &[u8])> =
-                shards.iter().map(|(r, b)| (*r, b.as_slice())).collect();
+            let borrowed: Vec<(usize, &[u8])> = shards
+                .iter()
+                // INVARIANT: every shard went through `into_built` above.
+                .map(|(r, b)| (*r, b.as_slice().expect("a built shard")))
+                .collect();
             core.rs
                 .reconstruct_one(&borrowed, block.role, &mut out)
                 // INVARIANT: the shard set was assembled from exactly k clean

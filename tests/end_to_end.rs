@@ -156,19 +156,19 @@ fn codec_and_cluster_agree_on_reconstruction() {
         .map(|i| (0..256).map(|j| (i * 37 + j) as u8).collect())
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-    let parity = rs.encode(&refs).unwrap();
-    // Lose two shards and rebuild.
-    let mut shards: Vec<Option<Vec<u8>>> = data
-        .iter()
-        .cloned()
-        .chain(parity.iter().cloned())
-        .map(Some)
+    let mut parity = vec![Vec::new(); 2];
+    rs.encode_into(&refs, &mut parity).unwrap();
+    // Lose shards 1 and 4 and rebuild each from the four survivors.
+    let survivors: Vec<(usize, &[u8])> = [(0, &data[0]), (2, &data[2]), (3, &data[3])]
+        .into_iter()
+        .chain([(5, &parity[1])])
+        .map(|(r, v)| (r, v.as_slice()))
         .collect();
-    shards[1] = None;
-    shards[4] = None;
-    rs.reconstruct(&mut shards).unwrap();
-    assert_eq!(shards[1].as_ref().unwrap(), &data[1]);
-    assert_eq!(shards[4].as_ref().unwrap(), &parity[0]);
+    let mut out = vec![0u8; 256];
+    rs.reconstruct_one(&survivors, 1, &mut out).unwrap();
+    assert_eq!(out, data[1]);
+    rs.reconstruct_one(&survivors, 4, &mut out).unwrap();
+    assert_eq!(out, parity[0]);
 }
 
 /// Workload generators stay calibrated when consumed through the umbrella

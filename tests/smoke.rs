@@ -4,7 +4,7 @@
 //! crate graph or re-export fails fast and obviously.
 
 use tsue_repro::core::{Tsue, TsueConfig};
-use tsue_repro::ec::{data_delta, RsCode, StripeConfig};
+use tsue_repro::ec::{data_delta_into, RsCode, StripeConfig};
 use tsue_repro::ecfs::{check_consistency, run_workload, Cluster, ClusterBuilder, ClusterConfig};
 use tsue_repro::gf;
 use tsue_repro::sim::{Sim, SECOND};
@@ -31,21 +31,24 @@ fn incremental_stripe_update_matches_reencode() {
         .map(|i| (0..len).map(|j| (i * 37 + j * 11) as u8).collect())
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-    let mut parity = rs.encode(&refs).expect("encode");
+    let mut parity = vec![Vec::new(); m];
+    rs.encode_into(&refs, &mut parity).expect("encode");
 
     // Overwrite 100 bytes in block 2 at offset 300, updating parity
     // incrementally instead of re-encoding.
     let (block, off, ulen) = (2usize, 300usize, 100usize);
     let new: Vec<u8> = (0..ulen).map(|j| (j * 7 + 1) as u8).collect();
-    let delta = data_delta(&data[block][off..off + ulen], &new);
+    let mut delta = vec![0u8; ulen];
+    data_delta_into(&data[block][off..off + ulen], &new, &mut delta);
     data[block][off..off + ulen].copy_from_slice(&new);
     for (j, p) in parity.iter_mut().enumerate() {
-        let pd = rs.parity_delta(j, block, &delta);
-        RsCode::apply_parity_delta(&mut p[off..off + ulen], &pd);
+        rs.parity_delta_into(j, block, &delta, &mut p[off..off + ulen]);
     }
 
     let refs: Vec<&[u8]> = data.iter().map(|v| v.as_slice()).collect();
-    assert_eq!(parity, rs.encode(&refs).expect("re-encode"));
+    let mut expect = vec![Vec::new(); m];
+    rs.encode_into(&refs, &mut expect).expect("re-encode");
+    assert_eq!(parity, expect);
 
     // And the stripe geometry tiles the update exactly.
     let cfg = StripeConfig::new(k, m, len as u64);

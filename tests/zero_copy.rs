@@ -20,19 +20,20 @@
 //! the parity block, and each level of recipe a read runs through counts
 //! the window in `streamed_bytes`.
 //!
-//! No scheme fills a payload or a parity delta into a buffer of its own
-//! (`filled_bytes` stays 0), and no update allocates a buffer for its data
-//! delta or its store read: what `pool_misses` counts is the parity pages
+//! A deferred buffer has no filled state: it is only ever streamed, so no
+//! scheme buffers a payload or a parity delta, and no update allocates a
+//! buffer for its data delta or its store read: what `pool_misses` counts is the parity pages
 //! the XOR merges land in (m = 2, each allocated on its first write),
 //! PARIX's recycle deltas and CoRD's one copy-on-write fold. Bytes TSUE's
 //! DataLog supersedes before its seal-time capture are never generated.
 
 use tsue_repro::buf;
 use tsue_repro::core::Tsue;
+use tsue_repro::ec::RsCode;
 use tsue_repro::ecfs::scheme::{deliver_update, UpdateReq};
 use tsue_repro::ecfs::{
-    check_consistency, payload_chunk, payload_into, BlockId, Chunk, Cluster, ClusterBuilder,
-    UpdateScheme,
+    check_consistency, payload_chunk, payload_into, repair_all_dirty_parity, BlockId, Chunk,
+    Cluster, ClusterBuilder, UpdateScheme,
 };
 use tsue_repro::schemes::{Cord, Fl, Fo, Parix, Pl, Plr};
 use tsue_repro::sim::Sim;
@@ -170,7 +171,10 @@ fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
     let chunks: Vec<Chunk> = (0..n).map(|op| payload_chunk(op, 0, 4096, true)).collect();
     let issued = buf::stats().since(&before);
     assert_eq!(issued.deferred_bytes, n * 4096);
-    assert_eq!(issued.filled_bytes, 0, "issuing a write generates nothing");
+    assert_eq!(
+        issued.streamed_bytes, 0,
+        "issuing a write generates nothing"
+    );
     for (op_id, data) in (0..n).zip(chunks) {
         let req = UpdateReq {
             op_id,
@@ -207,7 +211,6 @@ fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
 #[test]
 fn tsue_generates_only_the_payload_its_data_log_keeps() {
     let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 16);
-    assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
     assert_eq!(
         window.streamed_bytes,
         4096 + 2 * (4096 + 4096),
@@ -238,7 +241,7 @@ fn tsue_capture_over_a_never_written_page_allocates_nothing() {
         .expect("materialized");
     let window = buf::stats().since(&before);
     assert_eq!(window.pool_misses, 0, "{window:?}");
-    assert_eq!((window.filled_bytes, window.bytes_copied), (0, 0));
+    assert_eq!(window.bytes_copied, 0);
     assert_eq!(window.streamed_bytes, 3 * 4096, "the pages' digests");
     let mut want = vec![0u8; 3 * 4096];
     payload_into(9, 0, &mut want);
@@ -267,7 +270,6 @@ fn tsue_capture_over_a_never_written_page_allocates_nothing() {
 fn parix_generates_every_payload_on_arrival() {
     let window = overwrite_one_range(|| Box::new(Parix::new()), 16);
     assert_eq!(window.deferred_bytes, 16 * 4096 + 4096 + 2 * 4096);
-    assert_eq!(window.filled_bytes, 0, "nothing is buffered: {window:?}");
     assert_eq!(window.streamed_bytes, (16 + 2 * 3) * 4096, "{window:?}");
     assert_eq!(window.pool_misses, 2 + 2, "{window:?}");
 }
@@ -307,7 +309,7 @@ fn parix_first_touch_read_allocates_nothing() {
         "the originals reached the logs"
     );
     assert_eq!(window.pool_misses, 0, "{window:?}");
-    assert_eq!((window.filled_bytes, window.bytes_copied), (0, 0));
+    assert_eq!(window.bytes_copied, 0);
     assert_eq!(window.deferred_bytes, 8 * 4096, "the original, deferred");
 }
 
@@ -320,9 +322,9 @@ fn parix_first_touch_read_allocates_nothing() {
 /// its delta is a recipe over the payload and the replaced view, so each
 /// scaled recipe reads four windows (2 · 4·4096): 10 · 4096. FO, PL and
 /// PLR apply every scaled delta: (5 + 15·10) · 4096 = 634 880 bytes.
-/// CoRD folds the 16 deltas at its collector: the first fold copies the
-/// first delta out of the payload it shares (4096, counted as the one
-/// copy) and XORs in the second (3 · 4096), each later fold XORs one
+/// CoRD folds the 16 deltas at its collector: the first fold streams the
+/// first delta, the payload's handle, into a buffer of its own (4096)
+/// and XORs in the second (3 · 4096), each later fold XORs one
 /// delta in place (3 · 4096); it drains one scaled recipe per parity over
 /// the folded buffer (2 · 4096): (16 + 15 + 4 + 14·3 + 2) · 4096 =
 /// 323 584. FL logs the data side newest-wins and its drain captures only
@@ -346,8 +348,70 @@ fn no_other_scheme_fills_a_client_payload() {
     ];
     for (name, scheme, pages, allocations) in schemes {
         let window = overwrite_one_range(scheme, 16);
-        assert_eq!(window.filled_bytes, 0, "{name}: {window:?}");
         assert_eq!(window.streamed_bytes, pages * 4096, "{name}: {window:?}");
         assert_eq!(window.pool_misses, allocations, "{name}: {window:?}");
     }
+}
+
+/// Re-sync's dirty-parity re-encode (Eq. 1) is a recipe over snapshots
+/// of the k = 4 data blocks, generated page by page straight into the
+/// parity block: no block-sized buffer, no filled snapshot. Over 16 KiB
+/// blocks (4 pages) where data block 0 views a client payload, block 1
+/// holds two pages of its own bytes and blocks 2 and 3 were never
+/// written, the scan for rot generates block 0's four views for their
+/// digests (4 · 4096). The re-encode then streams its own recipe
+/// (16 384), each snapshot (4 · 16 384) and, under block 0's snapshot,
+/// the payload again (16 384): 4 · 4096 + 6 · 16 384 = 114 688 bytes.
+/// The four allocations are the parity block's pages.
+#[test]
+fn parity_reencode_streams_into_the_parity_pages() {
+    const BLOCK: usize = 4 * 4096;
+    let mut world = ClusterBuilder::ssd(4, 2, 1)
+        .materialize(true)
+        .block_size(BLOCK as u64)
+        .file_size_per_client(1 << 20)
+        .scheme_fn(|_| Box::new(Tsue::ssd()))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    let gstripe = world.core.global_stripe(0, 0);
+    let block = |role| BlockId {
+        file: 0,
+        stripe: 0,
+        role,
+    };
+    let owner = |w: &Cluster, role| w.core.owner_of(gstripe, role);
+    let payload = payload_chunk(1, 0, BLOCK as u64, true).bytes.expect("real");
+    let o = owner(&world, 0);
+    world.core.osds[o].poke_block_range(block(0), 0, &payload);
+    let o = owner(&world, 1);
+    world.core.osds[o].poke_block_range(block(1), 4096, &buf::Bytes::from(vec![7u8; 8192]));
+    world.core.mds.mark_parity_dirty(gstripe, 4);
+
+    let before = buf::stats();
+    assert_eq!(repair_all_dirty_parity(&mut world, &mut sim), 1);
+    let window = buf::stats().since(&before);
+    assert_eq!(window.pool_misses, 4, "the parity pages only: {window:?}");
+    assert_eq!(
+        window.streamed_bytes,
+        4 * 4096 + 6 * BLOCK as u64,
+        "{window:?}"
+    );
+    assert_eq!(window.bytes_copied, 0, "{window:?}");
+
+    let data: Vec<Vec<u8>> = (0..4)
+        .map(|r| {
+            let mut d = vec![0u8; BLOCK];
+            assert!(world.core.osds[owner(&world, r)].peek_into(block(r), 0, &mut d));
+            d
+        })
+        .collect();
+    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let mut parity = vec![Vec::new(); 2];
+    RsCode::new(4, 2)
+        .expect("valid code")
+        .encode_into(&refs, &mut parity)
+        .expect("encode");
+    let mut got = vec![0u8; BLOCK];
+    assert!(world.core.osds[owner(&world, 4)].peek_into(block(4), 0, &mut got));
+    assert!(got == parity[0], "the parity block holds Eq. 1 of the data");
 }
