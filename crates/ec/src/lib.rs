@@ -153,22 +153,19 @@ impl RsCode {
         Ok(())
     }
 
-    /// Reconstructs exactly one missing block into a caller-provided
-    /// buffer, reading the surviving shards by reference — the zero-copy
-    /// recovery decode. `present` pairs each surviving shard's role index
-    /// (`0..k` data, `k..k+m` parity) with its bytes; borrowed slices mean
-    /// survivors can stay in pool-backed shared buffers end to end, and
-    /// `out` is the only buffer written.
+    /// The decode row for `target`: the coefficients that map the first
+    /// `k` roles of `present` (`0..k` data, `k..k+m` parity) straight to
+    /// role `target`, so `target = Σ row[i] · shard(present[i])`. A data
+    /// target takes its row of the inverse of those roles' generator rows;
+    /// a parity target takes its generator row times that inverse. With
+    /// the `k` data roles present in order, a parity target's row is Eq.
+    /// (1)'s [`RsCode::coefficient`] row.
     ///
     /// # Errors
-    /// Fails if fewer than `k` shards are present, `target` is out of
-    /// range or listed as present, or buffer sizes mismatch.
-    pub fn reconstruct_one(
-        &self,
-        present: &[(usize, &[u8])],
-        target: usize,
-        out: &mut [u8],
-    ) -> Result<(), EcError> {
+    /// Fails if fewer than `k` roles are present, `target` is out of
+    /// range, or a role used is out of range, equal to `target` or
+    /// repeated.
+    pub fn decode_row(&self, present: &[usize], target: usize) -> Result<Vec<u8>, EcError> {
         if target >= self.n() {
             return Err(EcError::BadIndex(target));
         }
@@ -178,26 +175,51 @@ impl RsCode {
                 needed: self.k,
             });
         }
-        let use_shards = &present[..self.k];
-        if use_shards
+        let use_rows = &present[..self.k];
+        if use_rows
             .iter()
-            .any(|&(role, shard)| role >= self.n() || role == target || shard.len() != out.len())
+            .any(|&role| role >= self.n() || role == target)
         {
             return Err(EcError::ShardSizeMismatch);
         }
-        let use_rows: Vec<usize> = use_shards.iter().map(|&(role, _)| role).collect();
-        let sub = self.generator.select_rows(&use_rows);
-        let decode = sub
+        let decode = self
+            .generator
+            .select_rows(use_rows)
             .inverse()
             .ok_or_else(|| EcError::InvalidParameters("duplicate survivor roles".into()))?;
-        // Coefficients mapping the chosen survivors straight to `target`:
-        // a decode row for data blocks, generator-row × decode for parity.
-        let coeffs: Vec<u8> = if target < self.k {
+        Ok(if target < self.k {
             decode.row(target).to_vec()
         } else {
             let eff = self.generator.select_rows(&[target]).mul(&decode);
             eff.row(0).to_vec()
-        };
+        })
+    }
+
+    /// Reconstructs exactly one missing block into a caller-provided
+    /// buffer from borrowed survivor shards: [`RsCode::decode_row`], then
+    /// one multiply-accumulate pass per shard. `present` pairs each
+    /// surviving shard's role index with its bytes, and `out` is the only
+    /// buffer written. The reference decode for the data plane's deferred
+    /// one (`tsue_ecfs`'s `ClusterCore::reconstruct`).
+    ///
+    /// # Errors
+    /// Fails as [`RsCode::decode_row`] does, or if a shard's length
+    /// differs from `out`'s.
+    pub fn reconstruct_one(
+        &self,
+        present: &[(usize, &[u8])],
+        target: usize,
+        out: &mut [u8],
+    ) -> Result<(), EcError> {
+        let roles: Vec<usize> = present.iter().map(|&(role, _)| role).collect();
+        let coeffs = self.decode_row(&roles, target)?;
+        let use_shards = &present[..self.k];
+        if use_shards
+            .iter()
+            .any(|&(_, shard)| shard.len() != out.len())
+        {
+            return Err(EcError::ShardSizeMismatch);
+        }
         for (i, &(_, shard)) in use_shards.iter().enumerate() {
             if i == 0 {
                 tsue_gf::mul_slice(coeffs[i], shard, out);
@@ -387,6 +409,43 @@ mod tests {
         ));
         // Target listed among the survivors is a caller bug.
         assert!(rs.reconstruct_one(&survivors, 0, &mut out).is_err());
+        // The decode row makes the same checks, in the same order.
+        assert!(matches!(
+            rs.decode_row(&[0, 1, 2], 5),
+            Err(EcError::TooFewShards {
+                present: 3,
+                needed: 4
+            })
+        ));
+        assert!(matches!(
+            rs.decode_row(&[0, 1, 2, 3], 9),
+            Err(EcError::BadIndex(9))
+        ));
+        assert!(rs.decode_row(&[0, 1, 2, 3], 0).is_err(), "target present");
+        assert!(
+            rs.decode_row(&[0, 1, 2, 6], 4).is_err(),
+            "role out of range"
+        );
+        assert!(matches!(
+            rs.decode_row(&[0, 1, 1, 3], 4),
+            Err(EcError::InvalidParameters(_))
+        ));
+    }
+
+    #[test]
+    fn decode_row_of_data_roles_is_the_encoding_row() {
+        for (k, m) in [(4, 2), (6, 4), (10, 4)] {
+            let rs = RsCode::new(k, m).unwrap();
+            let data: Vec<usize> = (0..k).collect();
+            for j in 0..m {
+                let want: Vec<u8> = (0..k).map(|i| rs.coefficient(j, i)).collect();
+                assert_eq!(
+                    rs.decode_row(&data, k + j).unwrap(),
+                    want,
+                    "RS({k},{m}) parity {j}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn degraded_read(
         .take(k)
         .collect();
     let client_node = core.clients[cid].node;
-    let ready = core.charge_gather(sim.now(), block, &sources, off, len, client_node);
+    let done = core.charge_decode(sim.now(), block, &sources, off, len, client_node);
     if sources.len() < k {
         // Correlated failure beyond the code's tolerance: the range is
         // unreadable until (unless) more nodes heal. The op completes
@@ -231,7 +231,6 @@ fn degraded_read(
         crate::fail_over_ack(sim, op_id);
         return;
     }
-    let done = ready + core.gf_time(len * k as u64);
     core.metrics.degraded_reads += 1;
     sim.schedule_at(done, move |w: &mut Cluster, sim: &mut Sim<Cluster>| {
         client_ack(w, sim, op_id);

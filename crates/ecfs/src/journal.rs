@@ -9,8 +9,8 @@
 //! sequential log append — and the ack only fires once the entry is
 //! durable. Journaled extents are *replayed* later, exactly once each:
 //!
-//! * into the **rebuilt** copy of the block, right after
-//!   [`tsue_ec::RsCode::reconstruct_one`] and before the MDS rehome
+//! * into the **rebuilt** copy of the block, right after its decode
+//!   (`ClusterCore::reconstruct`) and before the MDS rehome
 //!   (see [`crate::recovery`]), or
 //! * into the **healed** node's own stale copy when the home comes back
 //!   before its rebuild ran (see [`crate::resync::heal_node`]).

@@ -444,12 +444,14 @@ impl ClusterCore {
         self.osds[osd].xor_block_range(now, pblock, off, delta.len, delta.bytes.as_ref(), compute)
     }
 
-    /// Charges a survivor gather for `block`'s stripe: for each
-    /// `(role, owner)` in order, a device read of `[off, off+len)` of that
-    /// role's block on `owner` starting at `now`, then its transfer to
-    /// network node `dest`. Returns the latest arrival (`now` when
-    /// `sources` is empty). Moves no bytes.
-    pub fn charge_gather(
+    /// Charges the decode of `[off, off+len)` of `block` from the
+    /// survivors `sources`: for each `(role, owner)` in order, a device
+    /// read of that range of the role's block on `owner` starting at
+    /// `now` and its transfer to network node `dest`, then `k` GF
+    /// multiply-accumulates over the range once the last one arrives.
+    /// Returns when the decode is done. Moves no bytes
+    /// (`ClusterCore::reconstruct` writes them).
+    pub fn charge_decode(
         &mut self,
         now: Time,
         block: BlockId,
@@ -465,7 +467,51 @@ impl ClusterCore {
             let arrive = self.net.transfer(t_read, self.osds[owner].node, dest, len);
             ready = ready.max(arrive);
         }
-        ready
+        ready + self.gf_time(len * self.cfg.stripe.k as u64)
+    }
+
+    /// `[off, off+len)` of `block` decoded from the first `k` survivors
+    /// of `sources` (`(role, owner)` pairs): the linear combination
+    /// [`RsCode::decode_row`] names, over snapshots of the survivors'
+    /// ranges ([`Osd::peek_block_range`]), generated where it is read and
+    /// never buffered. Declared a store read, so no page views it. The one
+    /// decode of the data plane: a rebuild, a scrub page repair and a
+    /// parity re-encode all write it. `None` in timing-only runs.
+    ///
+    /// # Panics
+    /// Panics unless `sources` starts with `k` distinct roles other than
+    /// `block.role`, each hosted by its owner.
+    pub(crate) fn reconstruct(
+        &self,
+        block: BlockId,
+        sources: &[(usize, usize)],
+        off: u64,
+        len: u64,
+    ) -> Option<tsue_buf::Bytes> {
+        if !self.cfg.materialize {
+            return None;
+        }
+        let roles: Vec<usize> = sources.iter().map(|&(role, _)| role).collect();
+        // INVARIANT: every caller gathers k distinct survivors of the
+        // stripe, each from the OSD that hosts it, before it decodes.
+        let row = self
+            .rs
+            .decode_row(&roles, block.role)
+            .expect("k distinct survivors");
+        let terms = row
+            .into_iter()
+            .zip(sources)
+            .map(|(c, &(role, owner))| {
+                let src = BlockId { role, ..block };
+                let d = self.osds[owner].peek_block_range(src, off, len);
+                (c, 0, d.expect("a hosted survivor"))
+            })
+            .collect();
+        Some(scheme::Combination::deferred_at_depth(
+            len as usize,
+            terms,
+            osd::MAX_VIEW_DEPTH + 1,
+        ))
     }
 
     /// CPU time to XOR `bytes`.
@@ -719,3 +765,96 @@ pub fn run_workload(world: &mut Cluster, sim: &mut Sim<Cluster>, duration: Time)
 /// A tiny latency floor for in-memory operations (index updates, buffer
 /// copies) on the OSD CPU.
 pub const MEM_OP: Time = MICROSECOND;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tsue_buf::Bytes;
+
+    /// The one deferred decode against the borrowed reference: on an
+    /// RS(4,2) stripe of 16 KiB blocks whose pages view client payloads,
+    /// hold bytes of their own or are absent, [`ClusterCore::reconstruct`]
+    /// equals [`RsCode::reconstruct_one`] over `peek_into` copies for
+    /// every target role and every `k`-subset of the other roles, over
+    /// the whole block and over a range that straddles pages. From the
+    /// data roles in order, a parity target is Eq. (1): `encode_into`.
+    #[test]
+    fn reconstruct_matches_the_borrowed_reference_decode() {
+        const BLOCK: usize = 4 * 4096;
+        let mut world = ClusterBuilder::ssd(4, 2, 1)
+            .materialize(true)
+            .block_size(BLOCK as u64)
+            .file_size_per_client(4 * BLOCK as u64)
+            .scheme_fn(|_| Box::new(InstantScheme::default()))
+            .build();
+        let core = &mut world.core;
+        let gstripe = core.global_stripe(0, 0);
+        let block = |role| BlockId {
+            file: 0,
+            stripe: 0,
+            role,
+        };
+        let owners: Vec<usize> = (0..6).map(|role| core.owner_of(gstripe, role)).collect();
+        // Block 3 is never written: every page absent.
+        let writes = [
+            (0, 0, payload_chunk(1, 0, BLOCK as u64, true)),
+            (1, 4096, Chunk::real(vec![7u8; 8192])),
+            (2, 0, payload_chunk(2, 0, 4096, true)),
+            (2, 9000, payload_chunk(3, 0, 1000, true)),
+            (4, 100, Chunk::real(vec![0x5a; 5000])),
+            (5, 8192, payload_chunk(4, 0, 8192, true)),
+        ];
+        for (role, off, data) in writes {
+            let data: Bytes = data.bytes.expect("materialized");
+            core.osds[owners[role]].poke_block_range(block(role), off, &data);
+        }
+        let full: Vec<Vec<u8>> = (0..6)
+            .map(|role| {
+                let mut d = vec![0u8; BLOCK];
+                assert!(core.osds[owners[role]].peek_into(block(role), 0, &mut d));
+                d
+            })
+            .collect();
+        let decode = |sources: &[(usize, usize)], target, off: usize, len: usize| {
+            let fresh = core
+                .reconstruct(block(target), sources, off as u64, len as u64)
+                .expect("materialized");
+            assert!(fresh.as_slice().is_none(), "a recipe, never buffered");
+            assert!(fresh.depth() > osd::MAX_VIEW_DEPTH, "no page views it");
+            let mut got = vec![0u8; len];
+            fresh.read_into(0, &mut got);
+            got
+        };
+
+        for (off, len) in [(0, BLOCK), (4000, 6000)] {
+            for target in 0..6 {
+                let others: Vec<usize> = (0..6).filter(|&r| r != target).collect();
+                for &left_out in &others {
+                    let sources: Vec<(usize, usize)> = others
+                        .iter()
+                        .filter(|&&r| r != left_out)
+                        .map(|&r| (r, owners[r]))
+                        .collect();
+                    let shards: Vec<(usize, &[u8])> = sources
+                        .iter()
+                        .map(|&(r, _)| (r, &full[r][off..off + len]))
+                        .collect();
+                    let mut want = vec![0u8; len];
+                    core.rs.reconstruct_one(&shards, target, &mut want).unwrap();
+                    assert!(
+                        decode(&sources, target, off, len) == want,
+                        "target {target} without {left_out} at {off}+{len}"
+                    );
+                }
+            }
+        }
+
+        let data: Vec<&[u8]> = full[..4].iter().map(Vec::as_slice).collect();
+        let mut parity = vec![Vec::new(); 2];
+        core.rs.encode_into(&data, &mut parity).unwrap();
+        let sources: Vec<(usize, usize)> = (0..4).map(|r| (r, owners[r])).collect();
+        for (j, p) in parity.iter().enumerate() {
+            assert!(decode(&sources, 4 + j, 0, BLOCK) == *p, "parity {j}");
+        }
+    }
+}

@@ -30,7 +30,6 @@
 use crate::osd::BlockId;
 use crate::Cluster;
 use std::collections::VecDeque;
-use tsue_buf::Bytes;
 use tsue_device::IoKind;
 use tsue_sim::{Sim, Time};
 
@@ -83,7 +82,7 @@ pub struct PhaseStats {
     /// Bytes of reconstructed blocks.
     pub bytes_rebuilt: u64,
     /// Journaled degraded-write bytes replayed into blocks this phase
-    /// rebuilt (applied after `reconstruct_one`, before the rehome).
+    /// rebuilt (applied after the decode, before the rehome).
     pub journal_replayed_bytes: u64,
     /// Replicated data-log bytes replayed into blocks this phase rebuilt:
     /// the extents the dead home's log still owed them
@@ -253,9 +252,10 @@ fn pump_recovery(world: &mut Cluster, sim: &mut Sim<Cluster>) {
 }
 
 /// Rebuilds one block: `k` survivor range-reads → transfers to the chosen
-/// target → zero-copy decode ([`tsue_ec::RsCode::reconstruct_one`]) →
-/// sequential write of the reconstructed block → rehome. Counts blocks
-/// with too few survivors as unrecoverable instead of panicking.
+/// target → decode (timed by [`crate::ClusterCore::charge_decode`],
+/// streamed from [`crate::ClusterCore::reconstruct`]) → sequential write
+/// of the reconstructed block → rehome. Counts blocks with too few
+/// survivors as unrecoverable instead of panicking.
 fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, phase: u64) {
     let now = sim.now();
     let core = &mut world.core;
@@ -375,13 +375,10 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
     // decode garbage.
     let tier0 = *core.net.tier_traffic();
     let dest = core.osds[target].node;
-    let ready = core.charge_gather(now, block, &survivors, 0, block_size, dest);
+    let t_decoded = core.charge_decode(now, block, &survivors, 0, block_size, dest);
     let moved = core.net.tier_traffic().since(&tier0);
     core.recovery.intra_rack_bytes += moved.intra_wire;
     core.recovery.cross_rack_bytes += moved.cross_wire;
-
-    // Decode cost: k GF multiply-accumulates over the block.
-    let t_decoded = ready + core.gf_time(block_size * k as u64);
 
     core.osds[target].install_block(block, block_size, core.cfg.materialize);
     // Sequential write of the freshly installed block.
@@ -432,30 +429,14 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
         // replayed meanwhile hands over its current copy), peeked in one
         // DES event so the data/parity cut is consistent — client writes
         // to this stripe were fenced while the job was scheduled.
-        if core.cfg.materialize {
-            let mut shards: Vec<(usize, Bytes)> = Vec::with_capacity(survivors.len());
-            for &(role, _) in &survivors {
-                let src_block = BlockId { role, ..block };
-                let owner_now = core.owner_of(gstripe, role);
-                if let Some(bytes) = core.osds[owner_now].peek_block_range(src_block, 0, block_size)
-                {
-                    shards.push((role, bytes.into_built()));
-                }
-            }
+        let sources: Vec<(usize, usize)> = survivors
+            .iter()
+            .map(|&(role, _)| (role, core.owner_of(gstripe, role)))
+            .collect();
+        if let Some(fresh) = core.reconstruct(block, &sources, 0, block_size) {
             // The decode lands in place through the target's checksum
             // bracket, so the rebuilt block is digested as installed.
-            let borrowed: Vec<(usize, &[u8])> = shards
-                .iter()
-                // INVARIANT: every shard went through `into_built` above.
-                .map(|(r, b)| (*r, b.as_slice().expect("a built shard")))
-                .collect();
-            let rs = &core.rs;
-            core.osds[target].fill_block(block, |out| {
-                rs.reconstruct_one(&borrowed, block.role, out)
-                    // INVARIANT: the shard set was assembled from exactly k live
-                    // roles above; decode only fails with fewer than k.
-                    .expect("k survivors by construction");
-            });
+            core.osds[target].fill_block(block, |out| fresh.read_into(0, out));
         }
         // Acked appends still sitting in the dead home's data log are
         // invisible to the reconstruct (survivors decode the block as of

@@ -23,8 +23,7 @@
 //! forward from that instant; [`ResyncState::pending`] tracks the charge
 //! horizon so the fault engine can report the phase's wall time.
 
-use crate::osd::{BlockId, MAX_VIEW_DEPTH};
-use crate::scheme::Combination;
+use crate::osd::BlockId;
 use crate::{Cluster, ClusterCore};
 use tsue_sim::Sim;
 
@@ -219,21 +218,10 @@ fn repair_dirty_parity(core: &mut ClusterCore, sim: &mut Sim<Cluster>, stats: &m
             sources.push((i, downer));
         }
         let dest = core.osds[owner].node;
-        let ready = core.charge_gather(now, pblock, &sources, 0, bs, dest);
+        let t_encoded = core.charge_decode(now, pblock, &sources, 0, bs, dest);
         // Eq. (1) over snapshots of the data blocks, generated straight
-        // into the parity pages: declared a store read, so no page views it.
-        let fresh = core.cfg.materialize.then(|| {
-            let terms = sources
-                .iter()
-                .filter_map(|&(i, downer)| {
-                    let dblock = BlockId { role: i, ..pblock };
-                    let d = core.osds[downer].peek_block_range(dblock, 0, bs)?;
-                    Some((core.rs.coefficient(role - k, i), 0, d))
-                })
-                .collect();
-            Combination::deferred_at_depth(bs as usize, terms, MAX_VIEW_DEPTH + 1)
-        });
-        let t_encoded = ready + core.gf_time(bs * k as u64);
+        // into the parity pages.
+        let fresh = core.reconstruct(pblock, &sources, 0, bs);
         let t_written =
             core.osds[owner].write_block_range(t_encoded, pblock, 0, bs, fresh.as_ref());
         core.mds.clear_parity_dirty(gstripe, role);

@@ -203,57 +203,46 @@ fn repair_block(
             // match it, so the page waits for the authoritative sweep.
             continue;
         }
-        // Page-range shards from the first k siblings whose own page
-        // verifies clean.
-        let mut sources: Vec<(usize, usize)> = Vec::with_capacity(k);
-        let mut shards: Vec<(usize, tsue_buf::Bytes)> = Vec::with_capacity(k);
-        for &(role, owner) in &siblings {
-            if shards.len() == k {
-                break;
-            }
-            let sib = block_for(block, role);
-            if core.osds[owner].verify_range(sib, s, len).is_err() {
-                continue;
-            }
-            if let Some(bytes) = core.osds[owner].peek_block_range(sib, s, len) {
-                sources.push((role, owner));
-                shards.push((role, bytes.into_built()));
-            }
-        }
-        if shards.len() < k {
+        // The first k siblings whose own page verifies clean.
+        let sources: Vec<(usize, usize)> = siblings
+            .iter()
+            .copied()
+            .filter(|&(role, owner)| {
+                core.osds[owner]
+                    .verify_range(block_for(block, role), s, len)
+                    .is_ok()
+            })
+            .take(k)
+            .collect();
+        if sources.len() < k {
             if mode == RepairMode::Authoritative {
                 core.metrics.corruptions_unrecoverable += 1;
                 unrecoverable += 1;
             }
             continue;
         }
-        let mut out = vec![0u8; len as usize];
-        {
-            let borrowed: Vec<(usize, &[u8])> = shards
-                .iter()
-                // INVARIANT: every shard went through `into_built` above.
-                .map(|(r, b)| (*r, b.as_slice().expect("a built shard")))
-                .collect();
-            core.rs
-                .reconstruct_one(&borrowed, block.role, &mut out)
-                // INVARIANT: the shard set was assembled from exactly k clean
-                // live roles above; decode only fails with fewer than k.
-                .expect("k clean survivors by construction");
-        }
-        if mode == RepairMode::Guarded
-            && core.osds[osd].page_digest(block, page) != Some(checksum(&out))
-        {
-            // Store-level shards were not a codeword for this page
-            // (unmerged log deltas); leave it queued for the final sweep.
-            continue;
+        let Some(fresh) = core.reconstruct(block, &sources, s, len) else {
+            continue; // timing-only: no bytes to repair
+        };
+        if mode == RepairMode::Guarded {
+            let mut scratch = [0u8; PAGE as usize];
+            let decoded = &mut scratch[..len as usize];
+            fresh.read_into(0, decoded);
+            if core.osds[osd].page_digest(block, page) != Some(checksum(decoded)) {
+                // Store-level shards were not a codeword for this page
+                // (unmerged log deltas); leave it queued for the final
+                // sweep.
+                continue;
+            }
         }
         // Charge the repair: k survivor page reads, transfers to the
         // home (per-tier accounted), the decode, and the page rewrite
-        // (a whole-page overwrite, so the page's taint clears).
+        // (a whole-page overwrite, so the page's taint clears). The
+        // rotted page holds bytes of its own, so the decode lands in
+        // place.
         let home = core.osds[osd].node;
-        let ready = core.charge_gather(now, block, &sources, s, len, home);
-        let t_decoded = ready + core.gf_time(len * k as u64);
-        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&out.into()));
+        let t_decoded = core.charge_decode(now, block, &sources, s, len, home);
+        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&fresh));
         core.metrics.corruptions_repaired += 1;
         repaired += 1;
     }

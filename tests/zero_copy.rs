@@ -32,8 +32,8 @@ use tsue_repro::core::Tsue;
 use tsue_repro::ec::RsCode;
 use tsue_repro::ecfs::scheme::{deliver_update, UpdateReq};
 use tsue_repro::ecfs::{
-    check_consistency, payload_chunk, payload_into, repair_all_dirty_parity, BlockId, Chunk,
-    Cluster, ClusterBuilder, UpdateScheme,
+    check_consistency, payload_chunk, payload_into, repair_all_dirty_parity, run_full_scrub,
+    run_recovery, BlockId, Chunk, Cluster, ClusterBuilder, InstantScheme, SplitRng, UpdateScheme,
 };
 use tsue_repro::schemes::{Cord, Fl, Fo, Parix, Pl, Plr};
 use tsue_repro::sim::Sim;
@@ -414,4 +414,102 @@ fn parity_reencode_streams_into_the_parity_pages() {
     let mut got = vec![0u8; BLOCK];
     assert!(world.core.osds[owner(&world, 4)].peek_into(block(4), 0, &mut got));
     assert!(got == parity[0], "the parity block holds Eq. 1 of the data");
+}
+
+/// An RS(4,2) stripe of `block`-byte blocks on 16 OSDs, one stripe per
+/// file: data block 0 views a client payload, block 1 holds two pages of
+/// its own bytes, blocks 2 and 3 were never written, and both parity
+/// blocks are re-encoded to match (pages of their own).
+fn consistent_stripe(block: usize) -> Cluster {
+    let mut world = ClusterBuilder::ssd(4, 2, 1)
+        .materialize(true)
+        .block_size(block as u64)
+        .file_size_per_client(4 * block as u64)
+        .scheme_fn(|_| Box::new(InstantScheme::default()))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    let gstripe = world.core.global_stripe(0, 0);
+    let o = world.core.owner_of(gstripe, 0);
+    let payload = payload_chunk(1, 0, block as u64, true).bytes.expect("real");
+    world.core.osds[o].poke_block_range(stripe_block(0), 0, &payload);
+    let o = world.core.owner_of(gstripe, 1);
+    world.core.osds[o].poke_block_range(stripe_block(1), 4096, &buf::Bytes::from(vec![7u8; 8192]));
+    world.core.mds.mark_parity_dirty(gstripe, 4);
+    world.core.mds.mark_parity_dirty(gstripe, 5);
+    assert_eq!(repair_all_dirty_parity(&mut world, &mut sim), 2);
+    world
+}
+
+/// `role` of the only stripe of [`consistent_stripe`].
+fn stripe_block(role: usize) -> BlockId {
+    BlockId {
+        file: 0,
+        stripe: 0,
+        role,
+    }
+}
+
+/// Block 0 of [`consistent_stripe`] as its current owner stores it.
+fn block_zero(world: &Cluster, block: usize) -> Vec<u8> {
+    let o = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+    let mut got = vec![0u8; block];
+    assert!(world.core.osds[o].peek_into(stripe_block(0), 0, &mut got));
+    got
+}
+
+/// The scrub's page repair decodes each rotted page of data block 0 from
+/// the first k = 4 clean siblings (data 1, 2, 3, parity 4) as a recipe
+/// over their page snapshots, generates it into a stack page for the
+/// digest gate and writes it through the store into the rotted page,
+/// which rot gave bytes of its own: 0 allocations for the 4 pages. (The
+/// borrowed decode built every deferred shard: blocks 2 and 3 for each
+/// page and block 1 for its two absent ones, 3 + 2 + 2 + 3 = 10.)
+#[test]
+fn guarded_scrub_repair_allocates_nothing() {
+    const BLOCK: usize = 4 * 4096;
+    let mut world = consistent_stripe(BLOCK);
+    let mut sim: Sim<Cluster> = Sim::new();
+    let o = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+    let rot = &mut SplitRng::new(7);
+    world.core.osds[o].corrupt_bits(stripe_block(0), rot, 64);
+    assert_eq!(
+        world.core.osds[o].corrupt_pages(stripe_block(0)),
+        [0, 1, 2, 3]
+    );
+
+    let before = buf::stats();
+    let report = run_full_scrub(&mut world, &mut sim);
+    let window = buf::stats().since(&before);
+    assert_eq!((report.repaired, report.unrecoverable), (4, 0));
+    assert_eq!(window.pool_misses, 0, "{window:?}");
+    assert_eq!(window.bytes_copied, 0, "{window:?}");
+
+    let mut want = vec![0u8; BLOCK];
+    payload_into(1, 0, &mut want);
+    assert!(block_zero(&world, BLOCK) == want, "the payload, repaired");
+}
+
+/// A rebuild decodes its block from the first k = 4 live survivors (data
+/// 1, 2, 3, parity 4) as a recipe over their whole-block snapshots and
+/// generates it into the one scratch `fill_block` installs from, whose 16
+/// pages (64 KiB of non-zero payload) each get bytes of their own: 1 + 16
+/// = 17 allocations, and no shard buffer. (The borrowed decode built the
+/// 4 snapshots, all deferred: 21.)
+#[test]
+fn rebuild_allocates_only_the_scratch_and_the_block_pages() {
+    const BLOCK: usize = 16 * 4096;
+    let mut world = consistent_stripe(BLOCK);
+    let mut sim: Sim<Cluster> = Sim::new();
+    let victim = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+
+    let before = buf::stats();
+    let report = run_recovery(&mut world, &mut sim, victim);
+    let window = buf::stats().since(&before);
+    assert_eq!(report.blocks_rebuilt, 1);
+    assert_eq!(window.pool_misses, 1 + 16, "{window:?}");
+    assert_eq!(window.bytes_copied, 0, "{window:?}");
+
+    let mut want = vec![0u8; BLOCK];
+    payload_into(1, 0, &mut want);
+    assert!(block_zero(&world, BLOCK) == want, "the payload, rebuilt");
 }
