@@ -222,6 +222,16 @@ impl<K: Ord + Copy> LogUnit<K> {
         }
     }
 
+    /// Every record of `key` as `(offset, chunk)`: its merged ranges, each
+    /// one chunk, or its raw records in append order (newest last).
+    pub fn records(&self, key: &K) -> Vec<(u64, Chunk)> {
+        match self.index.get(key) {
+            None => Vec::new(),
+            Some(e) if e.raw.is_empty() => e.ranges.iter().map(|r| (r.off(), r.chunk())).collect(),
+            Some(e) => e.raw.clone(),
+        }
+    }
+
     /// End of this unit's contiguous coverage of `key` starting at `pos` —
     /// `pos` itself when it is not covered — looking no further than
     /// `limit`. Extents only: no bytes move.

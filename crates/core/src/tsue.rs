@@ -1049,12 +1049,7 @@ impl UpdateScheme for Tsue {
         }
     }
 
-    fn unmerged_extents(
-        &self,
-        mds: &Mds,
-        block: BlockId,
-        buf: Option<&mut [u8]>,
-    ) -> Vec<OwedExtent> {
+    fn unmerged_extents(&self, mds: &Mds, block: BlockId) -> Vec<OwedExtent> {
         // A unit's copies are readable on its first peer that is alive and
         // has not failed since the forward; with none, the unit is lost.
         let src = |u: &LogUnit<BlockId>| {
@@ -1063,39 +1058,37 @@ impl UpdateScheme for Tsue {
                 .find(|&&(p, failures)| mds.is_alive(p) && mds.failures(p) == failures)
                 .map(|&(p, _)| p)
         };
-        let pool = self.data_pool(block);
-        let mut owed = Vec::new();
-        for u in pool
-            .iter_oldest_first()
-            .filter(|u| u.state != UnitState::Recycled)
-        {
-            let (Some(src), Some(entry)) = (src(u), u.index.get(&block)) else {
-                continue;
-            };
-            let extents: Vec<(u64, u64)> = if entry.raw.is_empty() {
-                entry.ranges.iter().map(|e| (e.off(), e.len())).collect()
-            } else {
-                entry.raw.iter().map(|(off, c)| (*off, c.len)).collect()
-            };
-            owed.extend(
-                extents
-                    .into_iter()
-                    .map(|(off, len)| OwedExtent { off, len, src }),
-            );
+        // Newest wins per extent, over every unit whose content the
+        // rebuilt block can have: the ones replayed here, and the
+        // recycled ones the reconstruct decoded — a younger unit may
+        // finish recycling before an older one.
+        let (mut owed, mut known) = (Vec::new(), Vec::new());
+        for u in self.data_pool(block).iter_oldest_first() {
+            let records = u.records(&block);
+            match (u.state, src(u)) {
+                (UnitState::Recycled, _) => {}
+                (_, Some(src)) => owed.extend(records.iter().map(|(off, c)| OwedExtent {
+                    off: *off,
+                    len: c.len,
+                    src,
+                    bytes: None,
+                })),
+                (_, None) => continue,
+            }
+            known.extend(records);
         }
-        if let Some(buf) = buf {
-            // Newest wins per extent, over every unit whose content the
-            // rebuilt block can have: the ones replayed here, and the
-            // recycled ones the reconstruct decoded — a younger unit may
-            // finish recycling before an older one.
-            for e in &owed {
-                let dst = &mut buf[e.off as usize..(e.off + e.len) as usize];
-                for u in pool.iter_oldest_first() {
-                    if u.state == UnitState::Recycled || src(u).is_some() {
-                        u.overlay(&block, e.off, e.len, Some(&mut *dst));
-                    }
+        // The known records land oldest first in a scratch index; the
+        // extent's own record covers it, so the index ends as one entry
+        // over it, a concatenation of the log's own handles.
+        for e in &mut owed {
+            let mut newest = RangeMap::new();
+            for (off, chunk) in &known {
+                let (from, to) = (e.off.max(*off), (e.off + e.len).min(off + chunk.len));
+                if from < to {
+                    newest.insert(from, chunk.slice(from - off, to - from));
                 }
             }
+            e.bytes = newest.iter().next().and_then(|n| n.chunk().bytes);
         }
         owed
     }

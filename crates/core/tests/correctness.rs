@@ -314,7 +314,7 @@ fn replay_setup(replicas: usize, b: BlockId) -> Option<(Cluster, Sim<Cluster>, u
 /// were the home to die now.
 fn owed(world: &Cluster, home: usize, block: BlockId) -> Vec<(u64, u64)> {
     world.schemes[home]
-        .unmerged_extents(&world.core.mds, block, None)
+        .unmerged_extents(&world.core.mds, block)
         .iter()
         .map(|e| (e.off, e.len))
         .collect()

@@ -56,9 +56,9 @@ pub struct StoredBlock {
 ///   whole page with ([`viewable`]), or a buffer that a read or a delta
 ///   shares with the page.
 ///
-/// Views are copy-on-write: a partial write, an XOR merge, a bit flip or
-/// an install gives the page bytes of its own first, so whatever shares
-/// the old buffer keeps the bytes it saw.
+/// Views are copy-on-write: a partial write, an XOR merge or a bit flip
+/// gives the page bytes of its own first, so whatever shares the old
+/// buffer keeps the bytes it saw.
 #[derive(Debug)]
 struct Content {
     /// Block length in bytes.
@@ -156,7 +156,8 @@ fn own(slot: &mut Option<Bytes>, page_len: usize, keep: bool) -> &mut [u8] {
 
 /// Writes bytes `[at, at + seg.len())` of `src` over `seg` of the
 /// `page_len`-byte page in `slot`: a whole page becomes a view of a
-/// [`viewable`] source; anything else lands in bytes of the page's own.
+/// [`viewable`] source; anything else lands in bytes of the page's own,
+/// through a stack page over an absent one so zeros leave it absent.
 fn write_page(
     slot: &mut Option<Bytes>,
     seg: Range<usize>,
@@ -167,8 +168,23 @@ fn write_page(
     let whole = seg.len() == page_len;
     if whole && viewable(src) {
         *slot = Some(src.slice(at, page_len));
+    } else if whole && slot.is_none() {
+        let mut scratch = [0u8; PAGE as usize];
+        with_bytes(&src.slice(at, page_len), &mut scratch, |b| {
+            write_bytes(slot, seg, page_len, b);
+        });
     } else {
         src.read_into(at, &mut own(slot, page_len, !whole)[seg]);
+    }
+}
+
+/// Copies `bytes` over `seg` of the `page_len`-byte page in `slot`, in
+/// bytes of the page's own. An absent page that `bytes` cover whole with
+/// zeros stays absent: it already reads as them.
+fn write_bytes(slot: &mut Option<Bytes>, seg: Range<usize>, page_len: usize, bytes: &[u8]) {
+    let whole = seg.len() == page_len;
+    if !(whole && slot.is_none() && *bytes == ZERO_PAGE[..page_len]) {
+        own(slot, page_len, !whole)[seg].copy_from_slice(bytes);
     }
 }
 
@@ -288,24 +304,6 @@ impl Content {
         }
     }
 
-    /// Installs `src` as the whole block's authoritative content: every
-    /// page is re-digested with its taint cleared, and an absent page
-    /// whose new content is all zeros stays absent.
-    fn install(&mut self, src: &[u8]) {
-        for (page, seg, at) in segments(0, self.len as u64) {
-            let new = &src[at..at + seg.len()];
-            if self.page(page).is_none() && *new == ZERO_PAGE[..new.len()] {
-                continue;
-            }
-            self.allocate();
-            own(&mut self.pages[page], new.len(), false).copy_from_slice(new);
-            if let Some(sums) = self.sums.as_mut() {
-                sums.set_tainted(page, false);
-                sums.rehash(page, new);
-            }
-        }
-    }
-
     /// Flips one bit in place, bypassing the checksum table (bit rot).
     fn flip(&mut self, byte: usize, bit: u8) {
         self.allocate();
@@ -368,11 +366,12 @@ pub const STREAM_SCHEME_BASE: StreamId = 16;
 /// Two access planes: the **timing plane** charges device I/O
 /// (`block_io` alone, or with bytes: `read_block_range`,
 /// `write_block_range`, `xor_block_range`), the **content plane**
-/// (`peek_*`, `*_poke_*`, `fill_block`) moves bytes only, for paths that
-/// account timing separately. Every change to stored bytes goes through
-/// one checksum bracket that walks the pages of its range (audit the
-/// pre-image, mutate, re-digest); [`Osd::corrupt_bits`] is the one
-/// deliberate bypass.
+/// (`peek_*` and the `*poke*` writes) moves bytes only, for paths that
+/// account timing separately. Every change to stored bytes — a client
+/// write, a merge, a capture, a rebuild's decode, a replica replay, a
+/// scrub repair — goes through one checksum bracket that walks the pages
+/// of its range (audit the pre-image, mutate, re-digest);
+/// [`Osd::corrupt_bits`] is the one deliberate bypass.
 pub struct Osd {
     /// Network node id (OSDs occupy ids `0..cfg.osds`).
     pub node: usize,
@@ -582,10 +581,10 @@ impl Osd {
     /// store (no device charge — the timed I/O is charged separately by
     /// the caller). The delta copies nothing: where the range was never
     /// written it is `new`'s own handle, else a deferred combination of
-    /// `new` and the pre-image views, into which every page the capture
-    /// replaces whole is moved. Every pre-image page is audited; a corrupt
-    /// one poisons the block. Returns `None` when the block is not
-    /// materialized.
+    /// `new` and views of the pre-image pages, which keep their bytes as
+    /// the capture replaces them (copy-on-write). Every pre-image page is
+    /// audited; a corrupt one poisons the block. Returns `None` when the
+    /// block is not materialized.
     pub fn delta_poke_range(&mut self, id: BlockId, off: u64, new: &Bytes) -> Option<Bytes> {
         let c = self.content_mut(id)?;
         let mut old = Vec::new();
@@ -594,12 +593,7 @@ impl Osd {
             new.len() as u64,
             Mutation::Capture,
             |slot, seg, at, page_len| {
-                let pre = if seg.len() == page_len {
-                    slot.take()
-                } else {
-                    slot.as_ref().map(|p| p.slice(seg.start, seg.len()))
-                };
-                if let Some(pre) = pre {
+                if let Some(pre) = slot.as_ref().map(|p| p.slice(seg.start, seg.len())) {
                     push_term(&mut old, at, pre);
                 }
                 write_page(slot, seg, page_len, new, at);
@@ -623,7 +617,8 @@ impl Osd {
     /// whole becomes a view of it when `data` is a (deferred) client
     /// payload or a log run's concatenation of them; the rest of `data` is
     /// read straight into the store pages, so such a payload is generated
-    /// there and never buffered.
+    /// there and never buffered. An absent page that `data` covers whole
+    /// with zeros stays absent.
     pub fn poke_block_range(&mut self, id: BlockId, off: u64, data: &Bytes) {
         if let Some(c) = self.content_mut(id) {
             c.bracket(
@@ -637,18 +632,21 @@ impl Osd {
         }
     }
 
-    /// Installs authoritative content for the whole block: `fill` edits
-    /// a scratch copy of the current bytes (a rebuild decode, a replica
-    /// patch), which lands page by page with every page digested afresh
-    /// and all taint cleared. No-op in timing-only mode.
-    pub fn fill_block(&mut self, id: BlockId, fill: impl FnOnce(&mut [u8])) {
-        let Some(c) = self.content_mut(id) else {
-            return;
-        };
-        let mut scratch = BytesMut::take(c.len);
-        c.read_into(0, &mut scratch);
-        fill(&mut scratch);
-        c.install(&scratch);
+    /// Content-only write of `src` over `[off, off + src.len())` (no
+    /// device charge), for bytes the caller already holds — the page a
+    /// scrub repair decoded and gated — copied into pages of their own.
+    pub fn poke_slice(&mut self, id: BlockId, off: u64, src: &[u8]) {
+        if let Some(c) = self.content_mut(id) {
+            c.bracket(
+                off,
+                src.len() as u64,
+                Mutation::Replace,
+                |slot, seg, at, page_len| {
+                    let bytes = &src[at..at + seg.len()];
+                    write_bytes(slot, seg, page_len, bytes);
+                },
+            );
+        }
     }
 
     /// Drops a block (node failure cleanup / migration source).
@@ -838,8 +836,9 @@ mod tests {
         assert_eq!(o.corrupt_bits(bid(1, 1), &mut rng, 3), 3);
         assert!(!o.corrupt_pages(bid(1, 1)).is_empty(), "rot must be seen");
         assert!(o.verify_range(bid(1, 1), 0, 8192).is_err());
-        // A repair installs authoritative content, digested afresh.
-        o.fill_block(bid(1, 1), |b| b.fill(0));
+        // A repair writes authoritative content over every page whole,
+        // digested afresh.
+        o.poke_slice(bid(1, 1), 0, &[0; 8192]);
         assert!(o.verify_range(bid(1, 1), 0, 8192).is_ok());
     }
 
@@ -899,8 +898,34 @@ mod tests {
         o.note_delta_source(bid(0, 0), 0, 1 << 20);
         assert!(o.take_poisoned().is_empty());
         // A rebuild that decodes all zeros keeps the block empty.
-        o.fill_block(bid(0, 0), |b| b.fill(0));
+        let decoded = o
+            .peek_block_range(bid(0, 0), 0, 1 << 20)
+            .expect("materialized");
+        o.poke_block_range(bid(0, 0), 0, &decoded);
         assert_eq!(o.resident_pages(bid(0, 0)), 0);
+    }
+
+    /// A page written whole with zeros stays absent if it was, from a
+    /// slice, a built buffer or a recipe alike; a page written in part
+    /// or written before holds bytes.
+    #[test]
+    fn zeros_written_whole_over_an_absent_page_leave_it_absent() {
+        let mut o = paged_osd();
+        let before = tsue_buf::stats();
+        o.poke_slice(bid(0, 0), 0, &[0; 2 * PAGE as usize]);
+        o.poke_block_range(bid(0, 0), 2 * PAGE, &Bytes::from(vec![0; PAGE as usize]));
+        let zeros = o
+            .peek_block_range(bid(0, 0), 0, PAGE)
+            .expect("materialized");
+        o.poke_block_range(bid(0, 0), 3 * PAGE, &zeros);
+        assert_eq!(o.resident_pages(bid(0, 0)), 0);
+        assert_eq!(tsue_buf::stats().since(&before).pool_misses, 0);
+        o.poke_slice(bid(0, 0), 100, &[0; 8]);
+        o.poke_slice(bid(0, 0), PAGE, &[1; PAGE as usize]);
+        assert_eq!(o.resident_pages(bid(0, 0)), 2);
+        o.poke_slice(bid(0, 0), 0, &[0; 2 * PAGE as usize]);
+        assert_eq!(o.resident_pages(bid(0, 0)), 2, "written before");
+        assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
     }
 
     /// A client payload of `len` bytes, deferred and not yet read.

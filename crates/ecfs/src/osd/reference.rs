@@ -133,10 +133,6 @@ impl FlatBlock {
         delta
     }
 
-    fn fill(&mut self, fill: impl FnOnce(&mut [u8])) {
-        self.bracket(0, self.data.len() as u64, true, fill);
-    }
-
     fn corrupt_bits(&mut self, rng: &mut SplitRng, flips: usize) {
         for _ in 0..flips {
             let byte = rng.below(self.data.len() as u64) as usize;
@@ -254,8 +250,9 @@ impl Held {
 /// random range, on the corrupt-page list, and on every page's digest
 /// and taint. Every read and delta the store handed out and the test
 /// still holds reads as it did when it was made, whatever pokes, XORs,
-/// captures, bit flips and installs came since; and no page is deeper
-/// than [`MAX_VIEW_DEPTH`].
+/// captures, bit flips and decodes came since; and no page is deeper
+/// than [`MAX_VIEW_DEPTH`]. A whole-block write of zeros leaves every
+/// absent page absent.
 #[test]
 fn paged_store_matches_flat_reference() {
     let len = 5 * PAGE + 1000;
@@ -293,19 +290,32 @@ fn paged_store_matches_flat_reference() {
                         let got = osd.delta_poke_range(id, off, &data).expect("materialized");
                         held.hold(&mut rng, got, flat.delta_poke(off, &bytes), "delta");
                     }
+                    3 if n == 0 => {
+                        // A decode of all zeros, from its bytes: a page
+                        // that was absent stays absent.
+                        let resident = osd.resident_pages(id);
+                        let zeros = vec![0; len as usize];
+                        osd.poke_slice(id, 0, &zeros);
+                        flat.poke(0, &zeros);
+                        assert_eq!(osd.resident_pages(id), resident, "{ctx}");
+                    }
                     3 => {
-                        // A decode's output: a fresh range over the
-                        // current bytes, or all zeros.
-                        let (o, b) = (off as usize, &bytes);
-                        let patch = |d: &mut [u8]| {
-                            if b.is_empty() {
-                                d.fill(0);
-                            } else {
-                                d[o..o + b.len()].copy_from_slice(b);
-                            }
-                        };
-                        osd.fill_block(id, patch);
-                        flat.fill(patch);
+                        // A decode's output over the whole block, as a
+                        // rebuild writes it: a recipe over a store read
+                        // with the fresh range spliced in.
+                        let end = off + n;
+                        let peek = |o, n| osd.peek_block_range(id, o, n).expect("materialized");
+                        let terms = vec![
+                            (1, 0, peek(0, off)),
+                            (1, off as usize, data.clone()),
+                            (1, end as usize, peek(end, len - end)),
+                        ];
+                        let decoded =
+                            Combination::deferred_at_depth(len as usize, terms, MAX_VIEW_DEPTH + 1);
+                        osd.poke_block_range(id, 0, &decoded);
+                        let mut whole = flat.data.clone();
+                        whole[off as usize..end as usize].copy_from_slice(&bytes);
+                        flat.poke(0, &whole);
                     }
                     4 => {
                         let flips = 1 + rng.below(3) as usize;

@@ -434,9 +434,9 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
             .map(|&(role, _)| (role, core.owner_of(gstripe, role)))
             .collect();
         if let Some(fresh) = core.reconstruct(block, &sources, 0, block_size) {
-            // The decode lands in place through the target's checksum
-            // bracket, so the rebuilt block is digested as installed.
-            core.osds[target].fill_block(block, |out| fresh.read_into(0, out));
+            // Generated page by page through the target's checksum
+            // bracket: digested as written, a page of zeros left absent.
+            core.osds[target].poke_block_range(block, 0, &fresh);
         }
         // Acked appends still sitting in the dead home's data log are
         // invisible to the reconstruct (survivors decode the block as of
@@ -469,14 +469,14 @@ fn spawn_rebuild(world: &mut Cluster, sim: &mut Sim<Cluster>, block: BlockId, ph
 /// The reconstruct decodes the block *as of the last log merge*, so
 /// acked appends the home had not yet recycled exist only in its log
 /// and on the peers it forwarded copies to. The home's own log index
-/// names those records and, for each, a live peer that holds it
+/// names those records and, for each, a live peer that holds it and, in
+/// materialized runs, the newest bytes the rebuilt block can have there
 /// ([`crate::UpdateScheme::unmerged_extents`]): each is read back from
-/// that peer and written in place, charged per extent from `now` (the
-/// same in timing-only and materialized runs). In materialized runs the
-/// index also patches their bytes over the reconstructed ones, through
-/// the target's checksum bracket. Some replayed appends never produced a
-/// parity delta and others' may not have landed, so every parity role of
-/// the stripe is marked dirty for the next authoritative re-encode.
+/// that peer and written in place through the target's checksum
+/// bracket, charged per extent from `now` (the same in timing-only and
+/// materialized runs). Some replayed appends never produced a parity
+/// delta and others' may not have landed, so every parity role of the
+/// stripe is marked dirty for the next authoritative re-encode.
 /// Either way the home's log then forgets the block: a record no live
 /// peer holds died with the node, and one replayed here must not be
 /// replayed again should the home rejoin and fail once more.
@@ -489,7 +489,7 @@ fn replay_unmerged(
 ) -> u64 {
     let Cluster { core, schemes, .. } = world;
     let scheme = &mut schemes[home];
-    let owed = scheme.unmerged_extents(&core.mds, block, None);
+    let owed = scheme.unmerged_extents(&core.mds, block);
     if !owed.is_empty() {
         let now = sim.now();
         for e in &owed {
@@ -497,12 +497,8 @@ fn replay_unmerged(
                 core.net
                     .transfer(now, core.osds[e.src].node, core.osds[target].node, e.len);
             }
-            core.osds[target].block_io(now, IoKind::Write, block, e.off, e.len);
+            core.osds[target].write_block_range(now, block, e.off, e.len, e.bytes.as_ref());
         }
-        let mds = &core.mds;
-        core.osds[target].fill_block(block, |b| {
-            scheme.unmerged_extents(mds, block, Some(b));
-        });
         let gstripe = core.global_stripe(block.file, block.stripe);
         let (k, m) = (core.cfg.stripe.k, core.cfg.stripe.m);
         for j in 0..m {

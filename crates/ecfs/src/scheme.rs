@@ -302,7 +302,7 @@ impl PowerLossReport {
 
 /// One record that a dead OSD's replicated data log still owes a block
 /// — see [`UpdateScheme::unmerged_extents`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OwedExtent {
     /// Offset in the block.
     pub off: u64,
@@ -310,6 +310,9 @@ pub struct OwedExtent {
     pub len: u64,
     /// The live peer whose copy the rebuild reads the record back from.
     pub src: usize,
+    /// The newest content the rebuilt block can have over the extent
+    /// (materialized runs only).
+    pub bytes: Option<Bytes>,
 }
 
 /// Result of asking a scheme to overlay a read from its logs.
@@ -411,19 +414,14 @@ pub trait UpdateScheme: std::any::Any {
     /// a rebuild after this OSD died: one [`OwedExtent`] per record in a
     /// log unit that has not finished recycling and whose copy a peer
     /// still holds (alive in `mds`, and not failed since the forward),
-    /// oldest unit first, each naming that peer. With
-    /// `buf` (the whole block, in materialized runs) their bytes are
-    /// patched in as well, newest content the rebuilt block can have
-    /// winning. Records no live peer holds are owed nothing: they were
-    /// lost with the node. Charges nothing and touches no read-path
-    /// statistics (see [`crate::recovery`]). Schemes that keep no data
-    /// log, or no peer copy of it, owe nothing and use this default.
-    fn unmerged_extents(
-        &self,
-        _mds: &Mds,
-        _block: BlockId,
-        _buf: Option<&mut [u8]>,
-    ) -> Vec<OwedExtent> {
+    /// oldest unit first, each naming that peer. In materialized runs
+    /// each also carries its bytes: the newest content the rebuilt block
+    /// can have over it, as views of the log's own handles. Records no
+    /// live peer holds are owed nothing: they were lost with the node.
+    /// Charges nothing and touches no read-path statistics (see
+    /// [`crate::recovery`]). Schemes that keep no data log, or no peer
+    /// copy of it, owe nothing and use this default.
+    fn unmerged_extents(&self, _mds: &Mds, _block: BlockId) -> Vec<OwedExtent> {
         Vec::new()
     }
 

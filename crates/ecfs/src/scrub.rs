@@ -224,25 +224,25 @@ fn repair_block(
         let Some(fresh) = core.reconstruct(block, &sources, s, len) else {
             continue; // timing-only: no bytes to repair
         };
-        if mode == RepairMode::Guarded {
-            let mut scratch = [0u8; PAGE as usize];
-            let decoded = &mut scratch[..len as usize];
-            fresh.read_into(0, decoded);
-            if core.osds[osd].page_digest(block, page) != Some(checksum(decoded)) {
-                // Store-level shards were not a codeword for this page
-                // (unmerged log deltas); leave it queued for the final
-                // sweep.
-                continue;
-            }
+        // The decode streams once, into a stack page: the guard checks
+        // it against the stored digest, and it is what the page gets.
+        let mut scratch = [0u8; PAGE as usize];
+        let decoded = &mut scratch[..len as usize];
+        fresh.read_into(0, decoded);
+        if mode == RepairMode::Guarded
+            && core.osds[osd].page_digest(block, page) != Some(checksum(decoded))
+        {
+            // Store-level shards were not a codeword for this page
+            // (unmerged log deltas); leave it queued for the final sweep.
+            continue;
         }
         // Charge the repair: k survivor page reads, transfers to the
         // home (per-tier accounted), the decode, and the page rewrite
-        // (a whole-page overwrite, so the page's taint clears). The
-        // rotted page holds bytes of its own, so the decode lands in
-        // place.
+        // (a whole-page overwrite, so the page's taint clears).
         let home = core.osds[osd].node;
         let t_decoded = core.charge_decode(now, block, &sources, s, len, home);
-        core.osds[osd].write_block_range(t_decoded, block, s, len, Some(&fresh));
+        core.osds[osd].block_io(t_decoded, IoKind::Write, block, s, len);
+        core.osds[osd].poke_slice(block, s, decoded);
         core.metrics.corruptions_repaired += 1;
         repaired += 1;
     }

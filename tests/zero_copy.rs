@@ -28,15 +28,16 @@
 //! DataLog supersedes before its seal-time capture are never generated.
 
 use tsue_repro::buf;
-use tsue_repro::core::Tsue;
-use tsue_repro::ec::RsCode;
+use tsue_repro::core::{Tsue, TsueConfig};
+use tsue_repro::ec::{RsCode, StripeConfig};
 use tsue_repro::ecfs::scheme::{deliver_update, UpdateReq};
 use tsue_repro::ecfs::{
-    check_consistency, payload_chunk, payload_into, repair_all_dirty_parity, run_full_scrub,
-    run_recovery, BlockId, Chunk, Cluster, ClusterBuilder, InstantScheme, SplitRng, UpdateScheme,
+    check_consistency, fail_node, payload_chunk, payload_into, repair_all_dirty_parity,
+    run_full_scrub, run_recovery, start_recovery, BlockId, Chunk, Cluster, ClusterBuilder,
+    ClusterConfig, InstantScheme, SplitRng, UpdateScheme,
 };
 use tsue_repro::schemes::{Cord, Fl, Fo, Parix, Pl, Plr};
-use tsue_repro::sim::Sim;
+use tsue_repro::sim::{Sim, MILLISECOND, SECOND};
 
 fn materialized_tsue_cluster() -> Cluster {
     ClusterBuilder::ssd(4, 2, 1)
@@ -417,10 +418,11 @@ fn parity_reencode_streams_into_the_parity_pages() {
 }
 
 /// An RS(4,2) stripe of `block`-byte blocks on 16 OSDs, one stripe per
-/// file: data block 0 views a client payload, block 1 holds two pages of
-/// its own bytes, blocks 2 and 3 were never written, and both parity
-/// blocks are re-encoded to match (pages of their own).
-fn consistent_stripe(block: usize) -> Cluster {
+/// file: data block 0 views a client payload over its first `covered`
+/// bytes, block 1 holds two pages of its own bytes, blocks 2 and 3 were
+/// never written, and both parity blocks are re-encoded to match (pages
+/// of their own where they are not zeros).
+fn consistent_stripe(block: usize, covered: usize) -> Cluster {
     let mut world = ClusterBuilder::ssd(4, 2, 1)
         .materialize(true)
         .block_size(block as u64)
@@ -430,7 +432,9 @@ fn consistent_stripe(block: usize) -> Cluster {
     let mut sim: Sim<Cluster> = Sim::new();
     let gstripe = world.core.global_stripe(0, 0);
     let o = world.core.owner_of(gstripe, 0);
-    let payload = payload_chunk(1, 0, block as u64, true).bytes.expect("real");
+    let payload = payload_chunk(1, 0, covered as u64, true)
+        .bytes
+        .expect("real");
     world.core.osds[o].poke_block_range(stripe_block(0), 0, &payload);
     let o = world.core.owner_of(gstripe, 1);
     world.core.osds[o].poke_block_range(stripe_block(1), 4096, &buf::Bytes::from(vec![7u8; 8192]));
@@ -459,15 +463,18 @@ fn block_zero(world: &Cluster, block: usize) -> Vec<u8> {
 
 /// The scrub's page repair decodes each rotted page of data block 0 from
 /// the first k = 4 clean siblings (data 1, 2, 3, parity 4) as a recipe
-/// over their page snapshots, generates it into a stack page for the
-/// digest gate and writes it through the store into the rotted page,
-/// which rot gave bytes of its own: 0 allocations for the 4 pages. (The
-/// borrowed decode built every deferred shard: blocks 2 and 3 for each
-/// page and block 1 for its two absent ones, 3 + 2 + 2 + 3 = 10.)
+/// over their page snapshots, generates it once into a stack page for
+/// the digest gate and copies that page into the rotted page, which rot
+/// gave bytes of its own: 0 allocations for the 4 pages. Each page
+/// streams its recipe and the snapshot of every source page that is
+/// absent — blocks 2 and 3, and block 1 but for its two written pages
+/// (parity 4 holds bytes of its own): (4 + 3 + 3 + 4) · 4096 = 57 344.
+/// (The borrowed decode built every deferred shard: blocks 2 and 3 for
+/// each page and block 1 for its two absent ones, 3 + 2 + 2 + 3 = 10.)
 #[test]
 fn guarded_scrub_repair_allocates_nothing() {
     const BLOCK: usize = 4 * 4096;
-    let mut world = consistent_stripe(BLOCK);
+    let mut world = consistent_stripe(BLOCK, BLOCK);
     let mut sim: Sim<Cluster> = Sim::new();
     let o = world.core.owner_of(world.core.global_stripe(0, 0), 0);
     let rot = &mut SplitRng::new(7);
@@ -483,22 +490,21 @@ fn guarded_scrub_repair_allocates_nothing() {
     assert_eq!((report.repaired, report.unrecoverable), (4, 0));
     assert_eq!(window.pool_misses, 0, "{window:?}");
     assert_eq!(window.bytes_copied, 0, "{window:?}");
+    assert_eq!(window.streamed_bytes, 14 * 4096, "{window:?}");
 
     let mut want = vec![0u8; BLOCK];
     payload_into(1, 0, &mut want);
     assert!(block_zero(&world, BLOCK) == want, "the payload, repaired");
 }
 
-/// A rebuild decodes its block from the first k = 4 live survivors (data
-/// 1, 2, 3, parity 4) as a recipe over their whole-block snapshots and
-/// generates it into the one scratch `fill_block` installs from, whose 16
-/// pages (64 KiB of non-zero payload) each get bytes of their own: 1 + 16
-/// = 17 allocations, and no shard buffer. (The borrowed decode built the
-/// 4 snapshots, all deferred: 21.)
-#[test]
-fn rebuild_allocates_only_the_scratch_and_the_block_pages() {
+/// Rebuilds block 0 of [`consistent_stripe`]`(16 pages, covered)` with
+/// [`run_recovery`]; returns the buffer-counter window and, per page of
+/// the rebuilt copy, whether it holds bytes of its own (a read of it is
+/// a view of them) rather than none (a read is a recipe of zeros — no
+/// page views a decode).
+fn rebuild_block_zero(covered: usize) -> (buf::BufStats, Vec<bool>) {
     const BLOCK: usize = 16 * 4096;
-    let mut world = consistent_stripe(BLOCK);
+    let mut world = consistent_stripe(BLOCK, covered);
     let mut sim: Sim<Cluster> = Sim::new();
     let victim = world.core.owner_of(world.core.global_stripe(0, 0), 0);
 
@@ -506,10 +512,158 @@ fn rebuild_allocates_only_the_scratch_and_the_block_pages() {
     let report = run_recovery(&mut world, &mut sim, victim);
     let window = buf::stats().since(&before);
     assert_eq!(report.blocks_rebuilt, 1);
-    assert_eq!(window.pool_misses, 1 + 16, "{window:?}");
     assert_eq!(window.bytes_copied, 0, "{window:?}");
 
     let mut want = vec![0u8; BLOCK];
-    payload_into(1, 0, &mut want);
+    payload_into(1, 0, &mut want[..covered]);
     assert!(block_zero(&world, BLOCK) == want, "the payload, rebuilt");
+    let o = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+    let own = (0..16)
+        .map(|p| {
+            let page = world.core.osds[o].peek_block_range(stripe_block(0), p * 4096, 4096);
+            page.expect("materialized").as_slice().is_some()
+        })
+        .collect();
+    (window, own)
+}
+
+/// A rebuild decodes its block from the first k = 4 live survivors (data
+/// 1, 2, 3, parity 4) as a recipe over their whole-block snapshots and
+/// writes it through the store's checksum bracket, generated page by
+/// page into the 16 pages, each of which gets bytes of its own (64 KiB
+/// of non-zero payload): 16 allocations, with no block-sized scratch and
+/// no shard buffer. Each page streams the recipe and the four snapshots
+/// under it once: 5 · 65 536 = 327 680 bytes. (A block-sized scratch
+/// to decode into made it 1 + 16; the borrowed decode built the 4
+/// snapshots, all deferred: 21.)
+#[test]
+fn rebuild_allocates_only_the_block_pages() {
+    let (window, own) = rebuild_block_zero(16 * 4096);
+    assert_eq!(window.pool_misses, 16, "{window:?}");
+    assert_eq!(window.streamed_bytes, 5 * 65_536, "{window:?}");
+    assert_eq!(own, [true; 16]);
+}
+
+/// When block 0's payload covers only its first 4 pages, the other 12
+/// decode to zeros and stay absent, as they were on the freshly
+/// installed copy: 4 allocations (a block-sized scratch made it 5). The
+/// recipe streams as before: 327 680 bytes.
+#[test]
+fn rebuild_leaves_pages_that_decode_to_zeros_absent() {
+    let (window, own) = rebuild_block_zero(4 * 4096);
+    assert_eq!(window.pool_misses, 4, "{window:?}");
+    assert_eq!(window.streamed_bytes, 5 * 65_536, "{window:?}");
+    assert_eq!(own[..4], [true; 4]);
+    assert_eq!(own[4..], [false; 12]);
+}
+
+/// The first data block of the first stripe.
+const A: BlockId = BlockId {
+    file: 0,
+    stripe: 0,
+    role: 0,
+};
+
+/// Delivers a 2 KiB append of `block` at `off` to the block's owner.
+fn append_2k(world: &mut Cluster, sim: &mut Sim<Cluster>, i: u64, block: BlockId, off: u64) {
+    let gstripe = world.core.global_stripe(block.file, block.stripe);
+    let osd = world.core.owner_of(gstripe, block.role);
+    let req = UpdateReq {
+        op_id: i + 1,
+        ext: 0,
+        block,
+        off,
+        data: payload(2048, 0x40 + i as u8),
+    };
+    deliver_update(world, sim, osd, req);
+}
+
+/// The rebuild-replay shape: a TSUE cluster of RS(4,2) stripes of 64 KiB
+/// blocks on 8 OSDs, two DataLog pools of 16 KiB units, `data_replicas`
+/// 2. One append to the home's `nth` data block `b` after [`A`] opens a
+/// unit in `b`'s pool, eight to [`A`] seal its unit after seven and leave
+/// the eighth open, and the sealed unit recycles. Returns the cluster,
+/// the home and `b` when `b` lands in the other pool: the home then owes
+/// one extent to each of the two blocks.
+fn replay_shape(nth: usize) -> Option<(Cluster, Sim<Cluster>, usize, BlockId)> {
+    let mut cfg = ClusterConfig::ssd_testbed(4, 2, 4);
+    cfg.osds = 8;
+    cfg.stripe = StripeConfig::new(4, 2, 64 << 10);
+    cfg.file_size_per_client = 1 << 20;
+    cfg.materialize = true;
+    cfg.seed = 60;
+    let tsue = TsueConfig {
+        pools: 2,
+        unit_size: 16 << 10,
+        seal_interval: 100 * SECOND,
+        data_replicas: 2,
+        ..TsueConfig::ssd_default()
+    };
+    let mut world = ClusterBuilder::from_config(cfg)
+        .record_arrivals(false)
+        .scheme_fn(move |_| Box::new(Tsue::new(tsue.clone())))
+        .build();
+    let mut sim: Sim<Cluster> = Sim::new();
+    let home = world.core.owner_of(world.core.global_stripe(0, 0), 0);
+    let b = world.core.osds[home]
+        .block_ids()
+        .filter(|b| b.role < 4 && *b != A)
+        .nth(nth)?;
+    append_2k(&mut world, &mut sim, 0, b, 0);
+    for i in 1..=8 {
+        append_2k(&mut world, &mut sim, i, A, (i - 1) * 4096);
+    }
+    sim.run_until(&mut world, 200 * MILLISECOND);
+    let owes = |block| {
+        world.schemes[home]
+            .unmerged_extents(&world.core.mds, block)
+            .len()
+    };
+    (owes(A) == 1 && owes(b) == 1).then_some((world, sim, home, b))
+}
+
+/// Kills the home of [`replay_shape`] after the live logs drained and
+/// rebuilds its 12 blocks online. A rebuild writes its decode page by
+/// page through the target's checksum bracket, so only a page that
+/// decodes to non-zero bytes gets a buffer: [`A`]'s seven recycled
+/// appends, one per page, make 7; the other 11 blocks, `b` among them
+/// (its append never recycled), decode to zeros and stay absent. Each
+/// of the 2 replays writes only its owed 2 KiB, into an absent page of
+/// its own: A's eighth append's page and `b`'s first. 7 + 2 = 9
+/// allocations, each a 4 KiB page of a rebuilt block; none is of the
+/// size of a block. (Through a block-sized scratch for each decode and
+/// each replay it was 14 more.)
+#[test]
+fn rebuild_and_replay_allocate_only_the_pages_they_write() {
+    let (mut world, mut sim, home, b) = (0..12)
+        .find_map(replay_shape)
+        .expect("a data block of the home in the other pool");
+    let lost: Vec<BlockId> = world.core.osds[home].block_ids().collect();
+    fail_node(&mut world, home);
+    world.flush_all(&mut sim);
+
+    let before = buf::stats();
+    let phase = start_recovery(&mut world, &mut sim, &[home]);
+    sim.run_while(&mut world, |w| {
+        w.core.recovery.phase_stats(phase).pending() > 0
+    });
+    let window = buf::stats().since(&before);
+    let stats = world.core.recovery.phase_stats(phase);
+    assert_eq!((lost.len(), stats.rebuilt), (12, 12));
+    assert_eq!(stats.replica_replayed_bytes, 2 * 2048);
+    assert_eq!(window.pool_misses, 7 + 2, "{window:?}");
+
+    // Every allocation is a page that holds bytes of its own now.
+    let own_pages = |block: BlockId| {
+        let gstripe = world.core.global_stripe(block.file, block.stripe);
+        let osd = &world.core.osds[world.core.owner_of(gstripe, block.role)];
+        (0..16)
+            .filter(|p| {
+                let page = osd.peek_block_range(block, p * 4096, 4096);
+                page.expect("materialized").as_slice().is_some()
+            })
+            .count()
+    };
+    assert_eq!((own_pages(A), own_pages(b)), (8, 1));
+    assert_eq!(lost.iter().map(|&blk| own_pages(blk)).sum::<usize>(), 9);
 }
