@@ -49,8 +49,7 @@ pub struct StoredBlock {
 /// A page holds zeros, its own bytes, or a view of what wrote it:
 ///
 /// * **zeros** — a page never written is absent: it holds the zero-page
-///   digest and is never tainted, so no audit, verification or scrub has
-///   to hash it;
+///   digest and is never tainted;
 /// * **its own bytes** — a buffer only the page holds, mutated in place;
 /// * **a view** — a window of the deferred source a write covered the
 ///   whole page with ([`viewable`]), or a buffer that a read or a delta
@@ -59,6 +58,14 @@ pub struct StoredBlock {
 /// Views are copy-on-write: a partial write, an XOR merge or a bit flip
 /// gives the page bytes of its own first, so whatever shares the old
 /// buffer keeps the bytes it saw.
+///
+/// Only a page whose slot holds built bytes is ever hashed. A page that
+/// holds none — absent, or a view of a deferred source — reads as a pure
+/// function of its recipe over immutable handles, so a digest taken from
+/// it could never mismatch it: an audit, a verification or a scrub checks
+/// only its taint, and its stored digest is not maintained.
+/// [`Content::digest`] derives a view's digest from the view, and a bit
+/// flip records it in the table before it rots the page.
 #[derive(Debug)]
 struct Content {
     /// Block length in bytes.
@@ -122,6 +129,16 @@ fn segments(off: u64, len: u64) -> impl Iterator<Item = (usize, Range<usize>, us
         let (s, e) = (start.max(base), end.min(base + page));
         (p, s - base..e - base, s - start)
     })
+}
+
+/// Checks `page`, which holds `p`, against `sums`: hashed when `p` holds
+/// its bytes; a view of a deferred source fails only when tainted.
+fn audit(sums: &BlockChecksums, page: usize, p: &Bytes) -> Result<(), IntegrityError> {
+    match p.as_slice() {
+        Some(bytes) => sums.check(page, bytes),
+        None if sums.is_tainted(page) => Err(IntegrityError::TaintedPage { page }),
+        None => Ok(()),
+    }
 }
 
 /// Runs `f` on the bytes of `page`: straight from its buffer when that
@@ -233,9 +250,9 @@ impl Content {
     /// The checksum bracket, walked page by page over `[off, off + len)`:
     /// audit the page's pre-image if it exists, hand `mutate` the page's
     /// slot, the segment, the segment's position within the range and the
-    /// page's length, re-digest the page. A view is audited and digested
-    /// by generating it into a stack page. Returns whether a
-    /// [`Mutation::Capture`] found its pre-image corrupt.
+    /// page's length, re-digest the page if it holds bytes ([`audit`]).
+    /// Returns whether a [`Mutation::Capture`] found its pre-image
+    /// corrupt.
     fn bracket(
         &mut self,
         off: u64,
@@ -248,7 +265,6 @@ impl Content {
             return false;
         }
         self.allocate();
-        let mut scratch = [0u8; PAGE as usize];
         let mut rotted = false;
         for (page, seg, at) in segments(off, len) {
             let page_len = self.page_len(page);
@@ -259,14 +275,15 @@ impl Content {
                 // pre-image would fold the rot into its fresh digest, so
                 // the page stays or becomes tainted.
                 let whole = kind != Mutation::Mix && seg.len() == page_len;
-                let bad = (kind == Mutation::Capture || !whole)
-                    && with_bytes(old, &mut scratch, |b| sums.check(page, b)).is_err();
+                let bad = (kind == Mutation::Capture || !whole) && audit(sums, page, old).is_err();
                 rotted |= bad && kind == Mutation::Capture;
                 sums.set_tainted(page, bad && !whole);
             }
             mutate(slot, seg, at, page_len);
-            if let (Some(new), Some(sums)) = (slot.as_ref(), self.sums.as_mut()) {
-                with_bytes(new, &mut scratch, |b| sums.rehash(page, b));
+            if let (Some(new), Some(sums)) =
+                (slot.as_ref().and_then(Bytes::as_slice), self.sums.as_mut())
+            {
+                sums.rehash(page, new);
             }
         }
         rotted
@@ -304,12 +321,19 @@ impl Content {
         }
     }
 
-    /// Flips one bit in place, bypassing the checksum table (bit rot).
+    /// Flips one bit in place, bypassing the checksum table (bit rot). A
+    /// view's digest is not maintained, so the flip first records the
+    /// digest of the bytes the view gives the page.
     fn flip(&mut self, byte: usize, bit: u8) {
         self.allocate();
         let page = byte / PAGE as usize;
         let page_len = self.page_len(page);
-        own(&mut self.pages[page], page_len, true)[byte % PAGE as usize] ^= 1 << bit;
+        let viewed = self.page(page).is_some_and(|p| p.as_slice().is_none());
+        let bytes = own(&mut self.pages[page], page_len, true);
+        if let Some(sums) = self.sums.as_mut().filter(|_| viewed) {
+            sums.rehash(page, bytes);
+        }
+        bytes[byte % PAGE as usize] ^= 1 << bit;
     }
 
     /// Verifies the written pages overlapping `[off, off + len)`.
@@ -317,10 +341,9 @@ impl Content {
         let Some(sums) = &self.sums else {
             return Ok(());
         };
-        let mut scratch = [0u8; PAGE as usize];
         for (page, _, _) in segments(off, len) {
             if let Some(p) = self.page(page) {
-                with_bytes(p, &mut scratch, |b| sums.check(page, b))?;
+                audit(sums, page, p)?;
             }
         }
         Ok(())
@@ -332,24 +355,29 @@ impl Content {
         let Some(sums) = &self.sums else {
             return Vec::new();
         };
-        let mut scratch = [0u8; PAGE as usize];
         (0..self.pages.len())
             .filter(|&page| {
                 self.page(page)
-                    .is_some_and(|p| with_bytes(p, &mut scratch, |b| sums.check(page, b)).is_err())
+                    .is_some_and(|p| audit(sums, page, p).is_err())
             })
             .collect()
     }
 
-    /// Stored digest of `page`: the zero-page digest until the block's
-    /// first write; `None` with checksums off.
+    /// Digest of `page`: the zero-page digest until the block's first
+    /// write, a view's derived from the view, else the stored one; `None`
+    /// with checksums off.
     fn digest(&self, page: usize) -> Option<u64> {
-        match &self.sums {
-            Some(sums) => Some(sums.digest(page)),
-            None => self
+        let Some(sums) = &self.sums else {
+            return self
                 .checksums
-                .then(|| checksum(&ZERO_PAGE[..self.page_len(page)])),
-        }
+                .then(|| checksum(&ZERO_PAGE[..self.page_len(page)]));
+        };
+        Some(match self.page(page) {
+            Some(view) if view.as_slice().is_none() => {
+                with_bytes(view, &mut [0; PAGE as usize], checksum)
+            }
+            _ => sums.digest(page),
+        })
     }
 }
 
@@ -962,10 +990,13 @@ mod tests {
         let unread = unread_payload(len);
         let read = unread_payload(len).into_built();
 
+        // The partial pages 0 and 2 generate their pieces into bytes of
+        // their own; page 1, covered whole, becomes a view of the payload,
+        // which no digest generates: len − PAGE bytes.
         let before = tsue_buf::stats();
         let got = streamed.delta_poke_range(bid(0, 0), off, &unread);
         let window = tsue_buf::stats().since(&before);
-        assert_eq!(window.streamed_bytes, len as u64, "streamed once");
+        assert_eq!(window.streamed_bytes, len as u64 - PAGE, "streamed once");
 
         let want = built.delta_poke_range(bid(0, 0), off, &read);
         assert!(got.is_some() && got == want, "same delta");
@@ -1020,7 +1051,7 @@ mod tests {
         o.poke_block_range(bid(0, 0), 0, &unread_payload(4 * PAGE as usize));
         let s = tsue_buf::stats().since(&before);
         assert_eq!(s.pool_misses, 0, "four views");
-        assert_eq!(s.streamed_bytes, 4 * PAGE, "generated for the digests");
+        assert_eq!(s.streamed_bytes, 0, "a view is never hashed");
         assert_eq!(page_depths(&o), [1; 4]);
         // A source that holds its bytes is copied into pages of their
         // own, so no page pins a buffer larger than itself.
@@ -1030,6 +1061,65 @@ mod tests {
         assert_eq!(tsue_buf::stats().since(&before).pool_misses, 2);
         assert_eq!(page_depths(&o), [1, 0, 0, 1]);
         assert!(o.verify_range(bid(0, 0), 0, 1 << 20).is_ok());
+    }
+
+    /// A checksummed 4-page block whose every page views one client
+    /// payload, and the payload's bytes.
+    fn viewed_block() -> (Osd, Vec<u8>) {
+        let mut o = osd();
+        o.checksums = true;
+        o.provision_block(bid(0, 0), 4 * PAGE, true);
+        let payload = unread_payload(4 * PAGE as usize);
+        o.poke_block_range(bid(0, 0), 0, &payload);
+        assert_eq!(page_depths(&o), [1; 4]);
+        let mut bytes = vec![0u8; 4 * PAGE as usize];
+        payload.read_into(0, &mut bytes);
+        (o, bytes)
+    }
+
+    /// A view's digest is not kept in the table, so a bit flip records it
+    /// before the page's bytes rot: the flipped page, and only it, fails,
+    /// and every page's digest stays that of the payload's bytes.
+    #[test]
+    fn rot_in_a_view_is_caught() {
+        let (mut o, bytes) = viewed_block();
+        let want: Vec<_> = bytes
+            .chunks(PAGE as usize)
+            .map(|b| Some(checksum(b)))
+            .collect();
+        let digests = |o: &Osd| {
+            (0..4)
+                .map(|p| o.page_digest(bid(0, 0), p))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(digests(&o), want);
+        assert_eq!(o.corrupt_bits(bid(0, 0), &mut SplitRng::new(11), 1), 1);
+        let mut got = vec![0u8; 4 * PAGE as usize];
+        assert!(o.peek_into(bid(0, 0), 0, &mut got));
+        let pages = |b: &[u8]| {
+            b.chunks(PAGE as usize)
+                .map(<[u8]>::to_vec)
+                .collect::<Vec<_>>()
+        };
+        let (got, bytes) = (pages(&got), pages(&bytes));
+        let rotted: Vec<usize> = (0..4).filter(|&p| got[p] != bytes[p]).collect();
+        assert_eq!(rotted.len(), 1, "one flip rots one page");
+        assert_eq!(o.corrupt_pages(bid(0, 0)), rotted);
+        assert!(o.verify_range(bid(0, 0), 0, 4 * PAGE).is_err());
+        assert_eq!(digests(&o), want);
+    }
+
+    /// Verifying, scanning or sourcing a delta from pages that view a
+    /// payload generates none of them.
+    #[test]
+    fn verifying_views_streams_nothing() {
+        let (mut o, _) = viewed_block();
+        let before = tsue_buf::stats();
+        assert!(o.verify_range(bid(0, 0), 0, 4 * PAGE).is_ok());
+        assert!(o.corrupt_pages(bid(0, 0)).is_empty());
+        o.note_delta_source(bid(0, 0), 0, 4 * PAGE);
+        assert!(o.take_poisoned().is_empty());
+        assert_eq!(tsue_buf::stats().since(&before).streamed_bytes, 0);
     }
 
     #[test]

@@ -220,6 +220,14 @@ fn source(
     }
 }
 
+/// The pages of `id` that view a deferred source: they hold no bytes.
+fn deferred_pages(osd: &Osd, id: BlockId) -> Vec<usize> {
+    let content = osd.content(id).expect("materialized");
+    (0..content.pages.len())
+        .filter(|&p| content.page(p).is_some_and(|b| b.as_slice().is_none()))
+        .collect()
+}
+
 /// Reads and deltas the store handed out, each with the bytes it must
 /// keep reading as whatever the store does after.
 #[derive(Default)]
@@ -252,7 +260,9 @@ impl Held {
 /// still holds reads as it did when it was made, whatever pokes, XORs,
 /// captures, bit flips and decodes came since; and no page is deeper
 /// than [`MAX_VIEW_DEPTH`]. A whole-block write of zeros leaves every
-/// absent page absent.
+/// absent page absent. Some bit flips land in pages that view a deferred
+/// source, whose digests the store derives instead of keeping: the flip
+/// records the digest, so the rot is caught all the same.
 #[test]
 fn paged_store_matches_flat_reference() {
     let len = 5 * PAGE + 1000;
@@ -272,6 +282,8 @@ fn paged_store_matches_flat_reference() {
             let mut held = Held::default();
             // Steps after which some page is a view.
             let mut views = 0;
+            // Bit flips that landed in a view of a deferred source.
+            let mut flipped_views = 0;
             for step in 0..400 {
                 let ctx = format!("checksums {checksums} seed {seed} step {step}");
                 let (off, n) = random_range(&mut rng, len);
@@ -319,8 +331,12 @@ fn paged_store_matches_flat_reference() {
                     }
                     4 => {
                         let flips = 1 + rng.below(3) as usize;
+                        let viewed = deferred_pages(&osd, id);
                         flat.corrupt_bits(&mut rng.clone(), flips);
                         osd.corrupt_bits(id, &mut rng, flips);
+                        // A flip gives the page it lands in bytes of its own.
+                        let now = deferred_pages(&osd, id);
+                        flipped_views += viewed.iter().filter(|p| !now.contains(p)).count();
                     }
                     5 => {
                         let got = osd.peek_block_range(id, off, n).expect("materialized");
@@ -356,6 +372,7 @@ fn paged_store_matches_flat_reference() {
                 }
             }
             assert!(views > 40, "pages become views: {views} of 400 steps");
+            assert!(flipped_views > 0, "checksums {checksums} seed {seed}");
         }
     }
 }

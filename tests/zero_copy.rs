@@ -10,9 +10,9 @@
 //! nothing is generated when it is issued, and its consumers each
 //! generate the window they read straight into their own memory. The
 //! block store keeps copy-on-write pages: a page an in-place write or a
-//! delta capture covers whole becomes a view of the payload, generated
-//! only into a stack page for its digest (and for the audit of a later
-//! capture over it). A store read is a recipe over the pages' views, and
+//! delta capture covers whole becomes a view of the payload, which is
+//! never generated for a digest or an audit — only a page that holds
+//! bytes is hashed. A store read is a recipe over the pages' views, and
 //! a data delta `new ⊕ old` a recipe over the payload and the pages the
 //! capture replaced — or, over a never-written page, the payload's own
 //! handle. Every parity delta is a recipe over the data delta's handle
@@ -202,19 +202,19 @@ fn overwrite_one_range(scheme: NewScheme, n: u64) -> buf::BufStats {
 
 /// TSUE's DataLog absorbs 16 overwrites of one range newest-wins before
 /// its seal-time capture reads them. The page was never written, so the
-/// capture makes it a view of that one payload, generated once for its
-/// digest (4096), and the data delta is the payload's own handle. The
+/// capture makes it a view of that one payload, which no digest
+/// generates, and the data delta is the payload's own handle. The
 /// DeltaLog recycle combines it into one Eq. 5 recipe per parity, and
 /// each ParityLog recycle generates its recipe (4096) over the payload
-/// (4096) into the parity block's page: m · 8192. 4096 + 2·8192 = 20 480
-/// bytes streamed, none buffered. The two allocations are the parity
-/// pages; the capture allocates nothing.
+/// (4096) into the parity block's page: m · 8192 = 2·8192 = 16 384 bytes
+/// streamed, none buffered. The two allocations are the parity pages;
+/// the capture allocates nothing.
 #[test]
 fn tsue_generates_only_the_payload_its_data_log_keeps() {
     let window = overwrite_one_range(|| Box::new(Tsue::ssd()), 16);
     assert_eq!(
         window.streamed_bytes,
-        4096 + 2 * (4096 + 4096),
+        2 * (4096 + 4096),
         "superseded payloads must never be generated: {window:?}"
     );
     assert_eq!(window.pool_misses, 2, "only the parity pages: {window:?}");
@@ -223,8 +223,8 @@ fn tsue_generates_only_the_payload_its_data_log_keeps() {
 /// TSUE's DataLog recycle captures a run over a never-written page with
 /// [`tsue_repro::ecfs::Osd::delta_poke_range`]: the page becomes a view
 /// of the new data and the delta is the new data's own handle, so the
-/// capture allocates nothing, copies nothing and fills nothing; it
-/// generates the page once, for its digest. End to end, one write makes
+/// capture allocates nothing, copies nothing and streams nothing: a view
+/// holds no bytes, so it is never hashed. End to end, one write makes
 /// the same m = 2 allocations as sixteen: the parity pages.
 #[test]
 fn tsue_capture_over_a_never_written_page_allocates_nothing() {
@@ -243,7 +243,7 @@ fn tsue_capture_over_a_never_written_page_allocates_nothing() {
     let window = buf::stats().since(&before);
     assert_eq!(window.pool_misses, 0, "{window:?}");
     assert_eq!(window.bytes_copied, 0);
-    assert_eq!(window.streamed_bytes, 3 * 4096, "the pages' digests");
+    assert_eq!(window.streamed_bytes, 0, "no digest of a view");
     let mut want = vec![0u8; 3 * 4096];
     payload_into(9, 0, &mut want);
     let mut got = vec![0u8; 3 * 4096];
@@ -257,21 +257,21 @@ fn tsue_capture_over_a_never_written_page_allocates_nothing() {
 }
 
 /// PARIX writes each update in place on arrival: the page becomes a view
-/// of the payload, generated once for its digest — 16 × 4096 bytes. The
-/// first touch reads the never-written original as a recipe of zeros
+/// of the payload, which neither its digest nor a later audit or
+/// verification generates. The first touch reads the never-written original as a recipe of zeros
 /// (4096 deferred, nothing allocated) and forwards it. On each of the
 /// m = 2 parity peers the flush's recycle builds the delta `latest ⊕
 /// original` in a buffer: the original's recipe streams its zeros into it
 /// (4096) and `latest`, which keeps only the newest payload, is XORed in
 /// through a page scratch (4096). Each peer's scaled delta is a recipe
-/// over that buffer, generated into the parity block (4096). 16·4096 +
-/// 2·3·4096 = 90 112 bytes streamed, none buffered. Four buffers are
-/// allocated: one delta and one parity page per peer.
+/// over that buffer, generated into the parity block (4096). 2·3·4096 =
+/// 24 576 bytes streamed, none buffered. Four buffers are allocated: one
+/// delta and one parity page per peer.
 #[test]
 fn parix_generates_every_payload_on_arrival() {
     let window = overwrite_one_range(|| Box::new(Parix::new()), 16);
     assert_eq!(window.deferred_bytes, 16 * 4096 + 4096 + 2 * 4096);
-    assert_eq!(window.streamed_bytes, (16 + 2 * 3) * 4096, "{window:?}");
+    assert_eq!(window.streamed_bytes, 2 * 3 * 4096, "{window:?}");
     assert_eq!(window.pool_misses, 2 + 2, "{window:?}");
 }
 
@@ -315,37 +315,31 @@ fn parix_first_touch_read_allocates_nothing() {
 }
 
 /// The schemes whose data side is a read-modify-write on arrival capture
-/// every update. The first overwrites a never-written page: the page
-/// becomes a view of the payload, generated for its digest (4096), and
-/// the delta is the payload's handle, which each of the m = 2 scaled
-/// recipes reads through (2 · 2·4096): 5 · 4096. Each of the other 15
-/// audits the page it replaces (4096) and digests the new view (4096);
-/// its delta is a recipe over the payload and the replaced view, so each
-/// scaled recipe reads four windows (2 · 4·4096): 10 · 4096. FO, PL and
-/// PLR apply every scaled delta: (5 + 15·10) · 4096 = 634 880 bytes.
-/// CoRD folds the 16 deltas at its collector: the first fold streams the
-/// first delta, the payload's handle, into a buffer of its own (4096)
-/// and XORs in the second (3 · 4096), each later fold XORs one
-/// delta in place (3 · 4096); it drains one scaled recipe per parity over
-/// the folded buffer (2 · 4096): (16 + 15 + 4 + 14·3 + 2) · 4096 =
-/// 323 584. FL logs the data side newest-wins and its drain captures only
-/// the newest, over a never-written page, like TSUE: (1 + 2·2) · 4096 =
-/// 20 480. None fills a payload or a parity delta into a buffer; none
+/// every update, and every page they write whole is a view of its
+/// payload, which is never hashed: no digest, no audit. The first
+/// overwrites a never-written page; its delta is the payload's handle,
+/// which each of the m = 2 scaled recipes reads through (2 · 2·4096):
+/// 4 · 4096. Each of the other 15 deltas is a recipe over the payload and
+/// the replaced view, so each scaled recipe reads four windows
+/// (2 · 4·4096): 8 · 4096. FO, PL and PLR apply every scaled delta:
+/// (4 + 15·8) · 4096 = 507 904 bytes. CoRD folds the 16 deltas at its
+/// collector: the first fold streams the first delta, the payload's
+/// handle, into a buffer of its own (4096) and XORs in the second
+/// (3 · 4096), each later fold XORs one delta in place (3 · 4096); it
+/// drains one scaled recipe per parity over the folded buffer (2 · 4096):
+/// (4 + 14·3 + 2) · 4096 = 196 608. FL logs the data side newest-wins and
+/// its drain captures only the newest, over a never-written page, like
+/// TSUE: 2·2 · 4096 = 16 384. None fills a payload or a parity delta into a buffer; none
 /// allocates a data delta. Every scheme allocates the two parity pages,
 /// and CoRD its fold's buffer.
 #[test]
 fn no_other_scheme_fills_a_client_payload() {
     let schemes: [(&str, NewScheme, u64, u64); 5] = [
-        ("FO", || Box::new(Fo::new()), 5 + 15 * 10, 2),
-        ("FL", || Box::new(Fl::new()), 1 + 2 * 2, 2),
-        ("PL", || Box::new(Pl::new()), 5 + 15 * 10, 2),
-        ("PLR", || Box::new(Plr::new()), 5 + 15 * 10, 2),
-        (
-            "CoRD",
-            || Box::new(Cord::new()),
-            16 + 15 + 4 + 14 * 3 + 2,
-            1 + 2,
-        ),
+        ("FO", || Box::new(Fo::new()), 4 + 15 * 8, 2),
+        ("FL", || Box::new(Fl::new()), 2 * 2, 2),
+        ("PL", || Box::new(Pl::new()), 4 + 15 * 8, 2),
+        ("PLR", || Box::new(Plr::new()), 4 + 15 * 8, 2),
+        ("CoRD", || Box::new(Cord::new()), 4 + 14 * 3 + 2, 1 + 2),
     ];
     for (name, scheme, pages, allocations) in schemes {
         let window = overwrite_one_range(scheme, 16);
@@ -359,11 +353,11 @@ fn no_other_scheme_fills_a_client_payload() {
 /// parity block: no block-sized buffer, no filled snapshot. Over 16 KiB
 /// blocks (4 pages) where data block 0 views a client payload, block 1
 /// holds two pages of its own bytes and blocks 2 and 3 were never
-/// written, the scan for rot generates block 0's four views for their
-/// digests (4 · 4096). The re-encode then streams its own recipe
-/// (16 384), each snapshot (4 · 16 384) and, under block 0's snapshot,
-/// the payload again (16 384): 4 · 4096 + 6 · 16 384 = 114 688 bytes.
-/// The four allocations are the parity block's pages.
+/// written, the scan for rot hashes only block 1's two pages: block 0's
+/// four views hold no bytes, so none is generated. The re-encode streams
+/// its own recipe (16 384), each snapshot (4 · 16 384) and, under block
+/// 0's snapshot, the payload (16 384): 6 · 16 384 = 98 304 bytes. The
+/// four allocations are the parity block's pages.
 #[test]
 fn parity_reencode_streams_into_the_parity_pages() {
     const BLOCK: usize = 4 * 4096;
@@ -392,11 +386,7 @@ fn parity_reencode_streams_into_the_parity_pages() {
     assert_eq!(repair_all_dirty_parity(&mut world, &mut sim), 1);
     let window = buf::stats().since(&before);
     assert_eq!(window.pool_misses, 4, "the parity pages only: {window:?}");
-    assert_eq!(
-        window.streamed_bytes,
-        4 * 4096 + 6 * BLOCK as u64,
-        "{window:?}"
-    );
+    assert_eq!(window.streamed_bytes, 6 * BLOCK as u64, "{window:?}");
     assert_eq!(window.bytes_copied, 0, "{window:?}");
 
     let data: Vec<Vec<u8>> = (0..4)
